@@ -23,12 +23,13 @@ from .characters import (
     InvalidLabelError,
     bosonic_character,
     fermionic_character_12,
+    m_vector,
     theorem1_label,
     verify_symmetries,
 )
 from .halfpath import HalfPath, InvalidHalfPathError
 from .particles import Dissection, Particle, apply_move, dissect, enumerate_moves
-from .particles import minimal_path, minimal_weight, m_vector, sector_gf
+from .particles import minimal_path, minimal_weight, sector_gf
 from .qseries import (
     QSeries,
     modular_product,

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import halfpath as hp
+from . import lattice
 from . import rsos
 from .halfpath import HalfPath
 from .rsos import RsosPath
@@ -65,14 +66,6 @@ class Bij2Trace:
 # -- small sequence editors --------------------------------------------------
 
 
-def _rsos_seq(path: RsosPath, upto: int) -> list[int]:
-    return [path.height(x) for x in range(upto + 1)]
-
-
-def _half_seq(path: HalfPath, upto: int) -> list[int]:
-    return [path.height(i) for i in range(upto + 1)]
-
-
 def _delete_pairs(seq: list[int], positions: list[int]) -> list[int]:
     """Delete (pos, pos+1) for each position, processed right to left."""
     out = list(seq)
@@ -85,13 +78,16 @@ def _delete_positions(seq: list[int], positions: set[int]) -> list[int]:
     return [v for i, v in enumerate(seq) if i not in positions]
 
 
-def _insert_notches(seq: list[int], notches: list[tuple[int, int]]) -> list[int]:
-    """Insert (value+step, value) after each (pos, step), right to left.
+def _insert_notches(
+    path: RsosPath | HalfPath, notches: list[tuple[int, int]]
+) -> list[int]:
+    """The path's heights with (value+step, value) inserted after each
+    (pos, step), right to left, and its tail padded to hold every position.
 
     step +1 raises a notch above the host vertex, step -1 digs one below;
     repeated entries at one position stack into an oscillation.
     """
-    out = list(seq)
+    out = path.padded(max([path.horizon] + [pos for pos, _ in notches]) + 2)
     for pos, step in sorted(notches, reverse=True):
         h = out[pos]
         out[pos + 1 : pos + 1] = [h + step, h]
@@ -128,11 +124,7 @@ def _half_straight_count(path: HalfPath) -> int:
 
 def _half_peak_position(path: HalfPath, number: int) -> int:
     """Doubled position of the number-th peak from the left (tail included)."""
-    stored = [
-        i
-        for i in range(1, path.horizon + 1)
-        if path.height(i - 1) < path.height(i) > path.height(i + 1)
-    ]
+    stored = lattice.peaks(path.padded(path.horizon + 1))
     if number <= len(stored):
         return stored[number - 1]
     return path.horizon + 1 + 2 * (number - len(stored) - 1)
@@ -171,7 +163,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     assert _is_partition(lam)
 
     doomed = {x for pair in particles for x in pair}
-    seq = _rsos_seq(path, path.horizon + 2 * n + 2)
+    seq = path.padded(path.horizon + 2 * n + 2)
     h_cut = RsosPath.of(p, pp, a, b, _delete_positions(seq, doomed))
 
     w_cut = rsos.weight(h_cut)
@@ -189,11 +181,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     assert all(mu[i] > mu[i + 1] for i in range(n - 1))
 
     notch_at = [_half_peak_position(h_hat_cut, number) for number in mu]
-    upto = h_hat_cut.horizon + 2 * n + 4
-    if notch_at:
-        upto = max(upto, max(notch_at) + 2 * n + 4)
-    seq2 = _half_seq(h_hat_cut, upto)
-    h_hat = HalfPath.of(2 * p, a, b, _insert_notches(seq2, [(x, 1) for x in notch_at]))
+    h_hat = HalfPath.of(2 * p, a, b, _insert_notches(h_hat_cut, [(x, 1) for x in notch_at]))
 
     w_hat = hp.weight(h_hat)
     assert w_hat == hp.weight(h_hat_cut) + n * (ell + n - 1) // 2 + sum(mu)
@@ -211,13 +199,9 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
         raise BijectionDomainError(f"(A,B)=({a},{b}) out of range for T={t2}")
 
     w_hat = hp.weight(path)
-    peaks = [
-        i
-        for i in range(1, path.horizon + 1)
-        if path.height(i - 1) < path.height(i) > path.height(i + 1)
-    ]
-    integer_peaks = [(num + 1, pos) for num, pos in enumerate(peaks)
-                     if path.height(pos) % 2 == 0]
+    hs = path.padded(path.horizon + 1)
+    integer_peaks = [(num + 1, pos) for num, pos in enumerate(lattice.peaks(hs))
+                     if hs[pos] % 2 == 0]
     n = len(integer_peaks)
     mu = tuple(num for num, _ in reversed(integer_peaks))
     lam = tuple(mu[i] - n + i for i in range(n))  # mu_i - n - 1 + (i+1)
@@ -226,11 +210,8 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
 
     seq = _delete_pairs(list(path.doubled), [pos for _, pos in integer_peaks])
     h_hat_cut = HalfPath.of(t2, a, b, seq)
-    if any(
-        h_hat_cut.height(i - 1) < h_hat_cut.height(i) > h_hat_cut.height(i + 1)
-        and h_hat_cut.height(i) % 2 == 0
-        for i in range(1, h_hat_cut.horizon + 1)
-    ):
+    cut = h_hat_cut.padded(h_hat_cut.horizon + 1)
+    if any(cut[i] % 2 == 0 for i in lattice.peaks(cut)):
         raise StructureError("integer peaks remain after unstacking")
 
     h_cut = RsosPath.of(p, pp, a, b, h_hat_cut.doubled)
@@ -245,20 +226,22 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
             return ns_list[j - 1]
         return h_cut.horizon + (j - len(ns_list))  # tail vertices
 
+    return _reinsert(h_cut, [nonscoring_position(lam_i) for lam_i in lam], w_hat)
+
+
+def _reinsert(h_cut: RsosPath, positions: list[int], w_hat: int) -> RsosPath:
+    """Put a particle back as a notch at each position of the cut path; the
+    result must carry the weight w_hat.
+    """
     notches = []
-    for lam_i in lam:
-        pos = nonscoring_position(lam_i)
+    for pos in positions:
         height = h_cut.height(pos)
         step = _notch_step(height)
-        if not 1 <= height + step <= pp - 1:
+        if not 1 <= height + step <= h_cut.p_prime - 1:
             raise StructureError(f"reinsertion at position {pos} leaves the strip")
         notches.append((pos, step))
-
-    upto = h_cut.horizon + 2 * n + 4
-    if notches:
-        upto = max(upto, max(pos for pos, _ in notches) + 2 * n + 4)
-    seq2 = _insert_notches(_rsos_seq(h_cut, upto), notches)
-    out = RsosPath.of(p, pp, a, b, seq2)
+    seq = _insert_notches(h_cut, notches)
+    out = RsosPath.of(h_cut.p, h_cut.p_prime, h_cut.a, h_cut.b, seq)
     if rsos.weight(out) != w_hat:
         raise StructureError("reinserted path does not reproduce the weight")
     return out
@@ -294,7 +277,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     n = len(lam)
 
     doomed = {x for pair in pairs for x in pair}
-    seq = _rsos_seq(path, path.horizon + 2 * n + 2)
+    seq = path.padded(path.horizon + 2 * n + 2)
     h_cut = RsosPath.of(p, pp, a, path.b, _delete_positions(seq, doomed))
 
     cut_info = rsos.classify(h_cut)
@@ -315,8 +298,10 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     truncated = list(h_cut.heights)
     assert truncated[-1] == bb, "even cut horizon must end at the even tail height"
     rev = truncated[::-1]
-    peak_pos = [j for j in range(1, len(rev) - 1) if rev[j - 1] < rev[j] > rev[j + 1]]
-    lifted = _insert_notches(rev, [(j, 1) for j in peak_pos])
+    tops = set(lattice.peaks(rev))
+    lifted = []
+    for j, h in enumerate(rev):
+        lifted += (h, h + 1, h) if j in tops else (h,)
     lifted += [a + 1, a, a + 1, a]
     h_hat_cut = HalfPath.of(2 * p - 1, bb, a, lifted)
 
@@ -326,12 +311,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     assert ell == 2 * k - 2 * m
 
     notch_at = [_half_peak_position(h_hat_cut, number) for number in mu]
-    upto = h_hat_cut.horizon + 2 * n + 4
-    if notch_at:
-        upto = max(upto, max(notch_at) + 2 * n + 4)
-    seq_int = _insert_notches(
-        _half_seq(h_hat_cut, upto), [(x, 1) for x in notch_at]
-    )
+    seq_int = _insert_notches(h_hat_cut, [(x, 1) for x in notch_at])
     h_hat_int = HalfPath.of(2 * p - 1, bb, a, seq_int)
     w_hat_int = hp.weight(h_hat_int)
     assert w_hat_int == w_hat_cut + c * (ell + c - 1) // 2 + sum(mu)
@@ -339,12 +319,8 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     accretion = _accretion_positions(h_hat_int)
     if nu and nu[0] > len(accretion):
         raise AssertionError("remainder labels exceed the accretion vertex count")
-    notches2 = []
-    for number in nu:
-        pos = accretion[number - 1]
-        notches2.append((pos, 1))
-    seq_fin = _insert_notches(_half_seq(h_hat_int, h_hat_int.horizon + 2 * d + 4), notches2)
-    h_hat = HalfPath.of(2 * p - 1, bb, a, seq_fin)
+    notches2 = [(accretion[number - 1], 1) for number in nu]
+    h_hat = HalfPath.of(2 * p - 1, bb, a, _insert_notches(h_hat_int, notches2))
 
     w_hat = hp.weight(h_hat)
     assert w_hat == w_hat_int + sum(nu)
@@ -358,15 +334,9 @@ def _accretion_positions(path: HalfPath) -> list[int]:
     """Even positions where neither the vertex nor its successor is a peak,
     numbered from the right (index 0 is the rightmost).
     """
-
-    def is_peak(i: int) -> bool:
-        return path.height(i - 1) < path.height(i) > path.height(i + 1)
-
-    out = [
-        i
-        for i in range(0, path.horizon, 2)
-        if not is_peak(i) and not is_peak(i + 1)
-    ]
+    # position 0 is never a peak: the virtual H(-1) = A + 1 lies above it
+    tops = set(lattice.peaks(path.padded(path.horizon + 1)))
+    out = [i for i in range(0, path.horizon, 2) if i not in tops and i + 1 not in tops]
     return out[::-1]
 
 
@@ -387,36 +357,17 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     work = list(path.doubled)
     removals: list[int] = []  # anchor positions, kept in final coordinates
 
-    def horizon_of(seq: list[int]) -> int:
-        start = len(seq) - 1
-        while start > 0 and seq[start - 1] in (a, a + 1):
-            start -= 1
-        return start if start % 2 == 0 else start + 1
-
-    def value(seq: list[int], i: int) -> int:
-        if i == -1:
-            return bb + 1
-        if i < len(seq):
-            return seq[i]
-        last = seq[-1]
-        off = i - (len(seq) - 1)
-        return last if off % 2 == 0 else (a + 1 if last == a else a)
-
-    def straight(seq: list[int], i: int) -> bool:
-        return value(seq, i - 1) != value(seq, i + 1)
-
     while True:
-        lim = horizon_of(work)
+        cut = lattice.canonical(work, a)
+        # heights through two past the horizon, then the virtual start
+        # H(-1) = B + 1 last, where index -1 reads it
+        hs = lattice.padded(cut, a, len(cut) + 1) + [bb + 1]
         found = None
-        for j in range(lim - 1, 0, -1):
-            if not (value(work, j - 1) < work[j] > value(work, j + 1)):
-                continue
-            if work[j] % 2 == 0:
-                continue
-            if straight(work, j - 1) and straight(work, j + 1):
-                continue
-            found = j
-            break
+        for j in reversed(lattice.peaks(hs, 1, len(cut) - 1)):
+            # odd, and at least one neighbour is not straight
+            if hs[j] % 2 and (hs[j - 2] == hs[j] or hs[j] == hs[j + 2]):
+                found = j
+                break
         if found is None:
             break
         for idx in range(len(removals)):
@@ -439,31 +390,22 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     d = len(nu)
 
     # undo the staggered peak raises: non-integer peaks of the interim path
-    peaks = [
-        i
-        for i in range(1, h_hat_int.horizon + 1)
-        if h_hat_int.height(i - 1) < h_hat_int.height(i) > h_hat_int.height(i + 1)
-    ]
-    odd_peaks = [(num + 1, pos) for num, pos in enumerate(peaks)
-                 if h_hat_int.height(pos) % 2 == 1]
+    hs = h_hat_int.padded(h_hat_int.horizon + 1)
+    odd_peaks = [(num + 1, pos) for num, pos in enumerate(lattice.peaks(hs))
+                 if hs[pos] % 2 == 1]
     c = len(odd_peaks)
     mu = tuple(num for num, _ in reversed(odd_peaks))
 
     seq = _delete_pairs(list(h_hat_int.doubled), [pos for _, pos in odd_peaks])
     h_hat_cut = HalfPath.of(t2, bb, a, seq)
-    for i in range(1, h_hat_cut.horizon + 1):
-        up = h_hat_cut.height(i - 1) < h_hat_cut.height(i) > h_hat_cut.height(i + 1)
-        if up and h_hat_cut.height(i) % 2 == 1:
-            raise StructureError("non-integer peak survived the unstacking")
+    cut = h_hat_cut.padded(h_hat_cut.horizon + 1)
+    if any(cut[i] % 2 == 1 for i in lattice.peaks(cut)):
+        raise StructureError("non-integer peak survived the unstacking")
 
     # invert the flip-and-lift: lower every peak, reverse, restore the tail
     truncated = list(h_hat_cut.doubled)
     assert truncated[-1] == a
-    peak_pos = [
-        j for j in range(1, len(truncated) - 1)
-        if truncated[j - 1] < truncated[j] > truncated[j + 1]
-    ]
-    lowered = _delete_pairs(truncated, peak_pos)
+    lowered = _delete_pairs(truncated, lattice.peaks(truncated))
     rev = lowered[::-1]
     assert rev[0] == a and rev[-1] == bb
     rev += [bb - 1, bb, bb - 1]
@@ -481,22 +423,6 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     if d and c < n and nu[0] - (c + 1) >= k - m:
         raise StructureError("prefix length is not maximal for the recovered labels")
 
-    notches = []
-    for lam_i in lam:
-        if lam_i > k:
-            raise StructureError(f"label {lam_i} exceeds the scoring count {k}")
-        pos = 0 if lam_i == k else scoring[k - lam_i - 1]
-        height = h_cut.height(pos)
-        step = _notch_step(height)
-        if not 1 <= height + step <= pp - 1:
-            raise StructureError(f"reinsertion at position {pos} leaves the strip")
-        notches.append((pos, step))
-
-    upto = h_cut.horizon + 2 * n + 4
-    if notches:
-        upto = max(upto, max(pos for pos, _ in notches) + 2 * n + 4)
-    seq2 = _insert_notches(_rsos_seq(h_cut, upto), notches)
-    out = RsosPath.of(p, pp, a, bb - 1, seq2)
-    if rsos.weight(out) != w_hat:
-        raise StructureError("reinserted path does not reproduce the weight")
-    return out
+    if lam and lam[0] > k:  # lam is a partition: its first label is the largest
+        raise StructureError(f"label {lam[0]} exceeds the scoring count {k}")
+    return _reinsert(h_cut, [0 if x == k else scoring[k - x - 1] for x in lam], w_hat)

@@ -94,8 +94,10 @@ def b_matrix(t2: int) -> list[list[int]]:
     return [[(min(i, j) - 1) * max(i, j) for j in idx] for i in idx]
 
 
-def m_vector_of(t2: int, n: tuple[int, ...]) -> list[int]:
-    """m_d = sum_{k=d+1..2t-2} n_k (k - d) for d = 1..2t-3."""
+def m_vector(t2: int, n: tuple[int, ...]) -> list[int]:
+    """m_d = sum_{k=d+1..2t-2} n_k (k - d) for d = 1..2t-3: the maximal move
+    counts per charge of a sector, and the fermionic-term arguments.
+    """
     size = t2 - 3
     if len(n) != size:
         raise ValueError(f"occupation vector must have length {size}, got {len(n)}")
@@ -110,33 +112,18 @@ def _poch_inverse(n: int, order: int) -> QSeries:
     return pochhammer_finite(n, order).invert()
 
 
-def fermionic_character_12(t2: int, order: int) -> QSeries:
-    """The positive-sum form of the (r,s)=(1,2) character for T = 2t >= 4.
-
-    For even T this equals the bosonic series of (t, 2t+1, 1, 2); for odd T,
-    of (t+1/2, 2t, 1, 2).  The occupation-vector sum is restricted to the
-    finitely many vectors whose quadratic-form exponent stays within order.
+def occupation_vectors(t2: int, order: int):
+    """Every occupation vector n (counts of doubled charges 2..T-2) whose
+    exponent e = n.B.n/2 is at most order, as (n, e), in lexicographic order.
     """
-    if t2 < 4:
-        raise ValueError(f"need T = 2t >= 4, got {t2}")
-    size = t2 - 3
     bmat = b_matrix(t2)
-    coeffs = [0] * (order + 1)
+    size = t2 - 3
     vec = [0] * size
 
-    def descend(pos: int, expo2: int) -> None:
-        # expo2 carries n.B.n for the filled prefix; terms with
-        # n.B.n/2 > order vanish modulo q^(order+1).
+    def descend(pos: int, expo2: int):
+        # expo2 carries n.B.n for the filled prefix
         if pos == size:
-            expo = expo2 // 2
-            ms = m_vector_of(t2, tuple(vec))
-            term = _poch_inverse(ms[0], order - expo)
-            for j in range(2, size + 1):
-                term = term * q_binomial(vec[j - 2] + ms[j - 1], vec[j - 2],
-                                         order - expo)
-            for k, c in enumerate(term.coeffs):
-                if c:
-                    coeffs[expo + k] += c
+            yield tuple(vec), expo2 // 2
             return
         k = 0
         while True:
@@ -144,15 +131,39 @@ def fermionic_character_12(t2: int, order: int) -> QSeries:
             add = bmat[pos][pos] * k * k
             for i in range(pos):
                 add += 2 * bmat[i][pos] * vec[i] * k
-            if k and expo2 + add > 2 * order:
+            if expo2 + add > 2 * order:
                 break
-            if expo2 + add <= 2 * order:
-                vec[pos] = k
-                descend(pos + 1, expo2 + add)
-                vec[pos] = 0
+            vec[pos] = k
+            yield from descend(pos + 1, expo2 + add)
+            vec[pos] = 0
             k += 1
 
-    descend(0, 0)
+    yield from descend(0, 0)
+
+
+def _fermionic_term(t2: int, n: tuple[int, ...], order: int) -> QSeries:
+    """(q)_{m_1}^-1 prod_{j=2..T-3} [n_j + m_j, n_j]_q for occupation vector n."""
+    ms = m_vector(t2, n)
+    term = _poch_inverse(ms[0], order)
+    for j in range(2, t2 - 2):
+        if n[j - 2]:  # [m, 0]_q = 1
+            term = term * q_binomial(n[j - 2] + ms[j - 1], n[j - 2], order)
+    return term
+
+
+def fermionic_character_12(t2: int, order: int) -> QSeries:
+    """The positive-sum form of the (r,s)=(1,2) character for T = 2t >= 4.
+
+    For even T this equals the bosonic series of (t, 2t+1, 1, 2); for odd T,
+    of (t+1/2, 2t, 1, 2).  The occupation-vector sum is restricted to the
+    finitely many vectors whose quadratic-form exponent stays within order;
+    the others vanish modulo q^(order+1).
+    """
+    coeffs = [0] * (order + 1)
+    for n, e in occupation_vectors(t2, order):
+        for k, c in enumerate(_fermionic_term(t2, n, order - e).coeffs):
+            if c:
+                coeffs[e + k] += c
     return QSeries(order, tuple(coeffs))
 
 

@@ -56,24 +56,16 @@ def cmd_paths(args) -> int:
     if args.model == "rsos":
         if len(args.params) != 4:
             raise InvalidPathError("rsos paths need P PP A B")
-        p, pp, a, b = args.params
-        if args.gf:
-            _emit_series(rs.generating_function(p, pp, a, b, args.max_weight),
-                         args.format)
-        else:
-            for path in rs.enumerate_paths(p, pp, a, b, args.max_weight):
-                print(path.to_line())
+        model, params = rs, args.params
     else:
         if args.t2 is None or args.A is None or args.B is None:
             raise InvalidHalfPathError("half paths need --t2, --A and --B")
-        if args.gf:
-            _emit_series(
-                hp.generating_function(args.t2, args.A, args.B, args.max_weight),
-                args.format,
-            )
-        else:
-            for path in hp.enumerate_paths(args.t2, args.A, args.B, args.max_weight):
-                print(path.to_line())
+        model, params = hp, (args.t2, args.A, args.B)
+    if args.gf:
+        _emit_series(model.generating_function(*params, args.max_weight), args.format)
+    else:
+        for path in model.enumerate_paths(*params, args.max_weight):
+            print(path.to_line())
     return 0
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import lattice
 from .qseries import QSeries
 
 
@@ -65,7 +66,7 @@ class HalfPath:
         violation = find_violation(t2, a2, b2, doubled)
         if violation is not None:
             raise InvalidHalfPathError(violation)
-        return HalfPath(t2, a2, b2, _canonical(list(doubled), b2))
+        return HalfPath(t2, a2, b2, lattice.canonical(list(doubled), b2))
 
     @property
     def horizon(self) -> int:
@@ -78,12 +79,11 @@ class HalfPath:
             return self.a2 + 1
         if i < 0:
             raise IndexError("doubled positions start at -1")
-        if i <= self.horizon:
-            return self.doubled[i]
-        last = self.doubled[-1]
-        if (i - self.horizon) % 2 == 0:
-            return last
-        return self.b2 + 1 if last == self.b2 else self.b2
+        return lattice.tail_height(self.doubled, self.b2, i)
+
+    def padded(self, upto: int) -> list[int]:
+        """Doubled heights at positions 0..upto, continuing the tail."""
+        return lattice.padded(self.doubled, self.b2, upto)
 
     def is_straight(self, i: int) -> bool:
         return self.height(i - 1) != self.height(i + 1)
@@ -94,30 +94,9 @@ class HalfPath:
 
     @staticmethod
     def from_line(line: str) -> HalfPath:
-        from .rsos import _parse_fields
-
-        fields = _parse_fields(line, "half", ("T", "A", "B", "H"))
+        fields = lattice.parse_fields(line, "half", ("T", "A", "B", "H"))
         hs = [int(v) for v in fields["H"].split(",")]
         return HalfPath.of(int(fields["T"]), int(fields["A"]), int(fields["B"]), hs)
-
-
-def _canonical(hs: list[int], b2: int) -> tuple[int, ...]:
-    in_band = lambda h: h in (b2, b2 + 1)
-    start = len(hs) - 1
-    while start > 0 and in_band(hs[start - 1]):
-        start -= 1
-    lh = start if start % 2 == 0 else start + 1
-    if lh < len(hs):
-        return tuple(hs[: lh + 1])
-    out = list(hs)
-    while len(out) - 1 < lh:
-        out.append(b2 + 1 if out[-1] == b2 else b2)
-    return tuple(out)
-
-
-def validate(t2: int, a2: int, b2: int, doubled) -> str | None:
-    """Non-raising checker; returns the first violation message or None."""
-    return find_violation(t2, a2, b2, doubled)
 
 
 def raw_weight_quarters(path: HalfPath) -> int:
@@ -126,11 +105,9 @@ def raw_weight_quarters(path: HalfPath) -> int:
     Tail vertices beyond the horizon are peaks and valleys, so the sum is
     finite; the junction vertex at the horizon is included.
     """
-    total = 0
-    for i in range(path.horizon + 1):
-        if path.is_straight(i):
-            total += i
-    return total
+    hs = path.padded(path.horizon + 1)
+    # position 0 adds nothing, whatever its shape
+    return sum(i for i in range(1, path.horizon + 1) if hs[i - 1] != hs[i + 1])
 
 
 def theorem1_domain(t2: int, a2: int, b2: int) -> bool:
@@ -197,101 +174,37 @@ def weight_extended(path: HalfPath) -> int:
     return total // 4
 
 
-def enumerate_paths(
-    t2: int,
-    a2: int,
-    b2: int,
-    max_weight: int,
-    *,
-    stabilize: bool = True,
-) -> list[HalfPath]:
-    """All paths of weight <= max_weight, sorted by their doubled heights."""
-    if not theorem1_domain(t2, a2, b2):
-        raise InvalidHalfPathError(
-            f"(A,B)=({a2},{b2}) out of the admissible range for T={t2}"
-        )
+def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.Found:
+    """All paths of weight <= max_weight, sorted by their doubled heights,
+    each with its weight (`.weights`).
+    """
+    gs_q = raw_weight_quarters(ground_state(t2, a2, b2))  # checks the domain
     if max_weight < 0:
-        return []
-    gs_q = raw_weight_quarters(ground_state(t2, a2, b2))
+        return lattice.Found()
+
+    def cost(i: int, prev: int, h: int, nxt: int) -> int | None:
+        # a straight vertex adds its doubled position in quarter-units
+        if prev == nxt == h + 1 and h % 2 == 1:
+            return None  # valley at non-integer height
+        return i if nxt != prev else 0
+
+    def future(i: int, h: int) -> int:
+        # a single monotone run to the tail still has |h - B| - 1 interior
+        # straight vertices, at distinct positions from i on
+        m = abs(h - b2) - 1
+        return m * i + m * (m + 1) // 2 if m > 0 else 0
+
+    def leave(i: int) -> int:
+        # any exit from the tail band costs a straight vertex
+        return i
+
     budget = 4 * max_weight + gs_q
     horizon = 4 * max_weight + 2 * abs(a2 - b2) + 8
-    found = _search(t2, a2, b2, budget, horizon)
-    if stabilize:
-        again = _search(t2, a2, b2, budget, horizon + 2)
-        if found != again:
-            raise AssertionError(
-                "enumeration did not stabilize: horizon "
-                f"{horizon} vs {horizon + 2} for (T,A,B)=({t2},{a2},{b2})"
-            )
-    return [HalfPath(t2, a2, b2, hs) for hs in sorted(found)]
+    found = lattice.search(a2, b2, 2, t2, budget, horizon, cost, future, leave,
+                           f"(T,A,B)=({t2},{a2},{b2})")
+    return lattice.Found((HalfPath(t2, a2, b2, hs) for hs, _ in found),
+                         ((q - gs_q) // 4 for _, q in found))
 
 
 def generating_function(t2: int, a2: int, b2: int, order: int) -> QSeries:
-    coeffs = [0] * (order + 1)
-    for path in enumerate_paths(t2, a2, b2, order):
-        coeffs[weight(path)] += 1
-    return QSeries(order, tuple(coeffs))
-
-
-def _search(t2: int, a2: int, b2: int, budget: int, horizon: int) -> set[tuple[int, ...]]:
-    top = t2
-    in_band = (b2, b2 + 1)
-    results: set[tuple[int, ...]] = set()
-    hs = [a2]
-
-    def future_bound(i: int, h: int) -> int:
-        # a single monotone run to the tail still has |h - B| - 1 interior
-        # straight vertices, at distinct positions beyond i
-        d = abs(h - b2)
-        if d <= 1:
-            return 0
-        m = d - 1
-        return m * i + m * (m + 1) // 2
-
-    def emit_quarters(i: int, w: int) -> int | None:
-        h = hs[i]
-        if i == 0:
-            return w
-        prev = hs[i - 1]
-        if prev in in_band and hs[i - 2] in in_band:
-            return None
-        # junction vertex: straight when approached from below (B-1) or,
-        # for an h == B+1 horizon, from above (B+2)
-        if h == b2:
-            return w + (i if prev == b2 - 1 else 0)
-        return w + (i if prev == b2 + 2 else 0)
-
-    def step(i: int, w: int) -> None:
-        h = hs[i]
-        if i % 2 == 0 and h in in_band:
-            ew = emit_quarters(i, w)
-            if ew is not None and ew <= budget:
-                results.add(tuple(hs))
-        if i >= horizon:
-            return
-        prev = hs[i - 1] if i >= 1 else a2 + 1
-        for nh in (h - 1, h + 1):
-            if not 2 <= nh <= top:
-                continue
-            if prev == nh == h + 1 and h % 2 == 1:
-                continue  # valley at non-integer height
-            c = i if nh != prev else 0
-            w2 = w + c
-            if w2 > budget:
-                continue
-            if w2 + future_bound(i + 1, nh) > budget:
-                continue
-            if (
-                i >= 1
-                and nh in in_band
-                and h in in_band
-                and prev in in_band
-                and w2 + i + 1 > budget
-            ):
-                continue  # any exit from the tail band costs a straight vertex
-            hs.append(nh)
-            step(i + 1, w2)
-            hs.pop()
-
-    step(0, 0)
-    return results
+    return lattice.weight_series(enumerate_paths(t2, a2, b2, order).weights, order)

@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import halfpath as hp
-from .characters import b_matrix, m_vector_of
+from . import lattice
+from .characters import _fermionic_term, b_matrix
 from .halfpath import HalfPath
-from .qseries import QSeries, pochhammer_finite, q_binomial
+from .qseries import QSeries
 
 
 class DissectionError(Exception):
@@ -50,15 +51,11 @@ def dissect(path: HalfPath) -> Dissection:
     if path.a2 != 2 or path.b2 != 2:
         raise ValueError("dissection is defined on paths from height 1 to height 1")
     t2 = path.t2
-    H = path.height
-    peaks = [
-        i for i in range(1, path.horizon)
-        if H(i - 1) < H(i) > H(i + 1)
-    ]
-    valleys = [
-        i for i in range(0, path.horizon + 1)
-        if H(i - 1) > H(i) < H(i + 1)
-    ]
+    reach = path.horizon + 2 * t2 + 4  # how far a baseline may run into the tail
+    H = path.padded(reach)
+    peaks = lattice.peaks(H, 1, path.horizon)
+    # position 0 is always a valley: H(-1) = 3 (virtual) and H(1) = 3 lie above it
+    valleys = [0] + lattice.valleys(H, 1, path.horizon + 1)
     discounted: set[int] = set()
     assigned: dict[int, Particle] = {}
 
@@ -76,10 +73,10 @@ def dissect(path: HalfPath) -> Dissection:
         step = 1 if identified < peak else -1
         z = peak + step
         while 0 <= z:
-            if H(z) == base_h:
+            if H[z] == base_h:
                 return z
             z += step
-            if z > path.horizon + 2 * t2 + 4:
+            if z > reach:
                 raise DissectionError("baseline ran past the tail without closing")
         raise DissectionError("baseline ran off the left wall")
 
@@ -89,12 +86,12 @@ def dissect(path: HalfPath) -> Dissection:
                 continue
             left = nearest_valley(peak, -1)
             right = nearest_valley(peak, +1)
-            hits_left = left is not None and H(peak) - H(left) == charge2
-            hits_right = right is not None and H(peak) - H(right) == charge2
+            hits_left = left is not None and H[peak] - H[left] == charge2
+            hits_right = right is not None and H[peak] - H[right] == charge2
             if not hits_left and not hits_right:
                 continue
             identified = right if hits_right else left  # ties go to the right
-            base_h = H(peak) - charge2
+            base_h = H[peak] - charge2
             if charge2 == 1:
                 origin, end = peak - 1, peak + 1
             else:
@@ -143,29 +140,20 @@ def minimal_weight(t2: int, sector: tuple[int, ...]) -> int:
     for i, ni in enumerate(sector):
         for j, nj in enumerate(sector):
             total += ni * bmat[i][j] * nj
-    assert total % 2 == 0
+    if total % 2:
+        raise AssertionError(f"charge form {total} of {tuple(sector)} is odd")
     return total // 2
 
 
-def m_vector(t2: int, sector: tuple[int, ...]) -> list[int]:
-    """Maximal move counts per charge; also the fermionic-sum arguments."""
-    return m_vector_of(t2, tuple(sector))
-
-
 def sector_gf(t2: int, sector: tuple[int, ...], order: int) -> QSeries:
-    """Weight generating function of one sector."""
+    """Weight generating function of one sector: its fermionic term shifted
+    by the minimal weight.
+    """
     sector = tuple(sector)
     e = minimal_weight(t2, sector)
     if e > order:
         return QSeries.zero(order)
-    ms = m_vector(t2, sector)
-    term = pochhammer_finite(ms[0], order - e).invert()
-    for j in range(2, t2 - 2):
-        term = term * q_binomial(sector[j - 2] + ms[j - 1], sector[j - 2], order - e)
-    coeffs = [0] * (order + 1)
-    for i, cc in enumerate(term.coeffs):
-        coeffs[e + i] = cc
-    return QSeries(order, tuple(coeffs))
+    return QSeries(order, (0,) * e + _fermionic_term(t2, sector, order - e).coeffs)
 
 
 # -- particle moves -----------------------------------------------------------
@@ -268,8 +256,7 @@ def apply_move(path: HalfPath, move: Move) -> HalfPath:
     plan = _move_plan(path, q, p)
     if plan is None:
         raise AssertionError("move is not permitted on this path")
-    upto = max(path.horizon, q.origin + 2 * d2, p.peak) + 2 * d2 + 8
-    seq = [path.height(i) for i in range(upto + 1)]
+    seq = path.padded(max(path.horizon, q.origin + 2 * d2, p.peak) + 2 * d2 + 8)
 
     if plan[0] == "exchange":
         _, r_peak, q_peak = plan
@@ -281,8 +268,10 @@ def apply_move(path: HalfPath, move: Move) -> HalfPath:
         out = _shift_particle(seq, plan[1], d2)
 
     new = HalfPath.of(path.t2, path.a2, path.b2, out)
-    assert hp.weight(new) == hp.weight(path) + 1, "a move must add exactly one"
-    assert dissect(new).sector == dissect(path).sector, "a move must fix the sector"
+    if hp.weight(new) != hp.weight(path) + 1:
+        raise AssertionError("a move must add exactly one")
+    if dissect(new).sector != dissect(path).sector:
+        raise AssertionError("a move must fix the sector")
     return new
 
 

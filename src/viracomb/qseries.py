@@ -168,21 +168,6 @@ class QSeries:
         return " ".join(terms) if terms else "0"
 
 
-def series_arith(op: str, a: QSeries, b: QSeries) -> QSeries:
-    """Dispatch add/sub/mul by name (the batch surface used by the CLI)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown series operation {op!r}")
-
-
-def series_invert(a: QSeries) -> QSeries:
-    return a.invert()
-
-
 def pochhammer_finite(n: int, order: int) -> QSeries:
     """(q)_n = prod_{i=1..n} (1 - q^i), truncated; (q)_0 = 1."""
     if n < 0:

@@ -20,9 +20,8 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-
-class InvalidPathError(ValueError):
-    """Raised for sequences violating the path constraints."""
+from . import lattice
+from .lattice import InvalidPathError
 
 
 class InfiniteWeightError(ValueError):
@@ -89,7 +88,7 @@ class RsosPath:
             raise InvalidPathError(
                 f"stored sequence must end inside the tail band, got {hs[-1]}"
             )
-        return RsosPath(p, p_prime, a, b, _canonical(hs, b))
+        return RsosPath(p, p_prime, a, b, lattice.canonical(hs, b))
 
     @property
     def horizon(self) -> int:
@@ -100,12 +99,11 @@ class RsosPath:
         """Height at any position, continuing the tail oscillation."""
         if x < 0:
             raise IndexError("positions are nonnegative")
-        if x <= self.horizon:
-            return self.heights[x]
-        last = self.heights[-1]
-        if (x - self.horizon) % 2 == 0:
-            return last
-        return self.b + 1 if last == self.b else self.b
+        return lattice.tail_height(self.heights, self.b, x)
+
+    def padded(self, upto: int) -> list[int]:
+        """Heights at positions 0..upto, continuing the tail oscillation."""
+        return lattice.padded(self.heights, self.b, upto)
 
     def to_line(self) -> str:
         hs = ",".join(str(h) for h in self.heights)
@@ -113,44 +111,11 @@ class RsosPath:
 
     @staticmethod
     def from_line(line: str) -> RsosPath:
-        fields = _parse_fields(line, "rsos", ("p", "pp", "a", "b", "h"))
+        fields = lattice.parse_fields(line, "rsos", ("p", "pp", "a", "b", "h"))
         hs = [int(v) for v in fields["h"].split(",")]
         return RsosPath.of(
             int(fields["p"]), int(fields["pp"]), int(fields["a"]), int(fields["b"]), hs
         )
-
-
-def _canonical(hs: list[int], b: int) -> tuple[int, ...]:
-    """Trim or extend so storage runs exactly through the canonical horizon."""
-    in_band = lambda h: h in (b, b + 1)
-    # first index from which everything stored is a b/b+1 oscillation
-    start = len(hs) - 1
-    while start > 0 and in_band(hs[start - 1]):
-        start -= 1
-    lh = start if start % 2 == 0 else start + 1
-    if lh < len(hs):
-        return tuple(hs[: lh + 1])
-    # stored data ends before the canonical horizon: extend by oscillation
-    out = list(hs)
-    while len(out) - 1 < lh:
-        out.append(b + 1 if out[-1] == b else b)
-    return tuple(out)
-
-
-def _parse_fields(line: str, kind: str, names: tuple[str, ...]) -> dict[str, str]:
-    parts = line.strip().split()
-    if not parts or parts[0] != kind:
-        raise InvalidPathError(f"expected a {kind!r} line, got {line!r}")
-    fields: dict[str, str] = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise InvalidPathError(f"malformed field {part!r}")
-        key, value = part.split("=", 1)
-        fields[key] = value
-    missing = [n for n in names if n not in fields]
-    if missing:
-        raise InvalidPathError(f"missing fields {missing} in {kind!r} line")
-    return fields
 
 
 class VertexInfo(NamedTuple):
@@ -167,9 +132,10 @@ def classify(path: RsosPath) -> list[VertexInfo]:
     """
     dark = dark_floors(path.p, path.p_prime)
     a = path.a
+    hs = path.padded(path.horizon + 1)
     out = []
     for x in range(1, path.horizon + 1):
-        prev, h, nxt = path.height(x - 1), path.height(x), path.height(x + 1)
+        prev, h, nxt = hs[x - 1], hs[x], hs[x + 1]
         up = prev < h
         if nxt == prev:
             shape = PEAK if prev < h else VALLEY
@@ -222,18 +188,13 @@ def _require_finite(path: RsosPath) -> None:
 
 
 def enumerate_paths(
-    p: int,
-    p_prime: int,
-    a: int,
-    b: int,
-    max_weight: int,
-    *,
-    stabilize: bool = True,
-) -> list[RsosPath]:
-    """All paths of weight <= max_weight, sorted by their height tuples.
+    p: int, p_prime: int, a: int, b: int, max_weight: int
+) -> lattice.Found:
+    """All paths of weight <= max_weight, sorted by their height tuples, each
+    with its weight (`.weights`).
 
-    Completeness is certified by re-running the search with the hard horizon
-    extended by two and demanding the identical set.
+    A depth-first search with exact lower-bound pruning; completeness is
+    certified by re-running it with the hard horizon extended by two.
     """
     if not 1 <= a <= p_prime - 1:
         raise InvalidPathError(f"start height a={a} out of range")
@@ -242,45 +203,18 @@ def enumerate_paths(
             f"b={b} is not a dark-band floor for ({p},{p_prime}); weights diverge"
         )
     if max_weight < 0:
-        return []
-    horizon = 2 * max_weight + abs(a - b) + 2 * p_prime
-    found = _search(p, p_prime, a, b, max_weight, horizon)
-    if stabilize:
-        again = _search(p, p_prime, a, b, max_weight, horizon + 2)
-        if found != again:
-            raise AssertionError(
-                "enumeration did not stabilize: horizon "
-                f"{horizon} vs {horizon + 2} for ({p},{p_prime},{a},{b})"
-            )
-    return [RsosPath(p, p_prime, a, b, hs) for hs in sorted(found)]
-
-
-def generating_function(p: int, p_prime: int, a: int, b: int, order: int):
-    """Weight generating function of the path set, truncated to the order."""
-    from .qseries import QSeries
-
-    coeffs = [0] * (order + 1)
-    for path in enumerate_paths(p, p_prime, a, b, order):
-        coeffs[weight(path)] += 1
-    return QSeries(order, tuple(coeffs))
-
-
-def _search(
-    p: int, p_prime: int, a: int, b: int, max_w: int, horizon: int
-) -> set[tuple[int, ...]]:
+        return lattice.Found()
     dark = dark_floors(p, p_prime)
     top = p_prime - 1
-    in_band = (b, b + 1)
-    results: set[tuple[int, ...]] = set()
-    hs = [a]
 
-    def contribution(x: int, prev: int, h: int, nxt: int) -> int:
+    def cost(x: int, prev: int, h: int, nxt: int) -> int:
+        # the scoring rule of classify, for one vertex
         straight = nxt != prev
         if straight != ((h if nxt > h else nxt) in dark):
             return 0
         return (x - h + a) // 2 if prev < h else (x + h - a) // 2
 
-    def future_bound(x: int, h: int) -> int:
+    def future(x: int, h: int) -> int:
         # every completion still owes at least one scoring vertex tied to
         # the final approach into the tail band
         if h > b + 1:
@@ -291,7 +225,7 @@ def _search(
             return (u + 1) // 2 if u > 0 else 0
         return 0
 
-    def leave_bound(x: int) -> int:
+    def leave(x: int) -> int:
         # cheapest cost of ever leaving the tail band at position >= x
         opts = []
         if b + 2 <= top:
@@ -300,51 +234,15 @@ def _search(
         if b - 1 >= 1:
             u = x + 1 + a - (b - 1)
             opts.append((u + 1) // 2 if u > 0 else 0)
-        return min(opts) if opts else max_w + 1
+        return min(opts) if opts else max_weight + 1
 
-    def emit_weight(x: int, w: int) -> int | None:
-        # canonical-horizon check plus the junction vertex's contribution
-        h = hs[x]
-        if x == 0:
-            return w
-        prev = hs[x - 1]
-        if prev in in_band and hs[x - 2] in in_band:
-            return None  # the tail started earlier; already emitted there
-        if h == b:
-            # junction is straight (scoring) from b-1, or a dark valley from b+1
-            return w + ((x - b + a) // 2 if prev == b - 1 else 0)
-        # h == b+1: straight (scoring) from b+2, or a dark peak from b
-        return w + ((x + b + 1 - a) // 2 if prev == b + 2 else 0)
+    horizon = 2 * max_weight + abs(a - b) + 2 * p_prime
+    found = lattice.search(a, b, 1, top, max_weight, horizon, cost, future, leave,
+                           f"({p},{p_prime},{a},{b})")
+    return lattice.Found((RsosPath(p, p_prime, a, b, hs) for hs, _ in found),
+                         (w for _, w in found))
 
-    def step(x: int, w: int) -> None:
-        h = hs[x]
-        if x % 2 == 0 and h in in_band:
-            ew = emit_weight(x, w)
-            if ew is not None and ew <= max_w:
-                results.add(tuple(hs))
-        if x >= horizon:
-            return
-        prev = hs[x - 1] if x >= 1 else None
-        for nh in (h - 1, h + 1):
-            if not 1 <= nh <= top:
-                continue
-            c = contribution(x, prev, h, nh) if x >= 1 else 0
-            w2 = w + c
-            if w2 > max_w:
-                continue
-            if w2 + future_bound(x + 1, nh) > max_w:
-                continue
-            if (
-                nh in in_band
-                and h in in_band
-                and prev is not None
-                and prev in in_band
-                and w2 + leave_bound(x + 1) > max_w
-            ):
-                continue
-            hs.append(nh)
-            step(x + 1, w2)
-            hs.pop()
 
-    step(0, 0)
-    return results
+def generating_function(p: int, p_prime: int, a: int, b: int, order: int):
+    """Weight generating function of the path set, truncated to the order."""
+    return lattice.weight_series(enumerate_paths(p, p_prime, a, b, order).weights, order)

@@ -1,10 +1,13 @@
-"""Identity-verification suites with machine-readable reports.
+"""Identity-verification suites with JSON-lines reports.
 
-Each check compares two independently computed integer series (or runs an
-exhaustive structural test) and reports pass/fail with the first mismatch.
-Checks are independent jobs, so suites can fan out over processes; the
-report order is canonical regardless of scheduling.  VIRACOMB_THREADS
-caps the worker count (default: all cores).
+Series checks compare two independently computed integer series and report
+the first mismatching power with both coefficients.  Structural checks
+(bijection round trips, minimal sector paths) report the failing path or
+sector in `detail`; the moves check leans on `apply_move`, whose own checks
+raise.  Each check is an independent job, so suites can fan out over a
+process pool; reports are sorted by suite and name regardless of
+scheduling.  The worker count is `workers` when given, else
+VIRACOMB_THREADS, else the number of cores.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .characters import (
     CharacterLabel,
     bosonic_character,
     fermionic_character_12,
+    occupation_vectors,
     fermionic_sum_2_5,
     fermionic_sum_3_7,
     fermionic_sum_4_7,
@@ -67,7 +71,10 @@ class VerifyReport:
 def worker_count() -> int:
     cap = os.environ.get("VIRACOMB_THREADS", "")
     if cap.strip():
-        return max(1, int(cap))
+        try:
+            return max(1, int(cap))
+        except ValueError:
+            raise ValueError(f"VIRACOMB_THREADS must be an integer, got {cap!r}") from None
     return os.cpu_count() or 1
 
 
@@ -79,16 +86,16 @@ def _series_report(
         if lhs.coeffs[k] != rhs.coeffs[k]:
             return VerifyReport(
                 suite, name, params, order, False, k,
-                lhs.coeffs[k], rhs.coeffs[k], time.time() - t0,
+                lhs.coeffs[k], rhs.coeffs[k], time.perf_counter() - t0,
             )
-    return VerifyReport(suite, name, params, order, True, elapsed=time.time() - t0)
+    return VerifyReport(suite, name, params, order, True, elapsed=time.perf_counter() - t0)
 
 
 # -- individual jobs (module level so a process pool can run them) ----------
 
 
 def _job_xrocha(p: int, pp: int, a: int, b: int, order: int) -> VerifyReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     r = rs.tail_band_index(p, pp, b)
     lhs = rs.generating_function(p, pp, a, b, order)
     rhs = bosonic_character(CharacterLabel(p, pp, r, a), order)
@@ -98,7 +105,7 @@ def _job_xrocha(p: int, pp: int, a: int, b: int, order: int) -> VerifyReport:
 
 
 def _job_yhalf(t2: int, a2: int, b2: int, order: int) -> VerifyReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lhs = hp.generating_function(t2, a2, b2, order)
     rhs = bosonic_character(theorem1_label(t2, a2 // 2, b2 // 2), order)
     return _series_report(
@@ -107,7 +114,7 @@ def _job_yhalf(t2: int, a2: int, b2: int, order: int) -> VerifyReport:
 
 
 def _job_theorem2(t2: int, order: int) -> VerifyReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     lhs = fermionic_character_12(t2, order)
     rhs = bosonic_character(theorem1_label(t2, 1, 1), order)
     return _series_report("theorem2", f"fermionic(T={t2})", dict(T=t2), lhs, rhs, t0)
@@ -132,7 +139,7 @@ _PRODUCTS = {
 
 
 def _job_closed_form(which: str, order: int) -> VerifyReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     fn, label = _CLOSED_FORMS[which]
     lhs = fn(order)
     rhs = bosonic_character(CharacterLabel(*label), order)
@@ -140,7 +147,7 @@ def _job_closed_form(which: str, order: int) -> VerifyReport:
 
 
 def _job_product(which: str, order: int) -> VerifyReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     modulus, residues, label = _PRODUCTS[which]
     lhs = modular_product(modulus, residues, order)
     rhs = bosonic_character(CharacterLabel(*label), order)
@@ -150,7 +157,7 @@ def _job_product(which: str, order: int) -> VerifyReport:
 
 
 def _job_symmetry(p: int, pp: int, r: int, s: int, order: int) -> VerifyReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep = verify_symmetries(CharacterLabel(p, pp, r, s), order)
     return VerifyReport(
         "symmetries",
@@ -161,14 +168,14 @@ def _job_symmetry(p: int, pp: int, r: int, s: int, order: int) -> VerifyReport:
         rep.mismatch_power,
         rep.lhs_coeff,
         rep.rhs_coeff,
-        time.time() - t0,
+        time.perf_counter() - t0,
         {} if rep.ok else {"identity": rep.failed_identity},
     )
 
 
 def _job_bijection(family: int, p: int, a: int, tail: int, max_weight: int) -> VerifyReport:
     """Exhaustive weight-bounded round trip for one (a, tail) pair."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     pp = 2 * p + 1 if family == 1 else 2 * p - 1
     name = f"bij{family}({p},{pp},a={a},tail={tail})"
     params = dict(family=family, p=p, pp=pp, a=a, tail=tail, max_weight=max_weight)
@@ -180,69 +187,33 @@ def _job_bijection(family: int, p: int, a: int, tail: int, max_weight: int) -> V
         half_args = (pp, tail + 1, a)
     paths = rs.enumerate_paths(p, pp, a, tail, max_weight)
     halves = hp.enumerate_paths(*half_args, max_weight)
+
+    def report(ok: bool, **detail) -> VerifyReport:
+        return VerifyReport("bijections", name, params, max_weight, ok,
+                            elapsed=time.perf_counter() - t0, detail=detail)
+
     images = set()
     for h in paths:
         img, _ = forward(h)
         if hp.weight(img) != rs.weight(h):
-            return VerifyReport(
-                "bijections", name, params, max_weight, False,
-                detail={"reason": "weight changed", "path": h.to_line()},
-                elapsed=time.time() - t0,
-            )
+            return report(False, reason="weight changed", path=h.to_line())
         if inverse(img) != h:
-            return VerifyReport(
-                "bijections", name, params, max_weight, False,
-                detail={"reason": "inverse mismatch", "path": h.to_line()},
-                elapsed=time.time() - t0,
-            )
+            return report(False, reason="inverse mismatch", path=h.to_line())
         images.add(img)
     if len(images) != len(paths) or images != set(halves):
-        return VerifyReport(
-            "bijections", name, params, max_weight, False,
-            detail={
-                "reason": "image set does not exhaust the half-path set",
-                "paths": len(paths), "halves": len(halves), "images": len(images),
-            },
-            elapsed=time.time() - t0,
-        )
+        return report(False, reason="image set does not exhaust the half-path set",
+                      paths=len(paths), halves=len(halves), images=len(images))
     for g in halves:
-        back = inverse(g)
-        again, _ = forward(back)
+        again, _ = forward(inverse(g))
         if again != g:
-            return VerifyReport(
-                "bijections", name, params, max_weight, False,
-                detail={"reason": "forward(inverse) mismatch", "path": g.to_line()},
-                elapsed=time.time() - t0,
-            )
-    return VerifyReport(
-        "bijections", name, params, max_weight, True,
-        elapsed=time.time() - t0, detail={"paths": len(paths)},
-    )
-
-
-def sector_vectors(t2: int, budget: int):
-    """All occupation vectors whose minimal weight is within budget."""
-    size = t2 - 3
-
-    def rec(prefix: list[int]):
-        if len(prefix) == size:
-            yield tuple(prefix)
-            return
-        k = 0
-        while True:
-            probe = tuple(prefix + [k] + [0] * (size - len(prefix) - 1))
-            if pt.minimal_weight(t2, probe) > budget:
-                break
-            yield from rec(prefix + [k])
-            k += 1
-
-    yield from rec([])
+            return report(False, reason="forward(inverse) mismatch", path=g.to_line())
+    return report(True, paths=len(paths))
 
 
 def _job_sector_sum(t2: int, order: int) -> VerifyReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     acc = [0] * (order + 1)
-    for vec in sector_vectors(t2, order):
+    for vec, _ in occupation_vectors(t2, order):
         for i, c in enumerate(pt.sector_gf(t2, vec, order).coeffs):
             acc[i] += c
     lhs = QSeries(order, tuple(acc))
@@ -251,7 +222,7 @@ def _job_sector_sum(t2: int, order: int) -> VerifyReport:
 
 
 def _job_sector_group(t2: int, order: int) -> VerifyReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     groups: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * (order + 1))
     for path in hp.enumerate_paths(t2, 2, 2, order):
         groups[pt.dissect(path).sector][hp.weight(path)] += 1
@@ -266,33 +237,33 @@ def _job_sector_group(t2: int, order: int) -> VerifyReport:
             return rep
     return VerifyReport(
         "sectors", f"sector-group(T={t2})", dict(T=t2), order, True,
-        elapsed=time.time() - t0, detail={"sectors": len(groups)},
+        elapsed=time.perf_counter() - t0, detail={"sectors": len(groups)},
     )
 
 
 def _job_minimal_sectors(t2: int, budget: int) -> VerifyReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     checked = 0
-    for vec in sector_vectors(t2, budget):
-        path = pt.minimal_path(t2, vec)  # asserts the dissection round trip
-        if hp.weight(path) != pt.minimal_weight(t2, vec):
+    for vec, e in occupation_vectors(t2, budget):
+        path = pt.minimal_path(t2, vec)  # checks the dissection round trip
+        if not hp.weight(path) == e == pt.minimal_weight(t2, vec):
             return VerifyReport(
                 "sectors", f"minimal(T={t2})", dict(T=t2), budget, False,
-                detail={"sector": list(vec)}, elapsed=time.time() - t0,
+                detail={"sector": list(vec)}, elapsed=time.perf_counter() - t0,
             )
         checked += 1
     return VerifyReport(
         "sectors", f"minimal(T={t2})", dict(T=t2), budget, True,
-        elapsed=time.time() - t0, detail={"sectors": checked},
+        elapsed=time.perf_counter() - t0, detail={"sectors": checked},
     )
 
 
 def _job_moves(t2: int, max_weight: int, rounds: int) -> VerifyReport:
     """Apply every permitted move to every enumerated path, then keep going
-    breadth-first for a few rounds; apply_move itself asserts the +1 weight
+    breadth-first for a few rounds; apply_move itself checks the +1 weight
     shift and sector preservation, so this job mainly counts coverage.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     frontier = list(hp.enumerate_paths(t2, 2, 2, max_weight))
     seen = set(frontier)
     pairs = 0
@@ -308,7 +279,7 @@ def _job_moves(t2: int, max_weight: int, rounds: int) -> VerifyReport:
         frontier = nxt
     return VerifyReport(
         "sectors", f"moves(T={t2})", dict(T=t2, max_weight=max_weight), max_weight,
-        True, elapsed=time.time() - t0, detail={"pairs": pairs},
+        True, elapsed=time.perf_counter() - t0, detail={"pairs": pairs},
     )
 
 
@@ -324,15 +295,10 @@ def jobs_theorem1(x_order: int = 20, y_order: int = 15, max_t2: int = 10):
             for b in sorted(rs.dark_floors(p, pp)):
                 jobs.append((_job_xrocha, (p, pp, a, b, x_order)))
     for t2 in range(4, max_t2 + 1):
-        if t2 % 2 == 0:
-            aa = range(2, t2 + 1, 2)
-            bb = range(2, t2 - 1, 2)
-        else:
-            aa = range(2, t2, 2)
-            bb = range(2, t2, 2)
-        for a2 in aa:
-            for b2 in bb:
-                jobs.append((_job_yhalf, (t2, a2, b2, y_order)))
+        for a2 in range(2, t2 + 1, 2):
+            for b2 in range(2, t2 + 1, 2):
+                if hp.theorem1_domain(t2, a2, b2):
+                    jobs.append((_job_yhalf, (t2, a2, b2, y_order)))
     return jobs
 
 

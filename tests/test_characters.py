@@ -12,7 +12,7 @@ from viracomb.characters import (
     fermionic_sum_2_5,
     fermionic_sum_3_7,
     fermionic_sum_4_7,
-    m_vector_of,
+    m_vector,
     theorem1_label,
     verify_symmetries,
 )
@@ -146,6 +146,6 @@ def test_b_matrix_positive_definite():
 
 
 def test_m_vector_examples():
-    assert m_vector_of(4, (3,)) == [3]
-    assert m_vector_of(10, (2, 1, 1, 1, 0, 1, 0)) == [17, 11, 7, 4, 2, 1, 0]
-    assert m_vector_of(10, (0,) * 7) == [0] * 7
+    assert m_vector(4, (3,)) == [3]
+    assert m_vector(10, (2, 1, 1, 1, 0, 1, 0)) == [17, 11, 7, 4, 2, 1, 0]
+    assert m_vector(10, (0,) * 7) == [0] * 7

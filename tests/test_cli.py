@@ -191,3 +191,11 @@ def test_determinism(capsys, monkeypatch):
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
     assert first == second
+
+
+def test_verify_bad_thread_count_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("VIRACOMB_THREADS", "abc")
+    code, out, err = run(capsys, ["verify", "products", "--order", "4"])
+    assert code == 2
+    assert out == ""
+    assert "VIRACOMB_THREADS" in err and "'abc'" in err

@@ -5,10 +5,10 @@ from viracomb.halfpath import (
     HalfPath,
     InvalidHalfPathError,
     enumerate_paths,
+    find_violation,
     generating_function,
     ground_state,
     raw_weight_quarters,
-    validate,
     weight,
     weight_extended,
 )
@@ -29,19 +29,19 @@ from data_paths import (
 
 
 def test_validate_accepts_integer_valleys():
-    assert validate(10, 4, 8, [4, 5, 4, 5, 6, 7, 8]) is None
+    assert find_violation(10, 4, 8, [4, 5, 4, 5, 6, 7, 8]) is None
 
 
 def test_validate_rejects_half_height_valley():
-    msg = validate(10, 6, 6, [6, 5, 6])
+    msg = find_violation(10, 6, 6, [6, 5, 6])
     assert msg is not None and "valley" in msg
 
 
 def test_validate_examples():
-    assert validate(*HALF_10) is None
-    assert validate(10, 4, 8, [4, 3, 5]) is not None  # bad step
-    assert validate(10, 3, 8, [3, 4]) is not None  # odd endpoints
-    assert validate(10, 4, 8, [4, 3, 2, 1, 2]) is not None  # below the strip
+    assert find_violation(*HALF_10) is None
+    assert find_violation(10, 4, 8, [4, 3, 5]) is not None  # bad step
+    assert find_violation(10, 3, 8, [3, 4]) is not None  # odd endpoints
+    assert find_violation(10, 4, 8, [4, 3, 2, 1, 2]) is not None  # below the strip
 
 
 def test_raw_weight_golden():

@@ -3,19 +3,17 @@ from collections import defaultdict
 import pytest
 
 from viracomb import halfpath as hp
-from viracomb.characters import fermionic_character_12
+from viracomb.characters import fermionic_character_12, m_vector, occupation_vectors
 from viracomb.halfpath import HalfPath
 from viracomb.particles import (
     apply_move,
     dissect,
     enumerate_moves,
-    m_vector,
     minimal_path,
     minimal_weight,
     sector_gf,
 )
 from viracomb.qseries import QSeries
-from viracomb.verify import sector_vectors
 
 from data_paths import (
     DISSECT_10,
@@ -68,7 +66,7 @@ def test_minimal_weight_single_particle():
 
 def test_minimal_roundtrip_all_small_sectors():
     for t2 in range(4, 11):
-        for vec in sector_vectors(t2, 12):
+        for vec, _ in occupation_vectors(t2, 12):
             path = minimal_path(t2, vec)  # asserts dissect(path).sector == vec
             assert hp.weight(path) == minimal_weight(t2, vec)
 
@@ -139,7 +137,7 @@ def test_sector_gf_zero_sector_is_one():
 def test_sector_sum_is_fermionic_character(t2):
     order = 12
     acc = [0] * (order + 1)
-    for vec in sector_vectors(t2, order):
+    for vec, _ in occupation_vectors(t2, order):
         for i, c in enumerate(sector_gf(t2, vec, order).coeffs):
             acc[i] += c
     assert tuple(acc) == fermionic_character_12(t2, order).coeffs
