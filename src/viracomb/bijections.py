@@ -78,20 +78,25 @@ def _delete_positions(seq: list[int], positions: set[int]) -> list[int]:
     return [v for i, v in enumerate(seq) if i not in positions]
 
 
-def _insert_notches(
-    path: RsosPath | HalfPath, notches: list[tuple[int, int]]
-) -> list[int]:
-    """The path's heights with (value+step, value) inserted after each
-    (pos, step), right to left, and its tail padded to hold every position.
+def _insert_notches(seq: list[int], notches: list[tuple[int, int]]) -> list[int]:
+    """Insert (value+step, value) after each (pos, step), right to left.
 
     step +1 raises a notch above the host vertex, step -1 digs one below;
     repeated entries at one position stack into an oscillation.
     """
-    out = path.padded(max([path.horizon] + [pos for pos, _ in notches]) + 2)
+    out = list(seq)
     for pos, step in sorted(notches, reverse=True):
         h = out[pos]
         out[pos + 1 : pos + 1] = [h + step, h]
     return out
+
+
+def _notched(path: RsosPath | HalfPath, notches: list[tuple[int, int]]) -> list[int]:
+    """The path's heights, its tail padded to hold every notch, with the
+    notches inserted.
+    """
+    upto = max([path.horizon] + [pos for pos, _ in notches]) + 2
+    return _insert_notches(path.padded(upto), notches)
 
 
 def _is_partition(parts: tuple[int, ...]) -> bool:
@@ -181,7 +186,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     assert all(mu[i] > mu[i + 1] for i in range(n - 1))
 
     notch_at = [_half_peak_position(h_hat_cut, number) for number in mu]
-    h_hat = HalfPath.of(2 * p, a, b, _insert_notches(h_hat_cut, [(x, 1) for x in notch_at]))
+    h_hat = HalfPath.of(2 * p, a, b, _notched(h_hat_cut, [(x, 1) for x in notch_at]))
 
     w_hat = hp.weight(h_hat)
     assert w_hat == hp.weight(h_hat_cut) + n * (ell + n - 1) // 2 + sum(mu)
@@ -240,7 +245,7 @@ def _reinsert(h_cut: RsosPath, positions: list[int], w_hat: int) -> RsosPath:
         if not 1 <= height + step <= h_cut.p_prime - 1:
             raise StructureError(f"reinsertion at position {pos} leaves the strip")
         notches.append((pos, step))
-    seq = _insert_notches(h_cut, notches)
+    seq = _notched(h_cut, notches)
     out = RsosPath.of(h_cut.p, h_cut.p_prime, h_cut.a, h_cut.b, seq)
     if rsos.weight(out) != w_hat:
         raise StructureError("reinserted path does not reproduce the weight")
@@ -298,10 +303,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     truncated = list(h_cut.heights)
     assert truncated[-1] == bb, "even cut horizon must end at the even tail height"
     rev = truncated[::-1]
-    tops = set(lattice.peaks(rev))
-    lifted = []
-    for j, h in enumerate(rev):
-        lifted += (h, h + 1, h) if j in tops else (h,)
+    lifted = _insert_notches(rev, [(j, 1) for j in lattice.peaks(rev)])
     lifted += [a + 1, a, a + 1, a]
     h_hat_cut = HalfPath.of(2 * p - 1, bb, a, lifted)
 
@@ -311,7 +313,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     assert ell == 2 * k - 2 * m
 
     notch_at = [_half_peak_position(h_hat_cut, number) for number in mu]
-    seq_int = _insert_notches(h_hat_cut, [(x, 1) for x in notch_at])
+    seq_int = _notched(h_hat_cut, [(x, 1) for x in notch_at])
     h_hat_int = HalfPath.of(2 * p - 1, bb, a, seq_int)
     w_hat_int = hp.weight(h_hat_int)
     assert w_hat_int == w_hat_cut + c * (ell + c - 1) // 2 + sum(mu)
@@ -320,7 +322,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     if nu and nu[0] > len(accretion):
         raise AssertionError("remainder labels exceed the accretion vertex count")
     notches2 = [(accretion[number - 1], 1) for number in nu]
-    h_hat = HalfPath.of(2 * p - 1, bb, a, _insert_notches(h_hat_int, notches2))
+    h_hat = HalfPath.of(2 * p - 1, bb, a, _notched(h_hat_int, notches2))
 
     w_hat = hp.weight(h_hat)
     assert w_hat == w_hat_int + sum(nu)
@@ -363,7 +365,7 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
         # H(-1) = B + 1 last, where index -1 reads it
         hs = lattice.padded(cut, a, len(cut) + 1) + [bb + 1]
         found = None
-        for j in reversed(lattice.peaks(hs, 1, len(cut) - 1)):
+        for j in reversed(lattice.peaks(hs, len(cut) - 1)):
             # odd, and at least one neighbour is not straight
             if hs[j] % 2 and (hs[j - 2] == hs[j] or hs[j] == hs[j + 2]):
                 found = j

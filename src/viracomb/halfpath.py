@@ -133,14 +133,19 @@ def ground_state(t2: int, a2: int, b2: int) -> HalfPath:
 def weight(path: HalfPath) -> int:
     """Raw weight minus the ground-state raw weight, in whole units."""
     gs = ground_state(path.t2, path.a2, path.b2)
-    diff = raw_weight_quarters(path) - raw_weight_quarters(gs)
-    if diff % 4 != 0:
+    return _whole_units(raw_weight_quarters(path) - raw_weight_quarters(gs))
+
+
+def _whole_units(diff: int) -> int:
+    """A quarter-unit difference from the ground state, in whole units."""
+    units, rest = divmod(diff, 4)
+    if rest:
         raise AssertionError(
             f"quarter-unit weight difference {diff} is not divisible by 4"
         )
-    if diff < 0:
+    if units < 0:
         raise AssertionError("path weight below the ground state")
-    return diff // 4
+    return units
 
 
 def weight_extended(path: HalfPath) -> int:
@@ -203,7 +208,7 @@ def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.Found
     found = lattice.search(a2, b2, 2, t2, budget, horizon, cost, future, leave,
                            f"(T,A,B)=({t2},{a2},{b2})")
     return lattice.Found((HalfPath(t2, a2, b2, hs) for hs, _ in found),
-                         ((q - gs_q) // 4 for _, q in found))
+                         (_whole_units(q - gs_q) for _, q in found))
 
 
 def generating_function(t2: int, a2: int, b2: int, order: int) -> QSeries:

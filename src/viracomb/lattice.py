@@ -73,22 +73,22 @@ def padded(stored: tuple[int, ...], b: int, upto: int) -> list[int]:
     return out
 
 
-def peaks(hs: list[int], lo: int = 1, hi: int | None = None) -> list[int]:
-    """Positions lo <= i < hi (default: every interior one) with
-    hs[i-1] < hs[i] > hs[i+1].  lo must be at least 1.
+def peaks(hs: list[int], hi: int | None = None) -> list[int]:
+    """Positions 1 <= i < hi (default: every interior one) with
+    hs[i-1] < hs[i] > hs[i+1].
     """
     if hi is None:
         hi = len(hs) - 1
-    return [i for i in range(lo, hi) if hs[i - 1] < hs[i] > hs[i + 1]]
+    return [i for i in range(1, hi) if hs[i - 1] < hs[i] > hs[i + 1]]
 
 
-def valleys(hs: list[int], lo: int = 1, hi: int | None = None) -> list[int]:
-    """Positions lo <= i < hi (default: every interior one) with
-    hs[i-1] > hs[i] < hs[i+1].  lo must be at least 1.
+def valleys(hs: list[int], hi: int | None = None) -> list[int]:
+    """Positions 1 <= i < hi (default: every interior one) with
+    hs[i-1] > hs[i] < hs[i+1].
     """
     if hi is None:
         hi = len(hs) - 1
-    return [i for i in range(lo, hi) if hs[i - 1] > hs[i] < hs[i + 1]]
+    return [i for i in range(1, hi) if hs[i - 1] > hs[i] < hs[i + 1]]
 
 
 class Found(list):

@@ -53,9 +53,9 @@ def dissect(path: HalfPath) -> Dissection:
     t2 = path.t2
     reach = path.horizon + 2 * t2 + 4  # how far a baseline may run into the tail
     H = path.padded(reach)
-    peaks = lattice.peaks(H, 1, path.horizon)
+    peaks = lattice.peaks(H, path.horizon)
     # position 0 is always a valley: H(-1) = 3 (virtual) and H(1) = 3 lie above it
-    valleys = [0] + lattice.valleys(H, 1, path.horizon + 1)
+    valleys = [0] + lattice.valleys(H, path.horizon + 1)
     discounted: set[int] = set()
     assigned: dict[int, Particle] = {}
 

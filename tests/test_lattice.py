@@ -38,8 +38,8 @@ def test_peaks_and_valleys():
     hs = [2, 3, 4, 3, 4, 5, 4, 3, 2, 3]
     assert lattice.peaks(hs) == [2, 5]
     assert lattice.valleys(hs) == [3, 8]
-    assert lattice.peaks(hs, 3, 5) == []
-    assert lattice.valleys(hs, 1, 8) == [3]
+    assert lattice.peaks(hs, 5) == [2]
+    assert lattice.valleys(hs, 8) == [3]
 
 
 def test_search_demands_a_stable_horizon():
