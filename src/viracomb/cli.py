@@ -3,7 +3,7 @@ verify identities, and render pictures.
 
 Half-integer parameters are always passed doubled (--t2, --A, --B).  Exit
 codes: 0 success, 1 verification failure, 2 invalid input, 3 structurally
-corrupted bijection input.
+corrupted bijection input, 141 (128 + SIGPIPE) output pipe closed early.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import bijections as bj
@@ -232,7 +233,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; the interpreter's final flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except bj.StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -126,22 +126,13 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
 
     The startpoint adds nothing, and tail vertices past the horizon add
     nothing, so a path's cost is complete once its junction vertex (the
-    horizon) is costed against the tail.  Completeness is certified by
-    re-running with the hard horizon extended by two and demanding the
-    identical result.
+    horizon) is costed against the tail.  The hard horizon only guards
+    against a search that never ends: a node there with a step that
+    survives the budget and both bounds raises, so a result is exactly what
+    an unbounded search would return.
     """
-    found = _search(start, b, lo, hi, budget, horizon, cost, future, leave)
-    again = _search(start, b, lo, hi, budget, horizon + 2, cost, future, leave)
-    if found != again:
-        raise AssertionError(
-            f"enumeration did not stabilize: horizon {horizon} vs {horizon + 2} for {what}"
-        )
-    return sorted(found.items())
-
-
-def _search(start, b, lo, hi, budget, horizon, cost, future, leave):
     in_band = (b, b + 1)
-    results: dict[tuple[int, ...], int] = {}
+    results: list[tuple[tuple[int, ...], int]] = []
     hs = [start]
 
     def step(x: int, w: int) -> None:
@@ -154,9 +145,7 @@ def _search(start, b, lo, hi, budget, horizon, cost, future, leave):
             # the junction vertex is costed against the tail that follows it
             total = w + cost(x, hs[x - 1], h, b + 1 if h == b else b) if x else w
             if total <= budget:
-                results[tuple(hs)] = total
-        if x >= horizon:
-            return
+                results.append((tuple(hs), total))
         prev = hs[x - 1] if x else None
         for nh in (h - 1, h + 1):
             if not lo <= nh <= hi:
@@ -172,9 +161,14 @@ def _search(start, b, lo, hi, budget, horizon, cost, future, leave):
             if x and nh in in_band and h in in_band and prev in in_band \
                     and w2 + leave(x + 1) > budget:
                 continue
+            if x >= horizon:
+                raise AssertionError(
+                    f"enumeration did not stabilize: a step is still live at "
+                    f"horizon {horizon} for {what}"
+                )
             hs.append(nh)
             step(x + 1, w2)
             hs.pop()
 
     step(0, 0)
-    return results
+    return sorted(results)

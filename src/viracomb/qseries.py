@@ -58,33 +58,12 @@ class QSeries:
     def one(order: int) -> QSeries:
         return QSeries(order, (1,) + (0,) * order)
 
-    @staticmethod
-    def monomial(exponent: int, order: int, coeff: int = 1) -> QSeries:
-        """coeff * q^exponent truncated to the given order."""
-        cs = [0] * (order + 1)
-        if 0 <= exponent <= order:
-            cs[exponent] = coeff
-        return QSeries(order, tuple(cs))
-
-    def coefficient(self, n: int) -> int:
-        """Coefficient of q^n.  n must be within the known order."""
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient q^{n} unknown beyond order {self.order}")
-        return self.coeffs[n]
-
     def truncate(self, order: int) -> QSeries:
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         if order == self.order:
             return self
         return QSeries(order, self.coeffs[: order + 1])
-
-    def shift(self, exponent: int) -> QSeries:
-        """Multiply by q^exponent, keeping the same order."""
-        if exponent < 0:
-            raise ValueError("negative shifts are not supported")
-        cs = (0,) * min(exponent, self.order + 1) + self.coeffs
-        return QSeries(self.order, cs[: self.order + 1])
 
     # -- ring operations (mixed orders truncate to the smaller one) --------
 
@@ -142,11 +121,6 @@ class QSeries:
     def to_csv(self) -> str:
         """One line `c0,c1,...,cN`."""
         return ",".join(str(c) for c in self.coeffs)
-
-    @staticmethod
-    def from_csv(line: str) -> QSeries:
-        parts = [p.strip() for p in line.strip().split(",")]
-        return QSeries.from_coeffs(int(p) for p in parts)
 
     def to_pretty(self) -> str:
         """Human form `1 + q + 2*q^2 + ...`."""

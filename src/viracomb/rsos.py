@@ -9,8 +9,8 @@ hence weights) are defined relative to that shading.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors.  Enumeration of all paths up to a weight bound is
-a depth-first search with exact lower-bound pruning, a hard horizon, and a
-horizon-stabilization re-run that certifies completeness.
+one depth-first search with exact lower-bound pruning; its hard horizon
+only stops a runaway search, and a branch still live there raises.
 """
 
 from __future__ import annotations
@@ -40,13 +40,6 @@ def dark_floors(p: int, p_prime: int) -> frozenset[int]:
     if not 1 < p < p_prime or gcd(p, p_prime) != 1:
         raise ValueError(f"need coprime 1 < p < p', got ({p}, {p_prime})")
     return frozenset((r * p_prime) // p for r in range(1, p))
-
-
-def band_is_dark(p: int, p_prime: int, y: int) -> bool:
-    """Whether the band with floor height y is dark.  1 <= y <= p'-2."""
-    if not 1 <= y <= p_prime - 2:
-        raise ValueError(f"band floor must be in 1..{p_prime - 2}, got {y}")
-    return y in dark_floors(p, p_prime)
 
 
 def tail_band_index(p: int, p_prime: int, b: int) -> int | None:
@@ -193,8 +186,9 @@ def enumerate_paths(
     """All paths of weight <= max_weight, sorted by their height tuples, each
     with its weight (`.weights`).
 
-    A depth-first search with exact lower-bound pruning; completeness is
-    certified by re-running it with the hard horizon extended by two.
+    One depth-first search with exact lower-bound pruning.  The result is
+    complete: the search raises if any branch is still live at its hard
+    horizon, 2 * max_weight + |a - b| + 2p'.
     """
     if not 1 <= a <= p_prime - 1:
         raise InvalidPathError(f"start height a={a} out of range")

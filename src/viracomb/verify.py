@@ -4,10 +4,12 @@ Series checks compare two independently computed integer series and report
 the first mismatching power with both coefficients.  Structural checks
 (bijection round trips, minimal sector paths) report the failing path or
 sector in `detail`; the moves check leans on `apply_move`, whose own checks
-raise.  Each check is an independent job, so suites can fan out over a
-process pool; reports are sorted by suite and name regardless of
-scheduling.  The worker count is `workers` when given, else
-VIRACOMB_THREADS, else the number of cores.
+raise.  A job that raises fails alone: its report (suite "error") names the
+call, and its `detail` holds the exception and the line that raised it.
+Each check is an independent job, so suites can fan out over a process
+pool; reports are sorted by suite and name regardless of scheduling.  The
+worker count is `workers` when given, else VIRACOMB_THREADS, else the
+number of cores.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import traceback
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -42,7 +45,7 @@ class VerifyReport:
     suite: str
     name: str
     params: dict
-    order: int
+    order: int | None
     ok: bool
     mismatch_power: int | None = None
     lhs: int | None = None
@@ -361,8 +364,21 @@ SUITES = {
 
 
 def _run_job(job) -> VerifyReport:
+    """The job's report; a job that raises fails on its own and names the
+    raising call, so the other jobs still report.
+    """
     fn, args = job
-    return fn(*args)
+    t0 = time.perf_counter()
+    try:
+        return fn(*args)
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return VerifyReport(
+            "error", f"{fn.__name__}{args}", {"function": fn.__name__, "args": list(args)},
+            None, False, elapsed=time.perf_counter() - t0,
+            detail={"error": f"{type(exc).__name__}: {exc}",
+                    "at": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"},
+        )
 
 
 def run_jobs(jobs, workers: int | None = None) -> list[VerifyReport]:
@@ -378,11 +394,11 @@ def run_jobs(jobs, workers: int | None = None) -> list[VerifyReport]:
 
 def run_suite(name: str, order: int = 20, max_t2: int = 10,
               workers: int | None = None) -> list[VerifyReport]:
+    # checked before any job runs: a job's own error would only fail its report
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
     if name == "all":
-        jobs = []
-        for key in ("products", "symmetries", "theorem2", "theorem1",
-                    "bijections", "sectors"):
-            jobs += SUITES[key](order, max_t2)
+        jobs = [job for make in SUITES.values() for job in make(order, max_t2)]
         return run_jobs(jobs, workers)
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")

@@ -195,6 +195,6 @@ def test_criterion_6_property_suites():
         count += 1
     report("criterion-6 weight identities on enumerated paths", ok, f"{count} paths")
 
-    # every enumeration above ran with the built-in horizon-stabilization
-    # re-check enabled; reaching this point means none of them tripped it
+    # every enumeration above raises if a branch is still live at its hard
+    # horizon; reaching this point means none of them tripped it
     report("criterion-6 horizon stabilization", True, "asserted inside enumerate")

@@ -1,11 +1,18 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from viracomb import verify
 from viracomb.cli import main
 
 from data_paths import HALF_7_IMAGE, MINIMAL_10, RSOS_47, RSOS_49
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -199,3 +206,45 @@ def test_verify_bad_thread_count_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "VIRACOMB_THREADS" in err and "'abc'" in err
+
+
+def test_verify_negative_order_exit_2(capsys):
+    code, out, err = run(capsys, ["verify", "products", "--order", "-1",
+                                  "--workers", "1"])
+    assert code == 2
+    assert out == ""
+    assert "order must be nonnegative" in err
+
+
+def test_verify_job_that_raises_fails_alone(capsys, monkeypatch):
+    real = verify._job_product
+
+    def _job_product(which, order):
+        if which == "M(3,7)":
+            raise AssertionError("broken on purpose")
+        return real(which, order)
+
+    monkeypatch.setattr(verify, "_job_product", _job_product)
+    code, out, _ = run(capsys, ["verify", "products", "--order", "10",
+                                "--workers", "1"])
+    assert code == 1
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert [r["status"] for r in reports] == ["fail", "pass", "pass"]
+    assert reports[0]["params"] == {"function": "_job_product", "args": ["M(3,7)", 10]}
+    assert reports[0]["detail"]["error"] == "AssertionError: broken on purpose"
+    assert reports[0]["detail"]["at"].startswith("test_cli.py:")
+    assert reports[0]["detail"]["at"].endswith(" in _job_product")
+
+
+def test_closed_pipe_exits_quietly():
+    # about 159 KB of path lines, far more than a pipe buffer holds, so a
+    # write after the reader closes always fails
+    argv = ["paths", "rsos", "5", "11", "8", "2", "--max-weight", "20"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen([sys.executable, "-m", "viracomb.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"rsos ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -49,6 +49,15 @@ def test_search_demands_a_stable_horizon():
         lattice.search(4, 2, 1, 5, 0, 4, free, free, free, "a free walk")
 
 
+def test_search_refuses_a_live_branch_at_the_horizon():
+    # paths exist, but they enter the tail band only from position 9 on,
+    # past the horizon; the search must not return an empty set
+    free = lambda *args: 0
+    late = lambda x, prev, h, nh: None if nh in (2, 3) and x < 8 else 0
+    with pytest.raises(AssertionError, match="did not stabilize.*horizon 4 for a late band"):
+        lattice.search(4, 2, 1, 5, 0, 4, late, free, free, "a late band")
+
+
 # The search accumulates each path's weight as it goes; generating_function
 # counts those weights instead of re-weighing, so they must agree with the
 # weight functions on every path.
@@ -75,11 +84,12 @@ def test_half_search_weights_match_weight(t2):
 
 
 def test_move_checks_hold_under_optimization():
-    # this listed move breaks weight and sector; apply_move must refuse it
-    # even when python -O strips asserts
+    # this listed move breaks weight and sector; apply_move must refuse it,
+    # and the search must refuse a live branch at its horizon, even when
+    # python -O strips asserts
     code = """
 import sys
-from viracomb import particles
+from viracomb import lattice, particles
 from viracomb.halfpath import HalfPath
 line = "half T=8 A=2 B=2 H=2,3,4,5,6,7,8,7,6,7,6,5,4,5,6,7,8,7,6,5,4,5,4,5,4,3,2"
 path = HalfPath.from_line(line)
@@ -96,6 +106,9 @@ def attempt(call):
         print("returned")
 
 attempt(lambda: particles.apply_move(path, move))
+free = lambda *args: 0
+late = lambda x, prev, h, nh: None if nh in (2, 3) and x < 8 else 0
+attempt(lambda: lattice.search(4, 2, 1, 5, 0, 4, late, free, free, "a late band"))
 particles.b_matrix = lambda t2: [[1]]  # an odd charge form
 attempt(lambda: particles.minimal_weight(4, (1,)))
 """
@@ -105,5 +118,7 @@ attempt(lambda: particles.minimal_weight(4, (1,)))
     assert out.stdout.splitlines() == [
         "optimize 1",
         "raised: a move must add exactly one",
+        "raised: enumeration did not stabilize: a step is still live at horizon 4"
+        " for a late band",
         "raised: charge form 1 of (1,) is odd",
     ]

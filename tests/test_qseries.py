@@ -175,7 +175,6 @@ def test_modular_product_validation():
 def test_csv_and_pretty():
     s = QSeries.from_coeffs([1, 0, 2, -1], 3)
     assert s.to_csv() == "1,0,2,-1"
-    assert QSeries.from_csv(s.to_csv()) == s
     assert s.to_pretty() == "1 + 2*q^2 - q^3"
     assert QSeries.zero(2).to_pretty() == "0"
 

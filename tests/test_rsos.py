@@ -6,7 +6,6 @@ from viracomb.rsos import (
     InfiniteWeightError,
     InvalidPathError,
     RsosPath,
-    band_is_dark,
     classify,
     dark_floors,
     enumerate_paths,
@@ -42,9 +41,7 @@ def test_dark_floors():
     assert sorted(dark_floors(4, 9)) == [2, 4, 6]
     assert sorted(dark_floors(4, 7)) == [1, 3, 5]
     assert sorted(dark_floors(2, 5)) == [2]
-    assert band_is_dark(4, 9, 2) and not band_is_dark(4, 9, 3)
-    with pytest.raises(ValueError):
-        band_is_dark(4, 9, 8)
+    assert 2 in dark_floors(4, 9) and 3 not in dark_floors(4, 9)
 
 
 def test_tail_band_index():
