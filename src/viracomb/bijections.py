@@ -13,9 +13,10 @@ Two families are covered, with all intermediate data exposed in a trace:
   prefix of the label partition raises further peaks, and the remainder is
   deposited at accretion vertices.
 
-Every stage asserts the exact weight bookkeeping it is supposed to
-satisfy, so a violation surfaces at the stage that caused it rather than
-as a bad round trip.
+Every stage checks the exact weight bookkeeping it is supposed to satisfy,
+and raises `AssertionError` explicitly (so under `python -O` too), so a
+violation surfaces at the stage that caused it rather than as a bad round
+trip.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     lam = tuple(
         sum(1 for y in ns_flag if y < x1) for x1, _ in reversed(particles)
     )
-    assert _is_partition(lam)
+    if not _is_partition(lam):
+        raise AssertionError("particle labels must form a partition")
 
     doomed = {x for pair in particles for x in pair}
     seq = path.padded(path.horizon + 2 * n + 2)
@@ -173,24 +175,32 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
 
     w_cut = rsos.weight(h_cut)
     k_cut = sum(1 for v in rsos.classify(h_cut) if v.scoring)
-    assert k_cut == k - 2 * n, "particle removal must drop the scoring count by 2n"
-    assert w_cut == w - sum(lam) - n * (k - n), "cut-path weight bookkeeping failed"
+    if k_cut != k - 2 * n:
+        raise AssertionError("particle removal must drop the scoring count by 2n")
+    if w_cut != w - sum(lam) - n * (k - n):
+        raise AssertionError("cut-path weight bookkeeping failed")
 
     h_hat_cut = HalfPath.of(2 * p, a, b, h_cut.heights)
-    assert hp.weight(h_hat_cut) == w_cut, "verbatim reread must preserve the weight"
+    w_hat_cut = hp.weight(h_hat_cut)
+    if w_hat_cut != w_cut:
+        raise AssertionError("verbatim reread must preserve the weight")
 
     ell = _half_straight_count(h_hat_cut)
-    assert ell == 2 * k_cut
+    if ell != 2 * k_cut:
+        raise AssertionError("verbatim reread must double the straight-vertex count")
 
     mu = tuple(lam[i] + n - i for i in range(n))  # lam_i + n + 1 - (i+1)
-    assert all(mu[i] > mu[i + 1] for i in range(n - 1))
+    if any(mu[i] <= mu[i + 1] for i in range(n - 1)):
+        raise AssertionError("peak numbers must strictly decrease")
 
     notch_at = [_half_peak_position(h_hat_cut, number) for number in mu]
     h_hat = HalfPath.of(2 * p, a, b, _notched(h_hat_cut, [(x, 1) for x in notch_at]))
 
     w_hat = hp.weight(h_hat)
-    assert w_hat == hp.weight(h_hat_cut) + n * (ell + n - 1) // 2 + sum(mu)
-    assert w_hat == w, "the map must preserve the weight"
+    if w_hat != w_hat_cut + n * (ell + n - 1) // 2 + sum(mu):
+        raise AssertionError("peak raising weight bookkeeping failed")
+    if w_hat != w:
+        raise AssertionError("the map must preserve the weight")
     return h_hat, Bij1Trace(h_cut, n, lam, mu, h_hat_cut, h_hat)
 
 
@@ -278,7 +288,8 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     nonscoring = [x for x in range(1, last_scoring) if x not in set(scoring)]
     pairs = [pr for pr in _pair_runs(nonscoring) if pr[1] < last_scoring]
     lam = tuple(sum(1 for s in scoring if s > x2) for _, x2 in pairs)
-    assert all(x > 0 for x in lam) and _is_partition(lam)
+    if not (all(x > 0 for x in lam) and _is_partition(lam)):
+        raise AssertionError("pair labels must form a partition of positive parts")
     n = len(lam)
 
     doomed = {x for pair in pairs for x in pair}
@@ -287,8 +298,11 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
 
     cut_info = rsos.classify(h_cut)
     k_cut = sum(1 for v in cut_info if v.scoring)
-    assert k_cut == k, "removing non-scoring pairs must not change the scoring count"
-    assert rsos.weight(h_cut) == w - sum(lam), "cut-path weight bookkeeping failed"
+    if k_cut != k:
+        raise AssertionError(
+            "removing non-scoring pairs must not change the scoring count")
+    if rsos.weight(h_cut) != w - sum(lam):
+        raise AssertionError("cut-path weight bookkeeping failed")
     m = sum(1 for v in cut_info if v.scoring and v.shape == rsos.PEAK)
 
     c = 0
@@ -297,26 +311,32 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     mu = tuple(lam[i] - (i + 1) - k + m + 1 for i in range(c))
     nu = tuple(lam[c:])
     d = n - c
-    assert all(x >= 1 for x in mu) and all(mu[i] > mu[i + 1] for i in range(c - 1))
+    if not (all(x >= 1 for x in mu) and all(mu[i] > mu[i + 1] for i in range(c - 1))):
+        raise AssertionError(
+            "prefix peak numbers must be positive and strictly decrease")
 
     # flip, raise every peak by half a unit, land in the doubled strip
     truncated = list(h_cut.heights)
-    assert truncated[-1] == bb, "even cut horizon must end at the even tail height"
+    if truncated[-1] != bb:
+        raise AssertionError("even cut horizon must end at the even tail height")
     rev = truncated[::-1]
     lifted = _insert_notches(rev, [(j, 1) for j in lattice.peaks(rev)])
     lifted += [a + 1, a, a + 1, a]
     h_hat_cut = HalfPath.of(2 * p - 1, bb, a, lifted)
 
     w_hat_cut = hp.weight(h_hat_cut)
-    assert w_hat_cut == rsos.weight(h_cut), "flip and lift must preserve the weight"
+    if w_hat_cut != rsos.weight(h_cut):
+        raise AssertionError("flip and lift must preserve the weight")
     ell = _half_straight_count(h_hat_cut)
-    assert ell == 2 * k - 2 * m
+    if ell != 2 * k - 2 * m:
+        raise AssertionError("flip and lift must leave 2k - 2m straight vertices")
 
     notch_at = [_half_peak_position(h_hat_cut, number) for number in mu]
     seq_int = _notched(h_hat_cut, [(x, 1) for x in notch_at])
     h_hat_int = HalfPath.of(2 * p - 1, bb, a, seq_int)
     w_hat_int = hp.weight(h_hat_int)
-    assert w_hat_int == w_hat_cut + c * (ell + c - 1) // 2 + sum(mu)
+    if w_hat_int != w_hat_cut + c * (ell + c - 1) // 2 + sum(mu):
+        raise AssertionError("prefix peak raising weight bookkeeping failed")
 
     accretion = _accretion_positions(h_hat_int)
     if nu and nu[0] > len(accretion):
@@ -325,8 +345,10 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     h_hat = HalfPath.of(2 * p - 1, bb, a, _notched(h_hat_int, notches2))
 
     w_hat = hp.weight(h_hat)
-    assert w_hat == w_hat_int + sum(nu)
-    assert w_hat == w, "the map must preserve the weight"
+    if w_hat != w_hat_int + sum(nu):
+        raise AssertionError("accretion weight bookkeeping failed")
+    if w_hat != w:
+        raise AssertionError("the map must preserve the weight")
     return h_hat, Bij2Trace(
         h_cut, n, k, m, c, d, lam, mu, nu, h_hat_cut, h_hat_int, h_hat
     )
@@ -406,10 +428,12 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
 
     # invert the flip-and-lift: lower every peak, reverse, restore the tail
     truncated = list(h_hat_cut.doubled)
-    assert truncated[-1] == a
+    if truncated[-1] != a:
+        raise AssertionError("the unstacked path must end at the start height a")
     lowered = _delete_pairs(truncated, lattice.peaks(truncated))
     rev = lowered[::-1]
-    assert rev[0] == a and rev[-1] == bb
+    if rev[0] != a or rev[-1] != bb:
+        raise AssertionError("the lowered, reversed path must run from a to the tail")
     rev += [bb - 1, bb, bb - 1]
     h_cut = RsosPath.of(p, pp, a, bb - 1, rev)
 

@@ -180,7 +180,7 @@ def weight_extended(path: HalfPath) -> int:
 
 
 def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.Found:
-    """All paths of weight <= max_weight, sorted by their doubled heights,
+    """All paths of weight <= max_weight, in order of their doubled heights,
     each with its weight (`.weights`).
     """
     gs_q = raw_weight_quarters(ground_state(t2, a2, b2))  # checks the domain

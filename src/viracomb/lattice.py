@@ -4,7 +4,7 @@ in a tail band {b, b+1}.
 RSOS paths and half-lattice paths differ only in their step rules, vertex
 costs and search bounds.  Everything else lives here: parsing the one-line
 path formats, canonical storage through the horizon, tail continuation,
-peak and valley scans, and one bounded depth-first search.
+peak and valley scans, and one bounded path search.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
            cost, future, leave, what: str) -> list[tuple[tuple[int, ...], int]]:
     """Every canonical path of unit steps in heights lo..hi, from `start`
     into the tail band {b, b+1}, whose accumulated cost stays within budget;
-    each with that cost, sorted by heights.
+    each with that cost, in height order.
 
     The model enters through three functions:
 
@@ -126,49 +126,99 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
 
     The startpoint adds nothing, and tail vertices past the horizon add
     nothing, so a path's cost is complete once its junction vertex (the
-    horizon) is costed against the tail.  The hard horizon only guards
-    against a search that never ends: a node there with a step that
-    survives the budget and both bounds raises, so a result is exactly what
-    an unbounded search would return.
+    horizon) is costed against the tail.
+
+    Everything ahead of a node depends only on its position and its state
+    (prev, h, run), where run means that the last three heights all lie in
+    the band; so the search works in three passes over states.  A forward
+    pass keeps the least cost of reaching each state, layer by layer, and
+    prunes steps by the budget and both bounds.  The hard horizon only
+    guards against a search that never ends: a state still live past it
+    raises, so a result is exactly what an unbounded search would return.
+    A backward pass gives each live state the least cost of completing a
+    path from it.  A pre-order walk, lower step first, then descends only
+    where a completion fits the budget, so it visits only prefixes of the
+    paths it emits, and emits them in height order.
     """
-    in_band = (b, b + 1)
-    results: list[tuple[tuple[int, ...], int]] = []
-    hs = [start]
-
-    def step(x: int, w: int) -> None:
-        h = hs[x]
-        # a canonical horizon: even, in the band, and the tail did not start
-        # two positions earlier (that path was emitted there)
-        if x % 2 == 0 and h in in_band and not (
-            x and hs[x - 1] in in_band and hs[x - 2] in in_band
-        ):
-            # the junction vertex is costed against the tail that follows it
-            total = w + cost(x, hs[x - 1], h, b + 1 if h == b else b) if x else w
-            if total <= budget:
-                results.append((tuple(hs), total))
-        prev = hs[x - 1] if x else None
-        for nh in (h - 1, h + 1):
-            if not lo <= nh <= hi:
-                continue
-            w2 = w
-            if x:
-                c = cost(x, prev, h, nh)
-                if c is None:
+    band = (b, b + 1)
+    root = (None, start, False)
+    # forward: per layer, each live state with its surviving steps
+    # (nh, vertex cost, child state)
+    layers: list[dict] = []
+    reach = {root: 0}
+    x = 0
+    while reach:
+        if x > horizon:
+            raise AssertionError(
+                f"enumeration did not stabilize: a step is still live at "
+                f"horizon {horizon} for {what}"
+            )
+        steps = {}
+        nxt: dict = {}
+        for state, w in reach.items():
+            prev, h, _ = state
+            out = steps[state] = []
+            for nh in (h - 1, h + 1):
+                if not lo <= nh <= hi:
                     continue
-                w2 += c
-            if w2 > budget or w2 + future(x + 1, nh) > budget:
-                continue
-            if x and nh in in_band and h in in_band and prev in in_band \
-                    and w2 + leave(x + 1) > budget:
-                continue
-            if x >= horizon:
-                raise AssertionError(
-                    f"enumeration did not stabilize: a step is still live at "
-                    f"horizon {horizon} for {what}"
-                )
-            hs.append(nh)
-            step(x + 1, w2)
-            hs.pop()
+                c = 0
+                if x:
+                    c = cost(x, prev, h, nh)
+                    if c is None:
+                        continue
+                w2 = w + c
+                if w2 > budget or w2 + future(x + 1, nh) > budget:
+                    continue
+                run = prev in band and h in band and nh in band
+                if run and w2 + leave(x + 1) > budget:
+                    continue
+                child = (h, nh, run)
+                out.append((nh, c, child))
+                if w2 < nxt.get(child, budget + 1):
+                    nxt[child] = w2
+        layers.append(steps)
+        reach = nxt
+        x += 1
 
-    step(0, 0)
-    return sorted(results)
+    # backward: each state's least completion cost and its walk node,
+    # (junction cost or None, [(nh, c, c + child's completion, child node)]);
+    # the higher step comes first, so the walk's stack pops the lower one
+    # first, and a state with no completion is dropped
+    below: dict = {}
+    for x in range(len(layers) - 1, -1, -1):
+        here = {}
+        for state, out in layers[x].items():
+            prev, h, run = state
+            junction = None
+            if x % 2 == 0 and h in band and not run:
+                # a canonical horizon: the junction vertex is costed
+                # against the tail that follows it
+                junction = cost(x, prev, h, b + 1 if h == b else b) if x else 0
+            kids = []
+            best = junction
+            for nh, c, child in reversed(out):
+                if child in below:
+                    rest, node = below[child]
+                    kids.append((nh, c, c + rest, node))
+                    if best is None or c + rest < best:
+                        best = c + rest
+            if best is not None:
+                here[state] = (best, (junction, kids))
+        below = here
+    if not below:
+        return []
+
+    # walk: descend only where a completion fits the budget
+    results: list[tuple[tuple[int, ...], int]] = []
+    hs: list[int] = []
+    todo = [(0, start, 0, below[root][1])]
+    while todo:
+        x, h, w, (junction, kids) = todo.pop()
+        del hs[x:]
+        hs.append(h)
+        if junction is not None and w + junction <= budget:
+            results.append((tuple(hs), w + junction))
+        for nh, c, need, node in kids:
+            if w + need <= budget:
+                todo.append((x + 1, nh, w + c, node))
+    return results

@@ -9,8 +9,10 @@ hence weights) are defined relative to that shading.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors.  Enumeration of all paths up to a weight bound is
-one depth-first search with exact lower-bound pruning; its hard horizon
-only stops a runaway search, and a branch still live there raises.
+one `lattice.search`: a forward pass over search states with exact
+lower-bound pruning, which raises if a state is still live past the hard
+horizon, a backward pass giving each state its least completion cost, and
+a walk that visits only prefixes of the paths it emits.
 """
 
 from __future__ import annotations
@@ -140,7 +142,8 @@ def classify(path: RsosPath) -> list[VertexInfo]:
         scoring = straight == (right_floor in dark)
         u = (x - h + a) // 2
         v = (x + h - a) // 2
-        assert u + v == x and u >= 0 and v >= 0
+        if u + v != x or u < 0 or v < 0:
+            raise AssertionError(f"classify: vertex {x} has labels u={u}, v={v}")
         out.append(VertexInfo(x, shape, scoring, up, u if up else v))
     return out
 
@@ -183,12 +186,13 @@ def _require_finite(path: RsosPath) -> None:
 def enumerate_paths(
     p: int, p_prime: int, a: int, b: int, max_weight: int
 ) -> lattice.Found:
-    """All paths of weight <= max_weight, sorted by their height tuples, each
-    with its weight (`.weights`).
+    """All paths of weight <= max_weight, in order of their height tuples,
+    each with its weight (`.weights`).
 
-    One depth-first search with exact lower-bound pruning.  The result is
-    complete: the search raises if any branch is still live at its hard
-    horizon, 2 * max_weight + |a - b| + 2p'.
+    One `lattice.search` over states with exact lower-bound pruning.  The
+    result is complete: the search raises if any state is still live past
+    its hard horizon, 2 * max_weight + |a - b| + 2p'.  Its walk visits only
+    prefixes of the returned paths, so the cost follows the output.
     """
     if not 1 <= a <= p_prime - 1:
         raise InvalidPathError(f"start height a={a} out of range")

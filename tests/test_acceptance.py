@@ -5,6 +5,7 @@ the lines as they complete.
 """
 
 import random
+from math import gcd
 
 from viracomb import halfpath as hp
 from viracomb import rsos
@@ -15,6 +16,8 @@ from viracomb.qseries import QSeries, q_binomial
 from viracomb.rsos import RsosPath
 from viracomb.verify import (
     _job_moves,
+    _job_xrocha,
+    _job_yhalf,
     jobs_bijections,
     jobs_products,
     jobs_sectors,
@@ -109,6 +112,19 @@ def test_criterion_3a_rsos_generating_functions():
 def test_criterion_3b_half_generating_functions():
     jobs = [j for j in jobs_theorem1(x_order=20, y_order=15) if j[0].__name__ == "_job_yhalf"]
     run_and_report("criterion-3b Y = chi to q^15", jobs)
+
+
+def test_criterion_3f_theorem1_every_label():
+    # every coprime p' <= 13 with each a and each dark b, and every
+    # admissible (A, B) for T = 4..14, at a lower order than 3a and 3b
+    jobs = [(_job_xrocha, (p, pp, a, b, 10))
+            for pp in range(3, 14) for p in range(2, pp) if gcd(p, pp) == 1
+            for a in range(1, pp) for b in sorted(rsos.dark_floors(p, pp))]
+    jobs += [(_job_yhalf, (t2, a2, b2, 10))
+             for t2 in range(4, 15) for a2 in range(2, t2 + 1, 2)
+             for b2 in range(2, t2 + 1, 2) if hp.theorem1_domain(t2, a2, b2)]
+    assert len(jobs) == 2202
+    run_and_report("criterion-3f X = chi and Y = chi for every label to q^10", jobs)
 
 
 def test_criterion_3c_fermionic_forms():

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -58,9 +59,23 @@ def test_search_refuses_a_live_branch_at_the_horizon():
         lattice.search(4, 2, 1, 5, 0, 4, late, free, free, "a late band")
 
 
+def test_search_leaves_no_garbage():
+    # nothing a search builds refers to itself, so reference counting frees
+    # it all on return and the cyclic collector finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        rsos.enumerate_paths(3, 5, 2, 1, 6)
+        hp.enumerate_paths(8, 2, 2, 6)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # The search accumulates each path's weight as it goes; generating_function
 # counts those weights instead of re-weighing, so they must agree with the
-# weight functions on every path.
+# weight functions on every path.  The paths come in strictly increasing
+# height order without a sort.
 
 RSOS_FAMILIES = [(3, 7), (4, 9), (3, 5), (4, 7), (2, 5), (3, 8), (5, 7)]
 
@@ -71,6 +86,8 @@ def test_rsos_search_weights_match_weight(p, pp):
         for b in sorted(rsos.dark_floors(p, pp)):
             paths = rsos.enumerate_paths(p, pp, a, b, 7)
             assert paths.weights == [rsos.weight(x) for x in paths], (p, pp, a, b)
+            heights = [x.heights for x in paths]
+            assert all(u < v for u, v in zip(heights, heights[1:])), (p, pp, a, b)
 
 
 @pytest.mark.parametrize("t2", [5, 6, 7, 8, 9])
@@ -81,16 +98,20 @@ def test_half_search_weights_match_weight(t2):
                 continue
             paths = hp.enumerate_paths(t2, a2, b2, 8)
             assert paths.weights == [hp.weight(x) for x in paths], (t2, a2, b2)
+            heights = [x.doubled for x in paths]
+            assert all(u < v for u, v in zip(heights, heights[1:])), (t2, a2, b2)
 
 
 def test_move_checks_hold_under_optimization():
     # this listed move breaks weight and sector; apply_move must refuse it,
-    # and the search must refuse a live branch at its horizon, even when
+    # the search must refuse a live branch at its horizon, and a bijection
+    # must notice a weight that drifts between its stages, even when
     # python -O strips asserts
     code = """
 import sys
-from viracomb import lattice, particles
+from viracomb import bijections, halfpath, lattice, particles
 from viracomb.halfpath import HalfPath
+from viracomb.rsos import RsosPath
 line = "half T=8 A=2 B=2 H=2,3,4,5,6,7,8,7,6,7,6,5,4,5,6,7,8,7,6,5,4,5,4,5,4,3,2"
 path = HalfPath.from_line(line)
 move = next(m for m in particles.enumerate_moves(path)
@@ -111,6 +132,10 @@ late = lambda x, prev, h, nh: None if nh in (2, 3) and x < 8 else 0
 attempt(lambda: lattice.search(4, 2, 1, 5, 0, 4, late, free, free, "a late band"))
 particles.b_matrix = lambda t2: [[1]]  # an odd charge form
 attempt(lambda: particles.minimal_weight(4, (1,)))
+weight = halfpath.weight
+halfpath.weight = lambda path: weight(path) + 1
+rsos37 = RsosPath.from_line("rsos p=3 pp=7 a=4 b=4 h=4,5,6,5,6,5,4")
+attempt(lambda: bijections.bij1_forward(rsos37))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
@@ -121,4 +146,5 @@ attempt(lambda: particles.minimal_weight(4, (1,)))
         "raised: enumeration did not stabilize: a step is still live at horizon 4"
         " for a late band",
         "raised: charge form 1 of (1,) is odd",
+        "raised: verbatim reread must preserve the weight",
     ]
