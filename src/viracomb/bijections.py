@@ -13,6 +13,14 @@ Two families are covered, with all intermediate data exposed in a trace:
   prefix of the label partition raises further peaks, and the remainder is
   deposited at accretion vertices.
 
+Both maps run through the same shared steps: `_remove_pairs` cuts the
+particles out of the RSOS path, `_raise_peaks` raises the peaks numbered
+mu (adding c(l+c-1)/2 + |mu| to the weight, with l the straight-vertex
+count), `_lower_peaks` undoes it, and `_reinsert` puts the particles
+back.  Only the middle stage is family-specific: the verbatim reread for
+p' = 2p+1, the flip-and-lift and accretion for p' = 2p-1.  `forward` and
+`inverse` pick the family from p' or from the parity of T.
+
 Every stage checks the exact weight bookkeeping it is supposed to satisfy,
 and raises `AssertionError` explicitly (so under `python -O` too), so a
 violation surfaces at the stage that caused it rather than as a bad round
@@ -75,10 +83,6 @@ def _delete_pairs(seq: list[int], positions: list[int]) -> list[int]:
     return out
 
 
-def _delete_positions(seq: list[int], positions: set[int]) -> list[int]:
-    return [v for i, v in enumerate(seq) if i not in positions]
-
-
 def _insert_notches(seq: list[int], notches: list[tuple[int, int]]) -> list[int]:
     """Insert (value+step, value) after each (pos, step), right to left.
 
@@ -124,16 +128,66 @@ def _pair_runs(positions: list[int]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _half_straight_count(path: HalfPath) -> int:
-    return sum(1 for i in range(path.horizon + 1) if path.is_straight(i))
+# -- the steps both families share -------------------------------------------
 
 
-def _half_peak_position(path: HalfPath, number: int) -> int:
-    """Doubled position of the number-th peak from the left (tail included)."""
-    stored = lattice.peaks(path.padded(path.horizon + 1))
-    if number <= len(stored):
-        return stored[number - 1]
-    return path.horizon + 1 + 2 * (number - len(stored) - 1)
+def _remove_pairs(path: RsosPath, pairs: list[tuple[int, int]]) -> RsosPath:
+    """The path with both vertices of each adjacent pair (x, x+1) removed;
+    the tail is padded first so the cut path still reaches the tail band.
+    """
+    seq = path.padded(path.horizon + 2 * len(pairs) + 2)
+    cut = _delete_pairs(seq, [x for x, _ in pairs])
+    return RsosPath.of(path.p, path.p_prime, path.a, path.b, cut)
+
+
+def _straight_count(hs: list[int]) -> int:
+    """Straight vertices at positions 0..len(hs)-3 of doubled heights padded
+    one past the horizon, then closed by the virtual H(-1) = A + 1, which
+    index -1 reads.
+    """
+    return sum(1 for i in range(len(hs) - 2) if hs[i - 1] != hs[i + 1])
+
+
+def _raise_peaks(h: HalfPath, w: int, mu: tuple[int, ...]) -> tuple[HalfPath, int, int]:
+    """Raise the peaks numbered mu from the left (tail peaks included) by a
+    notch each, given the weight w of h.
+
+    Returns the raised path, its weight and the straight-vertex count l of
+    h.  Raising c peaks adds exactly c(l+c-1)/2 + |mu| to the weight.
+    """
+    c = len(mu)
+    if not (all(x >= 1 for x in mu) and all(mu[i] > mu[i + 1] for i in range(c - 1))):
+        raise AssertionError("peak numbers must be positive and strictly decrease")
+    hs = h.padded(h.horizon + 1) + [h.a2 + 1]
+    ell = _straight_count(hs)
+    tops = lattice.peaks(hs, h.horizon + 1)
+    # numbers past the stored peaks land on the tail's peaks, two apart
+    at = [tops[x - 1] if x <= len(tops) else h.horizon + 1 + 2 * (x - len(tops) - 1)
+          for x in mu]
+    raised = HalfPath.of(h.t2, h.a2, h.b2, _notched(h, [(x, 1) for x in at]))
+    w_raised = hp.weight(raised)
+    if w_raised != w + c * (ell + c - 1) // 2 + sum(mu):
+        raise AssertionError("peak raising weight bookkeeping failed")
+    return raised, w_raised, ell
+
+
+def _lower_peaks(h: HalfPath, parity: int) -> tuple[tuple[int, ...], HalfPath]:
+    """Undo `_raise_peaks`: lower every peak whose doubled height has the
+    given parity (0: integer peaks, 1: non-integer ones).
+
+    Returns the peak numbers mu, largest first, and the lowered path, which
+    must have no such peak left.
+    """
+    hs = h.padded(h.horizon + 1)
+    raised = [(num + 1, pos) for num, pos in enumerate(lattice.peaks(hs))
+              if hs[pos] % 2 == parity]
+    seq = _delete_pairs(list(h.doubled), [pos for _, pos in raised])
+    cut = HalfPath.of(h.t2, h.a2, h.b2, seq)
+    left = cut.padded(cut.horizon + 1)
+    if any(left[i] % 2 == parity for i in lattice.peaks(left)):
+        kind = "non-integer" if parity else "integer"
+        raise StructureError(f"{kind} peaks remain after unstacking")
+    return tuple(num for num, _ in reversed(raised)), cut
 
 
 def _notch_step(height: int) -> int:
@@ -141,6 +195,24 @@ def _notch_step(height: int) -> int:
     # this lands the new pair of edges in the band that keeps the inserted
     # vertices' scoring class correct and the host's class unchanged.
     return -1 if height % 2 == 0 else 1
+
+
+def _reinsert(h_cut: RsosPath, positions: list[int], w_hat: int) -> RsosPath:
+    """Put a particle back as a notch at each position of the cut path; the
+    result must carry the weight w_hat.
+    """
+    notches = []
+    for pos in positions:
+        height = h_cut.height(pos)
+        step = _notch_step(height)
+        if not 1 <= height + step <= h_cut.p_prime - 1:
+            raise StructureError(f"reinsertion at position {pos} leaves the strip")
+        notches.append((pos, step))
+    seq = _notched(h_cut, notches)
+    out = RsosPath.of(h_cut.p, h_cut.p_prime, h_cut.a, h_cut.b, seq)
+    if rsos.weight(out) != w_hat:
+        raise StructureError("reinserted path does not reproduce the weight")
+    return out
 
 
 # -- the p' = 2p+1 family ----------------------------------------------------
@@ -169,10 +241,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     if not _is_partition(lam):
         raise AssertionError("particle labels must form a partition")
 
-    doomed = {x for pair in particles for x in pair}
-    seq = path.padded(path.horizon + 2 * n + 2)
-    h_cut = RsosPath.of(p, pp, a, b, _delete_positions(seq, doomed))
-
+    h_cut = _remove_pairs(path, particles)
     w_cut = rsos.weight(h_cut)
     k_cut = sum(1 for v in rsos.classify(h_cut) if v.scoring)
     if k_cut != k - 2 * n:
@@ -185,20 +254,10 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     if w_hat_cut != w_cut:
         raise AssertionError("verbatim reread must preserve the weight")
 
-    ell = _half_straight_count(h_hat_cut)
+    mu = tuple(lam[i] + n - i for i in range(n))  # lam_i + n + 1 - (i+1)
+    h_hat, w_hat, ell = _raise_peaks(h_hat_cut, w_hat_cut, mu)
     if ell != 2 * k_cut:
         raise AssertionError("verbatim reread must double the straight-vertex count")
-
-    mu = tuple(lam[i] + n - i for i in range(n))  # lam_i + n + 1 - (i+1)
-    if any(mu[i] <= mu[i + 1] for i in range(n - 1)):
-        raise AssertionError("peak numbers must strictly decrease")
-
-    notch_at = [_half_peak_position(h_hat_cut, number) for number in mu]
-    h_hat = HalfPath.of(2 * p, a, b, _notched(h_hat_cut, [(x, 1) for x in notch_at]))
-
-    w_hat = hp.weight(h_hat)
-    if w_hat != w_hat_cut + n * (ell + n - 1) // 2 + sum(mu):
-        raise AssertionError("peak raising weight bookkeeping failed")
     if w_hat != w:
         raise AssertionError("the map must preserve the weight")
     return h_hat, Bij1Trace(h_cut, n, lam, mu, h_hat_cut, h_hat)
@@ -214,20 +273,11 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
         raise BijectionDomainError(f"(A,B)=({a},{b}) out of range for T={t2}")
 
     w_hat = hp.weight(path)
-    hs = path.padded(path.horizon + 1)
-    integer_peaks = [(num + 1, pos) for num, pos in enumerate(lattice.peaks(hs))
-                     if hs[pos] % 2 == 0]
-    n = len(integer_peaks)
-    mu = tuple(num for num, _ in reversed(integer_peaks))
+    mu, h_hat_cut = _lower_peaks(path, 0)
+    n = len(mu)
     lam = tuple(mu[i] - n + i for i in range(n))  # mu_i - n - 1 + (i+1)
     if not _is_partition(lam):
         raise StructureError(f"integer-peak numbers {mu} do not define a partition")
-
-    seq = _delete_pairs(list(path.doubled), [pos for _, pos in integer_peaks])
-    h_hat_cut = HalfPath.of(t2, a, b, seq)
-    cut = h_hat_cut.padded(h_hat_cut.horizon + 1)
-    if any(cut[i] % 2 == 0 for i in lattice.peaks(cut)):
-        raise StructureError("integer peaks remain after unstacking")
 
     h_cut = RsosPath.of(p, pp, a, b, h_hat_cut.doubled)
 
@@ -242,24 +292,6 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
         return h_cut.horizon + (j - len(ns_list))  # tail vertices
 
     return _reinsert(h_cut, [nonscoring_position(lam_i) for lam_i in lam], w_hat)
-
-
-def _reinsert(h_cut: RsosPath, positions: list[int], w_hat: int) -> RsosPath:
-    """Put a particle back as a notch at each position of the cut path; the
-    result must carry the weight w_hat.
-    """
-    notches = []
-    for pos in positions:
-        height = h_cut.height(pos)
-        step = _notch_step(height)
-        if not 1 <= height + step <= h_cut.p_prime - 1:
-            raise StructureError(f"reinsertion at position {pos} leaves the strip")
-        notches.append((pos, step))
-    seq = _notched(h_cut, notches)
-    out = RsosPath.of(h_cut.p, h_cut.p_prime, h_cut.a, h_cut.b, seq)
-    if rsos.weight(out) != w_hat:
-        raise StructureError("reinserted path does not reproduce the weight")
-    return out
 
 
 # -- the p' = 2p-1 family ----------------------------------------------------
@@ -292,10 +324,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
         raise AssertionError("pair labels must form a partition of positive parts")
     n = len(lam)
 
-    doomed = {x for pair in pairs for x in pair}
-    seq = path.padded(path.horizon + 2 * n + 2)
-    h_cut = RsosPath.of(p, pp, a, path.b, _delete_positions(seq, doomed))
-
+    h_cut = _remove_pairs(path, pairs)
     cut_info = rsos.classify(h_cut)
     k_cut = sum(1 for v in cut_info if v.scoring)
     if k_cut != k:
@@ -311,9 +340,6 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     mu = tuple(lam[i] - (i + 1) - k + m + 1 for i in range(c))
     nu = tuple(lam[c:])
     d = n - c
-    if not (all(x >= 1 for x in mu) and all(mu[i] > mu[i + 1] for i in range(c - 1))):
-        raise AssertionError(
-            "prefix peak numbers must be positive and strictly decrease")
 
     # flip, raise every peak by half a unit, land in the doubled strip
     truncated = list(h_cut.heights)
@@ -327,16 +353,9 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     w_hat_cut = hp.weight(h_hat_cut)
     if w_hat_cut != rsos.weight(h_cut):
         raise AssertionError("flip and lift must preserve the weight")
-    ell = _half_straight_count(h_hat_cut)
+    h_hat_int, w_hat_int, ell = _raise_peaks(h_hat_cut, w_hat_cut, mu)
     if ell != 2 * k - 2 * m:
         raise AssertionError("flip and lift must leave 2k - 2m straight vertices")
-
-    notch_at = [_half_peak_position(h_hat_cut, number) for number in mu]
-    seq_int = _notched(h_hat_cut, [(x, 1) for x in notch_at])
-    h_hat_int = HalfPath.of(2 * p - 1, bb, a, seq_int)
-    w_hat_int = hp.weight(h_hat_int)
-    if w_hat_int != w_hat_cut + c * (ell + c - 1) // 2 + sum(mu):
-        raise AssertionError("prefix peak raising weight bookkeeping failed")
 
     accretion = _accretion_positions(h_hat_int)
     if nu and nu[0] > len(accretion):
@@ -414,17 +433,8 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     d = len(nu)
 
     # undo the staggered peak raises: non-integer peaks of the interim path
-    hs = h_hat_int.padded(h_hat_int.horizon + 1)
-    odd_peaks = [(num + 1, pos) for num, pos in enumerate(lattice.peaks(hs))
-                 if hs[pos] % 2 == 1]
-    c = len(odd_peaks)
-    mu = tuple(num for num, _ in reversed(odd_peaks))
-
-    seq = _delete_pairs(list(h_hat_int.doubled), [pos for _, pos in odd_peaks])
-    h_hat_cut = HalfPath.of(t2, bb, a, seq)
-    cut = h_hat_cut.padded(h_hat_cut.horizon + 1)
-    if any(cut[i] % 2 == 1 for i in lattice.peaks(cut)):
-        raise StructureError("non-integer peak survived the unstacking")
+    mu, h_hat_cut = _lower_peaks(h_hat_int, 1)
+    c = len(mu)
 
     # invert the flip-and-lift: lower every peak, reverse, restore the tail
     truncated = list(h_hat_cut.doubled)
@@ -452,3 +462,22 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     if lam and lam[0] > k:  # lam is a partition: its first label is the largest
         raise StructureError(f"label {lam[0]} exceeds the scoring count {k}")
     return _reinsert(h_cut, [0 if x == k else scoring[k - x - 1] for x in lam], w_hat)
+
+
+# -- family dispatch ----------------------------------------------------------
+
+
+def forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace | Bij2Trace]:
+    """The forward map of the path's family, picked from p'."""
+    if path.p_prime == 2 * path.p + 1:
+        return bij1_forward(path)
+    if path.p_prime == 2 * path.p - 1:
+        return bij2_forward(path)
+    raise BijectionDomainError(f"p'={path.p_prime} is neither 2p+1 nor 2p-1 for p={path.p}")
+
+
+def inverse(path: HalfPath) -> RsosPath:
+    """The inverse map of the path's family, picked from the parity of T:
+    p' = T + 1 for even T, p' = T for odd T.
+    """
+    return bij1_inverse(path) if path.t2 % 2 == 0 else bij2_inverse(path)

@@ -151,6 +151,17 @@ def _fermionic_term(t2: int, n: tuple[int, ...], order: int) -> QSeries:
     return term
 
 
+def _shifted_sum(terms, order: int) -> QSeries:
+    """sum q^e * term over the (e, term) pairs, through q^order; each term
+    need only be known through q^(order - e).
+    """
+    coeffs = [0] * (order + 1)
+    for e, term in terms:
+        for k, c in enumerate(term.coeffs):
+            coeffs[e + k] += c
+    return QSeries(order, tuple(coeffs))
+
+
 def fermionic_character_12(t2: int, order: int) -> QSeries:
     """The positive-sum form of the (r,s)=(1,2) character for T = 2t >= 4.
 
@@ -159,12 +170,8 @@ def fermionic_character_12(t2: int, order: int) -> QSeries:
     finitely many vectors whose quadratic-form exponent stays within order;
     the others vanish modulo q^(order+1).
     """
-    coeffs = [0] * (order + 1)
-    for n, e in occupation_vectors(t2, order):
-        for k, c in enumerate(_fermionic_term(t2, n, order - e).coeffs):
-            if c:
-                coeffs[e + k] += c
-    return QSeries(order, tuple(coeffs))
+    return _shifted_sum(((e, _fermionic_term(t2, n, order - e))
+                         for n, e in occupation_vectors(t2, order)), order)
 
 
 def theorem1_label(t2: int, a_hat: int, b_hat: int) -> CharacterLabel:
@@ -224,46 +231,40 @@ def verify_symmetries(label: CharacterLabel, order: int) -> SymmetryReport:
 
 def fermionic_sum_2_5(order: int) -> QSeries:
     """sum_n q^(n^2) / (q)_n, the Rogers-Ramanujan sum side for M(2,5)."""
-    out = [0] * (order + 1)
-    n = 0
-    while n * n <= order:
-        e = n * n
-        term = _poch_inverse(n, order - e)
-        for k, c in enumerate(term.coeffs):
-            out[e + k] += c
-        n += 1
-    return QSeries(order, tuple(out))
+    def terms():
+        n = 0
+        while n * n <= order:
+            yield n * n, _poch_inverse(n, order - n * n)
+            n += 1
+
+    return _shifted_sum(terms(), order)
 
 
 def fermionic_sum_3_7(order: int) -> QSeries:
     """sum q^((n1+n2)^2 + 2 n2^2) / ((q)_{n1} (q)_{2 n2}) for M(3,7)."""
-    out = [0] * (order + 1)
-    n2 = 0
-    while 2 * n2 * n2 <= order:
-        n1 = 0
-        while (n1 + n2) ** 2 + 2 * n2 * n2 <= order:
-            e = (n1 + n2) ** 2 + 2 * n2 * n2
-            term = _poch_inverse(n1, order - e) * _poch_inverse(2 * n2, order - e)
-            for k, c in enumerate(term.coeffs):
-                out[e + k] += c
-            n1 += 1
-        n2 += 1
-    return QSeries(order, tuple(out))
+    def terms():
+        n2 = 0
+        while 2 * n2 * n2 <= order:
+            n1 = 0
+            while (e := (n1 + n2) ** 2 + 2 * n2 * n2) <= order:
+                yield e, _poch_inverse(n1, order - e) * _poch_inverse(2 * n2, order - e)
+                n1 += 1
+            n2 += 1
+
+    return _shifted_sum(terms(), order)
 
 
 def fermionic_sum_4_7(order: int) -> QSeries:
     """sum q^((n1+2n2)^2 + 2 n2^2) [n1+2n2, n1]_q / (q)_{2n1+4n2} for M(4,7)."""
-    out = [0] * (order + 1)
-    n2 = 0
-    while (2 * n2) ** 2 + 2 * n2 * n2 <= order:
-        n1 = 0
-        while (n1 + 2 * n2) ** 2 + 2 * n2 * n2 <= order:
-            e = (n1 + 2 * n2) ** 2 + 2 * n2 * n2
-            term = _poch_inverse(2 * n1 + 4 * n2, order - e) * q_binomial(
-                n1 + 2 * n2, n1, order - e
-            )
-            for k, c in enumerate(term.coeffs):
-                out[e + k] += c
-            n1 += 1
-        n2 += 1
-    return QSeries(order, tuple(out))
+    def terms():
+        n2 = 0
+        while 6 * n2 * n2 <= order:
+            n1 = 0
+            while (e := (n1 + 2 * n2) ** 2 + 2 * n2 * n2) <= order:
+                yield e, _poch_inverse(2 * n1 + 4 * n2, order - e) * q_binomial(
+                    n1 + 2 * n2, n1, order - e
+                )
+                n1 += 1
+            n2 += 1
+
+    return _shifted_sum(terms(), order)

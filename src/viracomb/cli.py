@@ -100,22 +100,14 @@ def cmd_bijection(args) -> int:
     if args.direction == "forward":
         if not isinstance(path, RsosPath):
             raise bj.BijectionDomainError("forward maps take an rsos line")
-        if path.p_prime == 2 * path.p + 1:
-            image, trace = bj.bij1_forward(path)
-        elif path.p_prime == 2 * path.p - 1:
-            image, trace = bj.bij2_forward(path)
-        else:
-            raise bj.BijectionDomainError(
-                f"p'={path.p_prime} is neither 2p+1 nor 2p-1 for p={path.p}"
-            )
+        image, trace = bj.forward(path)
         print(image.to_line())
         if args.trace:
             print(_trace_json(trace))
     else:
         if not isinstance(path, HalfPath):
             raise bj.BijectionDomainError("inverse maps take a half line")
-        back = bj.bij1_inverse(path) if path.t2 % 2 == 0 else bj.bij2_inverse(path)
-        print(back.to_line())
+        print(bj.inverse(path).to_line())
     return 0
 
 

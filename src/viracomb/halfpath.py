@@ -85,9 +85,6 @@ class HalfPath:
         """Doubled heights at positions 0..upto, continuing the tail."""
         return lattice.padded(self.doubled, self.b2, upto)
 
-    def is_straight(self, i: int) -> bool:
-        return self.height(i - 1) != self.height(i + 1)
-
     def to_line(self) -> str:
         hs = ",".join(str(h) for h in self.doubled)
         return f"half T={self.t2} A={self.a2} B={self.b2} H={hs}"

@@ -1,3 +1,6 @@
+import random
+import statistics
+
 import pytest
 
 from viracomb import halfpath as hp
@@ -9,6 +12,8 @@ from viracomb.bijections import (
     bij1_inverse,
     bij2_forward,
     bij2_inverse,
+    forward,
+    inverse,
 )
 from viracomb.halfpath import HalfPath
 from viracomb.rsos import RsosPath
@@ -143,7 +148,8 @@ def test_bij2_accretion_vertices_count_their_straights():
     for path in rsos.enumerate_paths(4, 7, 6, 1, 8):
         _, trace = bij2_forward(path)
         hint = trace.h_hat_int
-        straights = [i for i in range(hint.horizon + 1) if hint.is_straight(i)]
+        straights = [i for i in range(hint.horizon + 1)
+                     if hint.height(i - 1) != hint.height(i + 1)]
         for j, pos in enumerate(_accretion_positions(hint), start=1):
             right = sum(1 for s in straights if s > pos)
             down = hint.height(pos - 1) > hint.height(pos) > hint.height(pos + 1)
@@ -166,3 +172,67 @@ def test_bij1_cut_has_no_adjacent_scoring_and_particles_start_on_turns():
         for run in runs:
             for first in run[0:len(run) - len(run) % 2:2]:
                 assert info[first].shape in (rsos.PEAK, rsos.VALLEY)
+
+
+# -- seeded long paths, far beyond the exhaustive weight-12 window -------------
+
+
+def _walk(rnd, start, lo, hi, b, steps, ok=lambda prev, h, nh: True):
+    """A random unit-step walk on lo..hi from start, then led into the tail
+    band {b, b+1}; ok(prev, h, next) vetoes steps (prev of the start is
+    start + 1).
+    """
+    hs = [start]
+
+    def step_ok(nh):
+        return lo <= nh <= hi and ok(hs[-2] if len(hs) > 1 else start + 1, hs[-1], nh)
+
+    for _ in range(steps):
+        hs.append(rnd.choice([nh for nh in (hs[-1] - 1, hs[-1] + 1) if step_ok(nh)]))
+    while hs[-1] not in (b, b + 1):
+        nh = hs[-1] - 1 if hs[-1] > b + 1 else hs[-1] + 1
+        hs.append(nh if step_ok(nh) else hs[-1] - 1)
+    return hs
+
+
+def _half_ok(prev, h, nh):
+    return not (prev == nh == h + 1 and h % 2 == 1)  # valleys at integer heights only
+
+
+@pytest.mark.parametrize("family", [1, 2])
+def test_long_rsos_paths_round_trip(family):
+    rnd = random.Random(family)
+    weights = []
+    for _ in range(80):
+        p = rnd.randint(2 if family == 1 else 3, 6)
+        pp = 2 * p + 1 if family == 1 else 2 * p - 1
+        a = 2 * rnd.randint(1, p if family == 1 else p - 1)
+        b = 2 * rnd.randint(1, p - 1) - (family - 1)
+        path = RsosPath.of(p, pp, a, b, _walk(rnd, a, 1, pp - 1, b, rnd.randint(20, 90)))
+        image, _ = forward(path)
+        weights.append(rsos.weight(path))
+        assert hp.weight(image) == weights[-1], path.to_line()
+        assert inverse(image) == path, path.to_line()
+    assert statistics.median(weights) >= 200
+
+
+@pytest.mark.parametrize("family", [1, 2])
+def test_long_half_paths_round_trip(family):
+    rnd = random.Random(10 + family)
+    weights = []
+    for _ in range(80):
+        t2 = rnd.randint(2, 6) * 2 if family == 1 else rnd.randint(3, 6) * 2 - 1
+        a2, b2 = rnd.choice([(a2, b2) for a2 in range(2, t2 + 1, 2)
+                             for b2 in range(2, t2 + 1, 2) if hp.theorem1_domain(t2, a2, b2)])
+        steps = rnd.randint(40, 180)
+        g = HalfPath.of(t2, a2, b2, _walk(rnd, a2, 2, t2, b2, steps, _half_ok))
+        back = inverse(g)
+        weights.append(hp.weight(g))
+        assert rsos.weight(back) == weights[-1], g.to_line()
+        assert forward(back)[0] == g, g.to_line()
+    assert statistics.median(weights) >= 200
+
+
+def test_forward_rejects_a_family_free_path():
+    with pytest.raises(BijectionDomainError):
+        forward(RsosPath.of(2, 7, 2, 2, [2]))  # p' = 7 is neither 2p+1 nor 2p-1

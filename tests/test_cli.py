@@ -200,14 +200,6 @@ def test_determinism(capsys, monkeypatch):
     assert first == second
 
 
-def test_verify_bad_thread_count_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("VIRACOMB_THREADS", "abc")
-    code, out, err = run(capsys, ["verify", "products", "--order", "4"])
-    assert code == 2
-    assert out == ""
-    assert "VIRACOMB_THREADS" in err and "'abc'" in err
-
-
 def test_verify_negative_order_exit_2(capsys):
     code, out, err = run(capsys, ["verify", "products", "--order", "-1",
                                   "--workers", "1"])
