@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .qseries import QSeries, pochhammer_finite, pochhammer_inf_inverse, q_binomial
+from .qseries import QSeries, _factor_product, pochhammer_inf_inverse
 
 
 class InvalidLabelError(ValueError):
@@ -97,19 +96,19 @@ def b_matrix(t2: int) -> list[list[int]]:
 def m_vector(t2: int, n: tuple[int, ...]) -> list[int]:
     """m_d = sum_{k=d+1..2t-2} n_k (k - d) for d = 1..2t-3: the maximal move
     counts per charge of a sector, and the fermionic-term arguments.
+
+    Computed by suffix sums: m_d = m_{d+1} + sum_{k>d} n_k.
     """
     size = t2 - 3
     if len(n) != size:
         raise ValueError(f"occupation vector must have length {size}, got {len(n)}")
-    out = []
-    for d in range(1, size + 1):
-        out.append(sum(n[k - 2] * (k - d) for k in range(d + 1, t2 - 1)))
+    out = [0] * size
+    m = tail = 0
+    for d in range(size, 0, -1):
+        tail += n[d - 1]  # n_{d+1}
+        m += tail
+        out[d - 1] = m
     return out
-
-
-@lru_cache(maxsize=None)
-def _poch_inverse(n: int, order: int) -> QSeries:
-    return pochhammer_finite(n, order).invert()
 
 
 def occupation_vectors(t2: int, order: int):
@@ -142,13 +141,20 @@ def occupation_vectors(t2: int, order: int):
 
 
 def _fermionic_term(t2: int, n: tuple[int, ...], order: int) -> QSeries:
-    """(q)_{m_1}^-1 prod_{j=2..T-3} [n_j + m_j, n_j]_q for occupation vector n."""
+    """(q)_{m_1}^-1 prod_{j=2..T-3} [n_j + m_j, n_j]_q for occupation vector n.
+
+    Built by factor passes on one coefficient list: divide by (1 - q^i) for
+    i <= m_1; for each j and i <= n_j, multiply by (1 - q^(m_j + i)) and
+    divide by (1 - q^i).  Each factor is one O(order) pass, and passes with
+    exponents past order are empty.
+    """
     ms = m_vector(t2, n)
-    term = _poch_inverse(ms[0], order)
+    up, down = [], list(range(1, ms[0] + 1))
     for j in range(2, t2 - 2):
-        if n[j - 2]:  # [m, 0]_q = 1
-            term = term * q_binomial(n[j - 2] + ms[j - 1], n[j - 2], order)
-    return term
+        nj, mj = n[j - 2], ms[j - 1]
+        up += range(mj + 1, mj + nj + 1)
+        down += range(1, nj + 1)
+    return _factor_product(up, down, order)
 
 
 def _shifted_sum(terms, order: int) -> QSeries:
@@ -234,7 +240,7 @@ def fermionic_sum_2_5(order: int) -> QSeries:
     def terms():
         n = 0
         while n * n <= order:
-            yield n * n, _poch_inverse(n, order - n * n)
+            yield n * n, _factor_product((), range(1, n + 1), order - n * n)
             n += 1
 
     return _shifted_sum(terms(), order)
@@ -247,7 +253,8 @@ def fermionic_sum_3_7(order: int) -> QSeries:
         while 2 * n2 * n2 <= order:
             n1 = 0
             while (e := (n1 + n2) ** 2 + 2 * n2 * n2) <= order:
-                yield e, _poch_inverse(n1, order - e) * _poch_inverse(2 * n2, order - e)
+                yield e, _factor_product((), [*range(1, n1 + 1), *range(1, 2 * n2 + 1)],
+                                        order - e)
                 n1 += 1
             n2 += 1
 
@@ -261,8 +268,10 @@ def fermionic_sum_4_7(order: int) -> QSeries:
         while 6 * n2 * n2 <= order:
             n1 = 0
             while (e := (n1 + 2 * n2) ** 2 + 2 * n2 * n2) <= order:
-                yield e, _poch_inverse(2 * n1 + 4 * n2, order - e) * q_binomial(
-                    n1 + 2 * n2, n1, order - e
+                yield e, _factor_product(
+                    range(2 * n2 + 1, 2 * n2 + n1 + 1),  # [n1 + 2 n2, n1]_q over (q)_{n1}
+                    [*range(1, n1 + 1), *range(1, 2 * n1 + 4 * n2 + 1)],
+                    order - e,
                 )
                 n1 += 1
             n2 += 1

@@ -150,6 +150,8 @@ def sector_gf(t2: int, sector: tuple[int, ...], order: int) -> QSeries:
     by the minimal weight.
     """
     sector = tuple(sector)
+    if any(x < 0 for x in sector):
+        raise ValueError(f"occupation numbers must be nonnegative, got sector {sector}")
     e = minimal_weight(t2, sector)
     if e > order:
         return QSeries.zero(order)

@@ -10,12 +10,17 @@ On top of the ring arithmetic this module provides the standard q-objects
 used by character formulas: finite Pochhammer symbols (q)_n, the partition
 generating function 1/(q)_oo, Gaussian (q-binomial) coefficients, and
 modular products prod 1/(1-q^k) over residue classes.
+
+Products of factors (1 - q^k) and their inverses never multiply whole
+series: one coefficient list is multiplied or divided by each factor in
+place, an O(N) pass through q^N, so (q)_n, [m, n]_q, the modular products
+and the fermionic terms of :mod:`viracomb.characters` cost O(N) per factor
+and keep no cache.  1/(q)_oo uses Euler's pentagonal recurrence, O(N^1.5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 
@@ -142,53 +147,74 @@ class QSeries:
         return " ".join(terms) if terms else "0"
 
 
+def _times_one_minus(out: list[int], k: int) -> None:
+    """out *= (1 - q^k) in place, through q^(len(out) - 1)."""
+    for j in range(len(out) - 1, k - 1, -1):
+        out[j] -= out[j - k]
+
+
+def _divide_one_minus(out: list[int], k: int) -> None:
+    """out /= (1 - q^k) in place, through q^(len(out) - 1)."""
+    for j in range(k, len(out)):
+        out[j] += out[j - k]
+
+
+def _factor_product(up: Iterable[int], down: Iterable[int], order: int) -> QSeries:
+    """prod_{u in up} (1 - q^u) / prod_{d in down} (1 - q^d), truncated.
+
+    Exponents must be positive.  Each factor is one O(order) in-place pass,
+    and the passes commute, since truncation respects products.
+    """
+    out = [1] + [0] * order
+    for k in up:
+        _times_one_minus(out, k)
+    for k in down:
+        _divide_one_minus(out, k)
+    return QSeries(order, tuple(out))
+
+
 def pochhammer_finite(n: int, order: int) -> QSeries:
     """(q)_n = prod_{i=1..n} (1 - q^i), truncated; (q)_0 = 1."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    out = [1] + [0] * order
-    for i in range(1, min(n, order) + 1):
-        # multiply in place by (1 - q^i)
-        for j in range(order, i - 1, -1):
-            out[j] -= out[j - i]
-    return QSeries(order, tuple(out))
+    return _factor_product(range(1, min(n, order) + 1), (), order)
 
 
 def pochhammer_inf_inverse(order: int) -> QSeries:
-    """1/(q)_oo truncated; the coefficient of q^n is the partition count p(n)."""
+    """1/(q)_oo truncated; the coefficient of q^n is the partition count p(n).
+
+    Euler's pentagonal recurrence: p(n) = sum_{k>=1} (-1)^(k+1)
+    (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
+    """
+    pentagonal = []  # (generalized pentagonal number, sign), increasing
+    k = 1
+    while k * (3 * k - 1) // 2 <= order:
+        sign = 1 if k % 2 else -1
+        pentagonal += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
+        k += 1
     out = [1] + [0] * order
-    for i in range(1, order + 1):
-        # multiply in place by 1/(1 - q^i) = 1 + q^i + q^{2i} + ...
-        for j in range(i, order + 1):
-            out[j] += out[j - i]
+    for n in range(1, order + 1):
+        acc = 0
+        for g, sign in pentagonal:
+            if g > n:
+                break
+            acc += sign * out[n - g]
+        out[n] = acc
     return QSeries(order, tuple(out))
-
-
-@lru_cache(maxsize=None)
-def _qbinom_coeffs(m: int, n: int) -> tuple[int, ...]:
-    """Exact coefficient tuple of the Gaussian binomial [m choose n]_q."""
-    if n == 0 or n == m:
-        return (1,)
-    # [m n] = [m-1 n-1] + q^n [m-1 n]
-    a = _qbinom_coeffs(m - 1, n - 1)
-    b = _qbinom_coeffs(m - 1, n)
-    out = [0] * (n * (m - n) + 1)
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i + n] += c
-    return tuple(out)
 
 
 def q_binomial(m: int, n: int, order: int) -> QSeries:
     """Gaussian binomial (q)_m / ((q)_n (q)_{m-n}) for 0 <= n <= m, else 0.
 
+    Built as prod_{i=1..n} (1 - q^(m-n+i)) / (1 - q^i) after n -> min(n, m-n).
     The result is a polynomial of degree n(m-n) with nonnegative integer
     coefficients, truncated to the requested order.
     """
     if not 0 <= n <= m:
         return QSeries.zero(order)
-    return QSeries.from_coeffs(_qbinom_coeffs(m, n), order)
+    n = min(n, m - n)
+    return _factor_product(range(m - n + 1, min(m, order) + 1),
+                           range(1, min(n, order) + 1), order)
 
 
 def modular_product(modulus: int, residues: Iterable[int], order: int) -> QSeries:
@@ -201,9 +227,4 @@ def modular_product(modulus: int, residues: Iterable[int], order: int) -> QSerie
     bad = [r for r in rs if not 0 <= r < modulus]
     if bad:
         raise ValueError(f"residues out of range mod {modulus}: {sorted(bad)}")
-    out = [1] + [0] * order
-    for k in range(1, order + 1):
-        if k % modulus in rs:
-            for j in range(k, order + 1):
-                out[j] += out[j - k]
-    return QSeries(order, tuple(out))
+    return _factor_product((), (k for k in range(1, order + 1) if k % modulus in rs), order)

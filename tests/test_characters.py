@@ -1,9 +1,13 @@
+import gc
 import math
+import random
+import tracemalloc
 
 import pytest
 
 from viracomb.characters import (
     CharacterLabel,
+    _fermionic_term,
     InvalidLabelError,
     alternating_sum_series,
     b_matrix,
@@ -13,10 +17,16 @@ from viracomb.characters import (
     fermionic_sum_3_7,
     fermionic_sum_4_7,
     m_vector,
+    occupation_vectors,
     theorem1_label,
     verify_symmetries,
 )
-from viracomb.qseries import modular_product, pochhammer_inf_inverse
+from viracomb.qseries import (
+    modular_product,
+    pochhammer_finite,
+    pochhammer_inf_inverse,
+    q_binomial,
+)
 
 
 def all_labels(max_pp):
@@ -149,3 +159,46 @@ def test_m_vector_examples():
     assert m_vector(4, (3,)) == [3]
     assert m_vector(10, (2, 1, 1, 1, 0, 1, 0)) == [17, 11, 7, 4, 2, 1, 0]
     assert m_vector(10, (0,) * 7) == [0] * 7
+
+
+def test_m_vector_is_its_defining_sum():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        t2 = rng.randrange(4, 17)
+        n = tuple(rng.randrange(0, 6) for _ in range(t2 - 3))
+        expect = [sum(n[k - 2] * (k - d) for k in range(d + 1, t2 - 1))
+                  for d in range(1, t2 - 2)]
+        assert m_vector(t2, n) == expect
+
+
+@pytest.mark.parametrize("t2", range(4, 11))
+def test_fermionic_term_matches_ring_products(t2):
+    # the reference builds each term from whole series with QSeries.__mul__
+    order = 40
+    for n, _ in occupation_vectors(t2, order):
+        ms = m_vector(t2, n)
+        expect = pochhammer_finite(ms[0], order).invert()
+        for j in range(2, t2 - 2):
+            expect = expect * q_binomial(n[j - 2] + ms[j - 1], n[j - 2], order)
+        assert _fermionic_term(t2, n, order) == expect, n
+
+
+def test_fermionic_forms_retain_no_memory():
+    def run(orders):
+        for order in orders:
+            fermionic_character_12(10, order)
+            fermionic_sum_2_5(order)
+            fermionic_sum_3_7(order)
+            fermionic_sum_4_7(order)
+
+    tracemalloc.start()
+    try:
+        run([20])  # a first call settles one-time allocations
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        run(range(20, 81, 5))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024

@@ -183,6 +183,13 @@ def test_sector_gf(capsys):
     assert out.strip() == "1,0,0,0,0"
 
 
+def test_sector_gf_negative_occupation_exit_2(capsys):
+    code, out, err = run(capsys, ["sector-gf", "--t2", "8", "--n", "1,-1,1,0,0",
+                                  "--order", "12"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "(1, -1, 1, 0, 0)" in err
+
+
 def test_verify_products_json(capsys):
     code, out, _ = run(capsys, ["verify", "products", "--order", "12",
                                 "--workers", "1"])

@@ -133,6 +133,11 @@ def test_sector_gf_zero_sector_is_one():
     assert series == QSeries.one(6)
 
 
+def test_sector_gf_rejects_negative_occupation():
+    with pytest.raises(ValueError, match=r"\(1, -1, 1, 0, 0\)"):
+        sector_gf(8, (1, -1, 1, 0, 0), 12)
+
+
 @pytest.mark.parametrize("t2", range(4, 11))
 def test_sector_sum_is_fermionic_character(t2):
     order = 12

@@ -118,9 +118,9 @@ def test_partition_gf_against_enumeration():
 
 
 def test_partition_gf_is_definitional_inverse():
-    n = 12
-    prod = pochhammer_inf_inverse(n) * pochhammer_finite(n, n)
-    assert prod == QSeries.one(n)
+    for n in (12, 300):
+        prod = pochhammer_inf_inverse(n) * pochhammer_finite(n, n)
+        assert prod == QSeries.one(n)
 
 
 def test_qbinomial_box():
@@ -134,6 +134,10 @@ def test_qbinomial_out_of_range_is_zero():
 
 def test_qbinomial_empty_box():
     assert q_binomial(5, 5, 3) == QSeries.one(3)
+
+
+def test_qbinomial_large_m_needs_no_recursion():
+    assert q_binomial(1500, 3, 10).coeffs == (1, 1, 2, 3, 4, 5, 7, 8, 10, 12, 14)
 
 
 @pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (7, 2), (9, 4)])
