@@ -317,7 +317,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     k = len(scoring)
     last_scoring = scoring[-1] if scoring else 0
 
-    nonscoring = [x for x in range(1, last_scoring) if x not in set(scoring)]
+    nonscoring = sorted(set(range(1, last_scoring)).difference(scoring))
     pairs = [pr for pr in _pair_runs(nonscoring) if pr[1] < last_scoring]
     lam = tuple(sum(1 for s in scoring if s > x2) for _, x2 in pairs)
     if not (all(x > 0 for x in lam) and _is_partition(lam)):

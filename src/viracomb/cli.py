@@ -235,13 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     except bj.StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        InvalidLabelError,
-        InvalidPathError,
-        InvalidHalfPathError,
-        bj.BijectionDomainError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

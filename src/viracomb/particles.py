@@ -12,6 +12,7 @@ other member is reached from it by weight-one particle moves.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import halfpath as hp
@@ -47,6 +48,11 @@ def dissect(path: HalfPath) -> Dissection:
     Only defined on paths with start and tail height 1 (doubled 2); the
     charge-1/2 tail peaks are handled implicitly: each discounts the valley
     to its right, leaving the junction valley available to stored peaks.
+
+    The scan keeps one ordered list of live valleys, those no particle has
+    discounted yet.  A peak's nearest live valleys are its two neighbours in
+    that list; a pass for charge d/2 walks the peaks still waiting right to
+    left, and a peak that takes charge d/2 removes the valley it hit.
     """
     if path.a2 != 2 or path.b2 != 2:
         raise ValueError("dissection is defined on paths from height 1 to height 1")
@@ -55,19 +61,8 @@ def dissect(path: HalfPath) -> Dissection:
     H = path.padded(reach)
     peaks = lattice.peaks(H, path.horizon)
     # position 0 is always a valley: H(-1) = 3 (virtual) and H(1) = 3 lie above it
-    valleys = [0] + lattice.valleys(H, path.horizon + 1)
-    discounted: set[int] = set()
+    live = [0] + lattice.valleys(H, path.horizon + 1)
     assigned: dict[int, Particle] = {}
-
-    def nearest_valley(peak: int, direction: int) -> int | None:
-        candidates = (
-            [v for v in valleys if v < peak and v not in discounted]
-            if direction < 0
-            else [v for v in valleys if v > peak and v not in discounted]
-        )
-        if not candidates:
-            return None
-        return max(candidates) if direction < 0 else min(candidates)
 
     def far_side_stop(peak: int, identified: int, base_h: int) -> int:
         step = 1 if identified < peak else -1
@@ -80,17 +75,17 @@ def dissect(path: HalfPath) -> Dissection:
                 raise DissectionError("baseline ran past the tail without closing")
         raise DissectionError("baseline ran off the left wall")
 
+    waiting = peaks[::-1]  # right to left
     for charge2 in range(1, t2 - 1):
-        for peak in reversed(peaks):
-            if peak in assigned:
-                continue
-            left = nearest_valley(peak, -1)
-            right = nearest_valley(peak, +1)
-            hits_left = left is not None and H[peak] - H[left] == charge2
-            hits_right = right is not None and H[peak] - H[right] == charge2
+        still = []
+        for peak in waiting:
+            i = bisect_left(live, peak)
+            hits_right = i < len(live) and H[peak] - H[live[i]] == charge2
+            hits_left = i > 0 and H[peak] - H[live[i - 1]] == charge2
             if not hits_left and not hits_right:
+                still.append(peak)
                 continue
-            identified = right if hits_right else left  # ties go to the right
+            identified = live.pop(i if hits_right else i - 1)  # ties go to the right
             base_h = H[peak] - charge2
             if charge2 == 1:
                 origin, end = peak - 1, peak + 1
@@ -98,11 +93,10 @@ def dissect(path: HalfPath) -> Dissection:
                 stop = far_side_stop(peak, identified, base_h)
                 origin, end = min(identified, stop), max(identified, stop)
             assigned[peak] = Particle(peak, charge2, origin, base_h, end - origin)
-            discounted.add(identified)
+        waiting = still
 
-    missing = [pk for pk in peaks if pk not in assigned]
-    if missing:
-        raise DissectionError(f"peaks without a charge after the scan: {missing}")
+    if waiting:
+        raise DissectionError(f"peaks without a charge after the scan: {waiting[::-1]}")
     sector = [0] * (t2 - 3)
     for part in assigned.values():
         if part.charge2 >= 2:

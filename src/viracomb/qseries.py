@@ -118,9 +118,6 @@ class QSeries:
             out[k] = -c0 * acc
         return QSeries(n, tuple(out))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     # -- text formats -------------------------------------------------------
 
     def to_csv(self) -> str:

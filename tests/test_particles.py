@@ -32,11 +32,17 @@ def test_dissect_golden_charges():
 
 
 def test_dissect_baselines_have_integer_heights():
-    dis = dissect(HalfPath.of(*DISSECT_10))
-    for p in dis.particles:
-        assert p.base_h % 2 == 0
-        assert p.base_h == dis.path.height(p.peak) - p.charge2
-        assert p.length >= 2 * p.charge2
+    paths = [HalfPath.of(*DISSECT_10)]
+    for t2 in range(4, 11):
+        paths.extend(hp.enumerate_paths(t2, 2, 2, 12))
+    for path in paths:
+        for p in dissect(path).particles:
+            end = p.origin + p.length
+            assert p.base_h % 2 == 0
+            assert p.base_h == path.height(p.peak) - p.charge2
+            assert p.length >= 2 * p.charge2
+            assert path.height(p.origin) == path.height(end) == p.base_h
+            assert p.origin < p.peak < end
 
 
 def test_dissect_requires_corner_heights():

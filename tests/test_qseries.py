@@ -128,8 +128,8 @@ def test_qbinomial_box():
 
 
 def test_qbinomial_out_of_range_is_zero():
-    assert q_binomial(3, 5, 6).is_zero()
-    assert q_binomial(3, -1, 6).is_zero()
+    assert q_binomial(3, 5, 6) == QSeries.zero(6)
+    assert q_binomial(3, -1, 6) == QSeries.zero(6)
 
 
 def test_qbinomial_empty_box():
@@ -205,7 +205,7 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=250)
 @given(small_series)
 def test_additive_inverse(a):
-    assert (a - a).is_zero()
+    assert a - a == QSeries.zero(a.order)
     assert a + (-a) == QSeries.zero(a.order)
 
 
