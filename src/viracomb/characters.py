@@ -6,14 +6,26 @@ entries of the M(p, 2p+1) / M(p, 2p-1) families sums manifestly positive
 terms over particle occupation vectors, weighted by the quadratic form of
 the inverse type-A Cartan matrix.  Half-integer moduli are avoided
 throughout by carrying t doubled as an integer T = 2t.
+
+`fermionic_character_12` does not build its terms one by one.  It walks the
+occupation vectors from the top charge down and keeps one coefficient list,
+which each step multiplies or divides by a few factors (1 - q^k) in place,
+so neighbouring terms share all but those passes.  `_fermionic_term` builds
+one term alone: `particles.sector_gf` needs single terms, and it is the
+per-vector oracle the walk is tested against.  Neither walk takes a frame
+per charge: `occupation_vectors` is one loop, and the fermionic walk keeps
+one stack of pending levels.  Both visit only the charges whose lone
+particle fits within the order, about sqrt(2N) of them whatever T is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
-from .qseries import QSeries, _factor_product, pochhammer_inf_inverse
+from .qseries import (QSeries, _divide_one_minus, _factor_product, _times_one_minus,
+                      pochhammer_inf_inverse)
 
 
 class InvalidLabelError(ValueError):
@@ -111,33 +123,54 @@ def m_vector(t2: int, n: tuple[int, ...]) -> list[int]:
     return out
 
 
+def _top_charge(t2: int, order: int) -> int:
+    """The highest charge a walk over vectors within order need visit.
+
+    One particle of charge c alone has exponent B_cc/2 = c(c-1)/2, and B >= 0
+    entrywise, so charges above this one are empty in every such vector.
+    """
+    if t2 < 4:
+        raise ValueError(f"need T = 2t >= 4, got {t2}")
+    top = 2
+    while top < t2 - 2 and (top + 1) * top // 2 <= order:
+        top += 1
+    return top
+
+
 def occupation_vectors(t2: int, order: int):
     """Every occupation vector n (counts of doubled charges 2..T-2) whose
     exponent e = n.B.n/2 is at most order, as (n, e), in lexicographic order.
+
+    One odometer loop: the next vector adds a particle at the last position
+    that stays within order and empties the positions after it.  A prefix
+    over order stays over, since B >= 0 entrywise.  Positions past
+    `_top_charge` stay empty and are never scanned.
     """
-    bmat = b_matrix(t2)
-    size = t2 - 3
-    vec = [0] * size
-
-    def descend(pos: int, expo2: int):
-        # expo2 carries n.B.n for the filled prefix
-        if pos == size:
-            yield tuple(vec), expo2 // 2
-            return
-        k = 0
-        while True:
-            # incremental quadratic form: diagonal plus twice the cross terms
-            add = bmat[pos][pos] * k * k
-            for i in range(pos):
-                add += 2 * bmat[i][pos] * vec[i] * k
-            if expo2 + add > 2 * order:
+    top = _top_charge(t2, order)
+    if order < 0:
+        return
+    live = top - 1  # positions 0..live-1 hold charges 2..top
+    zeros = (0,) * (t2 - 2 - top)
+    vec = [0] * live
+    # expo2[p] = n.B.n over vec[:p]; tilt[p] = sum_{i<p} (c_i - 1) n_i, so a
+    # particle of charge c adds its cross terms with the prefix as 2 c tilt[p]
+    expo2 = [0] * (live + 1)
+    tilt = [0] * (live + 1)
+    while True:
+        yield tuple(vec) + zeros, expo2[live] // 2
+        p = live - 1
+        while p >= 0:
+            c, k = p + 2, vec[p]
+            step = expo2[p + 1] + c * (c - 1) * (2 * k + 1) + 2 * c * tilt[p]
+            if step <= 2 * order:
                 break
-            vec[pos] = k
-            yield from descend(pos + 1, expo2 + add)
-            vec[pos] = 0
-            k += 1
-
-    yield from descend(0, 0)
+            vec[p] = 0
+            p -= 1
+        else:
+            return
+        vec[p] = k + 1
+        expo2[p + 1:] = [step] * (live - p)
+        tilt[p + 1:] = [tilt[p] + (c - 1) * (k + 1)] * (live - p)
 
 
 def _fermionic_term(t2: int, n: tuple[int, ...], order: int) -> QSeries:
@@ -175,9 +208,43 @@ def fermionic_character_12(t2: int, order: int) -> QSeries:
     of (t+1/2, 2t, 1, 2).  The occupation-vector sum is restricted to the
     finitely many vectors whose quadratic-form exponent stays within order;
     the others vanish modulo q^(order+1).
+
+    One walk fixes n_c from the top charge down to charge 2, so that
+    m_c = sum_{k>c} n_k (k - c) is known on entering level c.  It carries
+    one list P = (q)_M^-1 prod_{k>c} [n_k + m_k, n_k], M the partial m_1,
+    and a child level gets a copy.  Raising n_c by one multiplies P by
+    (1 - q^(m_c + n_c + 1)) / (1 - q^(n_c + 1)) (no binomial at c = T-2)
+    and divides it by the c - 1 factors by which (q)_M grows; the exponent
+    only grows (B >= 0 entrywise), so P is cut to q^(order - e) first.  A
+    leaf adds q^e P.  Per vector this is a few O(N) passes instead of the
+    m_1 + 2 sum n_j of `_fermionic_term`, which builds one term on its own.
     """
-    return _shifted_sum(((e, _fermionic_term(t2, n, order - e))
-                         for n, e in occupation_vectors(t2, order)), order)
+    acc = [0] * (order + 1)
+    # a level still to walk: (c, P, M, m_c, sum_{k>c} n_k, sum_{k>c} k n_k,
+    # n.B.n over charges > c)
+    stack = [(_top_charge(t2, order), [1] + [0] * order, 0, 0, 0, 0, 0)]
+    while stack:
+        c, poly, big_m, m_c, tail, weighted, expo2 = stack.pop()
+        n = 0
+        while True:
+            if c > 2:
+                stack.append((c - 1, poly[:], big_m, m_c + tail + n, tail + n,
+                              weighted + c * n, expo2))
+            else:
+                e = expo2 // 2
+                acc[e:] = map(add, acc[e:], poly)
+            expo2 += (c - 1) * (c * (2 * n + 1) + 2 * weighted)
+            if expo2 > 2 * order:
+                break
+            del poly[order - expo2 // 2 + 1:]
+            if c < t2 - 2:
+                _times_one_minus(poly, m_c + n + 1)
+                _divide_one_minus(poly, n + 1)
+            for k in range(big_m + 1, min(big_m + c, len(poly))):
+                _divide_one_minus(poly, k)
+            big_m += c - 1
+            n += 1
+    return QSeries(order, tuple(acc))
 
 
 def theorem1_label(t2: int, a_hat: int, b_hat: int) -> CharacterLabel:

@@ -116,21 +116,37 @@ def theorem1_domain(t2: int, a2: int, b2: int) -> bool:
     return 2 <= a2 <= t2 - 1 and 2 <= b2 <= t2 - 1
 
 
-def ground_state(t2: int, a2: int, b2: int) -> HalfPath:
-    """The straight staircase from A to B followed by the tail."""
+def _require_domain(t2: int, a2: int, b2: int) -> None:
     if not theorem1_domain(t2, a2, b2):
         raise InvalidHalfPathError(
             f"(A,B)=({a2},{b2}) out of the admissible range for T={t2}"
         )
+
+
+def ground_state(t2: int, a2: int, b2: int) -> HalfPath:
+    """The straight staircase from A to B followed by the tail."""
+    _require_domain(t2, a2, b2)
     step = 1 if b2 >= a2 else -1
     hs = list(range(a2, b2 + step, step))
     return HalfPath.of(t2, a2, b2, hs)
 
 
+def _ground_quarters(t2: int, a2: int, b2: int) -> int:
+    """The ground state's raw weight in quarter-units, without building it.
+
+    The staircase of L = |A - B| doubled steps is straight at positions
+    1..L-1.  At the junction L an ascending one climbs on into the tail band
+    and is straight too; a descending one turns there at a valley.
+    """
+    _require_domain(t2, a2, b2)
+    span = abs(a2 - b2)
+    return span * (span - 1) // 2 + (span if b2 > a2 else 0)
+
+
 def weight(path: HalfPath) -> int:
     """Raw weight minus the ground-state raw weight, in whole units."""
-    gs = ground_state(path.t2, path.a2, path.b2)
-    return _whole_units(raw_weight_quarters(path) - raw_weight_quarters(gs))
+    gs_q = _ground_quarters(path.t2, path.a2, path.b2)
+    return _whole_units(raw_weight_quarters(path) - gs_q)
 
 
 def _whole_units(diff: int) -> int:
@@ -180,7 +196,7 @@ def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.Found
     """All paths of weight <= max_weight, in order of their doubled heights,
     each with its weight (`.weights`).
     """
-    gs_q = raw_weight_quarters(ground_state(t2, a2, b2))  # checks the domain
+    gs_q = _ground_quarters(t2, a2, b2)  # checks the domain
     if max_weight < 0:
         return lattice.Found()
 

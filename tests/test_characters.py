@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -181,6 +182,40 @@ def test_fermionic_term_matches_ring_products(t2):
         for j in range(2, t2 - 2):
             expect = expect * q_binomial(n[j - 2] + ms[j - 1], n[j - 2], order)
         assert _fermionic_term(t2, n, order) == expect, n
+
+
+@pytest.mark.parametrize("t2", range(4, 15))
+def test_fermionic_walk_matches_term_oracle(t2):
+    # the walk against a sum of terms built one vector at a time
+    for order in (0, 1, 2, 17, 60, 90):
+        acc = [0] * (order + 1)
+        for n, e in occupation_vectors(t2, order):
+            for k, c in enumerate(_fermionic_term(t2, n, order - e).coeffs):
+                acc[e + k] += c
+        assert fermionic_character_12(t2, order).coeffs == tuple(acc), order
+    assert fermionic_character_12(t2, 150) == bosonic_character(theorem1_label(t2, 1, 1), 150)
+
+
+def test_occupation_vectors_match_brute_force():
+    # every vector in a box, filtered by its exponent, in lexicographic order
+    for t2 in range(4, 10):
+        bmat, order = b_matrix(t2), 14
+        box = itertools.product(range(5), repeat=t2 - 3)  # n_c^2 <= e for every c
+        expect = []
+        for n in box:
+            e2 = sum(n[i] * bmat[i][j] * n[j] for i in range(t2 - 3) for j in range(t2 - 3))
+            if e2 <= 2 * order:
+                expect.append((n, e2 // 2))
+        assert list(occupation_vectors(t2, order)) == expect, t2
+    assert list(occupation_vectors(6, -1)) == []
+
+
+def test_occupation_vectors_skip_charges_out_of_reach():
+    # one particle of charge c alone has exponent c(c-1)/2
+    zero = (0,) * 997
+    assert list(occupation_vectors(1000, 3)) == [
+        (zero, 0), (zero[:1] + (1,) + zero[2:], 3), ((1,) + zero[1:], 1),
+    ]
 
 
 def test_fermionic_forms_retain_no_memory():

@@ -45,6 +45,17 @@ def test_character_fermionic_and_product_agree(capsys):
     assert ferm == prod
 
 
+def test_character_fermionic_large_t2(capsys):
+    # charges above the top one an order allows stay empty, so T = 1000 does
+    # not take one frame per charge
+    code, out, err = run(capsys, ["character", "fermionic", "--t2", "1000",
+                                  "--order", "3"])
+    assert code == 0, err
+    from viracomb.characters import bosonic_character, theorem1_label
+
+    assert out.strip() == bosonic_character(theorem1_label(1000, 1, 1), 3).to_csv()
+
+
 def test_character_pretty(capsys):
     code, out, _ = run(capsys, ["character", "bosonic", "2", "5", "1", "2",
                                 "--order", "3", "--format", "pretty"])

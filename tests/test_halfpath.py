@@ -1,6 +1,7 @@
 import pytest
 
 from viracomb.characters import bosonic_character, theorem1_label
+from viracomb import halfpath
 from viracomb.halfpath import (
     HalfPath,
     InvalidHalfPathError,
@@ -9,6 +10,7 @@ from viracomb.halfpath import (
     generating_function,
     ground_state,
     raw_weight_quarters,
+    theorem1_domain,
     weight,
     weight_extended,
 )
@@ -134,3 +136,15 @@ def test_domain_validation():
 def test_line_roundtrip():
     path = HalfPath.of(*HALF_10)
     assert HalfPath.from_line(path.to_line()) == path
+
+
+def test_ground_quarters_weigh_the_built_ground_state():
+    labels = [(t2, a2, b2) for t2 in range(4, 41)
+              for a2 in range(2, t2 + 1, 2) for b2 in range(2, t2 + 1, 2)
+              if theorem1_domain(t2, a2, b2)]
+    assert len(labels) == 5129
+    for label in labels:
+        assert halfpath._ground_quarters(*label) == raw_weight_quarters(ground_state(*label))
+    with pytest.raises(InvalidHalfPathError, match=r"^\(A,B\)=\(4,10\) out of the admissible "
+                                                   r"range for T=10$"):
+        weight(HalfPath.of(10, 4, 10, [4, 5, 6, 7, 8, 9, 10]))
