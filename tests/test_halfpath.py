@@ -1,7 +1,7 @@
 import pytest
 
-from viracomb.characters import bosonic_character, theorem1_label
 from viracomb import halfpath
+from viracomb.characters import bosonic_character, theorem1_label
 from viracomb.halfpath import (
     HalfPath,
     InvalidHalfPathError,
