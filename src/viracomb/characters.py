@@ -284,12 +284,12 @@ class SymmetryReport:
 def verify_symmetries(label: CharacterLabel, order: int) -> SymmetryReport:
     """Check (r,s) -> (p-r, p'-s) and the (p,r) <-> (p',s) swap, coefficientwise."""
     p, pp, r, s = label.p, label.p_prime, label.r, label.s
-    lhs = bosonic_character(label, order)
+    inv = pochhammer_inf_inverse(order)  # 1/(q)_oo, shared by all three sides
+    lhs = alternating_sum_series(p, pp, r, s, order) * inv
     checks = [
         ("index-reflection", alternating_sum_series(p, pp, p - r, pp - s, order)),
         ("modulus-swap", alternating_sum_series(pp, p, s, r, order)),
     ]
-    inv = pochhammer_inf_inverse(order)
     for name, num in checks:
         rhs = num * inv
         for k in range(order + 1):

@@ -159,6 +159,7 @@ def sector_gf(t2: int, sector: tuple[int, ...], order: int) -> QSeries:
 class Move:
     particle: Particle
     owner: Particle
+    sector: tuple[int, ...]  # sector of the path the move was listed on
 
 
 def _candidates(path: HalfPath, dis: Dissection) -> list[Particle]:
@@ -239,13 +240,15 @@ def enumerate_moves(path: HalfPath) -> list[Move]:
             continue
         if _move_plan(path, q, owner) is None:
             continue
-        moves.append(Move(q, owner))
+        moves.append(Move(q, owner, dis.sector))
     return moves
 
 
 def apply_move(path: HalfPath, move: Move) -> HalfPath:
     """Enact a permitted move; the weight grows by exactly one and the
-    sector is unchanged (both asserted by re-dissection).
+    sector is unchanged.  Both are checked: the new path is re-dissected and
+    its sector compared with the one `enumerate_moves` recorded on the move,
+    so the starting path is not dissected again.
     """
     q, p = move.particle, move.owner
     d2 = q.charge2
@@ -266,7 +269,7 @@ def apply_move(path: HalfPath, move: Move) -> HalfPath:
     new = HalfPath.of(path.t2, path.a2, path.b2, out)
     if hp.weight(new) != hp.weight(path) + 1:
         raise AssertionError("a move must add exactly one")
-    if dissect(new).sector != dissect(path).sector:
+    if dissect(new).sector != move.sector:
         raise AssertionError("a move must fix the sector")
     return new
 

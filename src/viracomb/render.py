@@ -1,70 +1,36 @@
-"""Deterministic text and SVG pictures of paths.
+"""Deterministic text and SVG pictures of paths, one routine per format.
 
-RSOS pictures shade dark bands and mark scoring vertices (`o` up, `*`
-down, `+` non-scoring); half-lattice pictures use the doubled grid and can
-overlay particle baselines for paths that start and end at height 1.
+The ASCII routine draws on the doubled grid of half-lattice paths; an RSOS
+path is drawn as its doubled heights with top 2(p'-1).  An edge glyph sits
+in row top - ceil((h + h')/2): the upper end of a half step, the midpoint
+of a whole step.  The SVG routine draws the header and the polyline, and
+each model adds what goes under and over it.  RSOS pictures shade dark
+bands and mark scoring vertices (`o` up, `*` down, `+` non-scoring);
+half-lattice pictures can overlay the particle baselines of paths that
+start and end at height 1.
 """
 
 from __future__ import annotations
 
 from . import rsos as rs
 from .halfpath import HalfPath
+from .particles import dissect
 from .rsos import RsosPath
 
 
-def rsos_ascii(path: RsosPath) -> str:
-    top = path.p_prime - 1
-    width = 2 * path.horizon + 1
-    rows = 2 * top - 1
-    grid = [[" "] * width for _ in range(rows)]
-    dark = rs.dark_floors(path.p, path.p_prime)
-
-    for y in range(1, top):
-        if y in dark:
-            r = 2 * (top - y) - 1
-            for c in range(width):
-                grid[r][c] = "."
-    marks = {v.x: ("o" if v.up else "*") if v.scoring else "+"
-             for v in rs.classify(path)}
-    for x in range(path.horizon + 1):
-        h = path.height(x)
-        grid[2 * (top - h)][2 * x] = marks.get(x, "+")
-        if x < path.horizon:
-            nh = path.height(x + 1)
-            r = 2 * (top - max(h, nh)) + 1
-            grid[r][2 * x + 1] = "/" if nh > h else "\\"
-
-    lines = []
-    for r, row in enumerate(grid):
-        label = f"{top - r // 2:2d} " if r % 2 == 0 else "   "
-        lines.append(label + "".join(row).rstrip())
-    return "\n".join(lines)
-
-
-def half_ascii(path: HalfPath, baselines: bool = False) -> str:
-    top = path.t2
-    width = 2 * path.horizon + 1
-    rows = top - 1
-    grid = [[" "] * width for _ in range(rows)]
-
-    spans = []
-    if baselines:
-        from .particles import dissect
-
-        spans = [(p.base_h, p.origin, p.origin + p.length)
-                 for p in dissect(path).particles]
-    for base_h, lo, hi in spans:
-        r = top - base_h
-        for c in range(2 * lo, 2 * hi + 1):
-            if 0 <= c < width:
-                grid[r][c] = "="
-
-    for i in range(path.horizon + 1):
-        h = path.height(i)
-        grid[top - h][2 * i] = "+"
-        if i < path.horizon:
-            nh = path.height(i + 1)
-            grid[top - max(h, nh)][2 * i + 1] = "/" if nh > h else "\\"
+def _ascii(top: int, heights, marks: dict[int, str], fills) -> str:
+    """Doubled heights on rows top..2; each fill (h2, x0, x1, glyph) is drawn
+    first, in row h2 from position x0 to x1.
+    """
+    width = 2 * len(heights) - 1
+    grid = [[" "] * width for _ in range(top - 1)]
+    for h2, x0, x1, glyph in fills:
+        for c in range(max(2 * x0, 0), min(2 * x1 + 1, width)):
+            grid[top - h2][c] = glyph
+    for x, h in enumerate(heights):
+        grid[top - h][2 * x] = marks.get(x, "+")
+    for x, (h, nh) in enumerate(zip(heights, heights[1:])):
+        grid[top - (h + nh + 1) // 2][2 * x + 1] = "/" if nh > h else "\\"
 
     lines = []
     for r, row in enumerate(grid):
@@ -74,6 +40,20 @@ def half_ascii(path: HalfPath, baselines: bool = False) -> str:
     return "\n".join(lines)
 
 
+def rsos_ascii(path: RsosPath) -> str:
+    marks = {v.x: ("o" if v.up else "*") if v.scoring else "+"
+             for v in rs.classify(path)}
+    bands = [(2 * y + 1, 0, path.horizon, ".")
+             for y in rs.dark_floors(path.p, path.p_prime)]
+    return _ascii(2 * (path.p_prime - 1), [2 * h for h in path.heights], marks, bands)
+
+
+def half_ascii(path: HalfPath, baselines: bool = False) -> str:
+    particles = dissect(path).particles if baselines else ()
+    spans = [(p.base_h, p.origin, p.origin + p.length, "=") for p in particles]
+    return _ascii(path.t2, path.doubled, {}, spans)
+
+
 _SVG_HEAD = (
     '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
     'width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
@@ -81,59 +61,42 @@ _SVG_HEAD = (
 _UNIT = 16
 
 
+def _xy(top: int, x: int, h: int) -> tuple[int, int]:
+    return ((x + 1) * _UNIT, (top - h + 1) * _UNIT)
+
+
+def _svg(top: int, heights, under: list[str], over: list[str]) -> str:
+    pts = " ".join("%d,%d" % _xy(top, x, h) for x, h in enumerate(heights))
+    return "\n".join([
+        _SVG_HEAD.format(w=(len(heights) + 1) * _UNIT, h=(top + 1) * _UNIT),
+        *under,
+        f'<polyline points="{pts}" fill="none" stroke="black"/>',
+        *over,
+        "</svg>",
+    ])
+
+
 def rsos_svg(path: RsosPath) -> str:
     top = path.p_prime - 1
-    u = _UNIT
-    w = (path.horizon + 2) * u
-    h = (top + 1) * u
-
-    def xy(x: int, y: int) -> tuple[int, int]:
-        return ((x + 1) * u, (top - y + 1) * u)
-
-    parts = [_SVG_HEAD.format(w=w, h=h)]
+    bands = []
     for y in sorted(rs.dark_floors(path.p, path.p_prime)):
-        x0, y1 = xy(0, y + 1)
-        parts.append(
-            f'<rect x="{x0}" y="{y1}" width="{path.horizon * u}" height="{u}" '
-            'fill="#d8d8d8"/>'
-        )
-    pts = " ".join(
-        "%d,%d" % xy(x, path.height(x)) for x in range(path.horizon + 1)
-    )
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="black"/>')
+        x0, y1 = _xy(top, 0, y + 1)
+        bands.append(f'<rect x="{x0}" y="{y1}" width="{path.horizon * _UNIT}" '
+                     f'height="{_UNIT}" fill="#d8d8d8"/>')
+    circles = []
     for v in rs.classify(path):
-        if not v.scoring:
-            continue
-        cx, cy = xy(v.x, path.height(v.x))
-        fill = "white" if v.up else "black"
-        parts.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{fill}" stroke="black"/>')
-    parts.append("</svg>")
-    return "\n".join(parts)
+        if v.scoring:
+            cx, cy = _xy(top, v.x, path.height(v.x))
+            fill = "white" if v.up else "black"
+            circles.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{fill}" stroke="black"/>')
+    return _svg(top, path.heights, bands, circles)
 
 
 def half_svg(path: HalfPath, baselines: bool = False) -> str:
-    top = path.t2
-    u = _UNIT
-    w = (path.horizon + 2) * u
-    h = (top + 1) * u
-
-    def xy(i: int, h2: int) -> tuple[int, int]:
-        return ((i + 1) * u, (top - h2 + 1) * u)
-
-    parts = [_SVG_HEAD.format(w=w, h=h)]
-    pts = " ".join(
-        "%d,%d" % xy(i, path.height(i)) for i in range(path.horizon + 1)
-    )
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="black"/>')
-    if baselines:
-        from .particles import dissect
-
-        for p in dissect(path).particles:
-            (x0, y0) = xy(p.origin, p.base_h)
-            (x1, _) = xy(p.origin + p.length, p.base_h)
-            parts.append(
-                f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" '
-                'stroke="gray" stroke-dasharray="3 2"/>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts)
+    lines = []
+    for p in dissect(path).particles if baselines else ():
+        x0, y = _xy(path.t2, p.origin, p.base_h)
+        x1, _ = _xy(path.t2, p.origin + p.length, p.base_h)
+        lines.append(f'<line x1="{x0}" y1="{y}" x2="{x1}" y2="{y}" '
+                     'stroke="gray" stroke-dasharray="3 2"/>')
+    return _svg(path.t2, path.doubled, [], lines)

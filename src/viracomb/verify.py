@@ -261,7 +261,8 @@ def _job_moves(t2: int, max_weight: int, rounds: int) -> VerifyReport:
 RSOS_FAMILIES = ((2, 5), (3, 5), (3, 7), (4, 7), (4, 9), (5, 9), (5, 11))
 
 
-def jobs_theorem1(x_order: int = 20, y_order: int = 15, max_t2: int = 10):
+def jobs_theorem1(x_order: int = 20, max_t2: int = 10):
+    y_order = min(x_order, 15)
     jobs = []
     for p, pp in RSOS_FAMILIES:
         for a in range(1, pp):
@@ -312,24 +313,29 @@ def jobs_bijections(max_weight: int = 12):
     return jobs
 
 
-def jobs_sectors(order: int = 15, group_order: int = 12, max_t2: int = 10,
-                 move_rounds: int = 8):
+# weight bound of the enumerated sector groups and minimal paths, and the
+# breadth-first rounds of the moves job
+_GROUP_ORDER = 12
+_MOVE_ROUNDS = 8
+
+
+def jobs_sectors(order: int = 15, max_t2: int = 10):
     jobs = []
     for t2 in range(4, max_t2 + 1):
         jobs.append((_job_sector_sum, (t2, order)))
-        jobs.append((_job_sector_group, (t2, group_order)))
-        jobs.append((_job_minimal_sectors, (t2, group_order)))
-        jobs.append((_job_moves, (t2, group_order, move_rounds)))
+        jobs.append((_job_sector_group, (t2, _GROUP_ORDER)))
+        jobs.append((_job_minimal_sectors, (t2, _GROUP_ORDER)))
+        jobs.append((_job_moves, (t2, _GROUP_ORDER, _MOVE_ROUNDS)))
     return jobs
 
 
 SUITES = {
-    "theorem1": lambda order, max_t2: jobs_theorem1(order, min(order, 15), max_t2),
+    "theorem1": lambda order, max_t2: jobs_theorem1(order, max_t2),
     "theorem2": lambda order, max_t2: jobs_theorem2(order, max_t2),
     "products": lambda order, max_t2: jobs_products(order),
     "symmetries": lambda order, max_t2: jobs_symmetries(order),
     "bijections": lambda order, max_t2: jobs_bijections(min(order, 12)),
-    "sectors": lambda order, max_t2: jobs_sectors(min(order, 15), 12, max_t2),
+    "sectors": lambda order, max_t2: jobs_sectors(min(order, 15), max_t2),
 }
 
 

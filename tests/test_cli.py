@@ -171,6 +171,84 @@ def test_render_half_with_baselines(capsys, monkeypatch):
     assert "=" in out
 
 
+README_RSOS = "rsos p=4 pp=9 a=8 b=6 h=8,7,6"
+README_CORNER = "half T=8 A=2 B=2 H=2,3,4,5,4,5,4,3,2"
+HALF_7_UNEQUAL = "half T=7 A=2 B=6 H=2,3,4,5,4,5,4,5,6"
+
+PICTURES = [
+    (README_RSOS, [], [
+        " 8 +",
+        "    \\",
+        " 7   *",
+        "   ...\\.",
+        " 6     +",
+        "   ",
+        " 5 ",
+        "   .....",
+        " 4 ",
+        "   ",
+        " 3 ",
+        "   .....",
+        " 2 ",
+        "   ",
+        " 1 ",
+    ]),
+    (README_RSOS, ["--format", "svg"], [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="64" height="144" '
+        'viewBox="0 0 64 144">',
+        '<rect x="16" y="96" width="32" height="16" fill="#d8d8d8"/>',
+        '<rect x="16" y="64" width="32" height="16" fill="#d8d8d8"/>',
+        '<rect x="16" y="32" width="32" height="16" fill="#d8d8d8"/>',
+        '<polyline points="16,16 32,32 48,48" fill="none" stroke="black"/>',
+        '<circle cx="32" cy="32" r="3" fill="black" stroke="black"/>',
+        "</svg>",
+    ]),
+    (README_CORNER, ["--baselines"], [
+        " 4 ",
+        "   ",
+        " 3 ",
+        "        /+\\ /+\\",
+        " 2    /+   +===+\\",
+        "    /+           +\\",
+        " 1 +===============+",
+    ]),
+    (README_CORNER, ["--baselines", "--format", "svg"], [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="160" height="144" '
+        'viewBox="0 0 160 144">',
+        '<polyline points="16,112 32,96 48,80 64,64 80,80 96,64 112,80 128,96 144,112" '
+        'fill="none" stroke="black"/>',
+        '<line x1="16" y1="112" x2="144" y2="112" stroke="gray" stroke-dasharray="3 2"/>',
+        '<line x1="80" y1="80" x2="112" y2="80" stroke="gray" stroke-dasharray="3 2"/>',
+        "</svg>",
+    ]),
+    (HALF_7_UNEQUAL, [], [
+        "   ",
+        " 3                /+",
+        "        /+\\ /+\\ /+",
+        " 2    /+   +   +",
+        "    /+",
+        " 1 +",
+    ]),
+    (HALF_7_UNEQUAL, ["--format", "svg"], [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="160" height="128" '
+        'viewBox="0 0 160 128">',
+        '<polyline points="16,96 32,80 48,64 64,48 80,64 96,48 112,64 128,48 144,32" '
+        'fill="none" stroke="black"/>',
+        "</svg>",
+    ]),
+]
+
+
+@pytest.mark.parametrize("line, flags, expected", PICTURES,
+                         ids=[f"{name}-{fmt}" for name in ("rsos", "corner", "unequal")
+                              for fmt in ("ascii", "svg")])
+def test_render_pictures_are_pinned(capsys, monkeypatch, line, flags, expected):
+    code, out, err = run(capsys, ["render", *flags], stdin=line + "\n",
+                         monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == "\n".join(expected) + "\n"
+
+
 def test_render_bad_input_exit_2(capsys, monkeypatch):
     code, _, err = run(capsys, ["render"], stdin="garbage\n",
                        monkeypatch=monkeypatch)
