@@ -8,9 +8,14 @@ the inverse type-A Cartan matrix.  Half-integer moduli are avoided
 throughout by carrying t doubled as an integer T = 2t.
 
 `fermionic_character_12` does not build its terms one by one.  It walks the
-occupation vectors from the top charge down and keeps one coefficient list,
-which each step multiplies or divides by a few factors (1 - q^k) in place,
-so neighbouring terms share all but those passes.  `_fermionic_term` builds
+occupation vectors from the top charge down and keeps one coefficient list
+of q-binomial products, which each step multiplies and divides by one factor
+(1 - q^k) in place, so neighbouring terms share all but those passes.  The
+factor 1/(q)_{m_1} is left out of the walk: each term goes into a bucket by
+its m_1, and one Horner sweep over the buckets divides by (1 - q^(M+1)) once
+per value M, so only a few dozen such passes are made per call.
+`bosonic_character` divides the alternating sum by (q)_oo in place with one
+pentagonal pass (`qseries._divide_poch_inf`).  `_fermionic_term` builds
 one term alone: `particles.sector_gf` needs single terms, and it is the
 per-vector oracle the walk is tested against.  Neither walk takes a frame
 per charge: `occupation_vectors` is one loop, and the fermionic walk keeps
@@ -24,8 +29,8 @@ import math
 from dataclasses import dataclass
 from operator import add
 
-from .qseries import (QSeries, _divide_one_minus, _factor_product, _times_one_minus,
-                      pochhammer_inf_inverse)
+from .qseries import (QSeries, _divide_one_minus, _divide_poch_inf, _factor_product,
+                      _times_one_minus, pochhammer_inf_inverse)
 
 
 class InvalidLabelError(ValueError):
@@ -88,9 +93,15 @@ def alternating_sum_series(p: int, pp: int, r: int, s: int, order: int) -> QSeri
 
 
 def bosonic_character(label: CharacterLabel, order: int) -> QSeries:
-    """Character series for the given label, truncated to the given order."""
+    """Character series for the given label, truncated to the given order.
+
+    The alternating sum is divided by (q)_oo in place, by one pass of Euler's
+    pentagonal recurrence; 1/(q)_oo itself is never built.
+    """
     num = alternating_sum_series(label.p, label.p_prime, label.r, label.s, order)
-    return num * pochhammer_inf_inverse(order)
+    out = list(num.coeffs)
+    _divide_poch_inf(out)
+    return QSeries(order, tuple(out))
 
 
 def b_matrix(t2: int) -> list[list[int]]:
@@ -211,28 +222,34 @@ def fermionic_character_12(t2: int, order: int) -> QSeries:
 
     One walk fixes n_c from the top charge down to charge 2, so that
     m_c = sum_{k>c} n_k (k - c) is known on entering level c.  It carries
-    one list P = (q)_M^-1 prod_{k>c} [n_k + m_k, n_k], M the partial m_1,
-    and a child level gets a copy.  Raising n_c by one multiplies P by
-    (1 - q^(m_c + n_c + 1)) / (1 - q^(n_c + 1)) (no binomial at c = T-2)
-    and divides it by the c - 1 factors by which (q)_M grows; the exponent
-    only grows (B >= 0 entrywise), so P is cut to q^(order - e) first.  A
-    leaf adds q^e P.  Per vector this is a few O(N) passes instead of the
+    one list P = prod_{k>c} [n_k + m_k, n_k], and a child level gets a copy.
+    Raising n_c by one multiplies P by (1 - q^(m_c + n_c + 1)) / (1 - q^(n_c
+    + 1)) (no binomial at c = T-2); the exponent only grows (B >= 0
+    entrywise), so P is cut to q^(order - e) first.  A leaf adds q^e P to
+    the bucket of its M = m_1 = sum_c (c - 1) n_c.  The buckets are summed
+    with their 1/(q)_M by one Horner sweep from the largest M down,
+    acc <- acc / (1 - q^(M+1)) + bucket[M], so each value of m_1 costs one
+    O(N) pass, not every vector that has it, and passes past q^order are
+    skipped.  Per vector this is two O(N) passes instead of the
     m_1 + 2 sum n_j of `_fermionic_term`, which builds one term on its own.
     """
-    acc = [0] * (order + 1)
-    # a level still to walk: (c, P, M, m_c, sum_{k>c} n_k, sum_{k>c} k n_k,
+    by_m: dict[int, list[int]] = {}  # M -> sum of q^e P over leaves with m_1 = M
+    # a level still to walk: (c, P, m_c, sum_{k>c} n_k, sum_{k>c} k n_k,
     # n.B.n over charges > c)
-    stack = [(_top_charge(t2, order), [1] + [0] * order, 0, 0, 0, 0, 0)]
+    stack = [(_top_charge(t2, order), [1] + [0] * order, 0, 0, 0, 0)]
     while stack:
-        c, poly, big_m, m_c, tail, weighted, expo2 = stack.pop()
+        c, poly, m_c, tail, weighted, expo2 = stack.pop()
         n = 0
         while True:
             if c > 2:
-                stack.append((c - 1, poly[:], big_m, m_c + tail + n, tail + n,
+                stack.append((c - 1, poly[:], m_c + tail + n, tail + n,
                               weighted + c * n, expo2))
             else:
-                e = expo2 // 2
-                acc[e:] = map(add, acc[e:], poly)
+                big_m, e = m_c + tail + n, expo2 // 2  # m_1 = m_2 + sum_{k>1} n_k
+                bucket = by_m.get(big_m)
+                if bucket is None:
+                    bucket = by_m[big_m] = [0] * (order + 1)
+                bucket[e:] = map(add, bucket[e:], poly)
             expo2 += (c - 1) * (c * (2 * n + 1) + 2 * weighted)
             if expo2 > 2 * order:
                 break
@@ -240,10 +257,14 @@ def fermionic_character_12(t2: int, order: int) -> QSeries:
             if c < t2 - 2:
                 _times_one_minus(poly, m_c + n + 1)
                 _divide_one_minus(poly, n + 1)
-            for k in range(big_m + 1, min(big_m + c, len(poly))):
-                _divide_one_minus(poly, k)
-            big_m += c - 1
             n += 1
+    top = max(by_m)  # the empty vector is always a leaf
+    acc = by_m[top]
+    for big_m in range(top - 1, -1, -1):
+        if big_m < order:
+            _divide_one_minus(acc, big_m + 1)
+        if big_m in by_m:
+            acc[:] = map(add, acc, by_m[big_m])
     return QSeries(order, tuple(acc))
 
 

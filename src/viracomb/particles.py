@@ -160,6 +160,7 @@ class Move:
     particle: Particle
     owner: Particle
     sector: tuple[int, ...]  # sector of the path the move was listed on
+    weight: int              # weight of that path
 
 
 def _candidates(path: HalfPath, dis: Dissection) -> list[Particle]:
@@ -229,6 +230,7 @@ def enumerate_moves(path: HalfPath) -> list[Move]:
     """
     dis = dissect(path)
     cands = _candidates(path, dis)
+    weight = hp.weight(path)
     moves = []
     for q in cands:
         if q.length != 2 * q.charge2:
@@ -240,15 +242,15 @@ def enumerate_moves(path: HalfPath) -> list[Move]:
             continue
         if _move_plan(path, q, owner) is None:
             continue
-        moves.append(Move(q, owner, dis.sector))
+        moves.append(Move(q, owner, dis.sector, weight))
     return moves
 
 
 def apply_move(path: HalfPath, move: Move) -> HalfPath:
     """Enact a permitted move; the weight grows by exactly one and the
-    sector is unchanged.  Both are checked: the new path is re-dissected and
-    its sector compared with the one `enumerate_moves` recorded on the move,
-    so the starting path is not dissected again.
+    sector is unchanged.  Both are checked against what `enumerate_moves`
+    recorded on the move: the new path is weighed and re-dissected, and the
+    starting path is neither weighed nor dissected again.
     """
     q, p = move.particle, move.owner
     d2 = q.charge2
@@ -267,7 +269,7 @@ def apply_move(path: HalfPath, move: Move) -> HalfPath:
         out = _shift_particle(seq, plan[1], d2)
 
     new = HalfPath.of(path.t2, path.a2, path.b2, out)
-    if hp.weight(new) != hp.weight(path) + 1:
+    if hp.weight(new) != move.weight + 1:
         raise AssertionError("a move must add exactly one")
     if dissect(new).sector != move.sector:
         raise AssertionError("a move must fix the sector")

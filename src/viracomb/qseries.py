@@ -15,7 +15,9 @@ Products of factors (1 - q^k) and their inverses never multiply whole
 series: one coefficient list is multiplied or divided by each factor in
 place, an O(N) pass through q^N, so (q)_n, [m, n]_q, the modular products
 and the fermionic terms of :mod:`viracomb.characters` cost O(N) per factor
-and keep no cache.  1/(q)_oo uses Euler's pentagonal recurrence, O(N^1.5).
+and keep no cache.  Division by (q)_oo is one in-place pass of Euler's
+pentagonal recurrence, O(N^1.5), so a numerator is divided directly rather
+than built into 1/(q)_oo first and then multiplied by it.
 """
 
 from __future__ import annotations
@@ -177,26 +179,43 @@ def pochhammer_finite(n: int, order: int) -> QSeries:
     return _factor_product(range(1, min(n, order) + 1), (), order)
 
 
+def _divide_poch_inf(out: list[int]) -> None:
+    """out /= (q)_oo in place, through q^(len(out) - 1).
+
+    Euler's pentagonal theorem gives (q)_oo = sum_k (-1)^k q^(k(3k-1)/2)
+    over all integers k, so a quotient b of a numerator a obeys
+    b_n = a_n + sum_{k>=1} (-1)^(k+1) (b_(n - k(3k-1)/2) + b_(n - k(3k+1)/2)).
+    One ascending pass turns a into b, O(N^1.5) through q^N: only about
+    sqrt(8N/3) generalized pentagonal numbers lie within N.
+    """
+    order = len(out) - 1
+    plus, minus = [], []  # generalized pentagonal numbers by sign, increasing
+    k = 1
+    while k * (3 * k - 1) // 2 <= order:
+        (plus if k % 2 else minus).extend((k * (3 * k - 1) // 2, k * (3 * k + 1) // 2))
+        k += 1
+    for n in range(1, order + 1):
+        acc = out[n]
+        for g in plus:
+            if g > n:
+                break
+            acc += out[n - g]
+        for g in minus:
+            if g > n:
+                break
+            acc -= out[n - g]
+        out[n] = acc
+
+
 def pochhammer_inf_inverse(order: int) -> QSeries:
     """1/(q)_oo truncated; the coefficient of q^n is the partition count p(n).
 
-    Euler's pentagonal recurrence: p(n) = sum_{k>=1} (-1)^(k+1)
+    The pentagonal division `_divide_poch_inf` applied to the series 1, which
+    is Euler's recurrence p(n) = sum_{k>=1} (-1)^(k+1)
     (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)).
     """
-    pentagonal = []  # (generalized pentagonal number, sign), increasing
-    k = 1
-    while k * (3 * k - 1) // 2 <= order:
-        sign = 1 if k % 2 else -1
-        pentagonal += [(k * (3 * k - 1) // 2, sign), (k * (3 * k + 1) // 2, sign)]
-        k += 1
     out = [1] + [0] * order
-    for n in range(1, order + 1):
-        acc = 0
-        for g, sign in pentagonal:
-            if g > n:
-                break
-            acc += sign * out[n - g]
-        out[n] = acc
+    _divide_poch_inf(out)
     return QSeries(order, tuple(out))
 
 

@@ -375,6 +375,8 @@ def run_suite(name: str, order: int = 20, max_t2: int = 10,
     # checked before any job runs: a job's own error would only fail its report
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    if max_t2 < 4:  # T = 2t starts at 4; a smaller bound would drop every T job
+        raise ValueError(f"max_t2 must be at least 4, got {max_t2}")
     if name == "all":
         jobs = [job for make in SUITES.values() for job in make(order, max_t2)]
         return run_jobs(jobs, workers)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from viracomb import characters
 from viracomb.characters import (
     CharacterLabel,
     _fermionic_term,
@@ -194,6 +195,43 @@ def test_fermionic_walk_matches_term_oracle(t2):
                 acc[e + k] += c
         assert fermionic_character_12(t2, order).coeffs == tuple(acc), order
     assert fermionic_character_12(t2, 150) == bosonic_character(theorem1_label(t2, 1, 1), 150)
+
+
+def test_fermionic_walk_every_low_order():
+    # a term filed under the wrong m_1, or a bucket left out of the sweep,
+    # shows at some order even where orders 60 and 90 happen to agree
+    top = 40
+    for t2 in range(4, 17):
+        acc = [0] * (top + 1)
+        for n, e in occupation_vectors(t2, top):
+            for k, c in enumerate(_fermionic_term(t2, n, top - e).coeffs):
+                acc[e + k] += c
+        for order in range(top + 1):
+            assert fermionic_character_12(t2, order).coeffs == tuple(acc[:order + 1]), (t2, order)
+
+
+def test_fermionic_walk_divides_once_per_m1(monkeypatch):
+    # each binomial step is one multiplication and one division; any other
+    # division belongs to the sweep over m_1, one pass per value within order
+    calls = {"divide": 0, "times": 0}
+    divide, times = characters._divide_one_minus, characters._times_one_minus
+
+    def counted_divide(out, k):
+        calls["divide"] += 1
+        divide(out, k)
+
+    def counted_times(out, k):
+        calls["times"] += 1
+        times(out, k)
+
+    monkeypatch.setattr(characters, "_divide_one_minus", counted_divide)
+    monkeypatch.setattr(characters, "_times_one_minus", counted_times)
+    order = 90
+    for t2 in range(4, 15):
+        calls.update(divide=0, times=0)
+        series = fermionic_character_12(t2, order)
+        assert calls["divide"] - calls["times"] <= order, (t2, calls)
+        assert series == bosonic_character(theorem1_label(t2, 1, 1), order)
 
 
 def test_occupation_vectors_match_brute_force():

@@ -304,6 +304,16 @@ def test_verify_negative_order_exit_2(capsys):
     assert "order must be nonnegative" in err
 
 
+def test_verify_small_max_t2_exit_2(capsys):
+    # a bound below T = 4 used to build no jobs and report success
+    for suite, bound in (("sectors", "2"), ("theorem2", "-1")):
+        code, out, err = run(capsys, ["verify", suite, "--order", "6",
+                                      f"--max-t2={bound}", "--workers", "1"])
+        assert code == 2
+        assert out == ""
+        assert f"error: max_t2 must be at least 4, got {bound}" in err
+
+
 def test_verify_job_that_raises_fails_alone(capsys, monkeypatch):
     real = verify._job_product
 

@@ -1,12 +1,15 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from viracomb.characters import CharacterLabel, alternating_sum_series, bosonic_character
 from viracomb.qseries import (
     NonUnitConstantTermError,
     QSeries,
+    _divide_poch_inf,
     modular_product,
     pochhammer_finite,
     pochhammer_inf_inverse,
@@ -216,3 +219,29 @@ def test_randomized_inversion_roundtrip():
         coeffs = [rng.choice([1, -1])] + [rng.randrange(-6, 7) for _ in range(order)]
         s = QSeries.from_coeffs(coeffs, order)
         assert s * s.invert() == QSeries.one(order)
+
+
+def test_bosonic_matches_ring_product():
+    # the in-place pentagonal division against a schoolbook product
+    for pp in range(3, 14):
+        for p in range(2, pp):
+            if math.gcd(p, pp) != 1:
+                continue
+            for r in range(1, p):
+                for s in range(1, pp):
+                    for order in (0, 1, 7, 60):
+                        expect = (alternating_sum_series(p, pp, r, s, order)
+                                  * pochhammer_inf_inverse(order))
+                        got = bosonic_character(CharacterLabel(p, pp, r, s), order)
+                        assert got == expect, (p, pp, r, s, order)
+
+
+def test_divide_poch_inf_round_trip():
+    # (q)_N agrees with (q)_oo through q^N, so dividing undoes the product
+    rng = random.Random(20261018)
+    for _ in range(300):
+        order = rng.randrange(0, 40)
+        s = QSeries.from_coeffs([rng.randrange(-9, 10) for _ in range(order + 1)], order)
+        out = list((s * pochhammer_finite(order, order)).coeffs)
+        _divide_poch_inf(out)
+        assert out == list(s.coeffs)
