@@ -29,6 +29,7 @@ trip.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from . import halfpath as hp
@@ -234,10 +235,8 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     particles = _pair_runs(scoring)
     n = len(particles)
 
-    ns_flag = {v.x for v in info if not v.scoring}
-    lam = tuple(
-        sum(1 for y in ns_flag if y < x1) for x1, _ in reversed(particles)
-    )
+    # of the vertices 1..x1-1 that classify covers, x1 - 1 - rank(x1) are non-scoring
+    lam = tuple(x1 - 1 - bisect_left(scoring, x1) for x1, _ in reversed(particles))
     if not _is_partition(lam):
         raise AssertionError("particle labels must form a partition")
 
@@ -318,8 +317,8 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     last_scoring = scoring[-1] if scoring else 0
 
     nonscoring = sorted(set(range(1, last_scoring)).difference(scoring))
-    pairs = [pr for pr in _pair_runs(nonscoring) if pr[1] < last_scoring]
-    lam = tuple(sum(1 for s in scoring if s > x2) for _, x2 in pairs)
+    pairs = _pair_runs(nonscoring)
+    lam = tuple(k - bisect_right(scoring, x2) for _, x2 in pairs)  # scoring after x2
     if not (all(x > 0 for x in lam) and _is_partition(lam)):
         raise AssertionError("pair labels must form a partition of positive parts")
     n = len(lam)

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from operator import add
 
+# pochhammer_inf_inverse is not called here: bench/tracing.py wraps it under this name
 from .qseries import (QSeries, _divide_one_minus, _divide_poch_inf, _factor_product,
                       _times_one_minus, pochhammer_inf_inverse)
 
@@ -298,25 +299,26 @@ class SymmetryReport:
     ok: bool
     failed_identity: str | None = None
     mismatch_power: int | None = None
+    # the coefficients of the two alternating sums (numerators) at that power
     lhs_coeff: int | None = None
     rhs_coeff: int | None = None
 
 
 def verify_symmetries(label: CharacterLabel, order: int) -> SymmetryReport:
-    """Check (r,s) -> (p-r, p'-s) and the (p,r) <-> (p',s) swap, coefficientwise."""
+    """Check (r,s) -> (p-r, p'-s) and the (p,r) <-> (p',s) swap, coefficientwise.
+
+    The three characters share the divisor (q)_oo, and dividing by it is an
+    invertible triangular map, so the alternating sums are compared as they
+    stand: they first differ where the characters first differ.
+    """
     p, pp, r, s = label.p, label.p_prime, label.r, label.s
-    inv = pochhammer_inf_inverse(order)  # 1/(q)_oo, shared by all three sides
-    lhs = alternating_sum_series(p, pp, r, s, order) * inv
-    checks = [
-        ("index-reflection", alternating_sum_series(p, pp, p - r, pp - s, order)),
-        ("modulus-swap", alternating_sum_series(pp, p, s, r, order)),
-    ]
-    for name, num in checks:
-        rhs = num * inv
-        for k in range(order + 1):
-            if lhs.coeffs[k] != rhs.coeffs[k]:
-                return SymmetryReport(label, order, False, name, k,
-                                      lhs.coeffs[k], rhs.coeffs[k])
+    lhs = alternating_sum_series(p, pp, r, s, order).coeffs
+    for name, args in (("index-reflection", (p, pp, p - r, pp - s)),
+                       ("modulus-swap", (pp, p, s, r))):
+        rhs = alternating_sum_series(*args, order).coeffs
+        k = next((k for k in range(order + 1) if lhs[k] != rhs[k]), None)
+        if k is not None:
+            return SymmetryReport(label, order, False, name, k, lhs[k], rhs[k])
     return SymmetryReport(label, order, True)
 
 

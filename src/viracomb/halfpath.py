@@ -161,37 +161,6 @@ def _whole_units(diff: int) -> int:
     return units
 
 
-def weight_extended(path: HalfPath) -> int:
-    """Weight computed from the leftward extension trick.
-
-    The path is extended 2e doubled steps to the left (e = |a-b|) so it
-    starts at B, with the start convention moved to the extension origin;
-    the weight is then the plain quarter-unit sum over straight vertices of
-    the extended path, divided by four.
-    """
-    a2, b2 = path.a2, path.b2
-    ext = abs(a2 - b2)
-    if ext == 0:
-        total = raw_weight_quarters(path)
-    else:
-        sign = 1 if a2 > b2 else -1
-
-        def height(i: int) -> int:
-            if i < -ext:
-                return b2 + 1  # start convention at the extension origin
-            if i < 0:
-                return b2 + sign * (i + ext)
-            return path.height(i)
-
-        total = 0
-        for i in range(-ext, path.horizon + 1):
-            if height(i - 1) != height(i + 1):
-                total += i
-    if total % 4 != 0:
-        raise AssertionError(f"extended quarter-unit sum {total} not divisible by 4")
-    return total // 4
-
-
 def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.Found:
     """All paths of weight <= max_weight, in order of their doubled heights,
     each with its weight (`.weights`).

@@ -154,27 +154,6 @@ def weight(path: RsosPath) -> int:
     return sum(v.value for v in classify(path) if v.scoring)
 
 
-def weight_edgewise(path: RsosPath) -> int:
-    """Equivalent edge-based weight: for each position x, count the scoring
-    vertices strictly to its right whose class matches the edge into x.
-    """
-    _require_finite(path)
-    info = classify(path)
-    horizon = path.horizon
-    up_suffix = [0] * (horizon + 2)
-    down_suffix = [0] * (horizon + 2)
-    for v in reversed(info):
-        up_suffix[v.x] = up_suffix[v.x + 1] + (1 if v.scoring and v.up else 0)
-        down_suffix[v.x] = down_suffix[v.x + 1] + (1 if v.scoring and not v.up else 0)
-    total = 0
-    for x in range(1, horizon + 1):
-        if path.height(x) < path.height(x - 1):  # SE edge into x
-            total += up_suffix[x + 1] if x + 1 <= horizon else 0
-        else:
-            total += down_suffix[x + 1] if x + 1 <= horizon else 0
-    return total
-
-
 def _require_finite(path: RsosPath) -> None:
     if tail_band_index(path.p, path.p_prime, path.b) is None:
         raise InfiniteWeightError(

@@ -22,6 +22,7 @@ import traceback
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import bijections as bj
 from . import halfpath as hp
@@ -261,13 +262,13 @@ def _job_moves(t2: int, max_weight: int, rounds: int) -> VerifyReport:
 RSOS_FAMILIES = ((2, 5), (3, 5), (3, 7), (4, 7), (4, 9), (5, 9), (5, 11))
 
 
-def jobs_theorem1(x_order: int = 20, max_t2: int = 10):
-    y_order = min(x_order, 15)
+def jobs_theorem1(order: int, max_t2: int):
+    y_order = min(order, 15)
     jobs = []
     for p, pp in RSOS_FAMILIES:
         for a in range(1, pp):
             for b in sorted(rs.dark_floors(p, pp)):
-                jobs.append((_job_xrocha, (p, pp, a, b, x_order)))
+                jobs.append((_job_xrocha, (p, pp, a, b, order)))
     for t2 in range(4, max_t2 + 1):
         for a2 in range(2, t2 + 1, 2):
             for b2 in range(2, t2 + 1, 2):
@@ -276,31 +277,24 @@ def jobs_theorem1(x_order: int = 20, max_t2: int = 10):
     return jobs
 
 
-def jobs_theorem2(order: int = 30, max_t2: int = 10):
+def jobs_theorem2(order: int, max_t2: int):
     jobs = [(_job_theorem2, (t2, order)) for t2 in range(4, max_t2 + 1)]
     jobs += [(_job_closed_form, (which, order)) for which in sorted(_CLOSED_FORMS)]
     return jobs
 
 
-def jobs_products(order: int = 30):
+def jobs_products(order: int, max_t2: int):
     return [(_job_product, (which, order)) for which in sorted(_PRODUCTS)]
 
 
-def jobs_symmetries(order: int = 30):
-    from math import gcd
-
-    jobs = []
-    for pp in range(3, 13):
-        for p in range(2, pp):
-            if gcd(p, pp) != 1:
-                continue
-            for r in range(1, p):
-                for s in range(1, pp):
-                    jobs.append((_job_symmetry, (p, pp, r, s, order)))
-    return jobs
+def jobs_symmetries(order: int, max_t2: int):
+    return [(_job_symmetry, (p, pp, r, s, order))
+            for pp in range(3, 13) for p in range(2, pp) if gcd(p, pp) == 1
+            for r in range(1, p) for s in range(1, pp)]
 
 
-def jobs_bijections(max_weight: int = 12):
+def jobs_bijections(order: int, max_t2: int):
+    max_weight = min(order, 12)  # exhaustive round trips: the path sets grow fast
     jobs = []
     for p in (2, 3, 4):
         for a in range(2, 2 * p + 1, 2):
@@ -319,7 +313,8 @@ _GROUP_ORDER = 12
 _MOVE_ROUNDS = 8
 
 
-def jobs_sectors(order: int = 15, max_t2: int = 10):
+def jobs_sectors(order: int, max_t2: int):
+    order = min(order, 15)  # the sector sum enumerates the half paths it checks
     jobs = []
     for t2 in range(4, max_t2 + 1):
         jobs.append((_job_sector_sum, (t2, order)))
@@ -330,12 +325,12 @@ def jobs_sectors(order: int = 15, max_t2: int = 10):
 
 
 SUITES = {
-    "theorem1": lambda order, max_t2: jobs_theorem1(order, max_t2),
-    "theorem2": lambda order, max_t2: jobs_theorem2(order, max_t2),
-    "products": lambda order, max_t2: jobs_products(order),
-    "symmetries": lambda order, max_t2: jobs_symmetries(order),
-    "bijections": lambda order, max_t2: jobs_bijections(min(order, 12)),
-    "sectors": lambda order, max_t2: jobs_sectors(min(order, 15), max_t2),
+    "theorem1": jobs_theorem1,
+    "theorem2": jobs_theorem2,
+    "products": jobs_products,
+    "symmetries": jobs_symmetries,
+    "bijections": jobs_bijections,
+    "sectors": jobs_sectors,
 }
 
 
@@ -377,6 +372,8 @@ def run_suite(name: str, order: int = 20, max_t2: int = 10,
         raise ValueError(f"order must be nonnegative, got {order}")
     if max_t2 < 4:  # T = 2t starts at 4; a smaller bound would drop every T job
         raise ValueError(f"max_t2 must be at least 4, got {max_t2}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if name == "all":
         jobs = [job for make in SUITES.values() for job in make(order, max_t2)]
         return run_jobs(jobs, workers)

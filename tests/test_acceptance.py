@@ -51,6 +51,7 @@ from data_paths import (
     RSOS_49,
     RSOS_49_CUT,
 )
+from oracles import weight_edgewise, weight_extended
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -105,12 +106,12 @@ def test_criterion_2_golden_traces():
 
 
 def test_criterion_3a_rsos_generating_functions():
-    jobs = [j for j in jobs_theorem1(x_order=20) if j[0].__name__ == "_job_xrocha"]
+    jobs = [j for j in jobs_theorem1(20, 10) if j[0].__name__ == "_job_xrocha"]
     run_and_report("criterion-3a X = chi to q^20", jobs)
 
 
 def test_criterion_3b_half_generating_functions():
-    jobs = [j for j in jobs_theorem1(x_order=20) if j[0].__name__ == "_job_yhalf"]
+    jobs = [j for j in jobs_theorem1(20, 10) if j[0].__name__ == "_job_yhalf"]
     run_and_report("criterion-3b Y = chi to q^15", jobs)
 
 
@@ -128,23 +129,23 @@ def test_criterion_3f_theorem1_every_label():
 
 
 def test_criterion_3c_fermionic_forms():
-    jobs = [j for j in jobs_theorem2(order=30) if j[0].__name__ == "_job_theorem2"]
+    jobs = [j for j in jobs_theorem2(30, 10) if j[0].__name__ == "_job_theorem2"]
     run_and_report("criterion-3c fermionic = bosonic to q^30", jobs)
 
 
 def test_criterion_3d_closed_forms_and_products():
-    jobs = [j for j in jobs_theorem2(order=30) if j[0].__name__ == "_job_closed_form"]
-    jobs += jobs_products(order=30)
+    jobs = [j for j in jobs_theorem2(30, 10) if j[0].__name__ == "_job_closed_form"]
+    jobs += jobs_products(30, 10)
     run_and_report("criterion-3d closed forms and products to q^30", jobs)
 
 
 def test_criterion_3e_symmetries():
-    run_and_report("criterion-3e symmetry identities to q^30", jobs_symmetries(30))
+    run_and_report("criterion-3e symmetry identities to q^30", jobs_symmetries(30, 10))
 
 
 def test_criterion_4_exhaustive_bijections():
     run_and_report("criterion-4 exhaustive bijections, weight <= 12",
-                   jobs_bijections(12))
+                   jobs_bijections(12, 10))
 
 
 def test_criterion_5_particle_calculus():
@@ -198,16 +199,16 @@ def test_criterion_6_property_suites():
     ok = True
     count = 0
     for path in rsos.enumerate_paths(4, 9, 8, 6, 10):
-        ok &= rsos.weight(path) == rsos.weight_edgewise(path)
+        ok &= rsos.weight(path) == weight_edgewise(path)
         count += 1
     for path in rsos.enumerate_paths(4, 7, 6, 1, 10):
-        ok &= rsos.weight(path) == rsos.weight_edgewise(path)
+        ok &= rsos.weight(path) == weight_edgewise(path)
         count += 1
     for path in hp.enumerate_paths(8, 8, 6, 10):
-        ok &= hp.weight(path) == hp.weight_extended(path)
+        ok &= hp.weight(path) == weight_extended(path)
         count += 1
     for path in hp.enumerate_paths(7, 2, 6, 10):
-        ok &= hp.weight(path) == hp.weight_extended(path)
+        ok &= hp.weight(path) == weight_extended(path)
         count += 1
     report("criterion-6 weight identities on enumerated paths", ok, f"{count} paths")
 

@@ -24,6 +24,8 @@ from viracomb.characters import (
     verify_symmetries,
 )
 from viracomb.qseries import (
+    QSeries,
+    _divide_poch_inf,
     modular_product,
     pochhammer_finite,
     pochhammer_inf_inverse,
@@ -107,6 +109,39 @@ def test_theorem1_label_rejects_out_of_range():
 def test_symmetries_pass():
     assert verify_symmetries(CharacterLabel(2, 5, 1, 2), 30).ok
     assert verify_symmetries(CharacterLabel(4, 9, 3, 8), 30).ok
+
+
+@pytest.mark.parametrize("identity", ["index-reflection", "modulus-swap"])
+@pytest.mark.parametrize("k", [0, 7, 30])
+def test_symmetry_failure_names_first_mismatch(monkeypatch, identity, k):
+    # perturb one side's alternating sum at q^k; the numerators are compared,
+    # so the report must still name the first power where the characters differ
+    p, pp, r, s = 4, 9, 3, 8
+    side = (p, pp, p - r, pp - s) if identity == "index-reflection" else (pp, p, s, r)
+    real = characters.alternating_sum_series
+
+    def perturbed(*args):
+        series = real(*args)
+        if args[:4] != side:
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[k] += 1
+        return QSeries(series.order, tuple(coeffs))
+
+    monkeypatch.setattr(characters, "alternating_sum_series", perturbed)
+
+    def character(*args):
+        out = list(characters.alternating_sum_series(*args, 30).coeffs)
+        _divide_poch_inf(out)
+        return out
+
+    lhs, rhs = character(p, pp, r, s), character(*side)
+    first = next(j for j in range(31) if lhs[j] != rhs[j])
+    rep = verify_symmetries(CharacterLabel(p, pp, r, s), 30)
+    assert not rep.ok
+    assert rep.failed_identity == identity
+    assert rep.mismatch_power == k == first
+    assert rep.rhs_coeff == rep.lhs_coeff + 1
 
 
 def test_modulus_swap_directly():

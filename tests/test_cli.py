@@ -314,6 +314,19 @@ def test_verify_small_max_t2_exit_2(capsys):
         assert f"error: max_t2 must be at least 4, got {bound}" in err
 
 
+def test_verify_workers_below_one_exit_2(capsys, monkeypatch):
+    # a count below 1 used to run the jobs serially and exit 0
+    ran, real = [], verify._job_product
+    monkeypatch.setattr(verify, "_job_product", lambda *args: ran.append(args) or real(*args))
+    for workers in ("0", "-3"):
+        code, out, err = run(capsys, ["verify", "products", "--order", "6",
+                                      f"--workers={workers}"])
+        assert code == 2
+        assert out == ""
+        assert f"error: workers must be at least 1, got {workers}" in err
+    assert ran == []
+
+
 def test_verify_job_that_raises_fails_alone(capsys, monkeypatch):
     real = verify._job_product
 

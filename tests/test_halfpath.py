@@ -12,7 +12,6 @@ from viracomb.halfpath import (
     raw_weight_quarters,
     theorem1_domain,
     weight,
-    weight_extended,
 )
 
 from data_paths import (
@@ -28,6 +27,7 @@ from data_paths import (
     HALF_10_RAW_QUARTERS,
     HALF_10_WEIGHT,
 )
+from oracles import weight_extended
 
 
 def test_validate_accepts_integer_valleys():

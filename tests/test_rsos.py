@@ -12,7 +12,6 @@ from viracomb.rsos import (
     generating_function,
     tail_band_index,
     weight,
-    weight_edgewise,
 )
 
 from data_paths import (
@@ -25,6 +24,7 @@ from data_paths import (
     RSOS_49_UP,
     RSOS_49_WEIGHT,
 )
+from oracles import weight_edgewise
 
 
 @pytest.fixture
