@@ -141,14 +141,6 @@ def _remove_pairs(path: RsosPath, pairs: list[tuple[int, int]]) -> RsosPath:
     return RsosPath.of(path.p, path.p_prime, path.a, path.b, cut)
 
 
-def _straight_count(hs: list[int]) -> int:
-    """Straight vertices at positions 0..len(hs)-3 of doubled heights padded
-    one past the horizon, then closed by the virtual H(-1) = A + 1, which
-    index -1 reads.
-    """
-    return sum(1 for i in range(len(hs) - 2) if hs[i - 1] != hs[i + 1])
-
-
 def _raise_peaks(h: HalfPath, w: int, mu: tuple[int, ...]) -> tuple[HalfPath, int, int]:
     """Raise the peaks numbered mu from the left (tail peaks included) by a
     notch each, given the weight w of h.
@@ -159,9 +151,8 @@ def _raise_peaks(h: HalfPath, w: int, mu: tuple[int, ...]) -> tuple[HalfPath, in
     c = len(mu)
     if not (all(x >= 1 for x in mu) and all(mu[i] > mu[i + 1] for i in range(c - 1))):
         raise AssertionError("peak numbers must be positive and strictly decrease")
-    hs = h.padded(h.horizon + 1) + [h.a2 + 1]
-    ell = _straight_count(hs)
-    tops = lattice.peaks(hs, h.horizon + 1)
+    ell = len(hp.straight_positions(h))
+    tops = lattice.peaks(h.padded(h.horizon + 1), h.horizon + 1)
     # numbers past the stored peaks land on the tail's peaks, two apart
     at = [tops[x - 1] if x <= len(tops) else h.horizon + 1 + 2 * (x - len(tops) - 1)
           for x in mu]

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from operator import add
 
+from .halfpath import theorem1_domain
 # pochhammer_inf_inverse is not called here: bench/tracing.py wraps it under this name
 from .qseries import (QSeries, _divide_one_minus, _divide_poch_inf, _factor_product,
                       _times_one_minus, pochhammer_inf_inverse)
@@ -270,25 +271,16 @@ def fermionic_character_12(t2: int, order: int) -> QSeries:
 
 
 def theorem1_label(t2: int, a_hat: int, b_hat: int) -> CharacterLabel:
-    """Character label matched to the half-lattice path space H^t_{a,b}.
-
-    Even T = 2t: (t, 2t+1, b, 2a) with 1 <= a <= t, 1 <= b <= t-1.
-    Odd T:       (t+1/2, 2t, a, 2b) = ((T+1)/2, T, a, 2b) with a, b <= (T-1)/2.
+    """Character label matched to the half-lattice path space H^t_{a,b}:
+    (t, 2t+1, b, 2a) for even T = 2t, ((T+1)/2, T, a, 2b) for odd T, where
+    (2a, 2b) must lie in the range `halfpath.theorem1_domain` admits.
     """
-    if t2 < 4:
-        raise InvalidLabelError(f"need T = 2t >= 4, got {t2}")
-    if t2 % 2 == 0:
-        t = t2 // 2
-        if not (1 <= a_hat <= t and 1 <= b_hat <= t - 1):
-            raise InvalidLabelError(
-                f"need 1 <= a <= {t} and 1 <= b <= {t - 1}, got a={a_hat}, b={b_hat}"
-            )
-        return CharacterLabel(t, 2 * t + 1, b_hat, 2 * a_hat)
-    half = (t2 - 1) // 2
-    if not (1 <= a_hat <= half and 1 <= b_hat <= half):
+    if not theorem1_domain(t2, 2 * a_hat, 2 * b_hat):
         raise InvalidLabelError(
-            f"need 1 <= a, b <= {half}, got a={a_hat}, b={b_hat}"
+            f"(a,b)=({a_hat},{b_hat}) out of the admissible range for T={t2}"
         )
+    if t2 % 2 == 0:
+        return CharacterLabel(t2 // 2, t2 + 1, b_hat, 2 * a_hat)
     return CharacterLabel((t2 + 1) // 2, t2, a_hat, 2 * b_hat)
 
 

@@ -96,15 +96,18 @@ class HalfPath:
         return HalfPath.of(int(fields["T"]), int(fields["A"]), int(fields["B"]), hs)
 
 
-def raw_weight_quarters(path: HalfPath) -> int:
-    """Sum of doubled positions of straight vertices, in quarter-units.
-
-    Tail vertices beyond the horizon are peaks and valleys, so the sum is
-    finite; the junction vertex at the horizon is included.
+def straight_positions(path: HalfPath) -> list[int]:
+    """Doubled positions 0..L of the straight vertices, position 0 read
+    against the virtual H(-1) = A + 1.  Tail vertices past L are peaks and
+    valleys, so the list is complete.
     """
-    hs = path.padded(path.horizon + 1)
-    # position 0 adds nothing, whatever its shape
-    return sum(i for i in range(1, path.horizon + 1) if hs[i - 1] != hs[i + 1])
+    hs = path.padded(path.horizon + 1) + [path.a2 + 1]  # index -1 reads H(-1)
+    return [i for i in range(path.horizon + 1) if hs[i - 1] != hs[i + 1]]
+
+
+def raw_weight_quarters(path: HalfPath) -> int:
+    """Sum of doubled positions of straight vertices, in quarter-units."""
+    return sum(straight_positions(path))
 
 
 def theorem1_domain(t2: int, a2: int, b2: int) -> bool:

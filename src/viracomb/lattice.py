@@ -26,6 +26,8 @@ def parse_fields(line: str, kind: str, names: tuple[str, ...]) -> dict[str, str]
         if "=" not in part:
             raise InvalidPathError(f"malformed field {part!r}")
         key, value = part.split("=", 1)
+        if key in fields:
+            raise InvalidPathError(f"repeated field {key!r} in {kind!r} line")
         fields[key] = value
     missing = [n for n in names if n not in fields]
     if missing:

@@ -121,37 +121,50 @@ class VertexInfo(NamedTuple):
     value: int        # u_x if up else v_x
 
 
+def _scores(dark: frozenset[int], prev: int, h: int, nxt: int) -> bool:
+    """The scoring rule: a straight vertex scores when the band just right of
+    it is dark, a peak or valley when that band is light.
+    """
+    return (nxt != prev) == ((h if nxt > h else nxt) in dark)
+
+
+def _label(a: int, x: int, prev: int, h: int) -> int:
+    """u_x after an up step, v_x after a down step; both labels are checked."""
+    u = (x - h + a) // 2
+    v = (x + h - a) // 2
+    if u + v != x or u < 0 or v < 0:
+        raise AssertionError(f"classify: vertex {x} has labels u={u}, v={v}")
+    return u if prev < h else v
+
+
 def classify(path: RsosPath) -> list[VertexInfo]:
     """Classification of vertices 1..L.  The startpoint is never classified,
     and tail vertices beyond L are non-scoring whenever the weight is finite.
     """
     dark = dark_floors(path.p, path.p_prime)
-    a = path.a
     hs = path.padded(path.horizon + 1)
     out = []
     for x in range(1, path.horizon + 1):
         prev, h, nxt = hs[x - 1], hs[x], hs[x + 1]
         up = prev < h
-        if nxt == prev:
-            shape = PEAK if prev < h else VALLEY
-            straight = False
-        else:
-            shape = STRAIGHT_UP if up else STRAIGHT_DOWN
-            straight = True
-        right_floor = min(h, nxt)
-        scoring = straight == (right_floor in dark)
-        u = (x - h + a) // 2
-        v = (x + h - a) // 2
-        if u + v != x or u < 0 or v < 0:
-            raise AssertionError(f"classify: vertex {x} has labels u={u}, v={v}")
-        out.append(VertexInfo(x, shape, scoring, up, u if up else v))
+        shape = (PEAK if up else VALLEY) if nxt == prev else (STRAIGHT_UP if up else STRAIGHT_DOWN)
+        out.append(VertexInfo(x, shape, _scores(dark, prev, h, nxt), up,
+                              _label(path.a, x, prev, h)))
     return out
 
 
 def weight(path: RsosPath) -> int:
     """Sum of u over up-scoring and v over down-scoring vertices."""
     _require_finite(path)
-    return sum(v.value for v in classify(path) if v.scoring)
+    dark = dark_floors(path.p, path.p_prime)
+    hs = path.padded(path.horizon + 1)
+    total = 0
+    for x in range(1, path.horizon + 1):
+        prev, h, nxt = hs[x - 1], hs[x], hs[x + 1]
+        label = _label(path.a, x, prev, h)
+        if _scores(dark, prev, h, nxt):
+            total += label
+    return total
 
 
 def _require_finite(path: RsosPath) -> None:
@@ -185,9 +198,7 @@ def enumerate_paths(
     top = p_prime - 1
 
     def cost(x: int, prev: int, h: int, nxt: int) -> int:
-        # the scoring rule of classify, for one vertex
-        straight = nxt != prev
-        if straight != ((h if nxt > h else nxt) in dark):
+        if not _scores(dark, prev, h, nxt):
             return 0
         return (x - h + a) // 2 if prev < h else (x + h - a) // 2
 

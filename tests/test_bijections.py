@@ -203,12 +203,13 @@ def _half_ok(prev, h, nh):
 def test_long_rsos_paths_round_trip(family):
     rnd = random.Random(family)
     weights = []
-    for _ in range(80):
+    for i in range(84):  # 80 short walks, then 4 of 1 000 to 1 400 steps
         p = rnd.randint(2 if family == 1 else 3, 6)
         pp = 2 * p + 1 if family == 1 else 2 * p - 1
         a = 2 * rnd.randint(1, p if family == 1 else p - 1)
         b = 2 * rnd.randint(1, p - 1) - (family - 1)
-        path = RsosPath.of(p, pp, a, b, _walk(rnd, a, 1, pp - 1, b, rnd.randint(20, 90)))
+        steps = rnd.randint(20, 90) if i < 80 else rnd.randint(1000, 1400)
+        path = RsosPath.of(p, pp, a, b, _walk(rnd, a, 1, pp - 1, b, steps))
         image, _ = forward(path)
         weights.append(rsos.weight(path))
         assert hp.weight(image) == weights[-1], path.to_line()
@@ -220,11 +221,11 @@ def test_long_rsos_paths_round_trip(family):
 def test_long_half_paths_round_trip(family):
     rnd = random.Random(10 + family)
     weights = []
-    for _ in range(80):
+    for i in range(84):  # 80 short walks, then 4 of 1 000 to 1 400 steps
         t2 = rnd.randint(2, 6) * 2 if family == 1 else rnd.randint(3, 6) * 2 - 1
         a2, b2 = rnd.choice([(a2, b2) for a2 in range(2, t2 + 1, 2)
                              for b2 in range(2, t2 + 1, 2) if hp.theorem1_domain(t2, a2, b2)])
-        steps = rnd.randint(40, 180)
+        steps = rnd.randint(40, 180) if i < 80 else rnd.randint(1000, 1400)
         g = HalfPath.of(t2, a2, b2, _walk(rnd, a2, 2, t2, b2, steps, _half_ok))
         back = inverse(g)
         weights.append(hp.weight(g))

@@ -148,6 +148,12 @@ def test_bijection_family_error_exit_2(capsys, monkeypatch):
     assert code == 2 and "error" in err
 
 
+def test_bijection_repeated_field_exit_2(capsys, monkeypatch):
+    code, out, err = run(capsys, ["bijection", "inverse"],
+                         stdin="half T=4 A=2 B=2 H=2 T=6\n", monkeypatch=monkeypatch)
+    assert code == 2 and out == "" and "repeated field 'T'" in err
+
+
 def test_render_ascii_marks_scoring(capsys, monkeypatch):
     code, out, _ = run(capsys, ["render"], stdin=rsos_line(RSOS_49) + "\n",
                        monkeypatch=monkeypatch)

@@ -51,6 +51,7 @@ def test_raw_weight_golden():
     assert raw_weight_quarters(path) == HALF_10_RAW_QUARTERS
     gs = ground_state(10, 4, 8)
     assert gs.doubled == (4, 5, 6, 7, 8)
+    assert halfpath.straight_positions(gs) == [1, 2, 3, 4]  # H(-1) = 5 = H(1)
     assert raw_weight_quarters(gs) == HALF_10_GS_QUARTERS
     assert weight(path) == HALF_10_WEIGHT
 
@@ -58,6 +59,7 @@ def test_raw_weight_golden():
 def test_descending_ground_state():
     gs = ground_state(8, 8, 6)
     assert gs.doubled == (8, 7, 6)
+    assert halfpath.straight_positions(gs) == [0, 1]  # H(-1) = 9 above H(1) = 7
     assert raw_weight_quarters(gs) == 1
 
 

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_parse_fields():
     fields = lattice.parse_fields("half T=8 A=2 B=2 H=2,3,2\n", "half", ("T", "H"))
     assert fields == {"T": "8", "A": "2", "B": "2", "H": "2,3,2"}
-    for bad in ("rsos T=8 H=2", "half T=8 H", "half T=8", ""):
+    for bad in ("rsos T=8 H=2", "half T=8 H", "half T=8", "", "half T=8 H=2 T=6"):
         with pytest.raises(lattice.InvalidPathError):
             lattice.parse_fields(bad, "half", ("T", "H"))
 
@@ -105,11 +105,12 @@ def test_half_search_weights_match_weight(t2):
 def test_move_checks_hold_under_optimization():
     # this listed move breaks weight and sector; apply_move must refuse it,
     # the search must refuse a live branch at its horizon, and a bijection
-    # must notice a weight that drifts between its stages, even when
-    # python -O strips asserts
+    # must notice a weight that drifts between its stages, and weighing or
+    # classifying a vertex must check its labels, even when python -O strips
+    # asserts
     code = """
 import sys
-from viracomb import bijections, halfpath, lattice, particles
+from viracomb import bijections, halfpath, lattice, particles, rsos
 from viracomb.halfpath import HalfPath
 from viracomb.rsos import RsosPath
 line = "half T=8 A=2 B=2 H=2,3,4,5,6,7,8,7,6,7,6,5,4,5,6,7,8,7,6,5,4,5,4,5,4,3,2"
@@ -136,6 +137,9 @@ weight = halfpath.weight
 halfpath.weight = lambda path: weight(path) + 1
 rsos37 = RsosPath.from_line("rsos p=3 pp=7 a=4 b=4 h=4,5,6,5,6,5,4")
 attempt(lambda: bijections.bij1_forward(rsos37))
+unchecked = RsosPath(3, 5, 2, 1, (3, 2, 1))  # starts at 3, not at a = 2
+attempt(lambda: rsos.weight(unchecked))
+attempt(lambda: rsos.classify(unchecked))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
@@ -147,4 +151,6 @@ attempt(lambda: bijections.bij1_forward(rsos37))
         " for a late band",
         "raised: charge form 1 of (1,) is odd",
         "raised: verbatim reread must preserve the weight",
+        "raised: classify: vertex 1 has labels u=0, v=0",
+        "raised: classify: vertex 1 has labels u=0, v=0",
     ]
