@@ -385,29 +385,30 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
 
     w_hat = hp.weight(path)
 
-    # undo the accretion insertions: repeatedly strip the rightmost
-    # non-integer peak whose neighbours are not both straight
-    work = list(path.doubled)
-    removals: list[int] = []  # anchor positions, kept in final coordinates
-
-    while True:
-        cut = lattice.canonical(work, a)
-        # heights through two past the horizon, then the virtual start
-        # H(-1) = B + 1 last, where index -1 reads it
-        hs = lattice.padded(cut, a, len(cut) + 1) + [bb + 1]
-        found = None
-        for j in reversed(lattice.peaks(hs, len(cut) - 1)):
-            # odd, and at least one neighbour is not straight
-            if hs[j] % 2 and (hs[j - 2] == hs[j] or hs[j] == hs[j + 2]):
-                found = j
-                break
-        if found is None:
-            break
-        for idx in range(len(removals)):
-            if removals[idx] > found:
-                removals[idx] -= 2
-        removals.append(found - 1)
-        del work[found : found + 2]
+    # undo the accretion insertions: strip the rightmost non-integer peak
+    # whose neighbours are not both straight, again and again.  Stripping
+    # the pair (j, j+1) keeps every height right of it and leaves no such
+    # peak at or right of j, so one right-to-left scan finds them all:
+    # `kept` holds the heights already scanned, stripped pairs left out,
+    # nearest last.  Heights run two past the horizon; the virtual start
+    # H(-1) = B + 1 comes last, where index -1 reads it.
+    horizon = path.horizon
+    hs = path.padded(horizon + 2) + [bb + 1]
+    kept = [hs[horizon + 2], hs[horizon + 1]]
+    stripped: list[int] = []  # peak positions, right to left
+    for j in range(horizon, -1, -1):
+        h = hs[j]
+        # odd (so 0 < j < horizon), a peak, and a neighbour not straight
+        if h % 2 and hs[j - 1] < h > kept[-1] and (hs[j - 2] == h or h == kept[-2]):
+            kept.pop()
+            stripped.append(j)
+        else:
+            kept.append(h)
+    work = kept[:1:-1]  # left to right, the two heights past the horizon dropped
+    # each strip moves the anchors of the strips right of it two to the left;
+    # anchors are kept in the final coordinates
+    count = len(stripped)
+    removals = [j - 1 - 2 * (count - 1 - r) for r, j in enumerate(stripped)]
 
     h_hat_int = HalfPath.of(t2, bb, a, work)
     accretion = _accretion_positions(h_hat_int)

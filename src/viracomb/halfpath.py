@@ -37,16 +37,23 @@ def find_violation(t2: int, a2: int, b2: int, doubled) -> str | None:
         return f"path must start at A={a2}, got {hs[0]}"
     if not 2 <= b2 <= t2:
         return f"tail height B={b2} out of range 2..{t2}"
+    # one pass: a height out of range or a bad step is reported at once; a
+    # valley at a non-integer (odd doubled) height only once the whole line
+    # has passed, so either of the others wins over it.  H_{-1} = A + 1.
+    valley = None
+    before, prev = a2 + 1, None
     for i, h in enumerate(hs):
         if not 2 <= h <= t2:
             return f"height {h} at doubled position {i} out of range 2..{t2}"
-        if i and abs(h - hs[i - 1]) != 1:
-            return f"step at doubled position {i} is not a half-unit step"
-    # valleys only at integer (even doubled) heights; H_{-1} = A + 1
-    for i in range(len(hs) - 1):
-        prev = hs[i - 1] if i else a2 + 1
-        if prev == hs[i + 1] == hs[i] + 1 and hs[i] % 2 == 1:
-            return f"valley at non-integer height {hs[i]}/2 (doubled position {i})"
+        if i:
+            if abs(h - prev) != 1:
+                return f"step at doubled position {i} is not a half-unit step"
+            if valley is None and before == h == prev + 1 and prev % 2 == 1:
+                valley = f"valley at non-integer height {prev}/2 (doubled position {i - 1})"
+            before = prev
+        prev = h
+    if valley is not None:
+        return valley
     if hs[-1] not in (b2, b2 + 1):
         return f"stored sequence must end inside the tail band, got {hs[-1]}"
     return None

@@ -9,6 +9,8 @@ peak and valley scans, and one bounded path search.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .qseries import QSeries
 
 
@@ -67,11 +69,12 @@ def tail_height(stored: tuple[int, ...], b: int, x: int) -> int:
 
 def padded(stored: tuple[int, ...], b: int, upto: int) -> list[int]:
     """Heights at positions 0..upto, continuing the tail oscillation."""
-    horizon = len(stored) - 1
-    last = stored[-1]
-    flip = b + 1 if last == b else b
     out = list(stored[: upto + 1])
-    out.extend(flip if (x - horizon) % 2 else last for x in range(horizon + 1, upto + 1))
+    beyond = upto - (len(stored) - 1)  # tail heights past the horizon
+    if beyond > 0:
+        last = stored[-1]
+        flip = b + 1 if last == b else b
+        out += ([flip, last] * ((beyond + 1) // 2))[:beyond]
     return out
 
 
@@ -84,13 +87,17 @@ def peaks(hs: list[int], hi: int | None = None) -> list[int]:
     return [i for i in range(1, hi) if hs[i - 1] < hs[i] > hs[i + 1]]
 
 
-def valleys(hs: list[int], hi: int | None = None) -> list[int]:
-    """Positions 1 <= i < hi (default: every interior one) with
-    hs[i-1] > hs[i] < hs[i+1].
+def turns(hs: Sequence[int], hi: int) -> tuple[list[int], list[int]]:
+    """The peaks and the valleys at positions 1 <= i < hi of a unit-step
+    sequence, found in one scan: with unit steps, i turns exactly when
+    hs[i-1] == hs[i+1], and it is a peak when hs[i] lies above them.
     """
-    if hi is None:
-        hi = len(hs) - 1
-    return [i for i in range(1, hi) if hs[i - 1] > hs[i] < hs[i + 1]]
+    peaks: list[int] = []
+    valleys: list[int] = []
+    for i, before, h, after in zip(range(1, hi), hs, hs[1:], hs[2:]):
+        if before == after:
+            (peaks if h > before else valleys).append(i)
+    return peaks, valleys
 
 
 class Found(list):

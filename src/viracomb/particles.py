@@ -8,12 +8,18 @@ inexhaustible sea of charge-1/2 particles.  Paths with the same multiset
 of charges >= 1 form a sector; the minimal path of a sector lines its
 particles up against the left wall in decreasing charge order, and every
 other member is reached from it by weight-one particle moves.
+
+A dissection reads only the stored heights: one scan finds the stored
+peaks and the valleys, and every baseline closes by the horizon, where the
+stored heights end at the bottom of the strip.  The charge passes then
+work on the list of valleys alone and stop as soon as no peak waits.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import halfpath as hp
 from . import lattice
@@ -26,8 +32,7 @@ class DissectionError(Exception):
     """A peak could not be assigned a charge (model violation)."""
 
 
-@dataclass(frozen=True)
-class Particle:
+class Particle(NamedTuple):
     peak: int      # doubled position of the peak vertex
     charge2: int   # doubled charge, 1..T-2
     origin: int    # doubled position of the left end of the baseline
@@ -52,55 +57,59 @@ def dissect(path: HalfPath) -> Dissection:
     The scan keeps one ordered list of live valleys, those no particle has
     discounted yet.  A peak's nearest live valleys are its two neighbours in
     that list; a pass for charge d/2 walks the peaks still waiting right to
-    left, and a peak that takes charge d/2 removes the valley it hit.
+    left, and a peak that takes charge d/2 removes the valley it hit.  Its
+    baseline runs from that valley past the peak to the first vertex at the
+    baseline's height; that vertex lies between the wall and the horizon,
+    since the stored heights start and end at 2.
     """
     if path.a2 != 2 or path.b2 != 2:
         raise ValueError("dissection is defined on paths from height 1 to height 1")
     t2 = path.t2
-    reach = path.horizon + 2 * t2 + 4  # how far a baseline may run into the tail
-    H = path.padded(reach)
-    peaks = lattice.peaks(H, path.horizon)
-    # position 0 is always a valley: H(-1) = 3 (virtual) and H(1) = 3 lie above it
-    live = [0] + lattice.valleys(H, path.horizon + 1)
+    H = path.doubled
+    horizon = path.horizon
+    peaks, valleys = lattice.turns(H, horizon)
+    # position 0 is always a valley: H(-1) = 3 (virtual) and H(1) = 3 lie
+    # above it; so is the horizon, where the stored 2 meets the tail's 3
+    live = [0, *valleys, horizon] if horizon else [0]
     assigned: dict[int, Particle] = {}
-
-    def far_side_stop(peak: int, identified: int, base_h: int) -> int:
-        step = 1 if identified < peak else -1
-        z = peak + step
-        while 0 <= z:
-            if H[z] == base_h:
-                return z
-            z += step
-            if z > reach:
-                raise DissectionError("baseline ran past the tail without closing")
-        raise DissectionError("baseline ran off the left wall")
+    sector = [0] * (t2 - 3)
 
     waiting = peaks[::-1]  # right to left
     for charge2 in range(1, t2 - 1):
+        if not waiting:
+            break
         still = []
         for peak in waiting:
             i = bisect_left(live, peak)
-            hits_right = i < len(live) and H[peak] - H[live[i]] == charge2
-            hits_left = i > 0 and H[peak] - H[live[i - 1]] == charge2
+            top = H[peak]
+            hits_right = i < len(live) and top - H[live[i]] == charge2
+            hits_left = i > 0 and top - H[live[i - 1]] == charge2
             if not hits_left and not hits_right:
                 still.append(peak)
                 continue
             identified = live.pop(i if hits_right else i - 1)  # ties go to the right
-            base_h = H[peak] - charge2
+            base_h = top - charge2
             if charge2 == 1:
                 origin, end = peak - 1, peak + 1
-            else:
-                stop = far_side_stop(peak, identified, base_h)
-                origin, end = min(identified, stop), max(identified, stop)
+            elif hits_right:  # the baseline closes left of the peak
+                origin, end = peak - 1, identified
+                while origin >= 0 and H[origin] != base_h:
+                    origin -= 1
+                if origin < 0:
+                    raise DissectionError("baseline ran off the left wall")
+            else:  # it closes right of the peak
+                origin, end = identified, peak + 1
+                while end <= horizon and H[end] != base_h:
+                    end += 1
+                if end > horizon:
+                    raise DissectionError("baseline ran past the tail without closing")
             assigned[peak] = Particle(peak, charge2, origin, base_h, end - origin)
+        if charge2 >= 2:
+            sector[charge2 - 2] = len(waiting) - len(still)
         waiting = still
 
     if waiting:
         raise DissectionError(f"peaks without a charge after the scan: {waiting[::-1]}")
-    sector = [0] * (t2 - 3)
-    for part in assigned.values():
-        if part.charge2 >= 2:
-            sector[part.charge2 - 2] += 1
     particles = tuple(assigned[pk] for pk in peaks)
     return Dissection(path, particles, tuple(sector))
 
@@ -180,18 +189,16 @@ def _slope_owner(q: Particle, others: list[Particle]) -> Particle | None:
     nothing.  Among owners, the highest baseline wins; the shortest on ties.
     """
     best = None
+    q_peak, _, q_origin, q_base, _ = q
     for p in others:
-        if p.peak == q.peak:
-            continue
-        strictly_above = (
-            p.base_h < q.base_h and p.origin <= q.origin <= p.origin + p.length
-        )
-        flush_right = p.base_h == q.base_h and q.origin == p.origin + p.length
-        if not (strictly_above or flush_right):
-            continue
-        key = (-p.base_h, p.length, p.peak)
-        if best is None or key < best[0]:
-            best = (key, p)
+        peak, _, origin, base_h, length = p
+        if peak != q_peak and (
+            base_h < q_base and origin <= q_origin <= origin + length  # strictly above
+            or base_h == q_base and q_origin == origin + length        # flush right
+        ):
+            key = (-base_h, length, peak)
+            if best is None or key < best[0]:
+                best = (key, p)
     return best[1] if best else None
 
 
@@ -200,25 +207,29 @@ def _move_plan(path: HalfPath, q: Particle, p: Particle):
     spurious (an origin touching a squashed or stretched stretch of slope
     supports no consistent enactment).
     """
-    d2 = q.charge2
-    hq, hr = path.height(q.peak), path.height(p.peak)
-    if q.peak > p.peak and hr == hq + 1:
+    q_peak, d2, q_origin, _, _ = q
+    p_peak = p.peak
+    # every position read below lies at or left of the farther peak or the
+    # right end of q's nominal baseline
+    H = path.padded(max(q_peak, p_peak, q_origin + 2 * d2))
+    hq, hr = H[q_peak], H[p_peak]
+    if q_peak > p_peak and hr == hq + 1:
         # a genuine half-height contact sits at exactly this offset
-        if q.peak != p.peak + 2 * d2 + 1:
+        if q_peak != p_peak + 2 * d2 + 1:
             return None
-        return ("exchange", p.peak, q.peak)
-    if q.peak > p.peak and hq == hr:
-        origin = q.origin - (q.peak - p.peak)  # hand the role to the left peak
-    elif q.peak < p.peak or hq <= hr - 2:
-        origin = q.origin
+        return ("exchange", p_peak, q_peak)
+    if q_peak > p_peak and hq == hr:
+        origin = q_origin - (q_peak - p_peak)  # hand the role to the left peak
+    elif q_peak < p_peak or hq <= hr - 2:
+        origin = q_origin
     else:
         return None
     if origin < 2:
         return None
-    delta = path.height(origin - 2) - path.height(origin)
+    delta = H[origin - 2] - H[origin]
     if abs(delta) != 2:
         return None  # the two edges to the left do not align
-    top = max(path.height(i) for i in range(origin, origin + 2 * d2 + 1))
+    top = max(H[origin : origin + 2 * d2 + 1])
     if not 2 <= top + delta <= path.t2:
         return None
     return ("shift", origin)

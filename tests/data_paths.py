@@ -4,7 +4,8 @@ RSOS_49 is a path in P^{4,9}_{8,6} of weight 74 whose image data under the
 2p+1 map is known in full; RSOS_47 lives in P^{4,7}_{6,1} with weight 112
 and a fully known 2p-1 trace.  HALF_* are the corresponding half-lattice
 paths (doubled coordinates), and DISSECT_10/MINIMAL_10 are a dissection
-example and its sector's minimal path for T=10.
+example and its sector's minimal path for T=10.  `walk` draws seeded
+random paths far longer than any worked example.
 """
 
 RSOS_49 = (4, 9, 8, 6,
@@ -87,3 +88,25 @@ MOVES_8 = [
     [2, 3, 4, 5, 6, 7, 6, 5, 4, 5, 6, 7, 8, 7, 6, 5, 4, 3, 2],
     [2, 3, 4, 5, 4, 3, 2, 3, 4, 5, 6, 7, 8, 7, 6, 5, 4, 3, 2],
 ]
+
+
+def walk(rnd, start, lo, hi, b, steps, ok=lambda prev, h, nh: True):
+    """A random unit-step walk on lo..hi from start, then led into the tail
+    band {b, b+1}; ok(prev, h, next) vetoes steps (prev of the start is
+    start + 1).
+    """
+    hs = [start]
+
+    def step_ok(nh):
+        return lo <= nh <= hi and ok(hs[-2] if len(hs) > 1 else start + 1, hs[-1], nh)
+
+    for _ in range(steps):
+        hs.append(rnd.choice([nh for nh in (hs[-1] - 1, hs[-1] + 1) if step_ok(nh)]))
+    while hs[-1] not in (b, b + 1):
+        nh = hs[-1] - 1 if hs[-1] > b + 1 else hs[-1] + 1
+        hs.append(nh if step_ok(nh) else hs[-1] - 1)
+    return hs
+
+
+def half_ok(prev, h, nh):
+    return not (prev == nh == h + 1 and h % 2 == 1)  # valleys at integer heights only

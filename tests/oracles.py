@@ -1,12 +1,18 @@
-"""Independent weight formulas that the tests hold the program's weights to.
+"""Independent formulas that the tests hold the program to.
 
-Each computes a path's weight by a route other than the one `rsos.weight` or
-`halfpath.weight` takes, so an agreement on many paths checks both.  The
-program itself never needs them.
+The weight formulas compute a path's weight by a route other than the one
+`rsos.weight` or `halfpath.weight` takes, so an agreement on many paths
+checks both.  `dissect_reference` is the particle dissection as it was
+written before the one-scan version: a peak scan and a valley scan over
+heights padded into the tail, and a closure that walks each baseline to its
+far side.  The program itself never needs them.
 """
 
-from viracomb import rsos
+from bisect import bisect_left
+
+from viracomb import lattice, rsos
 from viracomb.halfpath import HalfPath, raw_weight_quarters
+from viracomb.particles import Dissection, DissectionError, Particle
 from viracomb.rsos import RsosPath
 
 
@@ -60,3 +66,56 @@ def weight_extended(path: HalfPath) -> int:
     if total % 4 != 0:
         raise AssertionError(f"extended quarter-unit sum {total} not divisible by 4")
     return total // 4
+
+
+def dissect_reference(path: HalfPath) -> Dissection:
+    """Assign a charge and baseline to every stored peak (reference scan)."""
+    if path.a2 != 2 or path.b2 != 2:
+        raise ValueError("dissection is defined on paths from height 1 to height 1")
+    t2 = path.t2
+    reach = path.horizon + 2 * t2 + 4  # how far a baseline may run into the tail
+    H = path.padded(reach)
+    peaks = lattice.peaks(H, path.horizon)
+    # position 0 is always a valley: H(-1) = 3 (virtual) and H(1) = 3 lie above it
+    live = [0] + [i for i in range(1, path.horizon + 1) if H[i - 1] > H[i] < H[i + 1]]
+    assigned: dict[int, Particle] = {}
+
+    def far_side_stop(peak: int, identified: int, base_h: int) -> int:
+        step = 1 if identified < peak else -1
+        z = peak + step
+        while 0 <= z:
+            if H[z] == base_h:
+                return z
+            z += step
+            if z > reach:
+                raise DissectionError("baseline ran past the tail without closing")
+        raise DissectionError("baseline ran off the left wall")
+
+    waiting = peaks[::-1]  # right to left
+    for charge2 in range(1, t2 - 1):
+        still = []
+        for peak in waiting:
+            i = bisect_left(live, peak)
+            hits_right = i < len(live) and H[peak] - H[live[i]] == charge2
+            hits_left = i > 0 and H[peak] - H[live[i - 1]] == charge2
+            if not hits_left and not hits_right:
+                still.append(peak)
+                continue
+            identified = live.pop(i if hits_right else i - 1)  # ties go to the right
+            base_h = H[peak] - charge2
+            if charge2 == 1:
+                origin, end = peak - 1, peak + 1
+            else:
+                stop = far_side_stop(peak, identified, base_h)
+                origin, end = min(identified, stop), max(identified, stop)
+            assigned[peak] = Particle(peak, charge2, origin, base_h, end - origin)
+        waiting = still
+
+    if waiting:
+        raise DissectionError(f"peaks without a charge after the scan: {waiting[::-1]}")
+    sector = [0] * (t2 - 3)
+    for part in assigned.values():
+        if part.charge2 >= 2:
+            sector[part.charge2 - 2] += 1
+    particles = tuple(assigned[pk] for pk in peaks)
+    return Dissection(path, particles, tuple(sector))

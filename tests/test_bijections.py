@@ -36,6 +36,8 @@ from data_paths import (
     RSOS_47_CUT,
     RSOS_49,
     RSOS_49_CUT,
+    half_ok,
+    walk,
 )
 
 
@@ -177,39 +179,17 @@ def test_bij1_cut_has_no_adjacent_scoring_and_particles_start_on_turns():
 # -- seeded long paths, far beyond the exhaustive weight-12 window -------------
 
 
-def _walk(rnd, start, lo, hi, b, steps, ok=lambda prev, h, nh: True):
-    """A random unit-step walk on lo..hi from start, then led into the tail
-    band {b, b+1}; ok(prev, h, next) vetoes steps (prev of the start is
-    start + 1).
-    """
-    hs = [start]
-
-    def step_ok(nh):
-        return lo <= nh <= hi and ok(hs[-2] if len(hs) > 1 else start + 1, hs[-1], nh)
-
-    for _ in range(steps):
-        hs.append(rnd.choice([nh for nh in (hs[-1] - 1, hs[-1] + 1) if step_ok(nh)]))
-    while hs[-1] not in (b, b + 1):
-        nh = hs[-1] - 1 if hs[-1] > b + 1 else hs[-1] + 1
-        hs.append(nh if step_ok(nh) else hs[-1] - 1)
-    return hs
-
-
-def _half_ok(prev, h, nh):
-    return not (prev == nh == h + 1 and h % 2 == 1)  # valleys at integer heights only
-
-
 @pytest.mark.parametrize("family", [1, 2])
 def test_long_rsos_paths_round_trip(family):
     rnd = random.Random(family)
     weights = []
-    for i in range(84):  # 80 short walks, then 4 of 1 000 to 1 400 steps
+    for i in range(84):  # 80 short walks, then 4 of 2 000 to 2 400 steps
         p = rnd.randint(2 if family == 1 else 3, 6)
         pp = 2 * p + 1 if family == 1 else 2 * p - 1
         a = 2 * rnd.randint(1, p if family == 1 else p - 1)
         b = 2 * rnd.randint(1, p - 1) - (family - 1)
-        steps = rnd.randint(20, 90) if i < 80 else rnd.randint(1000, 1400)
-        path = RsosPath.of(p, pp, a, b, _walk(rnd, a, 1, pp - 1, b, steps))
+        steps = rnd.randint(20, 90) if i < 80 else rnd.randint(2000, 2400)
+        path = RsosPath.of(p, pp, a, b, walk(rnd, a, 1, pp - 1, b, steps))
         image, _ = forward(path)
         weights.append(rsos.weight(path))
         assert hp.weight(image) == weights[-1], path.to_line()
@@ -221,12 +201,12 @@ def test_long_rsos_paths_round_trip(family):
 def test_long_half_paths_round_trip(family):
     rnd = random.Random(10 + family)
     weights = []
-    for i in range(84):  # 80 short walks, then 4 of 1 000 to 1 400 steps
+    for i in range(84):  # 80 short walks, then 4 of 2 000 to 2 400 steps
         t2 = rnd.randint(2, 6) * 2 if family == 1 else rnd.randint(3, 6) * 2 - 1
         a2, b2 = rnd.choice([(a2, b2) for a2 in range(2, t2 + 1, 2)
                              for b2 in range(2, t2 + 1, 2) if hp.theorem1_domain(t2, a2, b2)])
-        steps = rnd.randint(40, 180) if i < 80 else rnd.randint(1000, 1400)
-        g = HalfPath.of(t2, a2, b2, _walk(rnd, a2, 2, t2, b2, steps, _half_ok))
+        steps = rnd.randint(40, 180) if i < 80 else rnd.randint(2000, 2400)
+        g = HalfPath.of(t2, a2, b2, walk(rnd, a2, 2, t2, b2, steps, half_ok))
         back = inverse(g)
         weights.append(hp.weight(g))
         assert rsos.weight(back) == weights[-1], g.to_line()

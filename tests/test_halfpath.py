@@ -44,6 +44,13 @@ def test_validate_examples():
     assert find_violation(10, 4, 8, [4, 3, 5]) is not None  # bad step
     assert find_violation(10, 3, 8, [3, 4]) is not None  # odd endpoints
     assert find_violation(10, 4, 8, [4, 3, 2, 1, 2]) is not None  # below the strip
+    # an odd valley comes first, but a range or step fault wins over it
+    assert find_violation(10, 6, 6, [6, 5, 6, 8]) == \
+        "step at doubled position 3 is not a half-unit step"
+    assert find_violation(10, 6, 6, [6, 5, 6, 7, 8, 9, 10, 11]) == \
+        "height 11 at doubled position 7 out of range 2..10"
+    assert find_violation(10, 6, 6, [6, 5, 6]) == \
+        "valley at non-integer height 5/2 (doubled position 1)"
 
 
 def test_raw_weight_golden():

@@ -38,9 +38,11 @@ def test_tail_continuation():
 def test_peaks_and_valleys():
     hs = [2, 3, 4, 3, 4, 5, 4, 3, 2, 3]
     assert lattice.peaks(hs) == [2, 5]
-    assert lattice.valleys(hs) == [3, 8]
     assert lattice.peaks(hs, 5) == [2]
-    assert lattice.valleys(hs, 8) == [3]
+    assert lattice.turns(hs, len(hs) - 1) == ([2, 5], [3, 8])
+    assert lattice.turns(hs, 8) == ([2, 5], [3])
+    assert lattice.turns(hs, 5) == ([2], [3])
+    assert lattice.turns([2], 0) == ([], [])
 
 
 def test_search_demands_a_stable_horizon():

@@ -1,8 +1,10 @@
+import random
 from collections import defaultdict
 
 import pytest
 
 from viracomb import halfpath as hp
+from viracomb import particles
 from viracomb.characters import fermionic_character_12, m_vector, occupation_vectors
 from viracomb.halfpath import HalfPath
 from viracomb.particles import (
@@ -22,7 +24,10 @@ from data_paths import (
     MINIMAL_10,
     MOVES_8,
     MOVES_9,
+    half_ok,
+    walk,
 )
+from oracles import dissect_reference
 
 
 def test_dissect_golden_charges():
@@ -172,3 +177,57 @@ def test_moves_preserve_sector_broadly():
             apply_move(path, move)  # internal +1 and sector assertions
             checked += 1
     assert checked > 50
+
+
+# -- the one-scan dissection against the reference scan ----------------------
+
+
+def _enumerated_corner_paths():
+    return [path for t2 in range(4, 12) for path in hp.enumerate_paths(t2, 2, 2, 14)]
+
+
+def _fields(dis):
+    return dis.sector, [p._asdict() for p in dis.particles]
+
+
+def test_dissect_matches_reference_on_enumerated_paths():
+    paths = _enumerated_corner_paths()
+    assert len(paths) > 1500
+    for path in paths:
+        assert _fields(dissect(path)) == _fields(dissect_reference(path)), path.to_line()
+
+
+def test_dissect_matches_reference_on_long_walks():
+    rnd = random.Random(13)
+    for i in range(240):  # 200 walks of up to 200 steps, then 40 of 1 000 to 2 000
+        t2 = rnd.randint(4, 12)
+        steps = rnd.randint(0, 200) if i < 200 else rnd.randint(1000, 2000)
+        path = HalfPath.of(t2, 2, 2, walk(rnd, 2, 2, t2, 2, steps, half_ok))
+        assert _fields(dissect(path)) == _fields(dissect_reference(path)), path.to_line()
+
+
+def _move_outcomes(paths):
+    out = []
+    for path in paths:
+        for move in enumerate_moves(path):
+            try:
+                got = apply_move(path, move).to_line()
+            except AssertionError as exc:
+                got = f"failed: {exc}"
+            out.append((path.to_line(), move, got))
+    return out
+
+
+def test_moves_match_reference_dissection(monkeypatch):
+    # the listed moves, and which of them fail, stay as the reference
+    # dissection makes them, on every small path and on walks long enough
+    # to reach the moves that fail
+    rnd = random.Random(14)
+    paths = _enumerated_corner_paths() + [
+        HalfPath.of(t2, 2, 2, walk(rnd, 2, 2, t2, 2, rnd.randint(6, 60), half_ok))
+        for t2 in (rnd.randint(6, 10) for _ in range(300))
+    ]
+    fast = _move_outcomes(paths)
+    monkeypatch.setattr(particles, "dissect", dissect_reference)
+    assert _move_outcomes(paths) == fast
+    assert any(got.startswith("failed") for _, _, got in fast)
