@@ -111,6 +111,12 @@ def _is_partition(parts: tuple[int, ...]) -> bool:
     )
 
 
+def _gaps(positions: list[int], upto: int) -> list[int]:
+    """The positions 1..upto-1 missing from the given ones, in order."""
+    taken = set(positions)
+    return [x for x in range(1, upto) if x not in taken]
+
+
 def _pair_runs(positions: list[int]) -> list[tuple[int, int]]:
     """Pair consecutive positions left to right inside each maximal run.
 
@@ -219,21 +225,19 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     if not (1 < a <= 2 * p and 1 < b < 2 * p):
         raise BijectionDomainError(f"(a,b)=({a},{b}) out of range for p={p}")
 
-    w = rsos.weight(path)
-    info = rsos.classify(path)
-    scoring = [v.x for v in info if v.scoring]
+    w, scoring, _ = rsos._scan(path)
     k = len(scoring)
     particles = _pair_runs(scoring)
     n = len(particles)
 
-    # of the vertices 1..x1-1 that classify covers, x1 - 1 - rank(x1) are non-scoring
+    # of the vertices 1..x1-1, x1 - 1 - rank(x1) are non-scoring
     lam = tuple(x1 - 1 - bisect_left(scoring, x1) for x1, _ in reversed(particles))
     if not _is_partition(lam):
         raise AssertionError("particle labels must form a partition")
 
     h_cut = _remove_pairs(path, particles)
-    w_cut = rsos.weight(h_cut)
-    k_cut = sum(1 for v in rsos.classify(h_cut) if v.scoring)
+    w_cut, cut_scoring, _ = rsos._scan(h_cut)
+    k_cut = len(cut_scoring)
     if k_cut != k - 2 * n:
         raise AssertionError("particle removal must drop the scoring count by 2n")
     if w_cut != w - sum(lam) - n * (k - n):
@@ -261,6 +265,7 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
     pp = t2 + 1
     if not (1 < a <= 2 * p and 1 < b < 2 * p):
         raise BijectionDomainError(f"(A,B)=({a},{b}) out of range for T={t2}")
+    hp._require_canonical(path)
 
     w_hat = hp.weight(path)
     mu, h_hat_cut = _lower_peaks(path, 0)
@@ -270,9 +275,7 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
         raise StructureError(f"integer-peak numbers {mu} do not define a partition")
 
     h_cut = RsosPath.of(p, pp, a, b, h_hat_cut.doubled)
-
-    info = rsos.classify(h_cut)
-    ns_list = [v.x for v in info if not v.scoring]
+    ns_list = _gaps(rsos._scan(h_cut)[1], h_cut.horizon + 1)
 
     def nonscoring_position(j: int) -> int:
         if j <= 0:
@@ -301,28 +304,21 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     if not (1 < a < pp and 1 < bb < pp):
         raise BijectionDomainError(f"(a, tail+1)=({a},{bb}) out of range")
 
-    w = rsos.weight(path)
-    info = rsos.classify(path)
-    scoring = [v.x for v in info if v.scoring]
+    w, scoring, _ = rsos._scan(path)
     k = len(scoring)
-    last_scoring = scoring[-1] if scoring else 0
-
-    nonscoring = sorted(set(range(1, last_scoring)).difference(scoring))
-    pairs = _pair_runs(nonscoring)
+    pairs = _pair_runs(_gaps(scoring, scoring[-1] if scoring else 0))
     lam = tuple(k - bisect_right(scoring, x2) for _, x2 in pairs)  # scoring after x2
     if not (all(x > 0 for x in lam) and _is_partition(lam)):
         raise AssertionError("pair labels must form a partition of positive parts")
     n = len(lam)
 
     h_cut = _remove_pairs(path, pairs)
-    cut_info = rsos.classify(h_cut)
-    k_cut = sum(1 for v in cut_info if v.scoring)
-    if k_cut != k:
+    w_cut, cut_scoring, m = rsos._scan(h_cut)
+    if len(cut_scoring) != k:
         raise AssertionError(
             "removing non-scoring pairs must not change the scoring count")
-    if rsos.weight(h_cut) != w - sum(lam):
+    if w_cut != w - sum(lam):
         raise AssertionError("cut-path weight bookkeeping failed")
-    m = sum(1 for v in cut_info if v.scoring and v.shape == rsos.PEAK)
 
     c = 0
     while c < n and lam[c] - (c + 1) >= k - m:
@@ -341,7 +337,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     h_hat_cut = HalfPath.of(2 * p - 1, bb, a, lifted)
 
     w_hat_cut = hp.weight(h_hat_cut)
-    if w_hat_cut != rsos.weight(h_cut):
+    if w_hat_cut != w_cut:
         raise AssertionError("flip and lift must preserve the weight")
     h_hat_int, w_hat_int, ell = _raise_peaks(h_hat_cut, w_hat_cut, mu)
     if ell != 2 * k - 2 * m:
@@ -382,6 +378,7 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     bb, a = path.a2, path.b2  # start of the flipped image, even tail reference
     if not (1 < a < pp and 1 < bb < pp):
         raise BijectionDomainError(f"(A,B)=({bb},{a}) out of range for T={t2}")
+    hp._require_canonical(path)
 
     w_hat = hp.weight(path)
 
@@ -438,10 +435,8 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     rev += [bb - 1, bb, bb - 1]
     h_cut = RsosPath.of(p, pp, a, bb - 1, rev)
 
-    cut_info = rsos.classify(h_cut)
-    scoring = [v.x for v in cut_info if v.scoring]
+    _, scoring, m = rsos._scan(h_cut)
     k = len(scoring)
-    m = sum(1 for v in cut_info if v.scoring and v.shape == rsos.PEAK)
 
     lam = tuple(mu[i] + (i + 1) + k - m - 1 for i in range(c)) + nu
     n = c + d

@@ -64,9 +64,12 @@ def cmd_paths(args) -> int:
         model, params = hp, (args.t2, args.A, args.B)
     if args.gf:
         _emit_series(model.generating_function(*params, args.max_weight), args.format)
-    else:
-        for path in model.enumerate_paths(*params, args.max_weight):
-            print(path.to_line())
+        return 0
+    paths = model.enumerate_paths(*params, args.max_weight)  # checks the parameters
+    if args.max_weight < 0:
+        raise ValueError(f"max weight must be nonnegative, got {args.max_weight}")
+    for path in paths:
+        print(path.to_line())
     return 0
 
 

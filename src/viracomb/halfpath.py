@@ -103,6 +103,16 @@ class HalfPath:
         return HalfPath.of(int(fields["T"]), int(fields["A"]), int(fields["B"]), hs)
 
 
+def _require_canonical(path: HalfPath) -> None:
+    """Refuse storage that `HalfPath.of` would not give, for callers that
+    read the stored heights as everything before the tail: the class itself
+    accepts any storage, and enumeration builds many paths.
+    """
+    if not lattice.is_canonical(path.doubled, path.b2):
+        raise lattice.InvalidPathError(
+            f"half path not stored canonically: {path.to_line()}")
+
+
 def straight_positions(path: HalfPath) -> list[int]:
     """Doubled positions 0..L of the straight vertices, position 0 read
     against the virtual H(-1) = A + 1.  Tail vertices past L are peaks and

@@ -56,6 +56,17 @@ def canonical(hs: list[int], b: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def is_canonical(hs: Sequence[int], b: int) -> bool:
+    """Whether hs is stored exactly through its canonical horizon, as
+    `canonical` leaves it: the horizon is even, its height lies in the tail
+    band, and the two heights before it do not both lie there.
+    """
+    horizon = len(hs) - 1
+    if horizon % 2 or hs[-1] not in (b, b + 1):
+        return False
+    return horizon == 0 or hs[-2] not in (b, b + 1) or hs[-3] not in (b, b + 1)
+
+
 def tail_height(stored: tuple[int, ...], b: int, x: int) -> int:
     """Height at position x >= 0, continuing the tail oscillation."""
     horizon = len(stored) - 1

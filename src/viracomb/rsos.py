@@ -155,16 +155,30 @@ def classify(path: RsosPath) -> list[VertexInfo]:
 
 def weight(path: RsosPath) -> int:
     """Sum of u over up-scoring and v over down-scoring vertices."""
+    return _scan(path)[0]
+
+
+def _scan(path: RsosPath) -> tuple[int, list[int], int]:
+    """One pass over the vertices 1..L: the weight, the positions of the
+    scoring vertices and the number of scoring peaks.  Every vertex's labels
+    are checked, scoring or not.
+    """
     _require_finite(path)
     dark = dark_floors(path.p, path.p_prime)
+    a = path.a
     hs = path.padded(path.horizon + 1)
     total = 0
+    scoring = []
+    peaks = 0
     for x in range(1, path.horizon + 1):
         prev, h, nxt = hs[x - 1], hs[x], hs[x + 1]
-        label = _label(path.a, x, prev, h)
+        label = _label(a, x, prev, h)
         if _scores(dark, prev, h, nxt):
             total += label
-    return total
+            scoring.append(x)
+            if nxt == prev < h:
+                peaks += 1
+    return total, scoring, peaks
 
 
 def _require_finite(path: RsosPath) -> None:

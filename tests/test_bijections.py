@@ -16,6 +16,7 @@ from viracomb.bijections import (
     inverse,
 )
 from viracomb.halfpath import HalfPath
+from viracomb.lattice import InvalidPathError
 from viracomb.rsos import RsosPath
 
 from data_paths import (
@@ -113,9 +114,31 @@ def test_bij2_domain_errors():
 def test_bij2_inverse_rejects_corrupted_input():
     # every validated half path is in the image, so corruption means a
     # constraint-violating sequence smuggled past the constructor
-    bad = HalfPath(7, 2, 4, (2, 3, 4, 3, 4, 5, 4))  # valley at height 3/2
+    bad = HalfPath(7, 2, 4, (2, 3, 4, 3, 4))  # valley at height 3/2
     with pytest.raises((StructureError, AssertionError)):
         bij2_inverse(bad)
+    # stored one tail oscillation too long, it is refused at the entry
+    with pytest.raises(InvalidPathError):
+        bij2_inverse(HalfPath(7, 2, 4, bad.doubled + (5, 4)))
+
+
+def test_inverses_refuse_non_canonical_storage():
+    # storage past or short of the horizon is refused before any stage
+    # reads it; the same paths stored canonically map and map back
+    for stored, canonical, image in [
+        ((4, 3, 2, 3, 2), (4, 3, 2), "rsos p=5 pp=9 a=2 b=3 h=2,3,4"),
+        ((4, 3, 2, 3), (4, 3, 2), "rsos p=5 pp=9 a=2 b=3 h=2,3,4"),
+        ((2, 3, 4, 3, 2, 3, 2), (2, 3, 4, 3, 2), None),
+        ((2, 3), (2,), None),
+    ]:
+        t2 = 9 if image else 8
+        with pytest.raises(InvalidPathError, match="not stored canonically"):
+            inverse(HalfPath(t2, stored[0], 2, stored))
+        path = HalfPath(t2, stored[0], 2, canonical)
+        assert path == HalfPath.of(t2, stored[0], 2, stored)
+        back = inverse(path)
+        assert image is None or back.to_line() == image
+        assert forward(back)[0] == path
 
 
 @pytest.mark.parametrize("p,a,b", [(2, 2, 2), (3, 4, 2), (4, 6, 4)])

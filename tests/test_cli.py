@@ -111,6 +111,15 @@ def test_paths_invalid_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_paths_negative_max_weight_exit_2(capsys):
+    # the listing must not print nothing and exit 0; --gf keeps its message
+    for model in (["rsos", "5", "11", "8", "2"], ["half", "--t2", "8", "--A", "2", "--B", "2"]):
+        code, out, err = run(capsys, ["paths", *model, "--max-weight", "-1"])
+        assert (code, out, err) == (2, "", "error: max weight must be nonnegative, got -1\n")
+        code, out, err = run(capsys, ["paths", *model, "--max-weight", "-1", "--gf"])
+        assert (code, out, err) == (2, "", "error: order must be nonnegative, got -1\n")
+
+
 def test_bijection_forward_trace(capsys, monkeypatch):
     code, out, _ = run(capsys, ["bijection", "forward", "--trace"],
                        stdin=rsos_line(RSOS_49) + "\n", monkeypatch=monkeypatch)

@@ -27,6 +27,22 @@ def test_canonical_trims_and_extends():
     assert lattice.canonical([2], 2) == (2,)
 
 
+def test_is_canonical_agrees_with_canonical():
+    # every unit-step sequence on 1..10 of at most 8 heights ending in {3, 4}
+    seqs = []
+    todo = [[h] for h in range(1, 11)]
+    while todo:
+        hs = todo.pop()
+        if hs[-1] in (3, 4):
+            seqs.append(hs)
+        if len(hs) < 8:
+            todo += [hs + [nh] for nh in (hs[-1] - 1, hs[-1] + 1) if 1 <= nh <= 10]
+    assert len(seqs) == 421
+    for hs in seqs:
+        assert lattice.is_canonical(hs, 3) == (lattice.canonical(hs, 3) == tuple(hs)), hs
+    assert sum(lattice.is_canonical(hs, 3) for hs in seqs) > 0
+
+
 def test_tail_continuation():
     stored = (5, 4, 3, 2)
     assert lattice.padded(stored, 2, 7) == [5, 4, 3, 2, 3, 2, 3, 2]
@@ -142,6 +158,7 @@ attempt(lambda: bijections.bij1_forward(rsos37))
 unchecked = RsosPath(3, 5, 2, 1, (3, 2, 1))  # starts at 3, not at a = 2
 attempt(lambda: rsos.weight(unchecked))
 attempt(lambda: rsos.classify(unchecked))
+attempt(lambda: rsos._scan(unchecked))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
@@ -153,6 +170,7 @@ attempt(lambda: rsos.classify(unchecked))
         " for a late band",
         "raised: charge form 1 of (1,) is odd",
         "raised: verbatim reread must preserve the weight",
+        "raised: classify: vertex 1 has labels u=0, v=0",
         "raised: classify: vertex 1 has labels u=0, v=0",
         "raised: classify: vertex 1 has labels u=0, v=0",
     ]

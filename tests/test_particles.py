@@ -7,6 +7,7 @@ from viracomb import halfpath as hp
 from viracomb import particles
 from viracomb.characters import fermionic_character_12, m_vector, occupation_vectors
 from viracomb.halfpath import HalfPath
+from viracomb.lattice import InvalidPathError
 from viracomb.particles import (
     apply_move,
     dissect,
@@ -53,6 +54,19 @@ def test_dissect_baselines_have_integer_heights():
 def test_dissect_requires_corner_heights():
     with pytest.raises(ValueError):
         dissect(HalfPath.of(10, 4, 8, [4, 5, 6, 7, 8]))
+
+
+def test_dissect_refuses_non_canonical_storage():
+    # the scan reads the stored heights as everything before the tail, so
+    # storage short of or past the horizon would give other particles
+    with pytest.raises(InvalidPathError, match="not stored canonically"):
+        dissect(HalfPath(8, 2, 2, (2, 3, 4, 3)))
+    with pytest.raises(InvalidPathError):
+        dissect(HalfPath(8, 2, 2, (2, 3, 4, 3, 2, 3, 2)))
+    dis = dissect(HalfPath(8, 2, 2, (2, 3, 4, 3, 2)))
+    assert dis == dissect(HalfPath.of(8, 2, 2, (2, 3, 4, 3)))
+    assert [p.charge2 for p in dis.particles] == [2]
+    assert dis.sector == (1, 0, 0, 0, 0)
 
 
 def test_ground_state_dissects_to_zero_sector():

@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from viracomb.characters import CharacterLabel, bosonic_character
 from viracomb.qseries import QSeries
 from viracomb.rsos import (
+    PEAK,
     InfiniteWeightError,
     InvalidPathError,
     RsosPath,
@@ -12,6 +15,7 @@ from viracomb.rsos import (
     generating_function,
     tail_band_index,
     weight,
+    _scan,
 )
 
 from data_paths import (
@@ -23,6 +27,7 @@ from data_paths import (
     RSOS_49_DOWN,
     RSOS_49_UP,
     RSOS_49_WEIGHT,
+    walk,
 )
 from oracles import weight_edgewise
 
@@ -137,6 +142,34 @@ def test_generating_function_is_character(p, pp, a, b, label):
 def test_edgewise_identity_on_enumerated_set():
     for p in enumerate_paths(3, 7, 4, 2, 8):
         assert weight(p) == weight_edgewise(p)
+
+
+def _scan_by_classify(path):
+    info = classify(path)
+    return (weight(path), [v.x for v in info if v.scoring],
+            sum(1 for v in info if v.scoring and v.shape == PEAK))
+
+
+@pytest.mark.parametrize("p,pp,a,b", [(3, 7, 4, 2), (4, 9, 8, 6), (4, 7, 6, 1),
+                                      (5, 9, 2, 3)])
+def test_scan_matches_weight_and_classify(p, pp, a, b):
+    paths = enumerate_paths(p, pp, a, b, 9)
+    assert len(paths) > 20
+    for path in paths:
+        assert _scan(path) == _scan_by_classify(path), path.to_line()
+
+
+def test_scan_matches_weight_and_classify_on_long_walks():
+    rnd = random.Random(5)
+    for i in range(40):
+        p = rnd.randint(3, 6)
+        pp = 2 * p + rnd.choice((1, -1))
+        a = rnd.randint(1, pp - 1)
+        b = rnd.choice(sorted(dark_floors(p, pp)))
+        path = RsosPath.of(p, pp, a, b, walk(rnd, a, 1, pp - 1, b, 100 if i < 36 else 1500))
+        scanned = _scan(path)
+        assert scanned == _scan_by_classify(path), path.to_line()
+        assert scanned[0] == weight_edgewise(path)
 
 
 def test_line_roundtrip(path49):
