@@ -147,18 +147,19 @@ def _remove_pairs(path: RsosPath, pairs: list[tuple[int, int]]) -> RsosPath:
     return RsosPath.of(path.p, path.p_prime, path.a, path.b, cut)
 
 
-def _raise_peaks(h: HalfPath, w: int, mu: tuple[int, ...]) -> tuple[HalfPath, int, int]:
+def _raise_peaks(h: HalfPath, scan: tuple[int, int, list[int]],
+                 mu: tuple[int, ...]) -> tuple[HalfPath, int]:
     """Raise the peaks numbered mu from the left (tail peaks included) by a
-    notch each, given the weight w of h.
+    notch each, given `hp._scan(h)`: the weight w, the straight-vertex count
+    l and the peaks of h.
 
-    Returns the raised path, its weight and the straight-vertex count l of
-    h.  Raising c peaks adds exactly c(l+c-1)/2 + |mu| to the weight.
+    Returns the raised path and its weight.  Raising c peaks adds exactly
+    c(l+c-1)/2 + |mu| to the weight.
     """
+    w, ell, tops = scan
     c = len(mu)
     if not (all(x >= 1 for x in mu) and all(mu[i] > mu[i + 1] for i in range(c - 1))):
         raise AssertionError("peak numbers must be positive and strictly decrease")
-    ell = len(hp.straight_positions(h))
-    tops = lattice.peaks(h.padded(h.horizon + 1), h.horizon + 1)
     # numbers past the stored peaks land on the tail's peaks, two apart
     at = [tops[x - 1] if x <= len(tops) else h.horizon + 1 + 2 * (x - len(tops) - 1)
           for x in mu]
@@ -166,7 +167,7 @@ def _raise_peaks(h: HalfPath, w: int, mu: tuple[int, ...]) -> tuple[HalfPath, in
     w_raised = hp.weight(raised)
     if w_raised != w + c * (ell + c - 1) // 2 + sum(mu):
         raise AssertionError("peak raising weight bookkeeping failed")
-    return raised, w_raised, ell
+    return raised, w_raised
 
 
 def _lower_peaks(h: HalfPath, parity: int) -> tuple[tuple[int, ...], HalfPath]:
@@ -224,6 +225,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
         raise BijectionDomainError(f"start a={a} and tail b={b} must be even")
     if not (1 < a <= 2 * p and 1 < b < 2 * p):
         raise BijectionDomainError(f"(a,b)=({a},{b}) out of range for p={p}")
+    lattice.require_canonical(path, path.heights, b)
 
     w, scoring, _ = rsos._scan(path)
     k = len(scoring)
@@ -244,13 +246,13 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
         raise AssertionError("cut-path weight bookkeeping failed")
 
     h_hat_cut = HalfPath.of(2 * p, a, b, h_cut.heights)
-    w_hat_cut = hp.weight(h_hat_cut)
-    if w_hat_cut != w_cut:
+    scan = hp._scan(h_hat_cut)
+    if scan[0] != w_cut:
         raise AssertionError("verbatim reread must preserve the weight")
 
     mu = tuple(lam[i] + n - i for i in range(n))  # lam_i + n + 1 - (i+1)
-    h_hat, w_hat, ell = _raise_peaks(h_hat_cut, w_hat_cut, mu)
-    if ell != 2 * k_cut:
+    h_hat, w_hat = _raise_peaks(h_hat_cut, scan, mu)
+    if scan[1] != 2 * k_cut:
         raise AssertionError("verbatim reread must double the straight-vertex count")
     if w_hat != w:
         raise AssertionError("the map must preserve the weight")
@@ -265,7 +267,7 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
     pp = t2 + 1
     if not (1 < a <= 2 * p and 1 < b < 2 * p):
         raise BijectionDomainError(f"(A,B)=({a},{b}) out of range for T={t2}")
-    hp._require_canonical(path)
+    lattice.require_canonical(path, path.doubled, path.b2)
 
     w_hat = hp.weight(path)
     mu, h_hat_cut = _lower_peaks(path, 0)
@@ -303,6 +305,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
         )
     if not (1 < a < pp and 1 < bb < pp):
         raise BijectionDomainError(f"(a, tail+1)=({a},{bb}) out of range")
+    lattice.require_canonical(path, path.heights, path.b)
 
     w, scoring, _ = rsos._scan(path)
     k = len(scoring)
@@ -336,11 +339,11 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     lifted += [a + 1, a, a + 1, a]
     h_hat_cut = HalfPath.of(2 * p - 1, bb, a, lifted)
 
-    w_hat_cut = hp.weight(h_hat_cut)
-    if w_hat_cut != w_cut:
+    scan = hp._scan(h_hat_cut)
+    if scan[0] != w_cut:
         raise AssertionError("flip and lift must preserve the weight")
-    h_hat_int, w_hat_int, ell = _raise_peaks(h_hat_cut, w_hat_cut, mu)
-    if ell != 2 * k - 2 * m:
+    h_hat_int, w_hat_int = _raise_peaks(h_hat_cut, scan, mu)
+    if scan[1] != 2 * k - 2 * m:
         raise AssertionError("flip and lift must leave 2k - 2m straight vertices")
 
     accretion = _accretion_positions(h_hat_int)
@@ -378,7 +381,7 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     bb, a = path.a2, path.b2  # start of the flipped image, even tail reference
     if not (1 < a < pp and 1 < bb < pp):
         raise BijectionDomainError(f"(A,B)=({bb},{a}) out of range for T={t2}")
-    hp._require_canonical(path)
+    lattice.require_canonical(path, path.doubled, path.b2)
 
     w_hat = hp.weight(path)
 

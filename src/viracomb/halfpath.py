@@ -15,6 +15,7 @@ the integer weight used everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import lattice
 from .qseries import QSeries
@@ -103,30 +104,6 @@ class HalfPath:
         return HalfPath.of(int(fields["T"]), int(fields["A"]), int(fields["B"]), hs)
 
 
-def _require_canonical(path: HalfPath) -> None:
-    """Refuse storage that `HalfPath.of` would not give, for callers that
-    read the stored heights as everything before the tail: the class itself
-    accepts any storage, and enumeration builds many paths.
-    """
-    if not lattice.is_canonical(path.doubled, path.b2):
-        raise lattice.InvalidPathError(
-            f"half path not stored canonically: {path.to_line()}")
-
-
-def straight_positions(path: HalfPath) -> list[int]:
-    """Doubled positions 0..L of the straight vertices, position 0 read
-    against the virtual H(-1) = A + 1.  Tail vertices past L are peaks and
-    valleys, so the list is complete.
-    """
-    hs = path.padded(path.horizon + 1) + [path.a2 + 1]  # index -1 reads H(-1)
-    return [i for i in range(path.horizon + 1) if hs[i - 1] != hs[i + 1]]
-
-
-def raw_weight_quarters(path: HalfPath) -> int:
-    """Sum of doubled positions of straight vertices, in quarter-units."""
-    return sum(straight_positions(path))
-
-
 def theorem1_domain(t2: int, a2: int, b2: int) -> bool:
     """Whether (A, B) is an admissible doubled start/tail pair for T."""
     if t2 < 4 or a2 % 2 or b2 % 2:
@@ -165,8 +142,27 @@ def _ground_quarters(t2: int, a2: int, b2: int) -> int:
 
 def weight(path: HalfPath) -> int:
     """Raw weight minus the ground-state raw weight, in whole units."""
+    return _scan(path)[0]
+
+
+def _scan(path: HalfPath) -> tuple[int, int, list[int]]:
+    """One pass over the doubled positions 0..L, position 0 read against
+    H(-1) = A + 1: the weight, the number of straight vertices and the
+    positions of the peaks.
+    """
+    hs = path.padded(path.horizon + 1)
+    quarters = straights = 0
+    peaks = []
+    before = path.a2 + 1
+    for i, h, after in zip(range(path.horizon + 1), hs, hs[1:]):
+        if before != after:
+            quarters += i
+            straights += 1
+        elif h > after:
+            peaks.append(i)
+        before = h
     gs_q = _ground_quarters(path.t2, path.a2, path.b2)
-    return _whole_units(raw_weight_quarters(path) - gs_q)
+    return _whole_units(quarters - gs_q), straights, peaks
 
 
 def _whole_units(diff: int) -> int:
@@ -181,13 +177,13 @@ def _whole_units(diff: int) -> int:
     return units
 
 
-def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.Found:
-    """All paths of weight <= max_weight, in order of their doubled heights,
-    each with its weight (`.weights`).
+def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.PathSet:
+    """All paths of weight <= max_weight, listed in order of their doubled
+    heights; `counts` are by raw weight in quarter-units.
     """
     gs_q = _ground_quarters(t2, a2, b2)  # checks the domain
     if max_weight < 0:
-        return lattice.Found()
+        return lattice.PathSet([])
 
     def cost(i: int, prev: int, h: int, nxt: int) -> int | None:
         # a straight vertex adds its doubled position in quarter-units
@@ -207,11 +203,14 @@ def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.Found
 
     budget = 4 * max_weight + gs_q
     horizon = 4 * max_weight + 2 * abs(a2 - b2) + 8
-    found = lattice.search(a2, b2, 2, t2, budget, horizon, cost, future, leave,
-                           f"(T,A,B)=({t2},{a2},{b2})")
-    return lattice.Found((HalfPath(t2, a2, b2, hs) for hs, _ in found),
-                         (_whole_units(q - gs_q) for _, q in found))
+    return lattice.search(a2, b2, 2, t2, budget, horizon, cost, future, leave,
+                          f"(T,A,B)=({t2},{a2},{b2})", partial(HalfPath, t2, a2, b2))
 
 
 def generating_function(t2: int, a2: int, b2: int, order: int) -> QSeries:
-    return lattice.weight_series(enumerate_paths(t2, a2, b2, order).weights, order)
+    """Every fourth raw-weight count from the ground state on: no path listed."""
+    counts = enumerate_paths(t2, a2, b2, order).counts
+    gs_q = _ground_quarters(t2, a2, b2)
+    for q in (q for q, n in enumerate(counts) if n):
+        _whole_units(q - gs_q)  # every raw weight lies on the ground state's grid
+    return QSeries(order, tuple(counts[gs_q::4]))

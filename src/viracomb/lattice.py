@@ -10,8 +10,7 @@ peak and valley scans, and one bounded path search.
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-from .qseries import QSeries
+from operator import add
 
 
 class InvalidPathError(ValueError):
@@ -67,6 +66,15 @@ def is_canonical(hs: Sequence[int], b: int) -> bool:
     return horizon == 0 or hs[-2] not in (b, b + 1) or hs[-3] not in (b, b + 1)
 
 
+def require_canonical(path, stored: Sequence[int], b: int) -> None:
+    """Refuse a path whose storage `canonical` would not give, for callers
+    that read the stored heights as everything before the tail: the path
+    classes accept any storage, and enumeration builds many paths.
+    """
+    if not is_canonical(stored, b):
+        raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
+
+
 def tail_height(stored: tuple[int, ...], b: int, x: int) -> int:
     """Height at position x >= 0, continuing the tail oscillation."""
     horizon = len(stored) - 1
@@ -111,29 +119,41 @@ def turns(hs: Sequence[int], hi: int) -> tuple[list[int], list[int]]:
     return peaks, valleys
 
 
-class Found(list):
-    """The paths a search found, in height order; `weights[i]` is the
-    weight the search accumulated for the i-th path.
+class PathSet:
+    """The paths one `search` found.  `counts[k]` is the number of paths of
+    cost k <= budget, known before any path is listed, and `len()` is their
+    sum.  Iteration lists the paths in height order, each built from its
+    height tuple by `build`, by a pre-order walk, lower step first, that
+    descends only where a completion fits the budget.
     """
 
-    def __init__(self, paths=(), weights=()) -> None:
-        super().__init__(paths)
-        self.weights = list(weights)
+    def __init__(self, counts: list[int], root: tuple = (), build=tuple) -> None:
+        self.counts = counts  # one entry per cost 0..budget
+        self._root = root  # the walk's first entry, () for no paths
+        self._build = build
 
+    def __len__(self) -> int:
+        return sum(self.counts)
 
-def weight_series(weights, order: int) -> QSeries:
-    """The generating function sum q^w over the weights, truncated."""
-    coeffs = [0] * (order + 1)
-    for w in weights:
-        coeffs[w] += 1
-    return QSeries(order, tuple(coeffs))
+    def __iter__(self):
+        budget, build, hs = len(self.counts) - 1, self._build, []
+        todo = [self._root] if self._root else []
+        while todo:
+            x, h, w, (junction, kids) = todo.pop()
+            del hs[x:]
+            hs.append(h)
+            if junction is not None and w + junction <= budget:
+                yield build(tuple(hs))
+            for nh, c, need, node in kids:
+                if w + need <= budget:
+                    todo.append((x + 1, nh, w + c, node))
 
 
 def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
-           cost, future, leave, what: str) -> list[tuple[tuple[int, ...], int]]:
+           cost, future, leave, what: str, build=tuple) -> PathSet:
     """Every canonical path of unit steps in heights lo..hi, from `start`
-    into the tail band {b, b+1}, whose accumulated cost stays within budget;
-    each with that cost, in height order.
+    into the tail band {b, b+1}, whose accumulated cost stays within budget:
+    a `PathSet` that counts them by cost and lists them through `build`.
 
     The model enters through three functions:
 
@@ -150,20 +170,21 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
 
     Everything ahead of a node depends only on its position and its state
     (prev, h, run), where run means that the last three heights all lie in
-    the band; so the search works in three passes over states.  A forward
+    the band; so the search works in two passes over states.  A forward
     pass keeps the least cost of reaching each state, layer by layer, and
     prunes steps by the budget and both bounds.  The hard horizon only
     guards against a search that never ends: a state still live past it
     raises, so a result is exactly what an unbounded search would return.
-    A backward pass gives each live state the least cost of completing a
-    path from it.  A pre-order walk, lower step first, then descends only
-    where a completion fits the budget, so it visits only prefixes of the
-    paths it emits, and emits them in height order.
+    A backward pass, the counting recursion of the 1D configuration sums
+    (Andrews, Baxter and Forrester, J. Stat. Phys. 35, 1984), gives each
+    state its completion counts by cost up to its room, the budget less its
+    least reach cost.  The root's counts are the result's; a state's first
+    nonzero count is its least completion cost, all the walk needs to prune.
     """
     band = (b, b + 1)
     root = (None, start, False)
-    # forward: per layer, each live state with its surviving steps
-    # (nh, vertex cost, child state)
+    # forward: per layer, each live state with its room and its surviving
+    # steps (nh, vertex cost, child state)
     layers: list[dict] = []
     reach = {root: 0}
     x = 0
@@ -177,7 +198,8 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
         nxt: dict = {}
         for state, w in reach.items():
             prev, h, _ = state
-            out = steps[state] = []
+            out = []
+            steps[state] = (budget - w, out)
             for nh in (h - 1, h + 1):
                 if not lo <= nh <= hi:
                     continue
@@ -200,45 +222,51 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
         reach = nxt
         x += 1
 
-    # backward: each state's least completion cost and its walk node,
-    # (junction cost or None, [(nh, c, c + child's completion, child node)]);
-    # the higher step comes first, so the walk's stack pops the lower one
-    # first, and a state with no completion is dropped
+    # backward: each state's counts, least completion cost and walk node,
+    # (junction cost or None, [(nh, c, c + child's least cost, child node)],
+    # higher step first, so the walk pops the lower one first).  A child's
+    # room is at least the parent's less c, so its counts cover the parent's
+    # room; a list may stop short of its room (the rest are zeros) and is
+    # shared where one route needs no shift.  Steps and states with nothing
+    # in their room are dropped.
     below: dict = {}
     for x in range(len(layers) - 1, -1, -1):
         here = {}
-        for state, out in layers[x].items():
+        for state, (room, out) in layers[x].items():
             prev, h, run = state
+            routes = []  # (cost shift, counts)
+            least = room + 1
             junction = None
             if x % 2 == 0 and h in band and not run:
                 # a canonical horizon: the junction vertex is costed
                 # against the tail that follows it
                 junction = cost(x, prev, h, b + 1 if h == b else b) if x else 0
+                if junction <= room:
+                    routes.append((junction, [1]))
+                    least = junction
             kids = []
-            best = junction
             for nh, c, child in reversed(out):
                 if child in below:
-                    rest, node = below[child]
-                    kids.append((nh, c, c + rest, node))
-                    if best is None or c + rest < best:
-                        best = c + rest
-            if best is not None:
-                here[state] = (best, (junction, kids))
+                    more, need, node = below[child]
+                    need += c
+                    if need <= room:
+                        routes.append((c, more))
+                        kids.append((nh, c, need, node))
+                        if need < least:
+                            least = need
+            if not routes:
+                continue
+            if len(routes) == 1:
+                c, more = routes[0]
+                counts = more if not c and len(more) <= room + 1 else \
+                    [0] * c + more[:room + 1 - c]
+            else:
+                counts = [0] * (room + 1)
+                for c, more in routes:
+                    counts[c:c + len(more)] = map(add, counts[c:], more)
+            here[state] = (counts, least, (junction, kids))
         below = here
     if not below:
-        return []
-
-    # walk: descend only where a completion fits the budget
-    results: list[tuple[tuple[int, ...], int]] = []
-    hs: list[int] = []
-    todo = [(0, start, 0, below[root][1])]
-    while todo:
-        x, h, w, (junction, kids) = todo.pop()
-        del hs[x:]
-        hs.append(h)
-        if junction is not None and w + junction <= budget:
-            results.append((tuple(hs), w + junction))
-        for nh, c, need, node in kids:
-            if w + need <= budget:
-                todo.append((x + 1, nh, w + c, node))
-    return results
+        return PathSet([0] * (budget + 1))
+    counts, _, node = below[root]
+    return PathSet(counts + [0] * (budget + 1 - len(counts)), (0, start, 0, node), build)

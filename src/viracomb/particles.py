@@ -64,7 +64,7 @@ def dissect(path: HalfPath) -> Dissection:
     """
     if path.a2 != 2 or path.b2 != 2:
         raise ValueError("dissection is defined on paths from height 1 to height 1")
-    hp._require_canonical(path)
+    lattice.require_canonical(path, path.doubled, path.b2)
     t2 = path.t2
     H = path.doubled
     horizon = path.horizon

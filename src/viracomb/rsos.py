@@ -11,19 +11,20 @@ Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors.  Enumeration of all paths up to a weight bound is
 one `lattice.search`: a forward pass over search states with exact
 lower-bound pruning, which raises if a state is still live past the hard
-horizon, a backward pass giving each state its least completion cost, and
-a walk that visits only prefixes of the paths it emits.
+horizon, a backward pass counting each state's completions by weight, and
+a walk, run only to list the paths, that visits only prefixes of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from typing import NamedTuple
 
 from . import lattice
 from .lattice import InvalidPathError
+from .qseries import QSeries
 
 
 class InfiniteWeightError(ValueError):
@@ -191,14 +192,14 @@ def _require_finite(path: RsosPath) -> None:
 
 def enumerate_paths(
     p: int, p_prime: int, a: int, b: int, max_weight: int
-) -> lattice.Found:
-    """All paths of weight <= max_weight, in order of their height tuples,
-    each with its weight (`.weights`).
+) -> lattice.PathSet:
+    """All paths of weight <= max_weight, counted by weight (`counts`) and
+    listed in order of their height tuples.
 
     One `lattice.search` over states with exact lower-bound pruning.  The
     result is complete: the search raises if any state is still live past
     its hard horizon, 2 * max_weight + |a - b| + 2p'.  Its walk visits only
-    prefixes of the returned paths, so the cost follows the output.
+    prefixes of the listed paths, so listing costs follow the output.
     """
     if not 1 <= a <= p_prime - 1:
         raise InvalidPathError(f"start height a={a} out of range")
@@ -207,7 +208,7 @@ def enumerate_paths(
             f"b={b} is not a dark-band floor for ({p},{p_prime}); weights diverge"
         )
     if max_weight < 0:
-        return lattice.Found()
+        return lattice.PathSet([])
     dark = dark_floors(p, p_prime)
     top = p_prime - 1
 
@@ -239,12 +240,10 @@ def enumerate_paths(
         return min(opts) if opts else max_weight + 1
 
     horizon = 2 * max_weight + abs(a - b) + 2 * p_prime
-    found = lattice.search(a, b, 1, top, max_weight, horizon, cost, future, leave,
-                           f"({p},{p_prime},{a},{b})")
-    return lattice.Found((RsosPath(p, p_prime, a, b, hs) for hs, _ in found),
-                         (w for _, w in found))
+    return lattice.search(a, b, 1, top, max_weight, horizon, cost, future, leave,
+                          f"({p},{p_prime},{a},{b})", partial(RsosPath, p, p_prime, a, b))
 
 
-def generating_function(p: int, p_prime: int, a: int, b: int, order: int):
-    """Weight generating function of the path set, truncated to the order."""
-    return lattice.weight_series(enumerate_paths(p, p_prime, a, b, order).weights, order)
+def generating_function(p: int, p_prime: int, a: int, b: int, order: int) -> QSeries:
+    """Weight generating function of the path set, counted with no path listed."""
+    return QSeries(order, tuple(enumerate_paths(p, p_prime, a, b, order).counts))

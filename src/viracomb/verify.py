@@ -169,7 +169,7 @@ def _job_bijection(family: int, p: int, a: int, tail: int, max_weight: int) -> V
     name = f"bij{family}({p},{pp},a={a},tail={tail})"
     params = dict(family=family, p=p, pp=pp, a=a, tail=tail, max_weight=max_weight)
     paths = rs.enumerate_paths(p, pp, a, tail, max_weight)
-    halves = hp.enumerate_paths(*half_args, max_weight)
+    halves = list(hp.enumerate_paths(*half_args, max_weight))
 
     def report(ok: bool, **detail) -> VerifyReport:
         return VerifyReport("bijections", name, params, max_weight, ok, detail=detail)

@@ -2,7 +2,8 @@
 
 The weight formulas compute a path's weight by a route other than the one
 `rsos.weight` or `halfpath.weight` takes, so an agreement on many paths
-checks both.  `dissect_reference` is the particle dissection as it was
+checks both; `raw_weight_quarters` is the half-path raw weight as the
+paper defines it, a sum over a list of the straight vertices.  `dissect_reference` is the particle dissection as it was
 written before the one-scan version: a peak scan and a valley scan over
 heights padded into the tail, and a closure that walks each baseline to its
 far side.  The program itself never needs them.
@@ -11,9 +12,23 @@ far side.  The program itself never needs them.
 from bisect import bisect_left
 
 from viracomb import lattice, rsos
-from viracomb.halfpath import HalfPath, raw_weight_quarters
+from viracomb.halfpath import HalfPath
 from viracomb.particles import Dissection, DissectionError, Particle
 from viracomb.rsos import RsosPath
+
+
+def straight_positions(path: HalfPath) -> list[int]:
+    """Doubled positions 0..L of the straight vertices, position 0 read
+    against the virtual H(-1) = A + 1.  Tail vertices past L are peaks and
+    valleys, so the list is complete.
+    """
+    hs = path.padded(path.horizon + 1) + [path.a2 + 1]  # index -1 reads H(-1)
+    return [i for i in range(path.horizon + 1) if hs[i - 1] != hs[i + 1]]
+
+
+def raw_weight_quarters(path: HalfPath) -> int:
+    """Sum of doubled positions of straight vertices, in quarter-units."""
+    return sum(straight_positions(path))
 
 
 def weight_edgewise(path: RsosPath) -> int:

@@ -10,7 +10,7 @@ from math import gcd
 from viracomb import halfpath as hp
 from viracomb import rsos
 from viracomb.bijections import bij1_forward, bij2_forward
-from viracomb.halfpath import HalfPath, ground_state, raw_weight_quarters
+from viracomb.halfpath import HalfPath, ground_state
 from viracomb.particles import dissect, minimal_path, minimal_weight
 from viracomb.qseries import QSeries, q_binomial
 from viracomb.rsos import RsosPath
@@ -51,7 +51,7 @@ from data_paths import (
     RSOS_49,
     RSOS_49_CUT,
 )
-from oracles import weight_edgewise, weight_extended
+from oracles import raw_weight_quarters, weight_edgewise, weight_extended
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:

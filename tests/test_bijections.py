@@ -141,6 +141,22 @@ def test_inverses_refuse_non_canonical_storage():
         assert forward(back)[0] == path
 
 
+def test_forwards_refuse_non_canonical_storage():
+    # one oscillation past the horizon, storage ending outside the tail
+    # band, and two oscillations past it, for both families
+    for p, pp, a, b, stored in [(3, 7, 6, 4, (6, 5, 4, 3, 4, 5, 4)),
+                                (5, 11, 10, 8, (10, 9, 8, 7)),
+                                (4, 7, 6, 1, (6, 5, 4, 3, 2, 1, 2, 1, 2))]:
+        path = RsosPath(p, pp, a, b, stored)
+        with pytest.raises(InvalidPathError, match=f"not stored canonically: {path.to_line()}"):
+            forward(path)
+    # storage that leaves the band and comes back is the canonical storage
+    # of another path, and maps as that path
+    path = RsosPath(3, 7, 6, 4, (6, 5, 4, 3, 4, 3, 4))
+    assert path == RsosPath.of(3, 7, 6, 4, path.heights)
+    assert inverse(forward(path)[0]) == path
+
+
 @pytest.mark.parametrize("p,a,b", [(2, 2, 2), (3, 4, 2), (4, 6, 4)])
 def test_bij1_roundtrip_small(p, a, b):
     pp = 2 * p + 1

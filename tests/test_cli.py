@@ -105,6 +105,26 @@ def test_paths_listing_parses_back(capsys):
         assert RsosPath.from_line(line).to_line() == line
 
 
+@pytest.mark.parametrize("model", [["rsos", "5", "11", "8", "2"],
+                                   ["half", "--t2", "8", "--A", "2", "--B", "2"]])
+def test_paths_gf_counts_the_listed_lines(capsys, model):
+    # --gf counts without listing; the lines the listing prints, parsed back
+    # and weighed one by one, must give the same series
+    from viracomb import halfpath, rsos
+
+    cls, weight = {"rsos": (rsos.RsosPath, rsos.weight),
+                   "half": (halfpath.HalfPath, halfpath.weight)}[model[0]]
+    code, gf, _ = run(capsys, ["paths", *model, "--max-weight", "12", "--gf"])
+    assert code == 0
+    code, out, _ = run(capsys, ["paths", *model, "--max-weight", "12"])
+    assert code == 0
+    counts = [0] * 13
+    for line in out.splitlines():
+        counts[weight(cls.from_line(line))] += 1
+    assert sum(counts) > 100
+    assert gf.strip() == ",".join(map(str, counts))
+
+
 def test_paths_invalid_exit_2(capsys):
     code, _, err = run(capsys, ["paths", "rsos", "4", "9", "8", "5",
                                 "--max-weight", "2"])

@@ -1,6 +1,6 @@
 import pytest
 
-from viracomb import halfpath
+from viracomb import halfpath, lattice
 from viracomb.characters import bosonic_character, theorem1_label
 from viracomb.halfpath import (
     HalfPath,
@@ -9,7 +9,6 @@ from viracomb.halfpath import (
     find_violation,
     generating_function,
     ground_state,
-    raw_weight_quarters,
     theorem1_domain,
     weight,
 )
@@ -27,7 +26,7 @@ from data_paths import (
     HALF_10_RAW_QUARTERS,
     HALF_10_WEIGHT,
 )
-from oracles import weight_extended
+from oracles import raw_weight_quarters, straight_positions, weight_extended
 
 
 def test_validate_accepts_integer_valleys():
@@ -58,7 +57,7 @@ def test_raw_weight_golden():
     assert raw_weight_quarters(path) == HALF_10_RAW_QUARTERS
     gs = ground_state(10, 4, 8)
     assert gs.doubled == (4, 5, 6, 7, 8)
-    assert halfpath.straight_positions(gs) == [1, 2, 3, 4]  # H(-1) = 5 = H(1)
+    assert straight_positions(gs) == [1, 2, 3, 4]  # H(-1) = 5 = H(1)
     assert raw_weight_quarters(gs) == HALF_10_GS_QUARTERS
     assert weight(path) == HALF_10_WEIGHT
 
@@ -66,7 +65,7 @@ def test_raw_weight_golden():
 def test_descending_ground_state():
     gs = ground_state(8, 8, 6)
     assert gs.doubled == (8, 7, 6)
-    assert halfpath.straight_positions(gs) == [0, 1]  # H(-1) = 9 above H(1) = 7
+    assert straight_positions(gs) == [0, 1]  # H(-1) = 9 above H(1) = 7
     assert raw_weight_quarters(gs) == 1
 
 
@@ -100,9 +99,20 @@ def test_weight_extended_on_enumerated_set():
         assert weight_extended(path) == weight(path)
 
 
+@pytest.mark.parametrize("t2,a2,b2", [(8, 8, 6), (7, 2, 6), (9, 4, 2), (10, 2, 2)])
+def test_scan_matches_straights_and_peaks(t2, a2, b2):
+    paths = list(enumerate_paths(t2, a2, b2, 9))
+    assert len(paths) > 20
+    for path in paths:
+        hs = path.padded(path.horizon + 1)
+        assert halfpath._scan(path) == (weight_extended(path), len(straight_positions(path)),
+                                        lattice.peaks(hs, path.horizon + 1)), path.to_line()
+
+
 def test_enumerate_ground_state_only():
     paths = enumerate_paths(4, 2, 2, 0)
-    assert paths == [ground_state(4, 2, 2)]
+    assert list(paths) == [ground_state(4, 2, 2)]
+    assert len(paths) == 1
 
 
 def test_enumerate_counts_match_character():

@@ -2,13 +2,16 @@ import gc
 import os
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from viracomb import halfpath as hp
 from viracomb import lattice
 from viracomb import rsos
+from viracomb.characters import CharacterLabel, bosonic_character, theorem1_label
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -79,45 +82,77 @@ def test_search_refuses_a_live_branch_at_the_horizon():
 
 def test_search_leaves_no_garbage():
     # nothing a search builds refers to itself, so reference counting frees
-    # it all on return and the cyclic collector finds nothing
+    # it all on return, or once a listing ends, and the cyclic collector
+    # finds nothing
     gc.collect()
     gc.disable()
     try:
         rsos.enumerate_paths(3, 5, 2, 1, 6)
         hp.enumerate_paths(8, 2, 2, 6)
+        assert len(list(rsos.enumerate_paths(4, 9, 8, 6, 8))) > 20
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-# The search accumulates each path's weight as it goes; generating_function
-# counts those weights instead of re-weighing, so they must agree with the
-# weight functions on every path.  The paths come in strictly increasing
-# height order without a sort.
+# The generating functions count paths by weight in the search's counting
+# pass and list none, so the listing is their independent oracle: on every
+# label of acceptance criterion 3f, the paths the walk lists, weighed one
+# by one, must give the same series, and as many paths as `len()` counts.
+# The paths come in strictly increasing height order without a sort.
 
-RSOS_FAMILIES = [(3, 7), (4, 9), (3, 5), (4, 7), (2, 5), (3, 8), (5, 7)]
+ORDER = 10
+RSOS_FAMILIES = [(p, pp) for pp in range(3, 14) for p in range(2, pp) if gcd(p, pp) == 1]
+
+
+def _histogram(paths, weigh) -> list[int]:
+    counts = [0] * (ORDER + 1)
+    for path in paths:
+        counts[weigh(path)] += 1
+    return counts
 
 
 @pytest.mark.parametrize("p,pp", RSOS_FAMILIES)
 def test_rsos_search_weights_match_weight(p, pp):
     for a in range(1, pp):
         for b in sorted(rsos.dark_floors(p, pp)):
-            paths = rsos.enumerate_paths(p, pp, a, b, 7)
-            assert paths.weights == [rsos.weight(x) for x in paths], (p, pp, a, b)
-            heights = [x.heights for x in paths]
+            paths = rsos.enumerate_paths(p, pp, a, b, ORDER)
+            listed = list(paths)
+            gf = rsos.generating_function(p, pp, a, b, ORDER)
+            assert _histogram(listed, rsos.weight) == list(gf.coeffs), (p, pp, a, b)
+            assert len(paths) == len(listed) == sum(gf.coeffs)
+            heights = [x.heights for x in listed]
             assert all(u < v for u, v in zip(heights, heights[1:])), (p, pp, a, b)
 
 
-@pytest.mark.parametrize("t2", [5, 6, 7, 8, 9])
+@pytest.mark.parametrize("t2", range(4, 15))
 def test_half_search_weights_match_weight(t2):
     for a2 in range(2, t2 + 1, 2):
         for b2 in range(2, t2 + 1, 2):
             if not hp.theorem1_domain(t2, a2, b2):
                 continue
-            paths = hp.enumerate_paths(t2, a2, b2, 8)
-            assert paths.weights == [hp.weight(x) for x in paths], (t2, a2, b2)
-            heights = [x.doubled for x in paths]
+            paths = hp.enumerate_paths(t2, a2, b2, ORDER)
+            listed = list(paths)
+            gf = hp.generating_function(t2, a2, b2, ORDER)
+            assert _histogram(listed, hp.weight) == list(gf.coeffs), (t2, a2, b2)
+            assert len(paths) == len(listed) == sum(gf.coeffs)
+            heights = [x.doubled for x in listed]
             assert all(u < v for u, v in zip(heights, heights[1:])), (t2, a2, b2)
+
+
+def test_counting_reaches_past_the_listing_window():
+    # 6.8e9 paths at q^120: far too many to list, and generating_function
+    # never asks for len(), which raises OverflowError past sys.maxsize
+    def no_len(self):
+        raise AssertionError("generating_function took the length of a path set")
+
+    r = rsos.tail_band_index(5, 11, 2)
+    with mock.patch.object(lattice.PathSet, "__len__", no_len):
+        x = rsos.generating_function(5, 11, 8, 2, 120)
+        y = hp.generating_function(8, 2, 2, 60)
+    assert x == bosonic_character(CharacterLabel(5, 11, r, 8), 120)
+    assert sum(x.coeffs) > 6 * 10**9
+    assert y == bosonic_character(theorem1_label(8, 1, 1), 60)
 
 
 def test_move_checks_hold_under_optimization():
@@ -169,7 +204,7 @@ attempt(lambda: rsos._scan(unchecked))
         "raised: enumeration did not stabilize: a step is still live at horizon 4"
         " for a late band",
         "raised: charge form 1 of (1,) is odd",
-        "raised: verbatim reread must preserve the weight",
+        "raised: peak raising weight bookkeeping failed",
         "raised: classify: vertex 1 has labels u=0, v=0",
         "raised: classify: vertex 1 has labels u=0, v=0",
         "raised: classify: vertex 1 has labels u=0, v=0",

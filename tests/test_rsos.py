@@ -110,7 +110,7 @@ def test_weight_requires_dark_tail():
 def test_enumerate_weight_zero():
     paths = enumerate_paths(4, 9, 8, 6, 0)
     assert len(paths) == 1
-    assert weight(paths[0]) == 0
+    assert [weight(path) for path in paths] == [0]
     pure = enumerate_paths(4, 9, 6, 6, 0)
     assert RsosPath.of(4, 9, 6, 6, [6]) in pure
 
