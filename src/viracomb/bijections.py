@@ -19,7 +19,9 @@ mu (adding c(l+c-1)/2 + |mu| to the weight, with l the straight-vertex
 count), `_lower_peaks` undoes it, and `_reinsert` puts the particles
 back.  Only the middle stage is family-specific: the verbatim reread for
 p' = 2p+1, the flip-and-lift and accretion for p' = 2p-1.  `forward` and
-`inverse` pick the family from p' or from the parity of T.
+`inverse` pick the family from p' or from the parity of T.  Each path is
+scanned once: `_raise_peaks` returns the raised path's scan and
+`_lower_peaks` the lowered path's peaks, for the next stage to use.
 
 Every stage checks the exact weight bookkeeping it is supposed to satisfy,
 and raises `AssertionError` explicitly (so under `python -O` too), so a
@@ -148,12 +150,12 @@ def _remove_pairs(path: RsosPath, pairs: list[tuple[int, int]]) -> RsosPath:
 
 
 def _raise_peaks(h: HalfPath, scan: tuple[int, int, list[int]],
-                 mu: tuple[int, ...]) -> tuple[HalfPath, int]:
+                 mu: tuple[int, ...]) -> tuple[HalfPath, tuple[int, int, list[int]]]:
     """Raise the peaks numbered mu from the left (tail peaks included) by a
     notch each, given `hp._scan(h)`: the weight w, the straight-vertex count
     l and the peaks of h.
 
-    Returns the raised path and its weight.  Raising c peaks adds exactly
+    Returns the raised path and its `hp._scan`.  Raising c peaks adds exactly
     c(l+c-1)/2 + |mu| to the weight.
     """
     w, ell, tops = scan
@@ -164,29 +166,29 @@ def _raise_peaks(h: HalfPath, scan: tuple[int, int, list[int]],
     at = [tops[x - 1] if x <= len(tops) else h.horizon + 1 + 2 * (x - len(tops) - 1)
           for x in mu]
     raised = HalfPath.of(h.t2, h.a2, h.b2, _notched(h, [(x, 1) for x in at]))
-    w_raised = hp.weight(raised)
-    if w_raised != w + c * (ell + c - 1) // 2 + sum(mu):
+    raised_scan = hp._scan(raised)
+    if raised_scan[0] != w + c * (ell + c - 1) // 2 + sum(mu):
         raise AssertionError("peak raising weight bookkeeping failed")
-    return raised, w_raised
+    return raised, raised_scan
 
 
-def _lower_peaks(h: HalfPath, parity: int) -> tuple[tuple[int, ...], HalfPath]:
-    """Undo `_raise_peaks`: lower every peak whose doubled height has the
-    given parity (0: integer peaks, 1: non-integer ones).
+def _lower_peaks(h: HalfPath, tops: list[int],
+                 parity: int) -> tuple[tuple[int, ...], HalfPath, list[int]]:
+    """Undo `_raise_peaks`: of the peaks `tops` of h, lower each one whose
+    doubled height has the given parity (0: integer, 1: non-integer).
 
-    Returns the peak numbers mu, largest first, and the lowered path, which
-    must have no such peak left.
+    Returns the peak numbers mu, largest first, the lowered path, which must
+    have no such peak left, and its peaks.
     """
-    hs = h.padded(h.horizon + 1)
-    raised = [(num + 1, pos) for num, pos in enumerate(lattice.peaks(hs))
-              if hs[pos] % 2 == parity]
+    raised = [(num + 1, pos) for num, pos in enumerate(tops)
+              if h.doubled[pos] % 2 == parity]
     seq = _delete_pairs(list(h.doubled), [pos for _, pos in raised])
     cut = HalfPath.of(h.t2, h.a2, h.b2, seq)
-    left = cut.padded(cut.horizon + 1)
-    if any(left[i] % 2 == parity for i in lattice.peaks(left)):
+    left, _ = lattice.turns(cut.padded(cut.horizon + 1), cut.horizon + 1)
+    if any(cut.doubled[i] % 2 == parity for i in left):
         kind = "non-integer" if parity else "integer"
         raise StructureError(f"{kind} peaks remain after unstacking")
-    return tuple(num for num, _ in reversed(raised)), cut
+    return tuple(num for num, _ in reversed(raised)), cut, left
 
 
 def _notch_step(height: int) -> int:
@@ -251,7 +253,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
         raise AssertionError("verbatim reread must preserve the weight")
 
     mu = tuple(lam[i] + n - i for i in range(n))  # lam_i + n + 1 - (i+1)
-    h_hat, w_hat = _raise_peaks(h_hat_cut, scan, mu)
+    h_hat, (w_hat, _, _) = _raise_peaks(h_hat_cut, scan, mu)
     if scan[1] != 2 * k_cut:
         raise AssertionError("verbatim reread must double the straight-vertex count")
     if w_hat != w:
@@ -269,8 +271,8 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
         raise BijectionDomainError(f"(A,B)=({a},{b}) out of range for T={t2}")
     lattice.require_canonical(path, path.doubled, path.b2)
 
-    w_hat = hp.weight(path)
-    mu, h_hat_cut = _lower_peaks(path, 0)
+    w_hat, _, tops = hp._scan(path)
+    mu, h_hat_cut, _ = _lower_peaks(path, tops, 0)
     n = len(mu)
     lam = tuple(mu[i] - n + i for i in range(n))  # mu_i - n - 1 + (i+1)
     if not _is_partition(lam):
@@ -335,18 +337,18 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     if truncated[-1] != bb:
         raise AssertionError("even cut horizon must end at the even tail height")
     rev = truncated[::-1]
-    lifted = _insert_notches(rev, [(j, 1) for j in lattice.peaks(rev)])
+    lifted = _insert_notches(rev, [(j, 1) for j in lattice.turns(rev, len(rev) - 1)[0]])
     lifted += [a + 1, a, a + 1, a]
     h_hat_cut = HalfPath.of(2 * p - 1, bb, a, lifted)
 
     scan = hp._scan(h_hat_cut)
     if scan[0] != w_cut:
         raise AssertionError("flip and lift must preserve the weight")
-    h_hat_int, w_hat_int = _raise_peaks(h_hat_cut, scan, mu)
+    h_hat_int, (w_hat_int, _, tops) = _raise_peaks(h_hat_cut, scan, mu)
     if scan[1] != 2 * k - 2 * m:
         raise AssertionError("flip and lift must leave 2k - 2m straight vertices")
 
-    accretion = _accretion_positions(h_hat_int)
+    accretion = _accretion_positions(h_hat_int, tops)
     if nu and nu[0] > len(accretion):
         raise AssertionError("remainder labels exceed the accretion vertex count")
     notches2 = [(accretion[number - 1], 1) for number in nu]
@@ -362,12 +364,12 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     )
 
 
-def _accretion_positions(path: HalfPath) -> list[int]:
-    """Even positions where neither the vertex nor its successor is a peak,
-    numbered from the right (index 0 is the rightmost).
+def _accretion_positions(path: HalfPath, tops: list[int]) -> list[int]:
+    """Even positions where neither the vertex nor its successor is one of
+    the peaks `tops`, numbered from the right (index 0 is the rightmost).
     """
     # position 0 is never a peak: the virtual H(-1) = A + 1 lies above it
-    tops = set(lattice.peaks(path.padded(path.horizon + 1)))
+    tops = set(tops)
     out = [i for i in range(0, path.horizon, 2) if i not in tops and i + 1 not in tops]
     return out[::-1]
 
@@ -411,7 +413,8 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     removals = [j - 1 - 2 * (count - 1 - r) for r, j in enumerate(stripped)]
 
     h_hat_int = HalfPath.of(t2, bb, a, work)
-    accretion = _accretion_positions(h_hat_int)
+    tops, _ = lattice.turns(h_hat_int.padded(h_hat_int.horizon + 1), h_hat_int.horizon + 1)
+    accretion = _accretion_positions(h_hat_int, tops)
     numbers = {pos: num + 1 for num, pos in enumerate(accretion)}
     nu_parts = []
     for anchor in removals:
@@ -424,14 +427,15 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     d = len(nu)
 
     # undo the staggered peak raises: non-integer peaks of the interim path
-    mu, h_hat_cut = _lower_peaks(h_hat_int, 1)
+    mu, h_hat_cut, tops = _lower_peaks(h_hat_int, tops, 1)
     c = len(mu)
 
-    # invert the flip-and-lift: lower every peak, reverse, restore the tail
+    # invert the flip-and-lift: lower every peak, reverse, restore the tail.
+    # Ending at a under the tail's a + 1, the path has no peak at its horizon.
     truncated = list(h_hat_cut.doubled)
     if truncated[-1] != a:
         raise AssertionError("the unstacked path must end at the start height a")
-    lowered = _delete_pairs(truncated, lattice.peaks(truncated))
+    lowered = _delete_pairs(truncated, tops)
     rev = lowered[::-1]
     if rev[0] != a or rev[-1] != bb:
         raise AssertionError("the lowered, reversed path must run from a to the tail")

@@ -4,7 +4,7 @@ in a tail band {b, b+1}.
 RSOS paths and half-lattice paths differ only in their step rules, vertex
 costs and search bounds.  Everything else lives here: parsing the one-line
 path formats, canonical storage through the horizon, tail continuation,
-peak and valley scans, and one bounded path search.
+the peak and valley scan of raw heights, and one bounded path search.
 """
 
 from __future__ import annotations
@@ -95,15 +95,6 @@ def padded(stored: tuple[int, ...], b: int, upto: int) -> list[int]:
         flip = b + 1 if last == b else b
         out += ([flip, last] * ((beyond + 1) // 2))[:beyond]
     return out
-
-
-def peaks(hs: list[int], hi: int | None = None) -> list[int]:
-    """Positions 1 <= i < hi (default: every interior one) with
-    hs[i-1] < hs[i] > hs[i+1].
-    """
-    if hi is None:
-        hi = len(hs) - 1
-    return [i for i in range(1, hi) if hs[i - 1] < hs[i] > hs[i + 1]]
 
 
 def turns(hs: Sequence[int], hi: int) -> tuple[list[int], list[int]]:

@@ -5,9 +5,9 @@ path is drawn as its doubled heights with top 2(p'-1).  An edge glyph sits
 in row top - ceil((h + h')/2): the upper end of a half step, the midpoint
 of a whole step.  The SVG routine draws the header and the polyline, and
 each model adds what goes under and over it.  RSOS pictures shade dark
-bands and mark scoring vertices (`o` up, `*` down, `+` non-scoring);
-half-lattice pictures can overlay the particle baselines of paths that
-start and end at height 1.
+bands and mark the scoring vertices of `rsos._scan` (`o` up, `*` down,
+`+` non-scoring), light tails too; half-lattice pictures can overlay the
+particle baselines of paths that start and end at height 1.
 """
 
 from __future__ import annotations
@@ -41,11 +41,11 @@ def _ascii(top: int, heights, marks: dict[int, str], fills) -> str:
 
 
 def rsos_ascii(path: RsosPath) -> str:
-    marks = {v.x: ("o" if v.up else "*") if v.scoring else "+"
-             for v in rs.classify(path)}
+    hs = path.heights
+    marks = {x: "o" if hs[x - 1] < hs[x] else "*" for x in rs._scan(path)[1]}
     bands = [(2 * y + 1, 0, path.horizon, ".")
              for y in rs.dark_floors(path.p, path.p_prime)]
-    return _ascii(2 * (path.p_prime - 1), [2 * h for h in path.heights], marks, bands)
+    return _ascii(2 * (path.p_prime - 1), [2 * h for h in hs], marks, bands)
 
 
 def half_ascii(path: HalfPath, baselines: bool = False) -> str:
@@ -83,13 +83,13 @@ def rsos_svg(path: RsosPath) -> str:
         x0, y1 = _xy(top, 0, y + 1)
         bands.append(f'<rect x="{x0}" y="{y1}" width="{path.horizon * _UNIT}" '
                      f'height="{_UNIT}" fill="#d8d8d8"/>')
+    hs = path.heights
     circles = []
-    for v in rs.classify(path):
-        if v.scoring:
-            cx, cy = _xy(top, v.x, path.height(v.x))
-            fill = "white" if v.up else "black"
-            circles.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{fill}" stroke="black"/>')
-    return _svg(top, path.heights, bands, circles)
+    for x in rs._scan(path)[1]:
+        cx, cy = _xy(top, x, hs[x])
+        fill = "white" if hs[x - 1] < hs[x] else "black"
+        circles.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{fill}" stroke="black"/>')
+    return _svg(top, hs, bands, circles)
 
 
 def half_svg(path: HalfPath, baselines: bool = False) -> str:

@@ -5,7 +5,8 @@ between b and b+1 forever.  Only the prefix through the canonical horizon
 L(h) is stored: the smallest even L from which every later height lies in
 {b, b+1}.  Horizontal bands between consecutive heights are dark or light
 according to the floor function y = floor(r p'/p); scoring vertices (and
-hence weights) are defined relative to that shading.
+hence weights) are defined relative to that shading, and one scan of the
+vertices, `_scan`, gives both the weight and the scoring positions.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors.  Enumeration of all paths up to a weight bound is
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd
-from typing import NamedTuple
 
 from . import lattice
 from .lattice import InvalidPathError
@@ -29,12 +29,6 @@ from .qseries import QSeries
 
 class InfiniteWeightError(ValueError):
     """Raised when the tail band is light, making the weight diverge."""
-
-
-PEAK = "peak"
-VALLEY = "valley"
-STRAIGHT_UP = "straight-up"
-STRAIGHT_DOWN = "straight-down"
 
 
 @lru_cache(maxsize=None)
@@ -114,14 +108,6 @@ class RsosPath:
         )
 
 
-class VertexInfo(NamedTuple):
-    x: int
-    shape: str
-    scoring: bool
-    up: bool          # left edge NE
-    value: int        # u_x if up else v_x
-
-
 def _scores(dark: frozenset[int], prev: int, h: int, nxt: int) -> bool:
     """The scoring rule: a straight vertex scores when the band just right of
     it is dark, a peak or valley when that band is light.
@@ -134,37 +120,22 @@ def _label(a: int, x: int, prev: int, h: int) -> int:
     u = (x - h + a) // 2
     v = (x + h - a) // 2
     if u + v != x or u < 0 or v < 0:
-        raise AssertionError(f"classify: vertex {x} has labels u={u}, v={v}")
+        raise AssertionError(f"vertex-label check: vertex {x} has labels u={u}, v={v}")
     return u if prev < h else v
-
-
-def classify(path: RsosPath) -> list[VertexInfo]:
-    """Classification of vertices 1..L.  The startpoint is never classified,
-    and tail vertices beyond L are non-scoring whenever the weight is finite.
-    """
-    dark = dark_floors(path.p, path.p_prime)
-    hs = path.padded(path.horizon + 1)
-    out = []
-    for x in range(1, path.horizon + 1):
-        prev, h, nxt = hs[x - 1], hs[x], hs[x + 1]
-        up = prev < h
-        shape = (PEAK if up else VALLEY) if nxt == prev else (STRAIGHT_UP if up else STRAIGHT_DOWN)
-        out.append(VertexInfo(x, shape, _scores(dark, prev, h, nxt), up,
-                              _label(path.a, x, prev, h)))
-    return out
 
 
 def weight(path: RsosPath) -> int:
     """Sum of u over up-scoring and v over down-scoring vertices."""
+    _require_finite(path)
     return _scan(path)[0]
 
 
 def _scan(path: RsosPath) -> tuple[int, list[int], int]:
     """One pass over the vertices 1..L: the weight, the positions of the
     scoring vertices and the number of scoring peaks.  Every vertex's labels
-    are checked, scoring or not.
+    are checked, scoring or not; whether the tail band is dark (the weight
+    finite) is left to the caller, as `weight` checks it.
     """
-    _require_finite(path)
     dark = dark_floors(path.p, path.p_prime)
     a = path.a
     hs = path.padded(path.horizon + 1)

@@ -263,7 +263,7 @@ RSOS_FAMILIES = ((2, 5), (3, 5), (3, 7), (4, 7), (4, 9), (5, 9), (5, 11))
 
 
 def jobs_theorem1(order: int, max_t2: int):
-    y_order = min(order, 15)
+    y_order = min(order, 15)  # no cost reason: keeps the report lines until the suite widens
     jobs = []
     for p, pp in RSOS_FAMILIES:
         for a in range(1, pp):
@@ -314,7 +314,7 @@ _MOVE_ROUNDS = 8
 
 
 def jobs_sectors(order: int, max_t2: int):
-    order = min(order, 15)  # the sector sum enumerates the half paths it checks
+    order = min(order, 15)  # no cost reason: keeps the report lines until the suite widens
     jobs = []
     for t2 in range(4, max_t2 + 1):
         jobs.append((_job_sector_sum, (t2, order)))

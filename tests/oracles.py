@@ -3,18 +3,51 @@
 The weight formulas compute a path's weight by a route other than the one
 `rsos.weight` or `halfpath.weight` takes, so an agreement on many paths
 checks both; `raw_weight_quarters` is the half-path raw weight as the
-paper defines it, a sum over a list of the straight vertices.  `dissect_reference` is the particle dissection as it was
+paper defines it, a sum over a list of the straight vertices, and
+`classify` is the RSOS vertex classification as the paper defines it, one
+record per vertex.  `dissect_reference` is the particle dissection as it was
 written before the one-scan version: a peak scan and a valley scan over
 heights padded into the tail, and a closure that walks each baseline to its
 far side.  The program itself never needs them.
 """
 
 from bisect import bisect_left
+from typing import NamedTuple
 
 from viracomb import lattice, rsos
 from viracomb.halfpath import HalfPath
 from viracomb.particles import Dissection, DissectionError, Particle
 from viracomb.rsos import RsosPath
+
+
+PEAK = "peak"
+VALLEY = "valley"
+STRAIGHT_UP = "straight-up"
+STRAIGHT_DOWN = "straight-down"
+
+
+class VertexInfo(NamedTuple):
+    x: int
+    shape: str
+    scoring: bool
+    up: bool          # left edge NE
+    value: int        # u_x if up else v_x
+
+
+def classify(path: RsosPath) -> list[VertexInfo]:
+    """Classification of vertices 1..L.  The startpoint is never classified,
+    and tail vertices beyond L are non-scoring whenever the weight is finite.
+    """
+    dark = rsos.dark_floors(path.p, path.p_prime)
+    hs = path.padded(path.horizon + 1)
+    out = []
+    for x in range(1, path.horizon + 1):
+        prev, h, nxt = hs[x - 1], hs[x], hs[x + 1]
+        up = prev < h
+        shape = (PEAK if up else VALLEY) if nxt == prev else (STRAIGHT_UP if up else STRAIGHT_DOWN)
+        out.append(VertexInfo(x, shape, rsos._scores(dark, prev, h, nxt), up,
+                              rsos._label(path.a, x, prev, h)))
+    return out
 
 
 def straight_positions(path: HalfPath) -> list[int]:
@@ -36,7 +69,7 @@ def weight_edgewise(path: RsosPath) -> int:
     vertices strictly to its right whose class matches the edge into x.
     """
     rsos._require_finite(path)
-    info = rsos.classify(path)
+    info = classify(path)
     horizon = path.horizon
     up_suffix = [0] * (horizon + 2)
     down_suffix = [0] * (horizon + 2)
@@ -90,7 +123,7 @@ def dissect_reference(path: HalfPath) -> Dissection:
     t2 = path.t2
     reach = path.horizon + 2 * t2 + 4  # how far a baseline may run into the tail
     H = path.padded(reach)
-    peaks = lattice.peaks(H, path.horizon)
+    peaks, _ = lattice.turns(H, path.horizon)
     # position 0 is always a valley: H(-1) = 3 (virtual) and H(1) = 3 lie above it
     live = [0] + [i for i in range(1, path.horizon + 1) if H[i - 1] > H[i] < H[i + 1]]
     assigned: dict[int, Particle] = {}

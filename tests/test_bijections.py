@@ -1,10 +1,11 @@
 import random
 import statistics
+from unittest import mock
 
 import pytest
 
 from viracomb import halfpath as hp
-from viracomb import rsos
+from viracomb import lattice, rsos
 from viracomb.bijections import (
     BijectionDomainError,
     StructureError,
@@ -33,6 +34,7 @@ from data_paths import (
     HALF_7_IMAGE,
     HALF_7_INT,
     HALF_8_IMAGE,
+    HALF_10,
     RSOS_47,
     RSOS_47_CUT,
     RSOS_49,
@@ -40,6 +42,7 @@ from data_paths import (
     half_ok,
     walk,
 )
+from oracles import PEAK, VALLEY, classify
 
 
 def test_bij1_golden_trace():
@@ -191,7 +194,7 @@ def test_bij2_accretion_vertices_count_their_straights():
         hint = trace.h_hat_int
         straights = [i for i in range(hint.horizon + 1)
                      if hint.height(i - 1) != hint.height(i + 1)]
-        for j, pos in enumerate(_accretion_positions(hint), start=1):
+        for j, pos in enumerate(_accretion_positions(hint, hp._scan(hint)[2]), start=1):
             right = sum(1 for s in straights if s > pos)
             down = hint.height(pos - 1) > hint.height(pos) > hint.height(pos + 1)
             assert right == (2 * j - 1 if down else 2 * j), (path, pos, j)
@@ -200,9 +203,9 @@ def test_bij2_accretion_vertices_count_their_straights():
 def test_bij1_cut_has_no_adjacent_scoring_and_particles_start_on_turns():
     for path in rsos.enumerate_paths(3, 7, 4, 4, 8):
         _, trace = bij1_forward(path)
-        xs = [v.x for v in rsos.classify(trace.h_cut) if v.scoring]
+        xs = [v.x for v in classify(trace.h_cut) if v.scoring]
         assert all(y - x > 1 for x, y in zip(xs, xs[1:]))
-        info = {v.x: v for v in rsos.classify(path)}
+        info = {v.x: v for v in classify(path)}
         scoring = sorted(x for x, v in info.items() if v.scoring)
         runs = []
         for x in scoring:
@@ -212,7 +215,34 @@ def test_bij1_cut_has_no_adjacent_scoring_and_particles_start_on_turns():
                 runs.append([x])
         for run in runs:
             for first in run[0:len(run) - len(run) % 2:2]:
-                assert info[first].shape in (rsos.PEAK, rsos.VALLEY)
+                assert info[first].shape in (PEAK, VALLEY)
+
+
+def _scans(call, arg):
+    """The result of call(arg) and how many vertex scans it made: RSOS and
+    half-path scans and raw peak-and-valley scans.
+    """
+    with mock.patch.object(rsos, "_scan", wraps=rsos._scan) as r, \
+            mock.patch.object(hp, "_scan", wraps=hp._scan) as h, \
+            mock.patch.object(lattice, "turns", wraps=lattice.turns) as t:
+        out = call(arg)
+    return out, r.call_count + h.call_count + t.call_count
+
+
+@pytest.mark.parametrize("half", [HALF_8_IMAGE, HALF_10, HALF_7_CUT, HALF_7_INT,
+                                  HALF_7_IMAGE])
+def test_each_map_scans_each_path_once(half):
+    # bij1: the path and the cut path, the reread and the raised path; or
+    # the image and the lowered path, the cut path and the reinserted one.
+    # bij2 adds the flip's raw heights and the accreted path forward, and
+    # scans the stripped path's raw heights backward.
+    inv, fwd, expected = ((bij1_inverse, bij1_forward, (4, 4)) if half[0] % 2 == 0
+                          else (bij2_inverse, bij2_forward, (5, 6)))
+    image = HalfPath.of(*half)
+    path, n_inv = _scans(inv, image)
+    (again, _), n_fwd = _scans(fwd, path)
+    assert again == image
+    assert (n_inv, n_fwd) == expected
 
 
 # -- seeded long paths, far beyond the exhaustive weight-12 window -------------

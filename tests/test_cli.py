@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from viracomb import verify
+from viracomb import rsos, verify
 from viracomb.cli import main
+from viracomb.rsos import InfiniteWeightError, RsosPath
 
 from data_paths import HALF_7_IMAGE, MINIMAL_10, RSOS_47, RSOS_49
 
@@ -282,6 +283,42 @@ def test_render_pictures_are_pinned(capsys, monkeypatch, line, flags, expected):
                          monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
     assert out == "\n".join(expected) + "\n"
+
+
+LIGHT_TAIL_RSOS = "rsos p=3 pp=5 a=4 b=2 h=4,3,2,1,2,3,4,3,2"  # b = 2 is a light floor
+
+
+def test_render_draws_a_light_tail(capsys, monkeypatch):
+    # only the weight diverges: the picture marks the scoring vertices 1..L
+    with pytest.raises(InfiniteWeightError):
+        rsos.weight(RsosPath.from_line(LIGHT_TAIL_RSOS))
+    code, out, err = run(capsys, ["render"], stdin=LIGHT_TAIL_RSOS + "\n",
+                         monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == "\n".join([
+        " 4 +           +",
+        "   .\\........./.\\...",
+        " 3   +       o   +",
+        "      \\     /     \\",
+        " 2     *   +       *",
+        "   .....\\./.........",
+        " 1       +",
+    ]) + "\n"
+    code, out, err = run(capsys, ["render", "--format", "svg"], stdin=LIGHT_TAIL_RSOS + "\n",
+                         monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    assert out == "\n".join([
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="160" height="80" '
+        'viewBox="0 0 160 80">',
+        '<rect x="16" y="48" width="128" height="16" fill="#d8d8d8"/>',
+        '<rect x="16" y="16" width="128" height="16" fill="#d8d8d8"/>',
+        '<polyline points="16,16 32,32 48,48 64,64 80,48 96,32 112,16 128,32 144,48" '
+        'fill="none" stroke="black"/>',
+        '<circle cx="48" cy="48" r="3" fill="black" stroke="black"/>',
+        '<circle cx="96" cy="32" r="3" fill="white" stroke="black"/>',
+        '<circle cx="144" cy="48" r="3" fill="black" stroke="black"/>',
+        "</svg>",
+    ]) + "\n"
 
 
 def test_render_bad_input_exit_2(capsys, monkeypatch):

@@ -106,7 +106,7 @@ def test_scan_matches_straights_and_peaks(t2, a2, b2):
     for path in paths:
         hs = path.padded(path.horizon + 1)
         assert halfpath._scan(path) == (weight_extended(path), len(straight_positions(path)),
-                                        lattice.peaks(hs, path.horizon + 1)), path.to_line()
+                                        lattice.turns(hs, path.horizon + 1)[0]), path.to_line()
 
 
 def test_enumerate_ground_state_only():

@@ -56,8 +56,6 @@ def test_tail_continuation():
 
 def test_peaks_and_valleys():
     hs = [2, 3, 4, 3, 4, 5, 4, 3, 2, 3]
-    assert lattice.peaks(hs) == [2, 5]
-    assert lattice.peaks(hs, 5) == [2]
     assert lattice.turns(hs, len(hs) - 1) == ([2, 5], [3, 8])
     assert lattice.turns(hs, 8) == ([2, 5], [3])
     assert lattice.turns(hs, 5) == ([2], [3])
@@ -159,7 +157,7 @@ def test_move_checks_hold_under_optimization():
     # this listed move breaks weight and sector; apply_move must refuse it,
     # the search must refuse a live branch at its horizon, and a bijection
     # must notice a weight that drifts between its stages, and weighing or
-    # classifying a vertex must check its labels, even when python -O strips
+    # scanning a vertex must check its labels, even when python -O strips
     # asserts
     code = """
 import sys
@@ -186,13 +184,12 @@ late = lambda x, prev, h, nh: None if nh in (2, 3) and x < 8 else 0
 attempt(lambda: lattice.search(4, 2, 1, 5, 0, 4, late, free, free, "a late band"))
 particles.b_matrix = lambda t2: [[1]]  # an odd charge form
 attempt(lambda: particles.minimal_weight(4, (1,)))
-weight = halfpath.weight
-halfpath.weight = lambda path: weight(path) + 1
+scan = halfpath._scan
+halfpath._scan = lambda path: (lambda w, *rest: (w + 1, *rest))(*scan(path))
 rsos37 = RsosPath.from_line("rsos p=3 pp=7 a=4 b=4 h=4,5,6,5,6,5,4")
 attempt(lambda: bijections.bij1_forward(rsos37))
 unchecked = RsosPath(3, 5, 2, 1, (3, 2, 1))  # starts at 3, not at a = 2
 attempt(lambda: rsos.weight(unchecked))
-attempt(lambda: rsos.classify(unchecked))
 attempt(lambda: rsos._scan(unchecked))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -204,8 +201,7 @@ attempt(lambda: rsos._scan(unchecked))
         "raised: enumeration did not stabilize: a step is still live at horizon 4"
         " for a late band",
         "raised: charge form 1 of (1,) is odd",
-        "raised: peak raising weight bookkeeping failed",
-        "raised: classify: vertex 1 has labels u=0, v=0",
-        "raised: classify: vertex 1 has labels u=0, v=0",
-        "raised: classify: vertex 1 has labels u=0, v=0",
+        "raised: verbatim reread must preserve the weight",
+        "raised: vertex-label check: vertex 1 has labels u=0, v=0",
+        "raised: vertex-label check: vertex 1 has labels u=0, v=0",
     ]

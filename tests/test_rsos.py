@@ -5,11 +5,9 @@ import pytest
 from viracomb.characters import CharacterLabel, bosonic_character
 from viracomb.qseries import QSeries
 from viracomb.rsos import (
-    PEAK,
     InfiniteWeightError,
     InvalidPathError,
     RsosPath,
-    classify,
     dark_floors,
     enumerate_paths,
     generating_function,
@@ -29,7 +27,7 @@ from data_paths import (
     RSOS_49_WEIGHT,
     walk,
 )
-from oracles import weight_edgewise
+from oracles import PEAK, classify, weight_edgewise
 
 
 @pytest.fixture
