@@ -10,6 +10,7 @@ the peak and valley scan of raw heights, and one bounded path search.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import partial
 from operator import add
 
 
@@ -116,17 +117,27 @@ class PathSet:
     sum.  Iteration lists the paths in height order, each built from its
     height tuple by `build`, by a pre-order walk, lower step first, that
     descends only where a completion fits the budget.
+
+    Counting builds nothing the walk needs.  The first iteration builds it:
+    `forward` runs the search's forward pass again, recording each state's
+    surviving steps, and a backward pass over those layers gives each state
+    its least completion cost, all the walk needs to prune.
     """
 
-    def __init__(self, counts: list[int], root: tuple = (), build=tuple) -> None:
+    def __init__(self, counts: list[int], forward=None, build=tuple) -> None:
         self.counts = counts  # one entry per cost 0..budget
-        self._root = root  # the walk's first entry, () for no paths
+        self._forward = forward  # the recording rerun, None for no paths
         self._build = build
+        self._root = None  # the walk's first entry, built on first iteration
 
     def __len__(self) -> int:
         return sum(self.counts)
 
     def __iter__(self):
+        if self._root is None and self._forward is not None:
+            layers: list[dict] = []
+            self._forward(layers)
+            self._root = _walk_root(layers, len(self.counts) - 1)
         budget, build, hs = len(self.counts) - 1, self._build, []
         todo = [self._root] if self._root else []
         while todo:
@@ -161,23 +172,37 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
 
     Everything ahead of a node depends only on its position and its state
     (prev, h, run), where run means that the last three heights all lie in
-    the band; so the search works in two passes over states.  A forward
-    pass keeps the least cost of reaching each state, layer by layer, and
-    prunes steps by the budget and both bounds.  The hard horizon only
-    guards against a search that never ends: a state still live past it
-    raises, so a result is exactly what an unbounded search would return.
-    A backward pass, the counting recursion of the 1D configuration sums
-    (Andrews, Baxter and Forrester, J. Stat. Phys. 35, 1984), gives each
-    state its completion counts by cost up to its room, the budget less its
-    least reach cost.  The root's counts are the result's; a state's first
-    nonzero count is its least completion cost, all the walk needs to prune.
+    the band; so the search counts in one forward pass over states, layer by
+    layer: the counting recursion of the 1D configuration sums (Andrews,
+    Baxter and Forrester, J. Stat. Phys. 35, 1984).  Each live state carries
+    its least reach cost w and a list whose k-th entry counts the prefixes
+    that reach it at cost w + k, cut at its room: the budget less the larger
+    of the bounds that apply to it.  A step shifts the list by its vertex
+    cost, and lists that meet in one state add; a junction state adds its
+    list, shifted by the junction cost, into the result.  Steps are pruned
+    by the budget and both bounds.  The hard horizon only guards against a
+    search that never ends: a state still live past it raises, so a result
+    is exactly what an unbounded search would return.  Nothing for listing
+    is built until the path set is first iterated.
+    """
+    counts = _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what)
+    if not any(counts):
+        return PathSet(counts)
+    return PathSet(counts, partial(_forward, start, b, lo, hi, budget, horizon,
+                                   cost, future, leave, what), build)
+
+
+def _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what,
+             layers=None) -> list[int]:
+    """The forward pass of `search`: the counts by cost.  Given a list as
+    `layers`, it also appends, per layer, each live state's least reach cost,
+    junction cost (None off the horizons) and surviving steps
+    (nh, vertex cost, child state).
     """
     band = (b, b + 1)
-    root = (None, start, False)
-    # forward: per layer, each live state with its room and its surviving
-    # steps (nh, vertex cost, child state)
-    layers: list[dict] = []
-    reach = {root: 0}
+    record = layers is not None
+    counts = [0] * (budget + 1)
+    reach = {(None, start, False): (0, [1])}
     x = 0
     while reach:
         if x > horizon:
@@ -187,10 +212,19 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
             )
         steps = {}
         nxt: dict = {}
-        for state, w in reach.items():
-            prev, h, _ = state
+        stay = budget - leave(x + 1)  # the room of a state in a run
+        for state, (w, vec) in reach.items():
+            prev, h, run = state
+            junction = None
+            if x % 2 == 0 and h in band and not run:
+                # a canonical horizon: the junction vertex is costed against
+                # the tail that follows it
+                junction = cost(x, prev, h, b + 1 if h == b else b) if x else 0
+                s = w + junction
+                if s <= budget:
+                    tail = vec[:budget + 1 - s]
+                    counts[s:s + len(tail)] = map(add, counts[s:], tail)
             out = []
-            steps[state] = (budget - w, out)
             for nh in (h - 1, h + 1):
                 if not lo <= nh <= hi:
                     continue
@@ -200,64 +234,66 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
                     if c is None:
                         continue
                 w2 = w + c
-                if w2 > budget or w2 + future(x + 1, nh) > budget:
+                if w2 > budget:
                     continue
-                run = prev in band and h in band and nh in band
-                if run and w2 + leave(x + 1) > budget:
+                room = budget - future(x + 1, nh)
+                nrun = prev in band and h in band and nh in band
+                if nrun and stay < room:
+                    room = stay
+                if w2 > room:
                     continue
-                child = (h, nh, run)
-                out.append((nh, c, child))
-                if w2 < nxt.get(child, budget + 1):
-                    nxt[child] = w2
-        layers.append(steps)
+                child = (h, nh, nrun)
+                if record:
+                    out.append((nh, c, child))
+                more = vec[:room + 1 - w2]
+                old = nxt.get(child)
+                if old is None:
+                    nxt[child] = (w2, more)
+                    continue
+                w1, v1 = old
+                if w2 < w1:
+                    w1, v1, w2, more = w2, more, w1, v1
+                d = w2 - w1
+                n = d + len(more)
+                if n > len(v1):
+                    v1 += [0] * (n - len(v1))
+                v1[d:n] = map(add, v1[d:n], more)
+                nxt[child] = (w1, v1)
+            if record:
+                steps[state] = (w, junction, out)
+        if record:
+            layers.append(steps)
         reach = nxt
         x += 1
+    return counts
 
-    # backward: each state's counts, least completion cost and walk node,
-    # (junction cost or None, [(nh, c, c + child's least cost, child node)],
-    # higher step first, so the walk pops the lower one first).  A child's
-    # room is at least the parent's less c, so its counts cover the parent's
-    # room; a list may stop short of its room (the rest are zeros) and is
-    # shared where one route needs no shift.  Steps and states with nothing
-    # in their room are dropped.
+
+def _walk_root(layers: list[dict], budget: int) -> tuple:
+    """The listing walk's first entry, from the recorded forward layers.  A
+    backward pass gives each state its least completion cost and its walk
+    node, (junction cost or None, [(nh, c, c + child's least cost, child
+    node)], higher step first, so the walk pops the lower one first).  Steps
+    and states with no completion within the budget are dropped.
+    """
     below: dict = {}
-    for x in range(len(layers) - 1, -1, -1):
+    for steps in reversed(layers):
         here = {}
-        for state, (room, out) in layers[x].items():
-            prev, h, run = state
-            routes = []  # (cost shift, counts)
-            least = room + 1
-            junction = None
-            if x % 2 == 0 and h in band and not run:
-                # a canonical horizon: the junction vertex is costed
-                # against the tail that follows it
-                junction = cost(x, prev, h, b + 1 if h == b else b) if x else 0
-                if junction <= room:
-                    routes.append((junction, [1]))
-                    least = junction
+        for state, (w, junction, out) in steps.items():
+            room = budget - w
+            if junction is not None and junction > room:
+                junction = None
+            least = room + 1 if junction is None else junction
             kids = []
             for nh, c, child in reversed(out):
                 if child in below:
-                    more, need, node = below[child]
+                    need, node = below[child]
                     need += c
                     if need <= room:
-                        routes.append((c, more))
                         kids.append((nh, c, need, node))
                         if need < least:
                             least = need
-            if not routes:
-                continue
-            if len(routes) == 1:
-                c, more = routes[0]
-                counts = more if not c and len(more) <= room + 1 else \
-                    [0] * c + more[:room + 1 - c]
-            else:
-                counts = [0] * (room + 1)
-                for c, more in routes:
-                    counts[c:c + len(more)] = map(add, counts[c:], more)
-            here[state] = (counts, least, (junction, kids))
+            if least <= room:
+                here[state] = (least, (junction, kids))
         below = here
-    if not below:
-        return PathSet([0] * (budget + 1))
-    counts, _, node = below[root]
-    return PathSet(counts + [0] * (budget + 1 - len(counts)), (0, start, 0, node), build)
+    (state, (_, node)), = below.items()
+    return 0, state[1], 0, node

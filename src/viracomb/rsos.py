@@ -11,9 +11,9 @@ vertices, `_scan`, gives both the weight and the scoring positions.
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors.  Enumeration of all paths up to a weight bound is
 one `lattice.search`: a forward pass over search states with exact
-lower-bound pruning, which raises if a state is still live past the hard
-horizon, a backward pass counting each state's completions by weight, and
-a walk, run only to list the paths, that visits only prefixes of them.
+lower-bound pruning that counts the paths by weight, and raises if a state
+is still live past the hard horizon.  Listing the paths reruns that pass to
+build a walk that visits only prefixes of them.
 """
 
 from __future__ import annotations
@@ -167,10 +167,12 @@ def enumerate_paths(
     """All paths of weight <= max_weight, counted by weight (`counts`) and
     listed in order of their height tuples.
 
-    One `lattice.search` over states with exact lower-bound pruning.  The
-    result is complete: the search raises if any state is still live past
-    its hard horizon, 2 * max_weight + |a - b| + 2p'.  Its walk visits only
-    prefixes of the listed paths, so listing costs follow the output.
+    One `lattice.search` over states with exact lower-bound pruning counts
+    the paths in one forward pass.  The result is complete: the search
+    raises if any state is still live past its hard horizon,
+    2 * max_weight + |a - b| + 2p'.  Iterating the result builds the walk;
+    it visits only prefixes of the listed paths, so listing costs follow
+    the output.
     """
     if not 1 <= a <= p_prime - 1:
         raise InvalidPathError(f"start height a={a} out of range")

@@ -1,7 +1,9 @@
+import ast
 import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -11,6 +13,7 @@ import pytest
 from viracomb import halfpath as hp
 from viracomb import lattice
 from viracomb import rsos
+from viracomb import verify
 from viracomb.characters import CharacterLabel, bosonic_character, theorem1_label
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -103,8 +106,8 @@ ORDER = 10
 RSOS_FAMILIES = [(p, pp) for pp in range(3, 14) for p in range(2, pp) if gcd(p, pp) == 1]
 
 
-def _histogram(paths, weigh) -> list[int]:
-    counts = [0] * (ORDER + 1)
+def _histogram(paths, weigh, order=ORDER) -> list[int]:
+    counts = [0] * (order + 1)
     for path in paths:
         counts[weigh(path)] += 1
     return counts
@@ -151,6 +154,95 @@ def test_counting_reaches_past_the_listing_window():
     assert x == bosonic_character(CharacterLabel(5, 11, r, 8), 120)
     assert sum(x.coeffs) > 6 * 10**9
     assert y == bosonic_character(theorem1_label(8, 1, 1), 60)
+
+
+def test_counting_never_lists():
+    # the counts come from the forward pass alone: nothing a listing needs
+    # is built until a path set is iterated
+    def no_listing(*args):
+        raise AssertionError("counting built the listing walk")
+
+    r = rsos.tail_band_index(5, 11, 2)
+    with mock.patch.object(lattice.PathSet, "__iter__", no_listing), \
+            mock.patch.object(lattice, "_walk_root", no_listing):
+        x = rsos.generating_function(5, 11, 8, 2, 120)
+        y = hp.generating_function(8, 2, 2, 60)
+    assert x == bosonic_character(CharacterLabel(5, 11, r, 8), 120)
+    assert y == bosonic_character(theorem1_label(8, 1, 1), 60)
+
+
+def test_a_path_set_retains_only_its_counts():
+    # a counted path set keeps its counts and what a later listing needs to
+    # rerun the search, not the search's states
+    rsos.enumerate_paths(5, 11, 8, 2, 4)  # the memo of dark floors is filled
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        paths = rsos.enumerate_paths(5, 11, 8, 2, 120)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(paths.counts) == 121
+    assert retained < 64 * 1024, retained
+
+
+# The benchmark checks Theorem 1 at q^12 and q^16, so the listing oracle
+# runs there too, on the label with the most paths of each family of
+# `verify theorem1` and on (A, B) = (2, 2) for every T it covers.
+
+DEEP = 16
+
+
+@pytest.mark.parametrize("p,pp", verify.RSOS_FAMILIES)
+def test_rsos_listing_matches_counting_at_depth(p, pp):
+    labels = [(a, b) for a in range(1, pp) for b in sorted(rsos.dark_floors(p, pp))]
+    a, b = max(labels, key=lambda ab: len(rsos.enumerate_paths(p, pp, *ab, DEEP)))
+    paths = rsos.enumerate_paths(p, pp, a, b, DEEP)
+    listed = list(paths)
+    gf = rsos.generating_function(p, pp, a, b, DEEP)
+    assert _histogram(listed, rsos.weight, DEEP) == list(gf.coeffs), (p, pp, a, b)
+    assert len(paths) == len(listed)
+
+
+@pytest.mark.parametrize("t2", range(4, 13))
+def test_half_listing_matches_counting_at_depth(t2):
+    paths = hp.enumerate_paths(t2, 2, 2, DEEP)
+    listed = list(paths)
+    gf = hp.generating_function(t2, 2, 2, DEEP)
+    assert _histogram(listed, hp.weight, DEEP) == list(gf.coeffs), t2
+    assert len(paths) == len(listed)
+
+
+def _memo_uses(path: Path) -> list[str]:
+    """Every use of a functools memo in a module: the function it decorates,
+    or the line it stands on when it decorates nothing.
+    """
+    tree = ast.parse(path.read_text())
+    names = ("lru_cache", "cache")
+
+    def is_memo(node) -> bool:
+        return (isinstance(node, ast.Name) and node.id in names) or (
+            isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "functools")
+
+    uses, decorating = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if is_memo(target):
+                    decorating.add(id(target))
+                    uses.append(f"{path.stem}.{node.name}")
+    uses += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+             if is_memo(node) and id(node) not in decorating]
+    return uses
+
+
+def test_no_result_cache():
+    # the one memo is rsos.dark_floors, keyed on (p, p'): speed must come
+    # from the algorithms, not from remembering the results of repeated labels
+    uses = [u for f in sorted((SRC / "viracomb").glob("*.py")) for u in _memo_uses(f)]
+    assert uses == ["rsos.dark_floors"]
 
 
 def test_move_checks_hold_under_optimization():
