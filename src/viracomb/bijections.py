@@ -149,16 +149,16 @@ def _remove_pairs(path: RsosPath, pairs: list[tuple[int, int]]) -> RsosPath:
     return RsosPath.of(path.p, path.p_prime, path.a, path.b, cut)
 
 
-def _raise_peaks(h: HalfPath, scan: tuple[int, int, list[int]],
-                 mu: tuple[int, ...]) -> tuple[HalfPath, tuple[int, int, list[int]]]:
+def _raise_peaks(h: HalfPath, scan: tuple[int, int, list[int], list[int]],
+                 mu: tuple[int, ...]) -> tuple[HalfPath, tuple[int, int, list[int], list[int]]]:
     """Raise the peaks numbered mu from the left (tail peaks included) by a
     notch each, given `hp._scan(h)`: the weight w, the straight-vertex count
-    l and the peaks of h.
+    l, the peaks and the valleys of h.
 
     Returns the raised path and its `hp._scan`.  Raising c peaks adds exactly
     c(l+c-1)/2 + |mu| to the weight.
     """
-    w, ell, tops = scan
+    w, ell, tops, _ = scan
     c = len(mu)
     if not (all(x >= 1 for x in mu) and all(mu[i] > mu[i + 1] for i in range(c - 1))):
         raise AssertionError("peak numbers must be positive and strictly decrease")
@@ -253,7 +253,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
         raise AssertionError("verbatim reread must preserve the weight")
 
     mu = tuple(lam[i] + n - i for i in range(n))  # lam_i + n + 1 - (i+1)
-    h_hat, (w_hat, _, _) = _raise_peaks(h_hat_cut, scan, mu)
+    h_hat, (w_hat, *_) = _raise_peaks(h_hat_cut, scan, mu)
     if scan[1] != 2 * k_cut:
         raise AssertionError("verbatim reread must double the straight-vertex count")
     if w_hat != w:
@@ -271,7 +271,7 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
         raise BijectionDomainError(f"(A,B)=({a},{b}) out of range for T={t2}")
     lattice.require_canonical(path, path.doubled, path.b2)
 
-    w_hat, _, tops = hp._scan(path)
+    w_hat, _, tops, _ = hp._scan(path)
     mu, h_hat_cut, _ = _lower_peaks(path, tops, 0)
     n = len(mu)
     lam = tuple(mu[i] - n + i for i in range(n))  # mu_i - n - 1 + (i+1)
@@ -344,7 +344,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     scan = hp._scan(h_hat_cut)
     if scan[0] != w_cut:
         raise AssertionError("flip and lift must preserve the weight")
-    h_hat_int, (w_hat_int, _, tops) = _raise_peaks(h_hat_cut, scan, mu)
+    h_hat_int, (w_hat_int, _, tops, _) = _raise_peaks(h_hat_cut, scan, mu)
     if scan[1] != 2 * k - 2 * m:
         raise AssertionError("flip and lift must leave 2k - 2m straight vertices")
 

@@ -145,24 +145,32 @@ def weight(path: HalfPath) -> int:
     return _scan(path)[0]
 
 
-def _scan(path: HalfPath) -> tuple[int, int, list[int]]:
+def _scan(path: HalfPath) -> tuple[int, int, list[int], list[int]]:
     """One pass over the doubled positions 0..L, position 0 read against
     H(-1) = A + 1: the weight, the number of straight vertices and the
-    positions of the peaks.
+    positions of the peaks and of the valleys.  The pass runs once per path
+    object (`lattice.once`); each call gets its own lists.
     """
+    w, straights, peaks, valleys = lattice.once(path, "_scan", _read_vertices)
+    return w, straights, list(peaks), list(valleys)
+
+
+def _read_vertices(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The pass behind `_scan`, with the turns as tuples."""
     hs = path.padded(path.horizon + 1)
     quarters = straights = 0
     peaks = []
+    valleys = []
     before = path.a2 + 1
     for i, h, after in zip(range(path.horizon + 1), hs, hs[1:]):
         if before != after:
             quarters += i
             straights += 1
-        elif h > after:
-            peaks.append(i)
+        else:
+            (peaks if h > after else valleys).append(i)
         before = h
     gs_q = _ground_quarters(path.t2, path.a2, path.b2)
-    return _whole_units(quarters - gs_q), straights, peaks
+    return _whole_units(quarters - gs_q), straights, tuple(peaks), tuple(valleys)
 
 
 def _whole_units(diff: int) -> int:

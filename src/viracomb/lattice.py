@@ -4,7 +4,8 @@ in a tail band {b, b+1}.
 RSOS paths and half-lattice paths differ only in their step rules, vertex
 costs and search bounds.  Everything else lives here: parsing the one-line
 path formats, canonical storage through the horizon, tail continuation,
-the peak and valley scan of raw heights, and one bounded path search.
+the peak and valley scan of raw heights, one bounded path search, and
+`once`, which keeps what a path's readers compute from it on the path.
 """
 
 from __future__ import annotations
@@ -96,6 +97,21 @@ def padded(stored: tuple[int, ...], b: int, upto: int) -> list[int]:
         flip = b + 1 if last == b else b
         out += ([flip, last] * ((beyond + 1) // 2))[:beyond]
     return out
+
+
+def once(path, name: str, compute):
+    """compute(path), computed at most once per path object: the value is
+    kept under `name` in the instance `__dict__`, which the frozen path
+    classes leave out of their fields, so `==`, `hash`, `repr` and
+    `to_line` never see it.  The memo lives and dies with its path; equal
+    paths built apart share nothing, and a compute that raises leaves
+    nothing behind.  compute must return an immutable value, never None.
+    """
+    memo = path.__dict__
+    value = memo.get(name)
+    if value is None:
+        value = memo[name] = compute(path)
+    return value
 
 
 def turns(hs: Sequence[int], hi: int) -> tuple[list[int], list[int]]:

@@ -9,10 +9,13 @@ of charges >= 1 form a sector; the minimal path of a sector lines its
 particles up against the left wall in decreasing charge order, and every
 other member is reached from it by weight-one particle moves.
 
-A dissection reads only the stored heights: one scan finds the stored
-peaks and the valleys, and every baseline closes by the horizon, where the
-stored heights end at the bottom of the strip.  The charge passes then
-work on the list of valleys alone and stop as soon as no peak waits.
+A dissection reads only the stored heights: it takes the stored peaks and
+the valleys from the path's half scan, the one vertex pass that also
+weighs it, and every baseline closes by the horizon, where the stored
+heights end at the bottom of the strip.  The charge passes then work on
+the list of valleys alone and stop as soon as no peak waits.  A path is
+read once: its scan and its dissection are each computed at most once per
+path object, however often a move and its caller weigh and dissect it.
 """
 
 from __future__ import annotations
@@ -54,6 +57,17 @@ def dissect(path: HalfPath) -> Dissection:
     charge-1/2 tail peaks are handled implicitly: each discounts the valley
     to its right, leaving the junction valley available to stored peaks.
 
+    The particles and the sector are worked out once per path object
+    (`lattice.once`), from the peaks and valleys of the path's half scan;
+    each call returns a fresh `Dissection`, and a refusal raises every time.
+    """
+    particles, sector = lattice.once(path, "dissect", _dissect)
+    return Dissection(path, particles, sector)
+
+
+def _dissect(path: HalfPath) -> tuple[tuple[Particle, ...], tuple[int, ...]]:
+    """The particles and the sector behind `dissect`.
+
     The scan keeps one ordered list of live valleys, those no particle has
     discounted yet.  A peak's nearest live valleys are its two neighbours in
     that list; a pass for charge d/2 walks the peaks still waiting right to
@@ -68,10 +82,10 @@ def dissect(path: HalfPath) -> Dissection:
     t2 = path.t2
     H = path.doubled
     horizon = path.horizon
-    peaks, valleys = lattice.turns(H, horizon)
     # position 0 is always a valley: H(-1) = 3 (virtual) and H(1) = 3 lie
-    # above it; so is the horizon, where the stored 2 meets the tail's 3
-    live = [0, *valleys, horizon] if horizon else [0]
+    # above it; so is a nonzero horizon, where the stored 2 meets the tail's
+    # 3; the half scan reads both, and no peak lies outside them
+    _, _, peaks, live = hp._scan(path)
     assigned: dict[int, Particle] = {}
     sector = [0] * (t2 - 3)
 
@@ -111,8 +125,7 @@ def dissect(path: HalfPath) -> Dissection:
 
     if waiting:
         raise DissectionError(f"peaks without a charge after the scan: {waiting[::-1]}")
-    particles = tuple(assigned[pk] for pk in peaks)
-    return Dissection(path, particles, tuple(sector))
+    return tuple(assigned[pk] for pk in peaks), tuple(sector)
 
 
 def minimal_path(t2: int, sector: tuple[int, ...]) -> HalfPath:
@@ -261,8 +274,10 @@ def enumerate_moves(path: HalfPath) -> list[Move]:
 def apply_move(path: HalfPath, move: Move) -> HalfPath:
     """Enact a permitted move; the weight grows by exactly one and the
     sector is unchanged.  Both are checked against what `enumerate_moves`
-    recorded on the move: the new path is weighed and re-dissected, and the
-    starting path is neither weighed nor dissected again.
+    recorded on the move: the new path is weighed and dissected, and the
+    starting path is neither weighed nor dissected again.  The new path
+    keeps its scan and its dissection, so a caller that weighs and
+    dissects it again reads nothing twice.
     """
     q, p = move.particle, move.owner
     d2 = q.charge2

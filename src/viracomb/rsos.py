@@ -6,7 +6,9 @@ L(h) is stored: the smallest even L from which every later height lies in
 {b, b+1}.  Horizontal bands between consecutive heights are dark or light
 according to the floor function y = floor(r p'/p); scoring vertices (and
 hence weights) are defined relative to that shading, and one scan of the
-vertices, `_scan`, gives both the weight and the scoring positions.
+vertices, `_scan`, gives both the weight and the scoring positions, and
+runs at most once per path object: a path is read once, however many
+readers ask.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors.  Enumeration of all paths up to a weight bound is
@@ -134,8 +136,15 @@ def _scan(path: RsosPath) -> tuple[int, list[int], int]:
     """One pass over the vertices 1..L: the weight, the positions of the
     scoring vertices and the number of scoring peaks.  Every vertex's labels
     are checked, scoring or not; whether the tail band is dark (the weight
-    finite) is left to the caller, as `weight` checks it.
+    finite) is left to the caller, as `weight` checks it.  The pass runs
+    once per path object (`lattice.once`); each call gets its own list.
     """
+    total, scoring, peaks = lattice.once(path, "_scan", _read_vertices)
+    return total, list(scoring), peaks
+
+
+def _read_vertices(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
+    """The pass behind `_scan`, with the scoring positions as a tuple."""
     dark = dark_floors(path.p, path.p_prime)
     a = path.a
     hs = path.padded(path.horizon + 1)
@@ -150,7 +159,7 @@ def _scan(path: RsosPath) -> tuple[int, list[int], int]:
             scoring.append(x)
             if nxt == prev < h:
                 peaks += 1
-    return total, scoring, peaks
+    return total, tuple(scoring), peaks
 
 
 def _require_finite(path: RsosPath) -> None:

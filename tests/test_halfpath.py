@@ -99,14 +99,25 @@ def test_weight_extended_on_enumerated_set():
         assert weight_extended(path) == weight(path)
 
 
-@pytest.mark.parametrize("t2,a2,b2", [(8, 8, 6), (7, 2, 6), (9, 4, 2), (10, 2, 2)])
+@pytest.mark.parametrize("t2,a2,b2", [(8, 8, 6), (7, 2, 6), (9, 4, 2), (10, 2, 2),
+                                      (6, 2, 2), (7, 2, 2), (8, 2, 2), (9, 2, 2)])
 def test_scan_matches_straights_and_peaks(t2, a2, b2):
-    paths = list(enumerate_paths(t2, a2, b2, 9))
+    corner = a2 == b2 == 2
+    paths = list(enumerate_paths(t2, a2, b2, 14 if corner else 9))
     assert len(paths) > 20
     for path in paths:
-        hs = path.padded(path.horizon + 1)
-        assert halfpath._scan(path) == (weight_extended(path), len(straight_positions(path)),
-                                        lattice.turns(hs, path.horizon + 1)[0]), path.to_line()
+        # the turns at 0..L of the heights H(-1) = A + 1, H(0), ..., H(L + 1)
+        hs = [a2 + 1, *path.padded(path.horizon + 1)]
+        peaks, valleys = lattice.turns(hs, path.horizon + 2)
+        scan = halfpath._scan(path)
+        assert scan == (weight_extended(path), len(straight_positions(path)),
+                        [i - 1 for i in peaks], [i - 1 for i in valleys]), path.to_line()
+        if corner:
+            # what particles.dissect reads: the stored turns, with the
+            # wall's valley at 0 and the horizon's valley added
+            peaks, valleys = lattice.turns(path.doubled, path.horizon)
+            framed = [0, *valleys, path.horizon] if path.horizon else [0]
+            assert scan[2:] == (peaks, framed), path.to_line()
 
 
 def test_enumerate_ground_state_only():

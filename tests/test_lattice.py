@@ -1,9 +1,11 @@
 import ast
+import dataclasses
 import gc
 import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -12,9 +14,14 @@ import pytest
 
 from viracomb import halfpath as hp
 from viracomb import lattice
+from viracomb import particles
 from viracomb import rsos
 from viracomb import verify
 from viracomb.characters import CharacterLabel, bosonic_character, theorem1_label
+from viracomb.halfpath import HalfPath
+from viracomb.rsos import RsosPath
+
+from data_paths import DISSECT_10, HALF_10, RSOS_49
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -243,6 +250,61 @@ def test_no_result_cache():
     # from the algorithms, not from remembering the results of repeated labels
     uses = [u for f in sorted((SRC / "viracomb").glob("*.py")) for u in _memo_uses(f)]
     assert uses == ["rsos.dark_floors"]
+
+
+# -- what a path keeps of its own readings ------------------------------------
+
+
+def _counting(module, name):
+    return mock.patch.object(module, name, wraps=getattr(module, name))
+
+
+def test_equal_paths_built_apart_each_read_themselves():
+    for model, data, build in ((hp, HALF_10, HalfPath.of), (rsos, RSOS_49, RsosPath.of)):
+        first, second = build(*data), build(*data)
+        with _counting(model, "_read_vertices") as reads:
+            assert model.weight(first) == model.weight(second) == model.weight(first)
+        assert [c.args for c in reads.call_args_list] == [(first,), (second,)]
+
+
+def test_scan_hands_out_copies():
+    # the lists a scan returns are the caller's to change; an equal path
+    # built apart reads what the first one should still give
+    path = HalfPath.of(*HALF_10)
+    w, straights, peaks, valleys = hp._scan(path)
+    peaks.append(99)
+    valleys.clear()
+    assert hp._scan(path) == hp._scan(HalfPath.of(*HALF_10))
+    path = RsosPath.of(*RSOS_49)
+    rsos._scan(path)[1].append(99)
+    assert rsos._scan(path) == rsos._scan(RsosPath.of(*RSOS_49))
+
+
+def test_refusals_are_not_kept():
+    path = HalfPath.of(10, 4, 8, [4, 5, 6, 7, 8])
+    with _counting(particles, "_dissect") as cuts:
+        for _ in range(2):
+            with pytest.raises(ValueError, match="from height 1 to height 1"):
+                particles.dissect(path)
+    assert cuts.call_count == 2
+
+
+def test_a_read_path_is_the_same_value():
+    read, unread = HalfPath.of(*DISSECT_10), HalfPath.of(*DISSECT_10)
+    dis = particles.dissect(read)
+    assert read == unread and hash(read) == hash(unread)
+    assert (repr(read), read.to_line()) == (repr(unread), unread.to_line())
+    assert dis == particles.dissect(read) == particles.dissect(unread)
+    assert dis is not particles.dissect(read)  # a fresh dissection per call
+    copy = dataclasses.replace(read)
+    with _counting(hp, "_read_vertices") as reads, _counting(particles, "_dissect") as cuts:
+        assert particles.dissect(copy) == dis
+        assert hp.weight(copy) == hp.weight(read)
+    assert (reads.call_count, cuts.call_count) == (1, 1)
+    # the memo holds no dissection, so no cycle keeps a path alive
+    ref = weakref.ref(read)
+    del read, dis
+    assert ref() is None
 
 
 def test_move_checks_hold_under_optimization():

@@ -1,5 +1,6 @@
 import random
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 
@@ -109,6 +110,21 @@ def test_minimal_path_is_unique_minimum():
 
 def test_m_vector_zero_sector():
     assert m_vector(10, (0,) * 7) == [0] * 7
+
+
+def test_a_moved_path_is_scanned_and_dissected_once():
+    # apply_move weighs and dissects the new path, and its caller does both
+    # again: the path keeps its scan and its dissection, so each runs once
+    path = HalfPath.of(*DISSECT_10)
+    moves = enumerate_moves(path)
+    assert len(moves) == 5
+    for move in moves:
+        with mock.patch.object(hp, "_read_vertices", wraps=hp._read_vertices) as scans, \
+                mock.patch.object(particles, "_dissect", wraps=particles._dissect) as cuts:
+            new = apply_move(path, move)
+            assert (hp.weight(new), dissect(new).sector) == (move.weight + 1, move.sector)
+        assert (scans.call_count, cuts.call_count) == (1, 1), move
+        assert [c.args for c in scans.call_args_list + cuts.call_args_list] == [(new,), (new,)]
 
 
 def test_move_sequence_against_larger_particle():
