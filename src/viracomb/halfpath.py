@@ -188,6 +188,17 @@ def _whole_units(diff: int) -> int:
 def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.PathSet:
     """All paths of weight <= max_weight, listed in order of their doubled
     heights; `counts` are by raw weight in quarter-units.
+
+    One `lattice.search`, whose bounds count every straight vertex a
+    completion is forced to pass, each costing its doubled position:
+
+    * `future(i, h)`: the first step after i from each height between h
+      and the band towards it is straight and entered from outside the
+      band: B+1..h-1 above it, h+1..B below it, at distinct positions
+      after i.
+    * `leave(i)`: a run leaves the band at some j >= i, on a straight
+      vertex, and later enters it for good on another straight vertex, at
+      j + 2 or later, so the two cost at least 2i + 2.
     """
     gs_q = _ground_quarters(t2, a2, b2)  # checks the domain
     if max_weight < 0:
@@ -200,14 +211,19 @@ def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.PathS
         return i if nxt != prev else 0
 
     def future(i: int, h: int) -> int:
-        # a single monotone run to the tail still has |h - B| - 1 interior
-        # straight vertices, at distinct positions from i on
-        m = abs(h - b2) - 1
-        return m * i + m * (m + 1) // 2 if m > 0 else 0
+        # m forced straight vertices, at distinct positions after i: on
+        # B+1..h-1 above the band, each entered from above and left
+        # downwards, or on h+1..B below it, each entered from below and left
+        # upwards; entered from outside the band, each comes before the
+        # horizon
+        m = h - b2 - 1 if h > b2 else b2 - h
+        return m * i + m * (m + 1) // 2
 
     def leave(i: int) -> int:
-        # any exit from the tail band costs a straight vertex
-        return i
+        # the exit vertex j >= i runs straight out of the band from inside
+        # it; the final entry vertex, at j + 2 or later, runs straight on
+        # into the band, where the path then stays
+        return 2 * i + 2
 
     budget = 4 * max_weight + gs_q
     horizon = 4 * max_weight + 2 * abs(a2 - b2) + 8

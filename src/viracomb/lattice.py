@@ -136,8 +136,9 @@ class PathSet:
 
     Counting builds nothing the walk needs.  The first iteration builds it:
     `forward` runs the search's forward pass again, recording each state's
-    surviving steps, and a backward pass over those layers gives each state
-    its least completion cost, all the walk needs to prune.
+    surviving steps and carrying no counts, and a backward pass over those
+    layers gives each state its least completion cost, all the walk needs
+    to prune.
     """
 
     def __init__(self, counts: list[int], forward=None, build=tuple) -> None:
@@ -178,9 +179,11 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
     * `cost(x, prev, h, nh)`: what vertex x >= 1 at height h adds when it is
       entered from prev and left to nh, or None when that step is forbidden;
     * `future(x, h)`: a lower bound on what any completion from height h at
-      position x still adds;
+      position x still adds, the vertex at x included;
     * `leave(x)`: a lower bound on the cost of leaving the tail band at any
-      position >= x.
+      position >= x and coming back: what any completion still adds from
+      position x on when the heights at x-2, x-1 and x all lie in the band
+      (a run, which must leave the band before it can end).
 
     The startpoint adds nothing, and tail vertices past the horizon add
     nothing, so a path's cost is complete once its junction vertex (the
@@ -196,10 +199,14 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
     of the bounds that apply to it.  A step shifts the list by its vertex
     cost, and lists that meet in one state add; a junction state adds its
     list, shifted by the junction cost, into the result.  Steps are pruned
-    by the budget and both bounds.  The hard horizon only guards against a
-    search that never ends: a state still live past it raises, so a result
-    is exactly what an unbounded search would return.  Nothing for listing
-    is built until the path set is first iterated.
+    by the budget and both bounds.  A bound may never exceed what a
+    completion really costs, or paths go missing; below that, the tighter
+    it is, the fewer states carry counts of prefixes that cannot finish
+    within the budget, so the models' bounds count every costed vertex a
+    completion is forced to pass, not just one.  The hard horizon only
+    guards against a search that never ends: a state still live past it
+    raises, so a result is exactly what an unbounded search would return.
+    Nothing for listing is built until the path set is first iterated.
     """
     counts = _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what)
     if not any(counts):
@@ -209,16 +216,18 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
 
 
 def _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what,
-             layers=None) -> list[int]:
+             layers=None) -> list[int] | None:
     """The forward pass of `search`: the counts by cost.  Given a list as
-    `layers`, it also appends, per layer, each live state's least reach cost,
-    junction cost (None off the horizons) and surviving steps
-    (nh, vertex cost, child state).
+    `layers`, it records instead of counting, and returns None: it appends,
+    per layer, each live state's least reach cost, junction cost (None off
+    the horizons) and surviving steps (nh, vertex cost, child state).  A
+    recording state carries its least reach cost alone, since pruning reads
+    nothing else, so it keeps exactly the states and steps counting keeps.
     """
     band = (b, b + 1)
     record = layers is not None
     counts = [0] * (budget + 1)
-    reach = {(None, start, False): (0, [1])}
+    reach = {(None, start, False): (0, [1])}  # state: (least reach cost, counts)
     x = 0
     while reach:
         if x > horizon:
@@ -237,7 +246,7 @@ def _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what,
                 # the tail that follows it
                 junction = cost(x, prev, h, b + 1 if h == b else b) if x else 0
                 s = w + junction
-                if s <= budget:
+                if s <= budget and not record:
                     tail = vec[:budget + 1 - s]
                     counts[s:s + len(tail)] = map(add, counts[s:], tail)
             out = []
@@ -259,10 +268,13 @@ def _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what,
                 if w2 > room:
                     continue
                 child = (h, nh, nrun)
+                old = nxt.get(child)
                 if record:
                     out.append((nh, c, child))
+                    if old is None or w2 < old[0]:
+                        nxt[child] = (w2, None)
+                    continue
                 more = vec[:room + 1 - w2]
-                old = nxt.get(child)
                 if old is None:
                     nxt[child] = (w2, more)
                     continue
@@ -281,7 +293,7 @@ def _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what,
             layers.append(steps)
         reach = nxt
         x += 1
-    return counts
+    return None if record else counts
 
 
 def _walk_root(layers: list[dict], budget: int) -> tuple:

@@ -177,11 +177,25 @@ def enumerate_paths(
     listed in order of their height tuples.
 
     One `lattice.search` over states with exact lower-bound pruning counts
-    the paths in one forward pass.  The result is complete: the search
-    raises if any state is still live past its hard horizon,
-    2 * max_weight + |a - b| + 2p'.  Iterating the result builds the walk;
-    it visits only prefixes of the listed paths, so listing costs follow
-    the output.
+    the paths in one forward pass.  Both bounds count every scoring vertex
+    a completion is forced to pass, at its least label:
+
+    * `future(x, h)`: one vertex per dark floor y between h and the band,
+      b <= y <= h-2 above it or h < y <= b below it.  The first step after
+      x across [y, y+1] towards the band is straight over that dark band,
+      so it scores, and is entered from outside the tail band, so it comes
+      before the horizon.
+    * `leave(x)`: a run leaves the band at some j >= x and later enters it
+      for good.  The first step back across the tail band is straight over
+      it, at j + 2 or later.  Before it, the climb (or descent) from j to
+      its first turn scores at least once: the band just inside the turn
+      scores on the turn when light, on the straight vertex before it when
+      dark.
+
+    The result is complete: the search raises if any state is still live
+    past its hard horizon, 2 * max_weight + |a - b| + 2p'.  Iterating the
+    result builds the walk; it visits only prefixes of the listed paths, so
+    listing costs follow the output.
     """
     if not 1 <= a <= p_prime - 1:
         raise InvalidPathError(f"start height a={a} out of range")
@@ -199,26 +213,43 @@ def enumerate_paths(
             return 0
         return (x - h + a) // 2 if prev < h else (x + h - a) // 2
 
-    def future(x: int, h: int) -> int:
-        # every completion still owes at least one scoring vertex tied to
-        # the final approach into the tail band
-        if h > b + 1:
-            v = x + h - a
-            return (v + 1) // 2 if v > 0 else 0
-        if h < b:
-            u = x + a - h
-            return (u + 1) // 2 if u > 0 else 0
-        return 0
+    # forced[h]: the dark floors a completion from height h must still
+    # cross towards the band.  Above it (h > b+1) they are b <= y <= h-2:
+    # before its first step from y+1 down to y the path stays at y+1 or
+    # higher, so that step is entered from y+2, straight over the dark band
+    # [y, y+1], and it scores; its predecessor lies outside the tail band,
+    # so it comes at or before the horizon and is costed.  Below it (h < b)
+    # they are h+1 <= y <= b, each crossed first by a straight step up from
+    # y entered from y-1.
+    forced = [sum(b <= y <= h - 2 or h < y <= b for y in dark) for h in range(top + 1)]
 
+    def future(x: int, h: int) -> int:
+        # a forced vertex x' > x at height h' lies at least |h - h'| steps
+        # on, so its label, v = (x' + h' - a)/2 above the band or
+        # u = (x' - h' + a)/2 below it, is at least (x + h - a)/2 or
+        # (x - h + a)/2; forced[h] is 0 inside the band
+        if h > b:
+            return forced[h] * ((x + h - a + 1) // 2)
+        return forced[h] * ((x + a - h + 1) // 2)
+
+    # a run ends only by leaving the band at some vertex j >= x and
+    # entering it for good later.  Out above, the first step from b+1 down
+    # to b after the exit is entered from b+2, at j + 2 or later: straight
+    # over the dark tail band, so v >= (x + b + 3 - a)/2.  Before it, the
+    # climb from the exit vertex (at b+1, entered from b) up to its first
+    # peak scores at least once: the band under the peak is crossed by the
+    # straight vertex below the peak, which scores if it is dark, and by
+    # the peak, which scores if it is light.  Every vertex of that climb is
+    # entered by an up step on one diagonal, so u = (j - b - 1 + a)/2 >=
+    # (x - b - 1 + a)/2.  Out below is the mirror image.  All of them lie
+    # before the horizon, since the path has not yet entered the band for
+    # good.
     def leave(x: int) -> int:
-        # cheapest cost of ever leaving the tail band at position >= x
         opts = []
         if b + 2 <= top:
-            v = x + 1 + b + 2 - a
-            opts.append((v + 1) // 2 if v > 0 else 0)
-        if b - 1 >= 1:
-            u = x + 1 + a - (b - 1)
-            opts.append((u + 1) // 2 if u > 0 else 0)
+            opts.append((x + b + 4 - a) // 2 + (x - b + a) // 2)
+        if b >= 2:
+            opts.append((x + a - b + 3) // 2 + (x + b - a + 1) // 2)
         return min(opts) if opts else max_weight + 1
 
     horizon = 2 * max_weight + abs(a - b) + 2 * p_prime

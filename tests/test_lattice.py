@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import gc
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +22,7 @@ from viracomb.characters import CharacterLabel, bosonic_character, theorem1_labe
 from viracomb.halfpath import HalfPath
 from viracomb.rsos import RsosPath
 
-from data_paths import DISSECT_10, HALF_10, RSOS_49
+from data_paths import DISSECT_10, HALF_10, RSOS_49, half_ok, walk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -218,6 +219,101 @@ def test_half_listing_matches_counting_at_depth(t2):
     gf = hp.generating_function(t2, 2, 2, DEEP)
     assert _histogram(listed, hp.weight, DEEP) == list(gf.coeffs), t2
     assert len(paths) == len(listed)
+
+
+# -- the search bounds --------------------------------------------------------
+
+
+def _closures(enumerate_paths, *args):
+    """The cost, future and leave functions a model hands to `lattice.search`."""
+    with mock.patch.object(lattice, "search", wraps=lattice.search) as search:
+        enumerate_paths(*args)
+    return search.call_args.args[6:9]
+
+
+def _check_bounds(closures, hs: tuple[int, ...], b: int, total: int) -> None:
+    """Cost every vertex of the canonical storage hs, the junction against
+    the tail; the costs must add up to total, and at every position x the
+    bounds may not exceed what the vertices x..L cost.
+    """
+    cost, future, leave = closures
+    horizon = len(hs) - 1
+    hs = lattice.padded(hs, b, horizon + 1)
+    rest = [0] * (horizon + 2)  # rest[x]: the cost of the vertices x..L
+    for x in range(horizon, 0, -1):
+        rest[x] = rest[x + 1] + cost(x, hs[x - 1], hs[x], hs[x + 1])
+    assert rest[1] == total, hs
+    for x in range(1, horizon + 1):
+        assert future(x, hs[x]) <= rest[x], (hs, x)
+        if x >= 2 and {hs[x - 2], hs[x - 1], hs[x]} <= {b, b + 1}:
+            assert leave(x) <= rest[x], (hs, x)
+
+
+def test_rsos_bounds_are_admissible():
+    # seeded random paths of any weight, most far above the budget the
+    # closures were made for: no bound may overestimate what is left
+    rnd = random.Random(19)
+    weights = []
+    for p, pp in RSOS_FAMILIES:
+        for _ in range(24):
+            a = rnd.randint(1, pp - 1)
+            b = rnd.choice(sorted(rsos.dark_floors(p, pp)))
+            closures = _closures(rsos.enumerate_paths, p, pp, a, b, 4)
+            path = RsosPath.of(p, pp, a, b, walk(rnd, a, 1, pp - 1, b, rnd.randint(0, 60)))
+            weights.append(rsos.weight(path))
+            _check_bounds(closures, path.heights, b, weights[-1])
+    assert max(weights) > 100
+
+
+def test_half_bounds_are_admissible():
+    rnd = random.Random(19)
+    weights = []
+    for t2 in range(4, 15):
+        labels = [(a2, b2) for a2 in range(2, t2 + 1, 2) for b2 in range(2, t2 + 1, 2)
+                  if hp.theorem1_domain(t2, a2, b2)]
+        for _ in range(40):
+            a2, b2 = rnd.choice(labels)
+            closures = _closures(hp.enumerate_paths, t2, a2, b2, 4)
+            g = HalfPath.of(t2, a2, b2, walk(rnd, a2, 2, t2, b2, rnd.randint(0, 90), half_ok))
+            weights.append(hp.weight(g))
+            total = 4 * weights[-1] + hp._ground_quarters(t2, a2, b2)
+            _check_bounds(closures, g.doubled, b2, total)
+    assert max(weights) > 100
+
+
+def _useful_share(paths: lattice.PathSet) -> float:
+    """The share of the states the recorded forward pass keeps that have a
+    completion within the budget, by a backward pass of least completions.
+    """
+    layers: list[dict] = []
+    paths._forward(layers)
+    budget = len(paths.counts) - 1
+    least: dict = {}  # the least completion cost of each state of the layer below
+    useful = total = 0
+    for steps in reversed(layers):
+        here = {}
+        for state, (w, junction, out) in steps.items():
+            ends = [c + least[child] for _, c, child in out if child in least]
+            if junction is not None:
+                ends.append(junction)
+            if ends:
+                here[state] = min(ends)
+                useful += w + here[state] <= budget
+        total += len(steps)
+        least = here
+    return useful / total
+
+
+@pytest.mark.parametrize("order", [16, 60])
+def test_the_search_keeps_few_states_without_a_completion(order):
+    # the bounds count every costed vertex a completion is forced to pass,
+    # so nearly all live states can still finish within the budget, and on
+    # these half-path labels every one can
+    for label in ((5, 11, 8, 2), (6, 13, 3, 10), (4, 9, 8, 6), (3, 7, 4, 4)):
+        share = _useful_share(rsos.enumerate_paths(*label, order))
+        assert share >= 0.85, (label, share)
+    for label in ((8, 2, 2), (12, 2, 2), (7, 6, 2)):
+        assert _useful_share(hp.enumerate_paths(*label, order)) == 1, label
 
 
 def _memo_uses(path: Path) -> list[str]:
