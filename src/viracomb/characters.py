@@ -8,19 +8,22 @@ the inverse type-A Cartan matrix.  Half-integer moduli are avoided
 throughout by carrying t doubled as an integer T = 2t.
 
 `fermionic_character_12` does not build its terms one by one.  It walks the
-occupation vectors from the top charge down and keeps one coefficient list
-of q-binomial products, which each step multiplies and divides by one factor
-(1 - q^k) in place, so neighbouring terms share all but those passes.  The
-factor 1/(q)_{m_1} is left out of the walk: each term goes into a bucket by
-its m_1, and one Horner sweep over the buckets divides by (1 - q^(M+1)) once
-per value M, so only a few dozen such passes are made per call.
+occupation vectors level by level from the top charge down, and merges the
+histories that agree on (m_c, sum_{k>c} n_k): those two numbers fix
+everything the levels below add, so one coefficient list of q-binomial
+products, multiplied and divided by one factor (1 - q^k) in place per step,
+serves all of them.  The factor 1/(q)_{m_1} is left out of the walk: each
+term goes into a bucket by its m_1, and one Horner sweep over the buckets
+divides by (1 - q^(M+1)) once per value M, so only a few dozen such passes
+are made per call.  The closed-form sums for M(2,5), M(3,7) and M(4,7)
+build each term from its neighbour in the same way, a few passes per term.
 `bosonic_character` divides the alternating sum by (q)_oo in place with one
 pentagonal pass (`qseries._divide_poch_inf`).  `_fermionic_term` builds
 one term alone: `particles.sector_gf` needs single terms, and it is the
 per-vector oracle the walk is tested against.  Neither walk takes a frame
 per charge: `occupation_vectors` is one loop, and the fermionic walk keeps
-one stack of pending levels.  Both visit only the charges whose lone
-particle fits within the order, about sqrt(2N) of them whatever T is.
+one dict of merged states per level.  Both visit only the charges whose
+lone particle fits within the order, about sqrt(2N) of them whatever T is.
 """
 
 from __future__ import annotations
@@ -203,15 +206,25 @@ def _fermionic_term(t2: int, n: tuple[int, ...], order: int) -> QSeries:
     return _factor_product(up, down, order)
 
 
-def _shifted_sum(terms, order: int) -> QSeries:
-    """sum q^e * term over the (e, term) pairs, through q^order; each term
-    need only be known through q^(order - e).
+def _check_order(order: int) -> None:
+    # checked before a walk starts: [1] + [0] * order is [1] for a negative order
+    if order < 0:
+        raise ValueError(f"order must be nonnegative, got {order}")
+
+
+def _merge(states: dict, key, e: int, poly: list[int]) -> None:
+    """Add q^e poly into states[key], kept as (least exponent e0, list cut at
+    q^(order - e0)); poly is cut at q^(order - e) and is not kept.
     """
-    coeffs = [0] * (order + 1)
-    for e, term in terms:
-        for k, c in enumerate(term.coeffs):
-            coeffs[e + k] += c
-    return QSeries(order, tuple(coeffs))
+    old = states.get(key)
+    if old is None:
+        states[key] = (e, poly[:])
+        return
+    e0, acc = old
+    if e < e0:
+        e0, acc, e, poly = e, poly[:], e0, acc
+        states[key] = (e0, acc)
+    acc[e - e0:] = map(add, acc[e - e0:], poly)
 
 
 def fermionic_character_12(t2: int, order: int) -> QSeries:
@@ -222,44 +235,51 @@ def fermionic_character_12(t2: int, order: int) -> QSeries:
     finitely many vectors whose quadratic-form exponent stays within order;
     the others vanish modulo q^(order+1).
 
-    One walk fixes n_c from the top charge down to charge 2, so that
-    m_c = sum_{k>c} n_k (k - c) is known on entering level c.  It carries
-    one list P = prod_{k>c} [n_k + m_k, n_k], and a child level gets a copy.
-    Raising n_c by one multiplies P by (1 - q^(m_c + n_c + 1)) / (1 - q^(n_c
-    + 1)) (no binomial at c = T-2); the exponent only grows (B >= 0
-    entrywise), so P is cut to q^(order - e) first.  A leaf adds q^e P to
-    the bucket of its M = m_1 = sum_c (c - 1) n_c.  The buckets are summed
-    with their 1/(q)_M by one Horner sweep from the largest M down,
+    The walk fixes n_c level by level from the top charge down to charge 2,
+    so that m_c = sum_{k>c} n_k (k - c) and tail = sum_{k>c} n_k are known
+    on entering level c.  Histories that agree on (m_c, tail) are merged:
+    sum_{k>c} k n_k = m_c + c tail, so (c, m_c, tail) fixes the exponent
+    step of every particle added from level c down (B_ij = (min - 1) max),
+    every binomial [n_j + m_j, n_j] below c, and m_1.  A state carries its
+    least exponent e0 and one list, the sum of q^(e - e0) prod_{k>c} [n_k +
+    m_k, n_k] over its histories, cut at q^(order - e0).  Raising n_c by one
+    multiplies the list by (1 - q^(m_c + n_c + 1)) / (1 - q^(n_c + 1)), no
+    pass at all when m_c = 0, since [n, n] = 1; the exponent only grows
+    (B >= 0 entrywise), so the list is cut first.  At charge 2 each state
+    adds q^e0 times its list to the bucket of its M = m_1.  The buckets are
+    summed with their 1/(q)_M by one Horner sweep from the largest M down,
     acc <- acc / (1 - q^(M+1)) + bucket[M], so each value of m_1 costs one
     O(N) pass, not every vector that has it, and passes past q^order are
-    skipped.  Per vector this is two O(N) passes instead of the
-    m_1 + 2 sum n_j of `_fermionic_term`, which builds one term on its own.
+    skipped.  `_fermionic_term` builds one term on its own.
     """
+    top = _top_charge(t2, order)
+    _check_order(order)
     by_m: dict[int, list[int]] = {}  # M -> sum of q^e P over leaves with m_1 = M
-    # a level still to walk: (c, P, m_c, sum_{k>c} n_k, sum_{k>c} k n_k,
-    # n.B.n over charges > c)
-    stack = [(_top_charge(t2, order), [1] + [0] * order, 0, 0, 0, 0)]
-    while stack:
-        c, poly, m_c, tail, weighted, expo2 = stack.pop()
-        n = 0
-        while True:
-            if c > 2:
-                stack.append((c - 1, poly[:], m_c + tail + n, tail + n,
-                              weighted + c * n, expo2))
-            else:
-                big_m, e = m_c + tail + n, expo2 // 2  # m_1 = m_2 + sum_{k>1} n_k
-                bucket = by_m.get(big_m)
-                if bucket is None:
-                    bucket = by_m[big_m] = [0] * (order + 1)
-                bucket[e:] = map(add, bucket[e:], poly)
-            expo2 += (c - 1) * (c * (2 * n + 1) + 2 * weighted)
-            if expo2 > 2 * order:
-                break
-            del poly[order - expo2 // 2 + 1:]
-            if c < t2 - 2:
-                _times_one_minus(poly, m_c + n + 1)
-                _divide_one_minus(poly, n + 1)
-            n += 1
+    level = {(0, 0): (0, [1] + [0] * order)}  # (m_c, tail) -> (e0, list)
+    for c in range(top, 1, -1):
+        below: dict = {}
+        diag = c * (c - 1) // 2  # B_cc / 2
+        for (m_c, tail), (e, poly) in level.items():
+            cross = (c - 1) * (m_c + c * tail)  # a particle's terms with charges > c
+            n = 0
+            while True:
+                if c > 2:
+                    _merge(below, (m_c + tail + n, tail + n), e, poly)
+                else:
+                    big_m = m_c + tail + n  # m_1 = m_2 + sum_{k>1} n_k
+                    bucket = by_m.get(big_m)
+                    if bucket is None:
+                        bucket = by_m[big_m] = [0] * (order + 1)
+                    bucket[e:] = map(add, bucket[e:], poly)
+                e += diag * (2 * n + 1) + cross
+                if e > order:
+                    break
+                del poly[order - e + 1:]
+                if m_c:
+                    _times_one_minus(poly, m_c + n + 1)
+                    _divide_one_minus(poly, n + 1)
+                n += 1
+        level = below
     top = max(by_m)  # the empty vector is always a leaf
     acc = by_m[top]
     for big_m in range(top - 1, -1, -1):
@@ -318,44 +338,83 @@ def verify_symmetries(label: CharacterLabel, order: int) -> SymmetryReport:
 
 
 def fermionic_sum_2_5(order: int) -> QSeries:
-    """sum_n q^(n^2) / (q)_n, the Rogers-Ramanujan sum side for M(2,5)."""
-    def terms():
-        n = 0
-        while n * n <= order:
-            yield n * n, _factor_product((), range(1, n + 1), order - n * n)
-            n += 1
+    """sum_n q^(n^2) / (q)_n, the Rogers-Ramanujan sum side for M(2,5).
 
-    return _shifted_sum(terms(), order)
+    Each term is its predecessor over (1 - q^n), cut at q^(order - n^2) first.
+    """
+    _check_order(order)
+    acc = [0] * (order + 1)
+    term = [1] + [0] * order
+    n = e = 0
+    while True:
+        acc[e:] = map(add, acc[e:], term)
+        n += 1
+        e = n * n
+        if e > order:
+            return QSeries(order, tuple(acc))
+        del term[order - e + 1:]
+        _divide_one_minus(term, n)
 
 
 def fermionic_sum_3_7(order: int) -> QSeries:
-    """sum q^((n1+n2)^2 + 2 n2^2) / ((q)_{n1} (q)_{2 n2}) for M(3,7)."""
-    def terms():
-        n2 = 0
-        while 2 * n2 * n2 <= order:
-            n1 = 0
-            while (e := (n1 + n2) ** 2 + 2 * n2 * n2) <= order:
-                yield e, _factor_product((), [*range(1, n1 + 1), *range(1, 2 * n2 + 1)],
-                                        order - e)
-                n1 += 1
-            n2 += 1
+    """sum q^((n1+n2)^2 + 2 n2^2) / ((q)_{n1} (q)_{2 n2}) for M(3,7).
 
-    return _shifted_sum(terms(), order)
+    A base 1/(q)_{2 n2} is kept per n2, and each term of a row is its
+    predecessor over (1 - q^n1); every list is cut at q^(order - e) first.
+    """
+    _check_order(order)
+    acc = [0] * (order + 1)
+    base = [1] + [0] * order
+    n2 = 0
+    while (e := 3 * n2 * n2) <= order:
+        del base[order - e + 1:]
+        if n2:
+            _divide_one_minus(base, 2 * n2 - 1)
+            _divide_one_minus(base, 2 * n2)
+        term = base[:]
+        n1 = 0
+        while True:
+            acc[e:] = map(add, acc[e:], term)
+            n1 += 1
+            e = (n1 + n2) ** 2 + 2 * n2 * n2
+            if e > order:
+                break
+            del term[order - e + 1:]
+            _divide_one_minus(term, n1)
+        n2 += 1
+    return QSeries(order, tuple(acc))
 
 
 def fermionic_sum_4_7(order: int) -> QSeries:
-    """sum q^((n1+2n2)^2 + 2 n2^2) [n1+2n2, n1]_q / (q)_{2n1+4n2} for M(4,7)."""
-    def terms():
-        n2 = 0
-        while 6 * n2 * n2 <= order:
-            n1 = 0
-            while (e := (n1 + 2 * n2) ** 2 + 2 * n2 * n2) <= order:
-                yield e, _factor_product(
-                    range(2 * n2 + 1, 2 * n2 + n1 + 1),  # [n1 + 2 n2, n1]_q over (q)_{n1}
-                    [*range(1, n1 + 1), *range(1, 2 * n1 + 4 * n2 + 1)],
-                    order - e,
-                )
-                n1 += 1
-            n2 += 1
+    """sum q^((n1+2n2)^2 + 2 n2^2) [n1+2n2, n1]_q / (q)_{2n1+4n2} for M(4,7).
 
-    return _shifted_sum(terms(), order)
+    A base 1/(q)_{4 n2} is kept per n2.  Along a row, raising n1 multiplies
+    the binomial by (1 - q^(n1 + 2 n2)) / (1 - q^n1), no pass when n2 = 0,
+    and divides by (1 - q^(2 n1 + 4 n2 - 1)) (1 - q^(2 n1 + 4 n2)); every
+    list is cut at q^(order - e) first.
+    """
+    _check_order(order)
+    acc = [0] * (order + 1)
+    base = [1] + [0] * order
+    n2 = 0
+    while (e := 6 * n2 * n2) <= order:
+        del base[order - e + 1:]
+        if n2:
+            for k in range(4 * n2 - 3, 4 * n2 + 1):
+                _divide_one_minus(base, k)
+        term = base[:]
+        n1 = 0
+        while True:
+            acc[e:] = map(add, acc[e:], term)
+            n1 += 1
+            e = (n1 + 2 * n2) ** 2 + 2 * n2 * n2
+            if e > order:
+                break
+            del term[order - e + 1:]
+            if n2:
+                _times_one_minus(term, n1 + 2 * n2)
+                _divide_one_minus(term, n1)
+            _divide_one_minus(term, 2 * n1 + 4 * n2 - 1)
+            _divide_one_minus(term, 2 * n1 + 4 * n2)
+        n2 += 1
+    return QSeries(order, tuple(acc))

@@ -8,7 +8,10 @@ paper defines it, a sum over a list of the straight vertices, and
 record per vertex.  `dissect_reference` is the particle dissection as it was
 written before the one-scan version: a peak scan and a valley scan over
 heights padded into the tail, and a closure that walks each baseline to its
-far side.  The program itself never needs them.
+far side.  `fermionic_sum_*_reference` are the Rogers-Ramanujan-type
+closed forms with every term built alone from its own factor passes, as they
+were written before each term was built from its neighbour.  The program
+itself never needs them.
 """
 
 from bisect import bisect_left
@@ -17,6 +20,7 @@ from typing import NamedTuple
 from viracomb import lattice, rsos
 from viracomb.halfpath import HalfPath
 from viracomb.particles import Dissection, DissectionError, Particle
+from viracomb.qseries import QSeries, _factor_product
 from viracomb.rsos import RsosPath
 
 
@@ -167,3 +171,60 @@ def dissect_reference(path: HalfPath) -> Dissection:
             sector[part.charge2 - 2] += 1
     particles = tuple(assigned[pk] for pk in peaks)
     return Dissection(path, particles, tuple(sector))
+
+
+def _shifted_sum(terms, order: int) -> QSeries:
+    """sum q^e * term over the (e, term) pairs, through q^order; each term
+    need only be known through q^(order - e).
+    """
+    coeffs = [0] * (order + 1)
+    for e, term in terms:
+        for k, c in enumerate(term.coeffs):
+            coeffs[e + k] += c
+    return QSeries(order, tuple(coeffs))
+
+
+def fermionic_sum_2_5_reference(order: int) -> QSeries:
+    """sum_n q^(n^2) / (q)_n, one term at a time."""
+    def terms():
+        n = 0
+        while n * n <= order:
+            yield n * n, _factor_product((), range(1, n + 1), order - n * n)
+            n += 1
+
+    return _shifted_sum(terms(), order)
+
+
+def fermionic_sum_3_7_reference(order: int) -> QSeries:
+    """sum q^((n1+n2)^2 + 2 n2^2) / ((q)_{n1} (q)_{2 n2}), one term at a time."""
+    def terms():
+        n2 = 0
+        while 2 * n2 * n2 <= order:
+            n1 = 0
+            while (e := (n1 + n2) ** 2 + 2 * n2 * n2) <= order:
+                yield e, _factor_product((), [*range(1, n1 + 1), *range(1, 2 * n2 + 1)],
+                                        order - e)
+                n1 += 1
+            n2 += 1
+
+    return _shifted_sum(terms(), order)
+
+
+def fermionic_sum_4_7_reference(order: int) -> QSeries:
+    """sum q^((n1+2n2)^2 + 2 n2^2) [n1+2n2, n1]_q / (q)_{2n1+4n2}, one term
+    at a time.
+    """
+    def terms():
+        n2 = 0
+        while 6 * n2 * n2 <= order:
+            n1 = 0
+            while (e := (n1 + 2 * n2) ** 2 + 2 * n2 * n2) <= order:
+                yield e, _factor_product(
+                    range(2 * n2 + 1, 2 * n2 + n1 + 1),  # [n1 + 2 n2, n1]_q over (q)_{n1}
+                    [*range(1, n1 + 1), *range(1, 2 * n1 + 4 * n2 + 1)],
+                    order - e,
+                )
+                n1 += 1
+            n2 += 1
+
+    return _shifted_sum(terms(), order)

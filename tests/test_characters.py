@@ -32,6 +32,12 @@ from viracomb.qseries import (
     q_binomial,
 )
 
+from oracles import (
+    fermionic_sum_2_5_reference,
+    fermionic_sum_3_7_reference,
+    fermionic_sum_4_7_reference,
+)
+
 
 def all_labels(max_pp):
     for pp in range(3, max_pp + 1):
@@ -74,6 +80,8 @@ def test_constant_term_and_positivity():
 def test_fermionic_rejects_small_t2():
     with pytest.raises(ValueError):
         fermionic_character_12(3, 5)
+    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+        fermionic_character_12(6, -1)
 
 
 @pytest.mark.parametrize("t2", range(4, 11))
@@ -151,9 +159,18 @@ def test_modulus_swap_directly():
 
 
 def test_closed_form_sums():
-    assert fermionic_sum_2_5(30) == bosonic_character(CharacterLabel(2, 5, 1, 2), 30)
-    assert fermionic_sum_3_7(30) == bosonic_character(CharacterLabel(3, 7, 1, 2), 30)
-    assert fermionic_sum_4_7(30) == bosonic_character(CharacterLabel(4, 7, 1, 2), 30)
+    # each term is built from its neighbour; the reference builds every term
+    # alone, so a step taken once too often or cut too short shows at some order
+    for form, reference, label in (
+        (fermionic_sum_2_5, fermionic_sum_2_5_reference, CharacterLabel(2, 5, 1, 2)),
+        (fermionic_sum_3_7, fermionic_sum_3_7_reference, CharacterLabel(3, 7, 1, 2)),
+        (fermionic_sum_4_7, fermionic_sum_4_7_reference, CharacterLabel(4, 7, 1, 2)),
+    ):
+        for order in range(61):
+            assert form(order) == reference(order), (label, order)
+        assert form(150) == bosonic_character(label, 150), label
+        with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+            form(-1)
 
 
 def test_b_matrix_inverts_modified_cartan():
@@ -267,6 +284,10 @@ def test_fermionic_walk_divides_once_per_m1(monkeypatch):
         series = fermionic_character_12(t2, order)
         assert calls["divide"] - calls["times"] <= order, (t2, calls)
         assert series == bosonic_character(theorem1_label(t2, 1, 1), order)
+    # histories that share (m_c, tail) take their passes once, and a level
+    # with nothing above it (m_c = 0) takes none: 288 passes, where a walk
+    # with one history per prefix takes 438
+    assert calls["divide"] + calls["times"] <= 288, calls
 
 
 def test_occupation_vectors_match_brute_force():
