@@ -7,23 +7,24 @@ terms over particle occupation vectors, weighted by the quadratic form of
 the inverse type-A Cartan matrix.  Half-integer moduli are avoided
 throughout by carrying t doubled as an integer T = 2t.
 
-`fermionic_character_12` does not build its terms one by one.  It walks the
-occupation vectors level by level from the top charge down, and merges the
-histories that agree on (m_c, sum_{k>c} n_k): those two numbers fix
-everything the levels below add, so one coefficient list of q-binomial
-products, multiplied and divided by one factor (1 - q^k) in place per step,
-serves all of them.  The factor 1/(q)_{m_1} is left out of the walk: each
-term goes into a bucket by its m_1, and one Horner sweep over the buckets
-divides by (1 - q^(M+1)) once per value M, so only a few dozen such passes
-are made per call.  The closed-form sums for M(2,5), M(3,7) and M(4,7)
-build each term from its neighbour in the same way, a few passes per term.
-`bosonic_character` divides the alternating sum by (q)_oo in place with one
-pentagonal pass (`qseries._divide_poch_inf`).  `_fermionic_term` builds
-one term alone: `particles.sector_gf` needs single terms, and it is the
-per-vector oracle the walk is tested against.  Neither walk takes a frame
-per charge: `occupation_vectors` is one loop, and the fermionic walk keeps
-one dict of merged states per level.  Both visit only the charges whose
-lone particle fits within the order, about sqrt(2N) of them whatever T is.
+The fermionic term formula is written once, in `_walk`, which does not
+build its terms one by one.  It walks the occupation vectors level by level
+from the top charge down, and merges the histories that agree on (m_c,
+sum_{k>c} n_k): those two numbers fix everything the levels below add, so
+one coefficient list of q-binomial products, multiplied and divided by one
+factor (1 - q^k) in place per step, serves all of them.  The factor
+1/(q)_{m_1} is left out of the walk: each term is merged under its m_1, and
+one Horner sweep divides by (1 - q^M) once per value M, so only a few dozen
+such passes are made per call.  `fermionic_character_12` walks every
+vector; `particles.sector_gf` walks the one vector of its sector, each
+level stopping at that vector's n_c.  The closed-form sums for M(2,5),
+M(3,7) and M(4,7) build each term from its neighbour in the same way, a
+few passes per term.  `bosonic_character` divides the alternating sum by
+(q)_oo in place with one pentagonal pass (`qseries._divide_poch_inf`).
+Neither walk takes a frame per charge: `occupation_vectors` is one loop,
+and the fermionic walk keeps one dict of merged states per level.  Both
+visit only the charges whose lone particle fits within the order, about
+sqrt(2N) of them whatever T is.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from operator import add
 
 from .halfpath import theorem1_domain
 # pochhammer_inf_inverse is not called here: bench/tracing.py wraps it under this name
-from .qseries import (QSeries, _divide_one_minus, _divide_poch_inf, _factor_product,
-                      _times_one_minus, pochhammer_inf_inverse)
+from .qseries import (QSeries, _divide_one_minus, _divide_poch_inf, _merge, _times_one_minus,
+                      pochhammer_inf_inverse)
 
 
 class InvalidLabelError(ValueError):
@@ -189,42 +190,10 @@ def occupation_vectors(t2: int, order: int):
         tilt[p + 1:] = [tilt[p] + (c - 1) * (k + 1)] * (live - p)
 
 
-def _fermionic_term(t2: int, n: tuple[int, ...], order: int) -> QSeries:
-    """(q)_{m_1}^-1 prod_{j=2..T-3} [n_j + m_j, n_j]_q for occupation vector n.
-
-    Built by factor passes on one coefficient list: divide by (1 - q^i) for
-    i <= m_1; for each j and i <= n_j, multiply by (1 - q^(m_j + i)) and
-    divide by (1 - q^i).  Each factor is one O(order) pass, and passes with
-    exponents past order are empty.
-    """
-    ms = m_vector(t2, n)
-    up, down = [], list(range(1, ms[0] + 1))
-    for j in range(2, t2 - 2):
-        nj, mj = n[j - 2], ms[j - 1]
-        up += range(mj + 1, mj + nj + 1)
-        down += range(1, nj + 1)
-    return _factor_product(up, down, order)
-
-
 def _check_order(order: int) -> None:
     # checked before a walk starts: [1] + [0] * order is [1] for a negative order
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-
-
-def _merge(states: dict, key, e: int, poly: list[int]) -> None:
-    """Add q^e poly into states[key], kept as (least exponent e0, list cut at
-    q^(order - e0)); poly is cut at q^(order - e) and is not kept.
-    """
-    old = states.get(key)
-    if old is None:
-        states[key] = (e, poly[:])
-        return
-    e0, acc = old
-    if e < e0:
-        e0, acc, e, poly = e, poly[:], e0, acc
-        states[key] = (e0, acc)
-    acc[e - e0:] = map(add, acc[e - e0:], poly)
 
 
 def fermionic_character_12(t2: int, order: int) -> QSeries:
@@ -233,11 +202,21 @@ def fermionic_character_12(t2: int, order: int) -> QSeries:
     For even T this equals the bosonic series of (t, 2t+1, 1, 2); for odd T,
     of (t+1/2, 2t, 1, 2).  The occupation-vector sum is restricted to the
     finitely many vectors whose quadratic-form exponent stays within order;
-    the others vanish modulo q^(order+1).
+    the others vanish modulo q^(order+1).  The sum is `_walk` over every
+    vector.
+    """
+    return _walk(t2, order, None)
+
+
+def _walk(t2: int, order: int, fixed: tuple[int, ...] | None) -> QSeries:
+    """sum q^(n.B.n/2) (q)_{m_1}^-1 prod_{j=2..T-3} [n_j + m_j, n_j]_q over
+    the occupation vectors n within order, or over the one vector `fixed`,
+    whose exponent must be within order.
 
     The walk fixes n_c level by level from the top charge down to charge 2,
     so that m_c = sum_{k>c} n_k (k - c) and tail = sum_{k>c} n_k are known
-    on entering level c.  Histories that agree on (m_c, tail) are merged:
+    on entering level c; with `fixed`, a level keeps only its n_c.
+    Histories that agree on (m_c, tail) are merged by `qseries._merge`:
     sum_{k>c} k n_k = m_c + c tail, so (c, m_c, tail) fixes the exponent
     step of every particle added from level c down (B_ij = (min - 1) max),
     every binomial [n_j + m_j, n_j] below c, and m_1.  A state carries its
@@ -245,32 +224,29 @@ def fermionic_character_12(t2: int, order: int) -> QSeries:
     m_k, n_k] over its histories, cut at q^(order - e0).  Raising n_c by one
     multiplies the list by (1 - q^(m_c + n_c + 1)) / (1 - q^(n_c + 1)), no
     pass at all when m_c = 0, since [n, n] = 1; the exponent only grows
-    (B >= 0 entrywise), so the list is cut first.  At charge 2 each state
-    adds q^e0 times its list to the bucket of its M = m_1.  The buckets are
-    summed with their 1/(q)_M by one Horner sweep from the largest M down,
-    acc <- acc / (1 - q^(M+1)) + bucket[M], so each value of m_1 costs one
-    O(N) pass, not every vector that has it, and passes past q^order are
-    skipped.  `_fermionic_term` builds one term on its own.
+    (B >= 0 entrywise), so the list is cut first.  At charge 2 each state is
+    merged under its M = m_1 alone.  The leaves are summed with their
+    1/(q)_M by one Horner sweep from the largest M down, each M's sum
+    divided by (1 - q^M) and merged into M - 1, so each value of m_1 costs
+    one pass, not every vector that has it, and the passes run only over
+    the lists' lengths.
     """
     top = _top_charge(t2, order)
     _check_order(order)
-    by_m: dict[int, list[int]] = {}  # M -> sum of q^e P over leaves with m_1 = M
     level = {(0, 0): (0, [1] + [0] * order)}  # (m_c, tail) -> (e0, list)
     for c in range(top, 1, -1):
+        lo, hi = (0, None) if fixed is None else (fixed[c - 2],) * 2
         below: dict = {}
         diag = c * (c - 1) // 2  # B_cc / 2
         for (m_c, tail), (e, poly) in level.items():
             cross = (c - 1) * (m_c + c * tail)  # a particle's terms with charges > c
             n = 0
             while True:
-                if c > 2:
-                    _merge(below, (m_c + tail + n, tail + n), e, poly)
-                else:
-                    big_m = m_c + tail + n  # m_1 = m_2 + sum_{k>1} n_k
-                    bucket = by_m.get(big_m)
-                    if bucket is None:
-                        bucket = by_m[big_m] = [0] * (order + 1)
-                    bucket[e:] = map(add, bucket[e:], poly)
+                if n >= lo:
+                    m = m_c + tail + n  # m_{c-1} = m_c + sum_{k>=c} n_k
+                    _merge(below, (m, tail + n) if c > 2 else m, e, poly[:])
+                if n == hi:
+                    break
                 e += diag * (2 * n + 1) + cross
                 if e > order:
                     break
@@ -280,14 +256,12 @@ def fermionic_character_12(t2: int, order: int) -> QSeries:
                     _divide_one_minus(poly, n + 1)
                 n += 1
         level = below
-    top = max(by_m)  # the empty vector is always a leaf
-    acc = by_m[top]
-    for big_m in range(top - 1, -1, -1):
-        if big_m < order:
-            _divide_one_minus(acc, big_m + 1)
-        if big_m in by_m:
-            acc[:] = map(add, acc, by_m[big_m])
-    return QSeries(order, tuple(acc))
+    for m in range(max(level), 0, -1):
+        e, acc = level.pop(m)
+        _divide_one_minus(acc, m)
+        _merge(level, m - 1, e, acc)
+    e, acc = level[0]
+    return QSeries(order, (0,) * e + tuple(acc))
 
 
 def theorem1_label(t2: int, a_hat: int, b_hat: int) -> CharacterLabel:

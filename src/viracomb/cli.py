@@ -2,7 +2,8 @@
 verify identities, and render pictures.
 
 Half-integer parameters are always passed doubled (--t2, --A, --B).  Exit
-codes: 0 success, 1 verification failure, 2 invalid input, 3 structurally
+codes: 0 success, 1 verification failure, 2 invalid input (an --order or
+--max-weight too large for the memory at hand included), 3 structurally
 corrupted bijection input, 141 (128 + SIGPIPE) output pipe closed early.
 """
 
@@ -240,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; try a smaller --order or --max-weight", file=sys.stderr)
         return 2
 
 

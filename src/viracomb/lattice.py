@@ -14,6 +14,8 @@ from collections.abc import Sequence
 from functools import partial
 from operator import add
 
+from .qseries import _merge
+
 
 class InvalidPathError(ValueError):
     """Raised for malformed path lines and sequences violating the path constraints."""
@@ -217,17 +219,19 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
 
 def _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what,
              layers=None) -> list[int] | None:
-    """The forward pass of `search`: the counts by cost.  Given a list as
-    `layers`, it records instead of counting, and returns None: it appends,
-    per layer, each live state's least reach cost, junction cost (None off
-    the horizons) and surviving steps (nh, vertex cost, child state).  A
-    recording state carries its least reach cost alone, since pruning reads
-    nothing else, so it keeps exactly the states and steps counting keeps.
+    """The forward pass of `search`: the counts by cost.  Lists that meet in
+    a state are added by `qseries._merge`.  Given a list as `layers`, it
+    records instead of counting, and returns None: it appends, per layer,
+    each live state's least reach cost, junction cost (None off the
+    horizons) and surviving steps (nh, vertex cost, child state).  A
+    recording state carries an empty list, since pruning reads only the
+    least reach cost, so it keeps exactly the states and steps counting
+    keeps and adds nothing anywhere.
     """
     band = (b, b + 1)
     record = layers is not None
     counts = [0] * (budget + 1)
-    reach = {(None, start, False): (0, [1])}  # state: (least reach cost, counts)
+    reach = {(None, start, False): (0, [] if record else [1])}  # state: (least reach cost, counts)
     x = 0
     while reach:
         if x > horizon:
@@ -246,7 +250,7 @@ def _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what,
                 # the tail that follows it
                 junction = cost(x, prev, h, b + 1 if h == b else b) if x else 0
                 s = w + junction
-                if s <= budget and not record:
+                if s <= budget:
                     tail = vec[:budget + 1 - s]
                     counts[s:s + len(tail)] = map(add, counts[s:], tail)
             out = []
@@ -268,25 +272,9 @@ def _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what,
                 if w2 > room:
                     continue
                 child = (h, nh, nrun)
-                old = nxt.get(child)
                 if record:
                     out.append((nh, c, child))
-                    if old is None or w2 < old[0]:
-                        nxt[child] = (w2, None)
-                    continue
-                more = vec[:room + 1 - w2]
-                if old is None:
-                    nxt[child] = (w2, more)
-                    continue
-                w1, v1 = old
-                if w2 < w1:
-                    w1, v1, w2, more = w2, more, w1, v1
-                d = w2 - w1
-                n = d + len(more)
-                if n > len(v1):
-                    v1 += [0] * (n - len(v1))
-                v1[d:n] = map(add, v1[d:n], more)
-                nxt[child] = (w1, v1)
+                _merge(nxt, child, w2, vec[:room + 1 - w2])
             if record:
                 steps[state] = (w, junction, out)
         if record:

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import halfpath as hp
 from . import lattice
-from .characters import _fermionic_term, b_matrix
+from .characters import _walk, b_matrix
 from .halfpath import HalfPath
 from .qseries import QSeries
 
@@ -164,15 +164,15 @@ def minimal_weight(t2: int, sector: tuple[int, ...]) -> int:
 
 def sector_gf(t2: int, sector: tuple[int, ...], order: int) -> QSeries:
     """Weight generating function of one sector: its fermionic term shifted
-    by the minimal weight.
+    by the minimal weight, which is the fermionic walk over that one
+    occupation vector (`characters._walk`).
     """
     sector = tuple(sector)
     if any(x < 0 for x in sector):
         raise ValueError(f"occupation numbers must be nonnegative, got sector {sector}")
-    e = minimal_weight(t2, sector)
-    if e > order:
+    if minimal_weight(t2, sector) > order:
         return QSeries.zero(order)
-    return QSeries(order, (0,) * e + _fermionic_term(t2, sector, order - e).coeffs)
+    return _walk(t2, order, sector)
 
 
 # -- particle moves -----------------------------------------------------------

@@ -17,12 +17,15 @@ place, an O(N) pass through q^N, so (q)_n, [m, n]_q, the modular products
 and the fermionic terms of :mod:`viracomb.characters` cost O(N) per factor
 and keep no cache.  Division by (q)_oo is one in-place pass of Euler's
 pentagonal recurrence, O(N^1.5), so a numerator is divided directly rather
-than built into 1/(q)_oo first and then multiplied by it.
+than built into 1/(q)_oo first and then multiplied by it.  Coefficient lists
+that carry an exponent offset, the count lists of the path search and the
+term lists of the fermionic walk, are added by one merge, `_merge`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable
 
 
@@ -156,6 +159,28 @@ def _divide_one_minus(out: list[int], k: int) -> None:
     """out /= (1 - q^k) in place, through q^(len(out) - 1)."""
     for j in range(k, len(out)):
         out[j] += out[j - k]
+
+
+def _merge(states: dict, key, e: int, poly: list[int]) -> None:
+    """Add q^e poly into states[key], kept as (least exponent e0, list): the
+    lists are aligned by their offsets and added, and the kept one is padded
+    when poly runs past it.  poly is kept or added, never copied, so the
+    caller must not touch it again.  An empty list carries no terms: states
+    that only track their least exponent merge empty lists and stay empty.
+    """
+    old = states.get(key)
+    if old is None:
+        states[key] = (e, poly)
+        return
+    e0, acc = old
+    if e < e0:
+        e0, acc, e, poly = e, poly, e0, acc
+        states[key] = (e0, acc)
+    d = e - e0
+    n = d + len(poly)
+    if n > len(acc) and poly:
+        acc += [0] * (n - len(acc))
+    acc[d:n] = map(add, acc[d:n], poly)
 
 
 def _factor_product(up: Iterable[int], down: Iterable[int], order: int) -> QSeries:

@@ -10,7 +10,9 @@ written before the one-scan version: a peak scan and a valley scan over
 heights padded into the tail, and a closure that walks each baseline to its
 far side.  `fermionic_sum_*_reference` are the Rogers-Ramanujan-type
 closed forms with every term built alone from its own factor passes, as they
-were written before each term was built from its neighbour.  The program
+were written before each term was built from its neighbour, and
+`fermionic_term` is one term of the fermionic sum built alone, for one
+occupation vector, where the program's walk merges terms.  The program
 itself never needs them.
 """
 
@@ -18,6 +20,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from viracomb import lattice, rsos
+from viracomb.characters import m_vector
 from viracomb.halfpath import HalfPath
 from viracomb.particles import Dissection, DissectionError, Particle
 from viracomb.qseries import QSeries, _factor_product
@@ -228,3 +231,19 @@ def fermionic_sum_4_7_reference(order: int) -> QSeries:
             n2 += 1
 
     return _shifted_sum(terms(), order)
+
+
+def fermionic_term(t2: int, n: tuple[int, ...], order: int) -> QSeries:
+    """(q)_{m_1}^-1 prod_{j=2..T-3} [n_j + m_j, n_j]_q for occupation vector n.
+
+    Built by factor passes on one coefficient list: divide by (1 - q^i) for
+    i <= m_1; for each j and i <= n_j, multiply by (1 - q^(m_j + i)) and
+    divide by (1 - q^i).
+    """
+    ms = m_vector(t2, n)
+    up, down = [], list(range(1, ms[0] + 1))
+    for j in range(2, t2 - 2):
+        nj, mj = n[j - 2], ms[j - 1]
+        up += range(mj + 1, mj + nj + 1)
+        down += range(1, nj + 1)
+    return _factor_product(up, down, order)

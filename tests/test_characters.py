@@ -9,7 +9,6 @@ import pytest
 from viracomb import characters
 from viracomb.characters import (
     CharacterLabel,
-    _fermionic_term,
     InvalidLabelError,
     alternating_sum_series,
     b_matrix,
@@ -23,6 +22,7 @@ from viracomb.characters import (
     theorem1_label,
     verify_symmetries,
 )
+from viracomb.particles import sector_gf
 from viracomb.qseries import (
     QSeries,
     _divide_poch_inf,
@@ -36,6 +36,7 @@ from oracles import (
     fermionic_sum_2_5_reference,
     fermionic_sum_3_7_reference,
     fermionic_sum_4_7_reference,
+    fermionic_term,
 )
 
 
@@ -78,10 +79,15 @@ def test_constant_term_and_positivity():
 
 
 def test_fermionic_rejects_small_t2():
+    # sector_gf reaches the same walk, and must refuse what it refuses
     with pytest.raises(ValueError):
         fermionic_character_12(3, 5)
-    with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
-        fermionic_character_12(6, -1)
+    with pytest.raises(ValueError, match="need T = 2t >= 4, got 3"):
+        sector_gf(3, (), 5)
+    for walk in (lambda: fermionic_character_12(6, -1), lambda: sector_gf(6, (0, 0, 0), -1),
+                 lambda: sector_gf(6, (1, 0, 1), -1)):
+        with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+            walk()
 
 
 @pytest.mark.parametrize("t2", range(4, 11))
@@ -234,7 +240,7 @@ def test_fermionic_term_matches_ring_products(t2):
         expect = pochhammer_finite(ms[0], order).invert()
         for j in range(2, t2 - 2):
             expect = expect * q_binomial(n[j - 2] + ms[j - 1], n[j - 2], order)
-        assert _fermionic_term(t2, n, order) == expect, n
+        assert fermionic_term(t2, n, order) == expect, n
 
 
 @pytest.mark.parametrize("t2", range(4, 15))
@@ -243,7 +249,7 @@ def test_fermionic_walk_matches_term_oracle(t2):
     for order in (0, 1, 2, 17, 60, 90):
         acc = [0] * (order + 1)
         for n, e in occupation_vectors(t2, order):
-            for k, c in enumerate(_fermionic_term(t2, n, order - e).coeffs):
+            for k, c in enumerate(fermionic_term(t2, n, order - e).coeffs):
                 acc[e + k] += c
         assert fermionic_character_12(t2, order).coeffs == tuple(acc), order
     assert fermionic_character_12(t2, 150) == bosonic_character(theorem1_label(t2, 1, 1), 150)
@@ -256,7 +262,7 @@ def test_fermionic_walk_every_low_order():
     for t2 in range(4, 17):
         acc = [0] * (top + 1)
         for n, e in occupation_vectors(t2, top):
-            for k, c in enumerate(_fermionic_term(t2, n, top - e).coeffs):
+            for k, c in enumerate(fermionic_term(t2, n, top - e).coeffs):
                 acc[e + k] += c
         for order in range(top + 1):
             assert fermionic_character_12(t2, order).coeffs == tuple(acc[:order + 1]), (t2, order)

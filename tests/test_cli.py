@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from viracomb import rsos, verify
+from viracomb import cli, rsos, verify
 from viracomb.cli import main
 from viracomb.rsos import InfiniteWeightError, RsosPath
 
@@ -139,6 +139,22 @@ def test_paths_negative_max_weight_exit_2(capsys):
         assert (code, out, err) == (2, "", "error: max weight must be nonnegative, got -1\n")
         code, out, err = run(capsys, ["paths", *model, "--max-weight", "-1", "--gf"])
         assert (code, out, err) == (2, "", "error: order must be nonnegative, got -1\n")
+
+
+def test_out_of_memory_exit_2(capsys, monkeypatch):
+    # an --order or --max-weight too large to allocate is bad input, not a
+    # failed verification; the command raises at once, so nothing large is built
+    def cmd(args):
+        raise MemoryError
+
+    for name, argv in (("cmd_character", ["character", "bosonic", "2", "5", "1", "2",
+                                          "--order", "400000000"]),
+                       ("cmd_paths", ["paths", "rsos", "5", "11", "8", "2",
+                                      "--max-weight", "400000000", "--gf"])):
+        monkeypatch.setattr(cli, name, cmd)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory; try a smaller --order or --max-weight\n"
 
 
 def test_bijection_forward_trace(capsys, monkeypatch):

@@ -4,6 +4,7 @@ from unittest import mock
 
 import pytest
 
+from viracomb import characters
 from viracomb import halfpath as hp
 from viracomb import particles
 from viracomb.characters import fermionic_character_12, m_vector, occupation_vectors
@@ -29,7 +30,7 @@ from data_paths import (
     half_ok,
     walk,
 )
-from oracles import dissect_reference
+from oracles import dissect_reference, fermionic_term
 
 
 def test_dissect_golden_charges():
@@ -177,6 +178,23 @@ def test_sector_gf_zero_sector_is_one():
 def test_sector_gf_rejects_negative_occupation():
     with pytest.raises(ValueError, match=r"\(1, -1, 1, 0, 0\)"):
         sector_gf(8, (1, -1, 1, 0, 0), 12)
+
+
+def test_sector_gf_matches_term_oracle():
+    # the walk over one vector against its term built alone; vectors past the
+    # order give zero, as does a lone particle above the walk's top charge
+    for t2 in range(4, 13):
+        for order in (0, 1, 5, 13, 30):
+            for vec, e in occupation_vectors(t2, order + 6):
+                assert e == minimal_weight(t2, vec)
+                expect = [0] * (order + 1)
+                if e <= order:
+                    expect[e:] = fermionic_term(t2, vec, order - e).coeffs
+                assert sector_gf(t2, vec, order).coeffs == tuple(expect), (t2, vec, order)
+            top = characters._top_charge(t2, order)
+            if top < t2 - 2:
+                vec = tuple(int(c == top + 1) for c in range(2, t2 - 1))
+                assert sector_gf(t2, vec, order) == QSeries.zero(order), (t2, order)
 
 
 @pytest.mark.parametrize("t2", range(4, 11))

@@ -10,6 +10,7 @@ from viracomb.qseries import (
     NonUnitConstantTermError,
     QSeries,
     _divide_poch_inf,
+    _merge,
     modular_product,
     pochhammer_finite,
     pochhammer_inf_inverse,
@@ -245,3 +246,30 @@ def test_divide_poch_inf_round_trip():
         out = list((s * pochhammer_finite(order, order)).coeffs)
         _divide_poch_inf(out)
         assert out == list(s.coeffs)
+
+
+def test_merge_aligns_offsets_and_adds():
+    states = {}
+    _merge(states, "a", 3, [1, 2])  # a new key keeps the list as given
+    assert states == {"a": (3, [1, 2])}
+    _merge(states, "a", 4, [5])  # a higher exponent adds at its offset
+    assert states == {"a": (3, [1, 7])}
+    _merge(states, "a", 1, [1, 1, 1, 1])  # a lower one takes the key over
+    assert states == {"a": (1, [1, 1, 2, 8])}
+    _merge(states, "a", 3, [1, 1, 1, 1])  # one that runs past the kept list pads it
+    assert states == {"a": (1, [1, 1, 3, 9, 1, 1])}
+    _merge(states, "b", 0, [1])
+    _merge(states, "b", 3, [2, 2])  # past the end with a gap: zeros in between
+    assert states["b"] == (0, [1, 0, 0, 2, 2])
+    assert states["a"] == (1, [1, 1, 3, 9, 1, 1])
+
+
+def test_merge_keeps_empty_lists_empty():
+    # a state that tracks only its least exponent carries an empty list,
+    # and neither the offset nor the swap may give it entries
+    states = {}
+    _merge(states, "s", 4, [])
+    _merge(states, "s", 7, [])
+    assert states == {"s": (4, [])}
+    _merge(states, "s", 2, [])
+    assert states == {"s": (2, [])}
