@@ -20,8 +20,9 @@ count), `_lower_peaks` undoes it, and `_reinsert` puts the particles
 back.  Only the middle stage is family-specific: the verbatim reread for
 p' = 2p+1, the flip-and-lift and accretion for p' = 2p-1.  `forward` and
 `inverse` pick the family from p' or from the parity of T.  Each path is
-scanned once: `_raise_peaks` returns the raised path's scan and
-`_lower_peaks` the lowered path's peaks, for the next stage to use.
+read once, when a stage builds it, and keeps its scan, which the next stage
+takes: `_raise_peaks` returns the raised path's scan, and `_lower_peaks`
+and `bij2_inverse` take their peaks from the scans their paths keep.
 
 Every stage checks the exact weight bookkeeping it is supposed to satisfy,
 and raises `AssertionError` explicitly (so under `python -O` too), so a
@@ -184,7 +185,7 @@ def _lower_peaks(h: HalfPath, tops: list[int],
               if h.doubled[pos] % 2 == parity]
     seq = _delete_pairs(list(h.doubled), [pos for _, pos in raised])
     cut = HalfPath.of(h.t2, h.a2, h.b2, seq)
-    left, _ = lattice.turns(cut.padded(cut.horizon + 1), cut.horizon + 1)
+    left = hp._scan(cut)[2]
     if any(cut.doubled[i] % 2 == parity for i in left):
         kind = "non-integer" if parity else "integer"
         raise StructureError(f"{kind} peaks remain after unstacking")
@@ -413,7 +414,7 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     removals = [j - 1 - 2 * (count - 1 - r) for r, j in enumerate(stripped)]
 
     h_hat_int = HalfPath.of(t2, bb, a, work)
-    tops, _ = lattice.turns(h_hat_int.padded(h_hat_int.horizon + 1), h_hat_int.horizon + 1)
+    tops = hp._scan(h_hat_int)[2]
     accretion = _accretion_positions(h_hat_int, tops)
     numbers = {pos: num + 1 for num, pos in enumerate(accretion)}
     nu_parts = []

@@ -10,6 +10,14 @@ The raw weight is half the sum of the positions of the straight vertices.
 In doubled coordinates that sum is an integer number of quarter-units;
 normalizing by the ground state (the straight staircase from A to B) gives
 the integer weight used everywhere else.
+
+A path is read once, when `HalfPath.of` builds it: one pass, `_read`,
+checks the constraints, finds the canonical horizon and scans the doubled
+positions, and the path keeps the scan (the raw weight, the straight-vertex
+count, the peaks and the valleys).  The ground state is subtracted only
+when the path is weighed, so a path outside the Theorem-1 domain is built
+and refused only then.  A path built raw, as enumeration builds them, is
+read by the same pass on first use.
 """
 
 from __future__ import annotations
@@ -25,41 +33,6 @@ class InvalidHalfPathError(ValueError):
     """Raised for sequences violating the half-lattice constraints."""
 
 
-def find_violation(t2: int, a2: int, b2: int, doubled) -> str | None:
-    """First constraint violation of a doubled height sequence, or None."""
-    hs = list(doubled)
-    if t2 < 4:
-        return f"need T = 2t >= 4, got {t2}"
-    if a2 % 2 or b2 % 2:
-        return f"start A={a2} and tail B={b2} must be even (integer heights)"
-    if not hs:
-        return "height sequence is empty"
-    if hs[0] != a2:
-        return f"path must start at A={a2}, got {hs[0]}"
-    if not 2 <= b2 <= t2:
-        return f"tail height B={b2} out of range 2..{t2}"
-    # one pass: a height out of range or a bad step is reported at once; a
-    # valley at a non-integer (odd doubled) height only once the whole line
-    # has passed, so either of the others wins over it.  H_{-1} = A + 1.
-    valley = None
-    before, prev = a2 + 1, None
-    for i, h in enumerate(hs):
-        if not 2 <= h <= t2:
-            return f"height {h} at doubled position {i} out of range 2..{t2}"
-        if i:
-            if abs(h - prev) != 1:
-                return f"step at doubled position {i} is not a half-unit step"
-            if valley is None and before == h == prev + 1 and prev % 2 == 1:
-                valley = f"valley at non-integer height {prev}/2 (doubled position {i - 1})"
-            before = prev
-        prev = h
-    if valley is not None:
-        return valley
-    if hs[-1] not in (b2, b2 + 1):
-        return f"stored sequence must end inside the tail band, got {hs[-1]}"
-    return None
-
-
 @dataclass(frozen=True)
 class HalfPath:
     """Canonical representation of a tail-oscillating half-lattice path."""
@@ -71,10 +44,31 @@ class HalfPath:
 
     @staticmethod
     def of(t2: int, a2: int, b2: int, doubled) -> HalfPath:
-        violation = find_violation(t2, a2, b2, doubled)
-        if violation is not None:
-            raise InvalidHalfPathError(violation)
-        return HalfPath(t2, a2, b2, lattice.canonical(list(doubled), b2))
+        """Validate and canonicalize a doubled height sequence (tail may be
+        partial), and keep its vertex scan: one `_read` does all three.
+        """
+        hs = list(doubled)
+        if t2 < 4:
+            raise InvalidHalfPathError(f"need T = 2t >= 4, got {t2}")
+        if a2 % 2 or b2 % 2:
+            raise InvalidHalfPathError(
+                f"start A={a2} and tail B={b2} must be even (integer heights)")
+        if not hs:
+            raise InvalidHalfPathError("height sequence is empty")
+        if hs[0] != a2:
+            raise InvalidHalfPathError(f"path must start at A={a2}, got {hs[0]}")
+        if not 2 <= b2 <= t2:
+            raise InvalidHalfPathError(f"tail height B={b2} out of range 2..{t2}")
+        stored, scan, valley = _read(t2, a2, b2, hs)
+        # an odd valley is reported only once the whole line has passed, so
+        # a height out of range or a bad step anywhere wins over it
+        if valley is not None:
+            raise InvalidHalfPathError(f"valley at non-integer height {hs[valley]}/2 "
+                                       f"(doubled position {valley})")
+        if hs[-1] not in (b2, b2 + 1):
+            raise InvalidHalfPathError(
+                f"stored sequence must end inside the tail band, got {hs[-1]}")
+        return lattice.kept(HalfPath(t2, a2, b2, stored), "_scan", scan)
 
     @property
     def horizon(self) -> int:
@@ -146,31 +140,54 @@ def weight(path: HalfPath) -> int:
 
 
 def _scan(path: HalfPath) -> tuple[int, int, list[int], list[int]]:
-    """One pass over the doubled positions 0..L, position 0 read against
-    H(-1) = A + 1: the weight, the number of straight vertices and the
-    positions of the peaks and of the valleys.  The pass runs once per path
-    object (`lattice.once`); each call gets its own lists.
+    """The weight, the number of straight vertices and the positions of the
+    peaks and of the valleys at doubled positions 0..L, from the one read of
+    the path: `HalfPath.of` keeps it, and a path built raw is read on first
+    use (`lattice.once`).  The read keeps the raw weight, so a path outside
+    the Theorem-1 domain is built and refused only here, when its ground
+    state is asked for.  Each call gets its own lists.
     """
-    w, straights, peaks, valleys = lattice.once(path, "_scan", _read_vertices)
-    return w, straights, list(peaks), list(valleys)
+    quarters, straights, peaks, valleys = lattice.once(path, "_scan", _reread)
+    gs_q = _ground_quarters(path.t2, path.a2, path.b2)
+    return _whole_units(quarters - gs_q), straights, list(peaks), list(valleys)
 
 
-def _read_vertices(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """The pass behind `_scan`, with the turns as tuples."""
-    hs = path.padded(path.horizon + 1)
+def _reread(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    return _read(path.t2, path.a2, path.b2, list(path.doubled))[1]
+
+
+def _read(t2: int, a2: int, b2: int, hs: list[int]) -> tuple[tuple[int, ...], tuple, int | None]:
+    """The one pass over a doubled height list: the canonical storage, the
+    scan of its doubled positions 0..L, position 0 read against H(-1) =
+    A + 1 (the raw weight in quarter-units, the number of straight vertices,
+    the peaks and the valleys), and the first valley at an odd doubled
+    height, or None.  Each height up to the horizon is checked in order,
+    its range before its step; the heights past it are the band run
+    `lattice.frame` has found valid.  The tail continues inside the strip:
+    B is even, so it sits at the even positions, and a tail at the top of
+    the strip (B = T) is never extended past the input to T + 1.
+    """
+    horizon, seq = lattice.frame(hs, b2, t2)
     quarters = straights = 0
     peaks = []
     valleys = []
-    before = path.a2 + 1
-    for i, h, after in zip(range(path.horizon + 1), hs, hs[1:]):
+    odd = None
+    for i, before, h, after in zip(range(horizon + 1), [a2 + 1] + seq, seq, seq[1:]):
+        if not 2 <= h <= t2:
+            raise InvalidHalfPathError(
+                f"height {h} at doubled position {i} out of range 2..{t2}")
+        if h - before not in (1, -1):
+            raise InvalidHalfPathError(f"step at doubled position {i} is not a half-unit step")
         if before != after:
             quarters += i
             straights += 1
+        elif h > after:
+            peaks.append(i)
         else:
-            (peaks if h > after else valleys).append(i)
-        before = h
-    gs_q = _ground_quarters(path.t2, path.a2, path.b2)
-    return _whole_units(quarters - gs_q), straights, tuple(peaks), tuple(valleys)
+            valleys.append(i)
+            if h % 2 and odd is None:
+                odd = i
+    return tuple(seq[:horizon + 1]), (quarters, straights, tuple(peaks), tuple(valleys)), odd
 
 
 def _whole_units(diff: int) -> int:

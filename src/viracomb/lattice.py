@@ -3,9 +3,13 @@ in a tail band {b, b+1}.
 
 RSOS paths and half-lattice paths differ only in their step rules, vertex
 costs and search bounds.  Everything else lives here: parsing the one-line
-path formats, canonical storage through the horizon, tail continuation,
-the peak and valley scan of raw heights, one bounded path search, and
-`once`, which keeps what a path's readers compute from it on the path.
+path formats, the canonical horizon of a height list (`frame`) and the test
+for canonical storage, tail continuation, the peak and valley scan of raw
+heights, one bounded path search, and `once`, which keeps on a path what
+is read from it.  A path is read when it is built: each model's `of` runs
+one pass that checks the heights, finds the horizon through `frame` and
+scans the vertices, and keeps the scan where `once` looks; a path built
+raw is read by the same pass on first use.
 """
 
 from __future__ import annotations
@@ -40,29 +44,30 @@ def parse_fields(line: str, kind: str, names: tuple[str, ...]) -> dict[str, str]
     return fields
 
 
-def canonical(hs: list[int], b: int) -> tuple[int, ...]:
-    """Trim or extend so storage runs exactly through the canonical horizon:
-    the first even position from which every height lies in {b, b+1}.
+def frame(hs: list[int], b: int, hi: int) -> tuple[int, list[int]]:
+    """The canonical horizon L of a height list and its heights at 0..L+1,
+    the tail oscillation continued: L is the first even position from which
+    every height lies in the tail band {b, b+1}.  Only the final band run is
+    read here, back from the end, and only where it alternates inside the
+    strip's top hi, so every height past L is a unit step in the strip; the
+    path's reader checks the heights up to L.  A list that does not end in
+    the band is refused after its other checks: it is framed as it stands,
+    its last height repeated.
     """
-    in_band = lambda h: h in (b, b + 1)
-    # first index from which everything stored is a b/b+1 oscillation
     start = len(hs) - 1
-    while start > 0 and in_band(hs[start - 1]):
+    if hs[start] not in (b, b + 1):
+        return start, hs + [hs[start]]
+    # a band at the top of the strip leaves it, so no run there is valid
+    while b < hi and start and hs[start - 1] in (b, b + 1) and hs[start - 1] != hs[start]:
         start -= 1
-    lh = start if start % 2 == 0 else start + 1
-    if lh < len(hs):
-        return tuple(hs[: lh + 1])
-    # stored data ends before the canonical horizon: extend by oscillation
-    out = list(hs)
-    while len(out) - 1 < lh:
-        out.append(b + 1 if out[-1] == b else b)
-    return tuple(out)
+    horizon = start + start % 2
+    return horizon, padded(hs, b, horizon + 1)
 
 
 def is_canonical(hs: Sequence[int], b: int) -> bool:
-    """Whether hs is stored exactly through its canonical horizon, as
-    `canonical` leaves it: the horizon is even, its height lies in the tail
-    band, and the two heights before it do not both lie there.
+    """Whether hs is stored exactly through its canonical horizon, as the
+    path constructors leave it: the horizon is even, its height lies in the
+    tail band, and the two heights before it do not both lie there.
     """
     horizon = len(hs) - 1
     if horizon % 2 or hs[-1] not in (b, b + 1):
@@ -71,9 +76,9 @@ def is_canonical(hs: Sequence[int], b: int) -> bool:
 
 
 def require_canonical(path, stored: Sequence[int], b: int) -> None:
-    """Refuse a path whose storage `canonical` would not give, for callers
-    that read the stored heights as everything before the tail: the path
-    classes accept any storage, and enumeration builds many paths.
+    """Refuse a path whose storage its constructor would not give, for
+    callers that read the stored heights as everything before the tail: the
+    path classes accept any storage, and enumeration builds many paths.
     """
     if not is_canonical(stored, b):
         raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
@@ -90,7 +95,7 @@ def tail_height(stored: tuple[int, ...], b: int, x: int) -> int:
     return b + 1 if last == b else b
 
 
-def padded(stored: tuple[int, ...], b: int, upto: int) -> list[int]:
+def padded(stored: Sequence[int], b: int, upto: int) -> list[int]:
     """Heights at positions 0..upto, continuing the tail oscillation."""
     out = list(stored[: upto + 1])
     beyond = upto - (len(stored) - 1)  # tail heights past the horizon
@@ -105,15 +110,25 @@ def once(path, name: str, compute):
     """compute(path), computed at most once per path object: the value is
     kept under `name` in the instance `__dict__`, which the frozen path
     classes leave out of their fields, so `==`, `hash`, `repr` and
-    `to_line` never see it.  The memo lives and dies with its path; equal
-    paths built apart share nothing, and a compute that raises leaves
-    nothing behind.  compute must return an immutable value, never None.
+    `to_line` never see it.  A constructor that has read the path already
+    keeps its value there up front (`kept`).  The memo lives and dies with
+    its path; equal paths built apart share nothing, and a compute that
+    raises leaves nothing behind.  compute must return an immutable value,
+    never None.
     """
     memo = path.__dict__
     value = memo.get(name)
     if value is None:
         value = memo[name] = compute(path)
     return value
+
+
+def kept(path, name: str, value):
+    """The path, keeping value under `name`, where `once` finds it: for a
+    constructor that has read the path already.
+    """
+    vars(path)[name] = value
+    return path
 
 
 def turns(hs: Sequence[int], hi: int) -> tuple[list[int], list[int]]:

@@ -5,10 +5,12 @@ between b and b+1 forever.  Only the prefix through the canonical horizon
 L(h) is stored: the smallest even L from which every later height lies in
 {b, b+1}.  Horizontal bands between consecutive heights are dark or light
 according to the floor function y = floor(r p'/p); scoring vertices (and
-hence weights) are defined relative to that shading, and one scan of the
-vertices, `_scan`, gives both the weight and the scoring positions, and
-runs at most once per path object: a path is read once, however many
-readers ask.
+hence weights) are defined relative to that shading.  A path is read once,
+when `RsosPath.of` builds it: one pass, `_read`, checks the heights, finds
+the canonical horizon and scans the vertices, and the path keeps the scan
+(the weight, the scoring positions and the scoring-peak count, `_scan`),
+however many readers ask.  A path built raw, as enumeration builds them,
+is read by the same pass on first use.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors.  Enumeration of all paths up to a weight bound is
@@ -61,26 +63,24 @@ class RsosPath:
 
     @staticmethod
     def of(p: int, p_prime: int, a: int, b: int, heights) -> RsosPath:
-        """Validate and canonicalize a height sequence (tail may be partial)."""
+        """Validate and canonicalize a height sequence (tail may be partial),
+        and keep its vertex scan: one `_read` does all three.
+        """
         if not 1 < p < p_prime or gcd(p, p_prime) != 1:
             raise InvalidPathError(f"need coprime 1 < p < p', got ({p}, {p_prime})")
-        hs = [int(h) for h in heights]
+        hs = list(map(int, heights))
         if not hs:
             raise InvalidPathError("height sequence is empty")
         if hs[0] != a:
             raise InvalidPathError(f"path must start at a={a}, got {hs[0]}")
         if not 1 <= b <= p_prime - 1:
             raise InvalidPathError(f"tail height b={b} out of range")
-        for x, h in enumerate(hs):
-            if not 1 <= h <= p_prime - 1:
-                raise InvalidPathError(f"height {h} at position {x} out of range")
-            if x and abs(h - hs[x - 1]) != 1:
-                raise InvalidPathError(f"step at position {x} is not a unit step")
+        stored, scan = _read(p, p_prime, a, b, hs, len(hs))
         if hs[-1] not in (b, b + 1):
             raise InvalidPathError(
                 f"stored sequence must end inside the tail band, got {hs[-1]}"
             )
-        return RsosPath(p, p_prime, a, b, lattice.canonical(hs, b))
+        return lattice.kept(RsosPath(p, p_prime, a, b, stored), "_scan", scan)
 
     @property
     def horizon(self) -> int:
@@ -117,15 +117,6 @@ def _scores(dark: frozenset[int], prev: int, h: int, nxt: int) -> bool:
     return (nxt != prev) == ((h if nxt > h else nxt) in dark)
 
 
-def _label(a: int, x: int, prev: int, h: int) -> int:
-    """u_x after an up step, v_x after a down step; both labels are checked."""
-    u = (x - h + a) // 2
-    v = (x + h - a) // 2
-    if u + v != x or u < 0 or v < 0:
-        raise AssertionError(f"vertex-label check: vertex {x} has labels u={u}, v={v}")
-    return u if prev < h else v
-
-
 def weight(path: RsosPath) -> int:
     """Sum of u over up-scoring and v over down-scoring vertices."""
     _require_finite(path)
@@ -133,33 +124,60 @@ def weight(path: RsosPath) -> int:
 
 
 def _scan(path: RsosPath) -> tuple[int, list[int], int]:
-    """One pass over the vertices 1..L: the weight, the positions of the
-    scoring vertices and the number of scoring peaks.  Every vertex's labels
-    are checked, scoring or not; whether the tail band is dark (the weight
-    finite) is left to the caller, as `weight` checks it.  The pass runs
-    once per path object (`lattice.once`); each call gets its own list.
+    """The weight, the positions of the scoring vertices and the number of
+    scoring peaks, from the one read of the path: `RsosPath.of` keeps it,
+    and a path built raw is read on first use (`lattice.once`).  Whether
+    the tail band is dark (the weight finite) is left to the caller, as
+    `weight` checks it.  Each call gets its own list.
     """
-    total, scoring, peaks = lattice.once(path, "_scan", _read_vertices)
+    total, scoring, peaks = lattice.once(path, "_scan", _reread)
     return total, list(scoring), peaks
 
 
-def _read_vertices(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
-    """The pass behind `_scan`, with the scoring positions as a tuple."""
-    dark = dark_floors(path.p, path.p_prime)
-    a = path.a
-    hs = path.padded(path.horizon + 1)
-    total = 0
+def _reread(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
+    return _read(path.p, path.p_prime, path.a, path.b, list(path.heights), 0)[1]
+
+
+def _read(p: int, p_prime: int, a: int, b: int, hs: list[int],
+          given: int) -> tuple[tuple[int, ...], tuple[int, tuple[int, ...], int]]:
+    """The one pass over a height list: the canonical storage, and the scan
+    of its vertices 1..L (the weight, the scoring positions, the number of
+    scoring peaks).  Each height up to the horizon is checked in order, its
+    range before its step; the heights past it are the band run
+    `lattice.frame` has found valid.  Only the first `given` heights are
+    checked against the strip: past the input, a tail band at the top of
+    the strip leaves it, and a path built raw (given 0) is trusted to lie
+    in it; its steps are checked all the same.
+
+    Vertex x is labelled u = (x - h + a)/2 after an up step and v =
+    (x + h - a)/2 after a down step.  With unit steps both labels only grow
+    along the path, so once the steps are checked, checking vertex 1's
+    labels checks every vertex's: a path built raw that does not start at a
+    fails there.
+    """
+    dark = dark_floors(p, p_prime)
+    horizon, seq = lattice.frame(hs, b, p_prime - 1)
+    if given and not 0 < seq[0] < p_prime:
+        raise InvalidPathError(f"height {seq[0]} at position 0 out of range")
+    total = peaks = 0
     scoring = []
-    peaks = 0
-    for x in range(1, path.horizon + 1):
-        prev, h, nxt = hs[x - 1], hs[x], hs[x + 1]
-        label = _label(a, x, prev, h)
-        if _scores(dark, prev, h, nxt):
-            total += label
+    for x, prev, h, nxt in zip(range(1, horizon + 1), seq, seq[1:], seq[2:]):
+        if not 0 < h < p_prime and x < given:
+            raise InvalidPathError(f"height {h} at position {x} out of range")
+        if h - prev not in (1, -1):
+            raise InvalidPathError(f"step at position {x} is not a unit step")
+        if (nxt != prev) == ((h if nxt > h else nxt) in dark):  # `_scores`, inlined
             scoring.append(x)
-            if nxt == prev < h:
-                peaks += 1
-    return total, tuple(scoring), peaks
+            if prev < h:
+                total += (x - h + a) // 2
+                if nxt == prev:
+                    peaks += 1
+            else:
+                total += (x + h - a) // 2
+    if horizon and abs(seq[1] - a) != 1:
+        raise AssertionError(f"vertex-label check: vertex 1 has labels "
+                             f"u={(1 - seq[1] + a) // 2}, v={(1 + seq[1] - a) // 2}")
+    return tuple(seq[:horizon + 1]), (total, tuple(scoring), peaks)
 
 
 def _require_finite(path: RsosPath) -> None:

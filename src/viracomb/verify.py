@@ -6,6 +6,7 @@ the first mismatching power with both coefficients.  Structural checks
 sector in `detail`; the moves check leans on `apply_move`, whose own checks
 raise.  A job that raises fails alone: its report (suite "error") names the
 call, and its `detail` holds the exception and the line that raised it.
+Only `MemoryError` escapes a job, and ends the run: the order is too large.
 Each check is an independent job, so suites can fan out over a process
 pool; reports are sorted by suite and name regardless of scheduling.  The
 worker count is `workers` when given, else the number of cores.  Each
@@ -336,12 +337,16 @@ SUITES = {
 
 def _run_job(job) -> VerifyReport:
     """The job's report; a job that raises fails on its own and names the
-    raising call, so the other jobs still report.
+    raising call, so the other jobs still report.  Running out of memory is
+    the one exception: it means the order is too large for any job, so it
+    escapes, from a worker process too, and fails the whole run.
     """
     fn, args = job
     t0 = time.perf_counter()
     try:
         report = fn(*args)
+    except MemoryError:
+        raise
     except Exception as exc:
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         report = VerifyReport(

@@ -12,19 +12,25 @@ far side.  `fermionic_sum_*_reference` are the Rogers-Ramanujan-type
 closed forms with every term built alone from its own factor passes, as they
 were written before each term was built from its neighbour, and
 `fermionic_term` is one term of the fermionic sum built alone, for one
-occupation vector, where the program's walk merges terms.  The program
-itself never needs them.
+occupation vector, where the program's walk merges terms.  `rsos_of` and
+`half_of` are the path constructors as they were written before one pass
+read a path: a validation loop (`find_violation` for half paths), then
+`canonical` storage, then a separate vertex pass (`rsos_scan`, `half_scan`),
+each reading the whole sequence again.  The program itself never needs
+them.
 """
 
 from bisect import bisect_left
 from typing import NamedTuple
 
-from viracomb import lattice, rsos
+from math import gcd
+
+from viracomb import halfpath, lattice, rsos
 from viracomb.characters import m_vector
-from viracomb.halfpath import HalfPath
+from viracomb.halfpath import HalfPath, InvalidHalfPathError
 from viracomb.particles import Dissection, DissectionError, Particle
 from viracomb.qseries import QSeries, _factor_product
-from viracomb.rsos import RsosPath
+from viracomb.rsos import InvalidPathError, RsosPath
 
 
 PEAK = "peak"
@@ -53,8 +59,144 @@ def classify(path: RsosPath) -> list[VertexInfo]:
         up = prev < h
         shape = (PEAK if up else VALLEY) if nxt == prev else (STRAIGHT_UP if up else STRAIGHT_DOWN)
         out.append(VertexInfo(x, shape, rsos._scores(dark, prev, h, nxt), up,
-                              rsos._label(path.a, x, prev, h)))
+                              _label(path.a, x, prev, h)))
     return out
+
+
+def _label(a: int, x: int, prev: int, h: int) -> int:
+    """u_x after an up step, v_x after a down step; both labels are checked."""
+    u = (x - h + a) // 2
+    v = (x + h - a) // 2
+    if u + v != x or u < 0 or v < 0:
+        raise AssertionError(f"vertex-label check: vertex {x} has labels u={u}, v={v}")
+    return u if prev < h else v
+
+
+def canonical(hs: list[int], b: int) -> tuple[int, ...]:
+    """Trim or extend so storage runs exactly through the canonical horizon:
+    the first even position from which every height lies in {b, b+1}.
+    """
+    in_band = lambda h: h in (b, b + 1)
+    # first index from which everything stored is a b/b+1 oscillation
+    start = len(hs) - 1
+    while start > 0 and in_band(hs[start - 1]):
+        start -= 1
+    lh = start if start % 2 == 0 else start + 1
+    if lh < len(hs):
+        return tuple(hs[: lh + 1])
+    # stored data ends before the canonical horizon: extend by oscillation
+    out = list(hs)
+    while len(out) - 1 < lh:
+        out.append(b + 1 if out[-1] == b else b)
+    return tuple(out)
+
+
+def rsos_of(p: int, p_prime: int, a: int, b: int, heights) -> RsosPath:
+    """Validate and canonicalize a height sequence (tail may be partial)."""
+    if not 1 < p < p_prime or gcd(p, p_prime) != 1:
+        raise InvalidPathError(f"need coprime 1 < p < p', got ({p}, {p_prime})")
+    hs = [int(h) for h in heights]
+    if not hs:
+        raise InvalidPathError("height sequence is empty")
+    if hs[0] != a:
+        raise InvalidPathError(f"path must start at a={a}, got {hs[0]}")
+    if not 1 <= b <= p_prime - 1:
+        raise InvalidPathError(f"tail height b={b} out of range")
+    for x, h in enumerate(hs):
+        if not 1 <= h <= p_prime - 1:
+            raise InvalidPathError(f"height {h} at position {x} out of range")
+        if x and abs(h - hs[x - 1]) != 1:
+            raise InvalidPathError(f"step at position {x} is not a unit step")
+    if hs[-1] not in (b, b + 1):
+        raise InvalidPathError(
+            f"stored sequence must end inside the tail band, got {hs[-1]}"
+        )
+    return RsosPath(p, p_prime, a, b, canonical(hs, b))
+
+
+def rsos_scan(path: RsosPath) -> tuple[int, list[int], int]:
+    """One pass over the vertices 1..L of the stored heights: the weight,
+    the positions of the scoring vertices and the number of scoring peaks.
+    Every vertex's labels are checked, scoring or not.
+    """
+    dark = rsos.dark_floors(path.p, path.p_prime)
+    a = path.a
+    hs = path.padded(path.horizon + 1)
+    total = 0
+    scoring = []
+    peaks = 0
+    for x in range(1, path.horizon + 1):
+        prev, h, nxt = hs[x - 1], hs[x], hs[x + 1]
+        label = _label(a, x, prev, h)
+        if rsos._scores(dark, prev, h, nxt):
+            total += label
+            scoring.append(x)
+            if nxt == prev < h:
+                peaks += 1
+    return total, scoring, peaks
+
+
+def find_violation(t2: int, a2: int, b2: int, doubled) -> str | None:
+    """First constraint violation of a doubled height sequence, or None."""
+    hs = list(doubled)
+    if t2 < 4:
+        return f"need T = 2t >= 4, got {t2}"
+    if a2 % 2 or b2 % 2:
+        return f"start A={a2} and tail B={b2} must be even (integer heights)"
+    if not hs:
+        return "height sequence is empty"
+    if hs[0] != a2:
+        return f"path must start at A={a2}, got {hs[0]}"
+    if not 2 <= b2 <= t2:
+        return f"tail height B={b2} out of range 2..{t2}"
+    # one pass: a height out of range or a bad step is reported at once; a
+    # valley at a non-integer (odd doubled) height only once the whole line
+    # has passed, so either of the others wins over it.  H_{-1} = A + 1.
+    valley = None
+    before, prev = a2 + 1, None
+    for i, h in enumerate(hs):
+        if not 2 <= h <= t2:
+            return f"height {h} at doubled position {i} out of range 2..{t2}"
+        if i:
+            if abs(h - prev) != 1:
+                return f"step at doubled position {i} is not a half-unit step"
+            if valley is None and before == h == prev + 1 and prev % 2 == 1:
+                valley = f"valley at non-integer height {prev}/2 (doubled position {i - 1})"
+            before = prev
+        prev = h
+    if valley is not None:
+        return valley
+    if hs[-1] not in (b2, b2 + 1):
+        return f"stored sequence must end inside the tail band, got {hs[-1]}"
+    return None
+
+
+def half_of(t2: int, a2: int, b2: int, doubled) -> HalfPath:
+    violation = find_violation(t2, a2, b2, doubled)
+    if violation is not None:
+        raise InvalidHalfPathError(violation)
+    return HalfPath(t2, a2, b2, canonical(list(doubled), b2))
+
+
+def half_scan(path: HalfPath) -> tuple[int, int, list[int], list[int]]:
+    """One pass over the doubled positions 0..L of the stored heights,
+    position 0 read against H(-1) = A + 1: the weight, the number of
+    straight vertices and the positions of the peaks and of the valleys.
+    """
+    hs = path.padded(path.horizon + 1)
+    quarters = straights = 0
+    peaks = []
+    valleys = []
+    before = path.a2 + 1
+    for i, h, after in zip(range(path.horizon + 1), hs, hs[1:]):
+        if before != after:
+            quarters += i
+            straights += 1
+        else:
+            (peaks if h > after else valleys).append(i)
+        before = h
+    gs_q = halfpath._ground_quarters(path.t2, path.a2, path.b2)
+    return halfpath._whole_units(quarters - gs_q), straights, peaks, valleys
 
 
 def straight_positions(path: HalfPath) -> list[int]:

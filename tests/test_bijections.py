@@ -218,12 +218,13 @@ def test_bij1_cut_has_no_adjacent_scoring_and_particles_start_on_turns():
                 assert info[first].shape in (PEAK, VALLEY)
 
 
-def _scans(call, arg):
-    """The result of call(arg) and how many vertex scans it made: RSOS and
-    half-path scans and raw peak-and-valley scans.
+def _reads(call, arg):
+    """The result of call(arg) and how many times it read heights: RSOS and
+    half-path reads, each made when a path is built (or on first use of a
+    path built raw), and raw peak-and-valley scans.
     """
-    with mock.patch.object(rsos, "_scan", wraps=rsos._scan) as r, \
-            mock.patch.object(hp, "_scan", wraps=hp._scan) as h, \
+    with mock.patch.object(rsos, "_read", wraps=rsos._read) as r, \
+            mock.patch.object(hp, "_read", wraps=hp._read) as h, \
             mock.patch.object(lattice, "turns", wraps=lattice.turns) as t:
         out = call(arg)
     return out, r.call_count + h.call_count + t.call_count
@@ -232,15 +233,16 @@ def _scans(call, arg):
 @pytest.mark.parametrize("half", [HALF_8_IMAGE, HALF_10, HALF_7_CUT, HALF_7_INT,
                                   HALF_7_IMAGE])
 def test_each_map_scans_each_path_once(half):
-    # bij1: the path and the cut path, the reread and the raised path; or
-    # the image and the lowered path, the cut path and the reinserted one.
-    # bij2 adds the flip's raw heights and the accreted path forward, and
-    # scans the stripped path's raw heights backward.
-    inv, fwd, expected = ((bij1_inverse, bij1_forward, (4, 4)) if half[0] % 2 == 0
-                          else (bij2_inverse, bij2_forward, (5, 6)))
+    # the input was read when it was built; each map reads each path it
+    # builds once, when it builds it.  bij1: the cut path, the reread and
+    # the raised path; or the lowered path, the cut path and the reinserted
+    # one.  bij2 adds the flip's raw heights and the accreted path forward,
+    # and the stripped path backward.
+    inv, fwd, expected = ((bij1_inverse, bij1_forward, (3, 3)) if half[0] % 2 == 0
+                          else (bij2_inverse, bij2_forward, (4, 5)))
     image = HalfPath.of(*half)
-    path, n_inv = _scans(inv, image)
-    (again, _), n_fwd = _scans(fwd, path)
+    path, n_inv = _reads(inv, image)
+    (again, _), n_fwd = _reads(fwd, path)
     assert again == image
     assert (n_inv, n_fwd) == expected
 

@@ -435,6 +435,22 @@ def test_verify_job_that_raises_fails_alone(capsys, monkeypatch):
     assert reports[0]["detail"]["at"].endswith(" in _job_product")
 
 
+def _out_of_memory(which, order):
+    raise MemoryError
+
+
+def test_verify_out_of_memory_exit_2(capsys, monkeypatch):
+    # a job that runs out of memory fails the whole command with the
+    # out-of-memory message, not just its own report, whether it ran in
+    # this process or in a worker of the pool
+    monkeypatch.setattr(verify, "_job_product", _out_of_memory)
+    for workers in ("1", "2"):
+        code, out, err = run(capsys, ["verify", "products", "--order", "10",
+                                      "--workers", workers])
+        assert (code, out) == (2, "")
+        assert err == "error: out of memory; try a smaller --order or --max-weight\n"
+
+
 def test_closed_pipe_exits_quietly():
     # about 159 KB of path lines, far more than a pipe buffer holds, so a
     # write after the reader closes always fails

@@ -6,7 +6,6 @@ from viracomb.halfpath import (
     HalfPath,
     InvalidHalfPathError,
     enumerate_paths,
-    find_violation,
     generating_function,
     ground_state,
     theorem1_domain,
@@ -29,26 +28,35 @@ from data_paths import (
 from oracles import raw_weight_quarters, straight_positions, weight_extended
 
 
+def violation(t2, a2, b2, doubled):
+    """The message `HalfPath.of` refuses the sequence with, or None."""
+    try:
+        HalfPath.of(t2, a2, b2, doubled)
+    except InvalidHalfPathError as exc:
+        return str(exc)
+    return None
+
+
 def test_validate_accepts_integer_valleys():
-    assert find_violation(10, 4, 8, [4, 5, 4, 5, 6, 7, 8]) is None
+    assert violation(10, 4, 8, [4, 5, 4, 5, 6, 7, 8]) is None
 
 
 def test_validate_rejects_half_height_valley():
-    msg = find_violation(10, 6, 6, [6, 5, 6])
+    msg = violation(10, 6, 6, [6, 5, 6])
     assert msg is not None and "valley" in msg
 
 
 def test_validate_examples():
-    assert find_violation(*HALF_10) is None
-    assert find_violation(10, 4, 8, [4, 3, 5]) is not None  # bad step
-    assert find_violation(10, 3, 8, [3, 4]) is not None  # odd endpoints
-    assert find_violation(10, 4, 8, [4, 3, 2, 1, 2]) is not None  # below the strip
+    assert violation(*HALF_10) is None
+    assert violation(10, 4, 8, [4, 3, 5]) is not None  # bad step
+    assert violation(10, 3, 8, [3, 4]) is not None  # odd endpoints
+    assert violation(10, 4, 8, [4, 3, 2, 1, 2]) is not None  # below the strip
     # an odd valley comes first, but a range or step fault wins over it
-    assert find_violation(10, 6, 6, [6, 5, 6, 8]) == \
+    assert violation(10, 6, 6, [6, 5, 6, 8]) == \
         "step at doubled position 3 is not a half-unit step"
-    assert find_violation(10, 6, 6, [6, 5, 6, 7, 8, 9, 10, 11]) == \
+    assert violation(10, 6, 6, [6, 5, 6, 7, 8, 9, 10, 11]) == \
         "height 11 at doubled position 7 out of range 2..10"
-    assert find_violation(10, 6, 6, [6, 5, 6]) == \
+    assert violation(10, 6, 6, [6, 5, 6]) == \
         "valley at non-integer height 5/2 (doubled position 1)"
 
 

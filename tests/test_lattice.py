@@ -35,10 +35,23 @@ def test_parse_fields():
             lattice.parse_fields(bad, "half", ("T", "H"))
 
 
+def canonical(hs, b, hi=99):
+    """The storage `lattice.frame` gives a path's constructor."""
+    horizon, seq = lattice.frame(list(hs), b, hi)
+    return tuple(seq[:horizon + 1])
+
+
 def test_canonical_trims_and_extends():
-    assert lattice.canonical([4, 3, 2, 3, 2, 3, 2], 2) == (4, 3, 2)
-    assert lattice.canonical([4, 3], 2) == (4, 3, 2)  # the horizon is even
-    assert lattice.canonical([2], 2) == (2,)
+    assert canonical([4, 3, 2, 3, 2, 3, 2], 2) == (4, 3, 2)
+    assert canonical([4, 3], 2) == (4, 3, 2)  # the horizon is even
+    assert canonical([2], 2) == (2,)
+    # the band stops at the strip's top, though the tail continues past it,
+    # and the run read back from the end stops at a step that does not
+    # alternate, for the reader to refuse
+    assert canonical([7, 8, 9, 8, 9], 8, 9) == (7, 8, 9)
+    assert canonical([7, 8, 9, 8, 9], 9, 9) == (7, 8, 9, 8, 9)
+    assert canonical([8, 9], 9, 9) == (8, 9, 10)
+    assert canonical([5, 4, 3, 3, 2], 2, 9) == (5, 4, 3, 3, 2)
 
 
 def test_is_canonical_agrees_with_canonical():
@@ -53,7 +66,7 @@ def test_is_canonical_agrees_with_canonical():
             todo += [hs + [nh] for nh in (hs[-1] - 1, hs[-1] + 1) if 1 <= nh <= 10]
     assert len(seqs) == 421
     for hs in seqs:
-        assert lattice.is_canonical(hs, 3) == (lattice.canonical(hs, 3) == tuple(hs)), hs
+        assert lattice.is_canonical(hs, 3) == (canonical(hs, 3, 10) == tuple(hs)), hs
     assert sum(lattice.is_canonical(hs, 3) for hs in seqs) > 0
 
 
@@ -356,11 +369,15 @@ def _counting(module, name):
 
 
 def test_equal_paths_built_apart_each_read_themselves():
+    # each path is read once, when it is built, and weighing reads nothing
     for model, data, build in ((hp, HALF_10, HalfPath.of), (rsos, RSOS_49, RsosPath.of)):
-        first, second = build(*data), build(*data)
-        with _counting(model, "_read_vertices") as reads:
+        with _counting(model, "_read") as reads:
+            first, second = build(*data), build(*data)
+        assert [c.args[:len(data)] for c in reads.call_args_list] == \
+            [(*data[:-1], list(data[-1]))] * 2
+        with _counting(model, "_read") as reads:
             assert model.weight(first) == model.weight(second) == model.weight(first)
-        assert [c.args for c in reads.call_args_list] == [(first,), (second,)]
+        assert reads.call_count == 0
 
 
 def test_scan_hands_out_copies():
@@ -392,8 +409,8 @@ def test_a_read_path_is_the_same_value():
     assert (repr(read), read.to_line()) == (repr(unread), unread.to_line())
     assert dis == particles.dissect(read) == particles.dissect(unread)
     assert dis is not particles.dissect(read)  # a fresh dissection per call
-    copy = dataclasses.replace(read)
-    with _counting(hp, "_read_vertices") as reads, _counting(particles, "_dissect") as cuts:
+    copy = dataclasses.replace(read)  # built raw, so read on first use
+    with _counting(hp, "_read") as reads, _counting(particles, "_dissect") as cuts:
         assert particles.dissect(copy) == dis
         assert hp.weight(copy) == hp.weight(read)
     assert (reads.call_count, cuts.call_count) == (1, 1)

@@ -114,18 +114,20 @@ def test_m_vector_zero_sector():
 
 
 def test_a_moved_path_is_scanned_and_dissected_once():
-    # apply_move weighs and dissects the new path, and its caller does both
-    # again: the path keeps its scan and its dissection, so each runs once
+    # apply_move builds, weighs and dissects the new path, and its caller
+    # weighs and dissects it again: the path is read once, when it is built,
+    # and keeps its scan and its dissection, so each runs once
     path = HalfPath.of(*DISSECT_10)
     moves = enumerate_moves(path)
     assert len(moves) == 5
     for move in moves:
-        with mock.patch.object(hp, "_read_vertices", wraps=hp._read_vertices) as scans, \
+        with mock.patch.object(hp, "_read", wraps=hp._read) as reads, \
                 mock.patch.object(particles, "_dissect", wraps=particles._dissect) as cuts:
             new = apply_move(path, move)
             assert (hp.weight(new), dissect(new).sector) == (move.weight + 1, move.sector)
-        assert (scans.call_count, cuts.call_count) == (1, 1), move
-        assert [c.args for c in scans.call_args_list + cuts.call_args_list] == [(new,), (new,)]
+        assert (reads.call_count, cuts.call_count) == (1, 1), move
+        assert reads.call_args.args[:3] == (new.t2, new.a2, new.b2)
+        assert cuts.call_args_list == [mock.call(new)]
 
 
 def test_move_sequence_against_larger_particle():

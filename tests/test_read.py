@@ -1,0 +1,127 @@
+"""One read per path: `RsosPath.of` and `HalfPath.of` check, canonicalize
+and scan a path in one pass, and must do exactly what the readers they
+replaced did one after another (`oracles.rsos_of` and `oracles.half_of`,
+then `oracles.rsos_scan` and `oracles.half_scan`): refuse with the same
+exception and message, or store the same heights and scan them the same.
+The inputs are seeded random walks of both models and both bijection
+families, with light RSOS tail bands and half labels outside the Theorem-1
+domain, tails cut short or run long, and single-edit garbled copies.
+"""
+
+import dataclasses
+import random
+from math import gcd
+
+import pytest
+
+from viracomb import halfpath as hp
+from viracomb import rsos
+from viracomb.halfpath import HalfPath
+from viracomb.rsos import RsosPath
+
+import oracles
+from data_paths import half_ok, walk
+
+
+def _refusal(call, *args):
+    """call(*args), or the type and message of the refusal it raised."""
+    try:
+        return call(*args)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def _read(build, scan, args):
+    """The path built from args and its scan, or the constructor's refusal."""
+    path = _refusal(build, *args)
+    if isinstance(path, tuple):
+        return path
+    return path, _refusal(scan, path)
+
+
+def _rsos_walk(rnd):
+    p = rnd.randint(2, 7)
+    pp = rnd.choice([2 * p + 1, 2 * p - 1, 2 * p - 1, rnd.randint(p + 1, 2 * p + 2)])
+    a, b = rnd.randint(1, pp - 1), rnd.randint(1, pp - 1)  # light tails too
+    return [p, pp, a, b], walk(rnd, a, 1, pp - 1, b, rnd.randint(0, 40))
+
+
+def _half_walk(rnd):
+    t2 = rnd.randint(4, 13)
+    a2, b2 = 2 * rnd.randint(1, t2 // 2), 2 * rnd.randint(1, t2 // 2)  # any domain
+    return [t2, a2, b2], walk(rnd, a2, 2, t2, b2, rnd.randint(0, 60), half_ok)
+
+
+def _inputs(rnd, make, count):
+    """Random walks, their tails cut short or run long by whole steps of
+    the oscillation, and a single-edit garbled copy of most of them.
+    """
+    for _ in range(count):
+        label, hs = make(rnd)
+        b = label[-1]
+        for _ in range(rnd.randrange(6)):
+            hs.append(b + 1 if hs[-1] == b else b)
+        yield label, hs
+        edit = rnd.randrange(7)
+        label, hs = list(label), list(hs)
+        i = rnd.randrange(len(hs))
+        if edit == 0:
+            hs[i] += rnd.choice([-2, -1, 1, 2])
+        elif edit == 1:
+            del hs[i]
+        elif edit == 2:
+            hs.insert(i, hs[i] + rnd.choice([-1, 0, 1]))
+        elif edit == 3:
+            hs[i] = rnd.randint(0, label[1] if len(label) == 4 else label[0] + 1)
+        elif edit == 4:
+            label[rnd.randrange(len(label))] += rnd.choice([-2, -1, 1])
+        elif edit == 5:
+            hs = hs[: rnd.randrange(len(hs) + 1)]
+        else:
+            continue
+        yield label, hs
+
+
+@pytest.mark.parametrize("model", ["rsos", "half"])
+def test_one_read_is_the_old_three(model):
+    rnd = random.Random(22 if model == "rsos" else 23)
+    if model == "rsos":
+        make, new, old = _rsos_walk, (RsosPath.of, rsos._scan), (oracles.rsos_of, oracles.rsos_scan)
+    else:
+        make, new, old = _half_walk, (HalfPath.of, hp._scan), (oracles.half_of, oracles.half_scan)
+    refusals = set()
+    built = scanned = 0
+    for label, hs in _inputs(rnd, make, 1500):
+        args = (*label, hs)
+        got = _read(*new, args)
+        assert got == _read(*old, args), args
+        if isinstance(got[0], type):
+            refusals.add(got[1].split(" ")[0])
+            continue
+        built += 1
+        scanned += not isinstance(got[1][0], type)
+        # built raw, the same path is read on first use, by the same reader
+        assert _refusal(new[1], dataclasses.replace(got[0])) == got[1], args
+    # every kind of refusal shows up, and most inputs build and scan
+    kinds = {"need", "path", "tail", "height", "step", "stored"}
+    assert kinds | ({"start", "valley"} if model == "half" else set()) <= refusals
+    assert built > 1000 and scanned > 800
+
+
+def test_a_raw_path_not_starting_at_a_fails_its_labels_as_before():
+    # the vertex-label check reads vertex 1 only: with unit steps, both
+    # labels only grow along the path, so it fails wherever the old check,
+    # which read every vertex, failed first
+    rnd = random.Random(24)
+    raised = 0
+    for _ in range(400):
+        (p, pp, a, b), hs = _rsos_walk(rnd)
+        if gcd(p, pp) != 1:
+            continue
+        path = RsosPath.of(p, pp, a, b, hs)
+        for shift in (-3, -2, -1, 1, 2, 3):
+            raw = RsosPath(p, pp, a + shift, b, path.heights)
+            got = _refusal(rsos._scan, raw)
+            assert got == _refusal(oracles.rsos_scan, raw), raw
+            raised += isinstance(got[0], type)
+    assert raised > 1000

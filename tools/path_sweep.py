@@ -1,0 +1,118 @@
+"""Per-path cost of reading a path and of mapping it there and back, by
+path length.  For seeded random walks of L = 100, 200, ..., 3 200 steps in
+both bijection families, it prints the median microseconds of one `.of`
+read and of one round trip, for RSOS paths (forward, then inverse) and for
+half paths (inverse, then forward).  A round trip starts from the heights,
+so it includes the input's own `.of` read.  The cost should grow linearly
+in L.
+
+    PYTHONPATH=src python3 tools/path_sweep.py [--max-steps 3200]
+"""
+
+import argparse
+import gc
+import random
+import statistics
+import time
+
+from viracomb import bijections
+from viracomb.halfpath import HalfPath, theorem1_domain
+from viracomb.rsos import RsosPath
+
+STEPS = (100, 200, 400, 800, 1600, 3200)
+PATHS = 15  # walks per cell and model
+ROUNDS = 7  # timings per call
+
+
+def walk(rnd: random.Random, start: int, lo: int, hi: int, b: int, steps: int,
+         half: bool) -> list[int]:
+    """A random unit-step walk of `steps` steps on lo..hi, then led into the
+    tail band {b, b+1}; a half walk keeps its valleys at even doubled heights.
+    """
+    hs = [start]
+
+    def ok(nh: int) -> bool:
+        prev = hs[-2] if len(hs) > 1 else start + 1
+        return lo <= nh <= hi and not (half and prev == nh == hs[-1] + 1 and hs[-1] % 2)
+
+    for _ in range(steps):
+        hs.append(rnd.choice([nh for nh in (hs[-1] - 1, hs[-1] + 1) if ok(nh)]))
+    while hs[-1] not in (b, b + 1):
+        nh = hs[-1] - 1 if hs[-1] > b + 1 else hs[-1] + 1
+        hs.append(nh if ok(nh) else hs[-1] - 1)
+    return hs
+
+
+def label(rnd: random.Random, family: int, half: bool) -> tuple[int, ...]:
+    """A random label the family's maps accept, (p, p', a, b) or (T, A, B)."""
+    p = rnd.randint(3, 6)
+    if half:
+        t2 = 2 * p if family == 1 else 2 * p - 1
+        return (t2, *rnd.choice([(a2, b2) for a2 in range(2, t2 + 1, 2)
+                                 for b2 in range(2, t2 + 1, 2) if theorem1_domain(t2, a2, b2)]))
+    if family == 1:
+        return p, 2 * p + 1, 2 * rnd.randint(1, p), 2 * rnd.randint(1, p - 1)
+    return p, 2 * p - 1, 2 * rnd.randint(1, p - 1), 2 * rnd.randint(1, p - 1) - 1
+
+
+def cases(family: int, steps: int, rnd: random.Random) -> list[tuple]:
+    """(read, round trip) call pairs for PATHS random walks of `steps`
+    steps, RSOS paths first, then half paths.
+    """
+    out = []
+    for half in (False, True):
+        for _ in range(PATHS):
+            lab = label(rnd, family, half)
+            lo, hi = (2, lab[0]) if half else (1, lab[1] - 1)
+            hs = walk(rnd, lab[-2], lo, hi, lab[-1], steps, half)
+            if half:
+                out.append((lambda lab=lab, hs=hs: HalfPath.of(*lab, hs),
+                            lambda lab=lab, hs=hs: bijections.forward(
+                                bijections.inverse(HalfPath.of(*lab, hs)))))
+            else:
+                out.append((lambda lab=lab, hs=hs: RsosPath.of(*lab, hs),
+                            lambda lab=lab, hs=hs: bijections.inverse(
+                                bijections.forward(RsosPath.of(*lab, hs))[0])))
+    return out
+
+
+def timed_us(call) -> float:
+    t0 = time.perf_counter()
+    call()
+    return (time.perf_counter() - t0) * 1e6
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--max-steps", type=int, default=STEPS[-1])
+    args = parser.parse_args()
+    cells = {}
+    for family in (1, 2):
+        rnd = random.Random(10 + family)
+        for steps in (s for s in STEPS if s <= args.max_steps):
+            cells[family, steps] = cases(family, steps, rnd)
+    # each call is timed once per round and keeps its least time: the rounds
+    # spread a call's samples over the whole run, so a stretch of a loaded
+    # machine does not decide a cell
+    best = {key: [[float("inf")] * 2 for _ in calls] for key, calls in cells.items()}
+    gc.disable()
+    try:
+        for _ in range(ROUNDS):
+            for key, calls in cells.items():
+                for mins, pair in zip(best[key], calls):
+                    for k, call in enumerate(pair):
+                        mins[k] = min(mins[k], timed_us(call))
+            gc.collect()
+    finally:
+        gc.enable()
+    print(f"{'family':>6} {'L':>5} {'rsos .of':>9} {'rsos trip':>10} "
+          f"{'half .of':>9} {'half trip':>10}   (median µs per path)")
+    for (family, steps), mins in best.items():
+        row = [statistics.median(m[k] for m in part)
+               for part in (mins[:PATHS], mins[PATHS:]) for k in (0, 1)]
+        print(f"{family:>6} {steps:>5} {row[0]:>9.0f} {row[1]:>10.0f} "
+              f"{row[2]:>9.0f} {row[3]:>10.0f}")
+
+
+if __name__ == "__main__":
+    main()
