@@ -19,7 +19,13 @@ mu (adding c(l+c-1)/2 + |mu| to the weight, with l the straight-vertex
 count), `_lower_peaks` undoes it, and `_reinsert` puts the particles
 back.  Only the middle stage is family-specific: the verbatim reread for
 p' = 2p+1, the flip-and-lift and accretion for p' = 2p-1.  `forward` and
-`inverse` pick the family from p' or from the parity of T.  Each path is
+`inverse` pick the family from p' or from the parity of T.
+
+Each map is defined exactly on the Theorem-1 labels of its half side,
+(2p, a, b) for p' = 2p+1 and (2p-1, b+1, a) for p' = 2p-1: after its family
+check, a map refuses any other label through `hp.theorem1_domain`.  A path
+built raw and not stored canonically is refused by its own read, which
+every map asks for before any stage looks at the heights.  Each path is
 read once, when a stage builds it, and keeps its scan, which the next stage
 takes: `_raise_peaks` returns the raised path's scan, and `_lower_peaks`
 and `bij2_inverse` take their peaks from the scans their paths keep.
@@ -123,22 +129,31 @@ def _gaps(positions: list[int], upto: int) -> list[int]:
 def _pair_runs(positions: list[int]) -> list[tuple[int, int]]:
     """Pair consecutive positions left to right inside each maximal run.
 
-    A leftover single at the right end of a run is not a particle.
+    A leftover single at the right end of a run is not a particle.  One
+    pass: a position opens a pair unless it closes the one held open.
     """
     pairs = []
-    i = 0
-    while i < len(positions):
-        j = i
-        while j + 1 < len(positions) and positions[j + 1] == positions[j] + 1:
-            j += 1
-        run = positions[i : j + 1]
-        for k in range(0, len(run) - 1, 2):
-            pairs.append((run[k], run[k + 1]))
-        i = j + 1
+    held = None  # the opening position of an unfinished pair
+    for x in positions:
+        if held is not None and x == held + 1:
+            pairs.append((held, x))
+            held = None
+        else:
+            held = x
     return pairs
 
 
 # -- the steps both families share -------------------------------------------
+
+
+def _require_domain(t2: int, a2: int, b2: int, rsos_label: str = "") -> None:
+    """Refuse a path whose half side (T, A, B) lies outside
+    `hp.theorem1_domain`, the labels both families are defined on; a
+    forward map names its RSOS label first.
+    """
+    if not hp.theorem1_domain(t2, a2, b2):
+        raise BijectionDomainError(
+            f"{rsos_label}(T,A,B)=({t2},{a2},{b2}) is outside the Theorem-1 domain")
 
 
 def _remove_pairs(path: RsosPath, pairs: list[tuple[int, int]]) -> RsosPath:
@@ -224,11 +239,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     p, pp, a, b = path.p, path.p_prime, path.a, path.b
     if pp != 2 * p + 1:
         raise BijectionDomainError(f"expected p' = 2p+1, got ({p},{pp})")
-    if a % 2 or b % 2:
-        raise BijectionDomainError(f"start a={a} and tail b={b} must be even")
-    if not (1 < a <= 2 * p and 1 < b < 2 * p):
-        raise BijectionDomainError(f"(a,b)=({a},{b}) out of range for p={p}")
-    lattice.require_canonical(path, path.heights, b)
+    _require_domain(2 * p, a, b, f"(p,p',a,b)=({p},{pp},{a},{b}): half side ")
 
     w, scoring, _ = rsos._scan(path)
     k = len(scoring)
@@ -266,11 +277,9 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
     t2, a, b = path.t2, path.a2, path.b2
     if t2 % 2:
         raise BijectionDomainError(f"expected even T = 2p, got {t2}")
+    _require_domain(t2, a, b)
     p = t2 // 2
     pp = t2 + 1
-    if not (1 < a <= 2 * p and 1 < b < 2 * p):
-        raise BijectionDomainError(f"(A,B)=({a},{b}) out of range for T={t2}")
-    lattice.require_canonical(path, path.doubled, path.b2)
 
     w_hat, _, tops, _ = hp._scan(path)
     mu, h_hat_cut, _ = _lower_peaks(path, tops, 0)
@@ -299,16 +308,8 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     p, pp, a = path.p, path.p_prime, path.a
     if pp != 2 * p - 1:
         raise BijectionDomainError(f"expected p' = 2p-1, got ({p},{pp})")
-    if p < 3:
-        raise BijectionDomainError(f"need p >= 3, got {p}")
     bb = path.b + 1  # the even reference height just above the odd tail
-    if a % 2 or bb % 2:
-        raise BijectionDomainError(
-            f"start a={a} must be even and tail {path.b} odd"
-        )
-    if not (1 < a < pp and 1 < bb < pp):
-        raise BijectionDomainError(f"(a, tail+1)=({a},{bb}) out of range")
-    lattice.require_canonical(path, path.heights, path.b)
+    _require_domain(2 * p - 1, bb, a, f"(p,p',a,b)=({p},{pp},{a},{path.b}): half side ")
 
     w, scoring, _ = rsos._scan(path)
     k = len(scoring)
@@ -379,12 +380,10 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     t2 = path.t2
     if t2 % 2 == 0:
         raise BijectionDomainError(f"expected odd T = 2p-1, got {t2}")
+    bb, a = path.a2, path.b2  # start of the flipped image, even tail reference
+    _require_domain(t2, bb, a)
     p = (t2 + 1) // 2
     pp = t2
-    bb, a = path.a2, path.b2  # start of the flipped image, even tail reference
-    if not (1 < a < pp and 1 < bb < pp):
-        raise BijectionDomainError(f"(A,B)=({bb},{a}) out of range for T={t2}")
-    lattice.require_canonical(path, path.doubled, path.b2)
 
     w_hat = hp.weight(path)
 

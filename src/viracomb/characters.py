@@ -68,33 +68,23 @@ def alternating_sum_series(p: int, pp: int, r: int, s: int, order: int) -> QSeri
     """The alternating lattice sum over the integer index, before division.
 
     Accepts raw parameters without label validation so that symmetry checks
-    can evaluate formally swapped labels.
+    can evaluate formally swapped labels; it needs 0 < r < p and 0 < s < p',
+    which reflected and swapped labels keep.
     """
+    _check_order(order)
     coeffs = [0] * (order + 1)
-
-    def add_terms(lam: int) -> bool:
+    # for lam != 0 both exponents exceed pp'(|lam| - 1)^2: the first since
+    # |p'r - ps| < pp', the second since lam p + r and lam p' + s share a
+    # sign and exceed (|lam| - 1)p and (|lam| - 1)p' in size; so no index
+    # past reach contributes, and no exponent is negative
+    reach = math.isqrt(order // (p * pp)) + 1
+    for lam in range(-reach, reach + 1):
         e1 = lam * lam * p * pp + lam * (pp * r - p * s)
         e2 = (lam * p + r) * (lam * pp + s)
-        hit = False
-        if 0 <= e1 <= order:
+        if e1 <= order:
             coeffs[e1] += 1
-            hit = True
-        if 0 <= e2 <= order:
+        if e2 <= order:
             coeffs[e2] -= 1
-            hit = True
-        return hit
-
-    # Both exponents are quadratic in the index with positive leading
-    # coefficient, so two consecutive misses on a side mean that side is done.
-    for direction in (1, -1):
-        lam = 0 if direction == 1 else -1
-        misses = 0
-        while misses < 2:
-            if add_terms(lam):
-                misses = 0
-            else:
-                misses += 1
-            lam += direction
     return QSeries(order, tuple(coeffs))
 
 

@@ -17,7 +17,8 @@ positions, and the path keeps the scan (the raw weight, the straight-vertex
 count, the peaks and the valleys).  The ground state is subtracted only
 when the path is weighed, so a path outside the Theorem-1 domain is built
 and refused only then.  A path built raw, as enumeration builds them, is
-read by the same pass on first use.
+read by the same pass on first use, and refused unless it is stored
+canonically.
 """
 
 from __future__ import annotations
@@ -143,9 +144,10 @@ def _scan(path: HalfPath) -> tuple[int, int, list[int], list[int]]:
     """The weight, the number of straight vertices and the positions of the
     peaks and of the valleys at doubled positions 0..L, from the one read of
     the path: `HalfPath.of` keeps it, and a path built raw is read on first
-    use (`lattice.once`).  The read keeps the raw weight, so a path outside
-    the Theorem-1 domain is built and refused only here, when its ground
-    state is asked for.  Each call gets its own lists.
+    use (`lattice.once`) and refused there unless `of` would store it so.
+    The read keeps the raw weight, so a path outside the Theorem-1 domain
+    is built and refused only here, when its ground state is asked for.
+    Each call gets its own lists.
     """
     quarters, straights, peaks, valleys = lattice.once(path, "_scan", _reread)
     gs_q = _ground_quarters(path.t2, path.a2, path.b2)
@@ -153,7 +155,10 @@ def _scan(path: HalfPath) -> tuple[int, int, list[int], list[int]]:
 
 
 def _reread(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    return _read(path.t2, path.a2, path.b2, list(path.doubled))[1]
+    stored, scan, _ = _read(path.t2, path.a2, path.b2, list(path.doubled))
+    if stored != path.doubled or stored[-1] not in (path.b2, path.b2 + 1):
+        raise lattice.InvalidPathError(f"path not stored canonically: {path.to_line()}")
+    return scan
 
 
 def _read(t2: int, a2: int, b2: int, hs: list[int]) -> tuple[tuple[int, ...], tuple, int | None]:

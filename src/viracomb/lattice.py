@@ -3,13 +3,14 @@ in a tail band {b, b+1}.
 
 RSOS paths and half-lattice paths differ only in their step rules, vertex
 costs and search bounds.  Everything else lives here: parsing the one-line
-path formats, the canonical horizon of a height list (`frame`) and the test
-for canonical storage, tail continuation, the peak and valley scan of raw
-heights, one bounded path search, and `once`, which keeps on a path what
-is read from it.  A path is read when it is built: each model's `of` runs
-one pass that checks the heights, finds the horizon through `frame` and
-scans the vertices, and keeps the scan where `once` looks; a path built
-raw is read by the same pass on first use.
+path formats, the canonical horizon of a height list (`frame`), tail
+continuation, the peak and valley scan of raw heights, one bounded path
+search, and `once`, which keeps on a path what is read from it.  A path is
+read when it is built: each model's `of` runs one pass that checks the
+heights, finds the horizon through `frame` and scans the vertices, and
+keeps the scan where `once` looks.  A path built raw is read by the same
+pass on first use, and refused there unless it is stored as `of` would
+store it, so `frame` is the one statement of canonical storage.
 """
 
 from __future__ import annotations
@@ -62,26 +63,6 @@ def frame(hs: list[int], b: int, hi: int) -> tuple[int, list[int]]:
         start -= 1
     horizon = start + start % 2
     return horizon, padded(hs, b, horizon + 1)
-
-
-def is_canonical(hs: Sequence[int], b: int) -> bool:
-    """Whether hs is stored exactly through its canonical horizon, as the
-    path constructors leave it: the horizon is even, its height lies in the
-    tail band, and the two heights before it do not both lie there.
-    """
-    horizon = len(hs) - 1
-    if horizon % 2 or hs[-1] not in (b, b + 1):
-        return False
-    return horizon == 0 or hs[-2] not in (b, b + 1) or hs[-3] not in (b, b + 1)
-
-
-def require_canonical(path, stored: Sequence[int], b: int) -> None:
-    """Refuse a path whose storage its constructor would not give, for
-    callers that read the stored heights as everything before the tail: the
-    path classes accept any storage, and enumeration builds many paths.
-    """
-    if not is_canonical(stored, b):
-        raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
 
 
 def tail_height(stored: tuple[int, ...], b: int, x: int) -> int:

@@ -74,11 +74,12 @@ def _dissect(path: HalfPath) -> tuple[tuple[Particle, ...], tuple[int, ...]]:
     left, and a peak that takes charge d/2 removes the valley it hit.  Its
     baseline runs from that valley past the peak to the first vertex at the
     baseline's height; that vertex lies between the wall and the horizon,
-    since the stored heights start and end at 2.
+    since the stored heights start and end at 2.  They do because the half
+    scan comes first, and it refuses a path built raw that is not stored
+    canonically.
     """
     if path.a2 != 2 or path.b2 != 2:
         raise ValueError("dissection is defined on paths from height 1 to height 1")
-    lattice.require_canonical(path, path.doubled, path.b2)
     t2 = path.t2
     H = path.doubled
     horizon = path.horizon

@@ -10,7 +10,8 @@ when `RsosPath.of` builds it: one pass, `_read`, checks the heights, finds
 the canonical horizon and scans the vertices, and the path keeps the scan
 (the weight, the scoring positions and the scoring-peak count, `_scan`),
 however many readers ask.  A path built raw, as enumeration builds them,
-is read by the same pass on first use.
+is read by the same pass on first use, and refused unless it is stored
+canonically.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors.  Enumeration of all paths up to a weight bound is
@@ -126,16 +127,20 @@ def weight(path: RsosPath) -> int:
 def _scan(path: RsosPath) -> tuple[int, list[int], int]:
     """The weight, the positions of the scoring vertices and the number of
     scoring peaks, from the one read of the path: `RsosPath.of` keeps it,
-    and a path built raw is read on first use (`lattice.once`).  Whether
-    the tail band is dark (the weight finite) is left to the caller, as
-    `weight` checks it.  Each call gets its own list.
+    and a path built raw is read on first use (`lattice.once`) and refused
+    there unless `of` would store it so.  Whether the tail band is dark
+    (the weight finite) is left to the caller, as `weight` checks it.  Each
+    call gets its own list.
     """
     total, scoring, peaks = lattice.once(path, "_scan", _reread)
     return total, list(scoring), peaks
 
 
 def _reread(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
-    return _read(path.p, path.p_prime, path.a, path.b, list(path.heights), 0)[1]
+    stored, scan = _read(path.p, path.p_prime, path.a, path.b, list(path.heights), 0)
+    if stored != path.heights or stored[-1] not in (path.b, path.b + 1):
+        raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
+    return scan
 
 
 def _read(p: int, p_prime: int, a: int, b: int, hs: list[int],

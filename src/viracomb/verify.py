@@ -297,14 +297,15 @@ def jobs_symmetries(order: int, max_t2: int):
 def jobs_bijections(order: int, max_t2: int):
     max_weight = min(order, 12)  # exhaustive round trips: the path sets grow fast
     jobs = []
-    for p in (2, 3, 4):
-        for a in range(2, 2 * p + 1, 2):
-            for b in range(2, 2 * p, 2):
-                jobs.append((_job_bijection, (1, p, a, b, max_weight)))
-    for p in (3, 4):
-        for a in range(2, 2 * p - 1, 2):
-            for bb in range(2, 2 * p - 1, 2):
-                jobs.append((_job_bijection, (2, p, a, bb - 1, max_weight)))
+    # every Theorem-1 half label with T = 4..8: (2p, a, tail) for p' = 2p+1,
+    # (2p-1, tail+1, a) for p' = 2p-1
+    for t2 in range(4, 9):
+        for a in range(2, t2 + 1, 2):
+            for x in range(2, t2 + 1, 2):
+                if t2 % 2 == 0 and hp.theorem1_domain(t2, a, x):
+                    jobs.append((_job_bijection, (1, t2 // 2, a, x, max_weight)))
+                elif t2 % 2 and hp.theorem1_domain(t2, x, a):
+                    jobs.append((_job_bijection, (2, (t2 + 1) // 2, a, x - 1, max_weight)))
     return jobs
 
 

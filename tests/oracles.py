@@ -16,8 +16,11 @@ occupation vector, where the program's walk merges terms.  `rsos_of` and
 `half_of` are the path constructors as they were written before one pass
 read a path: a validation loop (`find_violation` for half paths), then
 `canonical` storage, then a separate vertex pass (`rsos_scan`, `half_scan`),
-each reading the whole sequence again.  The program itself never needs
-them.
+each reading the whole sequence again.  `pair_runs` is the bijections'
+particle pairing as it was written before it took one pass, and
+`BIJECTION_DOMAINS` the labels each bijection took as it checked them by
+hand, before `halfpath.theorem1_domain` bounded every map.  The program
+itself never needs them.
 """
 
 from bisect import bisect_left
@@ -389,3 +392,35 @@ def fermionic_term(t2: int, n: tuple[int, ...], order: int) -> QSeries:
         up += range(mj + 1, mj + nj + 1)
         down += range(1, nj + 1)
     return _factor_product(up, down, order)
+
+
+def pair_runs(positions: list[int]) -> list[tuple[int, int]]:
+    """Pair consecutive positions left to right inside each maximal run, a
+    leftover single at a run's right end unpaired: the run-by-run loop the
+    bijections used before pairing took one pass.
+    """
+    pairs = []
+    i = 0
+    while i < len(positions):
+        j = i
+        while j + 1 < len(positions) and positions[j + 1] == positions[j] + 1:
+            j += 1
+        run = positions[i : j + 1]
+        for k in range(0, len(run) - 1, 2):
+            pairs.append((run[k], run[k + 1]))
+        i = j + 1
+    return pairs
+
+
+# The bijection domains as each map checked them by hand before
+# `halfpath.theorem1_domain` bounded them all: an RSOS label (p, p', a, b)
+# for the forward maps, a half label (T, A, B) for the inverses.
+BIJECTION_DOMAINS = {
+    "bij1_forward": lambda p, pp, a, b: (pp == 2 * p + 1 and a % 2 == 0 and b % 2 == 0
+                                         and 1 < a <= 2 * p and 1 < b < 2 * p),
+    "bij1_inverse": lambda t2, a, b: t2 % 2 == 0 and 1 < a <= t2 and 1 < b < t2,
+    "bij2_forward": lambda p, pp, a, b: (pp == 2 * p - 1 and p >= 3 and a % 2 == 0
+                                         and (b + 1) % 2 == 0 and 1 < a < pp
+                                         and 1 < b + 1 < pp),
+    "bij2_inverse": lambda t2, a, b: t2 % 2 == 1 and 1 < a < t2 and 1 < b < t2,
+}

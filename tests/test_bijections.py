@@ -4,6 +4,7 @@ from unittest import mock
 
 import pytest
 
+from viracomb import bijections
 from viracomb import halfpath as hp
 from viracomb import lattice, rsos
 from viracomb.bijections import (
@@ -42,7 +43,7 @@ from data_paths import (
     half_ok,
     walk,
 )
-from oracles import PEAK, VALLEY, classify
+from oracles import BIJECTION_DOMAINS, PEAK, VALLEY, classify, pair_runs
 
 
 def test_bij1_golden_trace():
@@ -288,3 +289,47 @@ def test_long_half_paths_round_trip(family):
 def test_forward_rejects_a_family_free_path():
     with pytest.raises(BijectionDomainError):
         forward(RsosPath.of(2, 7, 2, 2, [2]))  # p' = 7 is neither 2p+1 nor 2p-1
+
+
+def test_pair_runs_matches_the_run_by_run_loop():
+    # seeded random sorted position lists, dense enough for long runs
+    rnd = random.Random(23)
+    for _ in range(3000):
+        upto = rnd.randrange(0, 40)
+        positions = sorted(rnd.sample(range(1, upto + 1), rnd.randrange(0, upto + 1)))
+        assert bijections._pair_runs(positions) == pair_runs(positions), positions
+
+
+def _staircase(a, b):
+    """The unit steps from a straight to b."""
+    return list(range(a, b + 1)) if a <= b else list(range(a, b - 1, -1))
+
+
+def _refused(name, path):
+    """Whether the map named refuses the path's label as out of its domain."""
+    try:
+        getattr(bijections, name)(path)
+    except BijectionDomainError:
+        return True
+    return False
+
+
+def test_maps_refuse_exactly_the_labels_outside_their_domains():
+    # both families with p <= 11, every (a, b), and every half label with
+    # T <= 23: each of the four maps refuses a label exactly where the
+    # range checks it made by hand refused it, and maps the rest
+    for p in range(2, 12):
+        for pp in (2 * p + 1, 2 * p - 1):
+            for a in range(1, pp):
+                for b in range(1, pp):
+                    path = RsosPath.of(p, pp, a, b, _staircase(a, b))
+                    for name in ("bij1_forward", "bij2_forward"):
+                        inside = BIJECTION_DOMAINS[name](p, pp, a, b)
+                        assert _refused(name, path) != inside, (name, path)
+    for t2 in range(4, 24):
+        for a2 in range(2, t2 + 1, 2):
+            for b2 in range(2, t2 + 1, 2):
+                path = HalfPath.of(t2, a2, b2, _staircase(a2, b2))
+                for name in ("bij1_inverse", "bij2_inverse"):
+                    inside = BIJECTION_DOMAINS[name](t2, a2, b2)
+                    assert _refused(name, path) != inside, (name, path)

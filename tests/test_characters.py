@@ -120,6 +120,30 @@ def test_theorem1_label_rejects_out_of_range():
         theorem1_label(7, 4, 1)
 
 
+def test_alternating_sum_matches_brute_force():
+    # every label with p' <= 9, as given, reflected and swapped, against the
+    # sum over every index |lam| <= order + 2, far past where terms can land
+    def brute(p, pp, r, s, order):
+        coeffs = [0] * (order + 1)
+        for lam in range(-order - 2, order + 3):
+            for e, sign in ((lam * lam * p * pp + lam * (pp * r - p * s), 1),
+                            ((lam * p + r) * (lam * pp + s), -1)):
+                if 0 <= e <= order:
+                    coeffs[e] += sign
+        return tuple(coeffs)
+
+    for pp in range(3, 10):
+        for p in range(2, pp):
+            if math.gcd(p, pp) != 1:
+                continue
+            for r in range(1, p):
+                for s in range(1, pp):
+                    for args in ((p, pp, r, s), (p, pp, p - r, pp - s), (pp, p, s, r)):
+                        for order in (0, 1, 5, p * pp - 1, p * pp, 40):
+                            got = alternating_sum_series(*args, order).coeffs
+                            assert got == brute(*args, order), (args, order)
+
+
 def test_symmetries_pass():
     assert verify_symmetries(CharacterLabel(2, 5, 1, 2), 30).ok
     assert verify_symmetries(CharacterLabel(4, 9, 3, 8), 30).ok

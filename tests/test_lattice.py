@@ -22,6 +22,7 @@ from viracomb.characters import CharacterLabel, bosonic_character, theorem1_labe
 from viracomb.halfpath import HalfPath
 from viracomb.rsos import RsosPath
 
+import oracles
 from data_paths import DISSECT_10, HALF_10, RSOS_49, half_ok, walk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -55,7 +56,9 @@ def test_canonical_trims_and_extends():
 
 
 def test_is_canonical_agrees_with_canonical():
-    # every unit-step sequence on 1..10 of at most 8 heights ending in {3, 4}
+    # every unit-step sequence on 1..10 of at most 8 heights ending in {3, 4},
+    # built raw, is refused by its read exactly when the independent oracle
+    # stores it otherwise
     seqs = []
     todo = [[h] for h in range(1, 11)]
     while todo:
@@ -65,9 +68,18 @@ def test_is_canonical_agrees_with_canonical():
         if len(hs) < 8:
             todo += [hs + [nh] for nh in (hs[-1] - 1, hs[-1] + 1) if 1 <= nh <= 10]
     assert len(seqs) == 421
+    refused = 0
     for hs in seqs:
-        assert lattice.is_canonical(hs, 3) == (canonical(hs, 3, 10) == tuple(hs)), hs
-    assert sum(lattice.is_canonical(hs, 3) for hs in seqs) > 0
+        path = RsosPath(4, 11, hs[0], 3, tuple(hs))
+        try:
+            rsos._scan(path)
+        except lattice.InvalidPathError as exc:
+            assert str(exc) == f"path not stored canonically: {path.to_line()}"
+            assert oracles.canonical(hs, 3) != tuple(hs), hs
+            refused += 1
+        else:
+            assert oracles.canonical(hs, 3) == tuple(hs), hs
+    assert 0 < refused < len(seqs)
 
 
 def test_tail_continuation():

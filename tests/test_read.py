@@ -5,7 +5,9 @@ then `oracles.rsos_scan` and `oracles.half_scan`): refuse with the same
 exception and message, or store the same heights and scan them the same.
 The inputs are seeded random walks of both models and both bijection
 families, with light RSOS tail bands and half labels outside the Theorem-1
-domain, tails cut short or run long, and single-edit garbled copies.
+domain, tails cut short or run long, and single-edit garbled copies.  A
+path built raw is read on first use by the same pass, which refuses it
+unless it is stored as the constructor would store it.
 """
 
 import dataclasses
@@ -17,6 +19,7 @@ import pytest
 from viracomb import halfpath as hp
 from viracomb import rsos
 from viracomb.halfpath import HalfPath
+from viracomb.lattice import InvalidPathError
 from viracomb.rsos import RsosPath
 
 import oracles
@@ -125,3 +128,17 @@ def test_a_raw_path_not_starting_at_a_fails_its_labels_as_before():
             assert got == _refusal(oracles.rsos_scan, raw), raw
             raised += isinstance(got[0], type)
     assert raised > 1000
+
+
+def test_weighing_a_raw_path_stored_otherwise_is_refused():
+    # one oscillation past the horizon, storage ending outside the tail band,
+    # two oscillations past it, and storage short of an even horizon: each
+    # model's read refuses them, so no caller weighs another path instead
+    for path in (RsosPath(3, 7, 6, 4, (6, 5, 4, 3, 4, 5, 4)),
+                 RsosPath(5, 11, 10, 8, (10, 9, 8, 7)),
+                 RsosPath(4, 7, 6, 1, (6, 5, 4, 3, 2, 1, 2, 1, 2)),
+                 HalfPath(8, 2, 2, (2, 3, 4, 3))):
+        weigh = rsos.weight if isinstance(path, RsosPath) else hp.weight
+        for _ in range(2):  # a refusal leaves nothing behind, so it repeats
+            assert _refusal(weigh, path) == (
+                InvalidPathError, f"path not stored canonically: {path.to_line()}")
