@@ -89,7 +89,7 @@ class HalfPath:
         return lattice.padded(self.doubled, self.b2, upto)
 
     def to_line(self) -> str:
-        hs = ",".join(str(h) for h in self.doubled)
+        hs = ",".join(map(str, self.doubled))
         return f"half T={self.t2} A={self.a2} B={self.b2} H={hs}"
 
     @staticmethod
@@ -136,8 +136,11 @@ def _ground_quarters(t2: int, a2: int, b2: int) -> int:
 
 
 def weight(path: HalfPath) -> int:
-    """Raw weight minus the ground-state raw weight, in whole units."""
-    return _scan(path)[0]
+    """Raw weight minus the ground-state raw weight, in whole units, from
+    the raw quarter count the path's read keeps.
+    """
+    quarters = lattice.once(path, "_scan", _reread)[0]
+    return _whole_units(quarters - _ground_quarters(path.t2, path.a2, path.b2))
 
 
 def _scan(path: HalfPath) -> tuple[int, int, list[int], list[int]]:
@@ -146,19 +149,19 @@ def _scan(path: HalfPath) -> tuple[int, int, list[int], list[int]]:
     the path: `HalfPath.of` keeps it, and a path built raw is read on first
     use (`lattice.once`) and refused there unless `of` would store it so.
     The read keeps the raw weight, so a path outside the Theorem-1 domain
-    is built and refused only here, when its ground state is asked for.
-    Each call gets its own lists.
+    is built and refused only when it is weighed, here or by `weight`,
+    which asks for its ground state.  Each call gets its own lists.
     """
-    quarters, straights, peaks, valleys = lattice.once(path, "_scan", _reread)
-    gs_q = _ground_quarters(path.t2, path.a2, path.b2)
-    return _whole_units(quarters - gs_q), straights, list(peaks), list(valleys)
+    _, straights, peaks, valleys = lattice.once(path, "_scan", _reread)
+    return weight(path), straights, list(peaks), list(valleys)
 
 
 def _reread(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    stored, scan, _ = _read(path.t2, path.a2, path.b2, list(path.doubled))
-    if stored != path.doubled or stored[-1] not in (path.b2, path.b2 + 1):
-        raise lattice.InvalidPathError(f"path not stored canonically: {path.to_line()}")
-    return scan
+    if path.doubled:  # `_read` frames a nonempty list
+        stored, scan, _ = _read(path.t2, path.a2, path.b2, list(path.doubled))
+        if stored == path.doubled and stored[-1] in (path.b2, path.b2 + 1):
+            return scan
+    raise lattice.InvalidPathError(f"path not stored canonically: {path.to_line()}")
 
 
 def _read(t2: int, a2: int, b2: int, hs: list[int]) -> tuple[tuple[int, ...], tuple, int | None]:

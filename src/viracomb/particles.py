@@ -13,14 +13,20 @@ A dissection reads only the stored heights: it takes the stored peaks and
 the valleys from the path's half scan, the one vertex pass that also
 weighs it, and every baseline closes by the horizon, where the stored
 heights end at the bottom of the strip.  The charge passes then work on
-the list of valleys alone and stop as soon as no peak waits.  A path is
-read once: its scan and its dissection are each computed at most once per
-path object, however often a move and its caller weigh and dissect it.
+one chain, the peaks still waiting and the valleys still live, which
+alternate along the path from the wall to the horizon: they do at the
+start, and every peak that takes a charge leaves the chain with one of
+its two neighbouring valleys.  So a peak's nearest live valleys are its
+neighbours in the chain, found by index, and the passes stop as soon as
+no peak waits.  A path is read once: its scan and its dissection are each
+computed at most once per path object, however often a move and its
+caller weigh and dissect it.  A listed move carries the edit found for it
+and the path it was listed on, so applying it plans nothing again and
+reads that path once more, for one padded copy.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,15 +74,21 @@ def dissect(path: HalfPath) -> Dissection:
 def _dissect(path: HalfPath) -> tuple[tuple[Particle, ...], tuple[int, ...]]:
     """The particles and the sector behind `dissect`.
 
-    The scan keeps one ordered list of live valleys, those no particle has
-    discounted yet.  A peak's nearest live valleys are its two neighbours in
-    that list; a pass for charge d/2 walks the peaks still waiting right to
-    left, and a peak that takes charge d/2 removes the valley it hit.  Its
-    baseline runs from that valley past the peak to the first vertex at the
-    baseline's height; that vertex lies between the wall and the horizon,
-    since the stored heights start and end at 2.  They do because the half
-    scan comes first, and it refuses a path built raw that is not stored
-    canonically.
+    The scan keeps the live valleys, those no particle has discounted yet,
+    and the waiting peaks, by their index in the stored peaks, as one
+    alternating chain: live[j] < peaks[waiting[j]] < live[j + 1].  The
+    half scan's peaks and valleys alternate, from the valley at the wall to
+    the one at the horizon, and a peak that takes a charge removes itself
+    and one of its two neighbours, which leaves the rest alternating.  So a
+    peak's nearest live valleys are live[j] and live[j + 1], with no search.
+    A pass for charge d/2 walks the waiting peaks right to left, and a peak
+    whose right or left neighbour lies d below it (the right one on a tie)
+    takes charge d/2 and removes that valley; the pass compacts the chain in
+    place as it goes.  The particle's baseline runs from that valley past
+    the peak to the first vertex at the baseline's height; that vertex lies
+    between the wall and the horizon, since the stored heights start and
+    end at 2.  They do because the half scan comes first, and it refuses a
+    path built raw that is not stored canonically.
     """
     if path.a2 != 2 or path.b2 != 2:
         raise ValueError("dissection is defined on paths from height 1 to height 1")
@@ -87,27 +99,38 @@ def _dissect(path: HalfPath) -> tuple[tuple[Particle, ...], tuple[int, ...]]:
     # above it; so is a nonzero horizon, where the stored 2 meets the tail's
     # 3; the half scan reads both, and no peak lies outside them
     _, _, peaks, live = hp._scan(path)
-    assigned: dict[int, Particle] = {}
+    parts: list = [None] * len(peaks)
     sector = [0] * (t2 - 3)
 
-    waiting = peaks[::-1]  # right to left
+    # the chain: live[j] < peaks[waiting[j]] < live[j + 1]
+    waiting = list(range(len(peaks)))
     for charge2 in range(1, t2 - 1):
-        if not waiting:
+        n = len(waiting)
+        if not n:
             break
-        still = []
-        for peak in waiting:
-            i = bisect_left(live, peak)
-            top = H[peak]
-            hits_right = i < len(live) and top - H[live[i]] == charge2
-            hits_left = i > 0 and top - H[live[i - 1]] == charge2
-            if not hits_left and not hits_right:
-                still.append(peak)
+        # right to left, compacting the chain into its right end: the
+        # survivors are written at slots k and their right valleys at k + 1,
+        # never left of what is still to be read
+        k = n
+        right = live[n]
+        for j in range(n - 1, -1, -1):
+            left = live[j]
+            index = waiting[j]
+            peak = peaks[index]
+            base_h = H[peak] - charge2
+            if H[right] == base_h:  # ties go to the right
+                identified, right = right, left
+            elif H[left] == base_h:
+                identified = left
+            else:
+                k -= 1
+                waiting[k] = index
+                live[k + 1] = right
+                right = left
                 continue
-            identified = live.pop(i if hits_right else i - 1)  # ties go to the right
-            base_h = top - charge2
             if charge2 == 1:
                 origin, end = peak - 1, peak + 1
-            elif hits_right:  # the baseline closes left of the peak
+            elif identified > peak:  # the baseline closes left of the peak
                 origin, end = peak - 1, identified
                 while origin >= 0 and H[origin] != base_h:
                     origin -= 1
@@ -119,14 +142,17 @@ def _dissect(path: HalfPath) -> tuple[tuple[Particle, ...], tuple[int, ...]]:
                     end += 1
                 if end > horizon:
                     raise DissectionError("baseline ran past the tail without closing")
-            assigned[peak] = Particle(peak, charge2, origin, base_h, end - origin)
-        if charge2 >= 2:
-            sector[charge2 - 2] = len(waiting) - len(still)
-        waiting = still
+            parts[index] = Particle(peak, charge2, origin, base_h, end - origin)
+        live[k] = right
+        if k:
+            del waiting[:k], live[:k]
+            if charge2 >= 2:
+                sector[charge2 - 2] = k
 
     if waiting:
-        raise DissectionError(f"peaks without a charge after the scan: {waiting[::-1]}")
-    return tuple(assigned[pk] for pk in peaks), tuple(sector)
+        raise DissectionError(
+            f"peaks without a charge after the scan: {[peaks[i] for i in waiting]}")
+    return tuple(parts), tuple(sector)
 
 
 def minimal_path(t2: int, sector: tuple[int, ...]) -> HalfPath:
@@ -185,6 +211,8 @@ class Move:
     owner: Particle
     sector: tuple[int, ...]  # sector of the path the move was listed on
     weight: int              # weight of that path
+    path: HalfPath           # that path
+    plan: tuple              # the edit `_move_plan` found on it
 
 
 def _candidates(path: HalfPath, dis: Dissection) -> list[Particle]:
@@ -266,37 +294,38 @@ def enumerate_moves(path: HalfPath) -> list[Move]:
         owner = _slope_owner(q, cands)
         if owner is None or owner.charge2 <= q.charge2:
             continue
-        if _move_plan(path, q, owner) is None:
+        plan = _move_plan(path, q, owner)
+        if plan is None:
             continue
-        moves.append(Move(q, owner, dis.sector, weight))
+        moves.append(Move(q, owner, dis.sector, weight, path, plan))
     return moves
 
 
 def apply_move(path: HalfPath, move: Move) -> HalfPath:
     """Enact a permitted move; the weight grows by exactly one and the
-    sector is unchanged.  Both are checked against what `enumerate_moves`
-    recorded on the move: the new path is weighed and dissected, and the
+    sector is unchanged.  The move must have been listed on this path: it
+    carries the edit `enumerate_moves` found there, which is enacted on one
+    padded copy of the path.  Weight and sector are checked against what
+    the move recorded: the new path is weighed and dissected, and the
     starting path is neither weighed nor dissected again.  The new path
     keeps its scan and its dissection, so a caller that weighs and
     dissects it again reads nothing twice.
     """
-    q, p = move.particle, move.owner
+    if move.path != path:
+        raise ValueError("the move was listed on another path")
+    q, p, plan = move.particle, move.owner, move.plan
     d2 = q.charge2
-    plan = _move_plan(path, q, p)
-    if plan is None:
-        raise AssertionError("move is not permitted on this path")
     seq = path.padded(max(path.horizon, q.origin + 2 * d2, p.peak) + 2 * d2 + 8)
 
     if plan[0] == "exchange":
         _, r_peak, q_peak = plan
-        out = list(seq)
-        del out[r_peak : r_peak + 2]               # lower the taller peak
+        del seq[r_peak : r_peak + 2]               # lower the taller peak
         j = q_peak - 2
-        out[j + 1 : j + 1] = [out[j] + 1, out[j]]  # raise the mover
+        seq[j + 1 : j + 1] = [seq[j] + 1, seq[j]]  # raise the mover
     else:
-        out = _shift_particle(seq, plan[1], d2)
+        seq = _shift_particle(seq, plan[1], d2)
 
-    new = HalfPath.of(path.t2, path.a2, path.b2, out)
+    new = HalfPath.of(path.t2, path.a2, path.b2, seq)
     if hp.weight(new) != move.weight + 1:
         raise AssertionError("a move must add exactly one")
     if dissect(new).sector != move.sector:

@@ -99,7 +99,7 @@ class RsosPath:
         return lattice.padded(self.heights, self.b, upto)
 
     def to_line(self) -> str:
-        hs = ",".join(str(h) for h in self.heights)
+        hs = ",".join(map(str, self.heights))
         return f"rsos p={self.p} pp={self.p_prime} a={self.a} b={self.b} h={hs}"
 
     @staticmethod
@@ -137,10 +137,11 @@ def _scan(path: RsosPath) -> tuple[int, list[int], int]:
 
 
 def _reread(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
-    stored, scan = _read(path.p, path.p_prime, path.a, path.b, list(path.heights), 0)
-    if stored != path.heights or stored[-1] not in (path.b, path.b + 1):
-        raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
-    return scan
+    if path.heights:  # `_read` frames a nonempty list
+        stored, scan = _read(path.p, path.p_prime, path.a, path.b, list(path.heights), 0)
+        if stored == path.heights and stored[-1] in (path.b, path.b + 1):
+            return scan
+    raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
 
 
 def _read(p: int, p_prime: int, a: int, b: int, hs: list[int],

@@ -130,6 +130,31 @@ def test_a_moved_path_is_scanned_and_dissected_once():
         assert cuts.call_args_list == [mock.call(new)]
 
 
+def test_a_listed_move_is_planned_once():
+    # enumerate_moves keeps on each move the edit it found, and apply_move
+    # enacts that edit without planning it again
+    path = HalfPath.of(*DISSECT_10)
+    with mock.patch.object(particles, "_move_plan", wraps=particles._move_plan) as plans:
+        moves = enumerate_moves(path)
+        for move in moves:
+            apply_move(path, move)
+    assert plans.call_count == len(moves) == 5
+    assert [move.plan for move in moves] == [
+        particles._move_plan(path, move.particle, move.owner) for move in moves]
+
+
+def test_a_move_applies_only_to_the_path_it_was_listed_on():
+    path = HalfPath.of(*DISSECT_10)
+    move = enumerate_moves(path)[0]
+    moved = apply_move(path, move)
+    with pytest.raises(ValueError, match="listed on another path"):
+        apply_move(moved, move)
+    with pytest.raises(ValueError, match="listed on another path"):
+        apply_move(minimal_path(10, DISSECT_10_SECTOR), move)
+    # an equal path read apart is the same path
+    assert apply_move(HalfPath.from_line(path.to_line()), move) == moved
+
+
 def test_move_sequence_against_larger_particle():
     cur = HalfPath.of(9, 2, 2, MOVES_9[0])
     for expected in MOVES_9[1:]:
@@ -250,7 +275,7 @@ def test_dissect_matches_reference_on_enumerated_paths():
 def test_dissect_matches_reference_on_long_walks():
     rnd = random.Random(13)
     for i in range(240):  # 200 walks of up to 200 steps, then 40 of 1 000 to 2 000
-        t2 = rnd.randint(4, 12)
+        t2 = rnd.randint(4, 16)
         steps = rnd.randint(0, 200) if i < 200 else rnd.randint(1000, 2000)
         path = HalfPath.of(t2, 2, 2, walk(rnd, 2, 2, t2, 2, steps, half_ok))
         assert _fields(dissect(path)) == _fields(dissect_reference(path)), path.to_line()

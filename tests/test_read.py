@@ -132,12 +132,15 @@ def test_a_raw_path_not_starting_at_a_fails_its_labels_as_before():
 
 def test_weighing_a_raw_path_stored_otherwise_is_refused():
     # one oscillation past the horizon, storage ending outside the tail band,
-    # two oscillations past it, and storage short of an even horizon: each
-    # model's read refuses them, so no caller weighs another path instead
+    # two oscillations past it, storage short of an even horizon, and no
+    # storage at all: each model's read refuses them, so no caller weighs
+    # another path instead
     for path in (RsosPath(3, 7, 6, 4, (6, 5, 4, 3, 4, 5, 4)),
                  RsosPath(5, 11, 10, 8, (10, 9, 8, 7)),
                  RsosPath(4, 7, 6, 1, (6, 5, 4, 3, 2, 1, 2, 1, 2)),
-                 HalfPath(8, 2, 2, (2, 3, 4, 3))):
+                 RsosPath(3, 7, 2, 2, ()),
+                 HalfPath(8, 2, 2, (2, 3, 4, 3)),
+                 HalfPath(8, 2, 2, ())):
         weigh = rsos.weight if isinstance(path, RsosPath) else hp.weight
         for _ in range(2):  # a refusal leaves nothing behind, so it repeats
             assert _refusal(weigh, path) == (

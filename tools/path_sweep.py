@@ -1,10 +1,14 @@
-"""Per-path cost of reading a path and of mapping it there and back, by
-path length.  For seeded random walks of L = 100, 200, ..., 3 200 steps in
-both bijection families, it prints the median microseconds of one `.of`
-read and of one round trip, for RSOS paths (forward, then inverse) and for
-half paths (inverse, then forward).  A round trip starts from the heights,
-so it includes the input's own `.of` read.  The cost should grow linearly
-in L.
+"""Per-path cost of reading a path, of mapping it there and back, and of
+its particle calculus, by path length.  For seeded random walks of L = 100,
+200, ..., 3 200 steps in both bijection families, it prints the median
+microseconds of one `.of` read and of one round trip, for RSOS paths
+(forward, then inverse) and for half paths (inverse, then forward).  A
+round trip starts from the heights, so it includes the input's own `.of`
+read.  For corner half paths (A = B = 2) of the same lengths it prints the
+median microseconds of one `dissect` of a freshly read path, and of listing
+and applying all the moves of such a path, per listed move: a path of L
+steps lists about L/10 moves, and each builds, weighs and dissects a path
+of L steps.  Every cost should grow linearly in L.
 
     PYTHONPATH=src python3 tools/path_sweep.py [--max-steps 3200]
 """
@@ -14,13 +18,15 @@ import gc
 import random
 import statistics
 import time
+from functools import partial
 
-from viracomb import bijections
+from viracomb import bijections, particles
 from viracomb.halfpath import HalfPath, theorem1_domain
 from viracomb.rsos import RsosPath
 
 STEPS = (100, 200, 400, 800, 1600, 3200)
 PATHS = 15  # walks per cell and model
+CORNER_PATHS = 5  # corner walks per cell: applying all moves is quadratic in L
 ROUNDS = 7  # timings per call
 
 
@@ -76,21 +82,58 @@ def cases(family: int, steps: int, rnd: random.Random) -> list[tuple]:
     return out
 
 
+def corner_cases(steps: int, rnd: random.Random) -> tuple[list[tuple], list[int]]:
+    """(dissect, all moves) timings for CORNER_PATHS random corner walks of
+    `steps` steps, and the number of moves each lists.
+    """
+    out, moves = [], []
+    for _ in range(CORNER_PATHS):
+        t2 = rnd.randint(4, 12)
+        lab, hs = (t2, 2, 2), walk(rnd, 2, 2, t2, 2, steps, True)
+        out.append((partial(fresh_us, particles.dissect, lab, hs),
+                    partial(fresh_us, apply_all, lab, hs)))
+        moves.append(len(particles.enumerate_moves(HalfPath.of(*lab, hs))))
+    return out, moves
+
+
+def apply_all(path: HalfPath) -> None:
+    """List the moves of a path and apply each of them."""
+    for move in particles.enumerate_moves(path):
+        try:
+            particles.apply_move(path, move)
+        except AssertionError:
+            pass  # a listed move that breaks the weight or the sector
+
+
 def timed_us(call) -> float:
     t0 = time.perf_counter()
     call()
     return (time.perf_counter() - t0) * 1e6
 
 
+def fresh_us(call, lab: tuple, hs: list[int]) -> float:
+    """The time of call(path), path read from hs just before, untimed: a
+    path keeps its scan and its dissection, so each timing needs a new one.
+    """
+    path = HalfPath.of(*lab, hs)
+    return timed_us(lambda: call(path))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--max-steps", type=int, default=STEPS[-1])
     args = parser.parse_args()
+    steps_run = [s for s in STEPS if s <= args.max_steps]
     cells = {}
     for family in (1, 2):
         rnd = random.Random(10 + family)
-        for steps in (s for s in STEPS if s <= args.max_steps):
-            cells[family, steps] = cases(family, steps, rnd)
+        for steps in steps_run:
+            cells[family, steps] = [(partial(timed_us, read), partial(timed_us, trip))
+                                    for read, trip in cases(family, steps, rnd)]
+    rnd = random.Random(13)
+    moves = {}
+    for steps in steps_run:
+        cells["corner", steps], moves[steps] = corner_cases(steps, rnd)
     # each call is timed once per round and keeps its least time: the rounds
     # spread a call's samples over the whole run, so a stretch of a loaded
     # machine does not decide a cell
@@ -101,17 +144,26 @@ def main() -> None:
             for key, calls in cells.items():
                 for mins, pair in zip(best[key], calls):
                     for k, call in enumerate(pair):
-                        mins[k] = min(mins[k], timed_us(call))
+                        mins[k] = min(mins[k], call())
             gc.collect()
     finally:
         gc.enable()
     print(f"{'family':>6} {'L':>5} {'rsos .of':>9} {'rsos trip':>10} "
           f"{'half .of':>9} {'half trip':>10}   (median µs per path)")
     for (family, steps), mins in best.items():
+        if family == "corner":
+            continue
         row = [statistics.median(m[k] for m in part)
                for part in (mins[:PATHS], mins[PATHS:]) for k in (0, 1)]
         print(f"{family:>6} {steps:>5} {row[0]:>9.0f} {row[1]:>10.0f} "
               f"{row[2]:>9.0f} {row[3]:>10.0f}")
+    print(f"{'corner':>6} {'L':>5} {'dissect':>9} {'per move':>10} {'moves':>9}"
+          f"   (median µs per path, per listed move; mean moves per path)")
+    for steps in steps_run:
+        mins = best["corner", steps]
+        per_move = statistics.median(m[1] / max(n, 1) for m, n in zip(mins, moves[steps]))
+        print(f"{'':>6} {steps:>5} {statistics.median(m[0] for m in mins):>9.0f} "
+              f"{per_move:>10.0f} {statistics.mean(moves[steps]):>9.0f}")
 
 
 if __name__ == "__main__":
