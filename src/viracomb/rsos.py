@@ -74,9 +74,9 @@ class RsosPath:
             raise InvalidPathError("height sequence is empty")
         if hs[0] != a:
             raise InvalidPathError(f"path must start at a={a}, got {hs[0]}")
-        if not 1 <= b <= p_prime - 1:
+        if not 1 <= b <= p_prime - 2:  # the tail band {b, b+1} lies in the strip
             raise InvalidPathError(f"tail height b={b} out of range")
-        stored, scan = _read(p, p_prime, a, b, hs, len(hs))
+        stored, scan = _read(p, p_prime, a, b, hs)
         if hs[-1] not in (b, b + 1):
             raise InvalidPathError(
                 f"stored sequence must end inside the tail band, got {hs[-1]}"
@@ -138,22 +138,19 @@ def _scan(path: RsosPath) -> tuple[int, list[int], int]:
 
 def _reread(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
     if path.heights:  # `_read` frames a nonempty list
-        stored, scan = _read(path.p, path.p_prime, path.a, path.b, list(path.heights), 0)
+        stored, scan = _read(path.p, path.p_prime, path.a, path.b, list(path.heights))
         if stored == path.heights and stored[-1] in (path.b, path.b + 1):
             return scan
     raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
 
 
-def _read(p: int, p_prime: int, a: int, b: int, hs: list[int],
-          given: int) -> tuple[tuple[int, ...], tuple[int, tuple[int, ...], int]]:
+def _read(p: int, p_prime: int, a: int, b: int,
+          hs: list[int]) -> tuple[tuple[int, ...], tuple[int, tuple[int, ...], int]]:
     """The one pass over a height list: the canonical storage, and the scan
     of its vertices 1..L (the weight, the scoring positions, the number of
     scoring peaks).  Each height up to the horizon is checked in order, its
-    range before its step; the heights past it are the band run
-    `lattice.frame` has found valid.  Only the first `given` heights are
-    checked against the strip: past the input, a tail band at the top of
-    the strip leaves it, and a path built raw (given 0) is trusted to lie
-    in it; its steps are checked all the same.
+    range before its step, however the path was built; the heights past
+    it are the band run `lattice.frame` has found valid.
 
     Vertex x is labelled u = (x - h + a)/2 after an up step and v =
     (x + h - a)/2 after a down step.  With unit steps both labels only grow
@@ -163,12 +160,12 @@ def _read(p: int, p_prime: int, a: int, b: int, hs: list[int],
     """
     dark = dark_floors(p, p_prime)
     horizon, seq = lattice.frame(hs, b, p_prime - 1)
-    if given and not 0 < seq[0] < p_prime:
+    if not 0 < seq[0] < p_prime:
         raise InvalidPathError(f"height {seq[0]} at position 0 out of range")
     total = peaks = 0
     scoring = []
     for x, prev, h, nxt in zip(range(1, horizon + 1), seq, seq[1:], seq[2:]):
-        if not 0 < h < p_prime and x < given:
+        if not 0 < h < p_prime:
             raise InvalidPathError(f"height {h} at position {x} out of range")
         if h - prev not in (1, -1):
             raise InvalidPathError(f"step at position {x} is not a unit step")

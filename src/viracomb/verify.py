@@ -1,17 +1,22 @@
 """Identity-verification suites with JSON-lines reports.
 
-Series checks compare two independently computed integer series and report
-the first mismatching power with both coefficients.  Structural checks
-(bijection round trips, minimal sector paths) report the failing path or
-sector in `detail`; the moves check leans on `apply_move`, whose own checks
-raise.  A job that raises fails alone: its report (suite "error") names the
-call, and its `detail` holds the exception and the line that raised it.
-Only `MemoryError` escapes a job, and ends the run: the order is too large.
-Each check is an independent job, so suites can fan out over a process
-pool; reports are sorted by suite and name regardless of scheduling.  The
-worker count is `workers` when given, else the number of cores.  Each
-report's `elapsed` is the time its job took, measured around the call in
-one place, so the jobs themselves do no timing.
+A verify job is a tuple (suite, name, params, order, check, args): each
+`jobs_*` function builds its suite's jobs, and `check(*args, order)`
+returns only the verdict, as the keyword fields of a report: `ok`, the
+first mismatching power with both coefficients when two series differ,
+and any `detail`.  Series checks compare two independently computed
+integer series; structural checks (bijection round trips, minimal sector
+paths) name the failing path or sector in `detail`; the moves check leans
+on `apply_move`, whose own checks raise.  `_run_job` builds every report,
+so a report always carries its job's suite, name, params and order,
+whether the check passes, fails or raises.  A job whose check raises
+fails alone: its `detail` holds the exception (`error`) and the line that
+raised it (`at`).  Only `MemoryError` escapes a job, and ends the run: the
+order is too large.  Each check is an independent job, so suites can fan
+out over a process pool; reports are sorted by suite and name regardless
+of scheduling.  The worker count is `workers` when given, else the number
+of cores.  Each report's `elapsed` is the time its job took, measured
+around the check in `_run_job`, so the checks do no timing.
 """
 
 from __future__ import annotations
@@ -74,170 +79,88 @@ class VerifyReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _series_report(
-    suite: str, name: str, params: dict, lhs: QSeries, rhs: QSeries
-) -> VerifyReport:
-    order = min(lhs.order, rhs.order)
-    for k in range(order + 1):
-        if lhs.coeffs[k] != rhs.coeffs[k]:
-            return VerifyReport(
-                suite, name, params, order, False, k, lhs.coeffs[k], rhs.coeffs[k]
-            )
-    return VerifyReport(suite, name, params, order, True)
+# -- checks (module level so a process pool can run them) -------------------
 
 
-# -- individual jobs (module level so a process pool can run them) ----------
+def _compare(lhs: QSeries, rhs: QSeries) -> dict:
+    """A pass, or the first mismatching power with both coefficients."""
+    for k, (x, y) in enumerate(zip(lhs.coeffs, rhs.coeffs)):
+        if x != y:
+            return dict(ok=False, mismatch_power=k, lhs=x, rhs=y)
+    return dict(ok=True)
 
 
-def _job_xrocha(p: int, pp: int, a: int, b: int, order: int) -> VerifyReport:
-    r = rs.tail_band_index(p, pp, b)
-    lhs = rs.generating_function(p, pp, a, b, order)
-    rhs = bosonic_character(CharacterLabel(p, pp, r, a), order)
-    return _series_report(
-        "theorem1", f"X({p},{pp},{a},{b})", dict(p=p, pp=pp, a=a, b=b), lhs, rhs
-    )
+def _check_series(series, args: tuple, label: CharacterLabel, order: int) -> dict:
+    """series(*args, order) against the bosonic character of label."""
+    return _compare(series(*args, order), bosonic_character(label, order))
 
 
-def _job_yhalf(t2: int, a2: int, b2: int, order: int) -> VerifyReport:
-    lhs = hp.generating_function(t2, a2, b2, order)
-    rhs = bosonic_character(theorem1_label(t2, a2 // 2, b2 // 2), order)
-    return _series_report(
-        "theorem1", f"Y({t2},{a2},{b2})", dict(T=t2, A=a2, B=b2), lhs, rhs
-    )
+def _check_symmetries(label: CharacterLabel, order: int) -> dict:
+    rep = verify_symmetries(label, order)
+    return dict(ok=rep.ok, mismatch_power=rep.mismatch_power, lhs=rep.lhs_coeff,
+                rhs=rep.rhs_coeff, detail={} if rep.ok else {"identity": rep.failed_identity})
 
 
-def _job_theorem2(t2: int, order: int) -> VerifyReport:
-    lhs = fermionic_character_12(t2, order)
-    rhs = bosonic_character(theorem1_label(t2, 1, 1), order)
-    return _series_report("theorem2", f"fermionic(T={t2})", dict(T=t2), lhs, rhs)
-
-
-_CLOSED_FORMS = {
-    "M(2,5)": (fermionic_sum_2_5, (2, 5, 1, 2)),
-    "M(3,7)": (fermionic_sum_3_7, (3, 7, 1, 2)),
-    "M(4,7)": (fermionic_sum_4_7, (4, 7, 1, 2)),
-}
-
-_PRODUCTS = {
-    "M(2,5)": (5, frozenset({1, 4}), (2, 5, 1, 2)),
-    "M(3,7)": (
-        28,
-        frozenset(range(1, 28))
-        - frozenset({2, 26, 10, 18, 12, 16, 14}),
-        (3, 7, 1, 2),
-    ),
-    "M(3,4)": (16, frozenset({1, 4, 6, 7, 9, 10, 12, 15}), (3, 4, 1, 3)),
-}
-
-
-def _job_closed_form(which: str, order: int) -> VerifyReport:
-    fn, label = _CLOSED_FORMS[which]
-    lhs = fn(order)
-    rhs = bosonic_character(CharacterLabel(*label), order)
-    return _series_report("theorem2", f"closed-form {which}", dict(model=which), lhs, rhs)
-
-
-def _job_product(which: str, order: int) -> VerifyReport:
-    modulus, residues, label = _PRODUCTS[which]
-    lhs = modular_product(modulus, residues, order)
-    rhs = bosonic_character(CharacterLabel(*label), order)
-    return _series_report(
-        "products", f"product {which}", dict(model=which, modulus=modulus), lhs, rhs
-    )
-
-
-def _job_symmetry(p: int, pp: int, r: int, s: int, order: int) -> VerifyReport:
-    rep = verify_symmetries(CharacterLabel(p, pp, r, s), order)
-    return VerifyReport(
-        "symmetries",
-        f"chi({p},{pp},{r},{s})",
-        dict(p=p, pp=pp, r=r, s=s),
-        order,
-        rep.ok,
-        rep.mismatch_power,
-        rep.lhs_coeff,
-        rep.rhs_coeff,
-        detail={} if rep.ok else {"identity": rep.failed_identity},
-    )
-
-
-def _job_bijection(family: int, p: int, a: int, tail: int, max_weight: int) -> VerifyReport:
-    """Exhaustive weight-bounded round trip for one (a, tail) pair."""
-    if family == 1:
-        pp, half_args = 2 * p + 1, (2 * p, a, tail)
-    else:
-        pp, half_args = 2 * p - 1, (2 * p - 1, tail + 1, a)
-    name = f"bij{family}({p},{pp},a={a},tail={tail})"
-    params = dict(family=family, p=p, pp=pp, a=a, tail=tail, max_weight=max_weight)
+def _check_bijection(p: int, pp: int, a: int, tail: int, half: tuple[int, int, int],
+                     max_weight: int) -> dict:
+    """Exhaustive weight-bounded round trip between the RSOS paths of one
+    (a, tail) and the half paths of its half label.
+    """
     paths = rs.enumerate_paths(p, pp, a, tail, max_weight)
-    halves = list(hp.enumerate_paths(*half_args, max_weight))
+    halves = list(hp.enumerate_paths(*half, max_weight))
 
-    def report(ok: bool, **detail) -> VerifyReport:
-        return VerifyReport("bijections", name, params, max_weight, ok, detail=detail)
+    def fail(reason: str, **detail) -> dict:
+        return dict(ok=False, detail=dict(reason=reason, **detail))
 
     images = set()
     for h in paths:
         img, _ = bj.forward(h)
         if hp.weight(img) != rs.weight(h):
-            return report(False, reason="weight changed", path=h.to_line())
+            return fail("weight changed", path=h.to_line())
         if bj.inverse(img) != h:
-            return report(False, reason="inverse mismatch", path=h.to_line())
+            return fail("inverse mismatch", path=h.to_line())
         images.add(img)
     if len(images) != len(paths) or images != set(halves):
-        return report(False, reason="image set does not exhaust the half-path set",
-                      paths=len(paths), halves=len(halves), images=len(images))
+        return fail("image set does not exhaust the half-path set",
+                    paths=len(paths), halves=len(halves), images=len(images))
     for g in halves:
         again, _ = bj.forward(bj.inverse(g))
         if again != g:
-            return report(False, reason="forward(inverse) mismatch", path=g.to_line())
-    return report(True, paths=len(paths))
+            return fail("forward(inverse) mismatch", path=g.to_line())
+    return dict(ok=True, detail={"paths": len(paths)})
 
 
-def _job_sector_sum(t2: int, order: int) -> VerifyReport:
+def _check_sector_sum(t2: int, order: int) -> dict:
     lhs = sum((pt.sector_gf(t2, vec, order) for vec, _ in occupation_vectors(t2, order)),
               QSeries.zero(order))
-    rhs = hp.generating_function(t2, 2, 2, order)
-    return _series_report("sectors", f"sector-sum(T={t2})", dict(T=t2), lhs, rhs)
+    return _compare(lhs, hp.generating_function(t2, 2, 2, order))
 
 
-def _job_sector_group(t2: int, order: int) -> VerifyReport:
+def _check_sector_group(t2: int, order: int) -> dict:
     groups: dict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * (order + 1))
     for path in hp.enumerate_paths(t2, 2, 2, order):
         groups[pt.dissect(path).sector][hp.weight(path)] += 1
     for sector, counts in sorted(groups.items()):
-        expect = pt.sector_gf(t2, sector, order)
-        got = QSeries(order, tuple(counts))
-        if got.coeffs != expect.coeffs:
-            return _series_report(
-                "sectors", f"sector-group(T={t2})", dict(T=t2, sector=list(sector)),
-                got, expect,
-            )
-    return VerifyReport(
-        "sectors", f"sector-group(T={t2})", dict(T=t2), order, True,
-        detail={"sectors": len(groups)},
-    )
+        verdict = _compare(QSeries(order, tuple(counts)), pt.sector_gf(t2, sector, order))
+        if not verdict["ok"]:
+            return verdict | {"detail": {"sector": list(sector)}}
+    return dict(ok=True, detail={"sectors": len(groups)})
 
 
-def _job_minimal_sectors(t2: int, budget: int) -> VerifyReport:
+def _check_minimal_sectors(t2: int, budget: int) -> dict:
     checked = 0
     for vec, e in occupation_vectors(t2, budget):
         path = pt.minimal_path(t2, vec)  # checks the dissection round trip
         if not hp.weight(path) == e == pt.minimal_weight(t2, vec):
-            return VerifyReport(
-                "sectors", f"minimal(T={t2})", dict(T=t2), budget, False,
-                detail={"sector": list(vec)},
-            )
+            return dict(ok=False, detail={"sector": list(vec)})
         checked += 1
-    return VerifyReport(
-        "sectors", f"minimal(T={t2})", dict(T=t2), budget, True,
-        detail={"sectors": checked},
-    )
+    return dict(ok=True, detail={"sectors": checked})
 
 
-def _job_moves(t2: int, max_weight: int, rounds: int) -> VerifyReport:
+def _check_moves(t2: int, rounds: int, max_weight: int) -> dict:
     """Apply every permitted move to every enumerated path, then keep going
     breadth-first for a few rounds; apply_move itself checks the +1 weight
-    shift and sector preservation, so this job mainly counts coverage.
+    shift and sector preservation, so this check mainly counts coverage.
     """
     frontier = list(hp.enumerate_paths(t2, 2, 2, max_weight))
     seen = set(frontier)
@@ -252,15 +175,29 @@ def _job_moves(t2: int, max_weight: int, rounds: int) -> VerifyReport:
                     seen.add(new)
                     nxt.append(new)
         frontier = nxt
-    return VerifyReport(
-        "sectors", f"moves(T={t2})", dict(T=t2, max_weight=max_weight), max_weight,
-        True, detail={"pairs": pairs},
-    )
+    return dict(ok=True, detail={"pairs": pairs})
 
 
 # -- suite assembly -----------------------------------------------------------
 
 RSOS_FAMILIES = ((2, 5), (3, 5), (3, 7), (4, 7), (4, 9), (5, 9), (5, 11))
+
+_CLOSED_FORMS = {
+    "M(2,5)": (fermionic_sum_2_5, CharacterLabel(2, 5, 1, 2)),
+    "M(3,7)": (fermionic_sum_3_7, CharacterLabel(3, 7, 1, 2)),
+    "M(4,7)": (fermionic_sum_4_7, CharacterLabel(4, 7, 1, 2)),
+}
+
+_PRODUCTS = {
+    "M(2,5)": (5, frozenset({1, 4}), CharacterLabel(2, 5, 1, 2)),
+    "M(3,7)": (
+        28,
+        frozenset(range(1, 28))
+        - frozenset({2, 26, 10, 18, 12, 16, 14}),
+        CharacterLabel(3, 7, 1, 2),
+    ),
+    "M(3,4)": (16, frozenset({1, 4, 6, 7, 9, 10, 12, 15}), CharacterLabel(3, 4, 1, 3)),
+}
 
 
 def jobs_theorem1(order: int, max_t2: int):
@@ -269,27 +206,37 @@ def jobs_theorem1(order: int, max_t2: int):
     for p, pp in RSOS_FAMILIES:
         for a in range(1, pp):
             for b in sorted(rs.dark_floors(p, pp)):
-                jobs.append((_job_xrocha, (p, pp, a, b, order)))
+                label = CharacterLabel(p, pp, rs.tail_band_index(p, pp, b), a)
+                jobs.append(("theorem1", f"X({p},{pp},{a},{b})", dict(p=p, pp=pp, a=a, b=b),
+                             order, _check_series, (rs.generating_function, (p, pp, a, b), label)))
     for t2 in range(4, max_t2 + 1):
         for a2 in range(2, t2 + 1, 2):
             for b2 in range(2, t2 + 1, 2):
                 if hp.theorem1_domain(t2, a2, b2):
-                    jobs.append((_job_yhalf, (t2, a2, b2, y_order)))
+                    label = theorem1_label(t2, a2 // 2, b2 // 2)
+                    jobs.append(("theorem1", f"Y({t2},{a2},{b2})", dict(T=t2, A=a2, B=b2), y_order,
+                                 _check_series, (hp.generating_function, (t2, a2, b2), label)))
     return jobs
 
 
 def jobs_theorem2(order: int, max_t2: int):
-    jobs = [(_job_theorem2, (t2, order)) for t2 in range(4, max_t2 + 1)]
-    jobs += [(_job_closed_form, (which, order)) for which in sorted(_CLOSED_FORMS)]
+    jobs = [("theorem2", f"fermionic(T={t2})", dict(T=t2), order, _check_series,
+             (fermionic_character_12, (t2,), theorem1_label(t2, 1, 1)))
+            for t2 in range(4, max_t2 + 1)]
+    jobs += [("theorem2", f"closed-form {which}", dict(model=which), order, _check_series,
+              (fn, (), label)) for which, (fn, label) in sorted(_CLOSED_FORMS.items())]
     return jobs
 
 
 def jobs_products(order: int, max_t2: int):
-    return [(_job_product, (which, order)) for which in sorted(_PRODUCTS)]
+    return [("products", f"product {which}", dict(model=which, modulus=modulus), order,
+             _check_series, (modular_product, (modulus, residues), label))
+            for which, (modulus, residues, label) in sorted(_PRODUCTS.items())]
 
 
 def jobs_symmetries(order: int, max_t2: int):
-    return [(_job_symmetry, (p, pp, r, s, order))
+    return [("symmetries", f"chi({p},{pp},{r},{s})", dict(p=p, pp=pp, r=r, s=s), order,
+             _check_symmetries, (CharacterLabel(p, pp, r, s),))
             for pp in range(3, 13) for p in range(2, pp) if gcd(p, pp) == 1
             for r in range(1, p) for s in range(1, pp)]
 
@@ -297,20 +244,24 @@ def jobs_symmetries(order: int, max_t2: int):
 def jobs_bijections(order: int, max_t2: int):
     max_weight = min(order, 12)  # exhaustive round trips: the path sets grow fast
     jobs = []
-    # every Theorem-1 half label with T = 4..8: (2p, a, tail) for p' = 2p+1,
-    # (2p-1, tail+1, a) for p' = 2p-1
+    # every Theorem-1 half label (T, A, B) with T = 4..8 maps to the RSOS
+    # (a, tail) = (A, B) of p' = T+1 = 2p+1 when T is even, and to
+    # (a, tail) = (B, A-1) of p' = T = 2p-1 when T is odd
     for t2 in range(4, 9):
+        family, p, pp = (1, t2 // 2, t2 + 1) if t2 % 2 == 0 else (2, (t2 + 1) // 2, t2)
         for a in range(2, t2 + 1, 2):
             for x in range(2, t2 + 1, 2):
-                if t2 % 2 == 0 and hp.theorem1_domain(t2, a, x):
-                    jobs.append((_job_bijection, (1, t2 // 2, a, x, max_weight)))
-                elif t2 % 2 and hp.theorem1_domain(t2, x, a):
-                    jobs.append((_job_bijection, (2, (t2 + 1) // 2, a, x - 1, max_weight)))
+                half, tail = ((t2, a, x), x) if family == 1 else ((t2, x, a), x - 1)
+                if hp.theorem1_domain(*half):
+                    jobs.append((
+                        "bijections", f"bij{family}({p},{pp},a={a},tail={tail})",
+                        dict(family=family, p=p, pp=pp, a=a, tail=tail, max_weight=max_weight),
+                        max_weight, _check_bijection, (p, pp, a, tail, half)))
     return jobs
 
 
 # weight bound of the enumerated sector groups and minimal paths, and the
-# breadth-first rounds of the moves job
+# breadth-first rounds of the moves check
 _GROUP_ORDER = 12
 _MOVE_ROUNDS = 8
 
@@ -319,10 +270,15 @@ def jobs_sectors(order: int, max_t2: int):
     order = min(order, 15)  # no cost reason: keeps the report lines until the suite widens
     jobs = []
     for t2 in range(4, max_t2 + 1):
-        jobs.append((_job_sector_sum, (t2, order)))
-        jobs.append((_job_sector_group, (t2, _GROUP_ORDER)))
-        jobs.append((_job_minimal_sectors, (t2, _GROUP_ORDER)))
-        jobs.append((_job_moves, (t2, _GROUP_ORDER, _MOVE_ROUNDS)))
+        jobs += [
+            ("sectors", f"sector-sum(T={t2})", dict(T=t2), order, _check_sector_sum, (t2,)),
+            ("sectors", f"sector-group(T={t2})", dict(T=t2), _GROUP_ORDER,
+             _check_sector_group, (t2,)),
+            ("sectors", f"minimal(T={t2})", dict(T=t2), _GROUP_ORDER,
+             _check_minimal_sectors, (t2,)),
+            ("sectors", f"moves(T={t2})", dict(T=t2, max_weight=_GROUP_ORDER), _GROUP_ORDER,
+             _check_moves, (t2, _MOVE_ROUNDS)),
+        ]
     return jobs
 
 
@@ -337,27 +293,24 @@ SUITES = {
 
 
 def _run_job(job) -> VerifyReport:
-    """The job's report; a job that raises fails on its own and names the
-    raising call, so the other jobs still report.  Running out of memory is
-    the one exception: it means the order is too large for any job, so it
+    """The job's report, the one place a report is built.  A check that
+    raises fails its own job, which keeps its suite, name, params and
+    order, so the other jobs still report.  Running out of memory is the
+    one exception: it means the order is too large for any job, so it
     escapes, from a worker process too, and fails the whole run.
     """
-    fn, args = job
+    suite, name, params, order, check, args = job
     t0 = time.perf_counter()
     try:
-        report = fn(*args)
+        verdict = check(*args, order)
     except MemoryError:
         raise
     except Exception as exc:
         frame = traceback.extract_tb(exc.__traceback__)[-1]
-        report = VerifyReport(
-            "error", f"{fn.__name__}{args}", {"function": fn.__name__, "args": list(args)},
-            None, False,
-            detail={"error": f"{type(exc).__name__}: {exc}",
-                    "at": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"},
-        )
-    report.elapsed = time.perf_counter() - t0
-    return report
+        verdict = dict(ok=False, detail={
+            "error": f"{type(exc).__name__}: {exc}",
+            "at": f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"})
+    return VerifyReport(suite, name, params, order, elapsed=time.perf_counter() - t0, **verdict)
 
 
 def run_jobs(jobs, workers: int | None = None) -> list[VerifyReport]:

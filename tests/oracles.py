@@ -103,7 +103,7 @@ def rsos_of(p: int, p_prime: int, a: int, b: int, heights) -> RsosPath:
         raise InvalidPathError("height sequence is empty")
     if hs[0] != a:
         raise InvalidPathError(f"path must start at a={a}, got {hs[0]}")
-    if not 1 <= b <= p_prime - 1:
+    if not 1 <= b <= p_prime - 2:
         raise InvalidPathError(f"tail height b={b} out of range")
     for x, h in enumerate(hs):
         if not 1 <= h <= p_prime - 1:

@@ -10,14 +10,13 @@ from math import gcd
 from viracomb import halfpath as hp
 from viracomb import rsos
 from viracomb.bijections import bij1_forward, bij2_forward
+from viracomb.characters import CharacterLabel, theorem1_label
 from viracomb.halfpath import HalfPath, ground_state
 from viracomb.particles import dissect, minimal_path, minimal_weight
 from viracomb.qseries import QSeries, q_binomial
 from viracomb.rsos import RsosPath
 from viracomb.verify import (
-    _job_moves,
-    _job_xrocha,
-    _job_yhalf,
+    _check_series,
     jobs_bijections,
     jobs_products,
     jobs_sectors,
@@ -61,12 +60,20 @@ def report(criterion: str, ok: bool, detail: str = "") -> None:
     assert ok, f"{criterion}{suffix}"
 
 
-def run_and_report(criterion: str, jobs) -> None:
+def run_and_report(criterion: str, jobs) -> list:
     reports = run_jobs(jobs)
     bad = [r for r in reports if not r.ok]
     for r in bad:
         print("  failed:", r.to_json())
     report(criterion, not bad, f"{len(reports)} checks")
+    return reports
+
+
+def named(jobs, suite: str, prefix: str) -> list:
+    """The jobs of one suite whose names start with prefix (at least one)."""
+    chosen = [j for j in jobs if j[0] == suite and j[1].startswith(prefix)]
+    assert chosen, (suite, prefix)
+    return chosen
 
 
 def test_criterion_1_golden_weights():
@@ -106,22 +113,25 @@ def test_criterion_2_golden_traces():
 
 
 def test_criterion_3a_rsos_generating_functions():
-    jobs = [j for j in jobs_theorem1(20, 10) if j[0].__name__ == "_job_xrocha"]
+    jobs = named(jobs_theorem1(20, 10), "theorem1", "X(")
     run_and_report("criterion-3a X = chi to q^20", jobs)
 
 
 def test_criterion_3b_half_generating_functions():
-    jobs = [j for j in jobs_theorem1(20, 10) if j[0].__name__ == "_job_yhalf"]
+    jobs = named(jobs_theorem1(20, 10), "theorem1", "Y(")
     run_and_report("criterion-3b Y = chi to q^15", jobs)
 
 
 def test_criterion_3f_theorem1_every_label():
     # every coprime p' <= 13 with each a and each dark b, and every
     # admissible (A, B) for T = 4..14, at the benchmark's higher order
-    jobs = [(_job_xrocha, (p, pp, a, b, 16))
+    jobs = [("theorem1", f"X({p},{pp},{a},{b})", {}, 16, _check_series,
+             (rsos.generating_function, (p, pp, a, b),
+              CharacterLabel(p, pp, rsos.tail_band_index(p, pp, b), a)))
             for pp in range(3, 14) for p in range(2, pp) if gcd(p, pp) == 1
             for a in range(1, pp) for b in sorted(rsos.dark_floors(p, pp))]
-    jobs += [(_job_yhalf, (t2, a2, b2, 16))
+    jobs += [("theorem1", f"Y({t2},{a2},{b2})", {}, 16, _check_series,
+              (hp.generating_function, (t2, a2, b2), theorem1_label(t2, a2 // 2, b2 // 2)))
              for t2 in range(4, 15) for a2 in range(2, t2 + 1, 2)
              for b2 in range(2, t2 + 1, 2) if hp.theorem1_domain(t2, a2, b2)]
     assert len(jobs) == 2202
@@ -129,12 +139,12 @@ def test_criterion_3f_theorem1_every_label():
 
 
 def test_criterion_3c_fermionic_forms():
-    jobs = [j for j in jobs_theorem2(30, 10) if j[0].__name__ == "_job_theorem2"]
+    jobs = named(jobs_theorem2(30, 10), "theorem2", "fermionic(")
     run_and_report("criterion-3c fermionic = bosonic to q^30", jobs)
 
 
 def test_criterion_3d_closed_forms_and_products():
-    jobs = [j for j in jobs_theorem2(30, 10) if j[0].__name__ == "_job_closed_form"]
+    jobs = named(jobs_theorem2(30, 10), "theorem2", "closed-form ")
     jobs += jobs_products(30, 10)
     run_and_report("criterion-3d closed forms and products to q^30", jobs)
 
@@ -155,10 +165,10 @@ def test_criterion_5_particle_calculus():
     ok &= list(minimal_path(10, DISSECT_10_SECTOR).doubled) == MINIMAL_10
     report("criterion-5 dissection and minimal-path goldens", ok)
 
-    pairs = sum(_job_moves(t2, 12, 8).detail["pairs"] for t2 in range(4, 11))
+    reports = run_and_report("criterion-5 sector identities", jobs_sectors(15, 10))
+    # the moves check of each T = 4..10 counts its (path, move) pairs
+    pairs = sum(r.detail["pairs"] for r in reports if r.name.startswith("moves("))
     report("criterion-5 move sampling", pairs >= 10_000, f"{pairs} (path, move) pairs")
-
-    run_and_report("criterion-5 sector identities", jobs_sectors(15, 10))
 
 
 def test_criterion_6_property_suites():

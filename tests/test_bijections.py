@@ -317,11 +317,16 @@ def _refused(name, path):
 def test_maps_refuse_exactly_the_labels_outside_their_domains():
     # both families with p <= 11, every (a, b), and every half label with
     # T <= 23: each of the four maps refuses a label exactly where the
-    # range checks it made by hand refused it, and maps the rest
+    # range checks it made by hand refused it, and maps the rest; a tail at
+    # b = p'-1, whose band leaves the strip, is refused before any map
     for p in range(2, 12):
         for pp in (2 * p + 1, 2 * p - 1):
             for a in range(1, pp):
                 for b in range(1, pp):
+                    if b == pp - 1:
+                        with pytest.raises(InvalidPathError, match=f"^tail height b={b} out"):
+                            RsosPath.of(p, pp, a, b, _staircase(a, b))
+                        continue
                     path = RsosPath.of(p, pp, a, b, _staircase(a, b))
                     for name in ("bij1_forward", "bij2_forward"):
                         inside = BIJECTION_DOMAINS[name](p, pp, a, b)

@@ -9,6 +9,7 @@ import pytest
 
 from viracomb import cli, rsos, verify
 from viracomb.cli import main
+from viracomb.qseries import QSeries
 from viracomb.rsos import InfiniteWeightError, RsosPath
 
 from data_paths import HALF_7_IMAGE, MINIMAL_10, RSOS_47, RSOS_49
@@ -404,8 +405,9 @@ def test_verify_small_max_t2_exit_2(capsys):
 
 def test_verify_workers_below_one_exit_2(capsys, monkeypatch):
     # a count below 1 used to run the jobs serially and exit 0
-    ran, real = [], verify._job_product
-    monkeypatch.setattr(verify, "_job_product", lambda *args: ran.append(args) or real(*args))
+    ran, real = [], verify.modular_product
+    monkeypatch.setattr(verify, "modular_product",
+                        lambda *args: ran.append(args) or real(*args))
     for workers in ("0", "-3"):
         code, out, err = run(capsys, ["verify", "products", "--order", "6",
                                       f"--workers={workers}"])
@@ -416,26 +418,88 @@ def test_verify_workers_below_one_exit_2(capsys, monkeypatch):
 
 
 def test_verify_job_that_raises_fails_alone(capsys, monkeypatch):
-    real = verify._job_product
+    real = verify.modular_product
 
-    def _job_product(which, order):
-        if which == "M(3,7)":
+    def broken_product(modulus, residues, order):
+        if modulus == 28:  # M(3,7)
             raise AssertionError("broken on purpose")
-        return real(which, order)
+        return real(modulus, residues, order)
 
-    monkeypatch.setattr(verify, "_job_product", _job_product)
+    monkeypatch.setattr(verify, "modular_product", broken_product)
     code, out, _ = run(capsys, ["verify", "products", "--order", "10",
                                 "--workers", "1"])
     assert code == 1
     reports = [json.loads(line) for line in out.strip().splitlines()]
-    assert [r["status"] for r in reports] == ["fail", "pass", "pass"]
-    assert reports[0]["params"] == {"function": "_job_product", "args": ["M(3,7)", 10]}
-    assert reports[0]["detail"]["error"] == "AssertionError: broken on purpose"
-    assert reports[0]["detail"]["at"].startswith("test_cli.py:")
-    assert reports[0]["detail"]["at"].endswith(" in _job_product")
+    assert [(r["name"], r["status"]) for r in reports] == [
+        ("product M(2,5)", "pass"), ("product M(3,4)", "pass"), ("product M(3,7)", "fail")]
+    bad = reports[2]
+    assert (bad["suite"], bad["params"], bad["order"]) == (
+        "products", {"model": "M(3,7)", "modulus": 28}, 10)
+    assert bad["detail"]["error"] == "AssertionError: broken on purpose"
+    assert bad["detail"]["at"].startswith("test_cli.py:")
+    assert bad["detail"]["at"].endswith(" in broken_product")
 
 
-def _out_of_memory(which, order):
+def _broken(*args):
+    raise RuntimeError("broken on purpose")
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_job_that_raises_keeps_its_own_report(capsys, monkeypatch, suite, workers):
+    # the suite's first job gets a check that raises: its report keeps the
+    # job's suite, name, params and order, in this process and out of the
+    # pool alike, and every other job of the suite still passes
+    make = verify.SUITES[suite]
+
+    def first_broken(order, max_t2):
+        first, *rest = make(order, max_t2)
+        return [(*first[:4], _broken, first[5]), *rest]
+
+    monkeypatch.setitem(verify.SUITES, suite, first_broken)
+    code, out, _ = run(capsys, ["verify", suite, "--order", "6", "--max-t2", "5",
+                                "--workers", workers])
+    assert code == 1
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    jobs = make(6, 5)
+    assert len(reports) == len(jobs)
+    bad = [r for r in reports if r["status"] != "pass"]
+    assert len(bad) == 1
+    assert (bad[0]["suite"], bad[0]["name"], bad[0]["params"], bad[0]["order"]) == jobs[0][:4]
+    assert (bad[0]["mismatch_power"], bad[0]["lhs"], bad[0]["rhs"]) == (None, None, None)
+    assert set(bad[0]["detail"]) == {"error", "at"}
+    assert bad[0]["detail"]["error"] == "RuntimeError: broken on purpose"
+    assert bad[0]["detail"]["at"].startswith("test_cli.py:")
+    assert bad[0]["detail"]["at"].endswith(" in _broken")
+
+
+def test_verify_series_mismatch_names_its_job(capsys, monkeypatch):
+    # one coefficient off in one product: its own report names the power
+    # and both coefficients, and the other products still pass
+    real = verify.modular_product
+
+    def off_by_one(modulus, residues, order):
+        series = real(modulus, residues, order)
+        if modulus != 5:  # M(2,5)
+            return series
+        coeffs = list(series.coeffs)
+        coeffs[3] += 1
+        return QSeries(order, tuple(coeffs))
+
+    monkeypatch.setattr(verify, "modular_product", off_by_one)
+    code, out, _ = run(capsys, ["verify", "products", "--order", "8",
+                                "--workers", "1"])
+    assert code == 1
+    reports = {r["name"]: r for r in map(json.loads, out.strip().splitlines())}
+    bad = reports.pop("product M(2,5)")
+    # chi(2,5,1,2) = 1 + q + q^2 + q^3 + 2q^4 + ...
+    assert (bad["status"], bad["mismatch_power"], bad["lhs"], bad["rhs"]) == ("fail", 3, 2, 1)
+    assert (bad["suite"], bad["params"], bad["order"]) == (
+        "products", {"model": "M(2,5)", "modulus": 5}, 8)
+    assert sorted(r["status"] for r in reports.values()) == ["pass", "pass"]
+
+
+def _out_of_memory(modulus, residues, order):
     raise MemoryError
 
 
@@ -443,7 +507,7 @@ def test_verify_out_of_memory_exit_2(capsys, monkeypatch):
     # a job that runs out of memory fails the whole command with the
     # out-of-memory message, not just its own report, whether it ran in
     # this process or in a worker of the pool
-    monkeypatch.setattr(verify, "_job_product", _out_of_memory)
+    monkeypatch.setattr(verify, "modular_product", _out_of_memory)
     for workers in ("1", "2"):
         code, out, err = run(capsys, ["verify", "products", "--order", "10",
                                       "--workers", workers])

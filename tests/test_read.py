@@ -121,6 +121,10 @@ def test_a_raw_path_not_starting_at_a_fails_its_labels_as_before():
         (p, pp, a, b), hs = _rsos_walk(rnd)
         if gcd(p, pp) != 1:
             continue
+        if b == pp - 1:  # the tail band {b, b+1} leaves the strip
+            assert _refusal(RsosPath.of, p, pp, a, b, hs) == (
+                InvalidPathError, f"tail height b={b} out of range")
+            continue
         path = RsosPath.of(p, pp, a, b, hs)
         for shift in (-3, -2, -1, 1, 2, 3):
             raw = RsosPath(p, pp, a + shift, b, path.heights)
@@ -145,3 +149,26 @@ def test_weighing_a_raw_path_stored_otherwise_is_refused():
         for _ in range(2):  # a refusal leaves nothing behind, so it repeats
             assert _refusal(weigh, path) == (
                 InvalidPathError, f"path not stored canonically: {path.to_line()}")
+
+
+def test_a_raw_path_leaving_the_strip_is_refused():
+    # the read checks every stored height against the strip 1..p'-1,
+    # however the path was built: a path through height 0 has no weight
+    path = RsosPath(3, 5, 1, 1, (1, 0, 1))
+    for _ in range(2):
+        assert _refusal(rsos.weight, path) == (
+            InvalidPathError, "height 0 at position 1 out of range")
+
+
+def test_a_tail_band_at_the_top_of_the_strip_is_refused():
+    # b = p'-1 puts the tail band {b, b+1} partly above the strip, so the
+    # path would oscillate out of it and print a line no reader takes back
+    for pp, b in ((5, 4), (7, 6), (11, 10)):
+        a = b - 1
+        assert _refusal(RsosPath.of, 2, pp, a, b, (a, b)) == (
+            InvalidPathError, f"tail height b={b} out of range")
+        line = f"rsos p=2 pp={pp} a={a} b={b} h={a},{b},{b + 1}"
+        assert _refusal(RsosPath.from_line, line) == (
+            InvalidPathError, f"tail height b={b} out of range")
+    for b in (1, 2, 3):  # every tail band inside the strip is taken
+        assert RsosPath.of(2, 5, b, b, (b,)).b == b
