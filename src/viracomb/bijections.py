@@ -22,10 +22,12 @@ p' = 2p+1, the flip-and-lift and accretion for p' = 2p-1.  `forward` and
 `inverse` pick the family from p' or from the parity of T.
 
 Each map is defined exactly on the Theorem-1 labels of its half side,
-(2p, a, b) for p' = 2p+1 and (2p-1, b+1, a) for p' = 2p-1: after its family
-check, a map refuses any other label through `hp.theorem1_domain`.  A path
-built raw and not stored canonically is refused by its own read, which
-every map asks for before any stage looks at the heights.  Each path is
+(2p, a, b) for p' = 2p+1 and (2p-1, b+1, a) for p' = 2p-1.  Those are the
+labels a half path can carry, so an inverse map needs only its family
+check; a forward map refuses any other label through `hp.theorem1_domain`
+after its own.  A path built raw that breaks a path rule, or is not stored
+canonically, is refused by its own read, which every map asks for before
+any stage looks at the heights.  Each path is
 read once, when a stage builds it, and keeps its scan, which the next stage
 takes: `_raise_peaks` returns the raised path's scan, and `_lower_peaks`
 and `bij2_inverse` take their peaks from the scans their paths keep.
@@ -146,10 +148,10 @@ def _pair_runs(positions: list[int]) -> list[tuple[int, int]]:
 # -- the steps both families share -------------------------------------------
 
 
-def _require_domain(t2: int, a2: int, b2: int, rsos_label: str = "") -> None:
-    """Refuse a path whose half side (T, A, B) lies outside
-    `hp.theorem1_domain`, the labels both families are defined on; a
-    forward map names its RSOS label first.
+def _require_domain(t2: int, a2: int, b2: int, rsos_label: str) -> None:
+    """Refuse an RSOS path whose half side (T, A, B) lies outside
+    `hp.theorem1_domain`, the labels both families are defined on, naming
+    its RSOS label first.
     """
     if not hp.theorem1_domain(t2, a2, b2):
         raise BijectionDomainError(
@@ -277,7 +279,6 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
     t2, a, b = path.t2, path.a2, path.b2
     if t2 % 2:
         raise BijectionDomainError(f"expected even T = 2p, got {t2}")
-    _require_domain(t2, a, b)
     p = t2 // 2
     pp = t2 + 1
 
@@ -381,7 +382,6 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     if t2 % 2 == 0:
         raise BijectionDomainError(f"expected odd T = 2p-1, got {t2}")
     bb, a = path.a2, path.b2  # start of the flipped image, even tail reference
-    _require_domain(t2, bb, a)
     p = (t2 + 1) // 2
     pp = t2
 

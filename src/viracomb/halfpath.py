@@ -3,8 +3,10 @@
 Positions and heights are both doubled so that every stored quantity is an
 integer: entry H_i is twice the height at position i/2.  A path lives on
 doubled heights 2..T (T = 2t), starts at A = 2a, and eventually oscillates
-between B and B+1.  Valleys are only allowed at even doubled heights; the
-startpoint's shape uses the virtual convention H_{-1} = A + 1.
+between B and B+1, a tail band inside the strip (B < T).  Valleys are only
+allowed at even doubled heights; the startpoint's shape uses the virtual
+convention H_{-1} = A + 1.  The labels (T, A, B) a path can carry are
+exactly the Theorem-1 labels, `theorem1_domain`.
 
 The raw weight is half the sum of the positions of the straight vertices.
 In doubled coordinates that sum is an integer number of quarter-units;
@@ -12,13 +14,12 @@ normalizing by the ground state (the straight staircase from A to B) gives
 the integer weight used everywhere else.
 
 A path is read once, when `HalfPath.of` builds it: one pass, `_read`,
-checks the constraints, finds the canonical horizon and scans the doubled
-positions, and the path keeps the scan (the raw weight, the straight-vertex
-count, the peaks and the valleys).  The ground state is subtracted only
-when the path is weighed, so a path outside the Theorem-1 domain is built
-and refused only then.  A path built raw, as enumeration builds them, is
-read by the same pass on first use, and refused unless it is stored
-canonically.
+checks every path rule, finds the canonical horizon, scans the doubled
+positions and subtracts the ground state, and the path keeps the scan (the
+weight, the straight-vertex count, the peaks and the valleys).  A path
+built raw, as enumeration builds them, is read by the same pass on first
+use, so it is refused with `of`'s message wherever `of` would refuse its
+heights, and unless it is stored canonically.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import lattice
 from .qseries import QSeries
 
 
-class InvalidHalfPathError(ValueError):
+class InvalidHalfPathError(lattice.InvalidPathError):
     """Raised for sequences violating the half-lattice constraints."""
 
 
@@ -48,27 +49,7 @@ class HalfPath:
         """Validate and canonicalize a doubled height sequence (tail may be
         partial), and keep its vertex scan: one `_read` does all three.
         """
-        hs = list(doubled)
-        if t2 < 4:
-            raise InvalidHalfPathError(f"need T = 2t >= 4, got {t2}")
-        if a2 % 2 or b2 % 2:
-            raise InvalidHalfPathError(
-                f"start A={a2} and tail B={b2} must be even (integer heights)")
-        if not hs:
-            raise InvalidHalfPathError("height sequence is empty")
-        if hs[0] != a2:
-            raise InvalidHalfPathError(f"path must start at A={a2}, got {hs[0]}")
-        if not 2 <= b2 <= t2:
-            raise InvalidHalfPathError(f"tail height B={b2} out of range 2..{t2}")
-        stored, scan, valley = _read(t2, a2, b2, hs)
-        # an odd valley is reported only once the whole line has passed, so
-        # a height out of range or a bad step anywhere wins over it
-        if valley is not None:
-            raise InvalidHalfPathError(f"valley at non-integer height {hs[valley]}/2 "
-                                       f"(doubled position {valley})")
-        if hs[-1] not in (b2, b2 + 1):
-            raise InvalidHalfPathError(
-                f"stored sequence must end inside the tail band, got {hs[-1]}")
+        stored, scan = _read(t2, a2, b2, list(doubled))
         return lattice.kept(HalfPath(t2, a2, b2, stored), "_scan", scan)
 
     @property
@@ -100,12 +81,10 @@ class HalfPath:
 
 
 def theorem1_domain(t2: int, a2: int, b2: int) -> bool:
-    """Whether (A, B) is an admissible doubled start/tail pair for T."""
-    if t2 < 4 or a2 % 2 or b2 % 2:
-        return False
-    if t2 % 2 == 0:
-        return 2 <= a2 <= t2 and 2 <= b2 <= t2 - 2
-    return 2 <= a2 <= t2 - 1 and 2 <= b2 <= t2 - 1
+    """Whether (A, B) is an admissible doubled start/tail pair for T: the
+    labels a half path can carry.
+    """
+    return t2 >= 4 and a2 % 2 == b2 % 2 == 0 and 2 <= a2 <= t2 and 2 <= b2 < t2
 
 
 def _require_domain(t2: int, a2: int, b2: int) -> None:
@@ -130,17 +109,15 @@ def _ground_quarters(t2: int, a2: int, b2: int) -> int:
     1..L-1.  At the junction L an ascending one climbs on into the tail band
     and is straight too; a descending one turns there at a valley.
     """
-    _require_domain(t2, a2, b2)
     span = abs(a2 - b2)
     return span * (span - 1) // 2 + (span if b2 > a2 else 0)
 
 
 def weight(path: HalfPath) -> int:
-    """Raw weight minus the ground-state raw weight, in whole units, from
-    the raw quarter count the path's read keeps.
+    """Raw weight minus the ground-state raw weight, in whole units, as the
+    path's read keeps it.
     """
-    quarters = lattice.once(path, "_scan", _reread)[0]
-    return _whole_units(quarters - _ground_quarters(path.t2, path.a2, path.b2))
+    return lattice.once(path, "_scan", _reread)[0]
 
 
 def _scan(path: HalfPath) -> tuple[int, int, list[int], list[int]]:
@@ -148,34 +125,45 @@ def _scan(path: HalfPath) -> tuple[int, int, list[int], list[int]]:
     peaks and of the valleys at doubled positions 0..L, from the one read of
     the path: `HalfPath.of` keeps it, and a path built raw is read on first
     use (`lattice.once`) and refused there unless `of` would store it so.
-    The read keeps the raw weight, so a path outside the Theorem-1 domain
-    is built and refused only when it is weighed, here or by `weight`,
-    which asks for its ground state.  Each call gets its own lists.
+    Each call gets its own lists.
     """
-    _, straights, peaks, valleys = lattice.once(path, "_scan", _reread)
-    return weight(path), straights, list(peaks), list(valleys)
+    w, straights, peaks, valleys = lattice.once(path, "_scan", _reread)
+    return w, straights, list(peaks), list(valleys)
 
 
 def _reread(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    if path.doubled:  # `_read` frames a nonempty list
-        stored, scan, _ = _read(path.t2, path.a2, path.b2, list(path.doubled))
-        if stored == path.doubled and stored[-1] in (path.b2, path.b2 + 1):
-            return scan
-    raise lattice.InvalidPathError(f"path not stored canonically: {path.to_line()}")
+    stored, scan = _read(path.t2, path.a2, path.b2, list(path.doubled))
+    if stored != path.doubled:
+        raise lattice.InvalidPathError(f"path not stored canonically: {path.to_line()}")
+    return scan
 
 
-def _read(t2: int, a2: int, b2: int, hs: list[int]) -> tuple[tuple[int, ...], tuple, int | None]:
-    """The one pass over a doubled height list: the canonical storage, the
-    scan of its doubled positions 0..L, position 0 read against H(-1) =
-    A + 1 (the raw weight in quarter-units, the number of straight vertices,
-    the peaks and the valleys), and the first valley at an odd doubled
-    height, or None.  Each height up to the horizon is checked in order,
-    its range before its step; the heights past it are the band run
-    `lattice.frame` has found valid.  The tail continues inside the strip:
-    B is even, so it sits at the even positions, and a tail at the top of
-    the strip (B = T) is never extended past the input to T + 1.
+def _read(t2: int, a2: int, b2: int, hs: list[int]) -> tuple[tuple[int, ...], tuple]:
+    """The one pass over a doubled height list that states every half-path
+    rule: the canonical storage, and the scan of its doubled positions
+    0..L, position 0 read against H(-1) = A + 1 (the weight, the number of
+    straight vertices, the peaks and the valleys).  It checks the label
+    (T >= 4, A and B even), the start at A and the tail band {B, B+1}
+    inside the strip, 2 <= B < T, then each height up to the horizon in
+    order, its range before its step.  A valley at an odd doubled height is
+    refused only once the whole list has passed, so a height out of range
+    or a bad step anywhere wins over it, and last a list that does not end
+    in the band.  The heights past the horizon are the band run
+    `lattice.frame` has found.  A label that passes is a Theorem-1 label,
+    so the read subtracts the ground state and keeps the whole-unit weight.
     """
-    horizon, seq = lattice.frame(hs, b2, t2)
+    if t2 < 4:
+        raise InvalidHalfPathError(f"need T = 2t >= 4, got {t2}")
+    if a2 % 2 or b2 % 2:
+        raise InvalidHalfPathError(
+            f"start A={a2} and tail B={b2} must be even (integer heights)")
+    if not hs:
+        raise InvalidHalfPathError("height sequence is empty")
+    if hs[0] != a2:
+        raise InvalidHalfPathError(f"path must start at A={a2}, got {hs[0]}")
+    if not 2 <= b2 < t2:  # the tail band {B, B+1} lies in the strip
+        raise InvalidHalfPathError(f"tail height B={b2} out of range 2..{t2 - 1}")
+    horizon, seq = lattice.frame(hs, b2)
     quarters = straights = 0
     peaks = []
     valleys = []
@@ -195,7 +183,13 @@ def _read(t2: int, a2: int, b2: int, hs: list[int]) -> tuple[tuple[int, ...], tu
             valleys.append(i)
             if h % 2 and odd is None:
                 odd = i
-    return tuple(seq[:horizon + 1]), (quarters, straights, tuple(peaks), tuple(valleys)), odd
+    if odd is not None:
+        raise InvalidHalfPathError(
+            f"valley at non-integer height {seq[odd]}/2 (doubled position {odd})")
+    if hs[-1] not in (b2, b2 + 1):
+        raise InvalidHalfPathError(f"stored sequence must end inside the tail band, got {hs[-1]}")
+    w = _whole_units(quarters - _ground_quarters(t2, a2, b2))
+    return tuple(seq[:horizon + 1]), (w, straights, tuple(peaks), tuple(valleys))
 
 
 def _whole_units(diff: int) -> int:
@@ -225,7 +219,8 @@ def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.PathS
       vertex, and later enters it for good on another straight vertex, at
       j + 2 or later, so the two cost at least 2i + 2.
     """
-    gs_q = _ground_quarters(t2, a2, b2)  # checks the domain
+    _require_domain(t2, a2, b2)
+    gs_q = _ground_quarters(t2, a2, b2)
     if max_weight < 0:
         return lattice.PathSet([])
 

@@ -6,11 +6,13 @@ costs and search bounds.  Everything else lives here: parsing the one-line
 path formats, the canonical horizon of a height list (`frame`), tail
 continuation, the peak and valley scan of raw heights, one bounded path
 search, and `once`, which keeps on a path what is read from it.  A path is
-read when it is built: each model's `of` runs one pass that checks the
-heights, finds the horizon through `frame` and scans the vertices, and
-keeps the scan where `once` looks.  A path built raw is read by the same
-pass on first use, and refused there unless it is stored as `of` would
-store it, so `frame` is the one statement of canonical storage.
+read when it is built: each model's `of` is its `_read`, one pass that
+checks every path rule (label, start, tail band, heights, steps, end),
+finds the horizon through `frame` and scans the vertices, and keeps the
+scan where `once` looks.  A path built raw is read by the same pass on
+first use, so it is refused there with `of`'s message wherever `of` would
+refuse its heights, and unless it is stored as `of` would store it:
+`frame` is the one statement of canonical storage.
 """
 
 from __future__ import annotations
@@ -45,21 +47,20 @@ def parse_fields(line: str, kind: str, names: tuple[str, ...]) -> dict[str, str]
     return fields
 
 
-def frame(hs: list[int], b: int, hi: int) -> tuple[int, list[int]]:
+def frame(hs: list[int], b: int) -> tuple[int, list[int]]:
     """The canonical horizon L of a height list and its heights at 0..L+1,
     the tail oscillation continued: L is the first even position from which
     every height lies in the tail band {b, b+1}.  Only the final band run is
-    read here, back from the end, and only where it alternates inside the
-    strip's top hi, so every height past L is a unit step in the strip; the
-    path's reader checks the heights up to L.  A list that does not end in
-    the band is refused after its other checks: it is framed as it stands,
-    its last height repeated.
+    read here, back from the end, and only where it alternates, so every
+    height past L is a unit step in the band, which the path's reader has
+    checked lies inside the strip; the reader checks the heights up to L.
+    A list that does not end in the band is refused after its other checks:
+    it is framed as it stands, its last height repeated.
     """
     start = len(hs) - 1
     if hs[start] not in (b, b + 1):
         return start, hs + [hs[start]]
-    # a band at the top of the strip leaves it, so no run there is valid
-    while b < hi and start and hs[start - 1] in (b, b + 1) and hs[start - 1] != hs[start]:
+    while start and hs[start - 1] in (b, b + 1) and hs[start - 1] != hs[start]:
         start -= 1
     horizon = start + start % 2
     return horizon, padded(hs, b, horizon + 1)

@@ -6,12 +6,13 @@ L(h) is stored: the smallest even L from which every later height lies in
 {b, b+1}.  Horizontal bands between consecutive heights are dark or light
 according to the floor function y = floor(r p'/p); scoring vertices (and
 hence weights) are defined relative to that shading.  A path is read once,
-when `RsosPath.of` builds it: one pass, `_read`, checks the heights, finds
-the canonical horizon and scans the vertices, and the path keeps the scan
-(the weight, the scoring positions and the scoring-peak count, `_scan`),
-however many readers ask.  A path built raw, as enumeration builds them,
-is read by the same pass on first use, and refused unless it is stored
-canonically.
+when `RsosPath.of` builds it: one pass, `_read`, checks every path rule,
+finds the canonical horizon and scans the vertices, and the path keeps the
+scan (the weight, the scoring positions and the scoring-peak count,
+`_scan`), however many readers ask.  A path built raw, as enumeration
+builds them, is read by the same pass on first use, so it is refused with
+`of`'s message wherever `of` would refuse its heights, and unless it is
+stored canonically.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors.  Enumeration of all paths up to a weight bound is
@@ -67,20 +68,7 @@ class RsosPath:
         """Validate and canonicalize a height sequence (tail may be partial),
         and keep its vertex scan: one `_read` does all three.
         """
-        if not 1 < p < p_prime or gcd(p, p_prime) != 1:
-            raise InvalidPathError(f"need coprime 1 < p < p', got ({p}, {p_prime})")
-        hs = list(map(int, heights))
-        if not hs:
-            raise InvalidPathError("height sequence is empty")
-        if hs[0] != a:
-            raise InvalidPathError(f"path must start at a={a}, got {hs[0]}")
-        if not 1 <= b <= p_prime - 2:  # the tail band {b, b+1} lies in the strip
-            raise InvalidPathError(f"tail height b={b} out of range")
-        stored, scan = _read(p, p_prime, a, b, hs)
-        if hs[-1] not in (b, b + 1):
-            raise InvalidPathError(
-                f"stored sequence must end inside the tail band, got {hs[-1]}"
-            )
+        stored, scan = _read(p, p_prime, a, b, list(map(int, heights)))
         return lattice.kept(RsosPath(p, p_prime, a, b, stored), "_scan", scan)
 
     @property
@@ -137,29 +125,36 @@ def _scan(path: RsosPath) -> tuple[int, list[int], int]:
 
 
 def _reread(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
-    if path.heights:  # `_read` frames a nonempty list
-        stored, scan = _read(path.p, path.p_prime, path.a, path.b, list(path.heights))
-        if stored == path.heights and stored[-1] in (path.b, path.b + 1):
-            return scan
-    raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
+    stored, scan = _read(path.p, path.p_prime, path.a, path.b, list(path.heights))
+    if stored != path.heights:
+        raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
+    return scan
 
 
 def _read(p: int, p_prime: int, a: int, b: int,
           hs: list[int]) -> tuple[tuple[int, ...], tuple[int, tuple[int, ...], int]]:
-    """The one pass over a height list: the canonical storage, and the scan
-    of its vertices 1..L (the weight, the scoring positions, the number of
-    scoring peaks).  Each height up to the horizon is checked in order, its
-    range before its step, however the path was built; the heights past
-    it are the band run `lattice.frame` has found valid.
+    """The one pass over a height list that states every RSOS path rule:
+    the canonical storage, and the scan of its vertices 1..L (the weight,
+    the scoring positions, the number of scoring peaks).  It checks the
+    label (coprime 1 < p < p'), the start at a and the tail band {b, b+1}
+    inside the strip, then each height up to the horizon in order, its
+    range before its step, and last that the list ends in the band; the
+    heights past the horizon are the band run `lattice.frame` has found.
 
     Vertex x is labelled u = (x - h + a)/2 after an up step and v =
-    (x + h - a)/2 after a down step.  With unit steps both labels only grow
-    along the path, so once the steps are checked, checking vertex 1's
-    labels checks every vertex's: a path built raw that does not start at a
-    fails there.
+    (x + h - a)/2 after a down step; a path of unit steps from a gives
+    every vertex labels u, v >= 0 with u + v = x.
     """
+    if not 1 < p < p_prime or gcd(p, p_prime) != 1:
+        raise InvalidPathError(f"need coprime 1 < p < p', got ({p}, {p_prime})")
+    if not hs:
+        raise InvalidPathError("height sequence is empty")
+    if hs[0] != a:
+        raise InvalidPathError(f"path must start at a={a}, got {hs[0]}")
+    if not 1 <= b <= p_prime - 2:  # the tail band {b, b+1} lies in the strip
+        raise InvalidPathError(f"tail height b={b} out of range")
     dark = dark_floors(p, p_prime)
-    horizon, seq = lattice.frame(hs, b, p_prime - 1)
+    horizon, seq = lattice.frame(hs, b)
     if not 0 < seq[0] < p_prime:
         raise InvalidPathError(f"height {seq[0]} at position 0 out of range")
     total = peaks = 0
@@ -177,9 +172,8 @@ def _read(p: int, p_prime: int, a: int, b: int,
                     peaks += 1
             else:
                 total += (x + h - a) // 2
-    if horizon and abs(seq[1] - a) != 1:
-        raise AssertionError(f"vertex-label check: vertex 1 has labels "
-                             f"u={(1 - seq[1] + a) // 2}, v={(1 + seq[1] - a) // 2}")
+    if hs[-1] not in (b, b + 1):
+        raise InvalidPathError(f"stored sequence must end inside the tail band, got {hs[-1]}")
     return tuple(seq[:horizon + 1]), (total, tuple(scoring), peaks)
 
 

@@ -150,8 +150,8 @@ def find_violation(t2: int, a2: int, b2: int, doubled) -> str | None:
         return "height sequence is empty"
     if hs[0] != a2:
         return f"path must start at A={a2}, got {hs[0]}"
-    if not 2 <= b2 <= t2:
-        return f"tail height B={b2} out of range 2..{t2}"
+    if not 2 <= b2 < t2:
+        return f"tail height B={b2} out of range 2..{t2 - 1}"
     # one pass: a height out of range or a bad step is reported at once; a
     # valley at a non-integer (odd doubled) height only once the whole line
     # has passed, so either of the others wins over it.  H_{-1} = A + 1.

@@ -117,13 +117,17 @@ def test_bij2_domain_errors():
 
 def test_bij2_inverse_rejects_corrupted_input():
     # every validated half path is in the image, so corruption means a
-    # constraint-violating sequence smuggled past the constructor
+    # constraint-violating sequence built raw, past the constructor: the
+    # path's first read refuses it at the entry with the constructor's
+    # message, before any stage runs, stored canonically or one tail
+    # oscillation too long
     bad = HalfPath(7, 2, 4, (2, 3, 4, 3, 4))  # valley at height 3/2
-    with pytest.raises((StructureError, AssertionError)):
-        bij2_inverse(bad)
-    # stored one tail oscillation too long, it is refused at the entry
-    with pytest.raises(InvalidPathError):
-        bij2_inverse(HalfPath(7, 2, 4, bad.doubled + (5, 4)))
+    message = r"^valley at non-integer height 3/2 \(doubled position 3\)$"
+    for path in (bad, HalfPath(7, 2, 4, bad.doubled + (5, 4))):
+        with pytest.raises(hp.InvalidHalfPathError, match=message):
+            HalfPath.of(path.t2, path.a2, path.b2, path.doubled)
+        with pytest.raises(hp.InvalidHalfPathError, match=message):
+            bij2_inverse(path)
 
 
 def test_inverses_refuse_non_canonical_storage():
@@ -147,12 +151,20 @@ def test_inverses_refuse_non_canonical_storage():
 
 def test_forwards_refuse_non_canonical_storage():
     # one oscillation past the horizon, storage ending outside the tail
-    # band, and two oscillations past it, for both families
-    for p, pp, a, b, stored in [(3, 7, 6, 4, (6, 5, 4, 3, 4, 5, 4)),
-                                (5, 11, 10, 8, (10, 9, 8, 7)),
-                                (4, 7, 6, 1, (6, 5, 4, 3, 2, 1, 2, 1, 2))]:
+    # band, and two oscillations past it, for both families: storage that
+    # `RsosPath.of` refuses is refused with its message, and storage it
+    # would store otherwise as not canonical
+    for p, pp, a, b, stored, message in [
+            (3, 7, 6, 4, (6, 5, 4, 3, 4, 5, 4), None),
+            (5, 11, 10, 8, (10, 9, 8, 7), "stored sequence must end inside the tail band, got 7"),
+            (4, 7, 6, 1, (6, 5, 4, 3, 2, 1, 2, 1, 2), None)]:
         path = RsosPath(p, pp, a, b, stored)
-        with pytest.raises(InvalidPathError, match=f"not stored canonically: {path.to_line()}"):
+        if message is None:
+            message = f"path not stored canonically: {path.to_line()}"
+        else:
+            with pytest.raises(InvalidPathError, match=f"^{message}$"):
+                RsosPath.of(p, pp, a, b, stored)
+        with pytest.raises(InvalidPathError, match=f"^{message}$"):
             forward(path)
     # storage that leaves the band and comes back is the canonical storage
     # of another path, and maps as that path
@@ -318,7 +330,8 @@ def test_maps_refuse_exactly_the_labels_outside_their_domains():
     # both families with p <= 11, every (a, b), and every half label with
     # T <= 23: each of the four maps refuses a label exactly where the
     # range checks it made by hand refused it, and maps the rest; a tail at
-    # b = p'-1, whose band leaves the strip, is refused before any map
+    # b = p'-1 or B = T, whose band leaves the strip, is refused before any
+    # map
     for p in range(2, 12):
         for pp in (2 * p + 1, 2 * p - 1):
             for a in range(1, pp):
@@ -334,6 +347,11 @@ def test_maps_refuse_exactly_the_labels_outside_their_domains():
     for t2 in range(4, 24):
         for a2 in range(2, t2 + 1, 2):
             for b2 in range(2, t2 + 1, 2):
+                if b2 == t2:
+                    with pytest.raises(hp.InvalidHalfPathError,
+                                       match=rf"^tail height B={b2} out of range 2\.\.{t2 - 1}$"):
+                        HalfPath.of(t2, a2, b2, _staircase(a2, b2))
+                    continue
                 path = HalfPath.of(t2, a2, b2, _staircase(a2, b2))
                 for name in ("bij1_inverse", "bij2_inverse"):
                     inside = BIJECTION_DOMAINS[name](t2, a2, b2)

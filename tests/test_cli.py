@@ -344,6 +344,14 @@ def test_render_bad_input_exit_2(capsys, monkeypatch):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("argv", [["render"], ["dissect"], ["bijection", "inverse"]])
+def test_a_half_tail_band_at_the_top_of_the_strip_exits_2(capsys, monkeypatch, argv):
+    # the band {8, 9} leaves the strip 2..8: no command takes the line
+    code, out, err = run(capsys, argv, stdin="half T=8 A=6 B=8 H=6,7,8\n",
+                         monkeypatch=monkeypatch)
+    assert (code, out, err) == (2, "", "error: tail height B=8 out of range 2..7\n")
+
+
 def test_dissect_json(capsys, monkeypatch):
     line = "half T=10 A=2 B=2 H=" + ",".join(map(str, MINIMAL_10))
     code, out, _ = run(capsys, ["dissect"], stdin=line + "\n",

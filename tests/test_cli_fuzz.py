@@ -35,6 +35,7 @@ SEEDS = [
     _half(DISSECT_10),
     _half((8, 2, 2, [2, 3, 4, 5, 4, 5, 4, 3, 2])),
     _half((7, 2, 6, [2, 3, 4, 5, 4, 5, 4, 5, 6])),
+    _half((8, 6, 8, [6, 7, 8])),  # a tail band leaving the strip
 ]
 
 LINE_COMMANDS = [

@@ -183,6 +183,29 @@ def test_ground_quarters_weigh_the_built_ground_state():
     assert len(labels) == 5129
     for label in labels:
         assert halfpath._ground_quarters(*label) == raw_weight_quarters(ground_state(*label))
-    with pytest.raises(InvalidHalfPathError, match=r"^\(A,B\)=\(4,10\) out of the admissible "
-                                                   r"range for T=10$"):
-        weight(HalfPath.of(10, 4, 10, [4, 5, 6, 7, 8, 9, 10]))
+    # a label outside the domain carries no path: its tail band leaves the
+    # strip, so neither the constructor nor a raw path's first read takes it
+    staircase = (4, 5, 6, 7, 8, 9, 10)
+    for build in (lambda: HalfPath.of(10, 4, 10, staircase),
+                  lambda: weight(HalfPath(10, 4, 10, staircase))):
+        with pytest.raises(InvalidHalfPathError, match=r"^tail height B=10 out of range 2\.\.9$"):
+            build()
+
+
+def test_theorem1_domain_is_the_label_rule_of_a_half_path():
+    # the labels a half path can carry are exactly the Theorem-1 labels:
+    # the staircase from A to B builds exactly where the domain holds, odd
+    # and out-of-strip values included
+    built = 0
+    for t2 in range(-2, 41):
+        for a2 in range(-2, t2 + 3):
+            for b2 in range(-2, t2 + 3):
+                step = 1 if b2 >= a2 else -1
+                try:
+                    HalfPath.of(t2, a2, b2, range(a2, b2 + step, step))
+                except InvalidHalfPathError:
+                    assert not theorem1_domain(t2, a2, b2), (t2, a2, b2)
+                else:
+                    assert theorem1_domain(t2, a2, b2), (t2, a2, b2)
+                    built += 1
+    assert built == 5129

@@ -36,9 +36,9 @@ def test_parse_fields():
             lattice.parse_fields(bad, "half", ("T", "H"))
 
 
-def canonical(hs, b, hi=99):
+def canonical(hs, b):
     """The storage `lattice.frame` gives a path's constructor."""
-    horizon, seq = lattice.frame(list(hs), b, hi)
+    horizon, seq = lattice.frame(list(hs), b)
     return tuple(seq[:horizon + 1])
 
 
@@ -46,13 +46,12 @@ def test_canonical_trims_and_extends():
     assert canonical([4, 3, 2, 3, 2, 3, 2], 2) == (4, 3, 2)
     assert canonical([4, 3], 2) == (4, 3, 2)  # the horizon is even
     assert canonical([2], 2) == (2,)
-    # the band stops at the strip's top, though the tail continues past it,
-    # and the run read back from the end stops at a step that does not
-    # alternate, for the reader to refuse
-    assert canonical([7, 8, 9, 8, 9], 8, 9) == (7, 8, 9)
-    assert canonical([7, 8, 9, 8, 9], 9, 9) == (7, 8, 9, 8, 9)
-    assert canonical([8, 9], 9, 9) == (8, 9, 10)
-    assert canonical([5, 4, 3, 3, 2], 2, 9) == (5, 4, 3, 3, 2)
+    # the run read back from the end stops where the heights leave the band
+    # or stop alternating, for the reader to refuse
+    assert canonical([7, 8, 9, 8, 9], 8) == (7, 8, 9)
+    assert canonical([7, 8, 9, 8, 9], 9) == (7, 8, 9, 8, 9)
+    assert canonical([8, 9], 9) == (8, 9, 10)
+    assert canonical([5, 4, 3, 3, 2], 2) == (5, 4, 3, 3, 2)
 
 
 def test_is_canonical_agrees_with_canonical():
@@ -436,8 +435,8 @@ def test_move_checks_hold_under_optimization():
     # this listed move breaks weight and sector; apply_move must refuse it,
     # the search must refuse a live branch at its horizon, and a bijection
     # must notice a weight that drifts between its stages, and weighing or
-    # scanning a vertex must check its labels, even when python -O strips
-    # asserts
+    # scanning a raw path that does not start at its label's start must
+    # refuse it, even when python -O strips asserts
     code = """
 import sys
 from viracomb import bijections, halfpath, lattice, particles, rsos
@@ -452,7 +451,7 @@ print("optimize", sys.flags.optimize)
 def attempt(call):
     try:
         call()
-    except AssertionError as exc:
+    except (AssertionError, lattice.InvalidPathError) as exc:
         print("raised:", exc)
     else:
         print("returned")
@@ -481,6 +480,6 @@ attempt(lambda: rsos._scan(unchecked))
         " for a late band",
         "raised: charge form 1 of (1,) is odd",
         "raised: verbatim reread must preserve the weight",
-        "raised: vertex-label check: vertex 1 has labels u=0, v=0",
-        "raised: vertex-label check: vertex 1 has labels u=0, v=0",
+        "raised: path must start at a=2, got 3",
+        "raised: path must start at a=2, got 3",
     ]

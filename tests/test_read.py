@@ -6,8 +6,9 @@ exception and message, or store the same heights and scan them the same.
 The inputs are seeded random walks of both models and both bijection
 families, with light RSOS tail bands and half labels outside the Theorem-1
 domain, tails cut short or run long, and single-edit garbled copies.  A
-path built raw is read on first use by the same pass, which refuses it
-unless it is stored as the constructor would store it.
+path built raw is read on first use by the same pass, which refuses it with
+the constructor's message wherever the constructor would refuse its
+heights, and unless it is stored as the constructor would store it.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ from math import gcd
 
 import pytest
 
+from viracomb import bijections
 from viracomb import halfpath as hp
 from viracomb import rsos
 from viracomb.halfpath import HalfPath
@@ -105,16 +107,17 @@ def test_one_read_is_the_old_three(model):
         scanned += not isinstance(got[1][0], type)
         # built raw, the same path is read on first use, by the same reader
         assert _refusal(new[1], dataclasses.replace(got[0])) == got[1], args
-    # every kind of refusal shows up, and most inputs build and scan
+    # every kind of refusal shows up, and most inputs build; every path
+    # that builds also scans, since one read does both
     kinds = {"need", "path", "tail", "height", "step", "stored"}
     assert kinds | ({"start", "valley"} if model == "half" else set()) <= refusals
-    assert built > 1000 and scanned > 800
+    assert built > 1000 and scanned == built
 
 
 def test_a_raw_path_not_starting_at_a_fails_its_labels_as_before():
-    # the vertex-label check reads vertex 1 only: with unit steps, both
-    # labels only grow along the path, so it fails wherever the old check,
-    # which read every vertex, failed first
+    # the old reader failed such a path on a vertex label, or weighed it;
+    # its first read now checks the start, as the constructor does, and
+    # refuses it with the constructor's message
     rnd = random.Random(24)
     raised = 0
     for _ in range(400):
@@ -128,27 +131,40 @@ def test_a_raw_path_not_starting_at_a_fails_its_labels_as_before():
         path = RsosPath.of(p, pp, a, b, hs)
         for shift in (-3, -2, -1, 1, 2, 3):
             raw = RsosPath(p, pp, a + shift, b, path.heights)
-            got = _refusal(rsos._scan, raw)
-            assert got == _refusal(oracles.rsos_scan, raw), raw
-            raised += isinstance(got[0], type)
+            refusal = (InvalidPathError, f"path must start at a={a + shift}, got {a}")
+            assert _refusal(oracles.rsos_of, p, pp, a + shift, b, path.heights) == refusal
+            for _ in range(2):
+                assert _refusal(rsos._scan, raw) == refusal, raw
+            raised += 1
     assert raised > 1000
 
 
 def test_weighing_a_raw_path_stored_otherwise_is_refused():
     # one oscillation past the horizon, storage ending outside the tail band,
     # two oscillations past it, storage short of an even horizon, and no
-    # storage at all: each model's read refuses them, so no caller weighs
-    # another path instead
-    for path in (RsosPath(3, 7, 6, 4, (6, 5, 4, 3, 4, 5, 4)),
-                 RsosPath(5, 11, 10, 8, (10, 9, 8, 7)),
-                 RsosPath(4, 7, 6, 1, (6, 5, 4, 3, 2, 1, 2, 1, 2)),
-                 RsosPath(3, 7, 2, 2, ()),
-                 HalfPath(8, 2, 2, (2, 3, 4, 3)),
-                 HalfPath(8, 2, 2, ())):
+    # storage at all: each model's read refuses them, storage the
+    # constructor refuses with its message (None: the constructor builds
+    # it, stored otherwise), so no caller weighs another path instead
+    for path, message in (
+            (RsosPath(3, 7, 6, 4, (6, 5, 4, 3, 4, 5, 4)), None),
+            (RsosPath(5, 11, 10, 8, (10, 9, 8, 7)),
+             "stored sequence must end inside the tail band, got 7"),
+            (RsosPath(4, 7, 6, 1, (6, 5, 4, 3, 2, 1, 2, 1, 2)), None),
+            (RsosPath(3, 7, 2, 2, ()), "height sequence is empty"),
+            (HalfPath(8, 2, 2, (2, 3, 4, 3)), None),
+            (HalfPath(8, 2, 2, ()), "height sequence is empty")):
+        *label, stored = dataclasses.astuple(path)
+        built = _refusal(type(path).of, *label, stored)
+        if message is None:
+            assert not isinstance(built, tuple)
+            refusal = (InvalidPathError, f"path not stored canonically: {path.to_line()}")
+        else:
+            kind = InvalidPathError if isinstance(path, RsosPath) else hp.InvalidHalfPathError
+            refusal = (kind, message)
+            assert built == refusal
         weigh = rsos.weight if isinstance(path, RsosPath) else hp.weight
         for _ in range(2):  # a refusal leaves nothing behind, so it repeats
-            assert _refusal(weigh, path) == (
-                InvalidPathError, f"path not stored canonically: {path.to_line()}")
+            assert _refusal(weigh, path) == refusal
 
 
 def test_a_raw_path_leaving_the_strip_is_refused():
@@ -172,3 +188,46 @@ def test_a_tail_band_at_the_top_of_the_strip_is_refused():
             InvalidPathError, f"tail height b={b} out of range")
     for b in (1, 2, 3):  # every tail band inside the strip is taken
         assert RsosPath.of(2, 5, b, b, (b,)).b == b
+
+
+def test_a_raw_path_breaking_a_path_rule_is_refused_as_of_refuses_it():
+    # a raw path not starting at its label's start, which was weighed (0)
+    # or failed an invariant check, and a raw half path with a valley at an
+    # odd doubled height, which was weighed (2) and failed inside a map:
+    # the first read refuses each with the constructor's message for the
+    # same heights, and so does every repeat
+    for path, message in (
+            (RsosPath(3, 5, 2, 1, (1,)), "path must start at a=2, got 1"),
+            (RsosPath(4, 9, 6, 4, (4,)), "path must start at a=6, got 4"),
+            (HalfPath(8, 2, 2, (4, 3, 2)), "path must start at A=2, got 4"),
+            (HalfPath(8, 2, 2, (2, 3, 4, 3, 4, 3, 4, 3, 2)),
+             "valley at non-integer height 3/2 (doubled position 3)")):
+        *label, stored = dataclasses.astuple(path)
+        if isinstance(path, RsosPath):
+            refusal, readers = (InvalidPathError, message), (rsos.weight, rsos._scan)
+        else:
+            refusal = (hp.InvalidHalfPathError, message)
+            readers = (hp.weight, hp._scan, bijections.inverse)
+        assert _refusal(type(path).of, *label, stored) == refusal
+        for _ in range(2):  # a refusal leaves nothing behind, so it repeats
+            for read in readers:
+                assert _refusal(read, path) == refusal, (read, path)
+
+
+def test_a_half_tail_band_at_the_top_of_the_strip_is_refused():
+    # B = T puts the tail band {B, B+1} partly above the strip 2..T, so the
+    # path would oscillate out of it: the twin of the RSOS b = p'-1 refusal,
+    # made by the constructor, the line reader and a raw path's first read
+    for t2 in (4, 6, 8, 12):
+        a2 = t2 - 2
+        hs = (a2, a2 + 1, t2)
+        refusal = (hp.InvalidHalfPathError, f"tail height B={t2} out of range 2..{t2 - 1}")
+        assert _refusal(HalfPath.of, t2, a2, t2, hs) == refusal
+        line = f"half T={t2} A={a2} B={t2} H={a2},{a2 + 1},{t2}"
+        assert _refusal(HalfPath.from_line, line) == refusal
+        raw = HalfPath(t2, a2, t2, hs)
+        for _ in range(2):
+            assert _refusal(hp.weight, raw) == refusal
+            assert _refusal(hp._scan, raw) == refusal
+        for b2 in range(2, t2, 2):  # every tail band inside the strip is taken
+            assert HalfPath.of(t2, b2, b2, (b2,)).b2 == b2
