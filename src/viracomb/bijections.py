@@ -25,12 +25,11 @@ Each map is defined exactly on the Theorem-1 labels of its half side,
 (2p, a, b) for p' = 2p+1 and (2p-1, b+1, a) for p' = 2p-1.  Those are the
 labels a half path can carry, so an inverse map needs only its family
 check; a forward map refuses any other label through `hp.theorem1_domain`
-after its own.  A path built raw that breaks a path rule, or is not stored
-canonically, is refused by its own read, which every map asks for before
-any stage looks at the heights.  Each path is
-read once, when a stage builds it, and keeps its scan, which the next stage
-takes: `_raise_peaks` returns the raised path's scan, and `_lower_peaks`
-and `bij2_inverse` take their peaks from the scans their paths keep.
+after its own.  A path that breaks a path rule, or is not stored
+canonically, cannot reach a map: its constructor refuses it.  Each path is
+read once, when a stage builds it, and keeps its scan (`_scan`), which the
+next stage reads off the path: the weights each stage checks, and the
+peaks `_raise_peaks`, `_lower_peaks` and `bij2_inverse` work on.
 
 Every stage checks the exact weight bookkeeping it is supposed to satisfy,
 and raises `AssertionError` explicitly (so under `python -O` too), so a
@@ -41,6 +40,7 @@ trip.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import halfpath as hp
@@ -122,13 +122,13 @@ def _is_partition(parts: tuple[int, ...]) -> bool:
     )
 
 
-def _gaps(positions: list[int], upto: int) -> list[int]:
+def _gaps(positions: Sequence[int], upto: int) -> list[int]:
     """The positions 1..upto-1 missing from the given ones, in order."""
     taken = set(positions)
     return [x for x in range(1, upto) if x not in taken]
 
 
-def _pair_runs(positions: list[int]) -> list[tuple[int, int]]:
+def _pair_runs(positions: Sequence[int]) -> list[tuple[int, int]]:
     """Pair consecutive positions left to right inside each maximal run.
 
     A leftover single at the right end of a run is not a particle.  One
@@ -167,16 +167,13 @@ def _remove_pairs(path: RsosPath, pairs: list[tuple[int, int]]) -> RsosPath:
     return RsosPath.of(path.p, path.p_prime, path.a, path.b, cut)
 
 
-def _raise_peaks(h: HalfPath, scan: tuple[int, int, list[int], list[int]],
-                 mu: tuple[int, ...]) -> tuple[HalfPath, tuple[int, int, list[int], list[int]]]:
+def _raise_peaks(h: HalfPath, mu: tuple[int, ...]) -> HalfPath:
     """Raise the peaks numbered mu from the left (tail peaks included) by a
-    notch each, given `hp._scan(h)`: the weight w, the straight-vertex count
-    l, the peaks and the valleys of h.
-
-    Returns the raised path and its `hp._scan`.  Raising c peaks adds exactly
+    notch each, read off h's scan: the weight w, the straight-vertex count
+    l, the peaks and the valleys of h.  Raising c peaks adds exactly
     c(l+c-1)/2 + |mu| to the weight.
     """
-    w, ell, tops, _ = scan
+    w, ell, tops, _ = h._scan
     c = len(mu)
     if not (all(x >= 1 for x in mu) and all(mu[i] > mu[i + 1] for i in range(c - 1))):
         raise AssertionError("peak numbers must be positive and strictly decrease")
@@ -184,14 +181,13 @@ def _raise_peaks(h: HalfPath, scan: tuple[int, int, list[int], list[int]],
     at = [tops[x - 1] if x <= len(tops) else h.horizon + 1 + 2 * (x - len(tops) - 1)
           for x in mu]
     raised = HalfPath.of(h.t2, h.a2, h.b2, _notched(h, [(x, 1) for x in at]))
-    raised_scan = hp._scan(raised)
-    if raised_scan[0] != w + c * (ell + c - 1) // 2 + sum(mu):
+    if raised._scan[0] != w + c * (ell + c - 1) // 2 + sum(mu):
         raise AssertionError("peak raising weight bookkeeping failed")
-    return raised, raised_scan
+    return raised
 
 
-def _lower_peaks(h: HalfPath, tops: list[int],
-                 parity: int) -> tuple[tuple[int, ...], HalfPath, list[int]]:
+def _lower_peaks(h: HalfPath, tops: tuple[int, ...],
+                 parity: int) -> tuple[tuple[int, ...], HalfPath, tuple[int, ...]]:
     """Undo `_raise_peaks`: of the peaks `tops` of h, lower each one whose
     doubled height has the given parity (0: integer, 1: non-integer).
 
@@ -202,7 +198,7 @@ def _lower_peaks(h: HalfPath, tops: list[int],
               if h.doubled[pos] % 2 == parity]
     seq = _delete_pairs(list(h.doubled), [pos for _, pos in raised])
     cut = HalfPath.of(h.t2, h.a2, h.b2, seq)
-    left = hp._scan(cut)[2]
+    left = cut._scan[2]
     if any(cut.doubled[i] % 2 == parity for i in left):
         kind = "non-integer" if parity else "integer"
         raise StructureError(f"{kind} peaks remain after unstacking")
@@ -243,7 +239,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
         raise BijectionDomainError(f"expected p' = 2p+1, got ({p},{pp})")
     _require_domain(2 * p, a, b, f"(p,p',a,b)=({p},{pp},{a},{b}): half side ")
 
-    w, scoring, _ = rsos._scan(path)
+    w, scoring, _ = path._scan
     k = len(scoring)
     particles = _pair_runs(scoring)
     n = len(particles)
@@ -254,7 +250,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
         raise AssertionError("particle labels must form a partition")
 
     h_cut = _remove_pairs(path, particles)
-    w_cut, cut_scoring, _ = rsos._scan(h_cut)
+    w_cut, cut_scoring, _ = h_cut._scan
     k_cut = len(cut_scoring)
     if k_cut != k - 2 * n:
         raise AssertionError("particle removal must drop the scoring count by 2n")
@@ -262,15 +258,14 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
         raise AssertionError("cut-path weight bookkeeping failed")
 
     h_hat_cut = HalfPath.of(2 * p, a, b, h_cut.heights)
-    scan = hp._scan(h_hat_cut)
-    if scan[0] != w_cut:
+    if h_hat_cut._scan[0] != w_cut:
         raise AssertionError("verbatim reread must preserve the weight")
 
     mu = tuple(lam[i] + n - i for i in range(n))  # lam_i + n + 1 - (i+1)
-    h_hat, (w_hat, *_) = _raise_peaks(h_hat_cut, scan, mu)
-    if scan[1] != 2 * k_cut:
+    h_hat = _raise_peaks(h_hat_cut, mu)
+    if h_hat_cut._scan[1] != 2 * k_cut:
         raise AssertionError("verbatim reread must double the straight-vertex count")
-    if w_hat != w:
+    if h_hat._scan[0] != w:
         raise AssertionError("the map must preserve the weight")
     return h_hat, Bij1Trace(h_cut, n, lam, mu, h_hat_cut, h_hat)
 
@@ -282,7 +277,7 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
     p = t2 // 2
     pp = t2 + 1
 
-    w_hat, _, tops, _ = hp._scan(path)
+    w_hat, _, tops, _ = path._scan
     mu, h_hat_cut, _ = _lower_peaks(path, tops, 0)
     n = len(mu)
     lam = tuple(mu[i] - n + i for i in range(n))  # mu_i - n - 1 + (i+1)
@@ -290,7 +285,7 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
         raise StructureError(f"integer-peak numbers {mu} do not define a partition")
 
     h_cut = RsosPath.of(p, pp, a, b, h_hat_cut.doubled)
-    ns_list = _gaps(rsos._scan(h_cut)[1], h_cut.horizon + 1)
+    ns_list = _gaps(h_cut._scan[1], h_cut.horizon + 1)
 
     def nonscoring_position(j: int) -> int:
         if j <= 0:
@@ -312,7 +307,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     bb = path.b + 1  # the even reference height just above the odd tail
     _require_domain(2 * p - 1, bb, a, f"(p,p',a,b)=({p},{pp},{a},{path.b}): half side ")
 
-    w, scoring, _ = rsos._scan(path)
+    w, scoring, _ = path._scan
     k = len(scoring)
     pairs = _pair_runs(_gaps(scoring, scoring[-1] if scoring else 0))
     lam = tuple(k - bisect_right(scoring, x2) for _, x2 in pairs)  # scoring after x2
@@ -321,7 +316,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     n = len(lam)
 
     h_cut = _remove_pairs(path, pairs)
-    w_cut, cut_scoring, m = rsos._scan(h_cut)
+    w_cut, cut_scoring, m = h_cut._scan
     if len(cut_scoring) != k:
         raise AssertionError(
             "removing non-scoring pairs must not change the scoring count")
@@ -344,11 +339,11 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     lifted += [a + 1, a, a + 1, a]
     h_hat_cut = HalfPath.of(2 * p - 1, bb, a, lifted)
 
-    scan = hp._scan(h_hat_cut)
-    if scan[0] != w_cut:
+    if h_hat_cut._scan[0] != w_cut:
         raise AssertionError("flip and lift must preserve the weight")
-    h_hat_int, (w_hat_int, _, tops, _) = _raise_peaks(h_hat_cut, scan, mu)
-    if scan[1] != 2 * k - 2 * m:
+    h_hat_int = _raise_peaks(h_hat_cut, mu)
+    w_hat_int, _, tops, _ = h_hat_int._scan
+    if h_hat_cut._scan[1] != 2 * k - 2 * m:
         raise AssertionError("flip and lift must leave 2k - 2m straight vertices")
 
     accretion = _accretion_positions(h_hat_int, tops)
@@ -367,7 +362,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     )
 
 
-def _accretion_positions(path: HalfPath, tops: list[int]) -> list[int]:
+def _accretion_positions(path: HalfPath, tops: tuple[int, ...]) -> list[int]:
     """Even positions where neither the vertex nor its successor is one of
     the peaks `tops`, numbered from the right (index 0 is the rightmost).
     """
@@ -413,7 +408,7 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     removals = [j - 1 - 2 * (count - 1 - r) for r, j in enumerate(stripped)]
 
     h_hat_int = HalfPath.of(t2, bb, a, work)
-    tops = hp._scan(h_hat_int)[2]
+    tops = h_hat_int._scan[2]
     accretion = _accretion_positions(h_hat_int, tops)
     numbers = {pos: num + 1 for num, pos in enumerate(accretion)}
     nu_parts = []
@@ -442,7 +437,7 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     rev += [bb - 1, bb, bb - 1]
     h_cut = RsosPath.of(p, pp, a, bb - 1, rev)
 
-    _, scoring, m = rsos._scan(h_cut)
+    _, scoring, m = h_cut._scan
     k = len(scoring)
 
     lam = tuple(mu[i] + (i + 1) + k - m - 1 for i in range(c)) + nu

@@ -13,13 +13,14 @@ In doubled coordinates that sum is an integer number of quarter-units;
 normalizing by the ground state (the straight staircase from A to B) gives
 the integer weight used everywhere else.
 
-A path is read once, when `HalfPath.of` builds it: one pass, `_read`,
-checks every path rule, finds the canonical horizon, scans the doubled
-positions and subtracts the ground state, and the path keeps the scan (the
-weight, the straight-vertex count, the peaks and the valleys).  A path
-built raw, as enumeration builds them, is read by the same pass on first
-use, so it is refused with `of`'s message wherever `of` would refuse its
-heights, and unless it is stored canonically.
+A path is read once, when it is built: the constructor runs one pass,
+`_read`, which checks every path rule, refuses storage other than the
+canonical one, scans the doubled positions and subtracts the ground state,
+and the path keeps the scan (the weight, the straight-vertex count, the
+peaks and the valleys) under `_scan`.  `HalfPath.of` only canonicalizes
+its heights first, so a path built raw, as enumeration builds them, is
+refused with `of`'s message wherever `of` would refuse its heights, and
+unless it is stored canonically.
 """
 
 from __future__ import annotations
@@ -37,20 +38,26 @@ class InvalidHalfPathError(lattice.InvalidPathError):
 
 @dataclass(frozen=True)
 class HalfPath:
-    """Canonical representation of a tail-oscillating half-lattice path."""
+    """Canonical representation of a tail-oscillating half-lattice path,
+    read when it is built: `_scan` keeps its weight, straight-vertex count,
+    peaks and valleys, out of the fields, so `==`, `hash`, `repr` and
+    `to_line` never see it.
+    """
 
     t2: int
     a2: int
     b2: int
     doubled: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        vars(self)["_scan"] = _read(self)
+
     @staticmethod
     def of(t2: int, a2: int, b2: int, doubled) -> HalfPath:
-        """Validate and canonicalize a doubled height sequence (tail may be
-        partial), and keep its vertex scan: one `_read` does all three.
+        """A path from whole-number doubled heights whose tail may be
+        partial or run long: canonicalized, then built, and so read.
         """
-        stored, scan = _read(t2, a2, b2, list(doubled))
-        return lattice.kept(HalfPath(t2, a2, b2, stored), "_scan", scan)
+        return HalfPath(t2, a2, b2, lattice.canonical(doubled, b2))
 
     @property
     def horizon(self) -> int:
@@ -87,21 +94,6 @@ def theorem1_domain(t2: int, a2: int, b2: int) -> bool:
     return t2 >= 4 and a2 % 2 == b2 % 2 == 0 and 2 <= a2 <= t2 and 2 <= b2 < t2
 
 
-def _require_domain(t2: int, a2: int, b2: int) -> None:
-    if not theorem1_domain(t2, a2, b2):
-        raise InvalidHalfPathError(
-            f"(A,B)=({a2},{b2}) out of the admissible range for T={t2}"
-        )
-
-
-def ground_state(t2: int, a2: int, b2: int) -> HalfPath:
-    """The straight staircase from A to B followed by the tail."""
-    _require_domain(t2, a2, b2)
-    step = 1 if b2 >= a2 else -1
-    hs = list(range(a2, b2 + step, step))
-    return HalfPath.of(t2, a2, b2, hs)
-
-
 def _ground_quarters(t2: int, a2: int, b2: int) -> int:
     """The ground state's raw weight in quarter-units, without building it.
 
@@ -117,41 +109,25 @@ def weight(path: HalfPath) -> int:
     """Raw weight minus the ground-state raw weight, in whole units, as the
     path's read keeps it.
     """
-    return lattice.once(path, "_scan", _reread)[0]
+    return path._scan[0]
 
 
-def _scan(path: HalfPath) -> tuple[int, int, list[int], list[int]]:
-    """The weight, the number of straight vertices and the positions of the
-    peaks and of the valleys at doubled positions 0..L, from the one read of
-    the path: `HalfPath.of` keeps it, and a path built raw is read on first
-    use (`lattice.once`) and refused there unless `of` would store it so.
-    Each call gets its own lists.
+def _read(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """The one pass over a path's stored doubled heights that states every
+    half-path rule, and the scan of its doubled positions 0..L, position 0
+    read against H(-1) = A + 1 (the weight, the number of straight
+    vertices, the peaks and the valleys).  It checks the label (T >= 4, A
+    and B even), the start at A and the tail band {B, B+1} inside the
+    strip, 2 <= B < T, then each height up to the horizon in order, its
+    range before its step.  A valley at an odd doubled height is refused
+    only once the whole list has passed, so a height out of range or a bad
+    step anywhere wins over it, then storage that does not end in the band.
+    A label that passes is a Theorem-1 label, so the read subtracts the
+    ground state and keeps the whole-unit weight, and last it refuses
+    storage other than the canonical one `lattice.frame` finds.  The
+    heights past the horizon are the band run `frame` has found.
     """
-    w, straights, peaks, valleys = lattice.once(path, "_scan", _reread)
-    return w, straights, list(peaks), list(valleys)
-
-
-def _reread(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    stored, scan = _read(path.t2, path.a2, path.b2, list(path.doubled))
-    if stored != path.doubled:
-        raise lattice.InvalidPathError(f"path not stored canonically: {path.to_line()}")
-    return scan
-
-
-def _read(t2: int, a2: int, b2: int, hs: list[int]) -> tuple[tuple[int, ...], tuple]:
-    """The one pass over a doubled height list that states every half-path
-    rule: the canonical storage, and the scan of its doubled positions
-    0..L, position 0 read against H(-1) = A + 1 (the weight, the number of
-    straight vertices, the peaks and the valleys).  It checks the label
-    (T >= 4, A and B even), the start at A and the tail band {B, B+1}
-    inside the strip, 2 <= B < T, then each height up to the horizon in
-    order, its range before its step.  A valley at an odd doubled height is
-    refused only once the whole list has passed, so a height out of range
-    or a bad step anywhere wins over it, and last a list that does not end
-    in the band.  The heights past the horizon are the band run
-    `lattice.frame` has found.  A label that passes is a Theorem-1 label,
-    so the read subtracts the ground state and keeps the whole-unit weight.
-    """
+    t2, a2, b2, hs = path.t2, path.a2, path.b2, path.doubled
     if t2 < 4:
         raise InvalidHalfPathError(f"need T = 2t >= 4, got {t2}")
     if a2 % 2 or b2 % 2:
@@ -189,7 +165,9 @@ def _read(t2: int, a2: int, b2: int, hs: list[int]) -> tuple[tuple[int, ...], tu
     if hs[-1] not in (b2, b2 + 1):
         raise InvalidHalfPathError(f"stored sequence must end inside the tail band, got {hs[-1]}")
     w = _whole_units(quarters - _ground_quarters(t2, a2, b2))
-    return tuple(seq[:horizon + 1]), (w, straights, tuple(peaks), tuple(valleys))
+    if horizon != len(hs) - 1:
+        raise lattice.InvalidPathError(f"path not stored canonically: {path.to_line()}")
+    return w, straights, tuple(peaks), tuple(valleys)
 
 
 def _whole_units(diff: int) -> int:
@@ -219,7 +197,9 @@ def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.PathS
       vertex, and later enters it for good on another straight vertex, at
       j + 2 or later, so the two cost at least 2i + 2.
     """
-    _require_domain(t2, a2, b2)
+    if not theorem1_domain(t2, a2, b2):
+        raise InvalidHalfPathError(
+            f"(A,B)=({a2},{b2}) out of the admissible range for T={t2}")
     gs_q = _ground_quarters(t2, a2, b2)
     if max_weight < 0:
         return lattice.PathSet([])

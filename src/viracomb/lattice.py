@@ -3,23 +3,23 @@ in a tail band {b, b+1}.
 
 RSOS paths and half-lattice paths differ only in their step rules, vertex
 costs and search bounds.  Everything else lives here: parsing the one-line
-path formats, the canonical horizon of a height list (`frame`), tail
-continuation, the peak and valley scan of raw heights, one bounded path
-search, and `once`, which keeps on a path what is read from it.  A path is
-read when it is built: each model's `of` is its `_read`, one pass that
-checks every path rule (label, start, tail band, heights, steps, end),
-finds the horizon through `frame` and scans the vertices, and keeps the
-scan where `once` looks.  A path built raw is read by the same pass on
-first use, so it is refused there with `of`'s message wherever `of` would
-refuse its heights, and unless it is stored as `of` would store it:
-`frame` is the one statement of canonical storage.
+path formats, the canonical horizon of a height list (`frame`) and the
+storage it gives (`canonical`), tail continuation, the peak and valley
+scan of raw heights, and one bounded path search.  A path is read when it
+is built: each model's dataclass constructor runs its `_read`, one pass
+that checks every path rule (label, start, tail band, heights, steps,
+end), finds the horizon through `frame`, refuses storage other than the
+canonical one and scans the vertices, and the path keeps the scan.  So
+`of`, `from_line`, listing, `dataclasses.replace` and a raw constructor
+call all read a path the same way, and `frame` is the one statement of
+canonical storage.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import partial
-from operator import add
+from operator import add, index
 
 from .qseries import _merge
 
@@ -47,7 +47,7 @@ def parse_fields(line: str, kind: str, names: tuple[str, ...]) -> dict[str, str]
     return fields
 
 
-def frame(hs: list[int], b: int) -> tuple[int, list[int]]:
+def frame(hs: Sequence[int], b: int) -> tuple[int, list[int]]:
     """The canonical horizon L of a height list and its heights at 0..L+1,
     the tail oscillation continued: L is the first even position from which
     every height lies in the tail band {b, b+1}.  Only the final band run is
@@ -59,8 +59,10 @@ def frame(hs: list[int], b: int) -> tuple[int, list[int]]:
     """
     start = len(hs) - 1
     if hs[start] not in (b, b + 1):
-        return start, hs + [hs[start]]
-    while start and hs[start - 1] in (b, b + 1) and hs[start - 1] != hs[start]:
+        return start, [*hs, hs[start]]
+    # from a band height, the run goes back while the height before it is
+    # the band's other height, the one it sums with to 2b + 1
+    while start and hs[start - 1] + hs[start] == 2 * b + 1:
         start -= 1
     horizon = start + start % 2
     return horizon, padded(hs, b, horizon + 1)
@@ -88,29 +90,17 @@ def padded(stored: Sequence[int], b: int, upto: int) -> list[int]:
     return out
 
 
-def once(path, name: str, compute):
-    """compute(path), computed at most once per path object: the value is
-    kept under `name` in the instance `__dict__`, which the frozen path
-    classes leave out of their fields, so `==`, `hash`, `repr` and
-    `to_line` never see it.  A constructor that has read the path already
-    keeps its value there up front (`kept`).  The memo lives and dies with
-    its path; equal paths built apart share nothing, and a compute that
-    raises leaves nothing behind.  compute must return an immutable value,
-    never None.
+def canonical(heights, b: int) -> tuple[int, ...]:
+    """The heights of a path as its constructor takes them: whole numbers
+    (`operator.index`, so a float or a string raises `TypeError`), stored
+    through the canonical horizon that `frame` finds.  Empty input stays
+    empty, for the path's read to refuse after its label checks.
     """
-    memo = path.__dict__
-    value = memo.get(name)
-    if value is None:
-        value = memo[name] = compute(path)
-    return value
-
-
-def kept(path, name: str, value):
-    """The path, keeping value under `name`, where `once` finds it: for a
-    constructor that has read the path already.
-    """
-    vars(path)[name] = value
-    return path
+    hs = list(map(index, heights))
+    if not hs:
+        return ()
+    horizon, seq = frame(hs, b)
+    return tuple(seq[:horizon + 1])
 
 
 def turns(hs: Sequence[int], hi: int) -> tuple[list[int], list[int]]:

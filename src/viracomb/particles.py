@@ -18,9 +18,10 @@ alternate along the path from the wall to the horizon: they do at the
 start, and every peak that takes a charge leaves the chain with one of
 its two neighbouring valleys.  So a peak's nearest live valleys are its
 neighbours in the chain, found by index, and the passes stop as soon as
-no peak waits.  A path is read once: its scan and its dissection are each
-computed at most once per path object, however often a move and its
-caller weigh and dissect it.  A listed move carries the edit found for it
+no peak waits.  A path is read once, when it is built, and keeps its scan;
+its dissection is computed at most once per path object and kept in the
+path's `__dict__` beside the scan, however often a move and its caller
+weigh and dissect it.  A listed move carries the edit found for it
 and the path it was listed on, so applying it plans nothing again and
 reads that path once more, for one padded copy.
 """
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import halfpath as hp
-from . import lattice
 from .characters import _walk, b_matrix
 from .halfpath import HalfPath
 from .qseries import QSeries
@@ -63,12 +63,16 @@ def dissect(path: HalfPath) -> Dissection:
     charge-1/2 tail peaks are handled implicitly: each discounts the valley
     to its right, leaving the junction valley available to stored peaks.
 
-    The particles and the sector are worked out once per path object
-    (`lattice.once`), from the peaks and valleys of the path's half scan;
-    each call returns a fresh `Dissection`, and a refusal raises every time.
+    The particles and the sector are worked out once per path object, from
+    the peaks and valleys of the path's half scan, and kept in its
+    `__dict__`, out of the fields, so `==`, `hash`, `repr` and `to_line`
+    never see them; each call returns a fresh `Dissection`, and a refusal
+    keeps nothing, so it raises every time.
     """
-    particles, sector = lattice.once(path, "dissect", _dissect)
-    return Dissection(path, particles, sector)
+    memo = vars(path)
+    if "dissect" not in memo:
+        memo["dissect"] = _dissect(path)
+    return Dissection(path, *memo["dissect"])
 
 
 def _dissect(path: HalfPath) -> tuple[tuple[Particle, ...], tuple[int, ...]]:
@@ -87,8 +91,8 @@ def _dissect(path: HalfPath) -> tuple[tuple[Particle, ...], tuple[int, ...]]:
     place as it goes.  The particle's baseline runs from that valley past
     the peak to the first vertex at the baseline's height; that vertex lies
     between the wall and the horizon, since the stored heights start and
-    end at 2.  They do because the half scan comes first, and it refuses a
-    path built raw that is not stored canonically.
+    end at 2.  They do because every path is read when it is built, and
+    its read refuses storage that is not canonical.
     """
     if path.a2 != 2 or path.b2 != 2:
         raise ValueError("dissection is defined on paths from height 1 to height 1")
@@ -98,7 +102,8 @@ def _dissect(path: HalfPath) -> tuple[tuple[Particle, ...], tuple[int, ...]]:
     # position 0 is always a valley: H(-1) = 3 (virtual) and H(1) = 3 lie
     # above it; so is a nonzero horizon, where the stored 2 meets the tail's
     # 3; the half scan reads both, and no peak lies outside them
-    _, _, peaks, live = hp._scan(path)
+    _, _, peaks, valleys = path._scan
+    live = list(valleys)  # compacted in place below
     parts: list = [None] * len(peaks)
     sector = [0] * (t2 - 3)
 

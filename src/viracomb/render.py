@@ -5,7 +5,7 @@ path is drawn as its doubled heights with top 2(p'-1).  An edge glyph sits
 in row top - ceil((h + h')/2): the upper end of a half step, the midpoint
 of a whole step.  The SVG routine draws the header and the polyline, and
 each model adds what goes under and over it.  RSOS pictures shade dark
-bands and mark the scoring vertices of `rsos._scan` (`o` up, `*` down,
+bands and mark the scoring vertices the path's read keeps (`o` up, `*` down,
 `+` non-scoring), light tails too; half-lattice pictures can overlay the
 particle baselines of paths that start and end at height 1.
 """
@@ -42,7 +42,7 @@ def _ascii(top: int, heights, marks: dict[int, str], fills) -> str:
 
 def rsos_ascii(path: RsosPath) -> str:
     hs = path.heights
-    marks = {x: "o" if hs[x - 1] < hs[x] else "*" for x in rs._scan(path)[1]}
+    marks = {x: "o" if hs[x - 1] < hs[x] else "*" for x in path._scan[1]}
     bands = [(2 * y + 1, 0, path.horizon, ".")
              for y in rs.dark_floors(path.p, path.p_prime)]
     return _ascii(2 * (path.p_prime - 1), [2 * h for h in hs], marks, bands)
@@ -85,7 +85,7 @@ def rsos_svg(path: RsosPath) -> str:
                      f'height="{_UNIT}" fill="#d8d8d8"/>')
     hs = path.heights
     circles = []
-    for x in rs._scan(path)[1]:
+    for x in path._scan[1]:
         cx, cy = _xy(top, x, hs[x])
         fill = "white" if hs[x - 1] < hs[x] else "black"
         circles.append(f'<circle cx="{cx}" cy="{cy}" r="3" fill="{fill}" stroke="black"/>')

@@ -6,13 +6,13 @@ L(h) is stored: the smallest even L from which every later height lies in
 {b, b+1}.  Horizontal bands between consecutive heights are dark or light
 according to the floor function y = floor(r p'/p); scoring vertices (and
 hence weights) are defined relative to that shading.  A path is read once,
-when `RsosPath.of` builds it: one pass, `_read`, checks every path rule,
-finds the canonical horizon and scans the vertices, and the path keeps the
-scan (the weight, the scoring positions and the scoring-peak count,
-`_scan`), however many readers ask.  A path built raw, as enumeration
-builds them, is read by the same pass on first use, so it is refused with
-`of`'s message wherever `of` would refuse its heights, and unless it is
-stored canonically.
+when it is built: the constructor runs one pass, `_read`, which checks
+every path rule, refuses storage other than the canonical one and scans
+the vertices, and the path keeps the scan (the weight, the scoring
+positions and the scoring-peak count) under `_scan`, however many readers
+ask.  `RsosPath.of` only canonicalizes its heights first, so a path built
+raw, as enumeration builds them, is refused with `of`'s message wherever
+`of` would refuse its heights, and unless it is stored canonically.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors.  Enumeration of all paths up to a weight bound is
@@ -55,7 +55,11 @@ def tail_band_index(p: int, p_prime: int, b: int) -> int | None:
 
 @dataclass(frozen=True)
 class RsosPath:
-    """Canonical representation of a b-tailed RSOS path."""
+    """Canonical representation of a b-tailed RSOS path, read when it is
+    built: `_scan` keeps its weight, scoring positions and scoring-peak
+    count, out of the fields, so `==`, `hash`, `repr` and `to_line` never
+    see it.
+    """
 
     p: int
     p_prime: int
@@ -63,13 +67,15 @@ class RsosPath:
     b: int
     heights: tuple[int, ...]
 
+    def __post_init__(self) -> None:
+        vars(self)["_scan"] = _read(self)
+
     @staticmethod
     def of(p: int, p_prime: int, a: int, b: int, heights) -> RsosPath:
-        """Validate and canonicalize a height sequence (tail may be partial),
-        and keep its vertex scan: one `_read` does all three.
+        """A path from whole-number heights whose tail may be partial or run
+        long: canonicalized, then built, and so read.
         """
-        stored, scan = _read(p, p_prime, a, b, list(map(int, heights)))
-        return lattice.kept(RsosPath(p, p_prime, a, b, stored), "_scan", scan)
+        return RsosPath(p, p_prime, a, b, lattice.canonical(heights, b))
 
     @property
     def horizon(self) -> int:
@@ -109,42 +115,25 @@ def _scores(dark: frozenset[int], prev: int, h: int, nxt: int) -> bool:
 def weight(path: RsosPath) -> int:
     """Sum of u over up-scoring and v over down-scoring vertices."""
     _require_finite(path)
-    return _scan(path)[0]
+    return path._scan[0]
 
 
-def _scan(path: RsosPath) -> tuple[int, list[int], int]:
-    """The weight, the positions of the scoring vertices and the number of
-    scoring peaks, from the one read of the path: `RsosPath.of` keeps it,
-    and a path built raw is read on first use (`lattice.once`) and refused
-    there unless `of` would store it so.  Whether the tail band is dark
-    (the weight finite) is left to the caller, as `weight` checks it.  Each
-    call gets its own list.
-    """
-    total, scoring, peaks = lattice.once(path, "_scan", _reread)
-    return total, list(scoring), peaks
-
-
-def _reread(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
-    stored, scan = _read(path.p, path.p_prime, path.a, path.b, list(path.heights))
-    if stored != path.heights:
-        raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
-    return scan
-
-
-def _read(p: int, p_prime: int, a: int, b: int,
-          hs: list[int]) -> tuple[tuple[int, ...], tuple[int, tuple[int, ...], int]]:
-    """The one pass over a height list that states every RSOS path rule:
-    the canonical storage, and the scan of its vertices 1..L (the weight,
-    the scoring positions, the number of scoring peaks).  It checks the
-    label (coprime 1 < p < p'), the start at a and the tail band {b, b+1}
-    inside the strip, then each height up to the horizon in order, its
-    range before its step, and last that the list ends in the band; the
-    heights past the horizon are the band run `lattice.frame` has found.
+def _read(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
+    """The one pass over a path's stored heights that states every RSOS
+    path rule, and the scan of its vertices 1..L (the weight, the scoring
+    positions, the number of scoring peaks).  It checks the label (coprime
+    1 < p < p'), the start at a and the tail band {b, b+1} inside the
+    strip, then each height up to the horizon in order, its range before
+    its step, then that the storage ends in the band, and last that it is
+    the canonical storage `lattice.frame` finds: it runs exactly through
+    the horizon.  The heights past the horizon are the band run `frame`
+    has found.
 
     Vertex x is labelled u = (x - h + a)/2 after an up step and v =
     (x + h - a)/2 after a down step; a path of unit steps from a gives
     every vertex labels u, v >= 0 with u + v = x.
     """
+    p, p_prime, a, b, hs = path.p, path.p_prime, path.a, path.b, path.heights
     if not 1 < p < p_prime or gcd(p, p_prime) != 1:
         raise InvalidPathError(f"need coprime 1 < p < p', got ({p}, {p_prime})")
     if not hs:
@@ -174,7 +163,9 @@ def _read(p: int, p_prime: int, a: int, b: int,
                 total += (x + h - a) // 2
     if hs[-1] not in (b, b + 1):
         raise InvalidPathError(f"stored sequence must end inside the tail band, got {hs[-1]}")
-    return tuple(seq[:horizon + 1]), (total, tuple(scoring), peaks)
+    if horizon != len(hs) - 1:
+        raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
+    return total, tuple(scoring), peaks
 
 
 def _require_finite(path: RsosPath) -> None:
@@ -212,15 +203,15 @@ def enumerate_paths(
     result builds the walk; it visits only prefixes of the listed paths, so
     listing costs follow the output.
     """
+    dark = dark_floors(p, p_prime)  # refuses a label that is not a model first
     if not 1 <= a <= p_prime - 1:
         raise InvalidPathError(f"start height a={a} out of range")
-    if tail_band_index(p, p_prime, b) is None:
+    if b not in dark:
         raise InvalidPathError(
             f"b={b} is not a dark-band floor for ({p},{p_prime}); weights diverge"
         )
     if max_weight < 0:
         return lattice.PathSet([])
-    dark = dark_floors(p, p_prime)
     top = p_prime - 1
 
     def cost(x: int, prev: int, h: int, nxt: int) -> int:

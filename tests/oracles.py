@@ -16,7 +16,10 @@ occupation vector, where the program's walk merges terms.  `rsos_of` and
 `half_of` are the path constructors as they were written before one pass
 read a path: a validation loop (`find_violation` for half paths), then
 `canonical` storage, then a separate vertex pass (`rsos_scan`, `half_scan`),
-each reading the whole sequence again.  `pair_runs` is the bijections'
+each reading the whole sequence again.  They work on a path's fields, as a
+tuple, not on a path object: the program's constructor reads every path it
+builds, so an oracle that built one would refuse what the program refuses,
+rightly or not.  `ground_state` is the straight staircase from A to B.  `pair_runs` is the bijections'
 particle pairing as it was written before it took one pass, and
 `BIJECTION_DOMAINS` the labels each bijection took as it checked them by
 hand, before `halfpath.theorem1_domain` bounded every map.  The program
@@ -94,8 +97,10 @@ def canonical(hs: list[int], b: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rsos_of(p: int, p_prime: int, a: int, b: int, heights) -> RsosPath:
-    """Validate and canonicalize a height sequence (tail may be partial)."""
+def rsos_of(p: int, p_prime: int, a: int, b: int, heights) -> tuple:
+    """Validate and canonicalize a height sequence (tail may be partial):
+    the fields (p, p', a, b, stored heights) of the path.
+    """
     if not 1 < p < p_prime or gcd(p, p_prime) != 1:
         raise InvalidPathError(f"need coprime 1 < p < p', got ({p}, {p_prime})")
     hs = [int(h) for h in heights]
@@ -114,21 +119,27 @@ def rsos_of(p: int, p_prime: int, a: int, b: int, heights) -> RsosPath:
         raise InvalidPathError(
             f"stored sequence must end inside the tail band, got {hs[-1]}"
         )
-    return RsosPath(p, p_prime, a, b, canonical(hs, b))
+    return p, p_prime, a, b, canonical(hs, b)
 
 
-def rsos_scan(path: RsosPath) -> tuple[int, list[int], int]:
-    """One pass over the vertices 1..L of the stored heights: the weight,
-    the positions of the scoring vertices and the number of scoring peaks.
-    Every vertex's labels are checked, scoring or not.
+def _one_more(stored: tuple[int, ...], b: int) -> list[int]:
+    """The stored heights and the tail height just past the horizon."""
+    return [*stored, b + 1 if stored[-1] == b else b]
+
+
+def rsos_scan(p: int, p_prime: int, a: int, b: int,
+              stored: tuple[int, ...]) -> tuple[int, tuple[int, ...], int]:
+    """One pass over the vertices 1..L of a path's stored heights, given
+    its fields: the weight, the positions of the scoring vertices and the
+    number of scoring peaks.  Every vertex's labels are checked, scoring or
+    not.
     """
-    dark = rsos.dark_floors(path.p, path.p_prime)
-    a = path.a
-    hs = path.padded(path.horizon + 1)
+    dark = rsos.dark_floors(p, p_prime)
+    hs = _one_more(stored, b)
     total = 0
     scoring = []
     peaks = 0
-    for x in range(1, path.horizon + 1):
+    for x in range(1, len(stored)):
         prev, h, nxt = hs[x - 1], hs[x], hs[x + 1]
         label = _label(a, x, prev, h)
         if rsos._scores(dark, prev, h, nxt):
@@ -136,7 +147,7 @@ def rsos_scan(path: RsosPath) -> tuple[int, list[int], int]:
             scoring.append(x)
             if nxt == prev < h:
                 peaks += 1
-    return total, scoring, peaks
+    return total, tuple(scoring), peaks
 
 
 def find_violation(t2: int, a2: int, b2: int, doubled) -> str | None:
@@ -174,32 +185,40 @@ def find_violation(t2: int, a2: int, b2: int, doubled) -> str | None:
     return None
 
 
-def half_of(t2: int, a2: int, b2: int, doubled) -> HalfPath:
+def half_of(t2: int, a2: int, b2: int, doubled) -> tuple:
+    """The fields (T, A, B, stored doubled heights) of the path."""
     violation = find_violation(t2, a2, b2, doubled)
     if violation is not None:
         raise InvalidHalfPathError(violation)
-    return HalfPath(t2, a2, b2, canonical(list(doubled), b2))
+    return t2, a2, b2, canonical(list(doubled), b2)
 
 
-def half_scan(path: HalfPath) -> tuple[int, int, list[int], list[int]]:
-    """One pass over the doubled positions 0..L of the stored heights,
-    position 0 read against H(-1) = A + 1: the weight, the number of
-    straight vertices and the positions of the peaks and of the valleys.
+def half_scan(t2: int, a2: int, b2: int, stored: tuple[int, ...]) -> tuple:
+    """One pass over the doubled positions 0..L of a path's stored heights,
+    given its fields, position 0 read against H(-1) = A + 1: the weight,
+    the number of straight vertices and the positions of the peaks and of
+    the valleys.
     """
-    hs = path.padded(path.horizon + 1)
+    hs = _one_more(stored, b2)
     quarters = straights = 0
     peaks = []
     valleys = []
-    before = path.a2 + 1
-    for i, h, after in zip(range(path.horizon + 1), hs, hs[1:]):
+    before = a2 + 1
+    for i, h, after in zip(range(len(stored)), hs, hs[1:]):
         if before != after:
             quarters += i
             straights += 1
         else:
             (peaks if h > after else valleys).append(i)
         before = h
-    gs_q = halfpath._ground_quarters(path.t2, path.a2, path.b2)
-    return halfpath._whole_units(quarters - gs_q), straights, peaks, valleys
+    gs_q = halfpath._ground_quarters(t2, a2, b2)
+    return halfpath._whole_units(quarters - gs_q), straights, tuple(peaks), tuple(valleys)
+
+
+def ground_state(t2: int, a2: int, b2: int) -> HalfPath:
+    """The straight staircase from A to B followed by the tail."""
+    step = 1 if b2 >= a2 else -1
+    return HalfPath.of(t2, a2, b2, range(a2, b2 + step, step))
 
 
 def straight_positions(path: HalfPath) -> list[int]:

@@ -11,7 +11,7 @@ from viracomb import halfpath as hp
 from viracomb import rsos
 from viracomb.bijections import bij1_forward, bij2_forward
 from viracomb.characters import CharacterLabel, theorem1_label
-from viracomb.halfpath import HalfPath, ground_state
+from viracomb.halfpath import HalfPath
 from viracomb.particles import dissect, minimal_path, minimal_weight
 from viracomb.qseries import QSeries, q_binomial
 from viracomb.rsos import RsosPath

@@ -1,4 +1,5 @@
 import random
+import re
 import statistics
 from unittest import mock
 
@@ -43,7 +44,7 @@ from data_paths import (
     half_ok,
     walk,
 )
-from oracles import BIJECTION_DOMAINS, PEAK, VALLEY, classify, pair_runs
+from oracles import BIJECTION_DOMAINS, PEAK, VALLEY, classify, ground_state, pair_runs
 
 
 def test_bij1_golden_trace():
@@ -65,7 +66,7 @@ def test_bij1_particle_free_path():
     path = RsosPath.of(2, 5, 2, 2, [2])
     image, trace = bij1_forward(path)
     assert trace.n == 0 and trace.lam == () and trace.mu == ()
-    assert image == hp.ground_state(4, 2, 2)
+    assert image == ground_state(4, 2, 2)
     back = bij1_inverse(image)
     assert back == path
 
@@ -117,22 +118,22 @@ def test_bij2_domain_errors():
 
 def test_bij2_inverse_rejects_corrupted_input():
     # every validated half path is in the image, so corruption means a
-    # constraint-violating sequence built raw, past the constructor: the
-    # path's first read refuses it at the entry with the constructor's
-    # message, before any stage runs, stored canonically or one tail
-    # oscillation too long
-    bad = HalfPath(7, 2, 4, (2, 3, 4, 3, 4))  # valley at height 3/2
+    # constraint-violating sequence, and no such path can be built to reach
+    # the map: `of` and the raw constructor both refuse it with the same
+    # message, stored canonically or one tail oscillation too long
+    bad = (2, 3, 4, 3, 4)  # valley at height 3/2
     message = r"^valley at non-integer height 3/2 \(doubled position 3\)$"
-    for path in (bad, HalfPath(7, 2, 4, bad.doubled + (5, 4))):
+    for stored in (bad, bad + (5, 4)):
         with pytest.raises(hp.InvalidHalfPathError, match=message):
-            HalfPath.of(path.t2, path.a2, path.b2, path.doubled)
+            HalfPath.of(7, 2, 4, stored)
         with pytest.raises(hp.InvalidHalfPathError, match=message):
-            bij2_inverse(path)
+            HalfPath(7, 2, 4, stored)
 
 
 def test_inverses_refuse_non_canonical_storage():
-    # storage past or short of the horizon is refused before any stage
-    # reads it; the same paths stored canonically map and map back
+    # storage past or short of the horizon is refused when the path is
+    # built, so no map reads it; the same paths stored canonically map and
+    # map back
     for stored, canonical, image in [
         ((4, 3, 2, 3, 2), (4, 3, 2), "rsos p=5 pp=9 a=2 b=3 h=2,3,4"),
         ((4, 3, 2, 3), (4, 3, 2), "rsos p=5 pp=9 a=2 b=3 h=2,3,4"),
@@ -141,7 +142,7 @@ def test_inverses_refuse_non_canonical_storage():
     ]:
         t2 = 9 if image else 8
         with pytest.raises(InvalidPathError, match="not stored canonically"):
-            inverse(HalfPath(t2, stored[0], 2, stored))
+            HalfPath(t2, stored[0], 2, stored)
         path = HalfPath(t2, stored[0], 2, canonical)
         assert path == HalfPath.of(t2, stored[0], 2, stored)
         back = inverse(path)
@@ -153,19 +154,20 @@ def test_forwards_refuse_non_canonical_storage():
     # one oscillation past the horizon, storage ending outside the tail
     # band, and two oscillations past it, for both families: storage that
     # `RsosPath.of` refuses is refused with its message, and storage it
-    # would store otherwise as not canonical
+    # would store otherwise as not canonical, when the path is built, so no
+    # forward map reads it
     for p, pp, a, b, stored, message in [
             (3, 7, 6, 4, (6, 5, 4, 3, 4, 5, 4), None),
             (5, 11, 10, 8, (10, 9, 8, 7), "stored sequence must end inside the tail band, got 7"),
             (4, 7, 6, 1, (6, 5, 4, 3, 2, 1, 2, 1, 2), None)]:
-        path = RsosPath(p, pp, a, b, stored)
         if message is None:
-            message = f"path not stored canonically: {path.to_line()}"
+            hs = ",".join(map(str, stored))
+            message = re.escape(f"path not stored canonically: rsos p={p} pp={pp} a={a} b={b} h={hs}")
         else:
             with pytest.raises(InvalidPathError, match=f"^{message}$"):
                 RsosPath.of(p, pp, a, b, stored)
         with pytest.raises(InvalidPathError, match=f"^{message}$"):
-            forward(path)
+            RsosPath(p, pp, a, b, stored)
     # storage that leaves the band and comes back is the canonical storage
     # of another path, and maps as that path
     path = RsosPath(3, 7, 6, 4, (6, 5, 4, 3, 4, 3, 4))
@@ -207,7 +209,7 @@ def test_bij2_accretion_vertices_count_their_straights():
         hint = trace.h_hat_int
         straights = [i for i in range(hint.horizon + 1)
                      if hint.height(i - 1) != hint.height(i + 1)]
-        for j, pos in enumerate(_accretion_positions(hint, hp._scan(hint)[2]), start=1):
+        for j, pos in enumerate(_accretion_positions(hint, hint._scan[2]), start=1):
             right = sum(1 for s in straights if s > pos)
             down = hint.height(pos - 1) > hint.height(pos) > hint.height(pos + 1)
             assert right == (2 * j - 1 if down else 2 * j), (path, pos, j)
@@ -233,8 +235,8 @@ def test_bij1_cut_has_no_adjacent_scoring_and_particles_start_on_turns():
 
 def _reads(call, arg):
     """The result of call(arg) and how many times it read heights: RSOS and
-    half-path reads, each made when a path is built (or on first use of a
-    path built raw), and raw peak-and-valley scans.
+    half-path reads, each made when a path is built, and raw peak-and-valley
+    scans.
     """
     with mock.patch.object(rsos, "_read", wraps=rsos._read) as r, \
             mock.patch.object(hp, "_read", wraps=hp._read) as h, \

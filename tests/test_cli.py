@@ -133,6 +133,15 @@ def test_paths_invalid_exit_2(capsys):
     assert code == 2 and "error" in err
 
 
+def test_paths_of_a_label_that_is_no_model_exit_2(capsys):
+    # (3, 6) and (1, 5) are no minimal models: the label is refused first,
+    # not the tail band as light, listing or counting alike
+    for p, pp, a, b, gf in (("3", "6", "2", "1", []), ("1", "5", "1", "1", ["--gf"]),
+                            ("3", "6", "2", "2", [])):
+        code, out, err = run(capsys, ["paths", "rsos", p, pp, a, b, "--max-weight", "3", *gf])
+        assert (code, out, err) == (2, "", f"error: need coprime 1 < p < p', got ({p}, {pp})\n")
+
+
 def test_paths_negative_max_weight_exit_2(capsys):
     # the listing must not print nothing and exit 0; --gf keeps its message
     for model in (["rsos", "5", "11", "8", "2"], ["half", "--t2", "8", "--A", "2", "--B", "2"]):

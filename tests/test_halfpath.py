@@ -7,7 +7,6 @@ from viracomb.halfpath import (
     InvalidHalfPathError,
     enumerate_paths,
     generating_function,
-    ground_state,
     theorem1_domain,
     weight,
 )
@@ -25,7 +24,7 @@ from data_paths import (
     HALF_10_RAW_QUARTERS,
     HALF_10_WEIGHT,
 )
-from oracles import raw_weight_quarters, straight_positions, weight_extended
+from oracles import ground_state, raw_weight_quarters, straight_positions, weight_extended
 
 
 def violation(t2, a2, b2, doubled):
@@ -117,15 +116,15 @@ def test_scan_matches_straights_and_peaks(t2, a2, b2):
         # the turns at 0..L of the heights H(-1) = A + 1, H(0), ..., H(L + 1)
         hs = [a2 + 1, *path.padded(path.horizon + 1)]
         peaks, valleys = lattice.turns(hs, path.horizon + 2)
-        scan = halfpath._scan(path)
+        scan = path._scan
         assert scan == (weight_extended(path), len(straight_positions(path)),
-                        [i - 1 for i in peaks], [i - 1 for i in valleys]), path.to_line()
+                        tuple(i - 1 for i in peaks), tuple(i - 1 for i in valleys)), path.to_line()
         if corner:
             # what particles.dissect reads: the stored turns, with the
             # wall's valley at 0 and the horizon's valley added
             peaks, valleys = lattice.turns(path.doubled, path.horizon)
             framed = [0, *valleys, path.horizon] if path.horizon else [0]
-            assert scan[2:] == (peaks, framed), path.to_line()
+            assert scan[2:] == (tuple(peaks), tuple(framed)), path.to_line()
 
 
 def test_enumerate_ground_state_only():
@@ -171,6 +170,18 @@ def test_domain_validation():
         HalfPath.of(10, 4, 8, [4, 5, 6])  # ends outside the tail band
 
 
+def test_of_takes_whole_number_heights_only():
+    # a float height was stored as it came: H=2.0 printed a line no reader
+    # took back, yet the path equalled and hashed like H=2; `of` now takes
+    # exactly what `operator.index` takes
+    for heights in ([2.0], [2.0, 3, 2], ["2"]):
+        with pytest.raises(TypeError):
+            HalfPath.of(8, 2, 2, heights)
+    path = HalfPath.of(8, 2, 2, [2])
+    assert path.to_line() == "half T=8 A=2 B=2 H=2"
+    assert HalfPath.from_line(path.to_line()) == path
+
+
 def test_line_roundtrip():
     path = HalfPath.of(*HALF_10)
     assert HalfPath.from_line(path.to_line()) == path
@@ -184,10 +195,10 @@ def test_ground_quarters_weigh_the_built_ground_state():
     for label in labels:
         assert halfpath._ground_quarters(*label) == raw_weight_quarters(ground_state(*label))
     # a label outside the domain carries no path: its tail band leaves the
-    # strip, so neither the constructor nor a raw path's first read takes it
+    # strip, so neither `of` nor the raw constructor takes it
     staircase = (4, 5, 6, 7, 8, 9, 10)
     for build in (lambda: HalfPath.of(10, 4, 10, staircase),
-                  lambda: weight(HalfPath(10, 4, 10, staircase))):
+                  lambda: HalfPath(10, 4, 10, staircase)):
         with pytest.raises(InvalidHalfPathError, match=r"^tail height B=10 out of range 2\.\.9$"):
             build()
 

@@ -56,8 +56,8 @@ def test_canonical_trims_and_extends():
 
 def test_is_canonical_agrees_with_canonical():
     # every unit-step sequence on 1..10 of at most 8 heights ending in {3, 4},
-    # built raw, is refused by its read exactly when the independent oracle
-    # stores it otherwise
+    # built raw, is refused by its constructor exactly when the independent
+    # oracle stores it otherwise
     seqs = []
     todo = [[h] for h in range(1, 11)]
     while todo:
@@ -69,11 +69,11 @@ def test_is_canonical_agrees_with_canonical():
     assert len(seqs) == 421
     refused = 0
     for hs in seqs:
-        path = RsosPath(4, 11, hs[0], 3, tuple(hs))
         try:
-            rsos._scan(path)
+            RsosPath(4, 11, hs[0], 3, tuple(hs))
         except lattice.InvalidPathError as exc:
-            assert str(exc) == f"path not stored canonically: {path.to_line()}"
+            line = f"rsos p=4 pp=11 a={hs[0]} b=3 h={','.join(map(str, hs))}"
+            assert str(exc) == f"path not stored canonically: {line}"
             assert oracles.canonical(hs, 3) != tuple(hs), hs
             refused += 1
         else:
@@ -384,24 +384,22 @@ def test_equal_paths_built_apart_each_read_themselves():
     for model, data, build in ((hp, HALF_10, HalfPath.of), (rsos, RSOS_49, RsosPath.of)):
         with _counting(model, "_read") as reads:
             first, second = build(*data), build(*data)
-        assert [c.args[:len(data)] for c in reads.call_args_list] == \
-            [(*data[:-1], list(data[-1]))] * 2
+        assert [c.args for c in reads.call_args_list] == [(first,), (second,)]
+        assert all(c.args[0] is path for c, path in zip(reads.call_args_list, (first, second)))
         with _counting(model, "_read") as reads:
             assert model.weight(first) == model.weight(second) == model.weight(first)
         assert reads.call_count == 0
 
 
 def test_scan_hands_out_copies():
-    # the lists a scan returns are the caller's to change; an equal path
-    # built apart reads what the first one should still give
-    path = HalfPath.of(*HALF_10)
-    w, straights, peaks, valleys = hp._scan(path)
-    peaks.append(99)
-    valleys.clear()
-    assert hp._scan(path) == hp._scan(HalfPath.of(*HALF_10))
-    path = RsosPath.of(*RSOS_49)
-    rsos._scan(path)[1].append(99)
-    assert rsos._scan(path) == rsos._scan(RsosPath.of(*RSOS_49))
+    # the scan a path keeps is all tuples, so no caller can change what
+    # another reads; an equal path built apart keeps an equal scan
+    for path, again in ((HalfPath.of(*HALF_10), HalfPath.of(*HALF_10)),
+                        (RsosPath.of(*RSOS_49), RsosPath.of(*RSOS_49))):
+        scan = path._scan
+        assert isinstance(scan, tuple) and scan == again._scan
+        assert all(isinstance(part, (int, tuple)) for part in scan)
+        assert any(isinstance(part, tuple) and part for part in scan)
 
 
 def test_refusals_are_not_kept():
@@ -420,8 +418,8 @@ def test_a_read_path_is_the_same_value():
     assert (repr(read), read.to_line()) == (repr(unread), unread.to_line())
     assert dis == particles.dissect(read) == particles.dissect(unread)
     assert dis is not particles.dissect(read)  # a fresh dissection per call
-    copy = dataclasses.replace(read)  # built raw, so read on first use
     with _counting(hp, "_read") as reads, _counting(particles, "_dissect") as cuts:
+        copy = dataclasses.replace(read)  # built through the constructor, so read
         assert particles.dissect(copy) == dis
         assert hp.weight(copy) == hp.weight(read)
     assert (reads.call_count, cuts.call_count) == (1, 1)
@@ -434,10 +432,11 @@ def test_a_read_path_is_the_same_value():
 def test_move_checks_hold_under_optimization():
     # this listed move breaks weight and sector; apply_move must refuse it,
     # the search must refuse a live branch at its horizon, and a bijection
-    # must notice a weight that drifts between its stages, and weighing or
-    # scanning a raw path that does not start at its label's start must
-    # refuse it, even when python -O strips asserts
+    # must notice a weight that drifts between its stages, and building a
+    # path raw or by `dataclasses.replace` that does not start at its
+    # label's start must refuse it, even when python -O strips asserts
     code = """
+import dataclasses
 import sys
 from viracomb import bijections, halfpath, lattice, particles, rsos
 from viracomb.halfpath import HalfPath
@@ -462,13 +461,12 @@ late = lambda x, prev, h, nh: None if nh in (2, 3) and x < 8 else 0
 attempt(lambda: lattice.search(4, 2, 1, 5, 0, 4, late, free, free, "a late band"))
 particles.b_matrix = lambda t2: [[1]]  # an odd charge form
 attempt(lambda: particles.minimal_weight(4, (1,)))
-scan = halfpath._scan
-halfpath._scan = lambda path: (lambda w, *rest: (w + 1, *rest))(*scan(path))
+read = halfpath._read
+halfpath._read = lambda path: (lambda w, *rest: (w + 1, *rest))(*read(path))
 rsos37 = RsosPath.from_line("rsos p=3 pp=7 a=4 b=4 h=4,5,6,5,6,5,4")
 attempt(lambda: bijections.bij1_forward(rsos37))
-unchecked = RsosPath(3, 5, 2, 1, (3, 2, 1))  # starts at 3, not at a = 2
-attempt(lambda: rsos.weight(unchecked))
-attempt(lambda: rsos._scan(unchecked))
+attempt(lambda: RsosPath(3, 5, 2, 1, (3, 2, 1)))  # starts at 3, not at a = 2
+attempt(lambda: dataclasses.replace(RsosPath.of(3, 5, 2, 1, (2, 1)), heights=(3, 2, 1)))
 """
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,

@@ -1,14 +1,15 @@
-"""One read per path: `RsosPath.of` and `HalfPath.of` check, canonicalize
-and scan a path in one pass, and must do exactly what the readers they
-replaced did one after another (`oracles.rsos_of` and `oracles.half_of`,
-then `oracles.rsos_scan` and `oracles.half_scan`): refuse with the same
-exception and message, or store the same heights and scan them the same.
-The inputs are seeded random walks of both models and both bijection
-families, with light RSOS tail bands and half labels outside the Theorem-1
-domain, tails cut short or run long, and single-edit garbled copies.  A
-path built raw is read on first use by the same pass, which refuses it with
-the constructor's message wherever the constructor would refuse its
-heights, and unless it is stored as the constructor would store it.
+"""One read per path: the constructors of `RsosPath` and `HalfPath` check
+and scan a path in one pass, and with `of`'s canonical storage in front
+they must do exactly what the readers they replaced did one after another
+(`oracles.rsos_of` and `oracles.half_of`, then `oracles.rsos_scan` and
+`oracles.half_scan`): refuse with the same exception and message, or store
+the same heights and scan them the same.  The inputs are seeded random
+walks of both models and both bijection families, with light RSOS tail
+bands and half labels outside the Theorem-1 domain, tails cut short or run
+long, and single-edit garbled copies.  Every way of building a path reads
+it: `of`, `from_line`, a raw constructor call, `dataclasses.replace` and a
+listing refuse a path with `of`'s message wherever `of` would refuse its
+heights, and a raw path unless it is stored as `of` would store it.
 """
 
 import dataclasses
@@ -17,9 +18,10 @@ from math import gcd
 
 import pytest
 
-from viracomb import bijections
+from functools import partial
+
 from viracomb import halfpath as hp
-from viracomb import rsos
+from viracomb import lattice, rsos
 from viracomb.halfpath import HalfPath
 from viracomb.lattice import InvalidPathError
 from viracomb.rsos import RsosPath
@@ -36,12 +38,24 @@ def _refusal(call, *args):
         return type(exc), str(exc)
 
 
-def _read(build, scan, args):
-    """The path built from args and its scan, or the constructor's refusal."""
+def _read(build, args):
+    """The fields and the kept scan of the path built from args, or the
+    constructor's refusal.
+    """
     path = _refusal(build, *args)
     if isinstance(path, tuple):
         return path
-    return path, _refusal(scan, path)
+    return dataclasses.astuple(path), path._scan
+
+
+def _oracle_read(of, scan, args):
+    """The fields the oracle stores from args and their oracle scan, or the
+    oracle's refusal.
+    """
+    fields = _refusal(of, *args)
+    if isinstance(fields[0], type):
+        return fields
+    return fields, _refusal(scan, *fields)
 
 
 def _rsos_walk(rnd):
@@ -91,22 +105,23 @@ def _inputs(rnd, make, count):
 def test_one_read_is_the_old_three(model):
     rnd = random.Random(22 if model == "rsos" else 23)
     if model == "rsos":
-        make, new, old = _rsos_walk, (RsosPath.of, rsos._scan), (oracles.rsos_of, oracles.rsos_scan)
+        make, cls, old = _rsos_walk, RsosPath, (oracles.rsos_of, oracles.rsos_scan)
     else:
-        make, new, old = _half_walk, (HalfPath.of, hp._scan), (oracles.half_of, oracles.half_scan)
+        make, cls, old = _half_walk, HalfPath, (oracles.half_of, oracles.half_scan)
     refusals = set()
     built = scanned = 0
     for label, hs in _inputs(rnd, make, 1500):
         args = (*label, hs)
-        got = _read(*new, args)
-        assert got == _read(*old, args), args
+        got = _read(cls.of, args)
+        want = _oracle_read(*old, args)
+        assert got == want, args
         if isinstance(got[0], type):
             refusals.add(got[1].split(" ")[0])
             continue
         built += 1
-        scanned += not isinstance(got[1][0], type)
-        # built raw, the same path is read on first use, by the same reader
-        assert _refusal(new[1], dataclasses.replace(got[0])) == got[1], args
+        scanned += not isinstance(want[1][0], type)
+        # built raw from the oracle's storage, the path reads the same
+        assert _read(cls, want[0]) == got, args
     # every kind of refusal shows up, and most inputs build; every path
     # that builds also scans, since one read does both
     kinds = {"need", "path", "tail", "height", "step", "stored"}
@@ -116,8 +131,8 @@ def test_one_read_is_the_old_three(model):
 
 def test_a_raw_path_not_starting_at_a_fails_its_labels_as_before():
     # the old reader failed such a path on a vertex label, or weighed it;
-    # its first read now checks the start, as the constructor does, and
-    # refuses it with the constructor's message
+    # its constructor's read checks the start, as `of` does, and refuses it
+    # with `of`'s message when it is built
     rnd = random.Random(24)
     raised = 0
     for _ in range(400):
@@ -130,11 +145,10 @@ def test_a_raw_path_not_starting_at_a_fails_its_labels_as_before():
             continue
         path = RsosPath.of(p, pp, a, b, hs)
         for shift in (-3, -2, -1, 1, 2, 3):
-            raw = RsosPath(p, pp, a + shift, b, path.heights)
             refusal = (InvalidPathError, f"path must start at a={a + shift}, got {a}")
             assert _refusal(oracles.rsos_of, p, pp, a + shift, b, path.heights) == refusal
             for _ in range(2):
-                assert _refusal(rsos._scan, raw) == refusal, raw
+                assert _refusal(RsosPath, p, pp, a + shift, b, path.heights) == refusal, path
             raised += 1
     assert raised > 1000
 
@@ -142,37 +156,35 @@ def test_a_raw_path_not_starting_at_a_fails_its_labels_as_before():
 def test_weighing_a_raw_path_stored_otherwise_is_refused():
     # one oscillation past the horizon, storage ending outside the tail band,
     # two oscillations past it, storage short of an even horizon, and no
-    # storage at all: each model's read refuses them, storage the
-    # constructor refuses with its message (None: the constructor builds
-    # it, stored otherwise), so no caller weighs another path instead
-    for path, message in (
-            (RsosPath(3, 7, 6, 4, (6, 5, 4, 3, 4, 5, 4)), None),
-            (RsosPath(5, 11, 10, 8, (10, 9, 8, 7)),
+    # storage at all: each model's constructor refuses them, storage `of`
+    # refuses with its message (None: `of` builds it, stored otherwise), so
+    # no caller weighs another path instead
+    for cls, label, stored, message in (
+            (RsosPath, (3, 7, 6, 4), (6, 5, 4, 3, 4, 5, 4), None),
+            (RsosPath, (5, 11, 10, 8), (10, 9, 8, 7),
              "stored sequence must end inside the tail band, got 7"),
-            (RsosPath(4, 7, 6, 1, (6, 5, 4, 3, 2, 1, 2, 1, 2)), None),
-            (RsosPath(3, 7, 2, 2, ()), "height sequence is empty"),
-            (HalfPath(8, 2, 2, (2, 3, 4, 3)), None),
-            (HalfPath(8, 2, 2, ()), "height sequence is empty")):
-        *label, stored = dataclasses.astuple(path)
-        built = _refusal(type(path).of, *label, stored)
+            (RsosPath, (4, 7, 6, 1), (6, 5, 4, 3, 2, 1, 2, 1, 2), None),
+            (RsosPath, (3, 7, 2, 2), (), "height sequence is empty"),
+            (HalfPath, (8, 2, 2), (2, 3, 4, 3), None),
+            (HalfPath, (8, 2, 2), (), "height sequence is empty")):
+        built = _refusal(cls.of, *label, stored)
         if message is None:
             assert not isinstance(built, tuple)
-            refusal = (InvalidPathError, f"path not stored canonically: {path.to_line()}")
+            refusal = (InvalidPathError,
+                       f"path not stored canonically: {_line(cls, label, stored)}")
         else:
-            kind = InvalidPathError if isinstance(path, RsosPath) else hp.InvalidHalfPathError
+            kind = InvalidPathError if cls is RsosPath else hp.InvalidHalfPathError
             refusal = (kind, message)
             assert built == refusal
-        weigh = rsos.weight if isinstance(path, RsosPath) else hp.weight
         for _ in range(2):  # a refusal leaves nothing behind, so it repeats
-            assert _refusal(weigh, path) == refusal
+            assert _refusal(cls, *label, stored) == refusal
 
 
 def test_a_raw_path_leaving_the_strip_is_refused():
     # the read checks every stored height against the strip 1..p'-1,
     # however the path was built: a path through height 0 has no weight
-    path = RsosPath(3, 5, 1, 1, (1, 0, 1))
     for _ in range(2):
-        assert _refusal(rsos.weight, path) == (
+        assert _refusal(RsosPath, 3, 5, 1, 1, (1, 0, 1)) == (
             InvalidPathError, "height 0 at position 1 out of range")
 
 
@@ -194,30 +206,24 @@ def test_a_raw_path_breaking_a_path_rule_is_refused_as_of_refuses_it():
     # a raw path not starting at its label's start, which was weighed (0)
     # or failed an invariant check, and a raw half path with a valley at an
     # odd doubled height, which was weighed (2) and failed inside a map:
-    # the first read refuses each with the constructor's message for the
-    # same heights, and so does every repeat
-    for path, message in (
-            (RsosPath(3, 5, 2, 1, (1,)), "path must start at a=2, got 1"),
-            (RsosPath(4, 9, 6, 4, (4,)), "path must start at a=6, got 4"),
-            (HalfPath(8, 2, 2, (4, 3, 2)), "path must start at A=2, got 4"),
-            (HalfPath(8, 2, 2, (2, 3, 4, 3, 4, 3, 4, 3, 2)),
+    # the constructor refuses each with `of`'s message for the same
+    # heights, and so does every repeat
+    for cls, label, stored, message in (
+            (RsosPath, (3, 5, 2, 1), (1,), "path must start at a=2, got 1"),
+            (RsosPath, (4, 9, 6, 4), (4,), "path must start at a=6, got 4"),
+            (HalfPath, (8, 2, 2), (4, 3, 2), "path must start at A=2, got 4"),
+            (HalfPath, (8, 2, 2), (2, 3, 4, 3, 4, 3, 4, 3, 2),
              "valley at non-integer height 3/2 (doubled position 3)")):
-        *label, stored = dataclasses.astuple(path)
-        if isinstance(path, RsosPath):
-            refusal, readers = (InvalidPathError, message), (rsos.weight, rsos._scan)
-        else:
-            refusal = (hp.InvalidHalfPathError, message)
-            readers = (hp.weight, hp._scan, bijections.inverse)
-        assert _refusal(type(path).of, *label, stored) == refusal
+        kind = InvalidPathError if cls is RsosPath else hp.InvalidHalfPathError
+        assert _refusal(cls.of, *label, stored) == (kind, message)
         for _ in range(2):  # a refusal leaves nothing behind, so it repeats
-            for read in readers:
-                assert _refusal(read, path) == refusal, (read, path)
+            assert _refusal(cls, *label, stored) == (kind, message)
 
 
 def test_a_half_tail_band_at_the_top_of_the_strip_is_refused():
     # B = T puts the tail band {B, B+1} partly above the strip 2..T, so the
     # path would oscillate out of it: the twin of the RSOS b = p'-1 refusal,
-    # made by the constructor, the line reader and a raw path's first read
+    # made by `of`, the line reader and the raw constructor alike
     for t2 in (4, 6, 8, 12):
         a2 = t2 - 2
         hs = (a2, a2 + 1, t2)
@@ -225,9 +231,91 @@ def test_a_half_tail_band_at_the_top_of_the_strip_is_refused():
         assert _refusal(HalfPath.of, t2, a2, t2, hs) == refusal
         line = f"half T={t2} A={a2} B={t2} H={a2},{a2 + 1},{t2}"
         assert _refusal(HalfPath.from_line, line) == refusal
-        raw = HalfPath(t2, a2, t2, hs)
         for _ in range(2):
-            assert _refusal(hp.weight, raw) == refusal
-            assert _refusal(hp._scan, raw) == refusal
+            assert _refusal(HalfPath, t2, a2, t2, hs) == refusal
         for b2 in range(2, t2, 2):  # every tail band inside the strip is taken
             assert HalfPath.of(t2, b2, b2, (b2,)).b2 == b2
+
+
+# -- every way of building a path reads it -------------------------------------
+
+
+def _line(cls, label, stored) -> str:
+    """The path line of a label and stored heights, written out here, since
+    no path object can hold heights its read refuses.
+    """
+    hs = ",".join(map(str, stored))
+    if cls is RsosPath:
+        p, pp, a, b = label
+        return f"rsos p={p} pp={pp} a={a} b={b} h={hs}"
+    t2, a2, b2 = label
+    return f"half T={t2} A={a2} B={b2} H={hs}"
+
+
+def _listed(cls, label, start, low, top):
+    """The paths a search from `start` in the strip low..top lists as the
+    model's label: every vertex costs one, so a few short walks into the
+    tail band fit.
+    """
+    one = lambda *args: 1
+    return iter(lattice.search(start, label[-1], low, top, 3, 12, one, lambda x, h: 0, one,
+                               "a test walk", partial(cls, *label)))
+
+
+_BROKEN = (
+    (RsosPath, (3, 5, 2, 1), (1,), InvalidPathError, "path must start at a=2, got 1"),
+    (RsosPath, (3, 5, 1, 1), (1, 0, 1), InvalidPathError, "height 0 at position 1 out of range"),
+    (RsosPath, (3, 6, 2, 1), (2, 1), InvalidPathError, "need coprime 1 < p < p', got (3, 6)"),
+    (HalfPath, (8, 2, 2), (2, 3, 4, 3, 4, 3, 4, 3, 2), hp.InvalidHalfPathError,
+     "valley at non-integer height 3/2 (doubled position 3)"),
+    (HalfPath, (8, 6, 8), (6, 7, 8), hp.InvalidHalfPathError, "tail height B=8 out of range 2..7"),
+    (HalfPath, (8, 2, 2), (2, 3, 2, 1, 2), hp.InvalidHalfPathError,
+     "height 1 at doubled position 3 out of range 2..8"),
+)
+
+
+@pytest.mark.parametrize("cls,label,stored,kind,message", _BROKEN)
+def test_every_way_of_building_a_path_refuses_a_broken_one(cls, label, stored, kind, message):
+    # `of`, the line reader, the raw constructor and `dataclasses.replace`
+    # each refuse the path when they build it, with `of`'s message
+    valid = RsosPath.of(3, 5, 2, 1, (2, 1)) if cls is RsosPath else HalfPath.of(8, 2, 2, (2,))
+    fields = {f.name: v for f, v in zip(dataclasses.fields(cls), (*label, stored))}
+    refusal = (kind, message)
+    assert _refusal(cls.of, *label, stored) == refusal
+    assert _refusal(cls.from_line, _line(cls, label, stored)) == refusal
+    assert _refusal(cls, *label, stored) == refusal
+    assert _refusal(lambda: dataclasses.replace(valid, **fields)) == refusal
+
+
+@pytest.mark.parametrize("cls,label,start,strip,kind,message", [
+    (RsosPath, (3, 5, 2, 1), 2, (1, 4), InvalidPathError, "path must start at a=2, got 3"),
+    (HalfPath, (8, 2, 2), 2, (2, 8), hp.InvalidHalfPathError, "path must start at A=2, got 3")])
+def test_a_listed_path_is_read_when_it_is_listed(cls, label, start, strip, kind, message):
+    # listing builds each path through the model's constructor, so a walk
+    # from another start is refused as its first path is listed
+    assert _refusal(next, _listed(cls, label, start + 1, *strip)) == (kind, message)
+    first = next(_listed(cls, label, start, *strip))
+    assert dataclasses.astuple(first)[-1][0] == start
+
+
+@pytest.mark.parametrize("model", ["rsos", "half"])
+def test_every_way_of_building_a_path_keeps_the_oracle_scan(model):
+    # a valid path carries the scan the oracle computes from its fields,
+    # however it was built: by `of`, from its line, raw, by
+    # `dataclasses.replace` or by listing
+    if model == "rsos":
+        cls, oracle, labels = RsosPath, oracles.rsos_scan, [(3, 5, 2, 1), (4, 9, 8, 6), (5, 9, 2, 3)]
+        listing = rsos.enumerate_paths
+    else:
+        cls, oracle, labels = HalfPath, oracles.half_scan, [(8, 2, 2), (9, 4, 6), (7, 2, 6)]
+        listing = hp.enumerate_paths
+    seen = 0
+    for label in labels:
+        for listed in listing(*label, 8):
+            fields = dataclasses.astuple(listed)
+            scan = oracle(*fields)
+            for path in (listed, cls.of(*fields), cls.from_line(listed.to_line()), cls(*fields),
+                         dataclasses.replace(listed)):
+                assert path == listed and path._scan == scan, path.to_line()
+            seen += 1
+    assert seen > 100

@@ -13,7 +13,6 @@ from viracomb.rsos import (
     generating_function,
     tail_band_index,
     weight,
-    _scan,
 )
 
 from data_paths import (
@@ -144,7 +143,7 @@ def test_edgewise_identity_on_enumerated_set():
 
 def _scan_by_classify(path):
     info = classify(path)
-    return (weight(path), [v.x for v in info if v.scoring],
+    return (weight(path), tuple(v.x for v in info if v.scoring),
             sum(1 for v in info if v.scoring and v.shape == PEAK))
 
 
@@ -154,7 +153,7 @@ def test_scan_matches_weight_and_classify(p, pp, a, b):
     paths = enumerate_paths(p, pp, a, b, 9)
     assert len(paths) > 20
     for path in paths:
-        assert _scan(path) == _scan_by_classify(path), path.to_line()
+        assert path._scan == _scan_by_classify(path), path.to_line()
 
 
 def test_scan_matches_weight_and_classify_on_long_walks():
@@ -165,9 +164,19 @@ def test_scan_matches_weight_and_classify_on_long_walks():
         a = rnd.randint(1, pp - 1)
         b = rnd.choice(sorted(dark_floors(p, pp)))
         path = RsosPath.of(p, pp, a, b, walk(rnd, a, 1, pp - 1, b, 100 if i < 36 else 1500))
-        scanned = _scan(path)
+        scanned = path._scan
         assert scanned == _scan_by_classify(path), path.to_line()
         assert scanned[0] == weight_edgewise(path)
+
+
+def test_of_takes_whole_number_heights_only():
+    # a float height was truncated (2.5, 1.7 built h=2,1) and a string
+    # parsed; `of` now takes exactly what `operator.index` takes
+    for heights in ([2.5, 1.7], [2.0, 1.0], ["2", "1"]):
+        with pytest.raises(TypeError):
+            RsosPath.of(3, 5, 2, 1, heights)
+    path = RsosPath.of(3, 5, 2, 1, [2, 1, 2, 1])
+    assert path == RsosPath(3, 5, 2, 1, (2,)) and type(path.heights[0]) is int
 
 
 def test_line_roundtrip(path49):
