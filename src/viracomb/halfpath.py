@@ -11,7 +11,12 @@ exactly the Theorem-1 labels, `theorem1_domain`.
 The raw weight is half the sum of the positions of the straight vertices.
 In doubled coordinates that sum is an integer number of quarter-units;
 normalizing by the ground state (the straight staircase from A to B) gives
-the integer weight used everywhere else.
+the integer weight used everywhere else.  Enumeration is one
+`lattice.search` on one `lattice.Model`, whose step rule `_step` costs a
+straight vertex its doubled position and forbids an odd valley.  All the
+prefixes that meet in a search state lie on one residue class of quarter
+units mod 4, so the search counts on a grain of 4, one list entry per
+whole unit, while `counts` stays in quarter units.
 
 A path is read once, when it is built: the constructor runs one pass,
 `_read`, which checks every path rule, refuses storage other than the
@@ -186,13 +191,14 @@ def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.PathS
     """All paths of weight <= max_weight, listed in order of their doubled
     heights; `counts` are by raw weight in quarter-units.
 
-    One `lattice.search`, whose bounds count every straight vertex a
-    completion is forced to pass, each costing its doubled position:
+    One `lattice.search` at grain 4 (a merge off it raises), whose bounds
+    count every straight vertex a completion is forced to pass, each
+    costing its doubled position:
 
-    * `future(i, h)`: the first step after i from each height between h
-      and the band towards it is straight and entered from outside the
-      band: B+1..h-1 above it, h+1..B below it, at distinct positions
-      after i.
+    * `bounds[h]`, m * i + m(m+1)/2 for the m heights between h and the
+      band: the first step after i from each of them towards the band is
+      straight and entered from outside the band: B+1..h-1 above it,
+      h+1..B below it, at distinct positions after i.
     * `leave(i)`: a run leaves the band at some j >= i, on a straight
       vertex, and later enters it for good on another straight vertex, at
       j + 2 or later, so the two cost at least 2i + 2.
@@ -204,31 +210,30 @@ def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.PathS
     if max_weight < 0:
         return lattice.PathSet([])
 
-    def cost(i: int, prev: int, h: int, nxt: int) -> int | None:
-        # a straight vertex adds its doubled position in quarter-units
-        if prev == nxt == h + 1 and h % 2 == 1:
-            return None  # valley at non-integer height
-        return i if nxt != prev else 0
-
-    def future(i: int, h: int) -> int:
-        # m forced straight vertices, at distinct positions after i: on
-        # B+1..h-1 above the band, each entered from above and left
-        # downwards, or on h+1..B below it, each entered from below and left
-        # upwards; entered from outside the band, each comes before the
-        # horizon
-        m = h - b2 - 1 if h > b2 else b2 - h
-        return m * i + m * (m + 1) // 2
-
-    def leave(i: int) -> int:
+    # m forced straight vertices, at distinct positions after i: on B+1..h-1
+    # above the band, each entered from above and left downwards, or on
+    # h+1..B below it, each entered from below and left upwards; entered
+    # from outside the band, each comes before the horizon
+    forced = (h - b2 - 1 if h > b2 else b2 - h for h in range(t2 + 1))
+    bounds = [(m, 0, 1, m * (m + 1) // 2) for m in forced]
+    return lattice.search(lattice.Model(
+        a2, b2, 2, t2, 4 * max_weight + gs_q, 4 * max_weight + 2 * abs(a2 - b2) + 8,
+        f"(T,A,B)=({t2},{a2},{b2})", _step, bounds,
         # the exit vertex j >= i runs straight out of the band from inside
         # it; the final entry vertex, at j + 2 or later, runs straight on
         # into the band, where the path then stays
-        return 2 * i + 2
+        lambda i: 2 * i + 2, 4, partial(HalfPath, t2, a2, b2)))
 
-    budget = 4 * max_weight + gs_q
-    horizon = 4 * max_weight + 2 * abs(a2 - b2) + 8
-    return lattice.search(a2, b2, 2, t2, budget, horizon, cost, future, leave,
-                          f"(T,A,B)=({t2},{a2},{b2})", partial(HalfPath, t2, a2, b2))
+
+def _step(prev: int, h: int, nxt: int) -> tuple[int, ...] | None:
+    """The cost of vertex i at h, entered from prev and left to nxt, as the
+    search's affine form in i: a straight vertex adds its doubled position
+    in quarter-units, a turn nothing, and a valley at an odd doubled height
+    is forbidden.
+    """
+    if prev == nxt == h + 1 and h % 2 == 1:
+        return None
+    return (1, 0, 1, 0) if nxt != prev else lattice.FREE
 
 
 def generating_function(t2: int, a2: int, b2: int, order: int) -> QSeries:

@@ -5,23 +5,26 @@ RSOS paths and half-lattice paths differ only in their step rules, vertex
 costs and search bounds.  Everything else lives here: parsing the one-line
 path formats, the canonical horizon of a height list (`frame`) and the
 storage it gives (`canonical`), tail continuation, the peak and valley
-scan of raw heights, and one bounded path search.  A path is read when it
-is built: each model's dataclass constructor runs its `_read`, one pass
-that checks every path rule (label, start, tail band, heights, steps,
-end), finds the horizon through `frame`, refuses storage other than the
-canonical one and scans the vertices, and the path keeps the scan.  So
-`of`, `from_line`, listing, `dataclasses.replace` and a raw constructor
-call all read a path the same way, and `frame` is the one statement of
-canonical storage.
+scan of raw heights, and one bounded path search.  Each model states a
+search as one frozen record per label, `Model`: its costs and bounds are
+affine forms in the position, data the search reads once per state and
+evaluates inline, so counting calls no model function per step.
+
+A path is read when it is built: each model's dataclass constructor runs
+its `_read`, one pass that checks every path rule (label, start, tail
+band, heights, steps, end), finds the horizon through `frame`, refuses
+storage other than the canonical one and scans the vertices, and the path
+keeps the scan.  So `of`, `from_line`, listing, `dataclasses.replace` and
+a raw constructor call all read a path the same way, and `frame` is the
+one statement of canonical storage.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 from functools import partial
 from operator import add, index
-
-from .qseries import _merge
 
 
 class InvalidPathError(ValueError):
@@ -157,22 +160,52 @@ class PathSet:
                     todo.append((x + 1, nh, w + c, node))
 
 
-def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
-           cost, future, leave, what: str, build=tuple) -> PathSet:
-    """Every canonical path of unit steps in heights lo..hi, from `start`
-    into the tail band {b, b+1}, whose accumulated cost stays within budget:
-    a `PathSet` that counts them by cost and lists them through `build`.
+FREE = (0, 0, 1, 0)  # the affine form of a vertex or a bound that costs nothing
 
-    The model enters through three functions:
 
-    * `cost(x, prev, h, nh)`: what vertex x >= 1 at height h adds when it is
-      entered from prev and left to nh, or None when that step is forbidden;
-    * `future(x, h)`: a lower bound on what any completion from height h at
-      position x still adds, the vertex at x included;
+@dataclass(frozen=True)
+class Model:
+    """One label's search, its model's rules as data.  Paths run in heights
+    lo..hi from `start` into the tail band {b, b+1}, and a path is kept when
+    its cost is at most `budget`.  Costs and bounds are affine forms
+    (f, k, d, c), worth f * ((x + k) // d) + c at position x, and never
+    negative:
+
+    * `step(prev, h, nh)`: the form of what vertex x >= 1 at height h adds
+      when it is entered from prev and left to nh, or None when that step
+      is forbidden;
+    * `bounds[h]`: the form of a lower bound on what any completion from
+      height h at position x still adds, the vertex at x included (a list:
+      a tuple built from a generator is resized, and the tuple free lists
+      of a long-lived process then grow by one per search);
     * `leave(x)`: a lower bound on the cost of leaving the tail band at any
       position >= x and coming back: what any completion still adds from
       position x on when the heights at x-2, x-1 and x all lie in the band
       (a run, which must leave the band before it can end).
+
+    Every cost of a path lies on one residue class mod `grain`, the same
+    for all prefixes that meet in a state, so the search keeps a count of
+    each grain-th cost only.  `horizon` is the hard horizon, `what` names
+    the label in errors, and `build` makes a path from its height tuple.
+    """
+
+    start: int
+    b: int
+    lo: int
+    hi: int
+    budget: int
+    horizon: int
+    what: str
+    step: Callable
+    bounds: list
+    leave: Callable
+    grain: int = 1
+    build: Callable = tuple
+
+
+def search(model: Model) -> PathSet:
+    """Every canonical path of unit steps that `model` describes: a
+    `PathSet` that counts them by cost and lists them through `build`.
 
     The startpoint adds nothing, and tail vertices past the horizon add
     nothing, so a path's cost is complete once its junction vertex (the
@@ -180,90 +213,116 @@ def search(start: int, b: int, lo: int, hi: int, budget: int, horizon: int,
 
     Everything ahead of a node depends only on its position and its state
     (prev, h, run), where run means that the last three heights all lie in
-    the band; so the search counts in one forward pass over states, layer by
-    layer: the counting recursion of the 1D configuration sums (Andrews,
-    Baxter and Forrester, J. Stat. Phys. 35, 1984).  Each live state carries
-    its least reach cost w and a list whose k-th entry counts the prefixes
-    that reach it at cost w + k, cut at its room: the budget less the larger
-    of the bounds that apply to it.  A step shifts the list by its vertex
-    cost, and lists that meet in one state add; a junction state adds its
-    list, shifted by the junction cost, into the result.  Steps are pruned
-    by the budget and both bounds.  A bound may never exceed what a
-    completion really costs, or paths go missing; below that, the tighter
-    it is, the fewer states carry counts of prefixes that cannot finish
-    within the budget, so the models' bounds count every costed vertex a
-    completion is forced to pass, not just one.  The hard horizon only
-    guards against a search that never ends: a state still live past it
-    raises, so a result is exactly what an unbounded search would return.
-    Nothing for listing is built until the path set is first iterated.
+    the band, kept as one small int; so the search counts in one forward
+    pass over states, layer by layer: the counting recursion of the 1D
+    configuration sums (Andrews, Baxter and Forrester, J. Stat. Phys. 35,
+    1984).  Each live state carries its least reach cost w and a list whose
+    k-th entry counts the prefixes that reach it at cost w + grain * k, cut
+    at its room: the budget less the larger of the bounds that apply to it.
+    A step shifts the list by its vertex cost, and lists that meet in one
+    state add; a junction state adds its list, shifted by the junction cost,
+    into the result at stride grain.  Steps are pruned by the budget and both
+    bounds.  A bound may never exceed what a completion really costs, or
+    paths go missing; below that, the tighter it is, the fewer states carry
+    counts of prefixes that cannot finish within the budget, so the models'
+    bounds count every costed vertex a completion is forced to pass, not
+    just one.  The hard horizon only guards against a search that never ends:
+    a state still live past it raises, so a result is exactly what an
+    unbounded search would return.  Nothing for listing is built until the
+    path set is first iterated.
     """
-    counts = _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what)
+    counts = _forward(model)
     if not any(counts):
         return PathSet(counts)
-    return PathSet(counts, partial(_forward, start, b, lo, hi, budget, horizon,
-                                   cost, future, leave, what), build)
+    return PathSet(counts, partial(_forward, model), model.build)
 
 
-def _forward(start, b, lo, hi, budget, horizon, cost, future, leave, what,
-             layers=None) -> list[int] | None:
-    """The forward pass of `search`: the counts by cost.  Lists that meet in
-    a state are added by `qseries._merge`.  Given a list as `layers`, it
-    records instead of counting, and returns None: it appends, per layer,
-    each live state's least reach cost, junction cost (None off the
-    horizons) and surviving steps (nh, vertex cost, child state).  A
-    recording state carries an empty list, since pruning reads only the
-    least reach cost, so it keeps exactly the states and steps counting
-    keeps and adds nothing anywhere.
+def _moves(m: Model, code: int) -> tuple:
+    """The junction form (None where the state cannot end a path) and the
+    steps of the state with this code, read from the model's rules once
+    per search: (nh, child code, child run, cost form, bound form of nh one
+    position on).  A state's code is 4h + 2 (entered from above) + run; the
+    start's is ~start, and its vertex costs nothing.
     """
-    band = (b, b + 1)
+    band = (m.b, m.b + 1)
+    h, run = (~code, 0) if code < 0 else (code >> 2, code & 1)
+    prev = None if code < 0 else h + 1 if code & 2 else h - 1
+    # a canonical horizon: the junction vertex is costed against the tail
+    # that follows it
+    tail = (m.b + 1 if h == m.b else m.b) if h in band and not run else None
+    edge, moves = None, []
+    for nh in (h - 1, h + 1):
+        if m.lo <= nh <= m.hi:
+            form = FREE if code < 0 else m.step(prev, h, nh)
+            if nh == tail:
+                edge = form
+            if form is not None:
+                nrun = prev in band and h in band and nh in band
+                f, k, d, c = m.bounds[nh]
+                moves.append((nh, 4 * nh + 2 * (nh < h) + nrun, nrun, *form, f, k + 1, d, c))
+    return edge, moves
+
+
+def _forward(m: Model, layers=None) -> list[int] | None:
+    """The forward pass of `search`: the counts by cost.  Each state's
+    moves are read from the model once, on its first visit, and each step
+    evaluates their forms inline.  Given a list as `layers`, it records
+    instead of counting, and returns None: it appends, per layer, each live
+    state's least reach cost, junction cost (None off the horizons) and
+    surviving steps (nh, vertex cost, child state).  A recording state
+    carries an empty list, since pruning reads only the least reach cost,
+    so it keeps exactly the states and steps counting keeps and adds
+    nothing anywhere.
+    """
+    budget, grain = m.budget, m.grain
     record = layers is not None
     counts = [0] * (budget + 1)
-    reach = {(None, start, False): (0, [] if record else [1])}  # state: (least reach cost, counts)
+    tables: dict = {}  # state code: its junction form and moves
+    reach = {~m.start: (0, [] if record else [1])}  # state code: (least reach cost, counts)
     x = 0
     while reach:
-        if x > horizon:
-            raise AssertionError(
-                f"enumeration did not stabilize: a step is still live at "
-                f"horizon {horizon} for {what}"
-            )
-        steps = {}
-        nxt: dict = {}
-        stay = budget - leave(x + 1)  # the room of a state in a run
-        for state, (w, vec) in reach.items():
-            prev, h, run = state
+        if x > m.horizon:
+            raise AssertionError(f"enumeration did not stabilize: a step is still live at "
+                                 f"horizon {m.horizon} for {m.what}")
+        steps, nxt = {}, {}
+        stay = budget - m.leave(x + 1)  # the room of a state in a run
+        for code, (w, vec) in reach.items():
+            edge, moves = tables.get(code) or tables.setdefault(code, _moves(m, code))
             junction = None
-            if x % 2 == 0 and h in band and not run:
-                # a canonical horizon: the junction vertex is costed against
-                # the tail that follows it
-                junction = cost(x, prev, h, b + 1 if h == b else b) if x else 0
+            if edge is not None and x % 2 == 0:
+                junction = edge[0] * ((x + edge[1]) // edge[2]) + edge[3]
                 s = w + junction
                 if s <= budget:
-                    tail = vec[:budget + 1 - s]
-                    counts[s:s + len(tail)] = map(add, counts[s:], tail)
+                    n = min(len(vec), (budget - s) // grain + 1)
+                    counts[s:s + grain * n:grain] = map(add, counts[s::grain], vec)
             out = []
-            for nh in (h - 1, h + 1):
-                if not lo <= nh <= hi:
-                    continue
-                c = 0
-                if x:
-                    c = cost(x, prev, h, nh)
-                    if c is None:
-                        continue
-                w2 = w + c
-                if w2 > budget:
-                    continue
-                room = budget - future(x + 1, nh)
-                nrun = prev in band and h in band and nh in band
-                if nrun and stay < room:
+            for nh, child, run, f, k, d, c, bf, bk, bd, bc in moves:
+                e = w + f * ((x + k) // d) + c
+                room = budget - bf * ((x + bk) // bd) - bc
+                if run and stay < room:
                     room = stay
-                if w2 > room:
+                if e > room:
                     continue
-                child = (h, nh, nrun)
                 if record:
-                    out.append((nh, c, child))
-                _merge(nxt, child, w2, vec[:room + 1 - w2])
+                    out.append((nh, e - w, child))
+                poly = vec[:(room - e) // grain + 1]
+                e0, acc = nxt.setdefault(child, (e, poly))
+                if acc is poly:  # the child's first list
+                    continue
+                # lists that meet are aligned by their offsets and added
+                if e < e0:
+                    nxt[child] = (e, poly)
+                    e0, acc, e, poly = e, poly, e0, acc
+                shift, off = divmod(e - e0, grain)
+                if off:
+                    raise AssertionError(
+                        f"costs {e0} and {e} meet in one state off the grain {grain} for {m.what}")
+                n = shift + len(poly)
+                if n > len(acc) and poly:
+                    acc += [0] * (n - len(acc))
+                acc[shift:n] = map(add, acc[shift:n], poly)
             if record:
-                steps[state] = (w, junction, out)
+                steps[code] = (w, junction, out)
         if record:
             layers.append(steps)
         reach = nxt
@@ -298,5 +357,5 @@ def _walk_root(layers: list[dict], budget: int) -> tuple:
             if least <= room:
                 here[state] = (least, (junction, kids))
         below = here
-    (state, (_, node)), = below.items()
-    return 0, state[1], 0, node
+    (code, (_, node)), = below.items()
+    return 0, ~code, 0, node  # the start's code is ~start

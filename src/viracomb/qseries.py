@@ -17,9 +17,10 @@ place, an O(N) pass through q^N, so (q)_n, [m, n]_q, the modular products
 and the fermionic terms of :mod:`viracomb.characters` cost O(N) per factor
 and keep no cache.  Division by (q)_oo is one in-place pass of Euler's
 pentagonal recurrence, O(N^1.5), so a numerator is divided directly rather
-than built into 1/(q)_oo first and then multiplied by it.  Coefficient lists
-that carry an exponent offset, the count lists of the path search and the
-term lists of the fermionic walk, are added by one merge, `_merge`.
+than built into 1/(q)_oo first and then multiplied by it.  The term lists
+of the fermionic walk, which carry an exponent offset, are added by one
+merge, `_merge`; the path search merges its count lists inline, on its
+grain.
 """
 
 from __future__ import annotations

@@ -15,11 +15,15 @@ raw, as enumeration builds them, is refused with `of`'s message wherever
 `of` would refuse its heights, and unless it is stored canonically.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
-one of the dark floors.  Enumeration of all paths up to a weight bound is
-one `lattice.search`: a forward pass over search states with exact
-lower-bound pruning that counts the paths by weight, and raises if a state
-is still live past the hard horizon.  Listing the paths reruns that pass to
-build a walk that visits only prefixes of them.
+one of the dark floors, and `dark_floors` states the label rule, coprime
+1 < p < p', for enumeration and the read alike.  Enumeration of all paths
+up to a weight bound is one `lattice.search` on one `lattice.Model`: the
+scoring rule `_step` gives each vertex its label as an affine form in the
+position, and each height's bound is another, so the search's forward pass
+over states, with exact lower-bound pruning, counts the paths by weight
+without calling back per step, and raises if a state is still live past
+the hard horizon.  Listing the paths reruns that pass to build a walk that
+visits only prefixes of them.
 """
 
 from __future__ import annotations
@@ -39,9 +43,12 @@ class InfiniteWeightError(ValueError):
 
 @lru_cache(maxsize=None)
 def dark_floors(p: int, p_prime: int) -> frozenset[int]:
-    """Floors y of the dark bands: y = floor(r p'/p) for 1 <= r < p."""
+    """Floors y of the dark bands: y = floor(r p'/p) for 1 <= r < p.  The
+    one statement of the label rule: a pair that is not a model, coprime
+    1 < p < p', is refused here, for enumeration and a path's read alike.
+    """
     if not 1 < p < p_prime or gcd(p, p_prime) != 1:
-        raise ValueError(f"need coprime 1 < p < p', got ({p}, {p_prime})")
+        raise InvalidPathError(f"need coprime 1 < p < p', got ({p}, {p_prime})")
     return frozenset((r * p_prime) // p for r in range(1, p))
 
 
@@ -112,6 +119,16 @@ def _scores(dark: frozenset[int], prev: int, h: int, nxt: int) -> bool:
     return (nxt != prev) == ((h if nxt > h else nxt) in dark)
 
 
+def _step(dark: frozenset[int], a: int, prev: int, h: int, nxt: int) -> tuple[int, ...]:
+    """The cost of vertex x at h, entered from prev and left to nxt, as the
+    search's affine form in x: its label, (x - h + a)/2 after an up step
+    and (x + h - a)/2 after a down step, when it scores, else nothing.
+    """
+    if not _scores(dark, prev, h, nxt):
+        return lattice.FREE
+    return (1, a - h, 2, 0) if prev < h else (1, h - a, 2, 0)
+
+
 def weight(path: RsosPath) -> int:
     """Sum of u over up-scoring and v over down-scoring vertices."""
     _require_finite(path)
@@ -134,15 +151,13 @@ def _read(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
     every vertex labels u, v >= 0 with u + v = x.
     """
     p, p_prime, a, b, hs = path.p, path.p_prime, path.a, path.b, path.heights
-    if not 1 < p < p_prime or gcd(p, p_prime) != 1:
-        raise InvalidPathError(f"need coprime 1 < p < p', got ({p}, {p_prime})")
+    dark = dark_floors(p, p_prime)  # refuses a label that is not a model first
     if not hs:
         raise InvalidPathError("height sequence is empty")
     if hs[0] != a:
         raise InvalidPathError(f"path must start at a={a}, got {hs[0]}")
     if not 1 <= b <= p_prime - 2:  # the tail band {b, b+1} lies in the strip
         raise InvalidPathError(f"tail height b={b} out of range")
-    dark = dark_floors(p, p_prime)
     horizon, seq = lattice.frame(hs, b)
     if not 0 < seq[0] < p_prime:
         raise InvalidPathError(f"height {seq[0]} at position 0 out of range")
@@ -169,7 +184,7 @@ def _read(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
 
 
 def _require_finite(path: RsosPath) -> None:
-    if tail_band_index(path.p, path.p_prime, path.b) is None:
+    if path.b not in dark_floors(path.p, path.p_prime):
         raise InfiniteWeightError(
             f"tail band with floor {path.b} is light for ({path.p},{path.p_prime}); "
             "the weight diverges"
@@ -183,10 +198,13 @@ def enumerate_paths(
     listed in order of their height tuples.
 
     One `lattice.search` over states with exact lower-bound pruning counts
-    the paths in one forward pass.  Both bounds count every scoring vertex
-    a completion is forced to pass, at its least label:
+    the paths in one forward pass, on a record whose step rule is `_step`.
+    Both bounds count every scoring vertex a completion is forced to pass,
+    at its least label:
 
-    * `future(x, h)`: one vertex per dark floor y between h and the band,
+    * `bounds[h]`, forced[h] * ((x + k) // 2) with k = h - a + 1 above the
+      band and a - h + 1 below it: one vertex per dark floor y between h
+      and the band,
       b <= y <= h-2 above it or h < y <= b below it.  The first step after
       x across [y, y+1] towards the band is straight over that dark band,
       so it scores, and is entered from outside the tail band, so it comes
@@ -213,12 +231,6 @@ def enumerate_paths(
     if max_weight < 0:
         return lattice.PathSet([])
     top = p_prime - 1
-
-    def cost(x: int, prev: int, h: int, nxt: int) -> int:
-        if not _scores(dark, prev, h, nxt):
-            return 0
-        return (x - h + a) // 2 if prev < h else (x + h - a) // 2
-
     # forced[h]: the dark floors a completion from height h must still
     # cross towards the band.  Above it (h > b+1) they are b <= y <= h-2:
     # before its first step from y+1 down to y the path stays at y+1 or
@@ -228,15 +240,11 @@ def enumerate_paths(
     # they are h+1 <= y <= b, each crossed first by a straight step up from
     # y entered from y-1.
     forced = [sum(b <= y <= h - 2 or h < y <= b for y in dark) for h in range(top + 1)]
-
-    def future(x: int, h: int) -> int:
-        # a forced vertex x' > x at height h' lies at least |h - h'| steps
-        # on, so its label, v = (x' + h' - a)/2 above the band or
-        # u = (x' - h' + a)/2 below it, is at least (x + h - a)/2 or
-        # (x - h + a)/2; forced[h] is 0 inside the band
-        if h > b:
-            return forced[h] * ((x + h - a + 1) // 2)
-        return forced[h] * ((x + a - h + 1) // 2)
+    # a forced vertex x' > x at height h' lies at least |h - h'| steps on,
+    # so its label, v = (x' + h' - a)/2 above the band or u = (x' - h' +
+    # a)/2 below it, is at least (x + h - a)/2 or (x - h + a)/2; forced[h]
+    # is 0 inside the band
+    bounds = [(n, h - a + 1 if h > b else a - h + 1, 2, 0) for h, n in enumerate(forced)]
 
     # a run ends only by leaving the band at some vertex j >= x and
     # entering it for good later.  Out above, the first step from b+1 down
@@ -251,16 +259,14 @@ def enumerate_paths(
     # before the horizon, since the path has not yet entered the band for
     # good.
     def leave(x: int) -> int:
-        opts = []
-        if b + 2 <= top:
-            opts.append((x + b + 4 - a) // 2 + (x - b + a) // 2)
-        if b >= 2:
-            opts.append((x + a - b + 3) // 2 + (x + b - a + 1) // 2)
-        return min(opts) if opts else max_weight + 1
+        opts = [(x + b + 4 - a) // 2 + (x - b + a) // 2] if b + 2 <= top else []
+        opts += [(x + a - b + 3) // 2 + (x + b - a + 1) // 2] if b >= 2 else []
+        return min(opts, default=max_weight + 1)
 
-    horizon = 2 * max_weight + abs(a - b) + 2 * p_prime
-    return lattice.search(a, b, 1, top, max_weight, horizon, cost, future, leave,
-                          f"({p},{p_prime},{a},{b})", partial(RsosPath, p, p_prime, a, b))
+    return lattice.search(lattice.Model(
+        a, b, 1, top, max_weight, 2 * max_weight + abs(a - b) + 2 * p_prime,
+        f"({p},{p_prime},{a},{b})", partial(_step, dark, a), bounds, leave,
+        build=partial(RsosPath, p, p_prime, a, b)))
 
 
 def generating_function(p: int, p_prime: int, a: int, b: int, order: int) -> QSeries:

@@ -153,6 +153,17 @@ def test_generating_function_is_character(t2, a2, b2):
     assert gf.coeffs[0] == 1
 
 
+@pytest.mark.parametrize("t2", range(4, 13))
+def test_whole_unit_counting_is_the_character(t2):
+    # the search counts half paths on a grain of four quarter-units, so one
+    # list entry per whole unit: every Theorem-1 label of the strip must
+    # still give its character, far past the listing window
+    for a2 in range(2, t2 + 1, 2):
+        for b2 in range(2, t2, 2):
+            chi = bosonic_character(theorem1_label(t2, a2 // 2, b2 // 2), 40)
+            assert generating_function(t2, a2, b2, 40) == chi, (t2, a2, b2)
+
+
 def test_truncation_point_does_not_change_weight():
     path = HalfPath.of(*HALF_10)
     longer = list(path.doubled) + [9, 8, 9, 8]

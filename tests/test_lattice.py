@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -97,20 +98,58 @@ def test_peaks_and_valleys():
     assert lattice.turns([2], 0) == ([], [])
 
 
+def _free_walk(start: int, top: int, what: str) -> lattice.Model:
+    """A search from `start` in the strip 1..top into the tail band {2, 3},
+    within budget 0 and hard horizon 4, where every vertex, bound and run
+    costs nothing.
+    """
+    return lattice.Model(start, 2, 1, top, 0, 4, what, lambda *vertex: lattice.FREE,
+                         [lattice.FREE] * (top + 1), lambda x: 0)
+
+
 def test_search_demands_a_stable_horizon():
     # with no bounds and a free walk, paths keep appearing past any horizon
-    free = lambda *args: 0
     with pytest.raises(AssertionError, match="did not stabilize"):
-        lattice.search(4, 2, 1, 5, 0, 4, free, free, free, "a free walk")
+        lattice.search(_free_walk(4, 5, "a free walk"))
 
 
 def test_search_refuses_a_live_branch_at_the_horizon():
-    # paths exist, but they enter the tail band only from position 9 on,
-    # past the horizon; the search must not return an empty set
-    free = lambda *args: 0
-    late = lambda x, prev, h, nh: None if nh in (2, 3) and x < 8 else 0
+    # paths exist, but from a start this far above the band they enter it
+    # only from position 9 on, past the horizon; the search must not return
+    # an empty set
     with pytest.raises(AssertionError, match="did not stabilize.*horizon 4 for a late band"):
-        lattice.search(4, 2, 1, 5, 0, 4, late, free, free, "a late band")
+        lattice.search(_free_walk(12, 12, "a late band"))
+
+
+def test_an_off_grain_cost_raises():
+    # an up step costs one and a down step nothing, so prefixes of one
+    # length meet in a state at costs of both parities: counting every
+    # second cost only, the search must refuse to merge them
+    updown = lambda prev, h, nh: (0, 0, 1, 1) if nh > h else lattice.FREE
+    odd = dataclasses.replace(_free_walk(3, 5, "an odd walk"), step=updown, budget=8, horizon=40)
+    assert sum(lattice.search(odd).counts) > 0
+    with pytest.raises(AssertionError, match="off the grain 2 for an odd walk"):
+        lattice.search(dataclasses.replace(odd, grain=2))
+
+
+def test_the_step_rule_is_read_once_per_state():
+    # each state's moves are built from the model's step rule on its first
+    # visit in a search, not once per layer: the rule is asked about each
+    # (prev, h, nh) at most twice, once per run flag
+    for enumerate_paths, label in ((rsos.enumerate_paths, (5, 11, 8, 2)),
+                                   (hp.enumerate_paths, (8, 2, 2))):
+        with mock.patch.object(lattice, "search", wraps=lattice.search) as search:
+            enumerate_paths(*label, 60)
+        model = search.call_args.args[0]
+        layers: list[dict] = []
+        lattice._forward(model, layers)
+        codes = set().union(*layers)
+        asked = Counter()
+        step = lambda *vertex: asked.update([vertex]) or model.step(*vertex)
+        counted = lattice.search(dataclasses.replace(model, step=step)).counts
+        assert counted == enumerate_paths(*label, 60).counts
+        assert len(layers) > 60 and sum(asked.values()) <= 2 * len(codes), label
+        assert max(asked.values()) <= 2, label
 
 
 def test_search_leaves_no_garbage():
@@ -249,10 +288,16 @@ def test_half_listing_matches_counting_at_depth(t2):
 
 
 def _closures(enumerate_paths, *args):
-    """The cost, future and leave functions a model hands to `lattice.search`."""
+    """The cost, future and leave functions of the record a model hands to
+    `lattice.search`: its step rule and bounds, each form evaluated at a
+    position as the search evaluates it, and its `leave`.
+    """
     with mock.patch.object(lattice, "search", wraps=lattice.search) as search:
         enumerate_paths(*args)
-    return search.call_args.args[6:9]
+    model = search.call_args.args[0]
+    at = lambda form, x: form[0] * ((x + form[1]) // form[2]) + form[3]
+    return (lambda x, prev, h, nh: at(model.step(prev, h, nh), x),
+            lambda x, h: at(model.bounds[h], x), model.leave)
 
 
 def _check_bounds(closures, hs: tuple[int, ...], b: int, total: int) -> None:
@@ -431,7 +476,8 @@ def test_a_read_path_is_the_same_value():
 
 def test_move_checks_hold_under_optimization():
     # this listed move breaks weight and sector; apply_move must refuse it,
-    # the search must refuse a live branch at its horizon, and a bijection
+    # the search must refuse a live branch at its horizon and two costs
+    # that meet off its grain, and a bijection
     # must notice a weight that drifts between its stages, and building a
     # path raw or by `dataclasses.replace` that does not start at its
     # label's start must refuse it, even when python -O strips asserts
@@ -456,9 +502,12 @@ def attempt(call):
         print("returned")
 
 attempt(lambda: particles.apply_move(path, move))
-free = lambda *args: 0
-late = lambda x, prev, h, nh: None if nh in (2, 3) and x < 8 else 0
-attempt(lambda: lattice.search(4, 2, 1, 5, 0, 4, late, free, free, "a late band"))
+free = lambda *vertex: lattice.FREE
+late = lattice.Model(12, 2, 1, 12, 0, 4, "a late band", free, [lattice.FREE] * 13, lambda x: 0)
+attempt(lambda: lattice.search(late))
+updown = lambda prev, h, nh: (0, 0, 1, 1) if nh > h else lattice.FREE
+odd = lattice.Model(3, 2, 1, 5, 8, 40, "an odd walk", updown, [lattice.FREE] * 6, lambda x: 0, 2)
+attempt(lambda: lattice.search(odd))
 particles.b_matrix = lambda t2: [[1]]  # an odd charge form
 attempt(lambda: particles.minimal_weight(4, (1,)))
 read = halfpath._read
@@ -476,6 +525,7 @@ attempt(lambda: dataclasses.replace(RsosPath.of(3, 5, 2, 1, (2, 1)), heights=(3,
         "raised: a move must add exactly one",
         "raised: enumeration did not stabilize: a step is still live at horizon 4"
         " for a late band",
+        "raised: costs 1 and 2 meet in one state off the grain 2 for an odd walk",
         "raised: charge form 1 of (1,) is odd",
         "raised: verbatim reread must preserve the weight",
         "raised: path must start at a=2, got 3",

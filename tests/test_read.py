@@ -257,9 +257,10 @@ def _listed(cls, label, start, low, top):
     model's label: every vertex costs one, so a few short walks into the
     tail band fit.
     """
-    one = lambda *args: 1
-    return iter(lattice.search(start, label[-1], low, top, 3, 12, one, lambda x, h: 0, one,
-                               "a test walk", partial(cls, *label)))
+    one = (0, 0, 1, 1)  # a constant cost, slope 0
+    return iter(lattice.search(lattice.Model(
+        start, label[-1], low, top, 3, 12, "a test walk", lambda *vertex: one,
+        [lattice.FREE] * (top + 1), lambda x: 1, build=partial(cls, *label))))
 
 
 _BROKEN = (

@@ -46,6 +46,16 @@ def test_dark_floors():
     assert 2 in dark_floors(4, 9) and 3 not in dark_floors(4, 9)
 
 
+def test_a_pair_that_is_not_a_model_is_refused_alike():
+    # enumeration, counting and a raw path's read all take the label rule
+    # from `dark_floors`, with one exception type and one message
+    for call in (lambda: enumerate_paths(3, 6, 2, 1, 3), lambda: generating_function(3, 6, 2, 1, 3),
+                 lambda: RsosPath(3, 6, 2, 1, (2, 1)), lambda: dark_floors(3, 6)):
+        with pytest.raises(InvalidPathError) as exc:
+            call()
+        assert str(exc.value) == "need coprime 1 < p < p', got (3, 6)"
+
+
 def test_tail_band_index():
     assert tail_band_index(4, 9, 6) == 3
     assert tail_band_index(4, 9, 3) is None
