@@ -202,7 +202,7 @@ def _lower_peaks(h: HalfPath, tops: tuple[int, ...],
     if any(cut.doubled[i] % 2 == parity for i in left):
         kind = "non-integer" if parity else "integer"
         raise StructureError(f"{kind} peaks remain after unstacking")
-    return tuple(num for num, _ in reversed(raised)), cut, left
+    return tuple([num for num, _ in reversed(raised)]), cut, left
 
 
 def _notch_step(height: int) -> int:
@@ -245,7 +245,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     n = len(particles)
 
     # of the vertices 1..x1-1, x1 - 1 - rank(x1) are non-scoring
-    lam = tuple(x1 - 1 - bisect_left(scoring, x1) for x1, _ in reversed(particles))
+    lam = tuple([x1 - 1 - bisect_left(scoring, x1) for x1, _ in reversed(particles)])
     if not _is_partition(lam):
         raise AssertionError("particle labels must form a partition")
 
@@ -261,7 +261,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     if h_hat_cut._scan[0] != w_cut:
         raise AssertionError("verbatim reread must preserve the weight")
 
-    mu = tuple(lam[i] + n - i for i in range(n))  # lam_i + n + 1 - (i+1)
+    mu = tuple([lam[i] + n - i for i in range(n)])  # lam_i + n + 1 - (i+1)
     h_hat = _raise_peaks(h_hat_cut, mu)
     if h_hat_cut._scan[1] != 2 * k_cut:
         raise AssertionError("verbatim reread must double the straight-vertex count")
@@ -280,7 +280,7 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
     w_hat, _, tops, _ = path._scan
     mu, h_hat_cut, _ = _lower_peaks(path, tops, 0)
     n = len(mu)
-    lam = tuple(mu[i] - n + i for i in range(n))  # mu_i - n - 1 + (i+1)
+    lam = tuple([mu[i] - n + i for i in range(n)])  # mu_i - n - 1 + (i+1)
     if not _is_partition(lam):
         raise StructureError(f"integer-peak numbers {mu} do not define a partition")
 
@@ -310,7 +310,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     w, scoring, _ = path._scan
     k = len(scoring)
     pairs = _pair_runs(_gaps(scoring, scoring[-1] if scoring else 0))
-    lam = tuple(k - bisect_right(scoring, x2) for _, x2 in pairs)  # scoring after x2
+    lam = tuple([k - bisect_right(scoring, x2) for _, x2 in pairs])  # scoring after x2
     if not (all(x > 0 for x in lam) and _is_partition(lam)):
         raise AssertionError("pair labels must form a partition of positive parts")
     n = len(lam)
@@ -326,7 +326,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     c = 0
     while c < n and lam[c] - (c + 1) >= k - m:
         c += 1
-    mu = tuple(lam[i] - (i + 1) - k + m + 1 for i in range(c))
+    mu = tuple([lam[i] - (i + 1) - k + m + 1 for i in range(c)])
     nu = tuple(lam[c:])
     d = n - c
 
@@ -440,7 +440,7 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     _, scoring, m = h_cut._scan
     k = len(scoring)
 
-    lam = tuple(mu[i] + (i + 1) + k - m - 1 for i in range(c)) + nu
+    lam = tuple([mu[i] + (i + 1) + k - m - 1 for i in range(c)]) + nu
     n = c + d
     if not _is_partition(lam):
         raise StructureError(f"recovered labels {lam} are not a partition")

@@ -18,19 +18,21 @@ one Horner sweep divides by (1 - q^M) once per value M, so only a few dozen
 such passes are made per call.  `fermionic_character_12` walks every
 vector; `particles.sector_gf` walks the one vector of its sector, each
 level stopping at that vector's n_c.  The closed-form sums for M(2,5),
-M(3,7) and M(4,7) build each term from its neighbour in the same way, a
-few passes per term.  `bosonic_character` divides the alternating sum by
-(q)_oo in place with one pentagonal pass (`qseries._divide_poch_inf`).
-Neither walk takes a frame per charge: `occupation_vectors` is one loop,
-and the fermionic walk keeps one dict of merged states per level.  Both
-visit only the charges whose lone particle fits within the order, about
-sqrt(2N) of them whatever T is.
+M(3,7) and M(4,7) share one row walk, `_row_walk`, which builds each
+term from its neighbour in the same way, a few passes per term.
+`bosonic_character` divides the alternating sum by (q)_oo in place with
+one pentagonal pass (`qseries._divide_poch_inf`).  Neither walk takes a
+frame per charge: `occupation_vectors` is one loop, and the fermionic walk
+keeps one dict of merged states per level.  Both visit only the charges
+whose lone particle fits within the order, about sqrt(2N) of them whatever
+T is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from operator import add
 
 from .halfpath import theorem1_domain
@@ -301,84 +303,68 @@ def verify_symmetries(label: CharacterLabel, order: int) -> SymmetryReport:
 # -- classic closed-form sums used as independent cross-checks --------------
 
 
-def fermionic_sum_2_5(order: int) -> QSeries:
-    """sum_n q^(n^2) / (q)_n, the Rogers-Ramanujan sum side for M(2,5).
+def _row_walk(order: int, exponent, row_step, base_step=None) -> QSeries:
+    """sum over n2, n1 >= 0 of q^exponent(n1, n2) T(n1, n2), cut at q^order.
 
-    Each term is its predecessor over (1 - q^n), cut at q^(order - n^2) first.
+    T(0, 0) = 1.  The base T(0, n2) of each row is T(0, n2 - 1) over (1 - q^k)
+    for each k of base_step(n2); along a row, T(n1, n2) is T(n1 - 1, n2)
+    times (1 - q^k) for each k of row_step(n1, n2)[0] and over (1 - q^k) for
+    each k of row_step(n1, n2)[1].  A form without base_step has the one row
+    n2 = 0.  The exponent must grow along rows and columns, so a row ends at
+    the first n1 past order, the walk at the first row whose base is past
+    it, and every list is cut at q^(order - e) before its passes.
     """
     _check_order(order)
     acc = [0] * (order + 1)
-    term = [1] + [0] * order
-    n = e = 0
-    while True:
-        acc[e:] = map(add, acc[e:], term)
-        n += 1
-        e = n * n
-        if e > order:
-            return QSeries(order, tuple(acc))
-        del term[order - e + 1:]
-        _divide_one_minus(term, n)
+    base = [1] + [0] * order
+    for n2 in count() if base_step else (0,):
+        if (e := exponent(0, n2)) > order:
+            break
+        del base[order - e + 1:]
+        for k in base_step(n2) if n2 else ():
+            _divide_one_minus(base, k)
+        term = base[:]
+        for n1 in count(1):
+            acc[e:] = map(add, acc[e:], term)
+            if (e := exponent(n1, n2)) > order:
+                break
+            del term[order - e + 1:]
+            times, over = row_step(n1, n2)
+            for k in times:
+                _times_one_minus(term, k)
+            for k in over:
+                _divide_one_minus(term, k)
+    return QSeries(order, tuple(acc))
+
+
+def fermionic_sum_2_5(order: int) -> QSeries:
+    """sum_n q^(n^2) / (q)_n, the Rogers-Ramanujan sum side for M(2,5): one
+    row, each term its predecessor over (1 - q^n).
+    """
+    return _row_walk(order, lambda n1, n2: n1 * n1, lambda n1, n2: ((), (n1,)))
 
 
 def fermionic_sum_3_7(order: int) -> QSeries:
     """sum q^((n1+n2)^2 + 2 n2^2) / ((q)_{n1} (q)_{2 n2}) for M(3,7).
 
-    A base 1/(q)_{2 n2} is kept per n2, and each term of a row is its
-    predecessor over (1 - q^n1); every list is cut at q^(order - e) first.
+    Row n2 starts from 1/(q)_{2 n2}, and each term of a row is its
+    predecessor over (1 - q^n1).
     """
-    _check_order(order)
-    acc = [0] * (order + 1)
-    base = [1] + [0] * order
-    n2 = 0
-    while (e := 3 * n2 * n2) <= order:
-        del base[order - e + 1:]
-        if n2:
-            _divide_one_minus(base, 2 * n2 - 1)
-            _divide_one_minus(base, 2 * n2)
-        term = base[:]
-        n1 = 0
-        while True:
-            acc[e:] = map(add, acc[e:], term)
-            n1 += 1
-            e = (n1 + n2) ** 2 + 2 * n2 * n2
-            if e > order:
-                break
-            del term[order - e + 1:]
-            _divide_one_minus(term, n1)
-        n2 += 1
-    return QSeries(order, tuple(acc))
+    return _row_walk(order, lambda n1, n2: (n1 + n2) ** 2 + 2 * n2 * n2,
+                     lambda n1, n2: ((), (n1,)), lambda n2: (2 * n2 - 1, 2 * n2))
 
 
 def fermionic_sum_4_7(order: int) -> QSeries:
     """sum q^((n1+2n2)^2 + 2 n2^2) [n1+2n2, n1]_q / (q)_{2n1+4n2} for M(4,7).
 
-    A base 1/(q)_{4 n2} is kept per n2.  Along a row, raising n1 multiplies
+    Row n2 starts from 1/(q)_{4 n2}.  Along a row, raising n1 multiplies
     the binomial by (1 - q^(n1 + 2 n2)) / (1 - q^n1), no pass when n2 = 0,
-    and divides by (1 - q^(2 n1 + 4 n2 - 1)) (1 - q^(2 n1 + 4 n2)); every
-    list is cut at q^(order - e) first.
+    since [n1, n1] = 1, and divides by (1 - q^(2 n1 + 4 n2 - 1)) (1 - q^(2 n1
+    + 4 n2)).
     """
-    _check_order(order)
-    acc = [0] * (order + 1)
-    base = [1] + [0] * order
-    n2 = 0
-    while (e := 6 * n2 * n2) <= order:
-        del base[order - e + 1:]
-        if n2:
-            for k in range(4 * n2 - 3, 4 * n2 + 1):
-                _divide_one_minus(base, k)
-        term = base[:]
-        n1 = 0
-        while True:
-            acc[e:] = map(add, acc[e:], term)
-            n1 += 1
-            e = (n1 + 2 * n2) ** 2 + 2 * n2 * n2
-            if e > order:
-                break
-            del term[order - e + 1:]
-            if n2:
-                _times_one_minus(term, n1 + 2 * n2)
-                _divide_one_minus(term, n1)
-            _divide_one_minus(term, 2 * n1 + 4 * n2 - 1)
-            _divide_one_minus(term, 2 * n1 + 4 * n2)
-        n2 += 1
-    return QSeries(order, tuple(acc))
+    def row_step(n1, n2):
+        over = (2 * n1 + 4 * n2 - 1, 2 * n1 + 4 * n2)
+        return ((n1 + 2 * n2,), (n1, *over)) if n2 else ((), over)
+
+    return _row_walk(order, lambda n1, n2: (n1 + 2 * n2) ** 2 + 2 * n2 * n2, row_step,
+                     lambda n2: range(4 * n2 - 3, 4 * n2 + 1))

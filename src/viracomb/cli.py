@@ -162,7 +162,7 @@ def cmd_dissect(args) -> int:
 
 
 def cmd_sector_gf(args) -> int:
-    sector = tuple(int(x) for x in args.n.split(","))
+    sector = tuple([int(x) for x in args.n.split(",")])
     _emit_series(pt.sector_gf(args.t2, sector, args.order), args.format)
     return 0
 

@@ -80,14 +80,14 @@ class QSeries:
 
     def __add__(self, other: QSeries) -> QSeries:
         n = min(self.order, other.order)
-        return QSeries(n, tuple(self.coeffs[i] + other.coeffs[i] for i in range(n + 1)))
+        return QSeries(n, tuple([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)]))
 
     def __sub__(self, other: QSeries) -> QSeries:
         n = min(self.order, other.order)
-        return QSeries(n, tuple(self.coeffs[i] - other.coeffs[i] for i in range(n + 1)))
+        return QSeries(n, tuple([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)]))
 
     def __neg__(self) -> QSeries:
-        return QSeries(self.order, tuple(-c for c in self.coeffs))
+        return QSeries(self.order, tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other: QSeries) -> QSeries:
         n = min(self.order, other.order)

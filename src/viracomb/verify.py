@@ -201,7 +201,6 @@ _PRODUCTS = {
 
 
 def jobs_theorem1(order: int, max_t2: int):
-    y_order = min(order, 15)  # no cost reason: keeps the report lines until the suite widens
     jobs = []
     for p, pp in RSOS_FAMILIES:
         for a in range(1, pp):
@@ -214,7 +213,7 @@ def jobs_theorem1(order: int, max_t2: int):
             for b2 in range(2, t2 + 1, 2):
                 if hp.theorem1_domain(t2, a2, b2):
                     label = theorem1_label(t2, a2 // 2, b2 // 2)
-                    jobs.append(("theorem1", f"Y({t2},{a2},{b2})", dict(T=t2, A=a2, B=b2), y_order,
+                    jobs.append(("theorem1", f"Y({t2},{a2},{b2})", dict(T=t2, A=a2, B=b2), order,
                                  _check_series, (hp.generating_function, (t2, a2, b2), label)))
     return jobs
 
@@ -267,7 +266,6 @@ _MOVE_ROUNDS = 8
 
 
 def jobs_sectors(order: int, max_t2: int):
-    order = min(order, 15)  # no cost reason: keeps the report lines until the suite widens
     jobs = []
     for t2 in range(4, max_t2 + 1):
         jobs += [

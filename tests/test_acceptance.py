@@ -119,7 +119,7 @@ def test_criterion_3a_rsos_generating_functions():
 
 def test_criterion_3b_half_generating_functions():
     jobs = named(jobs_theorem1(20, 10), "theorem1", "Y(")
-    run_and_report("criterion-3b Y = chi to q^15", jobs)
+    run_and_report("criterion-3b Y = chi to q^20", jobs)
 
 
 def test_criterion_3f_theorem1_every_label():

@@ -292,9 +292,8 @@ def test_fermionic_walk_every_low_order():
             assert fermionic_character_12(t2, order).coeffs == tuple(acc[:order + 1]), (t2, order)
 
 
-def test_fermionic_walk_divides_once_per_m1(monkeypatch):
-    # each binomial step is one multiplication and one division; any other
-    # division belongs to the sweep over m_1, one pass per value within order
+def _count_passes(monkeypatch) -> dict:
+    """Count the (1 - q^k) passes `characters` makes, by kind, from here on."""
     calls = {"divide": 0, "times": 0}
     divide, times = characters._divide_one_minus, characters._times_one_minus
 
@@ -308,6 +307,13 @@ def test_fermionic_walk_divides_once_per_m1(monkeypatch):
 
     monkeypatch.setattr(characters, "_divide_one_minus", counted_divide)
     monkeypatch.setattr(characters, "_times_one_minus", counted_times)
+    return calls
+
+
+def test_fermionic_walk_divides_once_per_m1(monkeypatch):
+    # each binomial step is one multiplication and one division; any other
+    # division belongs to the sweep over m_1, one pass per value within order
+    calls = _count_passes(monkeypatch)
     order = 90
     for t2 in range(4, 15):
         calls.update(divide=0, times=0)
@@ -318,6 +324,19 @@ def test_fermionic_walk_divides_once_per_m1(monkeypatch):
     # with nothing above it (m_c = 0) takes none: 288 passes, where a walk
     # with one history per prefix takes 438
     assert calls["divide"] + calls["times"] <= 288, calls
+
+
+def test_closed_forms_step_from_neighbours(monkeypatch):
+    # the row walk takes each factor pass once per step: a row's base over
+    # its new Pochhammer factors, each term over its new ones; terms rebuilt
+    # alone would take 120, 1 045 and 1 836 passes at q^240
+    calls = _count_passes(monkeypatch)
+    for form, passes in ((fermionic_sum_2_5, {"divide": 15, "times": 0}),
+                         (fermionic_sum_3_7, {"divide": 99, "times": 0}),
+                         (fermionic_sum_4_7, {"divide": 177, "times": 41})):
+        calls.update(divide=0, times=0)
+        form(240)
+        assert calls == passes, form.__name__
 
 
 def test_occupation_vectors_match_brute_force():

@@ -417,6 +417,18 @@ def test_no_result_cache():
     assert uses == ["rsos.dark_floors"]
 
 
+def test_no_tuple_from_generator():
+    # a tuple built from a generator is resized as it grows, one built from
+    # a list is allocated once at its size: the bijections build many small
+    # tuples, and the resized ones kept their memory held longer
+    sites = [f"{f.stem}:{node.lineno}" for f in sorted((SRC / "viracomb").glob("*.py"))
+             for node in ast.walk(ast.parse(f.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "tuple" and node.args
+             and isinstance(node.args[0], ast.GeneratorExp)]
+    assert sites == []
+
+
 # -- what a path keeps of its own readings ------------------------------------
 
 
