@@ -24,12 +24,14 @@ p' = 2p+1, the flip-and-lift and accretion for p' = 2p-1.  `forward` and
 Each map is defined exactly on the Theorem-1 labels of its half side,
 (2p, a, b) for p' = 2p+1 and (2p-1, b+1, a) for p' = 2p-1.  Those are the
 labels a half path can carry, so an inverse map needs only its family
-check; a forward map refuses any other label through `hp.theorem1_domain`
-after its own.  A path that breaks a path rule, or is not stored
-canonically, cannot reach a map: its constructor refuses it.  Each path is
-read once, when a stage builds it, and keeps its scan (`_scan`), which the
-next stage reads off the path: the weights each stage checks, and the
-peaks `_raise_peaks`, `_lower_peaks` and `bij2_inverse` work on.
+check, and it takes its RSOS side's label from `hp.rsos_label`; a forward
+map states its own half side and refuses any other label through
+`hp.theorem1_domain` after its own.  A path that breaks a path rule, or is
+not stored canonically, cannot reach a map: its constructor refuses it.
+Each path is read once, when a stage builds it, and keeps its scan
+(`_scan`), which the next stage reads off the path: the weights each stage
+checks, and the peaks `_raise_peaks`, `_lower_peaks` and `bij2_inverse`
+work on.
 
 Every stage checks the exact weight bookkeeping it is supposed to satisfy,
 and raises `AssertionError` explicitly (so under `python -O` too), so a
@@ -271,11 +273,8 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
 
 
 def bij1_inverse(path: HalfPath) -> RsosPath:
-    t2, a, b = path.t2, path.a2, path.b2
-    if t2 % 2:
-        raise BijectionDomainError(f"expected even T = 2p, got {t2}")
-    p = t2 // 2
-    pp = t2 + 1
+    if path.t2 % 2:
+        raise BijectionDomainError(f"expected even T = 2p, got {path.t2}")
 
     w_hat, _, tops, _ = path._scan
     mu, h_hat_cut, _ = _lower_peaks(path, tops, 0)
@@ -284,7 +283,7 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
     if not _is_partition(lam):
         raise StructureError(f"integer-peak numbers {mu} do not define a partition")
 
-    h_cut = RsosPath.of(p, pp, a, b, h_hat_cut.doubled)
+    h_cut = RsosPath.of(*hp.rsos_label(path.t2, path.a2, path.b2), h_hat_cut.doubled)
     ns_list = _gaps(h_cut._scan[1], h_cut.horizon + 1)
 
     def nonscoring_position(j: int) -> int:
@@ -377,8 +376,6 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     if t2 % 2 == 0:
         raise BijectionDomainError(f"expected odd T = 2p-1, got {t2}")
     bb, a = path.a2, path.b2  # start of the flipped image, even tail reference
-    p = (t2 + 1) // 2
-    pp = t2
 
     w_hat = hp.weight(path)
 
@@ -435,7 +432,7 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     if rev[0] != a or rev[-1] != bb:
         raise AssertionError("the lowered, reversed path must run from a to the tail")
     rev += [bb - 1, bb, bb - 1]
-    h_cut = RsosPath.of(p, pp, a, bb - 1, rev)
+    h_cut = RsosPath.of(*hp.rsos_label(t2, bb, a), rev)
 
     _, scoring, m = h_cut._scan
     k = len(scoring)

@@ -35,10 +35,11 @@ from dataclasses import dataclass
 from itertools import count
 from operator import add
 
-from .halfpath import theorem1_domain
+from .halfpath import rsos_label, theorem1_domain
 # pochhammer_inf_inverse is not called here: bench/tracing.py wraps it under this name
 from .qseries import (QSeries, _divide_one_minus, _divide_poch_inf, _merge, _times_one_minus,
                       pochhammer_inf_inverse)
+from .rsos import tail_band_index
 
 
 class InvalidLabelError(ValueError):
@@ -257,17 +258,18 @@ def _walk(t2: int, order: int, fixed: tuple[int, ...] | None) -> QSeries:
 
 
 def theorem1_label(t2: int, a_hat: int, b_hat: int) -> CharacterLabel:
-    """Character label matched to the half-lattice path space H^t_{a,b}:
-    (t, 2t+1, b, 2a) for even T = 2t, ((T+1)/2, T, a, 2b) for odd T, where
-    (2a, 2b) must lie in the range `halfpath.theorem1_domain` admits.
+    """Character label matched to the half-lattice path space H^t_{a,b}: the
+    character (p, p', r, a) of the RSOS label (p, p', a, b) that
+    `halfpath.rsos_label` pairs with (T, 2a, 2b), r the index of its tail
+    band b, where (2a, 2b) must lie in the range `halfpath.theorem1_domain`
+    admits.
     """
     if not theorem1_domain(t2, 2 * a_hat, 2 * b_hat):
         raise InvalidLabelError(
             f"(a,b)=({a_hat},{b_hat}) out of the admissible range for T={t2}"
         )
-    if t2 % 2 == 0:
-        return CharacterLabel(t2 // 2, t2 + 1, b_hat, 2 * a_hat)
-    return CharacterLabel((t2 + 1) // 2, t2, a_hat, 2 * b_hat)
+    p, pp, a, b = rsos_label(t2, 2 * a_hat, 2 * b_hat)
+    return CharacterLabel(p, pp, tail_band_index(p, pp, b), a)
 
 
 @dataclass(frozen=True)

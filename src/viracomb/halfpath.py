@@ -6,7 +6,8 @@ doubled heights 2..T (T = 2t), starts at A = 2a, and eventually oscillates
 between B and B+1, a tail band inside the strip (B < T).  Valleys are only
 allowed at even doubled heights; the startpoint's shape uses the virtual
 convention H_{-1} = A + 1.  The labels (T, A, B) a path can carry are
-exactly the Theorem-1 labels, `theorem1_domain`.
+exactly the Theorem-1 labels, `theorem1_domain`, and `rsos_label` names the
+RSOS label the bijections pair each of them with.
 
 The raw weight is half the sum of the positions of the straight vertices.
 In doubled coordinates that sum is an integer number of quarter-units;
@@ -97,6 +98,16 @@ def theorem1_domain(t2: int, a2: int, b2: int) -> bool:
     labels a half path can carry.
     """
     return t2 >= 4 and a2 % 2 == b2 % 2 == 0 and 2 <= a2 <= t2 and 2 <= b2 < t2
+
+
+def rsos_label(t2: int, a2: int, b2: int) -> tuple[int, int, int, int]:
+    """The RSOS label (p, p', a, b) the bijections pair with the Theorem-1
+    half label (T, A, B): (T/2, T+1, A, B) for even T, of p' = 2p+1, and
+    ((T+1)/2, T, B, A-1) for odd T, of p' = 2p-1.
+    """
+    if t2 % 2 == 0:
+        return t2 // 2, t2 + 1, a2, b2
+    return (t2 + 1) // 2, t2, b2, a2 - 1
 
 
 def _ground_quarters(t2: int, a2: int, b2: int) -> int:

@@ -22,8 +22,10 @@ builds, so an oracle that built one would refuse what the program refuses,
 rightly or not.  `ground_state` is the straight staircase from A to B.  `pair_runs` is the bijections'
 particle pairing as it was written before it took one pass, and
 `BIJECTION_DOMAINS` the labels each bijection took as it checked them by
-hand, before `halfpath.theorem1_domain` bounded every map.  The program
-itself never needs them.
+hand, before `halfpath.theorem1_domain` bounded every map.
+`theorem1_label_reference` is the character label of a half-path space as
+a closed formula, as it was written before it was read off
+`halfpath.rsos_label`.  The program itself never needs them.
 """
 
 from bisect import bisect_left
@@ -32,7 +34,7 @@ from typing import NamedTuple
 from math import gcd
 
 from viracomb import halfpath, lattice, rsos
-from viracomb.characters import m_vector
+from viracomb.characters import CharacterLabel, m_vector
 from viracomb.halfpath import HalfPath, InvalidHalfPathError
 from viracomb.particles import Dissection, DissectionError, Particle
 from viracomb.qseries import QSeries, _factor_product
@@ -443,3 +445,12 @@ BIJECTION_DOMAINS = {
                                          and 1 < b + 1 < pp),
     "bij2_inverse": lambda t2, a, b: t2 % 2 == 1 and 1 < a < t2 and 1 < b < t2,
 }
+
+
+def theorem1_label_reference(t2: int, a_hat: int, b_hat: int) -> CharacterLabel:
+    """The character label of H^t_{a,b}: (t, 2t+1, b, 2a) for even T = 2t,
+    ((T+1)/2, T, a, 2b) for odd T.
+    """
+    if t2 % 2 == 0:
+        return CharacterLabel(t2 // 2, t2 + 1, b_hat, 2 * a_hat)
+    return CharacterLabel((t2 + 1) // 2, t2, a_hat, 2 * b_hat)

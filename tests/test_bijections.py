@@ -1,13 +1,14 @@
 import random
 import re
 import statistics
+from dataclasses import astuple
 from unittest import mock
 
 import pytest
 
 from viracomb import bijections
 from viracomb import halfpath as hp
-from viracomb import lattice, rsos
+from viracomb import lattice, rsos, verify
 from viracomb.bijections import (
     BijectionDomainError,
     StructureError,
@@ -319,21 +320,22 @@ def _staircase(a, b):
     return list(range(a, b + 1)) if a <= b else list(range(a, b - 1, -1))
 
 
-def _refused(name, path):
-    """Whether the map named refuses the path's label as out of its domain."""
+def _mapped(name, path):
+    """What the map named makes of the path, or None where it refuses the
+    path's label as out of its domain.
+    """
     try:
-        getattr(bijections, name)(path)
+        return getattr(bijections, name)(path)
     except BijectionDomainError:
-        return True
-    return False
+        return None
 
 
 def test_maps_refuse_exactly_the_labels_outside_their_domains():
     # both families with p <= 11, every (a, b), and every half label with
     # T <= 23: each of the four maps refuses a label exactly where the
-    # range checks it made by hand refused it, and maps the rest; a tail at
-    # b = p'-1 or B = T, whose band leaves the strip, is refused before any
-    # map
+    # range checks it made by hand refused it, and maps the rest, the two
+    # sides' labels paired by `hp.rsos_label`; a tail at b = p'-1 or B = T,
+    # whose band leaves the strip, is refused before any map
     for p in range(2, 12):
         for pp in (2 * p + 1, 2 * p - 1):
             for a in range(1, pp):
@@ -345,7 +347,9 @@ def test_maps_refuse_exactly_the_labels_outside_their_domains():
                     path = RsosPath.of(p, pp, a, b, _staircase(a, b))
                     for name in ("bij1_forward", "bij2_forward"):
                         inside = BIJECTION_DOMAINS[name](p, pp, a, b)
-                        assert _refused(name, path) != inside, (name, path)
+                        image = _mapped(name, path)
+                        assert (image is not None) == inside, (name, path)
+                        assert not inside or hp.rsos_label(*astuple(image[0])[:3]) == (p, pp, a, b)
     for t2 in range(4, 24):
         for a2 in range(2, t2 + 1, 2):
             for b2 in range(2, t2 + 1, 2):
@@ -357,4 +361,77 @@ def test_maps_refuse_exactly_the_labels_outside_their_domains():
                 path = HalfPath.of(t2, a2, b2, _staircase(a2, b2))
                 for name in ("bij1_inverse", "bij2_inverse"):
                     inside = BIJECTION_DOMAINS[name](t2, a2, b2)
-                    assert _refused(name, path) != inside, (name, path)
+                    back = _mapped(name, path)
+                    assert (back is not None) == inside, (name, path)
+                    assert not inside or astuple(back)[:4] == hp.rsos_label(t2, a2, b2)
+
+
+# one small half label (T, A, B) of each family: p' = 2p+1, then p' = 2p-1
+CHECKED_LABELS = ((4, 2, 2), (5, 4, 2))
+
+
+def _rsos_paths(half):
+    return list(rsos.enumerate_paths(*hp.rsos_label(*half), 6))
+
+
+@pytest.mark.parametrize("half", CHECKED_LABELS)
+def test_check_bijection_lists_the_rsos_paths_only(half):
+    # the half paths are counted, never listed: the one listing walk the
+    # check builds is the RSOS one
+    paths = _rsos_paths(half)
+    with mock.patch.object(lattice, "_walk_root", wraps=lattice._walk_root) as walk:
+        assert verify._check_bijection(*half, 6) == dict(ok=True, detail={"paths": len(paths)})
+    assert walk.call_count == 1
+
+
+@pytest.mark.parametrize("half", CHECKED_LABELS)
+def test_check_bijection_names_an_inverse_mismatch(half):
+    paths = _rsos_paths(half)
+    target = paths[-1]
+    real = bijections.inverse
+
+    def inverse(image):
+        back = real(image)
+        return paths[0] if back == target else back
+
+    with mock.patch.object(verify.bj, "inverse", inverse):
+        verdict = verify._check_bijection(*half, 6)
+    assert verdict == dict(ok=False, detail=dict(reason="inverse mismatch",
+                                                 path=target.to_line()))
+
+
+@pytest.mark.parametrize("half", CHECKED_LABELS)
+def test_check_bijection_counts_images_short_of_the_half_paths(half):
+    # every path of one weight goes to one image, and each still maps back
+    # to its own path: only the count of distinct images shows it
+    paths = _rsos_paths(half)
+    real = bijections.forward
+    firsts = {}  # weight -> the image of the first path of that weight
+    last = []  # the path forward saw last
+
+    def forward(path):
+        last[:] = [path]
+        return firsts.setdefault(rsos.weight(path), real(path)[0]), None
+
+    with mock.patch.object(verify.bj, "forward", forward):
+        with mock.patch.object(verify.bj, "inverse", lambda image: last[0]):
+            verdict = verify._check_bijection(*half, 6)
+    assert len(firsts) < len(paths)
+    assert verdict == dict(ok=False, detail=dict(
+        reason="image set does not exhaust the half-path set", paths=len(paths),
+        halves=len(hp.enumerate_paths(*half, 6)), images=len(firsts)))
+
+
+@pytest.mark.parametrize("half", CHECKED_LABELS)
+def test_check_bijection_names_an_image_off_its_label_or_weight(half):
+    # every path sent to a weight-0 image: of another label, the first path
+    # fails; of the label, the first path of positive weight fails
+    paths = _rsos_paths(half)
+    t2, a2, b2 = half
+    heavy = next(h for h in paths if rsos.weight(h))
+    for image, failing in ((ground_state(t2 + 2, a2, b2), paths[0]),
+                           (ground_state(*half), heavy)):
+        with mock.patch.object(verify.bj, "forward", lambda path: (image, None)):
+            verdict = verify._check_bijection(*half, 6)
+        assert verdict == dict(ok=False, detail=dict(reason="label or weight changed",
+                                                     path=failing.to_line()))

@@ -22,6 +22,7 @@ from viracomb.characters import (
     theorem1_label,
     verify_symmetries,
 )
+from viracomb.halfpath import theorem1_domain
 from viracomb.particles import sector_gf
 from viracomb.qseries import (
     QSeries,
@@ -37,6 +38,7 @@ from oracles import (
     fermionic_sum_3_7_reference,
     fermionic_sum_4_7_reference,
     fermionic_term,
+    theorem1_label_reference,
 )
 
 
@@ -109,6 +111,19 @@ def test_theorem1_label_values():
     assert theorem1_label(10, 2, 4) == CharacterLabel(5, 11, 4, 4)
     assert theorem1_label(7, 1, 3) == CharacterLabel(4, 7, 1, 6)
     assert theorem1_label(4, 1, 1) == CharacterLabel(2, 5, 1, 2)
+
+
+def test_theorem1_label_matches_the_closed_formula():
+    # every Theorem-1 label with T <= 40: the character of the RSOS label
+    # `halfpath.rsos_label` pairs with is the closed formula
+    labels = 0
+    for t2 in range(4, 41):
+        for a_hat, b_hat in itertools.product(range(1, t2 + 1), repeat=2):
+            if theorem1_domain(t2, 2 * a_hat, 2 * b_hat):
+                assert (theorem1_label(t2, a_hat, b_hat)
+                        == theorem1_label_reference(t2, a_hat, b_hat)), (t2, a_hat, b_hat)
+                labels += 1
+    assert labels == sum((t2 // 2) * ((t2 - 1) // 2) for t2 in range(4, 41))
 
 
 def test_theorem1_label_rejects_out_of_range():
