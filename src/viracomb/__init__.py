@@ -12,6 +12,7 @@ from .bijections import (
     Bij1Trace,
     Bij2Trace,
     BijectionDomainError,
+    InvariantError,
     StructureError,
     bij1_forward,
     bij1_inverse,
@@ -50,6 +51,7 @@ __all__ = [
     "InvalidHalfPathError",
     "InvalidLabelError",
     "InvalidPathError",
+    "InvariantError",
     "Particle",
     "QSeries",
     "RsosPath",

@@ -28,22 +28,30 @@ check, and it takes its RSOS side's label from `hp.rsos_label`; a forward
 map states its own half side and refuses any other label through
 `hp.theorem1_domain` after its own.  A path that breaks a path rule, or is
 not stored canonically, cannot reach a map: its constructor refuses it.
-Each path is read once, when a stage builds it, and keeps its scan
-(`_scan`), which the next stage reads off the path: the weights each stage
-checks, and the peaks `_raise_peaks`, `_lower_peaks` and `bij2_inverse`
-work on.
 
-Every stage checks the exact weight bookkeeping it is supposed to satisfy,
-and raises `AssertionError` explicitly (so under `python -O` too), so a
-violation surfaces at the stage that caused it rather than as a bad round
-trip.
+Each map builds, and so reads, only its output path.  Every stage before
+it works on a list of heights, framed by `lattice.frame` (the heights
+through the canonical horizon and one past it), and scans it with the
+read's own vertex scan, `rsos._scan_frame` or `halfpath._scan_frame`: the
+weight each stage checks, and the scoring positions, straight-vertex count
+and peaks the next stage works on.  A trace keeps the stage lists and
+builds its paths from them only when it is read.
+
+Every stage checks the exact weight bookkeeping and count identities it is
+supposed to satisfy against the facts scanned from its own heights, and a
+path rule its list breaks (strip, unit step, odd valley, end in the band)
+fails that scan.  Either raises `InvariantError`, an `AssertionError`
+raised explicitly (so under `python -O` too), which names the map, the
+stage and the offending path line, so a violation surfaces at the stage
+that caused it rather than as a bad round trip.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from operator import ge, gt
 
 from . import halfpath as hp
 from . import lattice
@@ -60,19 +68,85 @@ class StructureError(Exception):
     """Input passed validation but is not in the bijection's image."""
 
 
+class InvariantError(AssertionError):
+    """A bijection stage broke its weight bookkeeping, a count identity or
+    a path rule: `stage` names the map and the stage, `detail` what broke,
+    and `line` the offending path line.  An `AssertionError`, raised
+    explicitly, so under `python -O` too.
+    """
+
+    def __init__(self, stage: str, detail: str, line: str) -> None:
+        super().__init__(stage, detail, line)
+        self.stage, self.detail, self.line = stage, detail, line
+
+    def __str__(self) -> str:
+        return f"{self.stage}: {self.detail}: {self.line}"
+
+
+class _Stage:
+    """One stage of a map: its heights under a path label, framed (through
+    the canonical horizon and one past it, `seq`), and the scan a read of
+    them keeps, by the read's own vertex scan (`_scan_frame` of the path
+    class's module); `framed` says hs is a frame already, another stage's
+    heights read under a label of the same tail band.  A path rule the
+    heights break, or a check of the stage that fails (`broken`), is an
+    `InvariantError` that names the stage and its path line.
+    """
+
+    __slots__ = ("name", "cls", "label", "seq", "scan")
+
+    def __init__(self, name: str, cls, label: tuple, hs: list[int], framed: bool = False):
+        self.name, self.cls, self.label = name, cls, label
+        self.seq = hs if framed else lattice.frame(hs, label[-1])[1]
+        try:
+            self.scan = (rsos if cls is RsosPath else hp)._scan_frame(*label, self.seq)
+        except (lattice.InvalidPathError, AssertionError) as exc:
+            raise self.broken(str(exc)) from None
+
+    @property
+    def horizon(self) -> int:
+        """The canonical horizon L of the stage's heights."""
+        return len(self.seq) - 2
+
+    def line(self) -> str:
+        """The stage's path line, built but not read."""
+        return lattice.bare(self.cls, *self.label, tuple(self.seq[:-1])).to_line()
+
+    def broken(self, detail: str) -> InvariantError:
+        return InvariantError(self.name, detail, self.line())
+
+
+class _Staged:
+    """A trace whose stage paths, its fields with no initial value, are
+    built from their `_Stage`s when first read, and kept: a map builds only
+    its output.  `stages` maps each such field to its stage.
+    """
+
+    def __post_init__(self, stages: dict) -> None:
+        vars(self)["_stages"] = stages
+
+    def __getattr__(self, name: str):
+        stage = vars(self).get("_stages", {}).get(name)
+        if stage is None:
+            raise AttributeError(name)
+        path = vars(self)[name] = stage.cls.of(*stage.label, stage.seq)
+        return path
+
+
 @dataclass(frozen=True)
-class Bij1Trace:
-    h_cut: RsosPath
+class Bij1Trace(_Staged):
+    h_cut: RsosPath = field(init=False)
     n: int
     lam: tuple[int, ...]
     mu: tuple[int, ...]
-    h_hat_cut: HalfPath
+    h_hat_cut: HalfPath = field(init=False)
     h_hat: HalfPath
+    stages: InitVar[dict]
 
 
 @dataclass(frozen=True)
-class Bij2Trace:
-    h_cut: RsosPath
+class Bij2Trace(_Staged):
+    h_cut: RsosPath = field(init=False)
     n: int
     k: int
     m: int
@@ -81,15 +155,16 @@ class Bij2Trace:
     lam: tuple[int, ...]
     mu: tuple[int, ...]
     nu: tuple[int, ...]
-    h_hat_cut: HalfPath
-    h_hat_int: HalfPath
+    h_hat_cut: HalfPath = field(init=False)
+    h_hat_int: HalfPath = field(init=False)
     h_hat: HalfPath
+    stages: InitVar[dict]
 
 
 # -- small sequence editors --------------------------------------------------
 
 
-def _delete_pairs(seq: list[int], positions: list[int]) -> list[int]:
+def _delete_pairs(seq: Sequence[int], positions: list[int]) -> list[int]:
     """Delete (pos, pos+1) for each position, processed right to left."""
     out = list(seq)
     for pos in sorted(positions, reverse=True):
@@ -110,24 +185,22 @@ def _insert_notches(seq: list[int], notches: list[tuple[int, int]]) -> list[int]
     return out
 
 
-def _notched(path: RsosPath | HalfPath, notches: list[tuple[int, int]]) -> list[int]:
-    """The path's heights, its tail padded to hold every notch, with the
-    notches inserted.
+def _notched(seq: list[int], b: int, notches: list[tuple[int, int]]) -> list[int]:
+    """The framed heights seq of tail band {b, b+1}, the tail padded to
+    hold every notch, with the notches inserted.
     """
-    upto = max([path.horizon] + [pos for pos, _ in notches]) + 2
-    return _insert_notches(path.padded(upto), notches)
+    upto = max([len(seq) - 2] + [pos for pos, _ in notches]) + 2
+    return _insert_notches(lattice.padded(seq, b, upto), notches)
 
 
-def _is_partition(parts: tuple[int, ...]) -> bool:
-    return all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1)) and all(
-        x >= 0 for x in parts
-    )
+def _is_partition(parts: tuple[int, ...], least: int = 0) -> bool:
+    """Whether parts weakly decrease, each at least `least`."""
+    return all(map(ge, parts, parts[1:])) and (not parts or parts[-1] >= least)
 
 
 def _gaps(positions: Sequence[int], upto: int) -> list[int]:
     """The positions 1..upto-1 missing from the given ones, in order."""
-    taken = set(positions)
-    return [x for x in range(1, upto) if x not in taken]
+    return sorted(set(range(1, upto)).difference(positions))
 
 
 def _pair_runs(positions: Sequence[int]) -> list[tuple[int, int]]:
@@ -160,51 +233,48 @@ def _require_domain(t2: int, a2: int, b2: int, rsos_label: str) -> None:
             f"{rsos_label}(T,A,B)=({t2},{a2},{b2}) is outside the Theorem-1 domain")
 
 
-def _remove_pairs(path: RsosPath, pairs: list[tuple[int, int]]) -> RsosPath:
-    """The path with both vertices of each adjacent pair (x, x+1) removed;
-    the tail is padded first so the cut path still reaches the tail band.
+def _remove_pairs(path: RsosPath, pairs: list[tuple[int, int]]) -> list[int]:
+    """The path's heights with both vertices of each adjacent pair (x, x+1)
+    removed; the tail is padded first so the cut still reaches the tail
+    band.
     """
     seq = path.padded(path.horizon + 2 * len(pairs) + 2)
-    cut = _delete_pairs(seq, [x for x, _ in pairs])
-    return RsosPath.of(path.p, path.p_prime, path.a, path.b, cut)
+    return _delete_pairs(seq, [x for x, _ in pairs])
 
 
-def _raise_peaks(h: HalfPath, mu: tuple[int, ...]) -> HalfPath:
-    """Raise the peaks numbered mu from the left (tail peaks included) by a
-    notch each, read off h's scan: the weight w, the straight-vertex count
-    l, the peaks and the valleys of h.  Raising c peaks adds exactly
-    c(l+c-1)/2 + |mu| to the weight.
+def _raise_peaks(name: str, h: _Stage, mu: tuple[int, ...]) -> tuple[list[int], int]:
+    """The heights of the half-path stage h with the peaks numbered mu from
+    the left (tail peaks included) raised by a notch each, read off its
+    scan: the straight-vertex count l and the peaks.  Returns them with
+    what raising c peaks adds to the weight, exactly c(l+c-1)/2 + |mu|,
+    for the caller to check on their own scan; `name` names the stage.
     """
-    w, ell, tops, _ = h._scan
+    _, ell, tops, _ = h.scan
     c = len(mu)
-    if not (all(x >= 1 for x in mu) and all(mu[i] > mu[i + 1] for i in range(c - 1))):
-        raise AssertionError("peak numbers must be positive and strictly decrease")
+    if not (all(map(gt, mu, mu[1:])) and (not mu or mu[-1] >= 1)):
+        raise InvariantError(name, "peak numbers must be positive and strictly decrease",
+                             h.line())
     # numbers past the stored peaks land on the tail's peaks, two apart
-    at = [tops[x - 1] if x <= len(tops) else h.horizon + 1 + 2 * (x - len(tops) - 1)
-          for x in mu]
-    raised = HalfPath.of(h.t2, h.a2, h.b2, _notched(h, [(x, 1) for x in at]))
-    if raised._scan[0] != w + c * (ell + c - 1) // 2 + sum(mu):
-        raise AssertionError("peak raising weight bookkeeping failed")
-    return raised
+    stored, first = len(tops), h.horizon + 1
+    at = [tops[x - 1] if x <= stored else first + 2 * (x - stored - 1) for x in mu]
+    return _notched(h.seq, h.label[-1], [(x, 1) for x in at]), c * (ell + c - 1) // 2 + sum(mu)
 
 
-def _lower_peaks(h: HalfPath, tops: tuple[int, ...],
-                 parity: int) -> tuple[tuple[int, ...], HalfPath, tuple[int, ...]]:
-    """Undo `_raise_peaks`: of the peaks `tops` of h, lower each one whose
-    doubled height has the given parity (0: integer, 1: non-integer).
+def _lower_peaks(name: str, half: tuple, seq: Sequence[int], tops: Sequence[int],
+                 parity: int) -> tuple[tuple[int, ...], _Stage]:
+    """Undo `_raise_peaks`: of the peaks `tops` of the half path seq (label
+    half), lower each one whose doubled height has the given parity (0:
+    integer, 1: non-integer).
 
-    Returns the peak numbers mu, largest first, the lowered path, which must
-    have no such peak left, and its peaks.
+    Returns the peak numbers mu, largest first, and the lowered stage,
+    which must have no such peak left.
     """
-    raised = [(num + 1, pos) for num, pos in enumerate(tops)
-              if h.doubled[pos] % 2 == parity]
-    seq = _delete_pairs(list(h.doubled), [pos for _, pos in raised])
-    cut = HalfPath.of(h.t2, h.a2, h.b2, seq)
-    left = cut._scan[2]
-    if any(cut.doubled[i] % 2 == parity for i in left):
+    raised = [(num + 1, pos) for num, pos in enumerate(tops) if seq[pos] % 2 == parity]
+    cut = _Stage(name, HalfPath, half, _delete_pairs(seq, [pos for _, pos in raised]))
+    if any(cut.seq[i] % 2 == parity for i in cut.scan[2]):
         kind = "non-integer" if parity else "integer"
         raise StructureError(f"{kind} peaks remain after unstacking")
-    return tuple([num for num, _ in reversed(raised)]), cut, left
+    return tuple([num for num, _ in reversed(raised)]), cut
 
 
 def _notch_step(height: int) -> int:
@@ -214,19 +284,20 @@ def _notch_step(height: int) -> int:
     return -1 if height % 2 == 0 else 1
 
 
-def _reinsert(h_cut: RsosPath, positions: list[int], w_hat: int) -> RsosPath:
-    """Put a particle back as a notch at each position of the cut path; the
-    result must carry the weight w_hat.
+def _reinsert(h_cut: _Stage, positions: list[int], w_hat: int) -> RsosPath:
+    """Put a particle back as a notch at each position of the RSOS stage
+    h_cut; the result, the map's output and the one path it builds, must
+    carry the weight w_hat.
     """
+    top, b = h_cut.label[1] - 1, h_cut.label[3]
     notches = []
     for pos in positions:
-        height = h_cut.height(pos)
+        height = lattice.tail_height(h_cut.seq, b, pos)
         step = _notch_step(height)
-        if not 1 <= height + step <= h_cut.p_prime - 1:
+        if not 1 <= height + step <= top:
             raise StructureError(f"reinsertion at position {pos} leaves the strip")
         notches.append((pos, step))
-    seq = _notched(h_cut, notches)
-    out = RsosPath.of(h_cut.p, h_cut.p_prime, h_cut.a, h_cut.b, seq)
+    out = RsosPath.of(*h_cut.label, _notched(h_cut.seq, b, notches))
     if rsos.weight(out) != w_hat:
         raise StructureError("reinserted path does not reproduce the weight")
     return out
@@ -236,10 +307,11 @@ def _reinsert(h_cut: RsosPath, positions: list[int], w_hat: int) -> RsosPath:
 
 
 def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
-    p, pp, a, b = path.p, path.p_prime, path.a, path.b
+    p, pp, a, b = label = path.p, path.p_prime, path.a, path.b
     if pp != 2 * p + 1:
         raise BijectionDomainError(f"expected p' = 2p+1, got ({p},{pp})")
     _require_domain(2 * p, a, b, f"(p,p',a,b)=({p},{pp},{a},{b}): half side ")
+    half = (2 * p, a, b)
 
     w, scoring, _ = path._scan
     k = len(scoring)
@@ -249,49 +321,60 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     # of the vertices 1..x1-1, x1 - 1 - rank(x1) are non-scoring
     lam = tuple([x1 - 1 - bisect_left(scoring, x1) for x1, _ in reversed(particles)])
     if not _is_partition(lam):
-        raise AssertionError("particle labels must form a partition")
+        raise InvariantError("bij1_forward particles", "particle labels must form a partition",
+                             path.to_line())
 
-    h_cut = _remove_pairs(path, particles)
-    w_cut, cut_scoring, _ = h_cut._scan
+    h_cut = _Stage("bij1_forward cut", RsosPath, label, _remove_pairs(path, particles))
+    w_cut, cut_scoring, _ = h_cut.scan
     k_cut = len(cut_scoring)
     if k_cut != k - 2 * n:
-        raise AssertionError("particle removal must drop the scoring count by 2n")
+        raise h_cut.broken("particle removal must drop the scoring count by 2n")
     if w_cut != w - sum(lam) - n * (k - n):
-        raise AssertionError("cut-path weight bookkeeping failed")
+        raise h_cut.broken("cut-path weight bookkeeping failed")
 
-    h_hat_cut = HalfPath.of(2 * p, a, b, h_cut.heights)
-    if h_hat_cut._scan[0] != w_cut:
-        raise AssertionError("verbatim reread must preserve the weight")
+    # the verbatim reread: the cut's own frame, as the tail bands coincide
+    h_hat_cut = _Stage("bij1_forward reread", HalfPath, half, h_cut.seq, framed=True)
+    w_hat_cut, ell, _, _ = h_hat_cut.scan
+    if w_hat_cut != w_cut:
+        raise h_hat_cut.broken("verbatim reread must preserve the weight")
+    if ell != 2 * k_cut:
+        raise h_hat_cut.broken("verbatim reread must double the straight-vertex count")
 
     mu = tuple([lam[i] + n - i for i in range(n)])  # lam_i + n + 1 - (i+1)
-    h_hat = _raise_peaks(h_hat_cut, mu)
-    if h_hat_cut._scan[1] != 2 * k_cut:
-        raise AssertionError("verbatim reread must double the straight-vertex count")
+    raised, gain = _raise_peaks("bij1_forward raise", h_hat_cut, mu)
+    h_hat = HalfPath.of(*half, raised)
+    if h_hat._scan[0] != w_hat_cut + gain:
+        raise InvariantError("bij1_forward raise", "peak raising weight bookkeeping failed",
+                             h_hat.to_line())
     if h_hat._scan[0] != w:
-        raise AssertionError("the map must preserve the weight")
-    return h_hat, Bij1Trace(h_cut, n, lam, mu, h_hat_cut, h_hat)
+        raise InvariantError("bij1_forward", "the map must preserve the weight", h_hat.to_line())
+    return h_hat, Bij1Trace(n, lam, mu, h_hat, {"h_cut": h_cut, "h_hat_cut": h_hat_cut})
 
 
 def bij1_inverse(path: HalfPath) -> RsosPath:
     if path.t2 % 2:
         raise BijectionDomainError(f"expected even T = 2p, got {path.t2}")
+    half = (path.t2, path.a2, path.b2)
+    label = hp.rsos_label(*half)
 
     w_hat, _, tops, _ = path._scan
-    mu, h_hat_cut, _ = _lower_peaks(path, tops, 0)
+    mu, h_hat_cut = _lower_peaks("bij1_inverse lower", half, path.doubled, tops, 0)
     n = len(mu)
     lam = tuple([mu[i] - n + i for i in range(n)])  # mu_i - n - 1 + (i+1)
     if not _is_partition(lam):
         raise StructureError(f"integer-peak numbers {mu} do not define a partition")
 
-    h_cut = RsosPath.of(*hp.rsos_label(path.t2, path.a2, path.b2), h_hat_cut.doubled)
-    ns_list = _gaps(h_cut._scan[1], h_cut.horizon + 1)
+    # the lowered path read as an RSOS path, on its own frame
+    h_cut = _Stage("bij1_inverse cut", RsosPath, label, h_hat_cut.seq, framed=True)
+    horizon = h_cut.horizon
+    ns_list = _gaps(h_cut.scan[1], horizon + 1)
 
     def nonscoring_position(j: int) -> int:
         if j <= 0:
             return 0
         if j <= len(ns_list):
             return ns_list[j - 1]
-        return h_cut.horizon + (j - len(ns_list))  # tail vertices
+        return horizon + (j - len(ns_list))  # tail vertices
 
     return _reinsert(h_cut, [nonscoring_position(lam_i) for lam_i in lam], w_hat)
 
@@ -301,26 +384,29 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
 
 def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     p, pp, a = path.p, path.p_prime, path.a
+    label = (p, pp, a, path.b)
     if pp != 2 * p - 1:
         raise BijectionDomainError(f"expected p' = 2p-1, got ({p},{pp})")
     bb = path.b + 1  # the even reference height just above the odd tail
     _require_domain(2 * p - 1, bb, a, f"(p,p',a,b)=({p},{pp},{a},{path.b}): half side ")
+    half = (2 * p - 1, bb, a)
 
     w, scoring, _ = path._scan
     k = len(scoring)
     pairs = _pair_runs(_gaps(scoring, scoring[-1] if scoring else 0))
     lam = tuple([k - bisect_right(scoring, x2) for _, x2 in pairs])  # scoring after x2
-    if not (all(x > 0 for x in lam) and _is_partition(lam)):
-        raise AssertionError("pair labels must form a partition of positive parts")
+    if not _is_partition(lam, 1):
+        raise InvariantError("bij2_forward pairs",
+                             "pair labels must form a partition of positive parts",
+                             path.to_line())
     n = len(lam)
 
-    h_cut = _remove_pairs(path, pairs)
-    w_cut, cut_scoring, m = h_cut._scan
+    h_cut = _Stage("bij2_forward cut", RsosPath, label, _remove_pairs(path, pairs))
+    w_cut, cut_scoring, m = h_cut.scan
     if len(cut_scoring) != k:
-        raise AssertionError(
-            "removing non-scoring pairs must not change the scoring count")
+        raise h_cut.broken("removing non-scoring pairs must not change the scoring count")
     if w_cut != w - sum(lam):
-        raise AssertionError("cut-path weight bookkeeping failed")
+        raise h_cut.broken("cut-path weight bookkeeping failed")
 
     c = 0
     while c < n and lam[c] - (c + 1) >= k - m:
@@ -330,45 +416,51 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     d = n - c
 
     # flip, raise every peak by half a unit, land in the doubled strip
-    truncated = list(h_cut.heights)
-    if truncated[-1] != bb:
-        raise AssertionError("even cut horizon must end at the even tail height")
-    rev = truncated[::-1]
+    if h_cut.seq[h_cut.horizon] != bb:
+        raise InvariantError("bij2_forward flip",
+                             "even cut horizon must end at the even tail height", h_cut.line())
+    rev = h_cut.seq[-2::-1]
     lifted = _insert_notches(rev, [(j, 1) for j in lattice.turns(rev, len(rev) - 1)[0]])
     lifted += [a + 1, a, a + 1, a]
-    h_hat_cut = HalfPath.of(2 * p - 1, bb, a, lifted)
+    h_hat_cut = _Stage("bij2_forward flip", HalfPath, half, lifted)
+    w_hat_cut, ell, _, _ = h_hat_cut.scan
+    if w_hat_cut != w_cut:
+        raise h_hat_cut.broken("flip and lift must preserve the weight")
+    if ell != 2 * k - 2 * m:
+        raise h_hat_cut.broken("flip and lift must leave 2k - 2m straight vertices")
 
-    if h_hat_cut._scan[0] != w_cut:
-        raise AssertionError("flip and lift must preserve the weight")
-    h_hat_int = _raise_peaks(h_hat_cut, mu)
-    w_hat_int, _, tops, _ = h_hat_int._scan
-    if h_hat_cut._scan[1] != 2 * k - 2 * m:
-        raise AssertionError("flip and lift must leave 2k - 2m straight vertices")
+    raised, gain = _raise_peaks("bij2_forward raise", h_hat_cut, mu)
+    h_hat_int = _Stage("bij2_forward raise", HalfPath, half, raised)
+    w_hat_int, _, tops, _ = h_hat_int.scan
+    if w_hat_int != w_hat_cut + gain:
+        raise h_hat_int.broken("peak raising weight bookkeeping failed")
 
-    accretion = _accretion_positions(h_hat_int, tops)
+    accretion = _accretion_positions(h_hat_int.horizon, tops)
     if nu and nu[0] > len(accretion):
-        raise AssertionError("remainder labels exceed the accretion vertex count")
+        raise InvariantError("bij2_forward accrete",
+                             "remainder labels exceed the accretion vertex count",
+                             h_hat_int.line())
     notches2 = [(accretion[number - 1], 1) for number in nu]
-    h_hat = HalfPath.of(2 * p - 1, bb, a, _notched(h_hat_int, notches2))
+    h_hat = HalfPath.of(*half, _notched(h_hat_int.seq, a, notches2))
 
     w_hat = hp.weight(h_hat)
     if w_hat != w_hat_int + sum(nu):
-        raise AssertionError("accretion weight bookkeeping failed")
+        raise InvariantError("bij2_forward accrete", "accretion weight bookkeeping failed",
+                             h_hat.to_line())
     if w_hat != w:
-        raise AssertionError("the map must preserve the weight")
-    return h_hat, Bij2Trace(
-        h_cut, n, k, m, c, d, lam, mu, nu, h_hat_cut, h_hat_int, h_hat
-    )
+        raise InvariantError("bij2_forward", "the map must preserve the weight", h_hat.to_line())
+    return h_hat, Bij2Trace(n, k, m, c, d, lam, mu, nu, h_hat, {
+        "h_cut": h_cut, "h_hat_cut": h_hat_cut, "h_hat_int": h_hat_int})
 
 
-def _accretion_positions(path: HalfPath, tops: tuple[int, ...]) -> list[int]:
-    """Even positions where neither the vertex nor its successor is one of
-    the peaks `tops`, numbered from the right (index 0 is the rightmost).
+def _accretion_positions(horizon: int, tops: Sequence[int]) -> list[int]:
+    """Even positions before the horizon where neither the vertex nor its
+    successor is one of the peaks `tops`, numbered from the right (index 0
+    is the rightmost).
     """
     # position 0 is never a peak: the virtual H(-1) = A + 1 lies above it
-    tops = set(tops)
-    out = [i for i in range(0, path.horizon, 2) if i not in tops and i + 1 not in tops]
-    return out[::-1]
+    return sorted(set(range(0, horizon, 2)).difference(tops, [x - 1 for x in tops]),
+                  reverse=True)
 
 
 def bij2_inverse(path: HalfPath) -> RsosPath:
@@ -376,6 +468,8 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     if t2 % 2 == 0:
         raise BijectionDomainError(f"expected odd T = 2p-1, got {t2}")
     bb, a = path.a2, path.b2  # start of the flipped image, even tail reference
+    half = (t2, bb, a)
+    label = hp.rsos_label(*half)
 
     w_hat = hp.weight(path)
 
@@ -398,15 +492,15 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
             stripped.append(j)
         else:
             kept.append(h)
-    work = kept[:1:-1]  # left to right, the two heights past the horizon dropped
+    # left to right, the two heights past the horizon dropped
+    h_hat_int = _Stage("bij2_inverse strip", HalfPath, half, kept[:1:-1])
     # each strip moves the anchors of the strips right of it two to the left;
     # anchors are kept in the final coordinates
     count = len(stripped)
     removals = [j - 1 - 2 * (count - 1 - r) for r, j in enumerate(stripped)]
 
-    h_hat_int = HalfPath.of(t2, bb, a, work)
-    tops = h_hat_int._scan[2]
-    accretion = _accretion_positions(h_hat_int, tops)
+    tops = h_hat_int.scan[2]
+    accretion = _accretion_positions(h_hat_int.horizon, tops)
     numbers = {pos: num + 1 for num, pos in enumerate(accretion)}
     nu_parts = []
     for anchor in removals:
@@ -419,22 +513,22 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     d = len(nu)
 
     # undo the staggered peak raises: non-integer peaks of the interim path
-    mu, h_hat_cut, tops = _lower_peaks(h_hat_int, tops, 1)
+    mu, h_hat_cut = _lower_peaks("bij2_inverse lower", half, h_hat_int.seq, tops, 1)
     c = len(mu)
 
     # invert the flip-and-lift: lower every peak, reverse, restore the tail.
     # Ending at a under the tail's a + 1, the path has no peak at its horizon.
-    truncated = list(h_hat_cut.doubled)
-    if truncated[-1] != a:
-        raise AssertionError("the unstacked path must end at the start height a")
-    lowered = _delete_pairs(truncated, tops)
-    rev = lowered[::-1]
+    if h_hat_cut.seq[h_hat_cut.horizon] != a:
+        raise InvariantError("bij2_inverse flip",
+                             "the unstacked path must end at the start height a", h_hat_cut.line())
+    rev = _delete_pairs(h_hat_cut.seq[:-1], h_hat_cut.scan[2])[::-1]
     if rev[0] != a or rev[-1] != bb:
-        raise AssertionError("the lowered, reversed path must run from a to the tail")
+        raise InvariantError("bij2_inverse flip",
+                             "the lowered, reversed path must run from a to the tail",
+                             h_hat_cut.line())
     rev += [bb - 1, bb, bb - 1]
-    h_cut = RsosPath.of(*hp.rsos_label(t2, bb, a), rev)
-
-    _, scoring, m = h_cut._scan
+    h_cut = _Stage("bij2_inverse flip", RsosPath, label, rev)
+    _, scoring, m = h_cut.scan
     k = len(scoring)
 
     lam = tuple([mu[i] + (i + 1) + k - m - 1 for i in range(c)]) + nu

@@ -20,11 +20,14 @@ units mod 4, so the search counts on a grain of 4, one list entry per
 whole unit, while `counts` stays in quarter units.
 
 A path is read once, when it is built: the constructor runs one pass,
-`_read`, which checks every path rule, refuses storage other than the
-canonical one, scans the doubled positions and subtracts the ground state,
-and the path keeps the scan (the weight, the straight-vertex count, the
-peaks and the valleys) under `_scan`.  `HalfPath.of` only canonicalizes
-its heights first, so a path built raw, as enumeration builds them, is
+`_read`, which checks the label, frames the heights, runs the vertex scan
+`_scan_frame` on the frame (every other path rule, the doubled positions
+scanned and the ground state subtracted) and refuses storage other than
+the canonical one, and the path keeps the scan (the weight, the
+straight-vertex count, the peaks and the valleys) under `_scan`.  The
+bijection stages run the same `_scan_frame` on the height lists they
+build.  `HalfPath.of` canonicalizes its heights and reads them on the
+frame it found, so a path built raw, as enumeration builds them, is
 refused with `of`'s message wherever `of` would refuse its heights, and
 unless it is stored canonically.
 """
@@ -61,9 +64,13 @@ class HalfPath:
     @staticmethod
     def of(t2: int, a2: int, b2: int, doubled) -> HalfPath:
         """A path from whole-number doubled heights whose tail may be
-        partial or run long: canonicalized, then built, and so read.
+        partial or run long: canonicalized, then read on the frame
+        canonicalizing found.
         """
-        return HalfPath(t2, a2, b2, lattice.canonical(doubled, b2))
+        stored, seq = lattice.canonical(doubled, b2)
+        path = lattice.bare(HalfPath, t2, a2, b2, stored)
+        vars(path)["_scan"] = _read(path, seq=seq)
+        return path
 
     @property
     def horizon(self) -> int:
@@ -128,20 +135,15 @@ def weight(path: HalfPath) -> int:
     return path._scan[0]
 
 
-def _read(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+def _read(path: HalfPath, *,
+          seq: list[int] | None = None) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """The one pass over a path's stored doubled heights that states every
-    half-path rule, and the scan of its doubled positions 0..L, position 0
-    read against H(-1) = A + 1 (the weight, the number of straight
-    vertices, the peaks and the valleys).  It checks the label (T >= 4, A
-    and B even), the start at A and the tail band {B, B+1} inside the
-    strip, 2 <= B < T, then each height up to the horizon in order, its
-    range before its step.  A valley at an odd doubled height is refused
-    only once the whole list has passed, so a height out of range or a bad
-    step anywhere wins over it, then storage that does not end in the band.
-    A label that passes is a Theorem-1 label, so the read subtracts the
-    ground state and keeps the whole-unit weight, and last it refuses
-    storage other than the canonical one `lattice.frame` finds.  The
-    heights past the horizon are the band run `frame` has found.
+    half-path rule, and the scan of its doubled positions 0..L (the weight,
+    the number of straight vertices, the peaks and the valleys).  It checks
+    the label (T >= 4, A and B even) and that there are heights, frames
+    them once (`seq`, when `of` has framed them already), runs
+    `_scan_frame` on the frame, and last refuses storage other than the
+    canonical one `lattice.frame` finds.
     """
     t2, a2, b2, hs = path.t2, path.a2, path.b2, path.doubled
     if t2 < 4:
@@ -151,16 +153,37 @@ def _read(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
             f"start A={a2} and tail B={b2} must be even (integer heights)")
     if not hs:
         raise InvalidHalfPathError("height sequence is empty")
-    if hs[0] != a2:
-        raise InvalidHalfPathError(f"path must start at A={a2}, got {hs[0]}")
+    if seq is None:
+        seq = lattice.frame(hs, b2)[1]
+    w, straights, peaks, valleys = _scan_frame(t2, a2, b2, seq)
+    if len(seq) != len(hs) + 1:
+        raise lattice.InvalidPathError(f"path not stored canonically: {path.to_line()}")
+    return w, straights, tuple(peaks), tuple(valleys)
+
+
+def _scan_frame(t2: int, a2: int, b2: int,
+                seq: list[int]) -> tuple[int, int, list[int], list[int]]:
+    """The vertex scan of a frame, the doubled heights at 0..L+1 of a list
+    that `lattice.frame` framed, position 0 read against H(-1) = A + 1: the
+    path's read runs it, and so does each bijection stage on the list it
+    builds.  It checks the start at A and the tail band {B, B+1} inside the
+    strip, 2 <= B < T, then each height up to the horizon L in order, its
+    range before its step.  A valley at an odd doubled height is refused
+    only once the whole list has passed, so a height out of range or a bad
+    step anywhere wins over it, then heights that do not end in the band.
+    A label that passes is a Theorem-1 label, so the scan subtracts the
+    ground state and gives the whole-unit weight.  The heights past L are
+    the band run `frame` has found.
+    """
+    if seq[0] != a2:
+        raise InvalidHalfPathError(f"path must start at A={a2}, got {seq[0]}")
     if not 2 <= b2 < t2:  # the tail band {B, B+1} lies in the strip
         raise InvalidHalfPathError(f"tail height B={b2} out of range 2..{t2 - 1}")
-    horizon, seq = lattice.frame(hs, b2)
-    quarters = straights = 0
+    quarters = 0
     peaks = []
     valleys = []
     odd = None
-    for i, before, h, after in zip(range(horizon + 1), [a2 + 1] + seq, seq, seq[1:]):
+    for i, before, h, after in zip(range(len(seq) - 1), [a2 + 1] + seq, seq, seq[1:]):
         if not 2 <= h <= t2:
             raise InvalidHalfPathError(
                 f"height {h} at doubled position {i} out of range 2..{t2}")
@@ -168,7 +191,6 @@ def _read(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
             raise InvalidHalfPathError(f"step at doubled position {i} is not a half-unit step")
         if before != after:
             quarters += i
-            straights += 1
         elif h > after:
             peaks.append(i)
         else:
@@ -178,12 +200,10 @@ def _read(path: HalfPath) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     if odd is not None:
         raise InvalidHalfPathError(
             f"valley at non-integer height {seq[odd]}/2 (doubled position {odd})")
-    if hs[-1] not in (b2, b2 + 1):
-        raise InvalidHalfPathError(f"stored sequence must end inside the tail band, got {hs[-1]}")
-    w = _whole_units(quarters - _ground_quarters(t2, a2, b2))
-    if horizon != len(hs) - 1:
-        raise lattice.InvalidPathError(f"path not stored canonically: {path.to_line()}")
-    return w, straights, tuple(peaks), tuple(valleys)
+    if seq[-2] not in (b2, b2 + 1):  # the height at L
+        raise InvalidHalfPathError(f"stored sequence must end inside the tail band, got {seq[-2]}")
+    straights = len(seq) - 1 - len(peaks) - len(valleys)  # the vertices 0..L that do not turn
+    return _whole_units(quarters - _ground_quarters(t2, a2, b2)), straights, peaks, valleys
 
 
 def _whole_units(diff: int) -> int:

@@ -16,7 +16,8 @@ band, heights, steps, end), finds the horizon through `frame`, refuses
 storage other than the canonical one and scans the vertices, and the path
 keeps the scan.  So `of`, `from_line`, listing, `dataclasses.replace` and
 a raw constructor call all read a path the same way, and `frame` is the
-one statement of canonical storage.
+one statement of canonical storage.  `of` frames its heights once: it
+makes the path `bare` and hands its read the frame `canonical` found.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def tail_height(stored: tuple[int, ...], b: int, x: int) -> int:
 
 def padded(stored: Sequence[int], b: int, upto: int) -> list[int]:
     """Heights at positions 0..upto, continuing the tail oscillation."""
-    out = list(stored[: upto + 1])
+    out = list(stored) if upto + 1 >= len(stored) else list(stored[: upto + 1])
     beyond = upto - (len(stored) - 1)  # tail heights past the horizon
     if beyond > 0:
         last = stored[-1]
@@ -93,17 +94,29 @@ def padded(stored: Sequence[int], b: int, upto: int) -> list[int]:
     return out
 
 
-def canonical(heights, b: int) -> tuple[int, ...]:
-    """The heights of a path as its constructor takes them: whole numbers
-    (`operator.index`, so a float or a string raises `TypeError`), stored
-    through the canonical horizon that `frame` finds.  Empty input stays
-    empty, for the path's read to refuse after its label checks.
+def canonical(heights, b: int) -> tuple[tuple[int, ...], list[int] | None]:
+    """The heights of a path as its constructor takes them, whole numbers
+    (`operator.index`, so a float or a string raises `TypeError`) stored
+    through the canonical horizon that `frame` finds, and that frame, the
+    heights at 0..L+1, for the path's read.  Empty input stays empty, with
+    no frame, for the read to refuse after its label checks.
     """
     hs = list(map(index, heights))
     if not hs:
-        return ()
-    horizon, seq = frame(hs, b)
-    return tuple(seq[:horizon + 1])
+        return (), None
+    seq = frame(hs, b)[1]
+    return tuple(seq[:-1]), seq
+
+
+def bare(cls, *values):
+    """An instance of the frozen path dataclass cls holding the field
+    values in order, made without its constructor and so not read: `of`
+    reads it on the frame it has already found, and a bijection stage that
+    fails only prints its line.
+    """
+    path = object.__new__(cls)
+    vars(path).update(zip(cls.__dataclass_fields__, values))
+    return path
 
 
 def turns(hs: Sequence[int], hi: int) -> tuple[list[int], list[int]]:
@@ -127,10 +140,10 @@ class PathSet:
     descends only where a completion fits the budget.
 
     Counting builds nothing the walk needs.  The first iteration builds it:
-    `forward` runs the search's forward pass again, recording each state's
-    surviving steps and carrying no counts, and a backward pass over those
-    layers gives each state its least completion cost, all the walk needs
-    to prune.
+    `forward` runs the search's forward pass again, on the step tables
+    counting filled, recording each state's surviving steps and carrying
+    no counts, and a backward pass over those layers gives each state its
+    least completion cost, all the walk needs to prune.
     """
 
     def __init__(self, counts: list[int], forward=None, build=tuple) -> None:
@@ -231,10 +244,11 @@ def search(model: Model) -> PathSet:
     unbounded search would return.  Nothing for listing is built until the
     path set is first iterated.
     """
-    counts = _forward(model)
+    tables: dict = {}  # the steps of each state code, shared with the recording rerun
+    counts = _forward(model, tables=tables)
     if not any(counts):
         return PathSet(counts)
-    return PathSet(counts, partial(_forward, model), model.build)
+    return PathSet(counts, partial(_forward, model, tables=tables), model.build)
 
 
 def _moves(m: Model, code: int) -> tuple:
@@ -263,21 +277,23 @@ def _moves(m: Model, code: int) -> tuple:
     return edge, moves
 
 
-def _forward(m: Model, layers=None) -> list[int] | None:
+def _forward(m: Model, layers=None, tables=None) -> list[int] | None:
     """The forward pass of `search`: the counts by cost.  Each state's
-    moves are read from the model once, on its first visit, and each step
-    evaluates their forms inline.  Given a list as `layers`, it records
-    instead of counting, and returns None: it appends, per layer, each live
-    state's least reach cost, junction cost (None off the horizons) and
-    surviving steps (nh, vertex cost, child state).  A recording state
-    carries an empty list, since pruning reads only the least reach cost,
-    so it keeps exactly the states and steps counting keeps and adds
-    nothing anywhere.
+    moves are read from the model once, on its first visit, into `tables`
+    (state code: its junction form and moves), and each step evaluates
+    their forms inline; the recording rerun is handed the tables counting
+    filled, so a search reads each state's moves once.  Given a list as
+    `layers`, it records instead of counting, and returns None: it
+    appends, per layer, each live state's least reach cost, junction cost
+    (None off the horizons) and surviving steps (nh, vertex cost, child
+    state).  A recording state carries an empty list, since pruning reads
+    only the least reach cost, so it keeps exactly the states and steps
+    counting keeps and adds nothing anywhere.
     """
     budget, grain = m.budget, m.grain
     record = layers is not None
     counts = [0] * (budget + 1)
-    tables: dict = {}  # state code: its junction form and moves
+    tables = {} if tables is None else tables
     reach = {~m.start: (0, [] if record else [1])}  # state code: (least reach cost, counts)
     x = 0
     while reach:

@@ -6,13 +6,16 @@ L(h) is stored: the smallest even L from which every later height lies in
 {b, b+1}.  Horizontal bands between consecutive heights are dark or light
 according to the floor function y = floor(r p'/p); scoring vertices (and
 hence weights) are defined relative to that shading.  A path is read once,
-when it is built: the constructor runs one pass, `_read`, which checks
-every path rule, refuses storage other than the canonical one and scans
-the vertices, and the path keeps the scan (the weight, the scoring
-positions and the scoring-peak count) under `_scan`, however many readers
-ask.  `RsosPath.of` only canonicalizes its heights first, so a path built
-raw, as enumeration builds them, is refused with `of`'s message wherever
-`of` would refuse its heights, and unless it is stored canonically.
+when it is built: the constructor runs one pass, `_read`, which checks the
+label, frames the heights, runs the vertex scan `_scan_frame` on the frame
+(every other path rule, and the weight, the scoring positions and the
+scoring-peak count) and refuses storage other than the canonical one, and
+the path keeps the scan under `_scan`, however many readers ask.  The
+bijection stages run the same `_scan_frame` on the height lists they
+build.  `RsosPath.of` canonicalizes its heights and reads them on the
+frame it found, so a path built raw, as enumeration builds them, is
+refused with `of`'s message wherever `of` would refuse its heights, and
+unless it is stored canonically.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors, and `dark_floors` states the label rule, coprime
@@ -80,9 +83,12 @@ class RsosPath:
     @staticmethod
     def of(p: int, p_prime: int, a: int, b: int, heights) -> RsosPath:
         """A path from whole-number heights whose tail may be partial or run
-        long: canonicalized, then built, and so read.
+        long: canonicalized, then read on the frame canonicalizing found.
         """
-        return RsosPath(p, p_prime, a, b, lattice.canonical(heights, b))
+        stored, seq = lattice.canonical(heights, b)
+        path = lattice.bare(RsosPath, p, p_prime, a, b, stored)
+        vars(path)["_scan"] = _read(path, seq=seq)
+        return path
 
     @property
     def horizon(self) -> int:
@@ -135,35 +141,51 @@ def weight(path: RsosPath) -> int:
     return path._scan[0]
 
 
-def _read(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
+def _read(path: RsosPath, *, seq: list[int] | None = None) -> tuple[int, tuple[int, ...], int]:
     """The one pass over a path's stored heights that states every RSOS
     path rule, and the scan of its vertices 1..L (the weight, the scoring
     positions, the number of scoring peaks).  It checks the label (coprime
-    1 < p < p'), the start at a and the tail band {b, b+1} inside the
-    strip, then each height up to the horizon in order, its range before
-    its step, then that the storage ends in the band, and last that it is
-    the canonical storage `lattice.frame` finds: it runs exactly through
-    the horizon.  The heights past the horizon are the band run `frame`
+    1 < p < p') and that there are heights, frames them once (`seq`, when
+    `of` has framed them already), runs `_scan_frame` on the frame, and
+    last checks that the storage is the canonical one `lattice.frame`
+    finds: it runs exactly through the horizon.
+    """
+    p, p_prime, a, b, hs = path.p, path.p_prime, path.a, path.b, path.heights
+    dark_floors(p, p_prime)  # refuses a label that is not a model first
+    if not hs:
+        raise InvalidPathError("height sequence is empty")
+    if seq is None:
+        seq = lattice.frame(hs, b)[1]
+    total, scoring, peaks = _scan_frame(p, p_prime, a, b, seq)
+    if len(seq) != len(hs) + 1:
+        raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
+    return total, tuple(scoring), peaks
+
+
+def _scan_frame(p: int, p_prime: int, a: int, b: int,
+                seq: list[int]) -> tuple[int, list[int], int]:
+    """The vertex scan of a frame, the heights at 0..L+1 of a list that
+    `lattice.frame` framed: the path's read runs it, and so does each
+    bijection stage on the list it builds.  It checks the start at a and
+    the tail band {b, b+1} inside the strip, then each height up to the
+    horizon L in order, its range before its step, and last that the
+    heights end in the band; the heights past L are the band run `frame`
     has found.
 
     Vertex x is labelled u = (x - h + a)/2 after an up step and v =
     (x + h - a)/2 after a down step; a path of unit steps from a gives
     every vertex labels u, v >= 0 with u + v = x.
     """
-    p, p_prime, a, b, hs = path.p, path.p_prime, path.a, path.b, path.heights
-    dark = dark_floors(p, p_prime)  # refuses a label that is not a model first
-    if not hs:
-        raise InvalidPathError("height sequence is empty")
-    if hs[0] != a:
-        raise InvalidPathError(f"path must start at a={a}, got {hs[0]}")
+    dark = dark_floors(p, p_prime)
+    if seq[0] != a:
+        raise InvalidPathError(f"path must start at a={a}, got {seq[0]}")
     if not 1 <= b <= p_prime - 2:  # the tail band {b, b+1} lies in the strip
         raise InvalidPathError(f"tail height b={b} out of range")
-    horizon, seq = lattice.frame(hs, b)
     if not 0 < seq[0] < p_prime:
         raise InvalidPathError(f"height {seq[0]} at position 0 out of range")
     total = peaks = 0
     scoring = []
-    for x, prev, h, nxt in zip(range(1, horizon + 1), seq, seq[1:], seq[2:]):
+    for x, prev, h, nxt in zip(range(1, len(seq) - 1), seq, seq[1:], seq[2:]):
         if not 0 < h < p_prime:
             raise InvalidPathError(f"height {h} at position {x} out of range")
         if h - prev not in (1, -1):
@@ -176,11 +198,9 @@ def _read(path: RsosPath) -> tuple[int, tuple[int, ...], int]:
                     peaks += 1
             else:
                 total += (x + h - a) // 2
-    if hs[-1] not in (b, b + 1):
-        raise InvalidPathError(f"stored sequence must end inside the tail band, got {hs[-1]}")
-    if horizon != len(hs) - 1:
-        raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
-    return total, tuple(scoring), peaks
+    if seq[-2] not in (b, b + 1):  # the height at L
+        raise InvalidPathError(f"stored sequence must end inside the tail band, got {seq[-2]}")
+    return total, scoring, peaks
 
 
 def _require_finite(path: RsosPath) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import statistics
@@ -210,7 +211,7 @@ def test_bij2_accretion_vertices_count_their_straights():
         hint = trace.h_hat_int
         straights = [i for i in range(hint.horizon + 1)
                      if hint.height(i - 1) != hint.height(i + 1)]
-        for j, pos in enumerate(_accretion_positions(hint, hint._scan[2]), start=1):
+        for j, pos in enumerate(_accretion_positions(hint.horizon, hint._scan[2]), start=1):
             right = sum(1 for s in straights if s > pos)
             down = hint.height(pos - 1) > hint.height(pos) > hint.height(pos + 1)
             assert right == (2 * j - 1 if down else 2 * j), (path, pos, j)
@@ -243,24 +244,69 @@ def _reads(call, arg):
             mock.patch.object(hp, "_read", wraps=hp._read) as h, \
             mock.patch.object(lattice, "turns", wraps=lattice.turns) as t:
         out = call(arg)
-    return out, r.call_count + h.call_count + t.call_count
+    return out, (r.call_count + h.call_count, t.call_count)
 
 
 @pytest.mark.parametrize("half", [HALF_8_IMAGE, HALF_10, HALF_7_CUT, HALF_7_INT,
                                   HALF_7_IMAGE])
 def test_each_map_scans_each_path_once(half):
-    # the input was read when it was built; each map reads each path it
-    # builds once, when it builds it.  bij1: the cut path, the reread and
-    # the raised path; or the lowered path, the cut path and the reinserted
-    # one.  bij2 adds the flip's raw heights and the accreted path forward,
-    # and the stripped path backward.
-    inv, fwd, expected = ((bij1_inverse, bij1_forward, (3, 3)) if half[0] % 2 == 0
-                          else (bij2_inverse, bij2_forward, (4, 5)))
+    # the input was read when it was built; each map builds, and so reads,
+    # only its output, and its stages scan height lists.  bij2_forward also
+    # finds the peaks of the flip's raw heights.  A trace builds its stage
+    # paths when they are first read, each with one read.
+    inv, fwd, turns = ((bij1_inverse, bij1_forward, 0) if half[0] % 2 == 0
+                       else (bij2_inverse, bij2_forward, 1))
     image = HalfPath.of(*half)
     path, n_inv = _reads(inv, image)
-    (again, _), n_fwd = _reads(fwd, path)
+    (again, trace), n_fwd = _reads(fwd, path)
     assert again == image
-    assert (n_inv, n_fwd) == expected
+    assert (n_inv, n_fwd) == ((1, 0), (1, turns))
+    stages = [f.name for f in dataclasses.fields(trace) if f.name.startswith("h_")][:-1]
+    _, n_trace = _reads(lambda t: [getattr(t, name) for name in stages * 2], trace)
+    assert n_trace == (len(stages), 0)
+
+
+_REAL_DELETE, _REAL_INSERT = bijections._delete_pairs, bijections._insert_notches
+
+
+def _shifted_delete(seq, positions):
+    return _REAL_DELETE(seq, [x + 1 for x in positions])
+
+
+def _shifted_insert(seq, notches):
+    return _REAL_INSERT(seq, [(x + 1, step) for x, step in notches])
+
+
+@pytest.mark.parametrize("name,path,helper,corrupted,stage,kind", [
+    ("bij1_forward", RSOS_49, "_delete_pairs", _shifted_delete, "cut", "rsos"),
+    ("bij1_forward", RSOS_49, "_insert_notches", _shifted_insert, "raise", "half"),
+    ("bij1_inverse", HALF_8_IMAGE, "_delete_pairs", _shifted_delete, "lower", "half"),
+    ("bij2_forward", RSOS_47, "_insert_notches", _shifted_insert, "flip", "half"),
+    ("bij2_inverse", HALF_7_IMAGE, "_delete_pairs", _shifted_delete, "lower", "half"),
+])
+def test_a_corrupted_stage_raises_at_its_name(name, path, helper, corrupted, stage, kind):
+    # a stage helper that edits the heights one position off: the map
+    # refuses at the stage that made the list, naming the map, the stage and
+    # the offending path line, and returns no path
+    path = (RsosPath.of if len(path) == 5 else HalfPath.of)(*path)
+    with mock.patch.object(bijections, helper, corrupted):
+        with pytest.raises(bijections.InvariantError) as info:
+            getattr(bijections, name)(path)
+    err = info.value
+    assert isinstance(err, AssertionError)
+    assert err.stage == f"{name} {stage}"
+    assert err.line.startswith(f"{kind} ")
+    assert str(err) == f"{name} {stage}: {err.detail}: {err.line}"
+
+
+@pytest.mark.parametrize("name,half,kind", [("bij1_inverse", HALF_8_IMAGE, "integer"),
+                                             ("bij2_inverse", HALF_7_IMAGE, "non-integer")])
+def test_unstacking_that_lowers_nothing_is_refused(name, half, kind):
+    # peaks the lowering stage leaves standing are its structure check's to
+    # refuse, before any later stage reads them
+    with mock.patch.object(bijections, "_delete_pairs", lambda seq, positions: list(seq)):
+        with pytest.raises(StructureError, match=f"^{kind} peaks remain after unstacking$"):
+            getattr(bijections, name)(HalfPath.of(*half))
 
 
 # -- seeded long paths, far beyond the exhaustive weight-12 window -------------

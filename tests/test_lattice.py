@@ -152,6 +152,19 @@ def test_the_step_rule_is_read_once_per_state():
         assert max(asked.values()) <= 2, label
 
 
+def test_listing_reuses_the_counting_step_tables():
+    # a path set's recording rerun reads each state's steps from the tables
+    # its counting pass filled: listing reads no state's steps again
+    for enumerate_paths, label in ((rsos.enumerate_paths, (5, 11, 8, 2)),
+                                   (hp.enumerate_paths, (8, 2, 2))):
+        with mock.patch.object(lattice, "_moves", wraps=lattice._moves) as moves:
+            paths = enumerate_paths(*label, 16)
+            counted = moves.call_count
+            assert len(list(paths)) == len(paths) > 100
+        codes = [c.args[1] for c in moves.call_args_list]
+        assert moves.call_count == counted == len(set(codes)), label
+
+
 def test_search_leaves_no_garbage():
     # nothing a search builds refers to itself, so reference counting frees
     # it all on return, or once a listing ends, and the cyclic collector
@@ -490,7 +503,8 @@ def test_move_checks_hold_under_optimization():
     # this listed move breaks weight and sector; apply_move must refuse it,
     # the search must refuse a live branch at its horizon and two costs
     # that meet off its grain, and a bijection
-    # must notice a weight that drifts between its stages, and building a
+    # must notice a weight that drifts between its stages and name the
+    # stage and its path, and building a
     # path raw or by `dataclasses.replace` that does not start at its
     # label's start must refuse it, even when python -O strips asserts
     code = """
@@ -522,8 +536,8 @@ odd = lattice.Model(3, 2, 1, 5, 8, 40, "an odd walk", updown, [lattice.FREE] * 6
 attempt(lambda: lattice.search(odd))
 particles.b_matrix = lambda t2: [[1]]  # an odd charge form
 attempt(lambda: particles.minimal_weight(4, (1,)))
-read = halfpath._read
-halfpath._read = lambda path: (lambda w, *rest: (w + 1, *rest))(*read(path))
+scan = halfpath._scan_frame
+halfpath._scan_frame = lambda *frame: (lambda w, *rest: (w + 1, *rest))(*scan(*frame))
 rsos37 = RsosPath.from_line("rsos p=3 pp=7 a=4 b=4 h=4,5,6,5,6,5,4")
 attempt(lambda: bijections.bij1_forward(rsos37))
 attempt(lambda: RsosPath(3, 5, 2, 1, (3, 2, 1)))  # starts at 3, not at a = 2
@@ -539,7 +553,8 @@ attempt(lambda: dataclasses.replace(RsosPath.of(3, 5, 2, 1, (2, 1)), heights=(3,
         " for a late band",
         "raised: costs 1 and 2 meet in one state off the grain 2 for an odd walk",
         "raised: charge form 1 of (1,) is odd",
-        "raised: verbatim reread must preserve the weight",
+        "raised: bij1_forward reread: verbatim reread must preserve the weight:"
+        " half T=6 A=4 B=4 H=4",
         "raised: path must start at a=2, got 3",
         "raised: path must start at a=2, got 3",
     ]

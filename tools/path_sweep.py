@@ -2,9 +2,11 @@
 its particle calculus, by path length.  For seeded random walks of L = 100,
 200, ..., 3 200 steps in both bijection families, it prints the median
 microseconds of one `.of` read and of one round trip, for RSOS paths
-(forward, then inverse) and for half paths (inverse, then forward).  A
-round trip starts from the heights, so it includes the input's own `.of`
-read.  For corner half paths (A = B = 2) of the same lengths it prints the
+(forward, then inverse) and for half paths (inverse, then forward), and
+next to each round trip the number of paths it reads (`rsos._read` and
+`halfpath._read` calls).  A round trip starts from the heights, so it
+includes the input's own `.of` read; each map builds and reads only its
+output, so a trip makes 3 reads.  For corner half paths (A = B = 2) of the same lengths it prints the
 median microseconds of one `dissect` of a freshly read path, and of listing
 and applying all the moves of such a path, per listed move: a path of L
 steps lists about L/10 moves, and each builds, weighs and dissects a path
@@ -19,8 +21,9 @@ import random
 import statistics
 import time
 from functools import partial
+from unittest import mock
 
-from viracomb import bijections, particles
+from viracomb import bijections, halfpath, particles, rsos
 from viracomb.halfpath import HalfPath, theorem1_domain
 from viracomb.rsos import RsosPath
 
@@ -105,6 +108,14 @@ def apply_all(path: HalfPath) -> None:
             pass  # a listed move that breaks the weight or the sector
 
 
+def reads_per_trip(trip) -> int:
+    """The paths, RSOS and half, one call of trip reads."""
+    with mock.patch.object(rsos, "_read", wraps=rsos._read) as r, \
+            mock.patch.object(halfpath, "_read", wraps=halfpath._read) as h:
+        trip()
+    return r.call_count + h.call_count
+
+
 def timed_us(call) -> float:
     t0 = time.perf_counter()
     call()
@@ -124,12 +135,14 @@ def main() -> None:
     parser.add_argument("--max-steps", type=int, default=STEPS[-1])
     args = parser.parse_args()
     steps_run = [s for s in STEPS if s <= args.max_steps]
-    cells = {}
+    cells, reads = {}, {}
     for family in (1, 2):
         rnd = random.Random(10 + family)
         for steps in steps_run:
+            calls = cases(family, steps, rnd)
+            reads[family, steps] = [reads_per_trip(calls[k][1]) for k in (0, PATHS)]
             cells[family, steps] = [(partial(timed_us, read), partial(timed_us, trip))
-                                    for read, trip in cases(family, steps, rnd)]
+                                    for read, trip in calls]
     rnd = random.Random(13)
     moves = {}
     for steps in steps_run:
@@ -148,15 +161,17 @@ def main() -> None:
             gc.collect()
     finally:
         gc.enable()
-    print(f"{'family':>6} {'L':>5} {'rsos .of':>9} {'rsos trip':>10} "
-          f"{'half .of':>9} {'half trip':>10}   (median µs per path)")
+    print(f"{'family':>6} {'L':>5} {'rsos .of':>9} {'rsos trip':>10} {'reads':>5} "
+          f"{'half .of':>9} {'half trip':>10} {'reads':>5}   (median µs per path; "
+          f"paths read per trip)")
     for (family, steps), mins in best.items():
         if family == "corner":
             continue
         row = [statistics.median(m[k] for m in part)
                for part in (mins[:PATHS], mins[PATHS:]) for k in (0, 1)]
-        print(f"{family:>6} {steps:>5} {row[0]:>9.0f} {row[1]:>10.0f} "
-              f"{row[2]:>9.0f} {row[3]:>10.0f}")
+        rsos_reads, half_reads = reads[family, steps]
+        print(f"{family:>6} {steps:>5} {row[0]:>9.0f} {row[1]:>10.0f} {rsos_reads:>5} "
+              f"{row[2]:>9.0f} {row[3]:>10.0f} {half_reads:>5}")
     print(f"{'corner':>6} {'L':>5} {'dissect':>9} {'per move':>10} {'moves':>9}"
           f"   (median µs per path, per listed move; mean moves per path)")
     for steps in steps_run:
