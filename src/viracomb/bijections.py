@@ -29,28 +29,33 @@ map states its own half side and refuses any other label through
 `hp.theorem1_domain` after its own.  A path that breaks a path rule, or is
 not stored canonically, cannot reach a map: its constructor refuses it.
 
-Each map builds, and so reads, only its output path.  Every stage before
-it works on a list of heights, framed by `lattice.frame` (the heights
-through the canonical horizon and one past it), and scans it with the
-read's own vertex scan, `rsos._scan_frame` or `halfpath._scan_frame`: the
-weight each stage checks, and the scoring positions, straight-vertex count
-and peaks the next stage works on.  A trace keeps the stage lists and
-builds its paths from them only when it is read.
+Every stage is a path: its heights are framed by `lattice.frame` (through
+the canonical horizon and one past it) and scanned by the read's own
+vertex scan, `rsos._scan_frame` or `halfpath._scan_frame`, which gives
+the weight each stage checks and the scoring positions, straight-vertex
+count and peaks the next stage works on; its path object is
+`lattice.bare` on that canonical storage with that scan.  A map's output
+is its last stage, so no map reads a path: the label checks of a read hold
+by construction, as the label is the input's own, and storage is canonical
+as framed.  A stage builds its path object when it is first asked for: as
+the output, for a forward map's trace, which holds its stage paths, or for
+an error line; so an inverse map builds only its output.
 
 Every stage checks the exact weight bookkeeping and count identities it is
-supposed to satisfy against the facts scanned from its own heights, and a
-path rule its list breaks (strip, unit step, odd valley, end in the band)
-fails that scan.  Either raises `InvariantError`, an `AssertionError`
-raised explicitly (so under `python -O` too), which names the map, the
-stage and the offending path line, so a violation surfaces at the stage
-that caused it rather than as a bad round trip.
+supposed to satisfy against the facts scanned from its own heights, each
+in one `check` line, and a path rule its list breaks (strip, unit step,
+odd valley, end in the band) fails that scan, the output's included.
+Either raises `InvariantError`, an `AssertionError` raised explicitly (so
+under `python -O` too), which names the map, the stage and the offending
+path line, so a violation surfaces at the stage that caused it rather
+than as a bad round trip.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from operator import ge, gt
 
 from . import halfpath as hp
@@ -84,69 +89,64 @@ class InvariantError(AssertionError):
 
 
 class _Stage:
-    """One stage of a map: its heights under a path label, framed (through
-    the canonical horizon and one past it, `seq`), and the scan a read of
-    them keeps, by the read's own vertex scan (`_scan_frame` of the path
-    class's module); `framed` says hs is a frame already, another stage's
-    heights read under a label of the same tail band.  A path rule the
-    heights break, or a check of the stage that fails (`broken`), is an
-    `InvariantError` that names the stage and its path line.
+    """One stage of a map, named `name`: its heights under a path label,
+    framed (`seq`, through the canonical horizon and one past it; a frame
+    frames to itself), and their scan by the read's own vertex scan,
+    `_scan_frame` of the path class's module.  Its path, `lattice.bare` on
+    that canonical storage with that scan, is built when first asked for.
+    A path rule the heights break, or a fact `check` is given that does not
+    hold, is an `InvariantError` naming the stage (or `name`) and its path
+    line.
     """
 
-    __slots__ = ("name", "cls", "label", "seq", "scan")
+    __slots__ = ("name", "cls", "label", "seq", "scan", "_path")
 
-    def __init__(self, name: str, cls, label: tuple, hs: list[int], framed: bool = False):
-        self.name, self.cls, self.label = name, cls, label
-        self.seq = hs if framed else lattice.frame(hs, label[-1])[1]
+    def __init__(self, name: str, cls, label: tuple, hs: list[int]) -> None:
+        self.name, self.cls, self.label, self.scan, self._path = name, cls, label, None, None
+        self.seq = lattice.frame(hs, label[-1])[1]
         try:
             self.scan = (rsos if cls is RsosPath else hp)._scan_frame(*label, self.seq)
         except (lattice.InvalidPathError, AssertionError) as exc:
-            raise self.broken(str(exc)) from None
+            self.check(False, str(exc))
+
+    @classmethod
+    def of(cls, name: str, path) -> _Stage:
+        """A path already built, as a stage named `name` for its checks."""
+        stage = cls.__new__(cls)
+        stage.name, stage._path = name, path
+        return stage
 
     @property
     def horizon(self) -> int:
         """The canonical horizon L of the stage's heights."""
         return len(self.seq) - 2
 
-    def line(self) -> str:
-        """The stage's path line, built but not read."""
-        return lattice.bare(self.cls, *self.label, tuple(self.seq[:-1])).to_line()
+    @property
+    def path(self):
+        """The stage's path, built when first asked for and kept."""
+        if self._path is None:
+            self._path = lattice.bare(self.cls, *self.label, tuple(self.seq[:-1]))
+            vars(self._path)["_scan"] = self.scan
+        return self._path
 
-    def broken(self, detail: str) -> InvariantError:
-        return InvariantError(self.name, detail, self.line())
-
-
-class _Staged:
-    """A trace whose stage paths, its fields with no initial value, are
-    built from their `_Stage`s when first read, and kept: a map builds only
-    its output.  `stages` maps each such field to its stage.
-    """
-
-    def __post_init__(self, stages: dict) -> None:
-        vars(self)["_stages"] = stages
-
-    def __getattr__(self, name: str):
-        stage = vars(self).get("_stages", {}).get(name)
-        if stage is None:
-            raise AttributeError(name)
-        path = vars(self)[name] = stage.cls.of(*stage.label, stage.seq)
-        return path
+    def check(self, ok: bool, detail: str, name: str | None = None) -> None:
+        if not ok:
+            raise InvariantError(name or self.name, detail, self.path.to_line())
 
 
 @dataclass(frozen=True)
-class Bij1Trace(_Staged):
-    h_cut: RsosPath = field(init=False)
+class Bij1Trace:
+    h_cut: RsosPath
     n: int
     lam: tuple[int, ...]
     mu: tuple[int, ...]
-    h_hat_cut: HalfPath = field(init=False)
+    h_hat_cut: HalfPath
     h_hat: HalfPath
-    stages: InitVar[dict]
 
 
 @dataclass(frozen=True)
-class Bij2Trace(_Staged):
-    h_cut: RsosPath = field(init=False)
+class Bij2Trace:
+    h_cut: RsosPath
     n: int
     k: int
     m: int
@@ -155,10 +155,9 @@ class Bij2Trace(_Staged):
     lam: tuple[int, ...]
     mu: tuple[int, ...]
     nu: tuple[int, ...]
-    h_hat_cut: HalfPath = field(init=False)
-    h_hat_int: HalfPath = field(init=False)
+    h_hat_cut: HalfPath
+    h_hat_int: HalfPath
     h_hat: HalfPath
-    stages: InitVar[dict]
 
 
 # -- small sequence editors --------------------------------------------------
@@ -251,9 +250,8 @@ def _raise_peaks(name: str, h: _Stage, mu: tuple[int, ...]) -> tuple[list[int], 
     """
     _, ell, tops, _ = h.scan
     c = len(mu)
-    if not (all(map(gt, mu, mu[1:])) and (not mu or mu[-1] >= 1)):
-        raise InvariantError(name, "peak numbers must be positive and strictly decrease",
-                             h.line())
+    h.check(all(map(gt, mu, mu[1:])) and (not mu or mu[-1] >= 1),
+            "peak numbers must be positive and strictly decrease", name)
     # numbers past the stored peaks land on the tail's peaks, two apart
     stored, first = len(tops), h.horizon + 1
     at = [tops[x - 1] if x <= stored else first + 2 * (x - stored - 1) for x in mu]
@@ -284,21 +282,21 @@ def _notch_step(height: int) -> int:
     return -1 if height % 2 == 0 else 1
 
 
-def _reinsert(h_cut: _Stage, positions: list[int], w_hat: int) -> RsosPath:
+def _reinsert(name: str, h_cut: _Stage, positions: list[int], w_hat: int) -> RsosPath:
     """Put a particle back as a notch at each position of the RSOS stage
-    h_cut; the result, the map's output and the one path it builds, must
+    h_cut; the result, the map's output and its last stage (`name`), must
     carry the weight w_hat.
     """
-    top, b = h_cut.label[1] - 1, h_cut.label[3]
+    _, pp, _, b = h_cut.label
     notches = []
     for pos in positions:
         height = lattice.tail_height(h_cut.seq, b, pos)
         step = _notch_step(height)
-        if not 1 <= height + step <= top:
+        if not 1 <= height + step < pp:
             raise StructureError(f"reinsertion at position {pos} leaves the strip")
         notches.append((pos, step))
-    out = RsosPath.of(*h_cut.label, _notched(h_cut.seq, b, notches))
-    if rsos.weight(out) != w_hat:
+    out = _Stage(name, RsosPath, h_cut.label, _notched(h_cut.seq, b, notches)).path
+    if out._scan[0] != w_hat:
         raise StructureError("reinserted path does not reproduce the weight")
     return out
 
@@ -320,35 +318,27 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
 
     # of the vertices 1..x1-1, x1 - 1 - rank(x1) are non-scoring
     lam = tuple([x1 - 1 - bisect_left(scoring, x1) for x1, _ in reversed(particles)])
-    if not _is_partition(lam):
-        raise InvariantError("bij1_forward particles", "particle labels must form a partition",
-                             path.to_line())
+    _Stage.of("bij1_forward particles", path).check(
+        _is_partition(lam), "particle labels must form a partition")
 
     h_cut = _Stage("bij1_forward cut", RsosPath, label, _remove_pairs(path, particles))
     w_cut, cut_scoring, _ = h_cut.scan
     k_cut = len(cut_scoring)
-    if k_cut != k - 2 * n:
-        raise h_cut.broken("particle removal must drop the scoring count by 2n")
-    if w_cut != w - sum(lam) - n * (k - n):
-        raise h_cut.broken("cut-path weight bookkeeping failed")
+    h_cut.check(k_cut == k - 2 * n, "particle removal must drop the scoring count by 2n")
+    h_cut.check(w_cut == w - sum(lam) - n * (k - n), "cut-path weight bookkeeping failed")
 
     # the verbatim reread: the cut's own frame, as the tail bands coincide
-    h_hat_cut = _Stage("bij1_forward reread", HalfPath, half, h_cut.seq, framed=True)
+    h_hat_cut = _Stage("bij1_forward reread", HalfPath, half, h_cut.seq)
     w_hat_cut, ell, _, _ = h_hat_cut.scan
-    if w_hat_cut != w_cut:
-        raise h_hat_cut.broken("verbatim reread must preserve the weight")
-    if ell != 2 * k_cut:
-        raise h_hat_cut.broken("verbatim reread must double the straight-vertex count")
+    h_hat_cut.check(w_hat_cut == w_cut, "verbatim reread must preserve the weight")
+    h_hat_cut.check(ell == 2 * k_cut, "verbatim reread must double the straight-vertex count")
 
     mu = tuple([lam[i] + n - i for i in range(n)])  # lam_i + n + 1 - (i+1)
     raised, gain = _raise_peaks("bij1_forward raise", h_hat_cut, mu)
-    h_hat = HalfPath.of(*half, raised)
-    if h_hat._scan[0] != w_hat_cut + gain:
-        raise InvariantError("bij1_forward raise", "peak raising weight bookkeeping failed",
-                             h_hat.to_line())
-    if h_hat._scan[0] != w:
-        raise InvariantError("bij1_forward", "the map must preserve the weight", h_hat.to_line())
-    return h_hat, Bij1Trace(n, lam, mu, h_hat, {"h_cut": h_cut, "h_hat_cut": h_hat_cut})
+    h_hat = _Stage("bij1_forward raise", HalfPath, half, raised)
+    h_hat.check(h_hat.scan[0] == w_hat_cut + gain, "peak raising weight bookkeeping failed")
+    h_hat.check(h_hat.scan[0] == w, "the map must preserve the weight", "bij1_forward")
+    return h_hat.path, Bij1Trace(h_cut.path, n, lam, mu, h_hat_cut.path, h_hat.path)
 
 
 def bij1_inverse(path: HalfPath) -> RsosPath:
@@ -365,18 +355,13 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
         raise StructureError(f"integer-peak numbers {mu} do not define a partition")
 
     # the lowered path read as an RSOS path, on its own frame
-    h_cut = _Stage("bij1_inverse cut", RsosPath, label, h_hat_cut.seq, framed=True)
-    horizon = h_cut.horizon
-    ns_list = _gaps(h_cut.scan[1], horizon + 1)
-
-    def nonscoring_position(j: int) -> int:
-        if j <= 0:
-            return 0
-        if j <= len(ns_list):
-            return ns_list[j - 1]
-        return horizon + (j - len(ns_list))  # tail vertices
-
-    return _reinsert(h_cut, [nonscoring_position(lam_i) for lam_i in lam], w_hat)
+    h_cut = _Stage("bij1_inverse cut", RsosPath, label, h_hat_cut.seq)
+    # label j goes to the j-th non-scoring vertex (to position 0 for j = 0),
+    # past the stored ones to the tail's vertices
+    ns = [0, *_gaps(h_cut.scan[1], h_cut.horizon + 1)]
+    tail = h_cut.horizon + 1 - len(ns)
+    return _reinsert("bij1_inverse reinsert", h_cut,
+                     [ns[j] if j < len(ns) else tail + j for j in lam], w_hat)
 
 
 # -- the p' = 2p-1 family ----------------------------------------------------
@@ -395,18 +380,15 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     k = len(scoring)
     pairs = _pair_runs(_gaps(scoring, scoring[-1] if scoring else 0))
     lam = tuple([k - bisect_right(scoring, x2) for _, x2 in pairs])  # scoring after x2
-    if not _is_partition(lam, 1):
-        raise InvariantError("bij2_forward pairs",
-                             "pair labels must form a partition of positive parts",
-                             path.to_line())
+    _Stage.of("bij2_forward pairs", path).check(
+        _is_partition(lam, 1), "pair labels must form a partition of positive parts")
     n = len(lam)
 
     h_cut = _Stage("bij2_forward cut", RsosPath, label, _remove_pairs(path, pairs))
     w_cut, cut_scoring, m = h_cut.scan
-    if len(cut_scoring) != k:
-        raise h_cut.broken("removing non-scoring pairs must not change the scoring count")
-    if w_cut != w - sum(lam):
-        raise h_cut.broken("cut-path weight bookkeeping failed")
+    h_cut.check(len(cut_scoring) == k,
+                "removing non-scoring pairs must not change the scoring count")
+    h_cut.check(w_cut == w - sum(lam), "cut-path weight bookkeeping failed")
 
     c = 0
     while c < n and lam[c] - (c + 1) >= k - m:
@@ -416,41 +398,32 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     d = n - c
 
     # flip, raise every peak by half a unit, land in the doubled strip
-    if h_cut.seq[h_cut.horizon] != bb:
-        raise InvariantError("bij2_forward flip",
-                             "even cut horizon must end at the even tail height", h_cut.line())
+    h_cut.check(h_cut.seq[-2] == bb, "even cut horizon must end at the even tail height",
+                "bij2_forward flip")
     rev = h_cut.seq[-2::-1]
     lifted = _insert_notches(rev, [(j, 1) for j in lattice.turns(rev, len(rev) - 1)[0]])
     lifted += [a + 1, a, a + 1, a]
     h_hat_cut = _Stage("bij2_forward flip", HalfPath, half, lifted)
     w_hat_cut, ell, _, _ = h_hat_cut.scan
-    if w_hat_cut != w_cut:
-        raise h_hat_cut.broken("flip and lift must preserve the weight")
-    if ell != 2 * k - 2 * m:
-        raise h_hat_cut.broken("flip and lift must leave 2k - 2m straight vertices")
+    h_hat_cut.check(w_hat_cut == w_cut, "flip and lift must preserve the weight")
+    h_hat_cut.check(ell == 2 * k - 2 * m, "flip and lift must leave 2k - 2m straight vertices")
 
     raised, gain = _raise_peaks("bij2_forward raise", h_hat_cut, mu)
     h_hat_int = _Stage("bij2_forward raise", HalfPath, half, raised)
     w_hat_int, _, tops, _ = h_hat_int.scan
-    if w_hat_int != w_hat_cut + gain:
-        raise h_hat_int.broken("peak raising weight bookkeeping failed")
+    h_hat_int.check(w_hat_int == w_hat_cut + gain, "peak raising weight bookkeeping failed")
 
     accretion = _accretion_positions(h_hat_int.horizon, tops)
-    if nu and nu[0] > len(accretion):
-        raise InvariantError("bij2_forward accrete",
-                             "remainder labels exceed the accretion vertex count",
-                             h_hat_int.line())
+    h_hat_int.check(not nu or nu[0] <= len(accretion),
+                    "remainder labels exceed the accretion vertex count", "bij2_forward accrete")
     notches2 = [(accretion[number - 1], 1) for number in nu]
-    h_hat = HalfPath.of(*half, _notched(h_hat_int.seq, a, notches2))
+    h_hat = _Stage("bij2_forward accrete", HalfPath, half, _notched(h_hat_int.seq, a, notches2))
 
-    w_hat = hp.weight(h_hat)
-    if w_hat != w_hat_int + sum(nu):
-        raise InvariantError("bij2_forward accrete", "accretion weight bookkeeping failed",
-                             h_hat.to_line())
-    if w_hat != w:
-        raise InvariantError("bij2_forward", "the map must preserve the weight", h_hat.to_line())
-    return h_hat, Bij2Trace(n, k, m, c, d, lam, mu, nu, h_hat, {
-        "h_cut": h_cut, "h_hat_cut": h_hat_cut, "h_hat_int": h_hat_int})
+    w_hat = h_hat.scan[0]
+    h_hat.check(w_hat == w_hat_int + sum(nu), "accretion weight bookkeeping failed")
+    h_hat.check(w_hat == w, "the map must preserve the weight", "bij2_forward")
+    return h_hat.path, Bij2Trace(h_cut.path, n, k, m, c, d, lam, mu, nu, h_hat_cut.path,
+                                 h_hat_int.path, h_hat.path)
 
 
 def _accretion_positions(horizon: int, tops: Sequence[int]) -> list[int]:
@@ -502,14 +475,10 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     tops = h_hat_int.scan[2]
     accretion = _accretion_positions(h_hat_int.horizon, tops)
     numbers = {pos: num + 1 for num, pos in enumerate(accretion)}
-    nu_parts = []
-    for anchor in removals:
-        if anchor not in numbers:
-            raise StructureError(
-                f"stripped insertion anchored off an accretion vertex ({anchor})"
-            )
-        nu_parts.append(numbers[anchor])
-    nu = tuple(sorted(nu_parts, reverse=True))
+    off = [anchor for anchor in removals if anchor not in numbers]
+    if off:
+        raise StructureError(f"stripped insertion anchored off an accretion vertex ({off[0]})")
+    nu = tuple(sorted([numbers[anchor] for anchor in removals], reverse=True))
     d = len(nu)
 
     # undo the staggered peak raises: non-integer peaks of the interim path
@@ -518,14 +487,11 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
 
     # invert the flip-and-lift: lower every peak, reverse, restore the tail.
     # Ending at a under the tail's a + 1, the path has no peak at its horizon.
-    if h_hat_cut.seq[h_hat_cut.horizon] != a:
-        raise InvariantError("bij2_inverse flip",
-                             "the unstacked path must end at the start height a", h_hat_cut.line())
+    h_hat_cut.check(h_hat_cut.seq[-2] == a, "the unstacked path must end at the start height a",
+                    "bij2_inverse flip")
     rev = _delete_pairs(h_hat_cut.seq[:-1], h_hat_cut.scan[2])[::-1]
-    if rev[0] != a or rev[-1] != bb:
-        raise InvariantError("bij2_inverse flip",
-                             "the lowered, reversed path must run from a to the tail",
-                             h_hat_cut.line())
+    h_hat_cut.check(rev[0] == a and rev[-1] == bb,
+                    "the lowered, reversed path must run from a to the tail", "bij2_inverse flip")
     rev += [bb - 1, bb, bb - 1]
     h_cut = _Stage("bij2_inverse flip", RsosPath, label, rev)
     _, scoring, m = h_cut.scan
@@ -540,7 +506,8 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
 
     if lam and lam[0] > k:  # lam is a partition: its first label is the largest
         raise StructureError(f"label {lam[0]} exceeds the scoring count {k}")
-    return _reinsert(h_cut, [0 if x == k else scoring[k - x - 1] for x in lam], w_hat)
+    return _reinsert("bij2_inverse reinsert", h_cut,
+                     [0 if x == k else scoring[k - x - 1] for x in lam], w_hat)
 
 
 # -- family dispatch ----------------------------------------------------------

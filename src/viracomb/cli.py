@@ -4,7 +4,9 @@ verify identities, and render pictures.
 Half-integer parameters are always passed doubled (--t2, --A, --B).  Exit
 codes: 0 success, 1 verification failure, 2 invalid input (an --order or
 --max-weight too large for the memory at hand included), 3 structurally
-corrupted bijection input, 141 (128 + SIGPIPE) output pipe closed early.
+corrupted bijection input, 4 a broken invariant of the program itself (an
+`AssertionError` raised explicitly, `bijections.InvariantError` among
+them), 141 (128 + SIGPIPE) output pipe closed early.
 """
 
 from __future__ import annotations
@@ -245,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; try a smaller --order or --max-weight", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"error: invariant broken: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

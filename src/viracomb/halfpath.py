@@ -24,12 +24,13 @@ A path is read once, when it is built: the constructor runs one pass,
 `_scan_frame` on the frame (every other path rule, the doubled positions
 scanned and the ground state subtracted) and refuses storage other than
 the canonical one, and the path keeps the scan (the weight, the
-straight-vertex count, the peaks and the valleys) under `_scan`.  The
-bijection stages run the same `_scan_frame` on the height lists they
-build.  `HalfPath.of` canonicalizes its heights and reads them on the
-frame it found, so a path built raw, as enumeration builds them, is
-refused with `of`'s message wherever `of` would refuse its heights, and
-unless it is stored canonically.
+straight-vertex count, the peaks and the valleys) under `_scan`.
+`_scan_frame` gives the scan in the form the path keeps, so each bijection
+stage, a path built bare on the frame of the heights the map made, keeps
+the scan it ran there.  `HalfPath.of` canonicalizes its heights and reads
+them on the frame it found, so a path built raw, as enumeration builds
+them, is refused with `of`'s message wherever `of` would refuse its
+heights, and unless it is stored canonically.
 """
 
 from __future__ import annotations
@@ -155,14 +156,14 @@ def _read(path: HalfPath, *,
         raise InvalidHalfPathError("height sequence is empty")
     if seq is None:
         seq = lattice.frame(hs, b2)[1]
-    w, straights, peaks, valleys = _scan_frame(t2, a2, b2, seq)
+    scan = _scan_frame(t2, a2, b2, seq)
     if len(seq) != len(hs) + 1:
         raise lattice.InvalidPathError(f"path not stored canonically: {path.to_line()}")
-    return w, straights, tuple(peaks), tuple(valleys)
+    return scan
 
 
 def _scan_frame(t2: int, a2: int, b2: int,
-                seq: list[int]) -> tuple[int, int, list[int], list[int]]:
+                seq: list[int]) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
     """The vertex scan of a frame, the doubled heights at 0..L+1 of a list
     that `lattice.frame` framed, position 0 read against H(-1) = A + 1: the
     path's read runs it, and so does each bijection stage on the list it
@@ -203,7 +204,8 @@ def _scan_frame(t2: int, a2: int, b2: int,
     if seq[-2] not in (b2, b2 + 1):  # the height at L
         raise InvalidHalfPathError(f"stored sequence must end inside the tail band, got {seq[-2]}")
     straights = len(seq) - 1 - len(peaks) - len(valleys)  # the vertices 0..L that do not turn
-    return _whole_units(quarters - _ground_quarters(t2, a2, b2)), straights, peaks, valleys
+    return (_whole_units(quarters - _ground_quarters(t2, a2, b2)), straights, tuple(peaks),
+            tuple(valleys))
 
 
 def _whole_units(diff: int) -> int:

@@ -111,8 +111,9 @@ def canonical(heights, b: int) -> tuple[tuple[int, ...], list[int] | None]:
 def bare(cls, *values):
     """An instance of the frozen path dataclass cls holding the field
     values in order, made without its constructor and so not read: `of`
-    reads it on the frame it has already found, and a bijection stage that
-    fails only prints its line.
+    reads it on the frame it has already found, and a bijection stage, a
+    path whose heights the map has framed, takes the vertex scan the stage
+    made.
     """
     path = object.__new__(cls)
     vars(path).update(zip(cls.__dataclass_fields__, values))

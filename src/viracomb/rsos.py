@@ -10,12 +10,13 @@ when it is built: the constructor runs one pass, `_read`, which checks the
 label, frames the heights, runs the vertex scan `_scan_frame` on the frame
 (every other path rule, and the weight, the scoring positions and the
 scoring-peak count) and refuses storage other than the canonical one, and
-the path keeps the scan under `_scan`, however many readers ask.  The
-bijection stages run the same `_scan_frame` on the height lists they
-build.  `RsosPath.of` canonicalizes its heights and reads them on the
-frame it found, so a path built raw, as enumeration builds them, is
-refused with `of`'s message wherever `of` would refuse its heights, and
-unless it is stored canonically.
+the path keeps the scan under `_scan`, however many readers ask.
+`_scan_frame` gives the scan in the form the path keeps, so each bijection
+stage, a path built bare on the frame of the heights the map made, keeps
+the scan it ran there.  `RsosPath.of` canonicalizes its heights and reads
+them on the frame it found, so a path built raw, as enumeration builds
+them, is refused with `of`'s message wherever `of` would refuse its
+heights, and unless it is stored canonically.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors, and `dark_floors` states the label rule, coprime
@@ -156,14 +157,14 @@ def _read(path: RsosPath, *, seq: list[int] | None = None) -> tuple[int, tuple[i
         raise InvalidPathError("height sequence is empty")
     if seq is None:
         seq = lattice.frame(hs, b)[1]
-    total, scoring, peaks = _scan_frame(p, p_prime, a, b, seq)
+    scan = _scan_frame(p, p_prime, a, b, seq)
     if len(seq) != len(hs) + 1:
         raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
-    return total, tuple(scoring), peaks
+    return scan
 
 
 def _scan_frame(p: int, p_prime: int, a: int, b: int,
-                seq: list[int]) -> tuple[int, list[int], int]:
+                seq: list[int]) -> tuple[int, tuple[int, ...], int]:
     """The vertex scan of a frame, the heights at 0..L+1 of a list that
     `lattice.frame` framed: the path's read runs it, and so does each
     bijection stage on the list it builds.  It checks the start at a and
@@ -200,7 +201,7 @@ def _scan_frame(p: int, p_prime: int, a: int, b: int,
                 total += (x + h - a) // 2
     if seq[-2] not in (b, b + 1):  # the height at L
         raise InvalidPathError(f"stored sequence must end inside the tail band, got {seq[-2]}")
-    return total, scoring, peaks
+    return total, tuple(scoring), peaks
 
 
 def _require_finite(path: RsosPath) -> None:

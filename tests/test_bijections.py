@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import itertools
 import random
 import re
 import statistics
@@ -235,35 +237,39 @@ def test_bij1_cut_has_no_adjacent_scoring_and_particles_start_on_turns():
                 assert info[first].shape in (PEAK, VALLEY)
 
 
-def _reads(call, arg):
-    """The result of call(arg) and how many times it read heights: RSOS and
-    half-path reads, each made when a path is built, and raw peak-and-valley
-    scans.
+def _scans(call, arg):
+    """The result of call(arg) and how many times it scanned heights: vertex
+    scans of frames (`rsos._scan_frame` and `halfpath._scan_frame`), raw
+    peak-and-valley scans (`lattice.turns`), and path reads (`_read`, made
+    when a path is built from outside a map).
     """
-    with mock.patch.object(rsos, "_read", wraps=rsos._read) as r, \
-            mock.patch.object(hp, "_read", wraps=hp._read) as h, \
-            mock.patch.object(lattice, "turns", wraps=lattice.turns) as t:
+    with mock.patch.object(rsos, "_scan_frame", wraps=rsos._scan_frame) as rs, \
+            mock.patch.object(hp, "_scan_frame", wraps=hp._scan_frame) as hs, \
+            mock.patch.object(lattice, "turns", wraps=lattice.turns) as t, \
+            mock.patch.object(rsos, "_read", wraps=rsos._read) as rr, \
+            mock.patch.object(hp, "_read", wraps=hp._read) as hr:
         out = call(arg)
-    return out, (r.call_count + h.call_count, t.call_count)
+    return out, (rs.call_count + hs.call_count, t.call_count, rr.call_count + hr.call_count)
 
 
 @pytest.mark.parametrize("half", [HALF_8_IMAGE, HALF_10, HALF_7_CUT, HALF_7_INT,
                                   HALF_7_IMAGE])
 def test_each_map_scans_each_path_once(half):
-    # the input was read when it was built; each map builds, and so reads,
-    # only its output, and its stages scan height lists.  bij2_forward also
-    # finds the peaks of the flip's raw heights.  A trace builds its stage
-    # paths when they are first read, each with one read.
-    inv, fwd, turns = ((bij1_inverse, bij1_forward, 0) if half[0] % 2 == 0
-                       else (bij2_inverse, bij2_forward, 1))
+    # the input was read when it was built; each map reads no path, and
+    # makes one vertex scan per stage list, its output among them: 3 stages
+    # each way for p' = 2p+1, 4 each way for p' = 2p-1, where bij2_forward
+    # also finds the peaks of the flip's raw heights.  A trace holds its
+    # stage paths, so reading its fields scans nothing.
+    inv, fwd, stages, turns = ((bij1_inverse, bij1_forward, 3, 0) if half[0] % 2 == 0
+                               else (bij2_inverse, bij2_forward, 4, 1))
     image = HalfPath.of(*half)
-    path, n_inv = _reads(inv, image)
-    (again, trace), n_fwd = _reads(fwd, path)
+    path, n_inv = _scans(inv, image)
+    (again, trace), n_fwd = _scans(fwd, path)
     assert again == image
-    assert (n_inv, n_fwd) == ((1, 0), (1, turns))
-    stages = [f.name for f in dataclasses.fields(trace) if f.name.startswith("h_")][:-1]
-    _, n_trace = _reads(lambda t: [getattr(t, name) for name in stages * 2], trace)
-    assert n_trace == (len(stages), 0)
+    assert (n_inv, n_fwd) == ((stages, 0, 0), (stages, turns, 0))
+    names = [f.name for f in dataclasses.fields(trace)]
+    _, n_trace = _scans(lambda t: [getattr(t, name) for name in names * 2], trace)
+    assert n_trace == (0, 0, 0)
 
 
 _REAL_DELETE, _REAL_INSERT = bijections._delete_pairs, bijections._insert_notches
@@ -297,6 +303,71 @@ def test_a_corrupted_stage_raises_at_its_name(name, path, helper, corrupted, sta
     assert err.stage == f"{name} {stage}"
     assert err.line.startswith(f"{kind} ")
     assert str(err) == f"{name} {stage}: {err.detail}: {err.line}"
+
+
+_REAL_PAIR_RUNS, _REAL_FRAME = bijections._pair_runs, lattice.frame
+
+
+def _reversed_runs(positions):
+    return _REAL_PAIR_RUNS(positions)[::-1]
+
+
+def _short_delete(seq, positions):
+    return _REAL_DELETE(seq, positions)[:-1]
+
+
+def _frame_off_by_one(call, step):
+    """`lattice.frame`, but its call-th call frames the heights one band
+    height too far (step 1) or too short (step -1), to an odd horizon.
+    """
+    calls = itertools.count(1)
+
+    def frame(hs, b):
+        horizon, seq = _REAL_FRAME(hs, b)
+        if next(calls) != call:
+            return horizon, seq
+        return (horizon + 1, seq + [seq[-2]]) if step > 0 else (horizon - 1, seq[:-1])
+    return frame
+
+
+@pytest.mark.parametrize("name,path,helpers,frame,stage,detail,kind", [
+    ("bij1_forward", RSOS_49, {"_pair_runs": _reversed_runs}, None, "particles",
+     "particle labels must form a partition", "rsos"),
+    ("bij1_forward", RSOS_49, {"_pair_runs": _reversed_runs, "_is_partition": lambda *_: True},
+     None, "raise", "peak numbers must be positive and strictly decrease", "half"),
+    ("bij2_forward", RSOS_47, {}, (1, 1), "flip",
+     "even cut horizon must end at the even tail height", "rsos"),
+    ("bij2_inverse", (7, 6, 4, [6, 5, 4]), {}, (2, -1), "flip",
+     "the unstacked path must end at the start height a", "half"),
+    ("bij2_inverse", HALF_7_IMAGE, {"_delete_pairs": _short_delete}, None, "flip",
+     "the lowered, reversed path must run from a to the tail", "half"),
+], ids=["particle-partition", "peak-numbers", "even-cut-horizon", "end-at-a", "reversed-run"])
+def test_a_corrupted_helper_reaches_the_check_behind_it(name, path, helpers, frame, stage,
+                                                       detail, kind):
+    # checks that no valid input reaches: particles listed right to left,
+    # then also a partition test that passes anything; a cut or a lowered
+    # stage framed to an odd horizon, its scan's checks all passing; a
+    # lowering that drops the last height.  Each fires first at its stage.
+    path = (RsosPath.of if len(path) == 5 else HalfPath.of)(*path)
+    with contextlib.ExitStack() as stack:
+        for helper, corrupted in helpers.items():
+            stack.enter_context(mock.patch.object(bijections, helper, corrupted))
+        if frame:
+            stack.enter_context(mock.patch.object(lattice, "frame", _frame_off_by_one(*frame)))
+        with pytest.raises(bijections.InvariantError) as info:
+            getattr(bijections, name)(path)
+    err = info.value
+    assert (err.stage, err.detail) == (f"{name} {stage}", detail)
+    assert err.line.startswith(f"{kind} ")
+    assert stage != "particles" or err.line == path.to_line()  # the input's own line
+
+
+def test_a_reinsertion_off_the_strip_is_refused():
+    # a notch rule that always steps up: the particle at position 0 of the
+    # RSOS path, at the top height 6 of p' = 7, would leave the strip
+    with mock.patch.object(bijections, "_notch_step", lambda height: 1):
+        with pytest.raises(StructureError, match="^reinsertion at position 0 leaves the strip$"):
+            bij2_inverse(HalfPath.of(*HALF_7_IMAGE))
 
 
 @pytest.mark.parametrize("name,half,kind", [("bij1_inverse", HALF_8_IMAGE, "integer"),

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from viracomb import cli, rsos, verify
+from viracomb import bijections, cli, rsos, verify
 from viracomb.cli import main
 from viracomb.qseries import QSeries
 from viracomb.rsos import InfiniteWeightError, RsosPath
@@ -208,6 +208,21 @@ def test_bijection_repeated_field_exit_2(capsys, monkeypatch):
     code, out, err = run(capsys, ["bijection", "inverse"],
                          stdin="half T=4 A=2 B=2 H=2 T=6\n", monkeypatch=monkeypatch)
     assert code == 2 and out == "" and "repeated field 'T'" in err
+
+
+def test_bijection_broken_invariant_exit_4(capsys, monkeypatch):
+    # a stage helper that inserts its notches one position off: the map
+    # breaks its own bookkeeping, which is the program's fault, not the
+    # input's; the command prints nothing and one error line naming the
+    # stage and the stage's path line, and exits 4, not with a traceback
+    real = bijections._insert_notches
+    monkeypatch.setattr(bijections, "_insert_notches",
+                        lambda seq, notches: real(seq, [(x + 1, step) for x, step in notches]))
+    code, out, err = run(capsys, ["bijection", "forward"],
+                         stdin=rsos_line(RSOS_49) + "\n", monkeypatch=monkeypatch)
+    assert (code, out) == (4, "")
+    assert err == ("error: invariant broken: bij1_forward raise: peak raising weight"
+                   " bookkeeping failed: half T=8 A=8 B=6 H=8,7,6,5,4,3,2,3,2,3,4,5,4,5,4,5,6\n")
 
 
 def test_render_ascii_marks_scoring(capsys, monkeypatch):

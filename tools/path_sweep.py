@@ -3,14 +3,18 @@ its particle calculus, by path length.  For seeded random walks of L = 100,
 200, ..., 3 200 steps in both bijection families, it prints the median
 microseconds of one `.of` read and of one round trip, for RSOS paths
 (forward, then inverse) and for half paths (inverse, then forward), and
-next to each round trip the number of paths it reads (`rsos._read` and
-`halfpath._read` calls).  A round trip starts from the heights, so it
-includes the input's own `.of` read; each map builds and reads only its
-output, so a trip makes 3 reads.  For corner half paths (A = B = 2) of the same lengths it prints the
-median microseconds of one `dissect` of a freshly read path, and of listing
-and applying all the moves of such a path, per listed move: a path of L
-steps lists about L/10 moves, and each builds, weighs and dissects a path
-of L steps.  Every cost should grow linearly in L.
+next to each round trip its vertex passes (`rsos._scan_frame`,
+`halfpath._scan_frame` and `lattice.turns` calls) and the paths it reads
+(`rsos._read` and `halfpath._read` calls).  A round trip starts from the
+heights, so it includes the input's own `.of` read, its one read and one
+pass; each map reads no path and scans each of its stages once, its output
+the last of them, so a trip makes 7 passes for p' = 2p+1 (3 stages each
+way) and 10 for p' = 2p-1 (4 each way, and the flip's peaks found by
+`lattice.turns`).  For corner half paths (A = B = 2) of the same lengths
+it prints the median microseconds of one `dissect` of a freshly read path,
+and of listing and applying all the moves of such a path, per listed move:
+a path of L steps lists about L/10 moves, and each builds, weighs and
+dissects a path of L steps.  Every cost should grow linearly in L.
 
     PYTHONPATH=src python3 tools/path_sweep.py [--max-steps 3200]
 """
@@ -23,7 +27,7 @@ import time
 from functools import partial
 from unittest import mock
 
-from viracomb import bijections, halfpath, particles, rsos
+from viracomb import bijections, halfpath, lattice, particles, rsos
 from viracomb.halfpath import HalfPath, theorem1_domain
 from viracomb.rsos import RsosPath
 
@@ -108,12 +112,17 @@ def apply_all(path: HalfPath) -> None:
             pass  # a listed move that breaks the weight or the sector
 
 
-def reads_per_trip(trip) -> int:
-    """The paths, RSOS and half, one call of trip reads."""
-    with mock.patch.object(rsos, "_read", wraps=rsos._read) as r, \
+def scans_per_trip(trip) -> tuple[int, int]:
+    """The vertex passes one call of trip makes, and the paths, RSOS and
+    half, it reads.
+    """
+    with mock.patch.object(rsos, "_scan_frame", wraps=rsos._scan_frame) as rs, \
+            mock.patch.object(halfpath, "_scan_frame", wraps=halfpath._scan_frame) as hs, \
+            mock.patch.object(lattice, "turns", wraps=lattice.turns) as t, \
+            mock.patch.object(rsos, "_read", wraps=rsos._read) as r, \
             mock.patch.object(halfpath, "_read", wraps=halfpath._read) as h:
         trip()
-    return r.call_count + h.call_count
+    return rs.call_count + hs.call_count + t.call_count, r.call_count + h.call_count
 
 
 def timed_us(call) -> float:
@@ -135,12 +144,12 @@ def main() -> None:
     parser.add_argument("--max-steps", type=int, default=STEPS[-1])
     args = parser.parse_args()
     steps_run = [s for s in STEPS if s <= args.max_steps]
-    cells, reads = {}, {}
+    cells, scans = {}, {}
     for family in (1, 2):
         rnd = random.Random(10 + family)
         for steps in steps_run:
             calls = cases(family, steps, rnd)
-            reads[family, steps] = [reads_per_trip(calls[k][1]) for k in (0, PATHS)]
+            scans[family, steps] = [scans_per_trip(calls[k][1]) for k in (0, PATHS)]
             cells[family, steps] = [(partial(timed_us, read), partial(timed_us, trip))
                                     for read, trip in calls]
     rnd = random.Random(13)
@@ -161,17 +170,17 @@ def main() -> None:
             gc.collect()
     finally:
         gc.enable()
-    print(f"{'family':>6} {'L':>5} {'rsos .of':>9} {'rsos trip':>10} {'reads':>5} "
-          f"{'half .of':>9} {'half trip':>10} {'reads':>5}   (median µs per path; "
-          f"paths read per trip)")
+    print(f"{'family':>6} {'L':>5} {'rsos .of':>9} {'rsos trip':>10} {'passes':>6} {'reads':>5} "
+          f"{'half .of':>9} {'half trip':>10} {'passes':>6} {'reads':>5}   (median µs per "
+          f"path; vertex passes and paths read per trip)")
     for (family, steps), mins in best.items():
         if family == "corner":
             continue
         row = [statistics.median(m[k] for m in part)
                for part in (mins[:PATHS], mins[PATHS:]) for k in (0, 1)]
-        rsos_reads, half_reads = reads[family, steps]
-        print(f"{family:>6} {steps:>5} {row[0]:>9.0f} {row[1]:>10.0f} {rsos_reads:>5} "
-              f"{row[2]:>9.0f} {row[3]:>10.0f} {half_reads:>5}")
+        (rsos_passes, rsos_reads), (half_passes, half_reads) = scans[family, steps]
+        print(f"{family:>6} {steps:>5} {row[0]:>9.0f} {row[1]:>10.0f} {rsos_passes:>6} "
+              f"{rsos_reads:>5} {row[2]:>9.0f} {row[3]:>10.0f} {half_passes:>6} {half_reads:>5}")
     print(f"{'corner':>6} {'L':>5} {'dissect':>9} {'per move':>10} {'moves':>9}"
           f"   (median µs per path, per listed move; mean moves per path)")
     for steps in steps_run:
