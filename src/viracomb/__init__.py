@@ -13,7 +13,6 @@ from .bijections import (
     Bij2Trace,
     BijectionDomainError,
     InvariantError,
-    StructureError,
     bij1_forward,
     bij1_inverse,
     bij2_forward,
@@ -55,7 +54,6 @@ __all__ = [
     "Particle",
     "QSeries",
     "RsosPath",
-    "StructureError",
     "apply_move",
     "bij1_forward",
     "bij1_inverse",

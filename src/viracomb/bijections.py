@@ -45,10 +45,13 @@ Every stage checks the exact weight bookkeeping and count identities it is
 supposed to satisfy against the facts scanned from its own heights, each
 in one `check` line, and a path rule its list breaks (strip, unit step,
 odd valley, end in the band) fails that scan, the output's included.
-Either raises `InvariantError`, an `AssertionError` raised explicitly (so
-under `python -O` too), which names the map, the stage and the offending
-path line, so a violation surfaces at the stage that caused it rather
-than as a bad round trip.
+An inverse map's checks that its input lies in the image (the peaks left
+after unstacking, the recovered labels, the reinsertion) are stage checks
+too: every path of a Theorem-1 label lies in its map's image, so no valid
+input fails one.  Each raises `lattice.InvariantError`, an
+`AssertionError` raised explicitly (so under `python -O` too), which
+names the map, the stage and the offending path line, so a violation
+surfaces at the stage that caused it rather than as a bad round trip.
 """
 
 from __future__ import annotations
@@ -62,30 +65,12 @@ from . import halfpath as hp
 from . import lattice
 from . import rsos
 from .halfpath import HalfPath
+from .lattice import InvariantError
 from .rsos import RsosPath
 
 
 class BijectionDomainError(ValueError):
     """Input path lies outside the family a bijection is defined on."""
-
-
-class StructureError(Exception):
-    """Input passed validation but is not in the bijection's image."""
-
-
-class InvariantError(AssertionError):
-    """A bijection stage broke its weight bookkeeping, a count identity or
-    a path rule: `stage` names the map and the stage, `detail` what broke,
-    and `line` the offending path line.  An `AssertionError`, raised
-    explicitly, so under `python -O` too.
-    """
-
-    def __init__(self, stage: str, detail: str, line: str) -> None:
-        super().__init__(stage, detail, line)
-        self.stage, self.detail, self.line = stage, detail, line
-
-    def __str__(self) -> str:
-        return f"{self.stage}: {self.detail}: {self.line}"
 
 
 class _Stage:
@@ -96,7 +81,7 @@ class _Stage:
     that canonical storage with that scan, is built when first asked for.
     A path rule the heights break, or a fact `check` is given that does not
     hold, is an `InvariantError` naming the stage (or `name`) and its path
-    line.
+    line; `check` formats its detail with its `args`, if any (`%`), only then.
     """
 
     __slots__ = ("name", "cls", "label", "seq", "scan", "_path")
@@ -106,7 +91,7 @@ class _Stage:
         self.seq = lattice.frame(hs, label[-1])[1]
         try:
             self.scan = (rsos if cls is RsosPath else hp)._scan_frame(*label, self.seq)
-        except (lattice.InvalidPathError, AssertionError) as exc:
+        except (lattice.InvalidPathError, InvariantError) as exc:
             self.check(False, str(exc))
 
     @classmethod
@@ -129,9 +114,10 @@ class _Stage:
             vars(self._path)["_scan"] = self.scan
         return self._path
 
-    def check(self, ok: bool, detail: str, name: str | None = None) -> None:
+    def check(self, ok: bool, detail: str, *args, name: str | None = None) -> None:
         if not ok:
-            raise InvariantError(name or self.name, detail, self.path.to_line())
+            raise InvariantError(name or self.name, detail % args if args else detail,
+                                 self.path.to_line())
 
 
 @dataclass(frozen=True)
@@ -175,13 +161,13 @@ def _insert_notches(seq: list[int], notches: list[tuple[int, int]]) -> list[int]
     """Insert (value+step, value) after each (pos, step), right to left.
 
     step +1 raises a notch above the host vertex, step -1 digs one below;
-    repeated entries at one position stack into an oscillation.
+    repeated entries at one position stack into an oscillation.  Edits seq
+    in place, a list its callers have just built, and returns it.
     """
-    out = list(seq)
     for pos, step in sorted(notches, reverse=True):
-        h = out[pos]
-        out[pos + 1 : pos + 1] = [h + step, h]
-    return out
+        h = seq[pos]
+        seq[pos + 1 : pos + 1] = [h + step, h]
+    return seq
 
 
 def _notched(seq: list[int], b: int, notches: list[tuple[int, int]]) -> list[int]:
@@ -251,7 +237,7 @@ def _raise_peaks(name: str, h: _Stage, mu: tuple[int, ...]) -> tuple[list[int], 
     _, ell, tops, _ = h.scan
     c = len(mu)
     h.check(all(map(gt, mu, mu[1:])) and (not mu or mu[-1] >= 1),
-            "peak numbers must be positive and strictly decrease", name)
+            "peak numbers must be positive and strictly decrease", name=name)
     # numbers past the stored peaks land on the tail's peaks, two apart
     stored, first = len(tops), h.horizon + 1
     at = [tops[x - 1] if x <= stored else first + 2 * (x - stored - 1) for x in mu]
@@ -269,9 +255,8 @@ def _lower_peaks(name: str, half: tuple, seq: Sequence[int], tops: Sequence[int]
     """
     raised = [(num + 1, pos) for num, pos in enumerate(tops) if seq[pos] % 2 == parity]
     cut = _Stage(name, HalfPath, half, _delete_pairs(seq, [pos for _, pos in raised]))
-    if any(cut.seq[i] % 2 == parity for i in cut.scan[2]):
-        kind = "non-integer" if parity else "integer"
-        raise StructureError(f"{kind} peaks remain after unstacking")
+    cut.check(not any(cut.seq[i] % 2 == parity for i in cut.scan[2]),
+              "%s peaks remain after unstacking", "non-integer" if parity else "integer")
     return tuple([num for num, _ in reversed(raised)]), cut
 
 
@@ -292,13 +277,12 @@ def _reinsert(name: str, h_cut: _Stage, positions: list[int], w_hat: int) -> Rso
     for pos in positions:
         height = lattice.tail_height(h_cut.seq, b, pos)
         step = _notch_step(height)
-        if not 1 <= height + step < pp:
-            raise StructureError(f"reinsertion at position {pos} leaves the strip")
+        h_cut.check(1 <= height + step < pp, "reinsertion at position %d leaves the strip", pos,
+                    name=name)
         notches.append((pos, step))
-    out = _Stage(name, RsosPath, h_cut.label, _notched(h_cut.seq, b, notches)).path
-    if out._scan[0] != w_hat:
-        raise StructureError("reinserted path does not reproduce the weight")
-    return out
+    out = _Stage(name, RsosPath, h_cut.label, _notched(h_cut.seq, b, notches))
+    out.check(out.scan[0] == w_hat, "reinserted path does not reproduce the weight")
+    return out.path
 
 
 # -- the p' = 2p+1 family ----------------------------------------------------
@@ -337,7 +321,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     raised, gain = _raise_peaks("bij1_forward raise", h_hat_cut, mu)
     h_hat = _Stage("bij1_forward raise", HalfPath, half, raised)
     h_hat.check(h_hat.scan[0] == w_hat_cut + gain, "peak raising weight bookkeeping failed")
-    h_hat.check(h_hat.scan[0] == w, "the map must preserve the weight", "bij1_forward")
+    h_hat.check(h_hat.scan[0] == w, "the map must preserve the weight", name="bij1_forward")
     return h_hat.path, Bij1Trace(h_cut.path, n, lam, mu, h_hat_cut.path, h_hat.path)
 
 
@@ -351,8 +335,7 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
     mu, h_hat_cut = _lower_peaks("bij1_inverse lower", half, path.doubled, tops, 0)
     n = len(mu)
     lam = tuple([mu[i] - n + i for i in range(n)])  # mu_i - n - 1 + (i+1)
-    if not _is_partition(lam):
-        raise StructureError(f"integer-peak numbers {mu} do not define a partition")
+    h_hat_cut.check(_is_partition(lam), "integer-peak numbers %s do not define a partition", mu)
 
     # the lowered path read as an RSOS path, on its own frame
     h_cut = _Stage("bij1_inverse cut", RsosPath, label, h_hat_cut.seq)
@@ -399,7 +382,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
 
     # flip, raise every peak by half a unit, land in the doubled strip
     h_cut.check(h_cut.seq[-2] == bb, "even cut horizon must end at the even tail height",
-                "bij2_forward flip")
+                name="bij2_forward flip")
     rev = h_cut.seq[-2::-1]
     lifted = _insert_notches(rev, [(j, 1) for j in lattice.turns(rev, len(rev) - 1)[0]])
     lifted += [a + 1, a, a + 1, a]
@@ -415,13 +398,14 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
 
     accretion = _accretion_positions(h_hat_int.horizon, tops)
     h_hat_int.check(not nu or nu[0] <= len(accretion),
-                    "remainder labels exceed the accretion vertex count", "bij2_forward accrete")
+                    "remainder labels exceed the accretion vertex count",
+                    name="bij2_forward accrete")
     notches2 = [(accretion[number - 1], 1) for number in nu]
     h_hat = _Stage("bij2_forward accrete", HalfPath, half, _notched(h_hat_int.seq, a, notches2))
 
     w_hat = h_hat.scan[0]
     h_hat.check(w_hat == w_hat_int + sum(nu), "accretion weight bookkeeping failed")
-    h_hat.check(w_hat == w, "the map must preserve the weight", "bij2_forward")
+    h_hat.check(w_hat == w, "the map must preserve the weight", name="bij2_forward")
     return h_hat.path, Bij2Trace(h_cut.path, n, k, m, c, d, lam, mu, nu, h_hat_cut.path,
                                  h_hat_int.path, h_hat.path)
 
@@ -475,9 +459,8 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     tops = h_hat_int.scan[2]
     accretion = _accretion_positions(h_hat_int.horizon, tops)
     numbers = {pos: num + 1 for num, pos in enumerate(accretion)}
-    off = [anchor for anchor in removals if anchor not in numbers]
-    if off:
-        raise StructureError(f"stripped insertion anchored off an accretion vertex ({off[0]})")
+    off = next((anchor for anchor in removals if anchor not in numbers), None)
+    h_hat_int.check(off is None, "stripped insertion anchored off an accretion vertex (%s)", off)
     nu = tuple(sorted([numbers[anchor] for anchor in removals], reverse=True))
     d = len(nu)
 
@@ -488,10 +471,11 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
     # invert the flip-and-lift: lower every peak, reverse, restore the tail.
     # Ending at a under the tail's a + 1, the path has no peak at its horizon.
     h_hat_cut.check(h_hat_cut.seq[-2] == a, "the unstacked path must end at the start height a",
-                    "bij2_inverse flip")
+                    name="bij2_inverse flip")
     rev = _delete_pairs(h_hat_cut.seq[:-1], h_hat_cut.scan[2])[::-1]
     h_hat_cut.check(rev[0] == a and rev[-1] == bb,
-                    "the lowered, reversed path must run from a to the tail", "bij2_inverse flip")
+                    "the lowered, reversed path must run from a to the tail",
+                    name="bij2_inverse flip")
     rev += [bb - 1, bb, bb - 1]
     h_cut = _Stage("bij2_inverse flip", RsosPath, label, rev)
     _, scoring, m = h_cut.scan
@@ -499,13 +483,11 @@ def bij2_inverse(path: HalfPath) -> RsosPath:
 
     lam = tuple([mu[i] + (i + 1) + k - m - 1 for i in range(c)]) + nu
     n = c + d
-    if not _is_partition(lam):
-        raise StructureError(f"recovered labels {lam} are not a partition")
-    if d and c < n and nu[0] - (c + 1) >= k - m:
-        raise StructureError("prefix length is not maximal for the recovered labels")
-
-    if lam and lam[0] > k:  # lam is a partition: its first label is the largest
-        raise StructureError(f"label {lam[0]} exceeds the scoring count {k}")
+    h_cut.check(_is_partition(lam), "recovered labels %s are not a partition", lam)
+    h_cut.check(not (d and c < n and nu[0] - (c + 1) >= k - m),
+                "prefix length is not maximal for the recovered labels")
+    top = lam[0] if lam else 0  # lam is a partition: its first label is the largest
+    h_cut.check(top <= k, "label %d exceeds the scoring count %d", top, k)
     return _reinsert("bij2_inverse reinsert", h_cut,
                      [0 if x == k else scoring[k - x - 1] for x in lam], w_hat)
 

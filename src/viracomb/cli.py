@@ -3,10 +3,12 @@ verify identities, and render pictures.
 
 Half-integer parameters are always passed doubled (--t2, --A, --B).  Exit
 codes: 0 success, 1 verification failure, 2 invalid input (an --order or
---max-weight too large for the memory at hand included), 3 structurally
-corrupted bijection input, 4 a broken invariant of the program itself (an
-`AssertionError` raised explicitly, `bijections.InvariantError` among
-them), 141 (128 + SIGPIPE) output pipe closed early.
+--max-weight too large for the memory at hand included), 4 a broken
+invariant of the program itself (`lattice.InvariantError`, an
+`AssertionError` raised explicitly), 141 (128 + SIGPIPE) output pipe
+closed early.  Code 3, once bijection input outside the map's image, is
+retired and not reused: every path of a Theorem-1 label lies in its map's
+image, so a stage that finds otherwise is a broken invariant.
 """
 
 from __future__ import annotations
@@ -238,9 +240,6 @@ def main(argv: list[str] | None = None) -> int:
         # the reader is gone; the interpreter's final flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except bj.StructureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

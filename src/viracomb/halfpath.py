@@ -204,19 +204,18 @@ def _scan_frame(t2: int, a2: int, b2: int,
     if seq[-2] not in (b2, b2 + 1):  # the height at L
         raise InvalidHalfPathError(f"stored sequence must end inside the tail band, got {seq[-2]}")
     straights = len(seq) - 1 - len(peaks) - len(valleys)  # the vertices 0..L that do not turn
-    return (_whole_units(quarters - _ground_quarters(t2, a2, b2)), straights, tuple(peaks),
-            tuple(valleys))
+    return (_whole_units(quarters - _ground_quarters(t2, a2, b2), t2, a2, b2), straights,
+            tuple(peaks), tuple(valleys))
 
 
-def _whole_units(diff: int) -> int:
-    """A quarter-unit difference from the ground state, in whole units."""
+def _whole_units(diff: int, t2: int, a2: int, b2: int) -> int:
+    """A quarter-unit difference from the ground state of label (T, A, B),
+    in whole units.
+    """
     units, rest = divmod(diff, 4)
-    if rest:
-        raise AssertionError(
-            f"quarter-unit weight difference {diff} is not divisible by 4"
-        )
-    if units < 0:
-        raise AssertionError("path weight below the ground state")
+    if rest or units < 0:
+        raise lattice.InvariantError("weight", f"quarter-unit weight difference {diff} is not "
+                                     "a nonnegative multiple of 4", f"(T,A,B)=({t2},{a2},{b2})")
     return units
 
 
@@ -274,5 +273,5 @@ def generating_function(t2: int, a2: int, b2: int, order: int) -> QSeries:
     counts = enumerate_paths(t2, a2, b2, order).counts
     gs_q = _ground_quarters(t2, a2, b2)
     for q in (q for q, n in enumerate(counts) if n):
-        _whole_units(q - gs_q)  # every raw weight lies on the ground state's grid
+        _whole_units(q - gs_q, t2, a2, b2)  # every raw weight lies on the ground state's grid
     return QSeries(order, tuple(counts[gs_q::4]))

@@ -32,6 +32,22 @@ class InvalidPathError(ValueError):
     """Raised for malformed path lines and sequences violating the path constraints."""
 
 
+class InvariantError(AssertionError):
+    """The program broke one of its own invariants, which no valid input
+    reaches: `stage` names the function (for a bijection, the map and the
+    stage) whose check failed, `detail` what broke, and `line` the offending
+    path line, or the label or sector checked where there is no path.  An
+    `AssertionError`, raised explicitly, so under `python -O` too.
+    """
+
+    def __init__(self, stage: str, detail: str, line: str) -> None:
+        super().__init__(stage, detail, line)
+        self.stage, self.detail, self.line = stage, detail, line
+
+    def __str__(self) -> str:
+        return f"{self.stage}: {self.detail}: {self.line}"
+
+
 def parse_fields(line: str, kind: str, names: tuple[str, ...]) -> dict[str, str]:
     """The `key=value` fields of a `kind` path line; all names are required."""
     parts = line.strip().split()
@@ -299,8 +315,8 @@ def _forward(m: Model, layers=None, tables=None) -> list[int] | None:
     x = 0
     while reach:
         if x > m.horizon:
-            raise AssertionError(f"enumeration did not stabilize: a step is still live at "
-                                 f"horizon {m.horizon} for {m.what}")
+            raise InvariantError("search", "enumeration did not stabilize: a step is still "
+                                 f"live at horizon {m.horizon}", m.what)
         steps, nxt = {}, {}
         stay = budget - m.leave(x + 1)  # the room of a state in a run
         for code, (w, vec) in reach.items():
@@ -332,8 +348,8 @@ def _forward(m: Model, layers=None, tables=None) -> list[int] | None:
                     e0, acc, e, poly = e, poly, e0, acc
                 shift, off = divmod(e - e0, grain)
                 if off:
-                    raise AssertionError(
-                        f"costs {e0} and {e} meet in one state off the grain {grain} for {m.what}")
+                    raise InvariantError("search", f"costs {e0} and {e} meet in one state off "
+                                         f"the grain {grain}", m.what)
                 n = shift + len(poly)
                 if n > len(acc) and poly:
                     acc += [0] * (n - len(acc))

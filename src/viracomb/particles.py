@@ -24,6 +24,12 @@ path's `__dict__` beside the scan, however often a move and its caller
 weigh and dissect it.  A listed move carries the edit found for it
 and the path it was listed on, so applying it plans nothing again and
 reads that path once more, for one padded copy.
+
+Every path of the model dissects (Bressoud and Warnaar's method), and a
+listed move is meant to add one to the weight and keep the sector, so a
+check of either that fails is the program's fault, not the input's: a
+`lattice.InvariantError` naming the function (`dissect`, `apply_move`,
+...) and the offending path line, or the sector checked.
 """
 
 from __future__ import annotations
@@ -34,11 +40,8 @@ from typing import NamedTuple
 from . import halfpath as hp
 from .characters import _walk, b_matrix
 from .halfpath import HalfPath
+from .lattice import InvariantError
 from .qseries import QSeries
-
-
-class DissectionError(Exception):
-    """A peak could not be assigned a charge (model violation)."""
 
 
 class Particle(NamedTuple):
@@ -140,13 +143,15 @@ def _dissect(path: HalfPath) -> tuple[tuple[Particle, ...], tuple[int, ...]]:
                 while origin >= 0 and H[origin] != base_h:
                     origin -= 1
                 if origin < 0:
-                    raise DissectionError("baseline ran off the left wall")
+                    raise InvariantError("dissect", "baseline ran off the left wall",
+                                         path.to_line())
             else:  # it closes right of the peak
                 origin, end = identified, peak + 1
                 while end <= horizon and H[end] != base_h:
                     end += 1
                 if end > horizon:
-                    raise DissectionError("baseline ran past the tail without closing")
+                    raise InvariantError("dissect", "baseline ran past the tail without closing",
+                                         path.to_line())
             parts[index] = Particle(peak, charge2, origin, base_h, end - origin)
         live[k] = right
         if k:
@@ -155,8 +160,8 @@ def _dissect(path: HalfPath) -> tuple[tuple[Particle, ...], tuple[int, ...]]:
                 sector[charge2 - 2] = k
 
     if waiting:
-        raise DissectionError(
-            f"peaks without a charge after the scan: {[peaks[i] for i in waiting]}")
+        raise InvariantError("dissect", f"peaks without a charge after the scan: "
+                             f"{[peaks[i] for i in waiting]}", path.to_line())
     return tuple(parts), tuple(sector)
 
 
@@ -174,9 +179,8 @@ def minimal_path(t2: int, sector: tuple[int, ...]) -> HalfPath:
     out = HalfPath.of(t2, 2, 2, hs)
     check = dissect(out)
     if check.sector != tuple(sector):
-        raise AssertionError(
-            f"minimal path dissects to {check.sector}, expected {tuple(sector)}"
-        )
+        raise InvariantError("minimal_path", f"it dissects to {check.sector}, expected "
+                             f"{tuple(sector)}", out.to_line())
     return out
 
 
@@ -190,7 +194,8 @@ def minimal_weight(t2: int, sector: tuple[int, ...]) -> int:
         for j, nj in enumerate(sector):
             total += ni * bmat[i][j] * nj
     if total % 2:
-        raise AssertionError(f"charge form {total} of {tuple(sector)} is odd")
+        raise InvariantError("minimal_weight", f"charge form {total} is odd",
+                             f"sector {tuple(sector)} of T={t2}")
     return total // 2
 
 
@@ -332,9 +337,9 @@ def apply_move(path: HalfPath, move: Move) -> HalfPath:
 
     new = HalfPath.of(path.t2, path.a2, path.b2, seq)
     if hp.weight(new) != move.weight + 1:
-        raise AssertionError("a move must add exactly one")
+        raise InvariantError("apply_move", "a move must add exactly one", new.to_line())
     if dissect(new).sector != move.sector:
-        raise AssertionError("a move must fix the sector")
+        raise InvariantError("apply_move", "a move must fix the sector", new.to_line())
     return new
 
 
@@ -343,10 +348,12 @@ def _shift_particle(seq: list[int], origin: int, d2: int) -> list[int]:
     two up or down, re-hanging the two displaced edges on its right.
     """
     if origin < 2:
-        raise AssertionError("no room to the left of the particle")
+        raise InvariantError("apply_move", f"no room to the left of the particle at {origin}",
+                             f"H={','.join(map(str, seq))}")
     delta = seq[origin - 2] - seq[origin]
     if abs(delta) != 2:
-        raise AssertionError("the two edges left of the particle must align")
+        raise InvariantError("apply_move", f"the two edges left of the particle at {origin} "
+                             "must align", f"H={','.join(map(str, seq))}")
     s = delta // 2
     end = origin + 2 * d2
     out = seq[: origin - 1]

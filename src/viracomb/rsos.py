@@ -96,12 +96,6 @@ class RsosPath:
         """Index of the last stored height (the canonical L)."""
         return len(self.heights) - 1
 
-    def height(self, x: int) -> int:
-        """Height at any position, continuing the tail oscillation."""
-        if x < 0:
-            raise IndexError("positions are nonnegative")
-        return lattice.tail_height(self.heights, self.b, x)
-
     def padded(self, upto: int) -> list[int]:
         """Heights at positions 0..upto, continuing the tail oscillation."""
         return lattice.padded(self.heights, self.b, upto)

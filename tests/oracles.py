@@ -36,7 +36,7 @@ from math import gcd
 from viracomb import halfpath, lattice, rsos
 from viracomb.characters import CharacterLabel, m_vector
 from viracomb.halfpath import HalfPath, InvalidHalfPathError
-from viracomb.particles import Dissection, DissectionError, Particle
+from viracomb.particles import Dissection, Particle
 from viracomb.qseries import QSeries, _factor_product
 from viracomb.rsos import InvalidPathError, RsosPath
 
@@ -214,7 +214,8 @@ def half_scan(t2: int, a2: int, b2: int, stored: tuple[int, ...]) -> tuple:
             (peaks if h > after else valleys).append(i)
         before = h
     gs_q = halfpath._ground_quarters(t2, a2, b2)
-    return halfpath._whole_units(quarters - gs_q), straights, tuple(peaks), tuple(valleys)
+    return (halfpath._whole_units(quarters - gs_q, t2, a2, b2), straights, tuple(peaks),
+            tuple(valleys))
 
 
 def ground_state(t2: int, a2: int, b2: int) -> HalfPath:
@@ -251,7 +252,7 @@ def weight_edgewise(path: RsosPath) -> int:
         down_suffix[v.x] = down_suffix[v.x + 1] + (1 if v.scoring and not v.up else 0)
     total = 0
     for x in range(1, horizon + 1):
-        if path.height(x) < path.height(x - 1):  # SE edge into x
+        if path.heights[x] < path.heights[x - 1]:  # SE edge into x
             total += up_suffix[x + 1] if x + 1 <= horizon else 0
         else:
             total += down_suffix[x + 1] if x + 1 <= horizon else 0
@@ -309,8 +310,8 @@ def dissect_reference(path: HalfPath) -> Dissection:
                 return z
             z += step
             if z > reach:
-                raise DissectionError("baseline ran past the tail without closing")
-        raise DissectionError("baseline ran off the left wall")
+                raise AssertionError("baseline ran past the tail without closing")
+        raise AssertionError("baseline ran off the left wall")
 
     waiting = peaks[::-1]  # right to left
     for charge2 in range(1, t2 - 1):
@@ -333,7 +334,7 @@ def dissect_reference(path: HalfPath) -> Dissection:
         waiting = still
 
     if waiting:
-        raise DissectionError(f"peaks without a charge after the scan: {waiting[::-1]}")
+        raise AssertionError(f"peaks without a charge after the scan: {waiting[::-1]}")
     sector = [0] * (t2 - 3)
     for part in assigned.values():
         if part.charge2 >= 2:

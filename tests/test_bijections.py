@@ -14,7 +14,6 @@ from viracomb import halfpath as hp
 from viracomb import lattice, rsos, verify
 from viracomb.bijections import (
     BijectionDomainError,
-    StructureError,
     bij1_forward,
     bij1_inverse,
     bij2_forward,
@@ -364,20 +363,28 @@ def test_a_corrupted_helper_reaches_the_check_behind_it(name, path, helpers, fra
 
 def test_a_reinsertion_off_the_strip_is_refused():
     # a notch rule that always steps up: the particle at position 0 of the
-    # RSOS path, at the top height 6 of p' = 7, would leave the strip
+    # RSOS path, at the top height 6 of p' = 7, would leave the strip; the
+    # reinsertion stage refuses, on the line of the cut it reinserts into
     with mock.patch.object(bijections, "_notch_step", lambda height: 1):
-        with pytest.raises(StructureError, match="^reinsertion at position 0 leaves the strip$"):
+        with pytest.raises(bijections.InvariantError) as info:
             bij2_inverse(HalfPath.of(*HALF_7_IMAGE))
+    err = info.value
+    assert (err.stage, err.detail) == ("bij2_inverse reinsert",
+                                       "reinsertion at position 0 leaves the strip")
+    assert err.line.startswith("rsos p=4 pp=7 ")
 
 
 @pytest.mark.parametrize("name,half,kind", [("bij1_inverse", HALF_8_IMAGE, "integer"),
                                              ("bij2_inverse", HALF_7_IMAGE, "non-integer")])
 def test_unstacking_that_lowers_nothing_is_refused(name, half, kind):
-    # peaks the lowering stage leaves standing are its structure check's to
-    # refuse, before any later stage reads them
+    # peaks the lowering stage leaves standing are its check's to refuse,
+    # before any later stage reads them, on the line of the lowered stage
     with mock.patch.object(bijections, "_delete_pairs", lambda seq, positions: list(seq)):
-        with pytest.raises(StructureError, match=f"^{kind} peaks remain after unstacking$"):
+        with pytest.raises(bijections.InvariantError) as info:
             getattr(bijections, name)(HalfPath.of(*half))
+    err = info.value
+    assert (err.stage, err.detail) == (f"{name} lower", f"{kind} peaks remain after unstacking")
+    assert err.line.startswith(f"half T={half[0]} ")
 
 
 # -- seeded long paths, far beyond the exhaustive weight-12 window -------------

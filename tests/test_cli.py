@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from viracomb import bijections, cli, rsos, verify
+from viracomb import bijections, cli, particles, rsos, verify
 from viracomb.cli import main
 from viracomb.qseries import QSeries
 from viracomb.rsos import InfiniteWeightError, RsosPath
@@ -384,6 +384,26 @@ def test_dissect_json(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["sector"] == [2, 1, 1, 1, 0, 1, 0]
     assert payload["particles"][0]["charge"] == "7/2"
+
+
+def test_dissect_broken_invariant_exit_4(capsys, monkeypatch):
+    # a dissection whose scan reads each peak on the valley to its right:
+    # no peak can then take a charge, which no valid path reaches; the
+    # command prints nothing and one error line naming the dissection and
+    # the path line, and exits 4, not with a traceback
+    real = particles._dissect
+
+    def misread(path):
+        w, ell, _, valleys = path._scan
+        vars(path)["_scan"] = (w, ell, valleys[1:], valleys)
+        return real(path)
+
+    monkeypatch.setattr(particles, "_dissect", misread)
+    code, out, err = run(capsys, ["dissect"], stdin="half T=8 A=2 B=2 H=2,3,4,3,2\n",
+                         monkeypatch=monkeypatch)
+    assert (code, out) == (4, "")
+    assert err == ("error: invariant broken: dissect: peaks without a charge after the scan:"
+                   " [4]: half T=8 A=2 B=2 H=2,3,4,3,2\n")
 
 
 def test_sector_gf(capsys):

@@ -109,7 +109,7 @@ def _free_walk(start: int, top: int, what: str) -> lattice.Model:
 
 def test_search_demands_a_stable_horizon():
     # with no bounds and a free walk, paths keep appearing past any horizon
-    with pytest.raises(AssertionError, match="did not stabilize"):
+    with pytest.raises(lattice.InvariantError, match="^search: enumeration did not stabilize"):
         lattice.search(_free_walk(4, 5, "a free walk"))
 
 
@@ -117,8 +117,10 @@ def test_search_refuses_a_live_branch_at_the_horizon():
     # paths exist, but from a start this far above the band they enter it
     # only from position 9 on, past the horizon; the search must not return
     # an empty set
-    with pytest.raises(AssertionError, match="did not stabilize.*horizon 4 for a late band"):
+    with pytest.raises(lattice.InvariantError) as info:
         lattice.search(_free_walk(12, 12, "a late band"))
+    assert str(info.value) == ("search: enumeration did not stabilize: a step is still live at"
+                               " horizon 4: a late band")
 
 
 def test_an_off_grain_cost_raises():
@@ -128,7 +130,8 @@ def test_an_off_grain_cost_raises():
     updown = lambda prev, h, nh: (0, 0, 1, 1) if nh > h else lattice.FREE
     odd = dataclasses.replace(_free_walk(3, 5, "an odd walk"), step=updown, budget=8, horizon=40)
     assert sum(lattice.search(odd).counts) > 0
-    with pytest.raises(AssertionError, match="off the grain 2 for an odd walk"):
+    with pytest.raises(lattice.InvariantError,
+                       match="^search: costs .* off the grain 2: an odd walk$"):
         lattice.search(dataclasses.replace(odd, grain=2))
 
 
@@ -442,6 +445,24 @@ def test_no_tuple_from_generator():
     assert sites == []
 
 
+def _names(node) -> set:
+    """The names a node states: a name, an attribute, a class or an import."""
+    return {getattr(node, field, None) for field in ("id", "attr", "name")} - {None}
+
+
+def test_one_invariant_error_type():
+    # a broken invariant is a `lattice.InvariantError` naming its stage and
+    # its line, raised explicitly: no bare `raise AssertionError(...)`, and
+    # no retired exception type defined, imported, raised or caught
+    sites = [f"{f.stem}:{node.lineno}" for f in sorted((SRC / "viracomb").glob("*.py"))
+             for node in ast.walk(ast.parse(f.read_text()))
+             if isinstance(node, ast.Raise) and node.exc is not None
+             and "AssertionError" in _names(getattr(node.exc, "func", node.exc))
+             or isinstance(node, (ast.Name, ast.Attribute, ast.ClassDef, ast.alias))
+             and _names(node) & {"StructureError", "DissectionError"}]
+    assert sites == []
+
+
 # -- what a path keeps of its own readings ------------------------------------
 
 
@@ -548,11 +569,12 @@ attempt(lambda: dataclasses.replace(RsosPath.of(3, 5, 2, 1, (2, 1)), heights=(3,
                          text=True, env=env, check=True, timeout=120)
     assert out.stdout.splitlines() == [
         "optimize 1",
-        "raised: a move must add exactly one",
-        "raised: enumeration did not stabilize: a step is still live at horizon 4"
-        " for a late band",
-        "raised: costs 1 and 2 meet in one state off the grain 2 for an odd walk",
-        "raised: charge form 1 of (1,) is odd",
+        "raised: apply_move: a move must add exactly one: half T=8 A=2 B=2"
+        " H=2,3,4,5,6,5,4,5,4,5,6,5,4,5,6,7,8,7,6,5,4,5,4,5,4,3,2",
+        "raised: search: enumeration did not stabilize: a step is still live at horizon 4:"
+        " a late band",
+        "raised: search: costs 1 and 2 meet in one state off the grain 2: an odd walk",
+        "raised: minimal_weight: charge form 1 is odd: sector (1,) of T=4",
         "raised: bij1_forward reread: verbatim reread must preserve the weight:"
         " half T=6 A=4 B=4 H=4",
         "raised: path must start at a=2, got 3",

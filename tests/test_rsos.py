@@ -67,7 +67,7 @@ def test_canonical_storage(path49):
     # short input is extended to the canonical horizon
     p = RsosPath.of(4, 9, 8, 6, [8, 7])
     assert p.heights == (8, 7, 6)
-    assert p.height(5) == 7
+    assert p.padded(5)[5] == 7
 
 
 def test_validation_errors():
