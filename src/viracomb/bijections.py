@@ -30,16 +30,14 @@ map states its own half side and refuses any other label through
 not stored canonically, cannot reach a map: its constructor refuses it.
 
 Every stage is a path: its heights are framed by `lattice.frame` (through
-the canonical horizon and one past it) and scanned by the read's own
-vertex scan, `rsos._scan_frame` or `halfpath._scan_frame`, which gives
-the weight each stage checks and the scoring positions, straight-vertex
-count and peaks the next stage works on; its path object is
-`lattice.bare` on that canonical storage with that scan.  A map's output
-is its last stage, so no map reads a path: the label checks of a read hold
-by construction, as the label is the input's own, and storage is canonical
-as framed.  A stage builds its path object when it is first asked for: as
-the output, for a forward map's trace, which holds its stage paths, or for
-an error line; so an inverse map builds only its output.
+the canonical horizon and one past it) and scanned by its class's own
+vertex scan, `_scan_frame`, which gives the weight each stage checks and
+the scoring positions, straight-vertex count and peaks the next stage works
+on.  A map's output is its last stage, so no map reads a path; the label
+is the input's own, and storage is canonical as framed.  A stage builds its
+path object when it is first asked for: as the output, for a forward map's
+trace, which holds its stage paths, or for an error line; so an inverse map
+builds only its output.
 
 Every stage checks the exact weight bookkeeping and count identities it is
 supposed to satisfy against the facts scanned from its own heights, each
@@ -63,7 +61,6 @@ from operator import ge, gt
 
 from . import halfpath as hp
 from . import lattice
-from . import rsos
 from .halfpath import HalfPath
 from .lattice import InvariantError
 from .rsos import RsosPath
@@ -76,9 +73,9 @@ class BijectionDomainError(ValueError):
 class _Stage:
     """One stage of a map, named `name`: its heights under a path label,
     framed (`seq`, through the canonical horizon and one past it; a frame
-    frames to itself), and their scan by the read's own vertex scan,
-    `_scan_frame` of the path class's module.  Its path, `lattice.bare` on
-    that canonical storage with that scan, is built when first asked for.
+    frames to itself), and their scan by the path class's `_scan_frame`.
+    Its path, stored through that frame with that scan, is built when first
+    asked for.
     A path rule the heights break, or a fact `check` is given that does not
     hold, is an `InvariantError` naming the stage (or `name`) and its path
     line; `check` formats its detail with its `args`, if any (`%`), only then.
@@ -88,9 +85,9 @@ class _Stage:
 
     def __init__(self, name: str, cls, label: tuple, hs: list[int]) -> None:
         self.name, self.cls, self.label, self.scan, self._path = name, cls, label, None, None
-        self.seq = lattice.frame(hs, label[-1])[1]
+        self.seq = lattice.frame(hs, label[-1])
         try:
-            self.scan = (rsos if cls is RsosPath else hp)._scan_frame(*label, self.seq)
+            self.scan = cls._scan_frame(*label, self.seq)
         except (lattice.InvalidPathError, InvariantError) as exc:
             self.check(False, str(exc))
 
@@ -110,8 +107,7 @@ class _Stage:
     def path(self):
         """The stage's path, built when first asked for and kept."""
         if self._path is None:
-            self._path = lattice.bare(self.cls, *self.label, tuple(self.seq[:-1]))
-            vars(self._path)["_scan"] = self.scan
+            self._path = self.cls._framed(self.label, self.seq, self.scan)
         return self._path
 
     def check(self, ok: bool, detail: str, *args, name: str | None = None) -> None:

@@ -21,6 +21,7 @@ import sys
 
 from . import bijections as bj
 from . import halfpath as hp
+from . import lattice
 from . import particles as pt
 from . import render as rd
 from . import rsos as rs
@@ -78,23 +79,24 @@ def cmd_paths(args) -> int:
     return 0
 
 
+_PATH_CLASSES = {cls.kind: cls for cls in (RsosPath, HalfPath)}
+
+
 def _read_path_line(stream) -> RsosPath | HalfPath:
     line = stream.readline()
     if not line.strip():
         raise InvalidPathError("expected a path line on stdin")
     kind = line.split(None, 1)[0]
-    if kind == "rsos":
-        return RsosPath.from_line(line)
-    if kind == "half":
-        return HalfPath.from_line(line)
-    raise InvalidPathError(f"unknown path kind {kind!r}")
+    if kind not in _PATH_CLASSES:
+        raise InvalidPathError(f"unknown path kind {kind!r}")
+    return _PATH_CLASSES[kind].from_line(line)
 
 
 def _trace_json(trace) -> str:
     payload = {}
     for f in dataclasses.fields(trace):
         value = getattr(trace, f.name)
-        if isinstance(value, (RsosPath, HalfPath)):
+        if isinstance(value, lattice.Path):
             payload[f.name] = value.to_line()
         elif isinstance(value, tuple):
             payload[f.name] = list(value)

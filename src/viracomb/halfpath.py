@@ -19,24 +19,15 @@ prefixes that meet in a search state lie on one residue class of quarter
 units mod 4, so the search counts on a grain of 4, one list entry per
 whole unit, while `counts` stays in quarter units.
 
-A path is read once, when it is built: the constructor runs one pass,
-`_read`, which checks the label, frames the heights, runs the vertex scan
-`_scan_frame` on the frame (every other path rule, the doubled positions
-scanned and the ground state subtracted) and refuses storage other than
-the canonical one, and the path keeps the scan (the weight, the
-straight-vertex count, the peaks and the valleys) under `_scan`.
-`_scan_frame` gives the scan in the form the path keeps, so each bijection
-stage, a path built bare on the frame of the heights the map made, keeps
-the scan it ran there.  `HalfPath.of` canonicalizes its heights and reads
-them on the frame it found, so a path built raw, as enumeration builds
-them, is refused with `of`'s message wherever `of` would refuse its
-heights, and unless it is stored canonically.
+A path is built and read as `lattice.Path` states; the scan it keeps
+holds the weight, the straight-vertex count, the peaks and the valleys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import index
 
 from . import lattice
 from .qseries import QSeries
@@ -47,11 +38,10 @@ class InvalidHalfPathError(lattice.InvalidPathError):
 
 
 @dataclass(frozen=True)
-class HalfPath:
+class HalfPath(lattice.Path):
     """Canonical representation of a tail-oscillating half-lattice path,
     read when it is built: `_scan` keeps its weight, straight-vertex count,
-    peaks and valleys, out of the fields, so `==`, `hash`, `repr` and
-    `to_line` never see it.
+    peaks and valleys.
     """
 
     t2: int
@@ -59,19 +49,15 @@ class HalfPath:
     b2: int
     doubled: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        vars(self)["_scan"] = _read(self)
+    kind, keys, error = "half", ("T", "A", "B", "H"), InvalidHalfPathError
 
     @staticmethod
     def of(t2: int, a2: int, b2: int, doubled) -> HalfPath:
-        """A path from whole-number doubled heights whose tail may be
-        partial or run long: canonicalized, then read on the frame
-        canonicalizing found.
+        """A path from whole-number doubled heights (`operator.index`, so a
+        float or a string raises `TypeError`) whose tail may be partial or
+        run long.
         """
-        stored, seq = lattice.canonical(doubled, b2)
-        path = lattice.bare(HalfPath, t2, a2, b2, stored)
-        vars(path)["_scan"] = _read(path, seq=seq)
-        return path
+        return HalfPath._of((t2, a2, b2), list(map(index, doubled)))
 
     @property
     def horizon(self) -> int:
@@ -96,9 +82,63 @@ class HalfPath:
 
     @staticmethod
     def from_line(line: str) -> HalfPath:
-        fields = lattice.parse_fields(line, "half", ("T", "A", "B", "H"))
-        hs = [int(v) for v in fields["H"].split(",")]
-        return HalfPath.of(int(fields["T"]), int(fields["A"]), int(fields["B"]), hs)
+        return HalfPath._parse(line)
+
+    @staticmethod
+    def _check_label(t2: int, a2: int, b2: int) -> None:
+        if t2 < 4:
+            raise InvalidHalfPathError(f"need T = 2t >= 4, got {t2}")
+        if a2 % 2 or b2 % 2:
+            raise InvalidHalfPathError(
+                f"start A={a2} and tail B={b2} must be even (integer heights)")
+
+    @staticmethod
+    def _scan_frame(t2: int, a2: int, b2: int,
+                    seq: list[int]) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+        """The vertex scan of a frame, the doubled heights at 0..L+1 of a list
+        that `lattice.frame` framed, position 0 read against H(-1) = A + 1: the
+        path's read runs it, and so does each bijection stage on the list it
+        builds.  It checks the start at A and the tail band {B, B+1} inside the
+        strip, 2 <= B < T, then each height up to the horizon L in order, its
+        range before its step.  A valley at an odd doubled height is refused
+        only once the whole list has passed, so a height out of range or a bad
+        step anywhere wins over it, then heights that do not end in the band.
+        A label that passes is a Theorem-1 label, so the scan subtracts the
+        ground state and gives the whole-unit weight, then the number of
+        straight vertices, the peaks and the valleys.  The heights past L are
+        the band run `frame` has found.
+        """
+        if seq[0] != a2:
+            raise InvalidHalfPathError(f"path must start at A={a2}, got {seq[0]}")
+        if not 2 <= b2 < t2:  # the tail band {B, B+1} lies in the strip
+            raise InvalidHalfPathError(f"tail height B={b2} out of range 2..{t2 - 1}")
+        quarters = 0
+        peaks = []
+        valleys = []
+        odd = None
+        for i, before, h, after in zip(range(len(seq) - 1), [a2 + 1] + seq, seq, seq[1:]):
+            if not 2 <= h <= t2:
+                raise InvalidHalfPathError(
+                    f"height {h} at doubled position {i} out of range 2..{t2}")
+            if h - before not in (1, -1):
+                raise InvalidHalfPathError(f"step at doubled position {i} is not a half-unit step")
+            if before != after:
+                quarters += i
+            elif h > after:
+                peaks.append(i)
+            else:
+                valleys.append(i)
+                if h % 2 and odd is None:
+                    odd = i
+        if odd is not None:
+            raise InvalidHalfPathError(
+                f"valley at non-integer height {seq[odd]}/2 (doubled position {odd})")
+        if seq[-2] not in (b2, b2 + 1):  # the height at L
+            raise InvalidHalfPathError(
+                f"stored sequence must end inside the tail band, got {seq[-2]}")
+        straights = len(seq) - 1 - len(peaks) - len(valleys)  # the vertices 0..L that do not turn
+        return (_whole_units(quarters - _ground_quarters(t2, a2, b2), t2, a2, b2), straights,
+                tuple(peaks), tuple(valleys))
 
 
 def theorem1_domain(t2: int, a2: int, b2: int) -> bool:
@@ -106,6 +146,14 @@ def theorem1_domain(t2: int, a2: int, b2: int) -> bool:
     labels a half path can carry.
     """
     return t2 >= 4 and a2 % 2 == b2 % 2 == 0 and 2 <= a2 <= t2 and 2 <= b2 < t2
+
+
+def theorem1_labels(lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """Every Theorem-1 label (T, A, B) with lo <= T <= hi, by T, then A,
+    then B: the one listing of them.
+    """
+    return [(t2, a2, b2) for t2 in range(lo, hi + 1) for a2 in range(2, t2 + 1, 2)
+            for b2 in range(2, t2 + 1, 2) if theorem1_domain(t2, a2, b2)]
 
 
 def rsos_label(t2: int, a2: int, b2: int) -> tuple[int, int, int, int]:
@@ -134,78 +182,6 @@ def weight(path: HalfPath) -> int:
     path's read keeps it.
     """
     return path._scan[0]
-
-
-def _read(path: HalfPath, *,
-          seq: list[int] | None = None) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """The one pass over a path's stored doubled heights that states every
-    half-path rule, and the scan of its doubled positions 0..L (the weight,
-    the number of straight vertices, the peaks and the valleys).  It checks
-    the label (T >= 4, A and B even) and that there are heights, frames
-    them once (`seq`, when `of` has framed them already), runs
-    `_scan_frame` on the frame, and last refuses storage other than the
-    canonical one `lattice.frame` finds.
-    """
-    t2, a2, b2, hs = path.t2, path.a2, path.b2, path.doubled
-    if t2 < 4:
-        raise InvalidHalfPathError(f"need T = 2t >= 4, got {t2}")
-    if a2 % 2 or b2 % 2:
-        raise InvalidHalfPathError(
-            f"start A={a2} and tail B={b2} must be even (integer heights)")
-    if not hs:
-        raise InvalidHalfPathError("height sequence is empty")
-    if seq is None:
-        seq = lattice.frame(hs, b2)[1]
-    scan = _scan_frame(t2, a2, b2, seq)
-    if len(seq) != len(hs) + 1:
-        raise lattice.InvalidPathError(f"path not stored canonically: {path.to_line()}")
-    return scan
-
-
-def _scan_frame(t2: int, a2: int, b2: int,
-                seq: list[int]) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-    """The vertex scan of a frame, the doubled heights at 0..L+1 of a list
-    that `lattice.frame` framed, position 0 read against H(-1) = A + 1: the
-    path's read runs it, and so does each bijection stage on the list it
-    builds.  It checks the start at A and the tail band {B, B+1} inside the
-    strip, 2 <= B < T, then each height up to the horizon L in order, its
-    range before its step.  A valley at an odd doubled height is refused
-    only once the whole list has passed, so a height out of range or a bad
-    step anywhere wins over it, then heights that do not end in the band.
-    A label that passes is a Theorem-1 label, so the scan subtracts the
-    ground state and gives the whole-unit weight.  The heights past L are
-    the band run `frame` has found.
-    """
-    if seq[0] != a2:
-        raise InvalidHalfPathError(f"path must start at A={a2}, got {seq[0]}")
-    if not 2 <= b2 < t2:  # the tail band {B, B+1} lies in the strip
-        raise InvalidHalfPathError(f"tail height B={b2} out of range 2..{t2 - 1}")
-    quarters = 0
-    peaks = []
-    valleys = []
-    odd = None
-    for i, before, h, after in zip(range(len(seq) - 1), [a2 + 1] + seq, seq, seq[1:]):
-        if not 2 <= h <= t2:
-            raise InvalidHalfPathError(
-                f"height {h} at doubled position {i} out of range 2..{t2}")
-        if h - before not in (1, -1):
-            raise InvalidHalfPathError(f"step at doubled position {i} is not a half-unit step")
-        if before != after:
-            quarters += i
-        elif h > after:
-            peaks.append(i)
-        else:
-            valleys.append(i)
-            if h % 2 and odd is None:
-                odd = i
-    if odd is not None:
-        raise InvalidHalfPathError(
-            f"valley at non-integer height {seq[odd]}/2 (doubled position {odd})")
-    if seq[-2] not in (b2, b2 + 1):  # the height at L
-        raise InvalidHalfPathError(f"stored sequence must end inside the tail band, got {seq[-2]}")
-    straights = len(seq) - 1 - len(peaks) - len(valleys)  # the vertices 0..L that do not turn
-    return (_whole_units(quarters - _ground_quarters(t2, a2, b2), t2, a2, b2), straights,
-            tuple(peaks), tuple(valleys))
 
 
 def _whole_units(diff: int, t2: int, a2: int, b2: int) -> int:

@@ -1,23 +1,35 @@
 """The core both path models share: walks in a strip that end oscillating
 in a tail band {b, b+1}.
 
-RSOS paths and half-lattice paths differ only in their step rules, vertex
-costs and search bounds.  Everything else lives here: parsing the one-line
-path formats, the canonical horizon of a height list (`frame`) and the
-storage it gives (`canonical`), tail continuation, the peak and valley
-scan of raw heights, and one bounded path search.  Each model states a
-search as one frozen record per label, `Model`: its costs and bounds are
-affine forms in the position, data the search reads once per state and
-evaluates inline, so counting calls no model function per step.
+RSOS paths and half-lattice paths differ only in their labels, step rules,
+vertex costs and search bounds.  Everything else lives here: parsing the
+one-line path formats, the canonical horizon of a height list (`frame`,
+the one statement of canonical storage), tail continuation, the peak and
+valley scan of raw heights, how a path is built and read (`Path`), and one
+bounded path search.  Each model states a search as one frozen record per
+label, `Model`: its costs and bounds are affine forms in the position,
+data the search reads once per state and evaluates inline, so counting
+calls no model function per step.
 
-A path is read when it is built: each model's dataclass constructor runs
-its `_read`, one pass that checks every path rule (label, start, tail
-band, heights, steps, end), finds the horizon through `frame`, refuses
-storage other than the canonical one and scans the vertices, and the path
-keeps the scan.  So `of`, `from_line`, listing, `dataclasses.replace` and
-a raw constructor call all read a path the same way, and `frame` is the
-one statement of canonical storage.  `of` frames its heights once: it
-makes the path `bare` and hands its read the frame `canonical` found.
+A path is read when it is built.  `Path` is the base of both models'
+frozen dataclasses, and its `_read` is the one read: the class's label
+checks, the refusal of no heights in the class's error type, one `frame`,
+the class's vertex scan `_scan_frame` on that frame (every other path
+rule, and the facts the path keeps), and last the refusal of storage other
+than the canonical one.  The path keeps the scan under `_scan`, out of the
+fields, so `==`, `hash`, `repr` and `to_line` never see it.  A path is
+built in one of three ways:
+
+* raw, by its constructor (listing and `dataclasses.replace` too): the
+  read runs on the fields as given;
+* by `of`, from whole-number heights whose tail may be partial or run
+  long: they are framed once, the path is built on that frame and read on
+  it, so a path built raw is refused with `of`'s message wherever `of`
+  would refuse its heights, and unless it is stored canonically.  A line
+  is parsed from the class's `(kind, keys)` and read the same way;
+* by a bijection stage, on a frame it has already scanned: the path keeps
+  that scan and is not read again.  A stage whose heights break a rule
+  builds its path unread, for the line of its error.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from operator import add, index
+from operator import add
 
 
 class InvalidPathError(ValueError):
@@ -67,25 +79,25 @@ def parse_fields(line: str, kind: str, names: tuple[str, ...]) -> dict[str, str]
     return fields
 
 
-def frame(hs: Sequence[int], b: int) -> tuple[int, list[int]]:
-    """The canonical horizon L of a height list and its heights at 0..L+1,
-    the tail oscillation continued: L is the first even position from which
-    every height lies in the tail band {b, b+1}.  Only the final band run is
-    read here, back from the end, and only where it alternates, so every
-    height past L is a unit step in the band, which the path's reader has
-    checked lies inside the strip; the reader checks the heights up to L.
-    A list that does not end in the band is refused after its other checks:
-    it is framed as it stands, its last height repeated.
+def frame(hs: Sequence[int], b: int) -> list[int]:
+    """The heights at 0..L+1 of a height list, the tail oscillation
+    continued, L its canonical horizon (the frame's length less 2): L is the
+    first even position from which every height lies in the tail band
+    {b, b+1}.  Only the final band run is read here, back from the end, and
+    only where it alternates, so every height past L is a unit step in the
+    band, which the path's reader has checked lies inside the strip; the
+    reader checks the heights up to L.  A list that does not end in the band
+    is refused after its other checks: it is framed as it stands, its last
+    height repeated.
     """
     start = len(hs) - 1
     if hs[start] not in (b, b + 1):
-        return start, [*hs, hs[start]]
+        return [*hs, hs[start]]
     # from a band height, the run goes back while the height before it is
     # the band's other height, the one it sums with to 2b + 1
     while start and hs[start - 1] + hs[start] == 2 * b + 1:
         start -= 1
-    horizon = start + start % 2
-    return horizon, padded(hs, b, horizon + 1)
+    return padded(hs, b, start + start % 2 + 1)
 
 
 def tail_height(stored: tuple[int, ...], b: int, x: int) -> int:
@@ -110,32 +122,6 @@ def padded(stored: Sequence[int], b: int, upto: int) -> list[int]:
     return out
 
 
-def canonical(heights, b: int) -> tuple[tuple[int, ...], list[int] | None]:
-    """The heights of a path as its constructor takes them, whole numbers
-    (`operator.index`, so a float or a string raises `TypeError`) stored
-    through the canonical horizon that `frame` finds, and that frame, the
-    heights at 0..L+1, for the path's read.  Empty input stays empty, with
-    no frame, for the read to refuse after its label checks.
-    """
-    hs = list(map(index, heights))
-    if not hs:
-        return (), None
-    seq = frame(hs, b)[1]
-    return tuple(seq[:-1]), seq
-
-
-def bare(cls, *values):
-    """An instance of the frozen path dataclass cls holding the field
-    values in order, made without its constructor and so not read: `of`
-    reads it on the frame it has already found, and a bijection stage, a
-    path whose heights the map has framed, takes the vertex scan the stage
-    made.
-    """
-    path = object.__new__(cls)
-    vars(path).update(zip(cls.__dataclass_fields__, values))
-    return path
-
-
 def turns(hs: Sequence[int], hi: int) -> tuple[list[int], list[int]]:
     """The peaks and the valleys at positions 1 <= i < hi of a unit-step
     sequence, found in one scan: with unit steps, i turns exactly when
@@ -147,6 +133,60 @@ def turns(hs: Sequence[int], hi: int) -> tuple[list[int], list[int]]:
         if before == after:
             (peaks if h > before else valleys).append(i)
     return peaks, valleys
+
+
+class Path:
+    """The base of the two frozen path dataclasses, `rsos.RsosPath` and
+    `halfpath.HalfPath`, whose fields are the label and then the stored
+    heights.  It reads and builds a path; each class states what is its
+    own: `kind` and `keys`, its line's kind and field keys in field order;
+    `error`, its error type; `_check_label`, its label checks; `_scan_frame`,
+    the vertex scan of a frame; and `to_line`.
+    """
+
+    def __post_init__(self) -> None:
+        vars(self)["_scan"] = self._read()
+
+    def _read(self, seq: list[int] | None = None) -> tuple:
+        """The one read of the path's fields, on `seq`, the frame of its
+        heights, when it has been framed already; it returns the scan.
+        """
+        *label, hs = map(vars(self).__getitem__, self.__dataclass_fields__)
+        self._check_label(*label)
+        if not hs:
+            raise self.error("height sequence is empty")
+        seq = frame(hs, label[-1]) if seq is None else seq
+        scan = self._scan_frame(*label, seq)
+        if len(seq) != len(hs) + 1:
+            raise InvalidPathError(f"path not stored canonically: {self.to_line()}")
+        return scan
+
+    @classmethod
+    def _of(cls, label: Sequence[int], hs: list[int]):
+        """The path of a label on whole-number heights, framed once."""
+        if not hs:
+            return cls(*label, ())  # its read refuses it, after the label checks
+        seq = frame(hs, label[-1])
+        path = cls._framed(label, seq)
+        vars(path)["_scan"] = path._read(seq=seq)
+        return path
+
+    @classmethod
+    def _framed(cls, label: Sequence[int], seq: list[int], scan: tuple | None = None):
+        """The path of a label stored through the frame seq, made without its
+        constructor and so not read: it keeps `scan`, the scan of seq.
+        """
+        path = object.__new__(cls)
+        vars(path).update(zip(cls.__dataclass_fields__, (*label, tuple(seq[:-1]))))
+        vars(path)["_scan"] = scan
+        return path
+
+    @classmethod
+    def _parse(cls, line: str):
+        """The path of a `kind` line, its fields whole numbers by `int`."""
+        fields = parse_fields(line, cls.kind, cls.keys)
+        hs = list(map(int, fields[cls.keys[-1]].split(",")))
+        return cls._of([int(fields[key]) for key in cls.keys[:-1]], hs)
 
 
 class PathSet:

@@ -5,18 +5,9 @@ between b and b+1 forever.  Only the prefix through the canonical horizon
 L(h) is stored: the smallest even L from which every later height lies in
 {b, b+1}.  Horizontal bands between consecutive heights are dark or light
 according to the floor function y = floor(r p'/p); scoring vertices (and
-hence weights) are defined relative to that shading.  A path is read once,
-when it is built: the constructor runs one pass, `_read`, which checks the
-label, frames the heights, runs the vertex scan `_scan_frame` on the frame
-(every other path rule, and the weight, the scoring positions and the
-scoring-peak count) and refuses storage other than the canonical one, and
-the path keeps the scan under `_scan`, however many readers ask.
-`_scan_frame` gives the scan in the form the path keeps, so each bijection
-stage, a path built bare on the frame of the heights the map made, keeps
-the scan it ran there.  `RsosPath.of` canonicalizes its heights and reads
-them on the frame it found, so a path built raw, as enumeration builds
-them, is refused with `of`'s message wherever `of` would refuse its
-heights, and unless it is stored canonically.
+hence weights) are defined relative to that shading.  A path is built and
+read as `lattice.Path` states; the scan it keeps holds the weight, the
+scoring positions and the scoring-peak count.
 
 Weights are finite only when the tail sits in a dark band, i.e. when b is
 one of the dark floors, and `dark_floors` states the label rule, coprime
@@ -35,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import gcd
+from operator import index
 
 from . import lattice
 from .lattice import InvalidPathError
@@ -65,11 +57,10 @@ def tail_band_index(p: int, p_prime: int, b: int) -> int | None:
 
 
 @dataclass(frozen=True)
-class RsosPath:
+class RsosPath(lattice.Path):
     """Canonical representation of a b-tailed RSOS path, read when it is
     built: `_scan` keeps its weight, scoring positions and scoring-peak
-    count, out of the fields, so `==`, `hash`, `repr` and `to_line` never
-    see it.
+    count.
     """
 
     p: int
@@ -78,18 +69,14 @@ class RsosPath:
     b: int
     heights: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        vars(self)["_scan"] = _read(self)
+    kind, keys, error = "rsos", ("p", "pp", "a", "b", "h"), InvalidPathError
 
     @staticmethod
     def of(p: int, p_prime: int, a: int, b: int, heights) -> RsosPath:
-        """A path from whole-number heights whose tail may be partial or run
-        long: canonicalized, then read on the frame canonicalizing found.
+        """A path from whole-number heights (`operator.index`, so a float or
+        a string raises `TypeError`) whose tail may be partial or run long.
         """
-        stored, seq = lattice.canonical(heights, b)
-        path = lattice.bare(RsosPath, p, p_prime, a, b, stored)
-        vars(path)["_scan"] = _read(path, seq=seq)
-        return path
+        return RsosPath._of((p, p_prime, a, b), list(map(index, heights)))
 
     @property
     def horizon(self) -> int:
@@ -106,11 +93,53 @@ class RsosPath:
 
     @staticmethod
     def from_line(line: str) -> RsosPath:
-        fields = lattice.parse_fields(line, "rsos", ("p", "pp", "a", "b", "h"))
-        hs = [int(v) for v in fields["h"].split(",")]
-        return RsosPath.of(
-            int(fields["p"]), int(fields["pp"]), int(fields["a"]), int(fields["b"]), hs
-        )
+        return RsosPath._parse(line)
+
+    @staticmethod
+    def _check_label(p: int, p_prime: int, a: int, b: int) -> None:
+        dark_floors(p, p_prime)  # refuses a label that is not a model first
+
+    @staticmethod
+    def _scan_frame(p: int, p_prime: int, a: int, b: int,
+                    seq: list[int]) -> tuple[int, tuple[int, ...], int]:
+        """The vertex scan of a frame, the heights at 0..L+1 of a list that
+        `lattice.frame` framed: the path's read runs it, and so does each
+        bijection stage on the list it builds.  It checks the start at a and
+        the tail band {b, b+1} inside the strip, then each height up to the
+        horizon L in order, its range before its step, and last that the
+        heights end in the band; the heights past L are the band run `frame`
+        has found.  It gives the weight, the scoring positions and the number
+        of scoring peaks.
+
+        Vertex x is labelled u = (x - h + a)/2 after an up step and v =
+        (x + h - a)/2 after a down step; a path of unit steps from a gives
+        every vertex labels u, v >= 0 with u + v = x.
+        """
+        dark = dark_floors(p, p_prime)
+        if seq[0] != a:
+            raise InvalidPathError(f"path must start at a={a}, got {seq[0]}")
+        if not 1 <= b <= p_prime - 2:  # the tail band {b, b+1} lies in the strip
+            raise InvalidPathError(f"tail height b={b} out of range")
+        if not 0 < seq[0] < p_prime:
+            raise InvalidPathError(f"height {seq[0]} at position 0 out of range")
+        total = peaks = 0
+        scoring = []
+        for x, prev, h, nxt in zip(range(1, len(seq) - 1), seq, seq[1:], seq[2:]):
+            if not 0 < h < p_prime:
+                raise InvalidPathError(f"height {h} at position {x} out of range")
+            if h - prev not in (1, -1):
+                raise InvalidPathError(f"step at position {x} is not a unit step")
+            if (nxt != prev) == ((h if nxt > h else nxt) in dark):  # `_scores`, inlined
+                scoring.append(x)
+                if prev < h:
+                    total += (x - h + a) // 2
+                    if nxt == prev:
+                        peaks += 1
+                else:
+                    total += (x + h - a) // 2
+        if seq[-2] not in (b, b + 1):  # the height at L
+            raise InvalidPathError(f"stored sequence must end inside the tail band, got {seq[-2]}")
+        return total, tuple(scoring), peaks
 
 
 def _scores(dark: frozenset[int], prev: int, h: int, nxt: int) -> bool:
@@ -134,68 +163,6 @@ def weight(path: RsosPath) -> int:
     """Sum of u over up-scoring and v over down-scoring vertices."""
     _require_finite(path)
     return path._scan[0]
-
-
-def _read(path: RsosPath, *, seq: list[int] | None = None) -> tuple[int, tuple[int, ...], int]:
-    """The one pass over a path's stored heights that states every RSOS
-    path rule, and the scan of its vertices 1..L (the weight, the scoring
-    positions, the number of scoring peaks).  It checks the label (coprime
-    1 < p < p') and that there are heights, frames them once (`seq`, when
-    `of` has framed them already), runs `_scan_frame` on the frame, and
-    last checks that the storage is the canonical one `lattice.frame`
-    finds: it runs exactly through the horizon.
-    """
-    p, p_prime, a, b, hs = path.p, path.p_prime, path.a, path.b, path.heights
-    dark_floors(p, p_prime)  # refuses a label that is not a model first
-    if not hs:
-        raise InvalidPathError("height sequence is empty")
-    if seq is None:
-        seq = lattice.frame(hs, b)[1]
-    scan = _scan_frame(p, p_prime, a, b, seq)
-    if len(seq) != len(hs) + 1:
-        raise InvalidPathError(f"path not stored canonically: {path.to_line()}")
-    return scan
-
-
-def _scan_frame(p: int, p_prime: int, a: int, b: int,
-                seq: list[int]) -> tuple[int, tuple[int, ...], int]:
-    """The vertex scan of a frame, the heights at 0..L+1 of a list that
-    `lattice.frame` framed: the path's read runs it, and so does each
-    bijection stage on the list it builds.  It checks the start at a and
-    the tail band {b, b+1} inside the strip, then each height up to the
-    horizon L in order, its range before its step, and last that the
-    heights end in the band; the heights past L are the band run `frame`
-    has found.
-
-    Vertex x is labelled u = (x - h + a)/2 after an up step and v =
-    (x + h - a)/2 after a down step; a path of unit steps from a gives
-    every vertex labels u, v >= 0 with u + v = x.
-    """
-    dark = dark_floors(p, p_prime)
-    if seq[0] != a:
-        raise InvalidPathError(f"path must start at a={a}, got {seq[0]}")
-    if not 1 <= b <= p_prime - 2:  # the tail band {b, b+1} lies in the strip
-        raise InvalidPathError(f"tail height b={b} out of range")
-    if not 0 < seq[0] < p_prime:
-        raise InvalidPathError(f"height {seq[0]} at position 0 out of range")
-    total = peaks = 0
-    scoring = []
-    for x, prev, h, nxt in zip(range(1, len(seq) - 1), seq, seq[1:], seq[2:]):
-        if not 0 < h < p_prime:
-            raise InvalidPathError(f"height {h} at position {x} out of range")
-        if h - prev not in (1, -1):
-            raise InvalidPathError(f"step at position {x} is not a unit step")
-        if (nxt != prev) == ((h if nxt > h else nxt) in dark):  # `_scores`, inlined
-            scoring.append(x)
-            if prev < h:
-                total += (x - h + a) // 2
-                if nxt == prev:
-                    peaks += 1
-            else:
-                total += (x + h - a) // 2
-    if seq[-2] not in (b, b + 1):  # the height at L
-        raise InvalidPathError(f"stored sequence must end inside the tail band, got {seq[-2]}")
-    return total, tuple(scoring), peaks
 
 
 def _require_finite(path: RsosPath) -> None:

@@ -206,13 +206,9 @@ def jobs_theorem1(order: int, max_t2: int):
                 label = CharacterLabel(p, pp, rs.tail_band_index(p, pp, b), a)
                 jobs.append(("theorem1", f"X({p},{pp},{a},{b})", dict(p=p, pp=pp, a=a, b=b),
                              order, _check_series, (rs.generating_function, (p, pp, a, b), label)))
-    for t2 in range(4, max_t2 + 1):
-        for a2 in range(2, t2 + 1, 2):
-            for b2 in range(2, t2 + 1, 2):
-                if hp.theorem1_domain(t2, a2, b2):
-                    label = theorem1_label(t2, a2 // 2, b2 // 2)
-                    jobs.append(("theorem1", f"Y({t2},{a2},{b2})", dict(T=t2, A=a2, B=b2), order,
-                                 _check_series, (hp.generating_function, (t2, a2, b2), label)))
+    jobs += [("theorem1", f"Y({t2},{a2},{b2})", dict(T=t2, A=a2, B=b2), order, _check_series,
+              (hp.generating_function, (t2, a2, b2), theorem1_label(t2, a2 // 2, b2 // 2)))
+             for t2, a2, b2 in hp.theorem1_labels(4, max_t2)]
     return jobs
 
 
@@ -244,16 +240,12 @@ def jobs_bijections(order: int, max_t2: int):
     # every Theorem-1 half label (T, A, B) with T = 4..8, named by the RSOS
     # label (p, p', a, tail) it pairs with, of family 1 (p' = 2p+1) for even
     # T and family 2 (p' = 2p-1) for odd T
-    for t2 in range(4, 9):
-        for a2 in range(2, t2 + 1, 2):
-            for b2 in range(2, t2 + 1, 2):
-                if hp.theorem1_domain(t2, a2, b2):
-                    p, pp, a, tail = hp.rsos_label(t2, a2, b2)
-                    family = 1 + t2 % 2
-                    jobs.append((
-                        "bijections", f"bij{family}({p},{pp},a={a},tail={tail})",
-                        dict(family=family, p=p, pp=pp, a=a, tail=tail, max_weight=max_weight),
-                        max_weight, _check_bijection, (t2, a2, b2)))
+    for t2, a2, b2 in hp.theorem1_labels(4, 8):
+        p, pp, a, tail = hp.rsos_label(t2, a2, b2)
+        family = 1 + t2 % 2
+        jobs.append(("bijections", f"bij{family}({p},{pp},a={a},tail={tail})",
+                     dict(family=family, p=p, pp=pp, a=a, tail=tail, max_weight=max_weight),
+                     max_weight, _check_bijection, (t2, a2, b2)))
     return jobs
 
 

@@ -238,17 +238,17 @@ def test_bij1_cut_has_no_adjacent_scoring_and_particles_start_on_turns():
 
 def _scans(call, arg):
     """The result of call(arg) and how many times it scanned heights: vertex
-    scans of frames (`rsos._scan_frame` and `halfpath._scan_frame`), raw
-    peak-and-valley scans (`lattice.turns`), and path reads (`_read`, made
-    when a path is built from outside a map).
+    scans of frames (`RsosPath._scan_frame` and `HalfPath._scan_frame`), raw
+    peak-and-valley scans (`lattice.turns`), and path reads
+    (`lattice.Path._read`, made when a path is built from outside a map).
     """
-    with mock.patch.object(rsos, "_scan_frame", wraps=rsos._scan_frame) as rs, \
-            mock.patch.object(hp, "_scan_frame", wraps=hp._scan_frame) as hs, \
+    with mock.patch.object(RsosPath, "_scan_frame", wraps=RsosPath._scan_frame) as rs, \
+            mock.patch.object(HalfPath, "_scan_frame", wraps=HalfPath._scan_frame) as hs, \
             mock.patch.object(lattice, "turns", wraps=lattice.turns) as t, \
-            mock.patch.object(rsos, "_read", wraps=rsos._read) as rr, \
-            mock.patch.object(hp, "_read", wraps=hp._read) as hr:
+            mock.patch.object(lattice.Path, "_read", autospec=True,
+                              side_effect=lattice.Path._read) as reads:
         out = call(arg)
-    return out, (rs.call_count + hs.call_count, t.call_count, rr.call_count + hr.call_count)
+    return out, (rs.call_count + hs.call_count, t.call_count, reads.call_count)
 
 
 @pytest.mark.parametrize("half", [HALF_8_IMAGE, HALF_10, HALF_7_CUT, HALF_7_INT,
@@ -322,10 +322,10 @@ def _frame_off_by_one(call, step):
     calls = itertools.count(1)
 
     def frame(hs, b):
-        horizon, seq = _REAL_FRAME(hs, b)
+        seq = _REAL_FRAME(hs, b)
         if next(calls) != call:
-            return horizon, seq
-        return (horizon + 1, seq + [seq[-2]]) if step > 0 else (horizon - 1, seq[:-1])
+            return seq
+        return seq + [seq[-2]] if step > 0 else seq[:-1]
     return frame
 
 

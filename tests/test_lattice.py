@@ -39,8 +39,7 @@ def test_parse_fields():
 
 def canonical(hs, b):
     """The storage `lattice.frame` gives a path's constructor."""
-    horizon, seq = lattice.frame(list(hs), b)
-    return tuple(seq[:horizon + 1])
+    return tuple(lattice.frame(list(hs), b)[:-1])
 
 
 def test_canonical_trims_and_extends():
@@ -463,21 +462,36 @@ def test_one_invariant_error_type():
     assert sites == []
 
 
+def test_only_the_path_core_reads_a_path_or_builds_one_bare():
+    # `lattice.Path` holds the one read and the one build that skips the
+    # constructor: no other module defines a `_read` or calls `object.__new__`
+    sites = [f"{f.stem}:{node.lineno}" for f in sorted((SRC / "viracomb").glob("*.py"))
+             if f.stem != "lattice"
+             for node in ast.walk(ast.parse(f.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "_read"
+             or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "__new__" and _names(node.func.value) == {"object"}]
+    assert sites == []
+
+
 # -- what a path keeps of its own readings ------------------------------------
 
 
-def _counting(module, name):
-    return mock.patch.object(module, name, wraps=getattr(module, name))
+def _counting(owner, name):
+    """Count the calls of owner.name, a function or a method, each call's
+    arguments recorded as made (a method's with its instance).
+    """
+    return mock.patch.object(owner, name, autospec=True, side_effect=getattr(owner, name))
 
 
 def test_equal_paths_built_apart_each_read_themselves():
     # each path is read once, when it is built, and weighing reads nothing
     for model, data, build in ((hp, HALF_10, HalfPath.of), (rsos, RSOS_49, RsosPath.of)):
-        with _counting(model, "_read") as reads:
+        with _counting(lattice.Path, "_read") as reads:
             first, second = build(*data), build(*data)
         assert [c.args for c in reads.call_args_list] == [(first,), (second,)]
         assert all(c.args[0] is path for c, path in zip(reads.call_args_list, (first, second)))
-        with _counting(model, "_read") as reads:
+        with _counting(lattice.Path, "_read") as reads:
             assert model.weight(first) == model.weight(second) == model.weight(first)
         assert reads.call_count == 0
 
@@ -509,7 +523,7 @@ def test_a_read_path_is_the_same_value():
     assert (repr(read), read.to_line()) == (repr(unread), unread.to_line())
     assert dis == particles.dissect(read) == particles.dissect(unread)
     assert dis is not particles.dissect(read)  # a fresh dissection per call
-    with _counting(hp, "_read") as reads, _counting(particles, "_dissect") as cuts:
+    with _counting(lattice.Path, "_read") as reads, _counting(particles, "_dissect") as cuts:
         copy = dataclasses.replace(read)  # built through the constructor, so read
         assert particles.dissect(copy) == dis
         assert hp.weight(copy) == hp.weight(read)
@@ -531,7 +545,7 @@ def test_move_checks_hold_under_optimization():
     code = """
 import dataclasses
 import sys
-from viracomb import bijections, halfpath, lattice, particles, rsos
+from viracomb import bijections, lattice, particles
 from viracomb.halfpath import HalfPath
 from viracomb.rsos import RsosPath
 line = "half T=8 A=2 B=2 H=2,3,4,5,6,7,8,7,6,7,6,5,4,5,6,7,8,7,6,5,4,5,4,5,4,3,2"
@@ -557,8 +571,8 @@ odd = lattice.Model(3, 2, 1, 5, 8, 40, "an odd walk", updown, [lattice.FREE] * 6
 attempt(lambda: lattice.search(odd))
 particles.b_matrix = lambda t2: [[1]]  # an odd charge form
 attempt(lambda: particles.minimal_weight(4, (1,)))
-scan = halfpath._scan_frame
-halfpath._scan_frame = lambda *frame: (lambda w, *rest: (w + 1, *rest))(*scan(*frame))
+scan = HalfPath._scan_frame
+HalfPath._scan_frame = staticmethod(lambda *frame: (lambda w, *rest: (w + 1, *rest))(*scan(*frame)))
 rsos37 = RsosPath.from_line("rsos p=3 pp=7 a=4 b=4 h=4,5,6,5,6,5,4")
 attempt(lambda: bijections.bij1_forward(rsos37))
 attempt(lambda: RsosPath(3, 5, 2, 1, (3, 2, 1)))  # starts at 3, not at a = 2

@@ -6,7 +6,7 @@ import pytest
 
 from viracomb import characters
 from viracomb import halfpath as hp
-from viracomb import particles
+from viracomb import lattice, particles
 from viracomb.characters import fermionic_character_12, m_vector, occupation_vectors
 from viracomb.halfpath import HalfPath
 from viracomb.lattice import InvalidPathError
@@ -121,7 +121,8 @@ def test_a_moved_path_is_scanned_and_dissected_once():
     moves = enumerate_moves(path)
     assert len(moves) == 5
     for move in moves:
-        with mock.patch.object(hp, "_read", wraps=hp._read) as reads, \
+        with mock.patch.object(lattice.Path, "_read", autospec=True,
+                               side_effect=lattice.Path._read) as reads, \
                 mock.patch.object(particles, "_dissect", wraps=particles._dissect) as cuts:
             new = apply_move(path, move)
             assert (hp.weight(new), dissect(new).sector) == (move.weight + 1, move.sector)

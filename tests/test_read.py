@@ -9,7 +9,9 @@ bands and half labels outside the Theorem-1 domain, tails cut short or run
 long, and single-edit garbled copies.  Every way of building a path reads
 it: `of`, `from_line`, a raw constructor call, `dataclasses.replace` and a
 listing refuse a path with `of`'s message wherever `of` would refuse its
-heights, and a raw path unless it is stored as `of` would store it.
+heights, and a raw path unless it is stored as `of` would store it.  A
+bijection stage on a path's frame builds the path `of` builds, with the
+scan it made there.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ import pytest
 
 from functools import partial
 
+from viracomb import bijections
 from viracomb import halfpath as hp
 from viracomb import lattice, rsos
 from viracomb.halfpath import HalfPath
@@ -303,7 +306,7 @@ def test_a_listed_path_is_read_when_it_is_listed(cls, label, start, strip, kind,
 def test_every_way_of_building_a_path_keeps_the_oracle_scan(model):
     # a valid path carries the scan the oracle computes from its fields,
     # however it was built: by `of`, from its line, raw, by
-    # `dataclasses.replace` or by listing
+    # `dataclasses.replace`, by listing or by a bijection stage on its frame
     if model == "rsos":
         cls, oracle, labels = RsosPath, oracles.rsos_scan, [(3, 5, 2, 1), (4, 9, 8, 6), (5, 9, 2, 3)]
         listing = rsos.enumerate_paths
@@ -315,8 +318,10 @@ def test_every_way_of_building_a_path_keeps_the_oracle_scan(model):
         for listed in listing(*label, 8):
             fields = dataclasses.astuple(listed)
             scan = oracle(*fields)
+            stage = bijections._Stage("a stage", cls, fields[:-1],
+                                      lattice.frame(fields[-1], fields[-2]))
             for path in (listed, cls.of(*fields), cls.from_line(listed.to_line()), cls(*fields),
-                         dataclasses.replace(listed)):
+                         dataclasses.replace(listed), stage.path):
                 assert path == listed and path._scan == scan, path.to_line()
             seen += 1
     assert seen > 100

@@ -1,11 +1,12 @@
 """Per-path cost of reading a path, of mapping it there and back, and of
 its particle calculus, by path length.  For seeded random walks of L = 100,
 200, ..., 3 200 steps in both bijection families, it prints the median
-microseconds of one `.of` read and of one round trip, for RSOS paths
-(forward, then inverse) and for half paths (inverse, then forward), and
-next to each round trip its vertex passes (`rsos._scan_frame`,
-`halfpath._scan_frame` and `lattice.turns` calls) and the paths it reads
-(`rsos._read` and `halfpath._read` calls).  A round trip starts from the
+microseconds of one `.of` read, of parsing and reading the path's line
+with `from_line`, and of one round trip, for RSOS paths (forward, then
+inverse) and for half paths (inverse, then forward), and next to each
+round trip its vertex passes (`RsosPath._scan_frame`,
+`HalfPath._scan_frame` and `lattice.turns` calls) and the paths it reads
+(`lattice.Path._read` calls).  A round trip starts from the
 heights, so it includes the input's own `.of` read, its one read and one
 pass; each map reads no path and scans each of its stages once, its output
 the last of them, so a trip makes 7 passes for p' = 2p+1 (3 stages each
@@ -27,8 +28,8 @@ import time
 from functools import partial
 from unittest import mock
 
-from viracomb import bijections, halfpath, lattice, particles, rsos
-from viracomb.halfpath import HalfPath, theorem1_domain
+from viracomb import bijections, lattice, particles
+from viracomb.halfpath import HalfPath, theorem1_labels
 from viracomb.rsos import RsosPath
 
 STEPS = (100, 200, 400, 800, 1600, 3200)
@@ -61,16 +62,15 @@ def label(rnd: random.Random, family: int, half: bool) -> tuple[int, ...]:
     p = rnd.randint(3, 6)
     if half:
         t2 = 2 * p if family == 1 else 2 * p - 1
-        return (t2, *rnd.choice([(a2, b2) for a2 in range(2, t2 + 1, 2)
-                                 for b2 in range(2, t2 + 1, 2) if theorem1_domain(t2, a2, b2)]))
+        return rnd.choice(theorem1_labels(t2, t2))
     if family == 1:
         return p, 2 * p + 1, 2 * rnd.randint(1, p), 2 * rnd.randint(1, p - 1)
     return p, 2 * p - 1, 2 * rnd.randint(1, p - 1), 2 * rnd.randint(1, p - 1) - 1
 
 
 def cases(family: int, steps: int, rnd: random.Random) -> list[tuple]:
-    """(read, round trip) call pairs for PATHS random walks of `steps`
-    steps, RSOS paths first, then half paths.
+    """(read, line read, round trip) calls for PATHS random walks of
+    `steps` steps, RSOS paths first, then half paths.
     """
     out = []
     for half in (False, True):
@@ -80,10 +80,12 @@ def cases(family: int, steps: int, rnd: random.Random) -> list[tuple]:
             hs = walk(rnd, lab[-2], lo, hi, lab[-1], steps, half)
             if half:
                 out.append((lambda lab=lab, hs=hs: HalfPath.of(*lab, hs),
+                            partial(HalfPath.from_line, HalfPath.of(*lab, hs).to_line()),
                             lambda lab=lab, hs=hs: bijections.forward(
                                 bijections.inverse(HalfPath.of(*lab, hs)))))
             else:
                 out.append((lambda lab=lab, hs=hs: RsosPath.of(*lab, hs),
+                            partial(RsosPath.from_line, RsosPath.of(*lab, hs).to_line()),
                             lambda lab=lab, hs=hs: bijections.inverse(
                                 bijections.forward(RsosPath.of(*lab, hs))[0])))
     return out
@@ -116,13 +118,13 @@ def scans_per_trip(trip) -> tuple[int, int]:
     """The vertex passes one call of trip makes, and the paths, RSOS and
     half, it reads.
     """
-    with mock.patch.object(rsos, "_scan_frame", wraps=rsos._scan_frame) as rs, \
-            mock.patch.object(halfpath, "_scan_frame", wraps=halfpath._scan_frame) as hs, \
+    with mock.patch.object(RsosPath, "_scan_frame", wraps=RsosPath._scan_frame) as rs, \
+            mock.patch.object(HalfPath, "_scan_frame", wraps=HalfPath._scan_frame) as hs, \
             mock.patch.object(lattice, "turns", wraps=lattice.turns) as t, \
-            mock.patch.object(rsos, "_read", wraps=rsos._read) as r, \
-            mock.patch.object(halfpath, "_read", wraps=halfpath._read) as h:
+            mock.patch.object(lattice.Path, "_read", autospec=True,
+                              side_effect=lattice.Path._read) as reads:
         trip()
-    return rs.call_count + hs.call_count + t.call_count, r.call_count + h.call_count
+    return rs.call_count + hs.call_count + t.call_count, reads.call_count
 
 
 def timed_us(call) -> float:
@@ -149,9 +151,9 @@ def main() -> None:
         rnd = random.Random(10 + family)
         for steps in steps_run:
             calls = cases(family, steps, rnd)
-            scans[family, steps] = [scans_per_trip(calls[k][1]) for k in (0, PATHS)]
-            cells[family, steps] = [(partial(timed_us, read), partial(timed_us, trip))
-                                    for read, trip in calls]
+            scans[family, steps] = [scans_per_trip(calls[k][-1]) for k in (0, PATHS)]
+            cells[family, steps] = [tuple(partial(timed_us, call) for call in row)
+                                    for row in calls]
     rnd = random.Random(13)
     moves = {}
     for steps in steps_run:
@@ -159,7 +161,7 @@ def main() -> None:
     # each call is timed once per round and keeps its least time: the rounds
     # spread a call's samples over the whole run, so a stretch of a loaded
     # machine does not decide a cell
-    best = {key: [[float("inf")] * 2 for _ in calls] for key, calls in cells.items()}
+    best = {key: [[float("inf")] * len(row) for row in calls] for key, calls in cells.items()}
     gc.disable()
     try:
         for _ in range(ROUNDS):
@@ -170,17 +172,19 @@ def main() -> None:
             gc.collect()
     finally:
         gc.enable()
-    print(f"{'family':>6} {'L':>5} {'rsos .of':>9} {'rsos trip':>10} {'passes':>6} {'reads':>5} "
-          f"{'half .of':>9} {'half trip':>10} {'passes':>6} {'reads':>5}   (median µs per "
-          f"path; vertex passes and paths read per trip)")
+    print(f"{'family':>6} {'L':>5} {'rsos .of':>9} {'rsos line':>9} {'rsos trip':>10} "
+          f"{'passes':>6} {'reads':>5} {'half .of':>9} {'half line':>9} {'half trip':>10} "
+          f"{'passes':>6} {'reads':>5}   (median µs per path, its line parsed and read by "
+          f"from_line; vertex passes and paths read per trip)")
     for (family, steps), mins in best.items():
         if family == "corner":
             continue
         row = [statistics.median(m[k] for m in part)
-               for part in (mins[:PATHS], mins[PATHS:]) for k in (0, 1)]
+               for part in (mins[:PATHS], mins[PATHS:]) for k in (0, 1, 2)]
         (rsos_passes, rsos_reads), (half_passes, half_reads) = scans[family, steps]
-        print(f"{family:>6} {steps:>5} {row[0]:>9.0f} {row[1]:>10.0f} {rsos_passes:>6} "
-              f"{rsos_reads:>5} {row[2]:>9.0f} {row[3]:>10.0f} {half_passes:>6} {half_reads:>5}")
+        print(f"{family:>6} {steps:>5} {row[0]:>9.0f} {row[1]:>9.0f} {row[2]:>10.0f} "
+              f"{rsos_passes:>6} {rsos_reads:>5} {row[3]:>9.0f} {row[4]:>9.0f} {row[5]:>10.0f} "
+              f"{half_passes:>6} {half_reads:>5}")
     print(f"{'corner':>6} {'L':>5} {'dissect':>9} {'per move':>10} {'moves':>9}"
           f"   (median µs per path, per listed move; mean moves per path)")
     for steps in steps_run:
