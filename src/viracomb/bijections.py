@@ -30,7 +30,8 @@ map states its own half side and refuses any other label through
 not stored canonically, cannot reach a map: its constructor refuses it.
 
 Every stage is a path: its heights are framed by `lattice.frame` (through
-the canonical horizon and one past it) and scanned by its class's own
+the canonical horizon and one past it), or, for a verbatim reread, are the
+frame of the stage before it, taken as it is, and scanned by its class's own
 vertex scan, `_scan_frame`, which gives the weight each stage checks and
 the scoring positions, straight-vertex count and peaks the next stage works
 on.  A map's output is its last stage, so no map reads a path; the label
@@ -72,8 +73,9 @@ class BijectionDomainError(ValueError):
 
 class _Stage:
     """One stage of a map, named `name`: its heights under a path label,
-    framed (`seq`, through the canonical horizon and one past it; a frame
-    frames to itself), and their scan by the path class's `_scan_frame`.
+    framed (`seq`, through the canonical horizon and one past it), and their
+    scan by the path class's `_scan_frame`.  Given a previous stage for its
+    heights, it rereads that stage's frame as it is, under its own label.
     Its path, stored through that frame with that scan, is built when first
     asked for.
     A path rule the heights break, or a fact `check` is given that does not
@@ -83,11 +85,11 @@ class _Stage:
 
     __slots__ = ("name", "cls", "label", "seq", "scan", "_path")
 
-    def __init__(self, name: str, cls, label: tuple, hs: list[int]) -> None:
+    def __init__(self, name: str, cls, label: tuple, hs: list[int] | _Stage) -> None:
         self.name, self.cls, self.label, self.scan, self._path = name, cls, label, None, None
-        self.seq = lattice.frame(hs, label[-1])
+        self.seq = hs.seq if isinstance(hs, _Stage) else lattice.frame(hs, label[-1])
         try:
-            self.scan = cls._scan_frame(*label, self.seq)
+            self.scan = cls._scan_frame(label, self.seq)
         except (lattice.InvalidPathError, InvariantError) as exc:
             self.check(False, str(exc))
 
@@ -107,7 +109,7 @@ class _Stage:
     def path(self):
         """The stage's path, built when first asked for and kept."""
         if self._path is None:
-            self._path = self.cls._framed(self.label, self.seq, self.scan)
+            self._path = self.cls._framed(self.label, tuple(self.seq[:-1]), self.scan)
         return self._path
 
     def check(self, ok: bool, detail: str, *args, name: str | None = None) -> None:
@@ -166,12 +168,11 @@ def _insert_notches(seq: list[int], notches: list[tuple[int, int]]) -> list[int]
     return seq
 
 
-def _notched(seq: list[int], b: int, notches: list[tuple[int, int]]) -> list[int]:
-    """The framed heights seq of tail band {b, b+1}, the tail padded to
-    hold every notch, with the notches inserted.
+def _padded(h: _Stage, positions: list[int]) -> list[int]:
+    """A new list of the heights of stage h, its tail padded to two past its
+    horizon and past every position, for notches to go in at them.
     """
-    upto = max([len(seq) - 2] + [pos for pos, _ in notches]) + 2
-    return _insert_notches(lattice.padded(seq, b, upto), notches)
+    return lattice.padded(h.seq, h.label[-1], max([h.horizon, *positions]) + 2)
 
 
 def _is_partition(parts: tuple[int, ...], least: int = 0) -> bool:
@@ -237,7 +238,7 @@ def _raise_peaks(name: str, h: _Stage, mu: tuple[int, ...]) -> tuple[list[int], 
     # numbers past the stored peaks land on the tail's peaks, two apart
     stored, first = len(tops), h.horizon + 1
     at = [tops[x - 1] if x <= stored else first + 2 * (x - stored - 1) for x in mu]
-    return _notched(h.seq, h.label[-1], [(x, 1) for x in at]), c * (ell + c - 1) // 2 + sum(mu)
+    return _insert_notches(_padded(h, at), [(x, 1) for x in at]), c * (ell + c - 1) // 2 + sum(mu)
 
 
 def _lower_peaks(name: str, half: tuple, seq: Sequence[int], tops: Sequence[int],
@@ -268,15 +269,15 @@ def _reinsert(name: str, h_cut: _Stage, positions: list[int], w_hat: int) -> Rso
     h_cut; the result, the map's output and its last stage (`name`), must
     carry the weight w_hat.
     """
-    _, pp, _, b = h_cut.label
+    pp = h_cut.label[1]
+    seq = _padded(h_cut, positions)
     notches = []
     for pos in positions:
-        height = lattice.tail_height(h_cut.seq, b, pos)
-        step = _notch_step(height)
-        h_cut.check(1 <= height + step < pp, "reinsertion at position %d leaves the strip", pos,
+        step = _notch_step(seq[pos])
+        h_cut.check(1 <= seq[pos] + step < pp, "reinsertion at position %d leaves the strip", pos,
                     name=name)
         notches.append((pos, step))
-    out = _Stage(name, RsosPath, h_cut.label, _notched(h_cut.seq, b, notches))
+    out = _Stage(name, RsosPath, h_cut.label, _insert_notches(seq, notches))
     out.check(out.scan[0] == w_hat, "reinserted path does not reproduce the weight")
     return out.path
 
@@ -308,7 +309,7 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
     h_cut.check(w_cut == w - sum(lam) - n * (k - n), "cut-path weight bookkeeping failed")
 
     # the verbatim reread: the cut's own frame, as the tail bands coincide
-    h_hat_cut = _Stage("bij1_forward reread", HalfPath, half, h_cut.seq)
+    h_hat_cut = _Stage("bij1_forward reread", HalfPath, half, h_cut)
     w_hat_cut, ell, _, _ = h_hat_cut.scan
     h_hat_cut.check(w_hat_cut == w_cut, "verbatim reread must preserve the weight")
     h_hat_cut.check(ell == 2 * k_cut, "verbatim reread must double the straight-vertex count")
@@ -334,7 +335,7 @@ def bij1_inverse(path: HalfPath) -> RsosPath:
     h_hat_cut.check(_is_partition(lam), "integer-peak numbers %s do not define a partition", mu)
 
     # the lowered path read as an RSOS path, on its own frame
-    h_cut = _Stage("bij1_inverse cut", RsosPath, label, h_hat_cut.seq)
+    h_cut = _Stage("bij1_inverse cut", RsosPath, label, h_hat_cut)
     # label j goes to the j-th non-scoring vertex (to position 0 for j = 0),
     # past the stored ones to the tail's vertices
     ns = [0, *_gaps(h_cut.scan[1], h_cut.horizon + 1)]
@@ -380,7 +381,7 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     h_cut.check(h_cut.seq[-2] == bb, "even cut horizon must end at the even tail height",
                 name="bij2_forward flip")
     rev = h_cut.seq[-2::-1]
-    lifted = _insert_notches(rev, [(j, 1) for j in lattice.turns(rev, len(rev) - 1)[0]])
+    lifted = _insert_notches(rev, [(j, 1) for j in lattice.turns(rev, len(rev) - 1)])
     lifted += [a + 1, a, a + 1, a]
     h_hat_cut = _Stage("bij2_forward flip", HalfPath, half, lifted)
     w_hat_cut, ell, _, _ = h_hat_cut.scan
@@ -396,8 +397,9 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     h_hat_int.check(not nu or nu[0] <= len(accretion),
                     "remainder labels exceed the accretion vertex count",
                     name="bij2_forward accrete")
-    notches2 = [(accretion[number - 1], 1) for number in nu]
-    h_hat = _Stage("bij2_forward accrete", HalfPath, half, _notched(h_hat_int.seq, a, notches2))
+    spots = [accretion[number - 1] for number in nu]
+    h_hat = _Stage("bij2_forward accrete", HalfPath, half,
+                   _insert_notches(_padded(h_hat_int, spots), [(x, 1) for x in spots]))
 
     w_hat = h_hat.scan[0]
     h_hat.check(w_hat == w_hat_int + sum(nu), "accretion weight bookkeeping failed")

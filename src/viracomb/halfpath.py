@@ -66,11 +66,9 @@ class HalfPath(lattice.Path):
 
     def height(self, i: int) -> int:
         """Doubled height at doubled position i >= -1 (tail continues)."""
-        if i == -1:
-            return self.a2 + 1
-        if i < 0:
+        if i < -1:
             raise IndexError("doubled positions start at -1")
-        return lattice.tail_height(self.doubled, self.b2, i)
+        return self.a2 + 1 if i == -1 else self.padded(i)[i]
 
     def padded(self, upto: int) -> list[int]:
         """Doubled heights at positions 0..upto, continuing the tail."""
@@ -85,7 +83,8 @@ class HalfPath(lattice.Path):
         return HalfPath._parse(line)
 
     @staticmethod
-    def _check_label(t2: int, a2: int, b2: int) -> None:
+    def _check_label(label: tuple[int, int, int]) -> None:
+        t2, a2, b2 = label
         if t2 < 4:
             raise InvalidHalfPathError(f"need T = 2t >= 4, got {t2}")
         if a2 % 2 or b2 % 2:
@@ -93,7 +92,7 @@ class HalfPath(lattice.Path):
                 f"start A={a2} and tail B={b2} must be even (integer heights)")
 
     @staticmethod
-    def _scan_frame(t2: int, a2: int, b2: int,
+    def _scan_frame(label: tuple[int, int, int],
                     seq: list[int]) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
         """The vertex scan of a frame, the doubled heights at 0..L+1 of a list
         that `lattice.frame` framed, position 0 read against H(-1) = A + 1: the
@@ -108,6 +107,7 @@ class HalfPath(lattice.Path):
         straight vertices, the peaks and the valleys.  The heights past L are
         the band run `frame` has found.
         """
+        t2, a2, b2 = label
         if seq[0] != a2:
             raise InvalidHalfPathError(f"path must start at A={a2}, got {seq[0]}")
         if not 2 <= b2 < t2:  # the tail band {B, B+1} lies in the strip

@@ -4,15 +4,18 @@ in a tail band {b, b+1}.
 RSOS paths and half-lattice paths differ only in their labels, step rules,
 vertex costs and search bounds.  Everything else lives here: parsing the
 one-line path formats, the canonical horizon of a height list (`frame`,
-the one statement of canonical storage), tail continuation, the peak and
-valley scan of raw heights, how a path is built and read (`Path`), and one
-bounded path search.  Each model states a search as one frozen record per
-label, `Model`: its costs and bounds are affine forms in the position,
-data the search reads once per state and evaluates inline, so counting
-calls no model function per step.
+the one statement of canonical storage, which returns a list that is
+already its own frame as it is), tail continuation (`padded`, the one tail
+rule), the peaks of raw heights (`turns`), how a path is built and read
+(`Path`), and one bounded path search.  Each model states a search as one
+frozen record per label, `Model`: its costs and bounds are affine forms in
+the position, data the search reads once per state and evaluates inline,
+so counting calls no model function per step.
 
 A path is read when it is built.  `Path` is the base of both models'
-frozen dataclasses, and its `_read` is the one read: the class's label
+frozen dataclasses, whose fields, the label's and then the stored heights,
+are each class's one statement of its layout.  Its `_read` is the one
+read, of a label and stored heights given as data: the class's label
 checks, the refusal of no heights in the class's error type, one `frame`,
 the class's vertex scan `_scan_frame` on that frame (every other path
 rule, and the facts the path keeps), and last the refusal of storage other
@@ -21,7 +24,7 @@ fields, so `==`, `hash`, `repr` and `to_line` never see it.  A path is
 built in one of three ways:
 
 * raw, by its constructor (listing and `dataclasses.replace` too): the
-  read runs on the fields as given;
+  read runs on the fields as given, taken by the class's layout;
 * by `of`, from whole-number heights whose tail may be partial or run
   long: they are framed once, the path is built on that frame and read on
   it, so a path built raw is refused with `of`'s message wherever `of`
@@ -37,7 +40,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
-from operator import add
+from operator import add, attrgetter
 
 
 class InvalidPathError(ValueError):
@@ -88,7 +91,8 @@ def frame(hs: Sequence[int], b: int) -> list[int]:
     band, which the path's reader has checked lies inside the strip; the
     reader checks the heights up to L.  A list that does not end in the band
     is refused after its other checks: it is framed as it stands, its last
-    height repeated.
+    height repeated.  A list that is its own frame is returned as it is; no
+    input is edited, and any other is framed into a new list.
     """
     start = len(hs) - 1
     if hs[start] not in (b, b + 1):
@@ -97,22 +101,14 @@ def frame(hs: Sequence[int], b: int) -> list[int]:
     # the band's other height, the one it sums with to 2b + 1
     while start and hs[start - 1] + hs[start] == 2 * b + 1:
         start -= 1
-    return padded(hs, b, start + start % 2 + 1)
-
-
-def tail_height(stored: tuple[int, ...], b: int, x: int) -> int:
-    """Height at position x >= 0, continuing the tail oscillation."""
-    horizon = len(stored) - 1
-    if x <= horizon:
-        return stored[x]
-    last = stored[-1]
-    if (x - horizon) % 2 == 0:
-        return last
-    return b + 1 if last == b else b
+    upto = start + start % 2 + 1
+    return hs if upto == len(hs) - 1 and isinstance(hs, list) else padded(hs, b, upto)
 
 
 def padded(stored: Sequence[int], b: int, upto: int) -> list[int]:
-    """Heights at positions 0..upto, continuing the tail oscillation."""
+    """Heights at positions 0..upto, continuing the tail oscillation: the
+    one statement of the tail past the horizon.
+    """
     out = list(stored) if upto + 1 >= len(stored) else list(stored[: upto + 1])
     beyond = upto - (len(stored) - 1)  # tail heights past the horizon
     if beyond > 0:
@@ -122,44 +118,49 @@ def padded(stored: Sequence[int], b: int, upto: int) -> list[int]:
     return out
 
 
-def turns(hs: Sequence[int], hi: int) -> tuple[list[int], list[int]]:
-    """The peaks and the valleys at positions 1 <= i < hi of a unit-step
-    sequence, found in one scan: with unit steps, i turns exactly when
-    hs[i-1] == hs[i+1], and it is a peak when hs[i] lies above them.
+def turns(hs: Sequence[int], hi: int) -> list[int]:
+    """The peaks at positions 1 <= i < hi of a unit-step sequence: with unit
+    steps, i turns exactly when hs[i-1] == hs[i+1], and it is a peak when
+    hs[i] lies above them.
     """
-    peaks: list[int] = []
-    valleys: list[int] = []
-    for i, before, h, after in zip(range(1, hi), hs, hs[1:], hs[2:]):
-        if before == after:
-            (peaks if h > before else valleys).append(i)
-    return peaks, valleys
+    return [i for i, before, h, after in zip(range(1, hi), hs, hs[1:], hs[2:])
+            if before == after < h]
 
 
 class Path:
     """The base of the two frozen path dataclasses, `rsos.RsosPath` and
-    `halfpath.HalfPath`, whose fields are the label and then the stored
-    heights.  It reads and builds a path; each class states what is its
-    own: `kind` and `keys`, its line's kind and field keys in field order;
-    `error`, its error type; `_check_label`, its label checks; `_scan_frame`,
-    the vertex scan of a frame; and `to_line`.
+    `halfpath.HalfPath`.  A class's fields are its layout, stated once: the
+    label's, the tail height b last, then the stored heights; the base reads
+    them into `_fields`, their names, and `_layout`, their getter.  Each
+    class states what else is its own: `kind` and `keys`, its line's kind
+    and field keys in field order; `error`, its error type; `_check_label`,
+    its label checks, and `_scan_frame`, the vertex scan of a frame, each
+    taking the label as one tuple; its `horizon` and `padded`; and
+    `to_line`.
     """
 
-    def __post_init__(self) -> None:
-        vars(self)["_scan"] = self._read()
+    def __init_subclass__(cls) -> None:
+        # the class body's annotations are its dataclass fields, in order
+        cls._fields = tuple(cls.__annotations__)
+        cls._layout = attrgetter(*cls._fields)
 
-    def _read(self, seq: list[int] | None = None) -> tuple:
-        """The one read of the path's fields, on `seq`, the frame of its
-        heights, when it has been framed already; it returns the scan.
+    def __post_init__(self) -> None:
+        *label, hs = self._layout(self)
+        self._read(label, hs)
+
+    def _read(self, label: Sequence[int], hs: Sequence[int],
+              seq: list[int] | None = None) -> None:
+        """The one read of a path of this label stored as hs, on seq, the
+        frame of hs when it has been framed already; the path keeps the scan.
         """
-        *label, hs = map(vars(self).__getitem__, self.__dataclass_fields__)
-        self._check_label(*label)
+        self._check_label(label)
         if not hs:
             raise self.error("height sequence is empty")
-        seq = frame(hs, label[-1]) if seq is None else seq
-        scan = self._scan_frame(*label, seq)
+        if seq is None:
+            seq = frame(hs, label[-1])
+        vars(self)["_scan"] = self._scan_frame(label, seq)
         if len(seq) != len(hs) + 1:
             raise InvalidPathError(f"path not stored canonically: {self.to_line()}")
-        return scan
 
     @classmethod
     def _of(cls, label: Sequence[int], hs: list[int]):
@@ -167,18 +168,20 @@ class Path:
         if not hs:
             return cls(*label, ())  # its read refuses it, after the label checks
         seq = frame(hs, label[-1])
-        path = cls._framed(label, seq)
-        vars(path)["_scan"] = path._read(seq=seq)
+        stored = tuple(seq[:-1])
+        path = cls._framed(label, stored)
+        path._read(label, stored, seq)
         return path
 
     @classmethod
-    def _framed(cls, label: Sequence[int], seq: list[int], scan: tuple | None = None):
-        """The path of a label stored through the frame seq, made without its
-        constructor and so not read: it keeps `scan`, the scan of seq.
+    def _framed(cls, label: Sequence[int], stored: tuple[int, ...], scan: tuple | None = None):
+        """The path of a label stored as `stored`, made without its
+        constructor and so not read: it keeps `scan`, the scan of its frame.
         """
         path = object.__new__(cls)
-        vars(path).update(zip(cls.__dataclass_fields__, (*label, tuple(seq[:-1]))))
-        vars(path)["_scan"] = scan
+        fields = vars(path)
+        fields.update(zip(cls._fields, label))
+        fields[cls._fields[-1]], fields["_scan"] = stored, scan
         return path
 
     @classmethod

@@ -96,11 +96,11 @@ class RsosPath(lattice.Path):
         return RsosPath._parse(line)
 
     @staticmethod
-    def _check_label(p: int, p_prime: int, a: int, b: int) -> None:
-        dark_floors(p, p_prime)  # refuses a label that is not a model first
+    def _check_label(label: tuple[int, int, int, int]) -> None:
+        dark_floors(label[0], label[1])  # refuses a label that is not a model first
 
     @staticmethod
-    def _scan_frame(p: int, p_prime: int, a: int, b: int,
+    def _scan_frame(label: tuple[int, int, int, int],
                     seq: list[int]) -> tuple[int, tuple[int, ...], int]:
         """The vertex scan of a frame, the heights at 0..L+1 of a list that
         `lattice.frame` framed: the path's read runs it, and so does each
@@ -115,6 +115,7 @@ class RsosPath(lattice.Path):
         (x + h - a)/2 after a down step; a path of unit steps from a gives
         every vertex labels u, v >= 0 with u + v = x.
         """
+        p, p_prime, a, b = label
         dark = dark_floors(p, p_prime)
         if seq[0] != a:
             raise InvalidPathError(f"path must start at a={a}, got {seq[0]}")
@@ -129,7 +130,7 @@ class RsosPath(lattice.Path):
                 raise InvalidPathError(f"height {h} at position {x} out of range")
             if h - prev not in (1, -1):
                 raise InvalidPathError(f"step at position {x} is not a unit step")
-            if (nxt != prev) == ((h if nxt > h else nxt) in dark):  # `_scores`, inlined
+            if (nxt != prev) == ((h if nxt > h else nxt) in dark):  # `_step`'s scoring rule
                 scoring.append(x)
                 if prev < h:
                     total += (x - h + a) // 2
@@ -142,19 +143,14 @@ class RsosPath(lattice.Path):
         return total, tuple(scoring), peaks
 
 
-def _scores(dark: frozenset[int], prev: int, h: int, nxt: int) -> bool:
-    """The scoring rule: a straight vertex scores when the band just right of
-    it is dark, a peak or valley when that band is light.
-    """
-    return (nxt != prev) == ((h if nxt > h else nxt) in dark)
-
-
 def _step(dark: frozenset[int], a: int, prev: int, h: int, nxt: int) -> tuple[int, ...]:
     """The cost of vertex x at h, entered from prev and left to nxt, as the
     search's affine form in x: its label, (x - h + a)/2 after an up step
-    and (x + h - a)/2 after a down step, when it scores, else nothing.
+    and (x + h - a)/2 after a down step, when it scores, else nothing.  The
+    scoring rule: a straight vertex scores when the band just right of it is
+    dark, a peak or valley when that band is light.
     """
-    if not _scores(dark, prev, h, nxt):
+    if (nxt != prev) != ((h if nxt > h else nxt) in dark):
         return lattice.FREE
     return (1, a - h, 2, 0) if prev < h else (1, h - a, 2, 0)
 

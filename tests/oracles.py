@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from math import gcd
 
-from viracomb import halfpath, lattice, rsos
+from viracomb import halfpath, rsos
 from viracomb.characters import CharacterLabel, m_vector
 from viracomb.halfpath import HalfPath, InvalidHalfPathError
 from viracomb.particles import Dissection, Particle
@@ -66,9 +66,19 @@ def classify(path: RsosPath) -> list[VertexInfo]:
         prev, h, nxt = hs[x - 1], hs[x], hs[x + 1]
         up = prev < h
         shape = (PEAK if up else VALLEY) if nxt == prev else (STRAIGHT_UP if up else STRAIGHT_DOWN)
-        out.append(VertexInfo(x, shape, rsos._scores(dark, prev, h, nxt), up,
+        out.append(VertexInfo(x, shape, _scores(dark, prev, h, nxt), up,
                               _label(path.a, x, prev, h)))
     return out
+
+
+def _scores(dark: frozenset[int], prev: int, h: int, nxt: int) -> bool:
+    """The paper's scoring rule, read off the band shading: the band just
+    right of vertex x lies between h and nxt, and its floor is the lower of
+    them.  A straight vertex scores when that band is dark, a peak or a
+    valley when it is light.
+    """
+    dark_right = min(h, nxt) in dark
+    return dark_right if nxt != prev else not dark_right
 
 
 def _label(a: int, x: int, prev: int, h: int) -> int:
@@ -144,7 +154,7 @@ def rsos_scan(p: int, p_prime: int, a: int, b: int,
     for x in range(1, len(stored)):
         prev, h, nxt = hs[x - 1], hs[x], hs[x + 1]
         label = _label(a, x, prev, h)
-        if rsos._scores(dark, prev, h, nxt):
+        if _scores(dark, prev, h, nxt):
             total += label
             scoring.append(x)
             if nxt == prev < h:
@@ -297,7 +307,7 @@ def dissect_reference(path: HalfPath) -> Dissection:
     t2 = path.t2
     reach = path.horizon + 2 * t2 + 4  # how far a baseline may run into the tail
     H = path.padded(reach)
-    peaks, _ = lattice.turns(H, path.horizon)
+    peaks = [i for i in range(1, path.horizon) if H[i - 1] < H[i] > H[i + 1]]
     # position 0 is always a valley: H(-1) = 3 (virtual) and H(1) = 3 lie above it
     live = [0] + [i for i in range(1, path.horizon + 1) if H[i - 1] > H[i] < H[i + 1]]
     assigned: dict[int, Particle] = {}

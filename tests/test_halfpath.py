@@ -1,6 +1,6 @@
 import pytest
 
-from viracomb import halfpath, lattice
+from viracomb import halfpath
 from viracomb.characters import bosonic_character, theorem1_label
 from viracomb.halfpath import (
     HalfPath,
@@ -106,6 +106,12 @@ def test_weight_extended_on_enumerated_set():
         assert weight_extended(path) == weight(path)
 
 
+def _turns(hs, hi):
+    """The peaks and the valleys at positions 1 <= i < hi of unit steps."""
+    turns = [i for i in range(1, hi) if hs[i - 1] == hs[i + 1]]
+    return ([i for i in turns if hs[i] > hs[i - 1]], [i for i in turns if hs[i] < hs[i - 1]])
+
+
 @pytest.mark.parametrize("t2,a2,b2", [(8, 8, 6), (7, 2, 6), (9, 4, 2), (10, 2, 2),
                                       (6, 2, 2), (7, 2, 2), (8, 2, 2), (9, 2, 2)])
 def test_scan_matches_straights_and_peaks(t2, a2, b2):
@@ -115,14 +121,14 @@ def test_scan_matches_straights_and_peaks(t2, a2, b2):
     for path in paths:
         # the turns at 0..L of the heights H(-1) = A + 1, H(0), ..., H(L + 1)
         hs = [a2 + 1, *path.padded(path.horizon + 1)]
-        peaks, valleys = lattice.turns(hs, path.horizon + 2)
+        peaks, valleys = _turns(hs, path.horizon + 2)
         scan = path._scan
         assert scan == (weight_extended(path), len(straight_positions(path)),
                         tuple(i - 1 for i in peaks), tuple(i - 1 for i in valleys)), path.to_line()
         if corner:
             # what particles.dissect reads: the stored turns, with the
             # wall's valley at 0 and the horizon's valley added
-            peaks, valleys = lattice.turns(path.doubled, path.horizon)
+            peaks, valleys = _turns(path.doubled, path.horizon)
             framed = [0, *valleys, path.horizon] if path.horizon else [0]
             assert scan[2:] == (tuple(peaks), tuple(framed)), path.to_line()
 

@@ -85,16 +85,40 @@ def test_tail_continuation():
     stored = (5, 4, 3, 2)
     assert lattice.padded(stored, 2, 7) == [5, 4, 3, 2, 3, 2, 3, 2]
     assert lattice.padded(stored, 2, 1) == [5, 4]
-    assert [lattice.tail_height(stored, 2, x) for x in range(8)] == \
-        lattice.padded(stored, 2, 7)
 
 
-def test_peaks_and_valleys():
+def test_a_frame_is_framed_as_it_is():
+    # a list that is already its own frame comes back as it is, not copied;
+    # any other input, a tuple or a list that frames otherwise, is left as
+    # it was and framed into a new list
+    for hs, b in (([4, 3, 2, 3], 2), ([2, 3], 2), ([7, 8, 9, 8, 9], 8), ([5, 4, 3, 3], 2)):
+        framed = lattice.frame(hs, b)
+        assert lattice.frame(framed, b) is framed
+        as_tuple = tuple(framed)
+        again = lattice.frame(as_tuple, b)
+        assert type(again) is list and again == framed and as_tuple == tuple(framed)
+    long = [4, 3, 2, 3, 2, 3, 2]
+    assert lattice.frame(long, 2) == [4, 3, 2, 3] and long == [4, 3, 2, 3, 2, 3, 2]
+
+
+def test_half_heights_continue_the_tail_from_padded():
+    # `height` reads the one tail rule, `padded`, past the horizon, H(-1) = A + 1
+    # before the start, and nothing further left
+    for path in (HalfPath.of(*HALF_10), HalfPath.of(8, 6, 2, [6, 5, 4, 3, 2])):
+        assert [path.height(i) for i in range(path.horizon + 18)] == \
+            [path.padded(i)[i] for i in range(path.horizon + 18)]
+        assert path.height(-1) == path.a2 + 1
+        with pytest.raises(IndexError, match="doubled positions start at -1"):
+            path.height(-2)
+
+
+def test_peaks():
     hs = [2, 3, 4, 3, 4, 5, 4, 3, 2, 3]
-    assert lattice.turns(hs, len(hs) - 1) == ([2, 5], [3, 8])
-    assert lattice.turns(hs, 8) == ([2, 5], [3])
-    assert lattice.turns(hs, 5) == ([2], [3])
-    assert lattice.turns([2], 0) == ([], [])
+    assert lattice.turns(hs, len(hs) - 1) == [2, 5]
+    assert lattice.turns(hs, 8) == [2, 5]
+    assert lattice.turns(hs, 5) == [2]
+    assert lattice.turns(hs, 2) == []
+    assert lattice.turns([2], 0) == []
 
 
 def _free_walk(start: int, top: int, what: str) -> lattice.Model:
@@ -489,7 +513,7 @@ def test_equal_paths_built_apart_each_read_themselves():
     for model, data, build in ((hp, HALF_10, HalfPath.of), (rsos, RSOS_49, RsosPath.of)):
         with _counting(lattice.Path, "_read") as reads:
             first, second = build(*data), build(*data)
-        assert [c.args for c in reads.call_args_list] == [(first,), (second,)]
+        assert [c.args[0] for c in reads.call_args_list] == [first, second]
         assert all(c.args[0] is path for c, path in zip(reads.call_args_list, (first, second)))
         with _counting(lattice.Path, "_read") as reads:
             assert model.weight(first) == model.weight(second) == model.weight(first)

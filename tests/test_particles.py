@@ -127,7 +127,8 @@ def test_a_moved_path_is_scanned_and_dissected_once():
             new = apply_move(path, move)
             assert (hp.weight(new), dissect(new).sector) == (move.weight + 1, move.sector)
         assert (reads.call_count, cuts.call_count) == (1, 1), move
-        assert reads.call_args.args == (new,)  # `of` hands the read its frame by keyword
+        # `of` hands the read the label, the stored heights and their frame
+        assert reads.call_args.args[:3] == (new, (new.t2, new.a2, new.b2), new.doubled)
         assert cuts.call_args_list == [mock.call(new)]
 
 
