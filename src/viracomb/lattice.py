@@ -10,7 +10,8 @@ rule), the peaks of raw heights (`turns`), how a path is built and read
 (`Path`), and one bounded path search.  Each model states a search as one
 frozen record per label, `Model`: its costs and bounds are affine forms in
 the position, data the search reads once per state and evaluates inline,
-so counting calls no model function per step.
+so counting calls no model function per step.  Counting is the search's one
+forward pass; listing walks back over the step tables it filled.
 
 A path is read when it is built.  `Path` is the base of both models'
 frozen dataclasses, whose fields, the label's and then the stored heights,
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import partial
 from operator import add, attrgetter
 
 
@@ -196,32 +196,31 @@ class PathSet:
     """The paths one `search` found.  `counts[k]` is the number of paths of
     cost k <= budget, known before any path is listed, and `len()` is their
     sum.  Iteration lists the paths in height order, each built from its
-    height tuple by `build`, by a pre-order walk, lower step first, that
-    descends only where a completion fits the budget.
+    height tuple by the model's `build`, by a pre-order walk, lower step
+    first, that descends only where a completion fits the budget.
 
-    Counting builds nothing the walk needs.  The first iteration builds it:
-    `forward` runs the search's forward pass again, on the step tables
-    counting filled, recording each state's surviving steps and carrying
-    no counts, and a backward pass over those layers gives each state its
-    least completion cost, all the walk needs to prune.
+    Counting builds nothing the walk needs.  The first iteration builds it,
+    with no second search: `_walk_root` reads the step tables counting
+    filled, position by position back from the search's depth, and gives
+    each state its least completion cost, all the walk needs to prune.
     """
 
-    def __init__(self, counts: list[int], forward=None, build=tuple) -> None:
+    def __init__(self, counts: list[int], model: Model | None = None,
+                 tables: dict | None = None, depth: int = 0) -> None:
         self.counts = counts  # one entry per cost 0..budget
-        self._forward = forward  # the recording rerun, None for no paths
-        self._build = build
+        self._model, self._tables, self._depth = model, tables, depth
         self._root = None  # the walk's first entry, built on first iteration
 
     def __len__(self) -> int:
         return sum(self.counts)
 
     def __iter__(self):
-        if self._root is None and self._forward is not None:
-            layers: list[dict] = []
-            self._forward(layers)
-            self._root = _walk_root(layers, len(self.counts) - 1)
-        budget, build, hs = len(self.counts) - 1, self._build, []
-        todo = [self._root] if self._root else []
+        if self._root is None:
+            if not any(self.counts):
+                return
+            self._root = _walk_root(self._model, self._tables, self._depth)
+        budget, build, hs = len(self.counts) - 1, self._model.build, []
+        todo = [self._root]
         while todo:
             x, h, w, (junction, kids) = todo.pop()
             del hs[x:]
@@ -301,14 +300,13 @@ def search(model: Model) -> PathSet:
     bounds count every costed vertex a completion is forced to pass, not
     just one.  The hard horizon only guards against a search that never ends:
     a state still live past it raises, so a result is exactly what an
-    unbounded search would return.  Nothing for listing is built until the
-    path set is first iterated.
+    unbounded search would return.  Counting is the one forward pass: the
+    path set keeps its step tables and depth, and nothing for listing is
+    built until it is first iterated.
     """
-    tables: dict = {}  # the steps of each state code, shared with the recording rerun
-    counts = _forward(model, tables=tables)
-    if not any(counts):
-        return PathSet(counts)
-    return PathSet(counts, partial(_forward, model, tables=tables), model.build)
+    tables: dict = {}  # the steps of each state code, read again by listing
+    counts, depth = _forward(model, tables)
+    return PathSet(counts, model, tables, depth)
 
 
 def _moves(m: Model, code: int) -> tuple:
@@ -337,41 +335,30 @@ def _moves(m: Model, code: int) -> tuple:
     return edge, moves
 
 
-def _forward(m: Model, layers=None, tables=None) -> list[int] | None:
-    """The forward pass of `search`: the counts by cost.  Each state's
-    moves are read from the model once, on its first visit, into `tables`
-    (state code: its junction form and moves), and each step evaluates
-    their forms inline; the recording rerun is handed the tables counting
-    filled, so a search reads each state's moves once.  Given a list as
-    `layers`, it records instead of counting, and returns None: it
-    appends, per layer, each live state's least reach cost, junction cost
-    (None off the horizons) and surviving steps (nh, vertex cost, child
-    state).  A recording state carries an empty list, since pruning reads
-    only the least reach cost, so it keeps exactly the states and steps
-    counting keeps and adds nothing anywhere.
+def _forward(m: Model, tables: dict) -> tuple[list[int], int]:
+    """The forward pass of `search`: the counts by cost, and the depth, the
+    first position at which no state is live.  Each state's moves are read
+    from the model once, on its first visit, into `tables` (state code: its
+    junction form and moves), and each step evaluates their forms inline;
+    listing reads the same tables, so a search reads each state's moves once.
     """
     budget, grain = m.budget, m.grain
-    record = layers is not None
     counts = [0] * (budget + 1)
-    tables = {} if tables is None else tables
-    reach = {~m.start: (0, [] if record else [1])}  # state code: (least reach cost, counts)
+    reach = {~m.start: (0, [1])}  # state code: (least reach cost, counts)
     x = 0
     while reach:
         if x > m.horizon:
             raise InvariantError("search", "enumeration did not stabilize: a step is still "
                                  f"live at horizon {m.horizon}", m.what)
-        steps, nxt = {}, {}
+        nxt = {}
         stay = budget - m.leave(x + 1)  # the room of a state in a run
         for code, (w, vec) in reach.items():
             edge, moves = tables.get(code) or tables.setdefault(code, _moves(m, code))
-            junction = None
             if edge is not None and x % 2 == 0:
-                junction = edge[0] * ((x + edge[1]) // edge[2]) + edge[3]
-                s = w + junction
+                s = w + edge[0] * ((x + edge[1]) // edge[2]) + edge[3]
                 if s <= budget:
                     n = min(len(vec), (budget - s) // grain + 1)
                     counts[s:s + grain * n:grain] = map(add, counts[s::grain], vec)
-            out = []
             for nh, child, run, f, k, d, c, bf, bk, bd, bc in moves:
                 e = w + f * ((x + k) // d) + c
                 room = budget - bf * ((x + bk) // bd) - bc
@@ -379,8 +366,6 @@ def _forward(m: Model, layers=None, tables=None) -> list[int] | None:
                     room = stay
                 if e > room:
                     continue
-                if record:
-                    out.append((nh, e - w, child))
                 poly = vec[:(room - e) // grain + 1]
                 e0, acc = nxt.setdefault(child, (e, poly))
                 if acc is poly:  # the child's first list
@@ -397,41 +382,57 @@ def _forward(m: Model, layers=None, tables=None) -> list[int] | None:
                 if n > len(acc) and poly:
                     acc += [0] * (n - len(acc))
                 acc[shift:n] = map(add, acc[shift:n], poly)
-            if record:
-                steps[code] = (w, junction, out)
-        if record:
-            layers.append(steps)
         reach = nxt
         x += 1
-    return None if record else counts
+    return counts, x
 
 
-def _walk_root(layers: list[dict], budget: int) -> tuple:
-    """The listing walk's first entry, from the recorded forward layers.  A
-    backward pass gives each state its least completion cost and its walk
-    node, (junction cost or None, [(nh, c, c + child's least cost, child
-    node)], higher step first, so the walk pops the lower one first).  Steps
-    and states with no completion within the budget are dropped.
+def _walk_root(m: Model, tables: dict, depth: int) -> tuple:
+    """The listing walk's first entry, from the step tables counting filled.
+    One backward pass over positions depth-1 down to 0, over the codes whose
+    height has the parity of start + x, gives each state its least
+    completion cost and its walk node, (junction cost or None, [(nh, c,
+    c + child's least cost, child node)], higher step first, so the walk
+    pops the lower one first).  Steps and states with no completion within
+    the budget are dropped, and a state whose height bound at its position
+    exceeds the budget is not looked at.
+
+    This is exact.  A state's least completion cost depends only on its
+    position and code; every state on a path within the budget was live in
+    counting, since no bound exceeds a real cost, so its code is in the
+    tables and its position below the depth; and so a code not in the
+    tables, or past the last position its bound leaves room at, has no
+    completion within the budget.
     """
+    budget, sides = m.budget, ([], [])
+    for code, (edge, moves) in tables.items():
+        h = ~code if code < 0 else code >> 2
+        f, k, d, c = m.bounds[h]  # past `last`, the bound of h leaves no room
+        last = depth if f == 0 else d * ((budget - c) // f + 1) - 1 - k
+        sides[(h - m.start) % 2].append((code, last, edge, moves[::-1]))
     below: dict = {}
-    for steps in reversed(layers):
+    for x in range(depth - 1, -1, -1):
         here = {}
-        for state, (w, junction, out) in steps.items():
-            room = budget - w
-            if junction is not None and junction > room:
-                junction = None
-            least = room + 1 if junction is None else junction
+        for code, last, edge, moves in sides[x % 2]:
+            if x > last:
+                continue
+            junction = None
+            if edge is not None and x % 2 == 0:
+                junction = edge[0] * ((x + edge[1]) // edge[2]) + edge[3]
+                if junction > budget:
+                    junction = None
+            least = budget + 1 if junction is None else junction
             kids = []
-            for nh, c, child in reversed(out):
+            for nh, child, _, f, k, d, c, _, _, _, _ in moves:
                 if child in below:
                     need, node = below[child]
+                    c = f * ((x + k) // d) + c
                     need += c
-                    if need <= room:
+                    if need <= budget:
                         kids.append((nh, c, need, node))
                         if need < least:
                             least = need
-            if least <= room:
-                here[state] = (least, (junction, kids))
+            if least <= budget:
+                here[code] = (least, (junction, kids))
         below = here
-    (code, (_, node)), = below.items()
-    return 0, ~code, 0, node  # the start's code is ~start
+    return 0, m.start, 0, below[~m.start][1]

@@ -17,8 +17,9 @@ scoring rule `_step` gives each vertex its label as an affine form in the
 position, and each height's bound is another, so the search's forward pass
 over states, with exact lower-bound pruning, counts the paths by weight
 without calling back per step, and raises if a state is still live past
-the hard horizon.  Listing the paths reruns that pass to build a walk that
-visits only prefixes of them.
+the hard horizon.  Listing the paths builds a walk that visits only
+prefixes of them from the step tables that pass filled, with no second
+search.
 """
 
 from __future__ import annotations

@@ -25,7 +25,9 @@ particle pairing as it was written before it took one pass, and
 hand, before `halfpath.theorem1_domain` bounded every map.
 `theorem1_label_reference` is the character label of a half-path space as
 a closed formula, as it was written before it was read off
-`halfpath.rsos_label`.  The program itself never needs them.
+`halfpath.rsos_label`.  `search_states` is the live states of the bounded
+search layer by layer, from a pass that carries no counts and reads the
+model's rules afresh at every state.  The program itself never needs them.
 """
 
 from bisect import bisect_left
@@ -465,3 +467,44 @@ def theorem1_label_reference(t2: int, a_hat: int, b_hat: int) -> CharacterLabel:
     if t2 % 2 == 0:
         return CharacterLabel(t2 // 2, t2 + 1, b_hat, 2 * a_hat)
     return CharacterLabel((t2 + 1) // 2, t2, a_hat, 2 * b_hat)
+
+
+def _at(form: tuple, x: int) -> int:
+    f, k, d, c = form
+    return f * ((x + k) // d) + c
+
+
+def search_states(m) -> list[dict]:
+    """The states `lattice.search` keeps live on the model m, one dict per
+    position, each live state's code (4h + 2 when entered from above + 1 in
+    a run, ~start at the start) mapped to its least reach cost, its
+    junction cost (None where it cannot end a path) and its surviving steps
+    (vertex cost, child code).  A step survives when its reach cost plus the
+    bound of its child, the larger of the child's height bound and, in a
+    run, `leave`, stays within the budget.
+    """
+    band = (m.b, m.b + 1)
+    layers, reach, x = [], {~m.start: (None, m.start, False, 0)}, 0
+    while reach:
+        layer, nxt = {}, {}
+        for code, (prev, h, run, w) in reach.items():
+            tail = (m.b + 1 if h == m.b else m.b) if h in band and not run else None
+            junction, steps = None, []
+            for nh in (h - 1, h + 1):
+                form = (0, 0, 1, 0) if prev is None else m.step(prev, h, nh)
+                if not m.lo <= nh <= m.hi or form is None:
+                    continue
+                if nh == tail and x % 2 == 0:
+                    junction = _at(form, x)
+                nrun = prev in band and h in band and nh in band
+                e = w + _at(form, x)
+                if e + max(_at(m.bounds[nh], x + 1), m.leave(x + 1) if nrun else 0) > m.budget:
+                    continue
+                child = 4 * nh + 2 * (nh < h) + nrun
+                steps.append((e - w, child))
+                if child not in nxt or e < nxt[child][3]:
+                    nxt[child] = (h, nh, nrun, e)
+            layer[code] = (w, junction, steps)
+        layers.append(layer)
+        reach, x = nxt, x + 1
+    return layers

@@ -164,23 +164,20 @@ def test_the_step_rule_is_read_once_per_state():
     # (prev, h, nh) at most twice, once per run flag
     for enumerate_paths, label in ((rsos.enumerate_paths, (5, 11, 8, 2)),
                                    (hp.enumerate_paths, (8, 2, 2))):
-        with mock.patch.object(lattice, "search", wraps=lattice.search) as search:
-            enumerate_paths(*label, 60)
-        model = search.call_args.args[0]
-        layers: list[dict] = []
-        lattice._forward(model, layers)
-        codes = set().union(*layers)
+        model = _model(enumerate_paths, *label, 60)
+        tables: dict = {}
+        _, depth = lattice._forward(model, tables)
         asked = Counter()
         step = lambda *vertex: asked.update([vertex]) or model.step(*vertex)
         counted = lattice.search(dataclasses.replace(model, step=step)).counts
         assert counted == enumerate_paths(*label, 60).counts
-        assert len(layers) > 60 and sum(asked.values()) <= 2 * len(codes), label
+        assert depth > 60 and sum(asked.values()) <= 2 * len(tables), label
         assert max(asked.values()) <= 2, label
 
 
 def test_listing_reuses_the_counting_step_tables():
-    # a path set's recording rerun reads each state's steps from the tables
-    # its counting pass filled: listing reads no state's steps again
+    # a path set's walk is built from the step tables its counting pass
+    # filled: listing reads no state's steps again
     for enumerate_paths, label in ((rsos.enumerate_paths, (5, 11, 8, 2)),
                                    (hp.enumerate_paths, (8, 2, 2))):
         with mock.patch.object(lattice, "_moves", wraps=lattice._moves) as moves:
@@ -189,6 +186,43 @@ def test_listing_reuses_the_counting_step_tables():
             assert len(list(paths)) == len(paths) > 100
         codes = [c.args[1] for c in moves.call_args_list]
         assert moves.call_count == counted == len(set(codes)), label
+
+
+def test_listing_runs_no_second_search():
+    # counting is the search's one forward pass: a path set listed twice
+    # builds its walk once, from the tables counting filled, and searches
+    # no more
+    for enumerate_paths, label in ((rsos.enumerate_paths, (5, 11, 8, 2)),
+                                   (hp.enumerate_paths, (8, 2, 2))):
+        with mock.patch.object(lattice, "_forward", wraps=lattice._forward) as forward, \
+                mock.patch.object(lattice, "_walk_root", wraps=lattice._walk_root) as walk:
+            paths = enumerate_paths(*label, 16)
+            listed = list(paths)
+            assert list(paths) == listed and len(listed) == len(paths) > 100
+        assert forward.call_count == walk.call_count == 1, label
+
+
+def _walked_prefixes(paths: lattice.PathSet) -> set[tuple[int, ...]]:
+    """The height prefixes a path set's walk visits, re-walked from a fresh
+    `_walk_root` with the walk's pruning.
+    """
+    _, h, w, node = lattice._walk_root(paths._model, paths._tables, paths._depth)
+    budget, seen, todo = len(paths.counts) - 1, set(), [((h,), w, node)]
+    while todo:
+        hs, w, (_, kids) = todo.pop()
+        seen.add(hs)
+        todo += [(hs + (nh,), w + c, kid) for nh, c, need, kid in kids if w + need <= budget]
+    return seen
+
+
+def test_the_walk_visits_only_prefixes_of_listed_paths():
+    # the walk's pruning is exact: it enters a prefix exactly when some
+    # listed path extends it, so listing costs follow the output
+    for paths in (rsos.enumerate_paths(5, 11, 8, 2, 12), hp.enumerate_paths(9, 4, 6, 12)):
+        stored = [dataclasses.astuple(path)[-1] for path in paths]
+        assert len(stored) == len(paths) > 50
+        prefixes = {hs[:i] for hs in stored for i in range(1, len(hs) + 1)}
+        assert _walked_prefixes(paths) == prefixes
 
 
 def test_search_leaves_no_garbage():
@@ -282,8 +316,8 @@ def test_counting_never_lists():
 
 
 def test_a_path_set_retains_only_its_counts():
-    # a counted path set keeps its counts and what a later listing needs to
-    # rerun the search, not the search's states
+    # a counted path set keeps its counts and what a later listing needs,
+    # the model and its step tables, not the search's states
     rsos.enumerate_paths(5, 11, 8, 2, 4)  # the memo of dark floors is filled
     tracemalloc.start()
     try:
@@ -326,14 +360,19 @@ def test_half_listing_matches_counting_at_depth(t2):
 # -- the search bounds --------------------------------------------------------
 
 
+def _model(enumerate_paths, *args) -> lattice.Model:
+    """The record a model hands to `lattice.search` for these arguments."""
+    with mock.patch.object(lattice, "search", wraps=lattice.search) as search:
+        enumerate_paths(*args)
+    return search.call_args.args[0]
+
+
 def _closures(enumerate_paths, *args):
     """The cost, future and leave functions of the record a model hands to
     `lattice.search`: its step rule and bounds, each form evaluated at a
     position as the search evaluates it, and its `leave`.
     """
-    with mock.patch.object(lattice, "search", wraps=lattice.search) as search:
-        enumerate_paths(*args)
-    model = search.call_args.args[0]
+    model = _model(enumerate_paths, *args)
     at = lambda form, x: form[0] * ((x + form[1]) // form[2]) + form[3]
     return (lambda x, prev, h, nh: at(model.step(prev, h, nh), x),
             lambda x, h: at(model.bounds[h], x), model.leave)
@@ -389,24 +428,27 @@ def test_half_bounds_are_admissible():
     assert max(weights) > 100
 
 
-def _useful_share(paths: lattice.PathSet) -> float:
-    """The share of the states the recorded forward pass keeps that have a
-    completion within the budget, by a backward pass of least completions.
+def _useful_share(enumerate_paths, *args) -> float:
+    """The share of the states the search keeps live that have a completion
+    within the budget, by a backward pass of least completions over the
+    states of a reference pass, which must be the ones counting meets.
     """
-    layers: list[dict] = []
-    paths._forward(layers)
-    budget = len(paths.counts) - 1
+    model = _model(enumerate_paths, *args)
+    layers = oracles.search_states(model)
+    tables: dict = {}
+    _, depth = lattice._forward(model, tables)
+    assert set().union(*layers) == set(tables) and len(layers) == depth, args
     least: dict = {}  # the least completion cost of each state of the layer below
     useful = total = 0
     for steps in reversed(layers):
         here = {}
         for state, (w, junction, out) in steps.items():
-            ends = [c + least[child] for _, c, child in out if child in least]
+            ends = [c + least[child] for c, child in out if child in least]
             if junction is not None:
                 ends.append(junction)
             if ends:
                 here[state] = min(ends)
-                useful += w + here[state] <= budget
+                useful += w + here[state] <= model.budget
         total += len(steps)
         least = here
     return useful / total
@@ -418,10 +460,10 @@ def test_the_search_keeps_few_states_without_a_completion(order):
     # so nearly all live states can still finish within the budget, and on
     # these half-path labels every one can
     for label in ((5, 11, 8, 2), (6, 13, 3, 10), (4, 9, 8, 6), (3, 7, 4, 4)):
-        share = _useful_share(rsos.enumerate_paths(*label, order))
+        share = _useful_share(rsos.enumerate_paths, *label, order)
         assert share >= 0.85, (label, share)
     for label in ((8, 2, 2), (12, 2, 2), (7, 6, 2)):
-        assert _useful_share(hp.enumerate_paths(*label, order)) == 1, label
+        assert _useful_share(hp.enumerate_paths, *label, order) == 1, label
 
 
 def _memo_uses(path: Path) -> list[str]:
