@@ -47,10 +47,12 @@ odd valley, end in the band) fails that scan, the output's included.
 An inverse map's checks that its input lies in the image (the peaks left
 after unstacking, the recovered labels, the reinsertion) are stage checks
 too: every path of a Theorem-1 label lies in its map's image, so no valid
-input fails one.  Each raises `lattice.InvariantError`, an
-`AssertionError` raised explicitly (so under `python -O` too), which
-names the map, the stage and the offending path line, so a violation
-surfaces at the stage that caused it rather than as a bad round trip.
+input fails one.  A forward map's check that its input's particle (or
+pair) labels form a partition is no stage's: it raises on the input's own
+line.  Each raises `lattice.InvariantError`, an `AssertionError` raised
+explicitly (so under `python -O` too), which names the map, the stage and
+the offending path line, so a violation surfaces at the stage that caused
+it rather than as a bad round trip.
 """
 
 from __future__ import annotations
@@ -92,13 +94,6 @@ class _Stage:
             self.scan = cls._scan_frame(label, self.seq)
         except (lattice.InvalidPathError, InvariantError) as exc:
             self.check(False, str(exc))
-
-    @classmethod
-    def of(cls, name: str, path) -> _Stage:
-        """A path already built, as a stage named `name` for its checks."""
-        stage = cls.__new__(cls)
-        stage.name, stage._path = name, path
-        return stage
 
     @property
     def horizon(self) -> int:
@@ -299,8 +294,9 @@ def bij1_forward(path: RsosPath) -> tuple[HalfPath, Bij1Trace]:
 
     # of the vertices 1..x1-1, x1 - 1 - rank(x1) are non-scoring
     lam = tuple([x1 - 1 - bisect_left(scoring, x1) for x1, _ in reversed(particles)])
-    _Stage.of("bij1_forward particles", path).check(
-        _is_partition(lam), "particle labels must form a partition")
+    if not _is_partition(lam):
+        raise InvariantError("bij1_forward particles", "particle labels must form a partition",
+                             path.to_line())
 
     h_cut = _Stage("bij1_forward cut", RsosPath, label, _remove_pairs(path, particles))
     w_cut, cut_scoring, _ = h_cut.scan
@@ -360,8 +356,9 @@ def bij2_forward(path: RsosPath) -> tuple[HalfPath, Bij2Trace]:
     k = len(scoring)
     pairs = _pair_runs(_gaps(scoring, scoring[-1] if scoring else 0))
     lam = tuple([k - bisect_right(scoring, x2) for _, x2 in pairs])  # scoring after x2
-    _Stage.of("bij2_forward pairs", path).check(
-        _is_partition(lam, 1), "pair labels must form a partition of positive parts")
+    if not _is_partition(lam, 1):
+        raise InvariantError("bij2_forward pairs",
+                             "pair labels must form a partition of positive parts", path.to_line())
     n = len(lam)
 
     h_cut = _Stage("bij2_forward cut", RsosPath, label, _remove_pairs(path, pairs))

@@ -21,8 +21,8 @@ level stopping at that vector's n_c.  The closed-form sums for M(2,5),
 M(3,7) and M(4,7) share one row walk, `_row_walk`, which builds each
 term from its neighbour in the same way, a few passes per term.
 `bosonic_character` divides the alternating sum by (q)_oo in place with
-one pentagonal pass (`qseries._divide_poch_inf`).  Neither walk takes a
-frame per charge: `occupation_vectors` is one loop, and the fermionic walk
+one pentagonal pass (`qseries._divide_poch_inf`).  `occupation_vectors`
+is a plain fill, one nested generator per charge, and the fermionic walk
 keeps one dict of merged states per level.  Both visit only the charges
 whose lone particle fits within the order, about sqrt(2N) of them whatever
 T is.
@@ -151,36 +151,28 @@ def occupation_vectors(t2: int, order: int):
     """Every occupation vector n (counts of doubled charges 2..T-2) whose
     exponent e = n.B.n/2 is at most order, as (n, e), in lexicographic order.
 
-    One odometer loop: the next vector adds a particle at the last position
-    that stays within order and empties the positions after it.  A prefix
-    over order stays over, since B >= 0 entrywise.  Positions past
-    `_top_charge` stay empty and are never scanned.
+    A plain fill of the charges 2..`_top_charge` in turn, each count from 0
+    up while the exponent of the prefix stays within order: a prefix over
+    order stays over, since B >= 0 entrywise.  Each level carries the
+    prefix's exponent and its tilt, sum (c - 1) n_c, since one more particle
+    of charge c adds c(c-1)/2 (2 n_c + 1) on its own and c times the tilt
+    of the charges below it (B_ic = (i - 1) c for i < c).  The charges past
+    the top stay empty; the fill is top - 1 levels deep, about sqrt(2N).
     """
     top = _top_charge(t2, order)
-    if order < 0:
-        return
-    live = top - 1  # positions 0..live-1 hold charges 2..top
     zeros = (0,) * (t2 - 2 - top)
-    vec = [0] * live
-    # expo2[p] = n.B.n over vec[:p]; tilt[p] = sum_{i<p} (c_i - 1) n_i, so a
-    # particle of charge c adds its cross terms with the prefix as 2 c tilt[p]
-    expo2 = [0] * (live + 1)
-    tilt = [0] * (live + 1)
-    while True:
-        yield tuple(vec) + zeros, expo2[live] // 2
-        p = live - 1
-        while p >= 0:
-            c, k = p + 2, vec[p]
-            step = expo2[p + 1] + c * (c - 1) * (2 * k + 1) + 2 * c * tilt[p]
-            if step <= 2 * order:
-                break
-            vec[p] = 0
-            p -= 1
-        else:
+
+    def fill(c: int, vec: tuple[int, ...], e: int, tilt: int):
+        if c > top:
+            yield vec + zeros, e
             return
-        vec[p] = k + 1
-        expo2[p + 1:] = [step] * (live - p)
-        tilt[p + 1:] = [tilt[p] + (c - 1) * (k + 1)] * (live - p)
+        n = 0
+        while e <= order:
+            yield from fill(c + 1, vec + (n,), e, tilt + (c - 1) * n)
+            e += c * (c - 1) // 2 * (2 * n + 1) + c * tilt
+            n += 1
+
+    yield from fill(2, (), 0, 0)
 
 
 def _check_order(order: int) -> None:

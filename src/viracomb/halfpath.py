@@ -65,10 +65,12 @@ class HalfPath(lattice.Path):
         return len(self.doubled) - 1
 
     def height(self, i: int) -> int:
-        """Doubled height at doubled position i >= -1 (tail continues)."""
+        """Doubled height at doubled position i >= -1: a stored height up to
+        the horizon, the tail continued by `padded` past it.
+        """
         if i < -1:
             raise IndexError("doubled positions start at -1")
-        return self.a2 + 1 if i == -1 else self.padded(i)[i]
+        return self.a2 + 1 if i == -1 else (self.padded(i) if i > self.horizon else self.doubled)[i]
 
     def padded(self, upto: int) -> list[int]:
         """Doubled heights at positions 0..upto, continuing the tail."""

@@ -164,10 +164,11 @@ class Path:
 
     @classmethod
     def _of(cls, label: Sequence[int], hs: list[int]):
-        """The path of a label on whole-number heights, framed once."""
-        if not hs:
-            return cls(*label, ())  # its read refuses it, after the label checks
-        seq = frame(hs, label[-1])
+        """The path of a label on whole-number heights, framed once; no
+        heights frame to nothing, which the read refuses after the label
+        checks.
+        """
+        seq = frame(hs, label[-1]) if hs else []
         stored = tuple(seq[:-1])
         path = cls._framed(label, stored)
         path._read(label, stored, seq)

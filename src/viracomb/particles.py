@@ -165,12 +165,23 @@ def _dissect(path: HalfPath) -> tuple[tuple[Particle, ...], tuple[int, ...]]:
     return tuple(parts), tuple(sector)
 
 
-def minimal_path(t2: int, sector: tuple[int, ...]) -> HalfPath:
-    """Triangles of decreasing charge flush against the left wall."""
+def _sector(t2: int, sector: tuple[int, ...]) -> tuple[int, ...]:
+    """The sector as a tuple, refused unless it is one of T: T = 2t >= 4
+    first, then its length T - 3, then its counts, each nonnegative.
+    """
+    sector = tuple(sector)
+    if t2 < 4:
+        raise ValueError(f"need T = 2t >= 4, got {t2}")
     if len(sector) != t2 - 3:
         raise ValueError(f"sector must have length {t2 - 3}, got {len(sector)}")
     if any(x < 0 for x in sector):
-        raise ValueError("occupation numbers must be nonnegative")
+        raise ValueError(f"occupation numbers must be nonnegative, got sector {sector}")
+    return sector
+
+
+def minimal_path(t2: int, sector: tuple[int, ...]) -> HalfPath:
+    """Triangles of decreasing charge flush against the left wall."""
+    sector = _sector(t2, sector)
     hs = [2]
     for charge2 in range(t2 - 2, 1, -1):
         for _ in range(sector[charge2 - 2]):
@@ -178,38 +189,32 @@ def minimal_path(t2: int, sector: tuple[int, ...]) -> HalfPath:
             hs.extend(range(charge2 + 1, 1, -1))      # descend back to 2
     out = HalfPath.of(t2, 2, 2, hs)
     check = dissect(out)
-    if check.sector != tuple(sector):
-        raise InvariantError("minimal_path", f"it dissects to {check.sector}, expected "
-                             f"{tuple(sector)}", out.to_line())
+    if check.sector != sector:
+        raise InvariantError("minimal_path", f"it dissects to {check.sector}, expected {sector}",
+                             out.to_line())
     return out
 
 
 def minimal_weight(t2: int, sector: tuple[int, ...]) -> int:
     """Half the value of the occupation vector under the charge form."""
-    if len(sector) != t2 - 3:
-        raise ValueError(f"sector must have length {t2 - 3}, got {len(sector)}")
-    bmat = b_matrix(t2)
-    total = 0
-    for i, ni in enumerate(sector):
-        for j, nj in enumerate(sector):
-            total += ni * bmat[i][j] * nj
+    sector = _sector(t2, sector)
+    total = sum(ni * bij * nj for ni, row in zip(sector, b_matrix(t2))
+                for bij, nj in zip(row, sector))
     if total % 2:
         raise InvariantError("minimal_weight", f"charge form {total} is odd",
-                             f"sector {tuple(sector)} of T={t2}")
+                             f"sector {sector} of T={t2}")
     return total // 2
 
 
 def sector_gf(t2: int, sector: tuple[int, ...], order: int) -> QSeries:
     """Weight generating function of one sector: its fermionic term shifted
     by the minimal weight, which is the fermionic walk over that one
-    occupation vector (`characters._walk`).
+    occupation vector (`characters._walk`).  `minimal_weight` refuses a
+    sector that is not one of T.
     """
-    sector = tuple(sector)
-    if any(x < 0 for x in sector):
-        raise ValueError(f"occupation numbers must be nonnegative, got sector {sector}")
     if minimal_weight(t2, sector) > order:
         return QSeries.zero(order)
-    return _walk(t2, order, sector)
+    return _walk(t2, order, tuple(sector))
 
 
 # -- particle moves -----------------------------------------------------------

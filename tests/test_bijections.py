@@ -387,6 +387,33 @@ def test_unstacking_that_lowers_nothing_is_refused(name, half, kind):
     assert err.line.startswith(f"half T={half[0]} ")
 
 
+def test_both_inverses_lower_the_stored_peaks_of_t_parity():
+    # on every half path of the Theorem-1 labels with T = 4..9 to weight 12,
+    # each inverse map's lowered stage is its input with the pair (j, j+1)
+    # deleted at every stored peak j of T's parity: accretions and raised
+    # peaks alike for p' = 2p-1.  So both maps unstack the same peaks; only
+    # bij2_inverse's numbering of its accretions tells them apart.
+    real, stages = bijections._lower_peaks, []
+
+    def spy(*args):
+        out = real(*args)
+        stages.append(out[1])
+        return out
+
+    checked = 0
+    with mock.patch.object(bijections, "_lower_peaks", spy):
+        for t2, a2, b2 in hp.theorem1_labels(4, 9):
+            for path in hp.enumerate_paths(t2, a2, b2, 12):
+                stages.clear()
+                inverse(path)
+                seq = path.padded(path.horizon + 1)
+                peaks = [j for j in path._scan[2] if seq[j] % 2 == t2 % 2]
+                want = lattice.frame(bijections._delete_pairs(seq, peaks), b2)
+                assert [stage.seq for stage in stages] == [want], path.to_line()
+                checked += 1
+    assert checked == 8281
+
+
 # -- seeded long paths, far beyond the exhaustive weight-12 window -------------
 
 

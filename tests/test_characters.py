@@ -355,16 +355,16 @@ def test_closed_forms_step_from_neighbours(monkeypatch):
 
 
 def test_occupation_vectors_match_brute_force():
-    # every vector in a box, filtered by its exponent, in lexicographic order
+    # every vector in a box, filtered by its exponent, in lexicographic order,
+    # at every order up to 14, so the cut is checked at each of its boundaries
     for t2 in range(4, 10):
-        bmat, order = b_matrix(t2), 14
+        bmat = b_matrix(t2)
         box = itertools.product(range(5), repeat=t2 - 3)  # n_c^2 <= e for every c
-        expect = []
-        for n in box:
-            e2 = sum(n[i] * bmat[i][j] * n[j] for i in range(t2 - 3) for j in range(t2 - 3))
-            if e2 <= 2 * order:
-                expect.append((n, e2 // 2))
-        assert list(occupation_vectors(t2, order)) == expect, t2
+        exps = [(n, sum(n[i] * bmat[i][j] * n[j] for i in range(t2 - 3)
+                        for j in range(t2 - 3)) // 2) for n in box]
+        for order in range(15):
+            expect = [(n, e) for n, e in exps if e <= order]
+            assert list(occupation_vectors(t2, order)) == expect, (t2, order)
     assert list(occupation_vectors(6, -1)) == []
 
 

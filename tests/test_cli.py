@@ -420,6 +420,16 @@ def test_sector_gf_negative_occupation_exit_2(capsys):
     assert err.startswith("error:") and "(1, -1, 1, 0, 0)" in err
 
 
+def test_sector_gf_refuses_small_t2_before_the_sector_length(capsys):
+    # T < 4 has no sector at all, so it is refused as `character fermionic`
+    # refuses it, not as a sector of the wrong length
+    for n in ("1", "-1"):
+        code, out, err = run(capsys, ["sector-gf", "--t2", "3", "--n", n, "--order", "5"])
+        assert (code, out, err) == (2, "", "error: need T = 2t >= 4, got 3\n")
+    code, out, err = run(capsys, ["character", "fermionic", "--t2", "3", "--order", "5"])
+    assert (code, out, err) == (2, "", "error: need T = 2t >= 4, got 3\n")
+
+
 def test_verify_products_json(capsys):
     code, out, _ = run(capsys, ["verify", "products", "--order", "12",
                                 "--workers", "1"])

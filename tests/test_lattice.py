@@ -103,10 +103,14 @@ def test_a_frame_is_framed_as_it_is():
 
 def test_half_heights_continue_the_tail_from_padded():
     # `height` reads the one tail rule, `padded`, past the horizon, H(-1) = A + 1
-    # before the start, and nothing further left
+    # before the start, and nothing further left; up to the horizon it reads
+    # the stored heights, so walking a path by `height` costs O(L), not O(L^2)
     for path in (HalfPath.of(*HALF_10), HalfPath.of(8, 6, 2, [6, 5, 4, 3, 2])):
         assert [path.height(i) for i in range(path.horizon + 18)] == \
             [path.padded(i)[i] for i in range(path.horizon + 18)]
+        with mock.patch.object(lattice, "padded", wraps=lattice.padded) as tail:
+            assert [path.height(i) for i in range(path.horizon + 1)] == list(path.doubled)
+        assert tail.call_count == 0
         assert path.height(-1) == path.a2 + 1
         with pytest.raises(IndexError, match="doubled positions start at -1"):
             path.height(-2)
