@@ -209,9 +209,9 @@ def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.PathS
       band: the first step after i from each of them towards the band is
       straight and entered from outside the band: B+1..h-1 above it,
       h+1..B below it, at distinct positions after i.
-    * `leave(i)`: a run leaves the band at some j >= i, on a straight
-      vertex, and later enters it for good on another straight vertex, at
-      j + 2 or later, so the two cost at least 2i + 2.
+    * `leave`, 2i + 2: a run leaves the band at some j >= i, on a
+      straight vertex, and later enters it for good on another straight
+      vertex, at j + 2 or later, so the two cost at least 2i + 2.
     """
     if not theorem1_domain(t2, a2, b2):
         raise InvalidHalfPathError(
@@ -229,10 +229,10 @@ def enumerate_paths(t2: int, a2: int, b2: int, max_weight: int) -> lattice.PathS
     return lattice.search(lattice.Model(
         a2, b2, 2, t2, 4 * max_weight + gs_q, 4 * max_weight + 2 * abs(a2 - b2) + 8,
         f"(T,A,B)=({t2},{a2},{b2})", _step, bounds,
-        # the exit vertex j >= i runs straight out of the band from inside
-        # it; the final entry vertex, at j + 2 or later, runs straight on
-        # into the band, where the path then stays
-        lambda i: 2 * i + 2, 4, partial(HalfPath, t2, a2, b2)))
+        # 2i + 2: the exit vertex j >= i runs straight out of the band from
+        # inside it; the final entry vertex, at j + 2 or later, runs
+        # straight on into the band, where the path then stays
+        (2, 0, 1, 2), 4, partial(HalfPath, t2, a2, b2)))
 
 
 def _step(prev: int, h: int, nxt: int) -> tuple[int, ...] | None:

@@ -8,10 +8,13 @@ the one statement of canonical storage, which returns a list that is
 already its own frame as it is), tail continuation (`padded`, the one tail
 rule), the peaks of raw heights (`turns`), how a path is built and read
 (`Path`), and one bounded path search.  Each model states a search as one
-frozen record per label, `Model`: its costs and bounds are affine forms in
-the position, data the search reads once per state and evaluates inline,
-so counting calls no model function per step.  Counting is the search's one
-forward pass; listing walks back over the step tables it filled.
+frozen record per label, `Model`: its costs, its bounds and its `leave`
+bound of a run are affine forms in the position, data the search reads
+once per state or layer and evaluates inline, so counting calls no model
+function per step.  Counting is the search's one forward pass, and a count
+list, once made, is never edited: a step hands on its parent's list
+itself when it keeps all of it.  Listing walks back over the step tables
+the pass filled.
 
 A path is read when it is built.  `Path` is the base of both models'
 frozen dataclasses, whose fields, the label's and then the stored heights,
@@ -251,10 +254,13 @@ class Model:
       height h at position x still adds, the vertex at x included (a list:
       a tuple built from a generator is resized, and the tuple free lists
       of a long-lived process then grow by one per search);
-    * `leave(x)`: a lower bound on the cost of leaving the tail band at any
-      position >= x and coming back: what any completion still adds from
-      position x on when the heights at x-2, x-1 and x all lie in the band
-      (a run, which must leave the band before it can end).
+    * `leave`: the form of a lower bound on the cost of leaving the tail
+      band at any position >= x and coming back: what any completion still
+      adds from position x on when the heights at x-2, x-1 and x all lie in
+      the band (a run, which must leave the band before it can end).
+
+    So the record is all data but `step`, which the search asks once per
+    state, and `build`; it evaluates `leave` inline once per layer.
 
     Every cost of a path lies on one residue class mod `grain`, the same
     for all prefixes that meet in a state, so the search keeps a count of
@@ -271,7 +277,7 @@ class Model:
     what: str
     step: Callable
     bounds: list
-    leave: Callable
+    leave: tuple
     grain: int = 1
     build: Callable = tuple
 
@@ -292,18 +298,21 @@ def search(model: Model) -> PathSet:
     1984).  Each live state carries its least reach cost w and a list whose
     k-th entry counts the prefixes that reach it at cost w + grain * k, cut
     at its room: the budget less the larger of the bounds that apply to it.
-    A step shifts the list by its vertex cost, and lists that meet in one
-    state add; a junction state adds its list, shifted by the junction cost,
-    into the result at stride grain.  Steps are pruned by the budget and both
-    bounds.  A bound may never exceed what a completion really costs, or
-    paths go missing; below that, the tighter it is, the fewer states carry
-    counts of prefixes that cannot finish within the budget, so the models'
-    bounds count every costed vertex a completion is forced to pass, not
-    just one.  The hard horizon only guards against a search that never ends:
-    a state still live past it raises, so a result is exactly what an
-    unbounded search would return.  Counting is the one forward pass: the
-    path set keeps its step tables and depth, and nothing for listing is
-    built until it is first iterated.
+    A step shifts the list by its vertex cost, which moves w and leaves the
+    list as it is, so a step whose room keeps the whole list hands on the
+    list itself, shared with its parent and siblings, and only a cut copies.
+    No list is edited once it is made: lists that meet in one state add into
+    a new list.  A junction state adds its list, shifted by the junction
+    cost, into the result at stride grain.  Steps are pruned by the budget
+    and both bounds.  A bound may never exceed what a completion really
+    costs, or paths go missing; below that, the tighter it is, the fewer
+    states carry counts of prefixes that cannot finish within the budget,
+    so the models' bounds count every costed vertex a completion is forced
+    to pass, not just one.  The hard horizon only guards against a search
+    that never ends: a state still live past it raises, so a result is
+    exactly what an unbounded search would return.  Counting is the one
+    forward pass: the path set keeps its step tables and depth, and nothing
+    for listing is built until it is first iterated.
     """
     tables: dict = {}  # the steps of each state code, read again by listing
     counts, depth = _forward(model, tables)
@@ -313,9 +322,11 @@ def search(model: Model) -> PathSet:
 def _moves(m: Model, code: int) -> tuple:
     """The junction form (None where the state cannot end a path) and the
     steps of the state with this code, read from the model's rules once
-    per search: (nh, child code, child run, cost form, bound form of nh one
-    position on).  A state's code is 4h + 2 (entered from above) + run; the
-    start's is ~start, and its vertex costs nothing.
+    per search: (child code, child run, cost form, bound form of the
+    child's height one position on), the fields counting reads and no
+    other; the child's height is its code >> 2.  A state's code is 4h + 2
+    (entered from above) + run; the start's is ~start, and its vertex costs
+    nothing.
     """
     band = (m.b, m.b + 1)
     h, run = (~code, 0) if code < 0 else (code >> 2, code & 1)
@@ -332,7 +343,7 @@ def _moves(m: Model, code: int) -> tuple:
             if form is not None:
                 nrun = prev in band and h in band and nh in band
                 f, k, d, c = m.bounds[nh]
-                moves.append((nh, 4 * nh + 2 * (nh < h) + nrun, nrun, *form, f, k + 1, d, c))
+                moves.append((4 * nh + 2 * (nh < h) + nrun, nrun, *form, f, k + 1, d, c))
     return edge, moves
 
 
@@ -342,9 +353,13 @@ def _forward(m: Model, tables: dict) -> tuple[list[int], int]:
     from the model once, on its first visit, into `tables` (state code: its
     junction form and moves), and each step evaluates their forms inline;
     listing reads the same tables, so a search reads each state's moves once.
+    No count list is edited once it is made: a step whose room keeps the
+    whole list hands on the list itself, which its parent and its siblings
+    may share, and lists that meet add into a new one.
     """
     budget, grain = m.budget, m.grain
     counts = [0] * (budget + 1)
+    lf, lk, ld, lc = m.leave
     reach = {~m.start: (0, [1])}  # state code: (least reach cost, counts)
     x = 0
     while reach:
@@ -352,7 +367,7 @@ def _forward(m: Model, tables: dict) -> tuple[list[int], int]:
             raise InvariantError("search", "enumeration did not stabilize: a step is still "
                                  f"live at horizon {m.horizon}", m.what)
         nxt = {}
-        stay = budget - m.leave(x + 1)  # the room of a state in a run
+        stay = budget - lf * ((x + 1 + lk) // ld) - lc  # the room of a state in a run
         for code, (w, vec) in reach.items():
             edge, moves = tables.get(code) or tables.setdefault(code, _moves(m, code))
             if edge is not None and x % 2 == 0:
@@ -360,29 +375,31 @@ def _forward(m: Model, tables: dict) -> tuple[list[int], int]:
                 if s <= budget:
                     n = min(len(vec), (budget - s) // grain + 1)
                     counts[s:s + grain * n:grain] = map(add, counts[s::grain], vec)
-            for nh, child, run, f, k, d, c, bf, bk, bd, bc in moves:
+            span = grain * (len(vec) - 1)  # from the list's first cost to its last
+            for child, run, f, k, d, c, bf, bk, bd, bc in moves:
                 e = w + f * ((x + k) // d) + c
                 room = budget - bf * ((x + bk) // bd) - bc
                 if run and stay < room:
                     room = stay
                 if e > room:
                     continue
-                poly = vec[:(room - e) // grain + 1]
-                e0, acc = nxt.setdefault(child, (e, poly))
-                if acc is poly:  # the child's first list
+                poly = vec if e + span <= room else vec[:(room - e) // grain + 1]
+                entry = (e, poly)
+                got = nxt.setdefault(child, entry)
+                if got is entry:  # the child's first list
                     continue
                 # lists that meet are aligned by their offsets and added
+                e0, acc = got
                 if e < e0:
-                    nxt[child] = (e, poly)
                     e0, acc, e, poly = e, poly, e0, acc
                 shift, off = divmod(e - e0, grain)
                 if off:
                     raise InvariantError("search", f"costs {e0} and {e} meet in one state off "
                                          f"the grain {grain}", m.what)
                 n = shift + len(poly)
-                if n > len(acc) and poly:
-                    acc += [0] * (n - len(acc))
+                acc = acc + [0] * (n - len(acc))  # a new list, never the one it adds
                 acc[shift:n] = map(add, acc[shift:n], poly)
+                nxt[child] = (e0, acc)
         reach = nxt
         x += 1
     return counts, x
@@ -424,13 +441,13 @@ def _walk_root(m: Model, tables: dict, depth: int) -> tuple:
                     junction = None
             least = budget + 1 if junction is None else junction
             kids = []
-            for nh, child, _, f, k, d, c, _, _, _, _ in moves:
+            for child, _, f, k, d, c, _, _, _, _ in moves:
                 if child in below:
                     need, node = below[child]
                     c = f * ((x + k) // d) + c
                     need += c
                     if need <= budget:
-                        kids.append((nh, c, need, node))
+                        kids.append((child >> 2, c, need, node))
                         if need < least:
                             least = need
             if least <= budget:

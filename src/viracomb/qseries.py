@@ -20,7 +20,8 @@ pentagonal recurrence, O(N^1.5), so a numerator is divided directly rather
 than built into 1/(q)_oo first and then multiplied by it.  The term lists
 of the fermionic walk, which carry an exponent offset, are added by one
 merge, `_merge`; the path search merges its count lists inline, on its
-grain.
+grain, each merge into a new list, since a list it hands on whole may be
+shared by several states and is never edited.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate
 from math import gcd
 from operator import index
 
@@ -188,12 +189,20 @@ def enumerate_paths(
       x across [y, y+1] towards the band is straight over that dark band,
       so it scores, and is entered from outside the tail band, so it comes
       before the horizon.
-    * `leave(x)`: a run leaves the band at some j >= x and later enters it
+    * `leave`: a run leaves the band at some j >= x and later enters it
       for good.  The first step back across the tail band is straight over
       it, at j + 2 or later.  Before it, the climb (or descent) from j to
       its first turn scores at least once: the band just inside the turn
       scores on the turn when light, on the straight vertex before it when
-      dark.
+      dark.  With s = b - a, an exit up so costs at least
+      (x + s + 4)//2 + (x - s)//2 and an exit down (x - s + 3)//2 +
+      (x + s + 1)//2.  Each adds two halves whose numerators share a
+      parity, so it is x + 2 when x + s is even (up) or odd (down), and
+      x + 1 otherwise: the up exit alone is the form 2 * ((x + s)//2) +
+      2 - s, the down exit alone 2 * ((x + s + 1)//2) + 1 - s, and with
+      both open the lesser of the two is x + 1 at every x.  A band with
+      neither exit inside the strip (p' = 3) lets no run end, and the bound
+      max_weight + 1 prunes every run.
 
     The result is complete: the search raises if any state is still live
     past its hard horizon, 2 * max_weight + |a - b| + 2p'.  Iterating the
@@ -218,7 +227,9 @@ def enumerate_paths(
     # so it comes at or before the horizon and is costed.  Below it (h < b)
     # they are h+1 <= y <= b, each crossed first by a straight step up from
     # y entered from y-1.
-    forced = [sum(b <= y <= h - 2 or h < y <= b for y in dark) for h in range(top + 1)]
+    below = [0, *accumulate(y in dark for y in range(top + 1))]  # dark floors under y
+    forced = [below[h - 1] - below[b] if h > b else below[b + 1] - below[h + 1]
+              for h in range(top + 1)]
     # a forced vertex x' > x at height h' lies at least |h - h'| steps on,
     # so its label, v = (x' + h' - a)/2 above the band or u = (x' - h' +
     # a)/2 below it, is at least (x + h - a)/2 or (x - h + a)/2; forced[h]
@@ -236,11 +247,14 @@ def enumerate_paths(
     # entered by an up step on one diagonal, so u = (j - b - 1 + a)/2 >=
     # (x - b - 1 + a)/2.  Out below is the mirror image.  All of them lie
     # before the horizon, since the path has not yet entered the band for
-    # good.
-    def leave(x: int) -> int:
-        opts = [(x + b + 4 - a) // 2 + (x - b + a) // 2] if b + 2 <= top else []
-        opts += [(x + a - b + 3) // 2 + (x + b - a + 1) // 2] if b >= 2 else []
-        return min(opts, default=max_weight + 1)
+    # good.  Labels are whole, so an exit up costs at least
+    # (x + b + 4 - a)//2 + (x - b + a)//2, and one down, by the mirror
+    # image, (x + a - b + 3)//2 + (x + b - a + 1)//2; the lesser exit open
+    # in the strip, in the closed form the docstring derives:
+    s = b - a
+    up, down = b + 2 <= top, b >= 2
+    leave = ((1, 0, 1, 1) if up and down else (2, s, 2, 2 - s) if up
+             else (2, s + 1, 2, 1 - s) if down else (0, 0, 1, max_weight + 1))
 
     return lattice.search(lattice.Model(
         a, b, 1, top, max_weight, 2 * max_weight + abs(a - b) + 2 * p_prime,

@@ -27,7 +27,9 @@ hand, before `halfpath.theorem1_domain` bounded every map.
 a closed formula, as it was written before it was read off
 `halfpath.rsos_label`.  `search_states` is the live states of the bounded
 search layer by layer, from a pass that carries no counts and reads the
-model's rules afresh at every state.  The program itself never needs them.
+model's rules afresh at every state, and `rsos_leave` the RSOS search's
+bound of a run as it was written before its closed form, the lesser of
+the two exits from the tail band.  The program itself never needs them.
 """
 
 from bisect import bisect_left
@@ -469,6 +471,17 @@ def theorem1_label_reference(t2: int, a_hat: int, b_hat: int) -> CharacterLabel:
     return CharacterLabel((t2 + 1) // 2, t2, a_hat, 2 * b_hat)
 
 
+def rsos_leave(p_prime: int, a: int, b: int, max_weight: int, x: int) -> int:
+    """The least cost of leaving the tail band of an RSOS label at position
+    x or later and coming back: the lesser of the exit up, open when the
+    band b+2 lies in the strip, and the exit down, open when b >= 2, or
+    max_weight + 1, which prunes every run, when neither is open.
+    """
+    opts = [(x + b + 4 - a) // 2 + (x - b + a) // 2] if b + 2 <= p_prime - 1 else []
+    opts += [(x + a - b + 3) // 2 + (x + b - a + 1) // 2] if b >= 2 else []
+    return min(opts, default=max_weight + 1)
+
+
 def _at(form: tuple, x: int) -> int:
     f, k, d, c = form
     return f * ((x + k) // d) + c
@@ -498,7 +511,7 @@ def search_states(m) -> list[dict]:
                     junction = _at(form, x)
                 nrun = prev in band and h in band and nh in band
                 e = w + _at(form, x)
-                if e + max(_at(m.bounds[nh], x + 1), m.leave(x + 1) if nrun else 0) > m.budget:
+                if e + max(_at(m.bounds[nh], x + 1), _at(m.leave, x + 1) if nrun else 0) > m.budget:
                     continue
                 child = 4 * nh + 2 * (nh < h) + nrun
                 steps.append((e - w, child))

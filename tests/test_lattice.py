@@ -131,7 +131,7 @@ def _free_walk(start: int, top: int, what: str) -> lattice.Model:
     costs nothing.
     """
     return lattice.Model(start, 2, 1, top, 0, 4, what, lambda *vertex: lattice.FREE,
-                         [lattice.FREE] * (top + 1), lambda x: 0)
+                         [lattice.FREE] * (top + 1), lattice.FREE)
 
 
 def test_search_demands_a_stable_horizon():
@@ -160,6 +160,37 @@ def test_an_off_grain_cost_raises():
     with pytest.raises(lattice.InvariantError,
                        match="^search: costs .* off the grain 2: an odd walk$"):
         lattice.search(dataclasses.replace(odd, grain=2))
+
+
+def test_a_shared_list_is_never_edited():
+    # a peak costs one and every other vertex nothing, so prefixes of one
+    # length reach a state at several costs and its list has several
+    # entries.  From position 3 on, states hand their whole list, no copy,
+    # to both their children, and each child then adds it to the list of
+    # another parent: a merge that edited a list in place would change its
+    # sibling's counts.  The counts must be those of a brute-force listing
+    # of every walk, the peaks counted on the heights alone
+    peak = lambda prev, h, nh: (0, 0, 1, 1) if prev == nh < h else lattice.FREE
+    model = lattice.Model(3, 2, 1, 5, 3, 60, "a peak walk", peak, [lattice.FREE] * 6,
+                          lattice.FREE)
+    counts, listed, todo = [0] * 4, [], [(3,)]
+    while todo:
+        hs = todo.pop()
+        peaks = sum(before == after < h for before, h, after in zip(hs, hs[1:], hs[2:]))
+        if peaks > 3:
+            continue
+        x = len(hs) - 1
+        # canonical at an even x in the band {2, 3}, unless it was in the
+        # band from x - 2 on; the junction is costed against the tail
+        if x % 2 == 0 and hs[-1] in (2, 3) and not (x and {hs[-3], hs[-2]} <= {2, 3}):
+            cost = peaks + (x > 0 and hs[-2] == 5 - hs[-1] < hs[-1])
+            if cost <= 3:
+                counts[cost] += 1
+                listed.append(hs)
+        todo += [hs + (nh,) for nh in (hs[-1] - 1, hs[-1] + 1) if 1 <= nh <= 5]
+    paths = lattice.search(model)
+    assert paths.counts == counts and sum(counts) > 500
+    assert list(paths) == sorted(listed)
 
 
 def test_the_step_rule_is_read_once_per_state():
@@ -373,13 +404,12 @@ def _model(enumerate_paths, *args) -> lattice.Model:
 
 def _closures(enumerate_paths, *args):
     """The cost, future and leave functions of the record a model hands to
-    `lattice.search`: its step rule and bounds, each form evaluated at a
-    position as the search evaluates it, and its `leave`.
+    `lattice.search`: its step rule, bounds and `leave`, each form evaluated
+    at a position as the search evaluates it.
     """
     model = _model(enumerate_paths, *args)
-    at = lambda form, x: form[0] * ((x + form[1]) // form[2]) + form[3]
-    return (lambda x, prev, h, nh: at(model.step(prev, h, nh), x),
-            lambda x, h: at(model.bounds[h], x), model.leave)
+    return (lambda x, prev, h, nh: oracles._at(model.step(prev, h, nh), x),
+            lambda x, h: oracles._at(model.bounds[h], x), lambda x: oracles._at(model.leave, x))
 
 
 def _check_bounds(closures, hs: tuple[int, ...], b: int, total: int) -> None:
@@ -430,6 +460,34 @@ def test_half_bounds_are_admissible():
             total = 4 * weights[-1] + hp._ground_quarters(t2, a2, b2)
             _check_bounds(closures, g.doubled, b2, total)
     assert max(weights) > 100
+
+
+def test_the_rsos_leave_form_is_the_lesser_exit():
+    # the closed form a model hands to the search equals the two exits it
+    # is derived from, at every position, on every label up to p' = 13: the
+    # search is stubbed, so each model is built and no path is searched
+    budget = 5
+    with mock.patch.object(lattice, "search") as search:
+        for p, pp in RSOS_FAMILIES:
+            for a in range(1, pp):
+                for b in sorted(rsos.dark_floors(p, pp)):
+                    rsos.enumerate_paths(p, pp, a, b, budget)
+                    leave = search.call_args.args[0].leave
+                    assert [oracles._at(leave, x) for x in range(200)] == [
+                        oracles.rsos_leave(pp, a, b, budget, x) for x in range(200)], (p, pp, a, b)
+        # (2, 3, a, 1): the band {1, 2} fills the strip, no exit is open and
+        # no run ends
+        for a in (1, 2):
+            rsos.enumerate_paths(2, 3, a, 1, budget)
+            leave = search.call_args.args[0].leave
+            assert {oracles._at(leave, x) for x in range(200)} == {budget + 1}
+    assert search.call_count == sum((pp - 1) * (p - 1) for p, pp in RSOS_FAMILIES) + 2
+
+
+def test_the_half_leave_form_is_two_exits():
+    for t2, a2, b2 in hp.theorem1_labels(4, 14):
+        leave = _model(hp.enumerate_paths, t2, a2, b2, 3).leave
+        assert [oracles._at(leave, i) for i in range(200)] == [2 * i + 2 for i in range(200)]
 
 
 def _useful_share(enumerate_paths, *args) -> float:
@@ -634,10 +692,10 @@ def attempt(call):
 
 attempt(lambda: particles.apply_move(path, move))
 free = lambda *vertex: lattice.FREE
-late = lattice.Model(12, 2, 1, 12, 0, 4, "a late band", free, [lattice.FREE] * 13, lambda x: 0)
+late = lattice.Model(12, 2, 1, 12, 0, 4, "a late band", free, [lattice.FREE] * 13, lattice.FREE)
 attempt(lambda: lattice.search(late))
 updown = lambda prev, h, nh: (0, 0, 1, 1) if nh > h else lattice.FREE
-odd = lattice.Model(3, 2, 1, 5, 8, 40, "an odd walk", updown, [lattice.FREE] * 6, lambda x: 0, 2)
+odd = lattice.Model(3, 2, 1, 5, 8, 40, "an odd walk", updown, [lattice.FREE] * 6, lattice.FREE, 2)
 attempt(lambda: lattice.search(odd))
 particles.b_matrix = lambda t2: [[1]]  # an odd charge form
 attempt(lambda: particles.minimal_weight(4, (1,)))

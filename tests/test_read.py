@@ -263,7 +263,7 @@ def _listed(cls, label, start, low, top):
     one = (0, 0, 1, 1)  # a constant cost, slope 0
     return iter(lattice.search(lattice.Model(
         start, label[-1], low, top, 3, 12, "a test walk", lambda *vertex: one,
-        [lattice.FREE] * (top + 1), lambda x: 1, build=partial(cls, *label))))
+        [lattice.FREE] * (top + 1), one, build=partial(cls, *label))))
 
 
 _BROKEN = (

@@ -1,11 +1,14 @@
 """Cost of counting paths by weight, and of listing them, by order.  For a
 fixed set of RSOS labels (p, p', a, b) and half-path labels (T, A, B) it
 prints two tables of median milliseconds: one `generating_function` call,
-the counting search with no path listed, at N = 60, 120, 240 and 480; and
-listing every path of a fresh path set, its walk built from the counting
-tables included and the counting itself not, at N = 8, 12, 16 and 20.  The
-counting cost should grow no faster than the number of live search states
-times N, and the listing cost with the number of paths listed.
+the counting search with no path listed, at N = 12, 16, 60, 120, 240 and
+480; and listing every path of a fresh path set, its walk built from the
+counting tables included and the counting itself not, at N = 8, 12, 16 and
+20.  The counting cost should grow no faster than the number of live
+search states times N, and the listing cost with the number of paths
+listed.  At N = 12 and 16, the orders of the `theorem1-gf` benchmark
+workload, a search's fixed cost, the part that does not grow with its
+states, is a large share of it.
 
     PYTHONPATH=src python3 tools/count_sweep.py [--max-order 480]
 """
@@ -17,7 +20,7 @@ import time
 
 from viracomb import halfpath, rsos
 
-ORDERS = (60, 120, 240, 480)
+ORDERS = (12, 16, 60, 120, 240, 480)
 LIST_ORDERS = (8, 12, 16, 20)
 LABELS = ((rsos, (5, 11, 8, 2)), (rsos, (6, 13, 3, 10)), (rsos, (4, 9, 8, 6)),
           (halfpath, (8, 2, 2)), (halfpath, (13, 6, 4)), (halfpath, (12, 2, 2)))
@@ -55,7 +58,7 @@ def table(timed, orders: list[int], what: str) -> None:
           + f"   (median ms per {what})")
     for model, label in LABELS:
         name = model.__name__.rsplit(".", 1)[-1]
-        cells = " ".join(f"{statistics.median(times[model, label, n]):>8.1f}" for n in orders)
+        cells = " ".join(f"{statistics.median(times[model, label, n]):>8.2f}" for n in orders)
         print(f"{name:>8} {str(label).replace(' ', ''):>14} {cells}")
 
 
