@@ -11,15 +11,19 @@ The fermionic term formula is written once, in `_walk`, which does not
 build its terms one by one.  It walks the occupation vectors level by level
 from the top charge down, and merges the histories that agree on (m_c,
 sum_{k>c} n_k): those two numbers fix everything the levels below add, so
-one coefficient list of q-binomial products, multiplied and divided by one
-factor (1 - q^k) in place per step, serves all of them.  The factor
-1/(q)_{m_1} is left out of the walk: each term is merged under its m_1, and
-one Horner sweep divides by (1 - q^M) once per value M, so only a few dozen
-such passes are made per call.  `fermionic_character_12` walks every
-vector; `particles.sector_gf` walks the one vector of its sector, each
-level stopping at that vector's n_c.  The closed-form sums for M(2,5),
-M(3,7) and M(4,7) share one row walk, `_row_walk`, which builds each
-term from its neighbour in the same way, a few passes per term.
+one list of q-binomial products, multiplied and divided by one factor
+(1 - q^k) per step, serves all of them.  Each list is packed into one int,
+w bits a coefficient (see `qseries`), so a factor is a few big-int shifts
+and a merge one shift and addition; the width is proven from the sum of
+the products' coefficients, which the walk carries beside each int, and
+the final int alone is read back.  The factor 1/(q)_{m_1} is left out of
+the walk: each term is merged under its m_1, and one Horner sweep divides
+by (1 - q^M) once per value M, so only a few dozen such passes are made
+per call.  `fermionic_character_12` walks every vector;
+`particles.sector_gf` walks the one vector of its sector, each level
+stopping at that vector's n_c.  The closed-form sums for M(2,5), M(3,7)
+and M(4,7) share one row walk, `_row_walk`, which builds each term from
+its neighbour by a few in-place passes on a plain coefficient list.
 `bosonic_character` divides the alternating sum by (q)_oo in place with
 one pentagonal pass (`qseries._divide_poch_inf`).  `occupation_vectors`
 is a plain fill, one nested generator per charge, and the fermionic walk
@@ -37,7 +41,8 @@ from operator import add
 
 from .halfpath import rsos_label, theorem1_domain
 # pochhammer_inf_inverse is not called here: bench/tracing.py wraps it under this name
-from .qseries import (QSeries, _divide_one_minus, _divide_poch_inf, _merge, _times_one_minus,
+from .qseries import (QSeries, _divide_one_minus, _divide_packed, _divide_poch_inf,
+                      _merge_packed, _times_one_minus, _times_packed, _unpack, _width,
                       pochhammer_inf_inverse)
 from .rsos import tail_band_index
 
@@ -201,52 +206,71 @@ def _walk(t2: int, order: int, fixed: tuple[int, ...] | None) -> QSeries:
     The walk fixes n_c level by level from the top charge down to charge 2,
     so that m_c = sum_{k>c} n_k (k - c) and tail = sum_{k>c} n_k are known
     on entering level c; with `fixed`, a level keeps only its n_c.
-    Histories that agree on (m_c, tail) are merged by `qseries._merge`:
+    Histories that agree on (m_c, tail) are merged by `qseries._merge_packed`:
     sum_{k>c} k n_k = m_c + c tail, so (c, m_c, tail) fixes the exponent
     step of every particle added from level c down (B_ij = (min - 1) max),
     every binomial [n_j + m_j, n_j] below c, and m_1.  A state carries its
-    least exponent e0 and one list, the sum of q^(e - e0) prod_{k>c} [n_k +
-    m_k, n_k] over its histories, cut at q^(order - e0).  Raising n_c by one
-    multiplies the list by (1 - q^(m_c + n_c + 1)) / (1 - q^(n_c + 1)), no
-    pass at all when m_c = 0, since [n, n] = 1; the exponent only grows
-    (B >= 0 entrywise), so the list is cut first.  At charge 2 each state is
-    merged under its M = m_1 alone.  The leaves are summed with their
-    1/(q)_M by one Horner sweep from the largest M down, each M's sum
-    divided by (1 - q^M) and merged into M - 1, so each value of m_1 costs
-    one pass, not every vector that has it, and the passes run only over
-    the lists' lengths.
+    least exponent e0, the sum of q^(e - e0) prod_{k>c} [n_k + m_k, n_k]
+    over its histories, cut at q^(order - e0) and packed into one int at w
+    bits a coefficient, and the sum S of those products at q = 1, uncut (a
+    merged state steps on by its least exponent, so S may also count
+    histories whose own exponent has passed the order: a larger bound).
+    Raising n_c by one multiplies the product by (1 - q^(m_c + n_c + 1)) /
+    (1 - q^(n_c + 1)), a few shifts of the int, and S by (m_c + n_c + 1) /
+    (n_c + 1), exactly, since every history of the state shares m_c.  The
+    exponent only grows (B >= 0 entrywise), so the int is cut first.  No
+    pass at all when m_c = 0, since [n, n] = 1: then nothing lies above c,
+    and the int is 1, which needs no cut.  At charge 2 each state is merged
+    under its M = m_1 alone.  The leaves are summed with their 1/(q)_M by
+    one Horner sweep from the largest M down, each M's sum divided by
+    (1 - q^M) and merged into M - 1, so each value of m_1 costs one pass,
+    not every vector that has it.
+
+    Packed arithmetic is exact modulo 2^(L w) for a list of L coefficients,
+    and the one int left is read once, which is exact when its every
+    coefficient lies in [0, 2^w).  `qseries._width` proves a width from the
+    final S, the coefficient sum of all the products, as 1/(q)_M adds at
+    most a factor p(order).  The walk runs at a width that has held S in
+    practice, and once more, at the proven width, when that is wider.
     """
     top = _top_charge(t2, order)
     _check_order(order)
-    level = {(0, 0): (0, [1] + [0] * order)}  # (m_c, tail) -> (e0, list)
-    for c in range(top, 1, -1):
-        lo, hi = (0, None) if fixed is None else (fixed[c - 2],) * 2
-        below: dict = {}
-        diag = c * (c - 1) // 2  # B_cc / 2
-        for (m_c, tail), (e, poly) in level.items():
-            cross = (c - 1) * (m_c + c * tail)  # a particle's terms with charges > c
-            n = 0
-            while True:
-                if n >= lo:
-                    m = m_c + tail + n  # m_{c-1} = m_c + sum_{k>=c} n_k
-                    _merge(below, (m, tail + n) if c > 2 else m, e, poly[:])
-                if n == hi:
-                    break
-                e += diag * (2 * n + 1) + cross
-                if e > order:
-                    break
-                del poly[order - e + 1:]
-                if m_c:
-                    _times_one_minus(poly, m_c + n + 1)
-                    _divide_one_minus(poly, n + 1)
-                n += 1
-        level = below
-    for m in range(max(level), 0, -1):
-        e, acc = level.pop(m)
-        _divide_one_minus(acc, m)
-        _merge(level, m - 1, e, acc)
-    e, acc = level[0]
-    return QSeries(order, (0,) * e + tuple(acc))
+    # a first guess: S has had at most 1.8 sqrt(order) bits (T <= 30, order <= 1000)
+    w = _width(1 << 2 * math.isqrt(order), order)
+    while True:
+        level = {(0, 0): (0, 1, 1)}  # (m_c, tail) -> (e0, packed list, S)
+        for c in range(top, 1, -1):
+            lo, hi = (0, None) if fixed is None else (fixed[c - 2],) * 2
+            below: dict = {}
+            diag = c * (c - 1) // 2  # B_cc / 2
+            for (m_c, tail), (e, x, s) in level.items():
+                cross = (c - 1) * (m_c + c * tail)  # a particle's terms with charges > c
+                n = 0
+                while True:
+                    if n >= lo:
+                        m = m_c + tail + n  # m_{c-1} = m_c + sum_{k>=c} n_k
+                        _merge_packed(below, (m, tail + n) if c > 2 else m, e, x, s, w)
+                    if n == hi:
+                        break
+                    e += diag * (2 * n + 1) + cross
+                    if e > order:
+                        break
+                    if m_c:  # else nothing lies above c, and x = 1 needs no cut
+                        mask = (1 << (order - e + 1) * w) - 1
+                        x = _divide_packed(_times_packed(x, (m_c + n + 1) * w, mask),
+                                           (n + 1) * w, mask)
+                        s = s * (m_c + n + 1) // (n + 1)
+                    n += 1
+            level = below
+        for m in range(max(level), 0, -1):
+            e, x, s = level.pop(m)
+            x = _divide_packed(x, m * w, (1 << (order - e + 1) * w) - 1)
+            _merge_packed(level, m - 1, e, x, s, w)
+        e, x, s = level[0]
+        need = _width(s, order)
+        if need <= w:
+            return QSeries(order, (0,) * e + _unpack(x, w, order - e + 1))
+        w = need
 
 
 def theorem1_label(t2: int, a_hat: int, b_hat: int) -> CharacterLabel:

@@ -14,20 +14,32 @@ modular products prod 1/(1-q^k) over residue classes.
 Products of factors (1 - q^k) and their inverses never multiply whole
 series: one coefficient list is multiplied or divided by each factor in
 place, an O(N) pass through q^N, so (q)_n, [m, n]_q, the modular products
-and the fermionic terms of :mod:`viracomb.characters` cost O(N) per factor
+and the closed-form sums of :mod:`viracomb.characters` cost O(N) per factor
 and keep no cache.  Division by (q)_oo is one in-place pass of Euler's
 pentagonal recurrence, O(N^1.5), so a numerator is divided directly rather
-than built into 1/(q)_oo first and then multiplied by it.  The term lists
-of the fermionic walk, which carry an exponent offset, are added by one
-merge, `_merge`; the path search merges its count lists inline, on its
-grain, each merge into a new list, since a list it hands on whole may be
-shared by several states and is never edited.
+than built into 1/(q)_oo first and then multiplied by it.  The path
+search merges its count lists inline, on its grain, each merge into a new
+list, since a list it hands on whole may be shared by several states and
+is never edited.
+
+The fermionic walk of :mod:`viracomb.characters` keeps each of its term
+lists packed into one int (Kronecker substitution): coefficient j of a list
+of n sits at bits [j w, (j + 1) w).  Sending q to 2^w maps Z[q]/(q^n) onto
+Z/2^(n w) and respects sums and products, so a cut is one mask, a product
+by (1 - q^k) one shift, subtraction and mask (`_times_packed`), a quotient
+by it ceil(log2(n / k)) doubling steps (`_divide_packed`), and a merge at an
+offset one shift and addition (`_merge_packed`); an int is never edited, so
+it is handed on without a copy.  Negative intermediate coefficients are
+harmless, as all of this is exact modulo 2^(n w).  Only the final int is
+read (`_unpack`), which is exact when each of its coefficients lies in
+[0, 2^w); `_width` gives a width that is proven to hold them from a bound
+the walk carries, with integers only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
+from math import isqrt
 from typing import Iterable
 
 
@@ -163,26 +175,70 @@ def _divide_one_minus(out: list[int], k: int) -> None:
         out[j] += out[j - k]
 
 
-def _merge(states: dict, key, e: int, poly: list[int]) -> None:
-    """Add q^e poly into states[key], kept as (least exponent e0, list): the
-    lists are aligned by their offsets and added, and the kept one is padded
-    when poly runs past it.  poly is kept or added, never copied, so the
-    caller must not touch it again.  An empty list carries no terms: states
-    that only track their least exponent merge empty lists and stay empty.
+def _width(bound: int, order: int) -> int:
+    """Bits per coefficient that hold every coefficient through q^order of
+    sum_M P_M(q) / (q)_M, where each P_M has nonnegative coefficients and
+    bound is at least the sum of the coefficients of all the P_M together.
+
+    The proof uses no identity of the series itself.  The coefficient of q^i
+    in 1/(q)_M counts the partitions of i into parts at most M, so it lies
+    in [0, p(order)] for i <= order, p(n) being the partition count and
+    nondecreasing.  A coefficient c_i of the sum is sum_M sum_j P_M,j
+    [q^(i - j)] 1/(q)_M, so 0 <= c_i <= bound p(order).  By Apostol
+    (*Introduction to Analytic Number Theory*, Theorem 14.5), p(n) <
+    e^(K sqrt(n)) for n >= 1, K = pi sqrt(2/3), and p(0) = 1 = e^0; since
+    K / ln 2 < 3.71 < 4 and sqrt(n) < isqrt(n) + 1, p(order) < 2^(4 (isqrt(
+    order) + 1)).  With bound < 2^(bound.bit_length()), every c_i is below
+    2^w for the w returned, so `_unpack` at that width reads it exactly.
+    """
+    return bound.bit_length() + 4 * (isqrt(order) + 1)
+
+
+def _times_packed(x: int, shift: int, mask: int) -> int:
+    """x (1 - q^k) for a packed x, shift = k w, cut at mask = 2^(n w) - 1."""
+    return (x - (x << shift)) & mask
+
+
+def _divide_packed(x: int, shift: int, mask: int) -> int:
+    """x / (1 - q^k) for a packed x, shift = k w, cut at mask = 2^(n w) - 1.
+
+    1/(1 - q^k) = (1 + q^k)(1 + q^2k)(1 + q^4k)... through q^(n - 1), so
+    the quotient takes ceil(log2(n / k)) doubling steps, cut once at the end.
+    """
+    top = mask.bit_length()
+    while shift < top:
+        x += x << shift
+        shift += shift
+    return x & mask
+
+
+def _merge_packed(states: dict, key, e: int, x: int, s: int, w: int) -> None:
+    """Add q^e x into states[key], kept as (least exponent e0, packed int,
+    coefficient-sum bound): the int of the higher exponent is shifted up by
+    the difference, (e - e0) w bits, and added, and the bounds add.  An int
+    has no length, so one that runs past the kept one extends it.
     """
     old = states.get(key)
-    if old is None:
-        states[key] = (e, poly)
-        return
-    e0, acc = old
-    if e < e0:
-        e0, acc, e, poly = e, poly, e0, acc
-        states[key] = (e0, acc)
-    d = e - e0
-    n = d + len(poly)
-    if n > len(acc) and poly:
-        acc += [0] * (n - len(acc))
-    acc[d:n] = map(add, acc[d:n], poly)
+    if old is not None:
+        e0, x0, s0 = old
+        if e0 < e:
+            e, x, e0, x0 = e0, x0, e, x
+        x += x0 << (e0 - e) * w
+        s += s0
+    states[key] = (e, x, s)
+
+
+def _unpack(x: int, w: int, n: int) -> tuple[int, ...]:
+    """The coefficients c_0..c_(n-1) of a packed x, each read as w bits.
+
+    A long int is halved until at most 32 coefficients are left, so that no
+    shift reads more than 32 of them: O(n w log n) bit work, not O(n^2 w).
+    """
+    if n > 32:
+        h = n // 2
+        return _unpack(x & ((1 << h * w) - 1), w, h) + _unpack(x >> h * w, w, n - h)
+    mask = (1 << w) - 1
+    return tuple([x >> j * w & mask for j in range(n)])
 
 
 def _factor_product(up: Iterable[int], down: Iterable[int], order: int) -> QSeries:

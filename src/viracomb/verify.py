@@ -15,8 +15,9 @@ raised it (`at`).  Only `MemoryError` escapes a job, and ends the run: the
 order is too large.  Each check is an independent job, so suites can fan
 out over a process pool; reports are sorted by suite and name regardless
 of scheduling.  The worker count is `workers` when given, else the number
-of cores.  Each report's `elapsed` is the time its job took, measured
-around the check in `_run_job`, so the checks do no timing.
+of cores.  Each report's `elapsed` is the time its job took in seconds,
+to the microsecond, measured around the check in `_run_job`, so the checks
+do no timing.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class VerifyReport:
             "params": self.params,
             "order": self.order,
             "status": "pass" if self.ok else "fail",
-            "elapsed": round(self.elapsed, 3),
+            "elapsed": round(self.elapsed, 6),
         }
         if not self.ok:
             payload["mismatch_power"] = self.mismatch_power

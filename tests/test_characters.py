@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from viracomb import characters
+from viracomb import characters, qseries
 from viracomb.characters import (
     CharacterLabel,
     InvalidLabelError,
@@ -23,7 +23,7 @@ from viracomb.characters import (
     verify_symmetries,
 )
 from viracomb.halfpath import theorem1_domain
-from viracomb.particles import sector_gf
+from viracomb.particles import minimal_weight, sector_gf
 from viracomb.qseries import (
     QSeries,
     _divide_poch_inf,
@@ -282,15 +282,20 @@ def test_fermionic_term_matches_ring_products(t2):
         assert fermionic_term(t2, n, order) == expect, n
 
 
+def _term_sum(t2: int, order: int) -> list[int]:
+    """The fermionic sum through q^order, one term built alone per vector."""
+    acc = [0] * (order + 1)
+    for n, e in occupation_vectors(t2, order):
+        for k, c in enumerate(fermionic_term(t2, n, order - e).coeffs):
+            acc[e + k] += c
+    return acc
+
+
 @pytest.mark.parametrize("t2", range(4, 15))
 def test_fermionic_walk_matches_term_oracle(t2):
     # the walk against a sum of terms built one vector at a time
     for order in (0, 1, 2, 17, 60, 90):
-        acc = [0] * (order + 1)
-        for n, e in occupation_vectors(t2, order):
-            for k, c in enumerate(fermionic_term(t2, n, order - e).coeffs):
-                acc[e + k] += c
-        assert fermionic_character_12(t2, order).coeffs == tuple(acc), order
+        assert fermionic_character_12(t2, order).coeffs == tuple(_term_sum(t2, order)), order
     assert fermionic_character_12(t2, 150) == bosonic_character(theorem1_label(t2, 1, 1), 150)
 
 
@@ -299,46 +304,101 @@ def test_fermionic_walk_every_low_order():
     # shows at some order even where orders 60 and 90 happen to agree
     top = 40
     for t2 in range(4, 17):
-        acc = [0] * (top + 1)
-        for n, e in occupation_vectors(t2, top):
-            for k, c in enumerate(fermionic_term(t2, n, top - e).coeffs):
-                acc[e + k] += c
+        acc = _term_sum(t2, top)
         for order in range(top + 1):
             assert fermionic_character_12(t2, order).coeffs == tuple(acc[:order + 1]), (t2, order)
 
 
-def _count_passes(monkeypatch) -> dict:
-    """Count the (1 - q^k) passes `characters` makes, by kind, from here on."""
+def test_packed_walk_matches_term_oracle_far_out():
+    # at q^240 the largest coefficients have 29 to 44 bits, so a width that
+    # fell short of them would show; and every single-vector walk at q^30
+    for t2 in (4, 9, 14):
+        assert fermionic_character_12(t2, 240).coeffs == tuple(_term_sum(t2, 240)), t2
+    for t2 in range(4, 11):
+        for n, e in occupation_vectors(t2, 30):
+            expect = (0,) * e + fermionic_term(t2, n, 30 - e).coeffs
+            assert sector_gf(t2, n, 30).coeffs == expect, (t2, n)
+
+
+def test_packed_walk_breaks_one_bit_under_its_largest_coefficient(monkeypatch):
+    # read at one bit less than the largest coefficient has, the series is
+    # wrong, and at that coefficient's own bit length it is right: the width
+    # the walk is given is what makes its one read exact
+    for t2, order in ((6, 60), (14, 240)):
+        expect = bosonic_character(theorem1_label(t2, 1, 1), order)
+        bits = max(expect.coeffs).bit_length()
+        monkeypatch.setattr(characters, "_width", lambda bound, order: bits - 1)
+        assert fermionic_character_12(t2, order) != expect, t2
+        monkeypatch.setattr(characters, "_width", lambda bound, order: bits)
+        assert fermionic_character_12(t2, order) == expect, t2
+
+
+def _binomial_sum(t2: int, vectors) -> int:
+    """sum over the vectors of prod_{j=2..T-3} C(n_j + m_j, n_j): the
+    coefficient sum of their q-binomial products, the bound S of the walk.
+    """
+    total = 0
+    for n in vectors:
+        ms = m_vector(t2, n)
+        total += math.prod(math.comb(n[j - 2] + ms[j - 1], n[j - 2]) for j in range(2, t2 - 2))
+    return total
+
+
+def test_packed_walk_reruns_at_the_proven_width(monkeypatch):
+    # a first width far under the proven one: the walk runs once more, at
+    # the proven width, and gives the same series.  The bound behind that
+    # width is the binomial sum of a lone vector, and at least that of the
+    # vectors within order for the whole sum (a merged state steps on by its
+    # least exponent, so its bound may count vectors that the cut drops)
+    bounds = []
+
+    def first_narrow(bound, order):
+        bounds.append(bound)
+        return 8 if len(bounds) == 1 else qseries._width(bound, order)
+
+    monkeypatch.setattr(characters, "_width", first_narrow)
+    assert fermionic_character_12(14, 90).coeffs == tuple(_term_sum(14, 90))
+    # the first width, then the proof of each of the two runs
+    least = _binomial_sum(14, [n for n, _ in occupation_vectors(14, 90)])
+    assert len(bounds) == 3 and bounds[1] == bounds[2] >= least, (bounds, least)
+    bounds.clear()
+    vec = (1, 0, 1, 0, 0, 0)
+    e = minimal_weight(9, vec)
+    assert sector_gf(9, vec, 90).coeffs == (0,) * e + fermionic_term(9, vec, 90 - e).coeffs
+    assert bounds[1:] == [_binomial_sum(9, [vec])] * 2 == [3, 3], bounds
+
+
+def _count_passes(monkeypatch, names=("_divide_one_minus", "_times_one_minus")) -> dict:
+    """Count the (1 - q^k) passes `characters` makes through the two named
+    functions, a division and a multiplication, by kind, from here on.
+    """
     calls = {"divide": 0, "times": 0}
-    divide, times = characters._divide_one_minus, characters._times_one_minus
+    for kind, name in zip(calls, names):
+        def counted(*args, kind=kind, f=getattr(characters, name)):
+            calls[kind] += 1
+            return f(*args)
 
-    def counted_divide(out, k):
-        calls["divide"] += 1
-        divide(out, k)
-
-    def counted_times(out, k):
-        calls["times"] += 1
-        times(out, k)
-
-    monkeypatch.setattr(characters, "_divide_one_minus", counted_divide)
-    monkeypatch.setattr(characters, "_times_one_minus", counted_times)
+        monkeypatch.setattr(characters, name, counted)
     return calls
 
 
 def test_fermionic_walk_divides_once_per_m1(monkeypatch):
-    # each binomial step is one multiplication and one division; any other
-    # division belongs to the sweep over m_1, one pass per value within order
-    calls = _count_passes(monkeypatch)
+    # each binomial step is one multiplication and one division of a packed
+    # int; any other division belongs to the sweep over m_1, one pass per
+    # value within order; the list passes are never taken
+    packed = _count_passes(monkeypatch, ("_divide_packed", "_times_packed"))
+    lists = _count_passes(monkeypatch)
     order = 90
     for t2 in range(4, 15):
-        calls.update(divide=0, times=0)
+        packed.update(divide=0, times=0)
         series = fermionic_character_12(t2, order)
-        assert calls["divide"] - calls["times"] <= order, (t2, calls)
+        assert packed["divide"] - packed["times"] <= order, (t2, packed)
         assert series == bosonic_character(theorem1_label(t2, 1, 1), order)
     # histories that share (m_c, tail) take their passes once, and a level
     # with nothing above it (m_c = 0) takes none: 288 passes, where a walk
     # with one history per prefix takes 438
-    assert calls["divide"] + calls["times"] <= 288, calls
+    assert 0 < packed["divide"] + packed["times"] <= 288, packed
+    assert lists == {"divide": 0, "times": 0}
 
 
 def test_closed_forms_step_from_neighbours(monkeypatch):
@@ -380,6 +440,7 @@ def test_fermionic_forms_retain_no_memory():
     def run(orders):
         for order in orders:
             fermionic_character_12(10, order)
+            sector_gf(10, (1, 0, 1, 0, 0, 0, 0), order)
             fermionic_sum_2_5(order)
             fermionic_sum_3_7(order)
             fermionic_sum_4_7(order)

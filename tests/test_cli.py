@@ -440,6 +440,15 @@ def test_verify_products_json(capsys):
         assert json.loads(line)["status"] == "pass"
 
 
+def test_verify_theorem1_jobs_report_their_time(capsys):
+    # a theorem1 job takes well under a millisecond, so its time is printed
+    # to the microsecond: rounded to the millisecond it would read 0.0
+    code, out, _ = run(capsys, ["verify", "theorem1", "--order", "4", "--workers", "1"])
+    assert code == 0
+    reports = [json.loads(line) for line in out.strip().splitlines()]
+    assert reports and all(r["elapsed"] > 0 for r in reports)
+
+
 def test_determinism(capsys, monkeypatch):
     argv = ["paths", "rsos", "3", "7", "4", "2", "--max-weight", "4"]
     _, first, _ = run(capsys, argv)

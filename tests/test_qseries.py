@@ -9,8 +9,14 @@ from viracomb.characters import CharacterLabel, alternating_sum_series, bosonic_
 from viracomb.qseries import (
     NonUnitConstantTermError,
     QSeries,
+    _divide_one_minus,
+    _divide_packed,
     _divide_poch_inf,
-    _merge,
+    _merge_packed,
+    _times_one_minus,
+    _times_packed,
+    _unpack,
+    _width,
     modular_product,
     pochhammer_finite,
     pochhammer_inf_inverse,
@@ -248,28 +254,47 @@ def test_divide_poch_inf_round_trip():
         assert out == list(s.coeffs)
 
 
-def test_merge_aligns_offsets_and_adds():
-    states = {}
-    _merge(states, "a", 3, [1, 2])  # a new key keeps the list as given
-    assert states == {"a": (3, [1, 2])}
-    _merge(states, "a", 4, [5])  # a higher exponent adds at its offset
-    assert states == {"a": (3, [1, 7])}
-    _merge(states, "a", 1, [1, 1, 1, 1])  # a lower one takes the key over
-    assert states == {"a": (1, [1, 1, 2, 8])}
-    _merge(states, "a", 3, [1, 1, 1, 1])  # one that runs past the kept list pads it
-    assert states == {"a": (1, [1, 1, 3, 9, 1, 1])}
-    _merge(states, "b", 0, [1])
-    _merge(states, "b", 3, [2, 2])  # past the end with a gap: zeros in between
-    assert states["b"] == (0, [1, 0, 0, 2, 2])
-    assert states["a"] == (1, [1, 1, 3, 9, 1, 1])
+def _pack(coeffs, w=8):
+    return sum(c << j * w for j, c in enumerate(coeffs))
 
 
-def test_merge_keeps_empty_lists_empty():
-    # a state that tracks only its least exponent carries an empty list,
-    # and neither the offset nor the swap may give it entries
+def test_packed_merge_aligns_offsets_and_adds():
     states = {}
-    _merge(states, "s", 4, [])
-    _merge(states, "s", 7, [])
-    assert states == {"s": (4, [])}
-    _merge(states, "s", 2, [])
-    assert states == {"s": (2, [])}
+    _merge_packed(states, "a", 3, _pack([1, 2]), 3, 8)  # a new key keeps the int as given
+    assert states == {"a": (3, _pack([1, 2]), 3)}
+    _merge_packed(states, "a", 4, _pack([5]), 5, 8)  # a higher exponent adds at its offset
+    assert states == {"a": (3, _pack([1, 7]), 8)}
+    _merge_packed(states, "a", 1, _pack([1, 1, 1, 1]), 4, 8)  # a lower one takes the key over
+    assert states == {"a": (1, _pack([1, 1, 2, 8]), 12)}
+    # one that runs past the kept int extends it
+    _merge_packed(states, "a", 3, _pack([1, 1, 1, 1]), 4, 8)
+    assert states == {"a": (1, _pack([1, 1, 3, 9, 1, 1]), 16)}
+    _merge_packed(states, "b", 0, _pack([1]), 1, 16)
+    _merge_packed(states, "b", 3, _pack([2, 2], 16), 4, 16)  # past the end with a gap
+    assert states["b"][0] == 0 and _unpack(states["b"][1], 16, 6) == (1, 0, 0, 2, 2, 0)
+    assert states["a"] == (1, _pack([1, 1, 3, 9, 1, 1]), 16)
+
+
+def test_packed_passes_match_list_passes():
+    # packed products and quotients by (1 - q^k) are the list passes' results
+    # packed, modulo 2^(n w) (a negative coefficient borrows from the next),
+    # and a quotient undoes a product
+    rng = random.Random(20261022)
+    for _ in range(400):
+        n, k, w = rng.randrange(1, 90), rng.randrange(1, 95), rng.randrange(14, 70)
+        cs = [rng.randrange(0, 100) for _ in range(n)]
+        x, mask = _pack(cs, w), (1 << n * w) - 1
+        times, over = cs[:], cs[:]
+        _times_one_minus(times, k)
+        _divide_one_minus(over, k)
+        assert _times_packed(x, k * w, mask) == _pack(times, w) & mask
+        assert _unpack(_divide_packed(x, k * w, mask), w, n) == tuple(over)
+        assert _divide_packed(_times_packed(x, k * w, mask), k * w, mask) == x
+
+
+def test_width_holds_the_partition_bound():
+    # every coefficient through q^N of a series bounded by bound p(N) fits
+    p = pochhammer_inf_inverse(600).coeffs
+    for order in range(601):
+        for bound in (0, 1, 2, 3, 255, 256, 10**9, 3**100):
+            assert bound * p[order] < 1 << _width(bound, order), (order, bound)
